@@ -13,7 +13,7 @@
 //! |-----------------|---------|
 //! | `/metrics`      | Prometheus text exposition of the whole registry |
 //! | `/healthz`      | per-shard health, queued ops, graph version (503 when any shard is failed) |
-//! | `/debug/memory` | live `DeepSize` walk: samtree payload/index, directory, attributes, WAL |
+//! | `/debug/memory` | live `DeepSize` walk: samtree payload/index, directory, timestamp columns, attributes, WAL |
 //! | `/debug/spans`  | the tracer's recent-span ring plus started/finished/dropped counts |
 //! | `/debug/slow`   | the slow-op log: over-threshold requests with their span trees |
 //! | `/debug/traffic`| RPC traffic accounting: request/byte counts (real wire-frame sizes), fault and degradation tallies |
@@ -746,8 +746,14 @@ fn memory_json(cluster: &Cluster) -> String {
         .unwrap_or(0);
     let mut body = format!(
         "{{\"samtree_bytes\":{},\"samtree_leaf_bytes\":{},\"samtree_internal_bytes\":{},\
-         \"directory_bytes\":{},\"attr_bytes\":{},\"wal_bytes\":{wal_bytes},\"per_shard\":[",
-        mem.samtree_bytes, mem.leaf_bytes, mem.internal_bytes, mem.directory_bytes, mem.attr_bytes
+         \"directory_bytes\":{},\"timestamp_bytes\":{},\"attr_bytes\":{},\
+         \"wal_bytes\":{wal_bytes},\"per_shard\":[",
+        mem.samtree_bytes,
+        mem.leaf_bytes,
+        mem.internal_bytes,
+        mem.directory_bytes,
+        mem.timestamp_bytes,
+        mem.attr_bytes
     );
     for (i, s) in mem.per_shard.iter().enumerate() {
         if i > 0 {
@@ -755,12 +761,13 @@ fn memory_json(cluster: &Cluster) -> String {
         }
         body.push_str(&format!(
             "{{\"shard\":{},\"topology_bytes\":{},\"leaf_bytes\":{},\"internal_bytes\":{},\
-             \"directory_bytes\":{},\"attr_bytes\":{},\"edges\":{}}}",
+             \"directory_bytes\":{},\"timestamp_bytes\":{},\"attr_bytes\":{},\"edges\":{}}}",
             s.shard,
             s.topology.total_bytes,
             s.topology.leaf_bytes,
             s.topology.internal_bytes,
             s.topology.directory_bytes,
+            s.topology.timestamp_bytes,
             s.attr_bytes,
             s.edges
         ));
@@ -1016,6 +1023,21 @@ mod tests {
             .gauge("graph.mem.samtree_bytes")
             .expect("gauge refreshed by scrape");
         assert!(published > 0);
+        // The timestamp column is its own series and its own JSON line: 0
+        // on a timeless graph, the gauge's value once edges are stamped.
+        assert!(text.contains("plato_graph_mem_timestamp_bytes 0"), "{text}");
+        assert!(c.update_weight(Edge::new(VertexId(0), VertexId(1), 1.0).at(5)));
+        let (_, _, memory) = route("/debug/memory", &c);
+        let bytes = c
+            .obs()
+            .snapshot()
+            .gauge("graph.mem.timestamp_bytes")
+            .expect("gauge refreshed by /debug/memory");
+        assert!(bytes > 0);
+        assert!(
+            memory.contains(&format!("\"timestamp_bytes\":{bytes},")),
+            "{memory}"
+        );
     }
 
     struct StubFleet {

@@ -230,17 +230,23 @@ impl FsTable {
         }
     }
 
-    /// Recover all raw weights in `O(n)` (inverse of the linear build).
+    /// Stream the raw weights in index order, `O(n)` overall and without
+    /// allocating (inverse of the linear build): `w_i` is entry `i` minus
+    /// the entries of its Fenwick children, which in 1-based terms sit at
+    /// `p - 2^k` for every `k < trailing_zeros(p)`, `p = i + 1`. Children
+    /// are subtracted nearest first, so every caller that reads a table's
+    /// weights — this iterator or [`weights`](Self::weights) — sees the
+    /// same floating-point values.
+    pub fn iter_weights(&self) -> impl Iterator<Item = f64> + '_ {
+        self.tree.iter().enumerate().map(|(i, &entry)| {
+            let p = i + 1;
+            (0..p.trailing_zeros()).fold(entry, |w, k| w - self.tree[p - (1 << k) - 1])
+        })
+    }
+
+    /// Recover all raw weights in `O(n)`.
     pub fn weights(&self) -> Vec<f64> {
-        let mut w = self.tree.clone();
-        let n = w.len();
-        for i in (0..n).rev() {
-            let parent = i + lsb(i + 1);
-            if parent < n {
-                w[parent] -= w[i];
-            }
-        }
-        w
+        self.iter_weights().collect()
     }
 
     /// Rebuild the table from its own recovered weights, clearing any
@@ -406,6 +412,37 @@ mod tests {
         for (a, b) in w.iter().zip(&back) {
             assert_close(*a, *b);
         }
+    }
+
+    #[test]
+    fn iter_weights_is_bitwise_the_backward_sweep() {
+        // The sweep `weights()` used before it became a `collect()` of the
+        // iterator: windowed sampling's fallback CDF is built from these
+        // values, so they must not move by an ULP.
+        fn backward_sweep(t: &FsTable) -> Vec<f64> {
+            let mut w = t.tree.clone();
+            for i in (0..w.len()).rev() {
+                let parent = i + lsb(i + 1);
+                if parent < w.len() {
+                    w[parent] -= w[i];
+                }
+            }
+            w
+        }
+        let mut t = FsTable::new();
+        for i in 0..300usize {
+            t.push(((i * 2_654_435_761) % 1_000) as f64 * 0.37 + 0.01);
+        }
+        // Drift the entries with signed-delta updates and swap-deletes.
+        for i in (0..300).step_by(7) {
+            t.set(i, (i as f64).sqrt() + 0.1);
+        }
+        for i in (0..200).step_by(13) {
+            t.swap_delete(i);
+        }
+        let want: Vec<u64> = backward_sweep(&t).iter().map(|w| w.to_bits()).collect();
+        let got: Vec<u64> = t.iter_weights().map(f64::to_bits).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

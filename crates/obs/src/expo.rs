@@ -50,6 +50,9 @@ fn known_help(name: &str) -> Option<&'static str> {
         "cluster.update_latency_ns" => "End-to-end cluster update latency",
         "cluster.graph_version" => "Monotonic graph version, bumped per applied update round",
         "graph.mem.samtree_bytes" => "Resident heap bytes of samtree topology across shards",
+        "graph.mem.timestamp_bytes" => {
+            "Resident heap bytes of samtree leaf timestamp columns across shards"
+        }
         "graph.mem.attr_bytes" => "Resident heap bytes of vertex attribute blobs across shards",
         "graph.mem.wal_bytes" => "Write-ahead log bytes since the last checkpoint",
         "obs.spans_dropped" => "Span records evicted from the tracer ring before export",

@@ -108,9 +108,15 @@ impl IdList {
                 suffixes,
             } => {
                 let width = 8 - *z as usize;
-                let mut bytes = [0u8; 8];
-                bytes[8 - width..].copy_from_slice(&suffixes[i * width..(i + 1) * width]);
-                (prefix << (8 * width)) | u64::from_be_bytes(bytes)
+                // A fixed-size load for each suffix width CP-ID allows
+                // (z ∈ {7, 6, 4}); a variable-length copy costs a call.
+                let suffix = match suffixes[i * width..(i + 1) * width] {
+                    [a] => u64::from(a),
+                    [a, b] => u64::from(u16::from_be_bytes([a, b])),
+                    [a, b, c, d] => u64::from(u32::from_be_bytes([a, b, c, d])),
+                    ref other => other.iter().fold(0, |acc, &b| (acc << 8) | u64::from(b)),
+                };
+                (prefix << (8 * width)) | suffix
             }
         }
     }

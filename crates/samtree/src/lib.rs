@@ -31,8 +31,8 @@ mod split;
 mod tree;
 
 pub use idlist::IdList;
-pub use split::{alpha_split, IdWeight};
-pub use tree::{InsertOutcome, SamTree};
+pub use split::{alpha_split, IdWeight, Row};
+pub use tree::{DecayCounts, InsertOutcome, SamTree};
 
 /// Which index structure samtree *leaves* use for their weights — the
 /// paper's central design choice, exposed so the ablation can measure it

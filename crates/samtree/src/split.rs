@@ -15,9 +15,14 @@
 //! `a[k̂]` leading the right half. Because the pivot is the right half's
 //! minimum, it doubles as the new separator in the parent's ordered ID list.
 
-/// An (ID, weight) pair moved together during partitioning — the leaf's
-/// FSTable is positional, so weights must follow their IDs.
+/// An (ID, weight) pair, the timeless view of a leaf row.
 pub type IdWeight = (u64, f64);
+
+/// A whole leaf row `(ID, weight, event time)`, moved together during
+/// partitioning: the leaf's FSTable and timestamp column are positional, so
+/// weight and `ts` must follow their ID through every split and merge.
+/// `ts == 0` marks a timeless edge.
+pub type Row = (u64, f64, u64);
 
 /// Partition `a` around `a[0]` and return the pivot's final index: all
 /// elements left of it compare `<` the pivot, all elements right of it `>`.
@@ -27,7 +32,7 @@ pub type IdWeight = (u64, f64);
 /// (which Alg. 1 requires for its `pos ∈ [k-α, k+α]` test) with the same
 /// linear scan cost. IDs within one samtree are distinct, so ties need no
 /// special handling.
-fn partition_around_first(a: &mut [IdWeight]) -> usize {
+fn partition_around_first(a: &mut [Row]) -> usize {
     debug_assert!(!a.is_empty());
     let pivot = a[0].0;
     let mut store = 0;
@@ -52,13 +57,13 @@ fn partition_around_first(a: &mut [IdWeight]) -> usize {
 /// use platod2gl_samtree::alpha_split;
 ///
 /// // The paper's Example 2: {1,2,3,4,6} splits into {1,2} and {3,4,6}.
-/// let mut pairs = vec![(3u64, 0.3), (1, 0.1), (4, 0.4), (2, 0.2), (6, 0.6)];
+/// let mut pairs = vec![(3u64, 0.3, 0), (1, 0.1, 0), (4, 0.4, 0), (2, 0.2, 0), (6, 0.6, 0)];
 /// let khat = alpha_split(&mut pairs, 0);
 /// assert_eq!(khat, 2);
 /// assert_eq!(pairs[khat].0, 3); // pivot = right half's minimum
 /// assert!(pairs[..khat].iter().all(|p| p.0 < 3));
 /// ```
-pub fn alpha_split(a: &mut [IdWeight], alpha: usize) -> usize {
+pub fn alpha_split(a: &mut [Row], alpha: usize) -> usize {
     let n = a.len();
     assert!(n >= 2, "splitting needs at least two elements");
     let k = n / 2;
@@ -94,11 +99,11 @@ pub fn alpha_split(a: &mut [IdWeight], alpha: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn pairs(ids: &[u64]) -> Vec<IdWeight> {
-        ids.iter().map(|&i| (i, i as f64 * 0.5)).collect()
+    fn pairs(ids: &[u64]) -> Vec<Row> {
+        ids.iter().map(|&i| (i, i as f64 * 0.5, i + 1)).collect()
     }
 
-    fn assert_valid_split(a: &[IdWeight], khat: usize) {
+    fn assert_valid_split(a: &[Row], khat: usize) {
         assert!(khat > 0 && khat < a.len(), "both halves must be non-empty");
         let pivot = a[khat].0;
         for p in &a[..khat] {
@@ -164,8 +169,9 @@ mod tests {
         let mut a = pairs(&[5, 3, 9, 1, 7]);
         let khat = alpha_split(&mut a, 0);
         assert_valid_split(&a, khat);
-        for &(id, w) in a.iter() {
+        for &(id, w, ts) in a.iter() {
             assert_eq!(w, id as f64 * 0.5, "weight detached from id {id}");
+            assert_eq!(ts, id + 1, "ts detached from id {id}");
         }
     }
 
@@ -211,7 +217,7 @@ mod proptests {
         ) {
             let ids: Vec<u64> = ids.into_iter().collect();
             let before: HashSet<u64> = ids.iter().copied().collect();
-            let mut a: Vec<IdWeight> = ids.iter().map(|&i| (i, 1.0)).collect();
+            let mut a: Vec<Row> = ids.iter().map(|&i| (i, 1.0, 0)).collect();
             let khat = alpha_split(&mut a, alpha);
             // Partition property.
             prop_assert!(khat > 0 && khat < a.len());

@@ -2,7 +2,7 @@
 //! the combined ITS + FTS neighbor sampling descent (Sec. V-C).
 
 use crate::idlist::IdList;
-use crate::split::{alpha_split, IdWeight};
+use crate::split::{alpha_split, IdWeight, Row};
 use crate::{LeafIndex, OpStats, SamTreeConfig};
 use platod2gl_fenwick::FsTable;
 use platod2gl_mem::DeepSize;
@@ -165,6 +165,15 @@ impl LeafTable {
         }
     }
 
+    /// The values [`weights`](Self::weights) returns, streamed in slot
+    /// order without the copy.
+    fn for_each_weight(&self, mut f: impl FnMut(usize, f64)) {
+        match self {
+            LeafTable::Fs(t) => t.iter_weights().enumerate().for_each(|(i, w)| f(i, w)),
+            LeafTable::Cs(t) => (0..t.len()).for_each(|i| f(i, t.get(i))),
+        }
+    }
+
     /// Multiply every weight by `factor` in one pass. Both tables are
     /// linear in the weights, so scaling the stored entries directly is
     /// exact — no rebuild needed.
@@ -191,6 +200,15 @@ pub struct Leaf {
     ids: IdList,
     /// Positional weights: `fs.get(i)` is the weight of `ids.get(i)`.
     fs: LeafTable,
+    /// Positional event times: `ts[i]` belongs to `ids.get(i)`, `0` marks a
+    /// timeless edge. Absent until the leaf first holds a non-zero `ts`
+    /// (absent reads as all zeros), so a timeless graph pays no bytes and
+    /// one branch; when present it is exactly `ids.len()` long. The `Vec`
+    /// is boxed because a thin pointer fits in the slack `Leaf` has under
+    /// `Internal`, so `size_of::<Node>()` does not grow; a bare `Vec` would
+    /// grow every node of every tree.
+    #[allow(clippy::box_collection)]
+    ts: Option<Box<Vec<u64>>>,
 }
 
 #[derive(Clone, Debug)]
@@ -205,17 +223,89 @@ pub struct Internal {
 }
 
 impl Leaf {
-    fn from_pairs_cfg(pairs: &[IdWeight], cfg: &SamTreeConfig) -> Self {
-        let ids: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-        let weights: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+    fn from_rows(rows: &[Row], cfg: &SamTreeConfig) -> Self {
+        let ids: Vec<u64> = rows.iter().map(|r| r.0).collect();
+        let weights: Vec<f64> = rows.iter().map(|r| r.1).collect();
+        let stamped = rows.iter().any(|r| r.2 != 0);
         Self {
             ids: IdList::from_ids(&ids, cfg.compression),
             fs: LeafTable::from_weights(cfg.leaf_index, &weights),
+            ts: stamped.then(|| Box::new(rows.iter().map(|r| r.2).collect())),
         }
     }
 
-    fn pairs(&self) -> Vec<IdWeight> {
-        self.ids.iter().zip(self.fs.weights()).collect()
+    /// Visit `(id, weight, ts)` in slot order.
+    fn for_each_row(&self, f: &mut impl FnMut(u64, f64, u64)) {
+        match &self.ts {
+            Some(col) => self
+                .fs
+                .for_each_weight(|i, w| f(self.ids.get(i), w, col[i])),
+            None => self.fs.for_each_weight(|i, w| f(self.ids.get(i), w, 0)),
+        }
+    }
+
+    fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(self.ids.len());
+        self.for_each_row(&mut |id, w, ts| rows.push((id, w, ts)));
+        rows
+    }
+
+    fn ts_at(&self, i: usize) -> u64 {
+        self.ts.as_ref().map_or(0, |col| col[i])
+    }
+
+    /// Set slot `i`'s event time, allocating the column on the first
+    /// non-zero stamp.
+    fn set_ts(&mut self, i: usize, ts: u64) {
+        match &mut self.ts {
+            Some(col) => col[i] = ts,
+            None if ts != 0 => {
+                let mut col = vec![0; self.ids.len()];
+                col[i] = ts;
+                self.ts = Some(Box::new(col));
+            }
+            None => {}
+        }
+    }
+
+    /// Alg. 2 lines 3-6 at the leaf: an existing neighbor takes the row's
+    /// weight and event time (`ts == 0` clears a stamp: the insert replaces
+    /// the edge), a new one is appended. Returns the leaf's weight change
+    /// and whether the neighbor was new.
+    fn upsert(&mut self, (id, w, ts): Row, cfg: &SamTreeConfig) -> (f64, bool) {
+        if let Some(i) = self.ids.position(id) {
+            let old = self.fs.get(i);
+            self.fs.set(i, w);
+            self.set_ts(i, ts);
+            return (w - old, false);
+        }
+        if self.ids.is_empty() {
+            self.fs.ensure_kind(cfg.leaf_index);
+            if cfg.compression {
+                // Seed the CP-ID encoding on first insert; later pushes
+                // auto-downgrade the prefix as IDs spread (Sec. VI-A).
+                self.ids = IdList::from_ids(&[id], true);
+            } else {
+                self.ids.push(id);
+            }
+        } else {
+            self.ids.push(id);
+        }
+        self.fs.push(w);
+        match &mut self.ts {
+            Some(col) => col.push(ts),
+            None => self.set_ts(self.ids.len() - 1, ts),
+        }
+        (w, true)
+    }
+
+    /// Swap-delete slot `i` from all three columns, returning its weight.
+    fn swap_delete(&mut self, i: usize) -> f64 {
+        self.ids.swap_remove(i);
+        if let Some(col) = &mut self.ts {
+            col.swap_remove(i);
+        }
+        self.fs.swap_delete(i)
     }
 
     fn min_id(&self) -> u64 {
@@ -290,12 +380,12 @@ fn split_node(node: &mut Node, cfg: &SamTreeConfig, stats: &mut OpStats) -> Spli
     match node {
         Node::Leaf(leaf) => {
             stats.leaf_splits += 1;
-            let mut pairs = leaf.pairs();
-            let khat = alpha_split(&mut pairs, cfg.alpha);
-            let sep = pairs[khat].0;
-            let right = Leaf::from_pairs_cfg(&pairs[khat..], cfg);
+            let mut rows = leaf.rows();
+            let khat = alpha_split(&mut rows, cfg.alpha);
+            let sep = rows[khat].0;
+            let right = Leaf::from_rows(&rows[khat..], cfg);
             let right_weight = right.fs.total();
-            *leaf = Leaf::from_pairs_cfg(&pairs[..khat], cfg);
+            *leaf = Leaf::from_rows(&rows[..khat], cfg);
             SplitInfo {
                 sep,
                 right_weight,
@@ -331,54 +421,40 @@ fn split_node(node: &mut Node, cfg: &SamTreeConfig, stats: &mut OpStats) -> Spli
 
 fn insert_node(
     node: &mut Node,
-    id: u64,
-    weight: f64,
+    row: Row,
     cfg: &SamTreeConfig,
     stats: &mut OpStats,
 ) -> InsertResult {
     match node {
         Node::Leaf(leaf) => {
             stats.leaf_ops += 1;
-            if let Some(i) = leaf.ids.position(id) {
-                let old = leaf.fs.get(i);
-                leaf.fs.set(i, weight);
+            let (delta, inserted) = leaf.upsert(row, cfg);
+            if !inserted {
                 return InsertResult {
-                    delta: weight - old,
+                    delta,
                     outcome: InsertOutcome::Updated,
                     split: None,
                 };
             }
-            if leaf.ids.is_empty() {
-                leaf.fs.ensure_kind(cfg.leaf_index);
-                if cfg.compression {
-                    // Seed the CP-ID encoding on first insert; later pushes
-                    // auto-downgrade the prefix as IDs spread (Sec. VI-A).
-                    leaf.ids = IdList::from_ids(&[id], true);
-                } else {
-                    leaf.ids.push(id);
-                }
-            } else {
-                leaf.ids.push(id);
-            }
-            leaf.fs.push(weight);
             let split = if leaf.ids.len() > cfg.capacity {
                 Some(split_node(node, cfg, stats))
             } else {
                 None
             };
             InsertResult {
-                delta: weight,
+                delta,
                 outcome: InsertOutcome::Inserted,
                 split,
             }
         }
         Node::Internal(int) => {
+            let id = row.0;
             let j = int.route(id);
             if id < int.seps.get(0) {
                 // Keep separator 0 a true minimum (cheap, tightens routing).
                 int.seps.set(0, id);
             }
-            let res = insert_node(&mut int.children[j], id, weight, cfg, stats);
+            let res = insert_node(&mut int.children[j], row, cfg, stats);
             match res.split {
                 None => int.cs.add(j, res.delta),
                 Some(s) => {
@@ -404,17 +480,17 @@ fn insert_node(
     }
 }
 
-/// Partition an oversized pair set into α-split chunks, each within node
+/// Partition an oversized row set into α-split chunks, each within node
 /// capacity (used by batched insertion, where one leaf can overflow several
 /// times within a single batch).
-fn split_into_parts(pairs: &mut [IdWeight], cfg: &SamTreeConfig, out: &mut Vec<Vec<IdWeight>>) {
-    if pairs.len() <= cfg.capacity {
-        out.push(pairs.to_vec());
+fn split_into_parts(rows: &mut [Row], cfg: &SamTreeConfig, out: &mut Vec<Vec<Row>>) {
+    if rows.len() <= cfg.capacity {
+        out.push(rows.to_vec());
         return;
     }
-    let khat = alpha_split(pairs, cfg.alpha);
+    let khat = alpha_split(rows, cfg.alpha);
     // Split in place around the pivot; both halves shrink strictly.
-    let (left, right) = pairs.split_at_mut(khat);
+    let (left, right) = rows.split_at_mut(khat);
     split_into_parts(left, cfg, out);
     split_into_parts(right, cfg, out);
 }
@@ -428,12 +504,12 @@ struct BatchResult {
     siblings: Vec<SplitInfo>,
 }
 
-/// Apply a dst-sorted run of `(id, weight)` upserts to a subtree with one
+/// Apply a dst-sorted run of `(id, weight, ts)` upserts to a subtree with one
 /// descent and one aggregation-table rebuild per touched node — the
 /// bottom-up batch processing of the paper's Appendix B.
 fn insert_batch_rec(
     node: &mut Node,
-    ops: &[IdWeight],
+    ops: &[Row],
     cfg: &SamTreeConfig,
     stats: &mut OpStats,
 ) -> BatchResult {
@@ -441,38 +517,22 @@ fn insert_batch_rec(
         Node::Leaf(leaf) => {
             let mut delta = 0.0;
             let mut inserted = 0usize;
-            for &(id, w) in ops {
+            for &row in ops {
                 stats.leaf_ops += 1;
-                if let Some(i) = leaf.ids.position(id) {
-                    let old = leaf.fs.get(i);
-                    leaf.fs.set(i, w);
-                    delta += w - old;
-                } else {
-                    if leaf.ids.is_empty() {
-                        leaf.fs.ensure_kind(cfg.leaf_index);
-                        if cfg.compression {
-                            leaf.ids = IdList::from_ids(&[id], true);
-                        } else {
-                            leaf.ids.push(id);
-                        }
-                    } else {
-                        leaf.ids.push(id);
-                    }
-                    leaf.fs.push(w);
-                    delta += w;
-                    inserted += 1;
-                }
+                let (d, new) = leaf.upsert(row, cfg);
+                delta += d;
+                inserted += usize::from(new);
             }
             let mut siblings = Vec::new();
             if leaf.ids.len() > cfg.capacity {
-                let mut pairs = leaf.pairs();
+                let mut rows = leaf.rows();
                 let mut parts = Vec::new();
-                split_into_parts(&mut pairs, cfg, &mut parts);
+                split_into_parts(&mut rows, cfg, &mut parts);
                 stats.leaf_splits += (parts.len() - 1) as u64;
                 let mut iter = parts.into_iter();
-                *leaf = Leaf::from_pairs_cfg(&iter.next().expect("at least one part"), cfg);
+                *leaf = Leaf::from_rows(&iter.next().expect("at least one part"), cfg);
                 for part in iter {
-                    let right = Leaf::from_pairs_cfg(&part, cfg);
+                    let right = Leaf::from_rows(&part, cfg);
                     let sep = right.min_id();
                     let right_weight = right.fs.total();
                     siblings.push(SplitInfo {
@@ -495,7 +555,7 @@ fn insert_batch_rec(
             let mut delta = 0.0;
             let mut inserted = 0usize;
             // Tighten separator 0 so the batch minimum routes to child 0.
-            if ops.first().is_some_and(|&(id, _)| id < int.seps.get(0)) {
+            if ops.first().is_some_and(|row| row.0 < int.seps.get(0)) {
                 int.seps.set(0, ops[0].0);
             }
             // Collect per-child op ranges first (child list mutates later).
@@ -507,7 +567,7 @@ fn insert_batch_rec(
                 }
                 let hi = if j + 1 < n {
                     let bound = int.seps.get(j + 1);
-                    lo + ops[lo..].partition_point(|&(id, _)| id < bound)
+                    lo + ops[lo..].partition_point(|row| row.0 < bound)
                 } else {
                     ops.len()
                 };
@@ -589,47 +649,85 @@ fn insert_batch_rec(
     }
 }
 
-fn update_node(node: &mut Node, id: u64, weight: f64, stats: &mut OpStats) -> Option<f64> {
+/// `(id, weight, ts)` with `ts == 0` meaning "keep the stored event time".
+fn update_node(node: &mut Node, (id, weight, ts): Row, stats: &mut OpStats) -> Option<f64> {
     match node {
         Node::Leaf(leaf) => {
             let i = leaf.ids.position(id)?;
             let old = leaf.fs.get(i);
             leaf.fs.set(i, weight);
+            if ts != 0 {
+                leaf.set_ts(i, ts);
+            }
             stats.leaf_ops += 1;
             Some(weight - old)
         }
         Node::Internal(int) => {
             let j = int.route(id);
-            let delta = update_node(&mut int.children[j], id, weight, stats)?;
+            let delta = update_node(&mut int.children[j], (id, weight, ts), stats)?;
             int.cs.add(j, delta);
             Some(delta)
         }
     }
 }
 
-/// Floored in-place decay: the leaf applies the clamp (never writing a
-/// value in `(0, floor)`), ancestors fold the exact delta into their
-/// cumulative tables — the same bottom-up propagation as `update_node`.
+/// Counts of one [`SamTree::decay_rows`] pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecayCounts {
+    /// Rows whose weight actually shrank.
+    pub decayed: usize,
+    /// Of those, rows clamped at the floor.
+    pub floored: usize,
+}
+
+/// Floored in-place decay of every stamped row the caller picks: each leaf
+/// applies the clamp (never writing a value in `(0, floor)`), ancestors
+/// fold their child's summed delta into their cumulative tables — the same
+/// bottom-up propagation as `update_node`, once per node instead of once
+/// per edge. Returns the subtree's weight change.
 fn decay_node(
     node: &mut Node,
-    id: u64,
-    factor: f64,
     floor: f64,
+    factor_of: &mut impl FnMut(f64, u64) -> Option<f64>,
+    counts: &mut DecayCounts,
     stats: &mut OpStats,
-) -> Option<f64> {
+) -> f64 {
     match node {
         Node::Leaf(leaf) => {
-            let i = leaf.ids.position(id)?;
-            stats.leaf_ops += 1;
-            Some(leaf.fs.decay(i, factor, floor))
+            let Some(col) = &leaf.ts else {
+                return 0.0;
+            };
+            // Snapshot first: a decay shifts the values later slots
+            // reconstruct from the shared Fenwick entries by a few ULPs.
+            let weights = leaf.fs.weights();
+            let mut delta = 0.0;
+            for (i, (&w, &ts)) in weights.iter().zip(col.iter()).enumerate() {
+                if ts == 0 {
+                    continue;
+                }
+                let Some(factor) = factor_of(w, ts) else {
+                    continue;
+                };
+                stats.leaf_ops += 1;
+                let d = leaf.fs.decay(i, factor, floor);
+                if d < 0.0 {
+                    delta += d;
+                    counts.decayed += 1;
+                    counts.floored += usize::from(w * factor <= floor);
+                }
+            }
+            delta
         }
         Node::Internal(int) => {
-            let j = int.route(id);
-            let delta = decay_node(&mut int.children[j], id, factor, floor, stats)?;
-            if delta != 0.0 {
-                int.cs.add(j, delta);
+            let mut delta = 0.0;
+            for (j, child) in int.children.iter_mut().enumerate() {
+                let d = decay_node(child, floor, factor_of, counts, stats);
+                if d != 0.0 {
+                    int.cs.add(j, d);
+                    delta += d;
+                }
             }
-            Some(delta)
+            delta
         }
     }
 }
@@ -638,9 +736,9 @@ fn decay_node(
 fn merge_into(left: &mut Node, right: Node, cfg: &SamTreeConfig) {
     match (left, right) {
         (Node::Leaf(l), Node::Leaf(r)) => {
-            let mut pairs = l.pairs();
-            pairs.extend(r.pairs());
-            *l = Leaf::from_pairs_cfg(&pairs, cfg);
+            let mut rows = l.rows();
+            rows.extend(r.rows());
+            *l = Leaf::from_rows(&rows, cfg);
         }
         (Node::Internal(l), Node::Internal(r)) => {
             let mut seps = l.seps.to_vec();
@@ -659,8 +757,7 @@ fn delete_node(node: &mut Node, id: u64, cfg: &SamTreeConfig, stats: &mut OpStat
     match node {
         Node::Leaf(leaf) => {
             let i = leaf.ids.position(id)?;
-            leaf.ids.swap_remove(i);
-            let w = leaf.fs.swap_delete(i);
+            let w = leaf.swap_delete(i);
             stats.leaf_ops += 1;
             Some(w)
         }
@@ -670,6 +767,16 @@ fn delete_node(node: &mut Node, id: u64, cfg: &SamTreeConfig, stats: &mut OpStat
             int.cs.add(j, -w);
             if int.children[j].slot_len() < cfg.min_fill() && int.children.len() >= 2 {
                 rebalance(int, j, cfg, stats);
+            } else if int.children[j].slot_len() == 0 {
+                // An only child emptied (a one-child node is legal when
+                // `min_fill` is 1): drop it, so this node reads as empty to
+                // its own parent and is merged away there, or at the root.
+                stats.internal_ops += 1;
+                *int = Internal {
+                    seps: IdList::new(),
+                    cs: CsTable::new(),
+                    children: Vec::new(),
+                };
             }
             Some(w)
         }
@@ -794,16 +901,21 @@ impl SamTree {
     /// Duplicate IDs keep the last weight, matching repeated
     /// [`insert`](Self::insert) semantics.
     pub fn bulk_load(cfg: &SamTreeConfig, pairs: &[IdWeight]) -> Self {
-        let mut pairs = pairs.to_vec();
-        pairs.sort_by_key(|p| p.0);
-        // Keep the last weight per duplicate ID.
-        pairs.reverse();
-        pairs.dedup_by_key(|p| p.0);
-        pairs.reverse();
-        if pairs.is_empty() {
+        Self::bulk_load_stamped(cfg, pairs.iter().map(|&(id, w)| (id, w, 0)).collect())
+    }
+
+    /// [`bulk_load`](Self::bulk_load) of `(id, weight, ts)` rows; duplicate
+    /// IDs keep the last row.
+    pub fn bulk_load_stamped(cfg: &SamTreeConfig, mut rows: Vec<Row>) -> Self {
+        rows.sort_by_key(|r| r.0);
+        // Keep the last row per duplicate ID.
+        rows.reverse();
+        rows.dedup_by_key(|r| r.0);
+        rows.reverse();
+        if rows.is_empty() {
             return Self::new();
         }
-        let len = pairs.len();
+        let len = rows.len();
         // Fill nodes to ~3/4 so immediate post-load inserts do not split,
         // while keeping every non-root node within [min_fill, capacity].
         let target = (cfg.capacity * 3 / 4).max(cfg.min_fill()).max(1);
@@ -811,7 +923,7 @@ impl SamTree {
         let mut nodes: Vec<Node> = Vec::with_capacity(sizes.len());
         let mut at = 0;
         for s in sizes {
-            nodes.push(Node::Leaf(Leaf::from_pairs_cfg(&pairs[at..at + s], cfg)));
+            nodes.push(Node::Leaf(Leaf::from_rows(&rows[at..at + s], cfg)));
             at += s;
         }
         Self {
@@ -847,7 +959,8 @@ impl SamTree {
     }
 
     /// Insert neighbor `id` with `weight` (Alg. 2). If the neighbor already
-    /// exists its weight is set to `weight`.
+    /// exists its weight is set to `weight`. The edge is timeless: an
+    /// existing neighbor's event time is cleared.
     pub fn insert(
         &mut self,
         cfg: &SamTreeConfig,
@@ -855,7 +968,18 @@ impl SamTree {
         weight: f64,
         stats: &mut OpStats,
     ) -> InsertOutcome {
-        let res = insert_node(&mut self.root, id, weight, cfg, stats);
+        self.insert_stamped(cfg, (id, weight, 0), stats)
+    }
+
+    /// [`insert`](Self::insert) of an `(id, weight, ts)` row: the neighbor's
+    /// event time becomes `ts` whether it was new or not.
+    pub fn insert_stamped(
+        &mut self,
+        cfg: &SamTreeConfig,
+        row: Row,
+        stats: &mut OpStats,
+    ) -> InsertOutcome {
+        let res = insert_node(&mut self.root, row, cfg, stats);
         if let Some(s) = res.split {
             // Grow a new root (Alg. 2's split can propagate past the top).
             stats.internal_ops += 1;
@@ -889,10 +1013,22 @@ impl SamTree {
         ops: &[IdWeight],
         stats: &mut OpStats,
     ) -> usize {
+        let rows: Vec<Row> = ops.iter().map(|&(id, w)| (id, w, 0)).collect();
+        self.insert_batch_stamped(cfg, &rows, stats)
+    }
+
+    /// [`insert_batch`](Self::insert_batch) of `(id, weight, ts)` rows, each
+    /// with [`insert_stamped`](Self::insert_stamped) semantics.
+    pub fn insert_batch_stamped(
+        &mut self,
+        cfg: &SamTreeConfig,
+        ops: &[Row],
+        stats: &mut OpStats,
+    ) -> usize {
         if ops.is_empty() {
             return 0;
         }
-        let sorted_buf: Vec<IdWeight>;
+        let sorted_buf: Vec<Row>;
         let ops = if ops.windows(2).all(|w| w[0].0 <= w[1].0) {
             ops
         } else {
@@ -912,30 +1048,44 @@ impl SamTree {
         res.inserted
     }
 
-    /// Set the weight of an existing neighbor; `false` if absent.
+    /// Set the weight of an existing neighbor, keeping its event time;
+    /// `false` if absent.
     pub fn update_weight(
         &mut self,
-        _cfg: &SamTreeConfig,
+        cfg: &SamTreeConfig,
         id: u64,
         weight: f64,
         stats: &mut OpStats,
     ) -> bool {
-        update_node(&mut self.root, id, weight, stats).is_some()
+        self.update_weight_stamped(cfg, (id, weight, 0), stats)
     }
 
-    /// Decay neighbor `id`'s weight by `factor`, clamped at a strictly
-    /// positive `floor` (the recency-decay primitive: `O(log n)` like
-    /// [`SamTree::update_weight`], with underflow hardening at the leaf).
-    /// Returns the applied weight delta (`<= 0`), or `None` if absent.
-    pub fn decay_weight(
+    /// [`update_weight`](Self::update_weight) that also sets the neighbor's
+    /// event time when the row's `ts` is non-zero (`0` keeps it).
+    pub fn update_weight_stamped(
         &mut self,
         _cfg: &SamTreeConfig,
-        id: u64,
-        factor: f64,
-        floor: f64,
+        row: Row,
         stats: &mut OpStats,
-    ) -> Option<f64> {
-        decay_node(&mut self.root, id, factor, floor, stats)
+    ) -> bool {
+        update_node(&mut self.root, row, stats).is_some()
+    }
+
+    /// The recency-decay primitive: one walk over the leaves that offers
+    /// every stamped row's `(weight, ts)` to `factor_of` and multiplies the
+    /// weight by the factor it returns (`None` leaves the row alone),
+    /// clamped at the strictly positive `floor` with underflow hardening at
+    /// the leaf. Timeless rows are never offered; leaves without a
+    /// timestamp column are skipped whole.
+    pub fn decay_rows(
+        &mut self,
+        floor: f64,
+        mut factor_of: impl FnMut(f64, u64) -> Option<f64>,
+        stats: &mut OpStats,
+    ) -> DecayCounts {
+        let mut counts = DecayCounts::default();
+        decay_node(&mut self.root, floor, &mut factor_of, &mut counts, stats);
+        counts
     }
 
     /// Delete a neighbor, returning its weight; `None` if absent
@@ -943,24 +1093,31 @@ impl SamTree {
     pub fn delete(&mut self, cfg: &SamTreeConfig, id: u64, stats: &mut OpStats) -> Option<f64> {
         let w = delete_node(&mut self.root, id, cfg, stats)?;
         self.len -= 1;
-        // Collapse a root left with a single child (height shrink).
-        if let Node::Internal(int) = &mut self.root {
-            if int.children.len() == 1 {
-                stats.internal_ops += 1;
-                self.root = int.children.pop().expect("one child");
+        // Collapse a root left with a single child (height shrink); with
+        // `min_fill` 1 that child can be a one-child internal node again.
+        while let Node::Internal(int) = &mut self.root {
+            if int.children.len() > 1 {
+                break;
             }
+            stats.internal_ops += 1;
+            self.root = int.children.pop().unwrap_or_default();
         }
         Some(w)
     }
 
     /// Weight of neighbor `id`, if present.
     pub fn get(&self, id: u64) -> Option<f64> {
+        self.get_stamped(id).map(|(w, _)| w)
+    }
+
+    /// `(weight, ts)` of neighbor `id`, if present.
+    pub fn get_stamped(&self, id: u64) -> Option<(f64, u64)> {
         let mut node = &self.root;
         loop {
             match node {
                 Node::Leaf(l) => {
                     let i = l.ids.position(id)?;
-                    return Some(l.fs.get(i));
+                    return Some((l.fs.get(i), l.ts_at(i)));
                 }
                 Node::Internal(i) => node = &i.children[i.route(id)],
             }
@@ -972,20 +1129,16 @@ impl SamTree {
         self.get(id).is_some()
     }
 
-    /// Weighted sample driven by an externally drawn residual mass
-    /// `r ∈ [0, total_weight())`: ITS at each internal node, FTS at the leaf
-    /// (Sec. V-C).
-    pub fn sample_with(&self, mut r: f64) -> Option<u64> {
+    /// The leaf slot owning residual mass `r ∈ [0, total_weight())`: ITS at
+    /// each internal node, FTS at the leaf (Sec. V-C).
+    fn locate(&self, mut r: f64) -> Option<(&Leaf, usize)> {
         if self.is_empty() {
             return None;
         }
         let mut node = &self.root;
         loop {
             match node {
-                Node::Leaf(l) => {
-                    let i = l.fs.sample_with(r);
-                    return Some(l.ids.get(i));
-                }
+                Node::Leaf(l) => return Some((l, l.fs.sample_with(r))),
                 Node::Internal(int) => {
                     let j = int.cs.its_search(r);
                     if j > 0 {
@@ -997,13 +1150,27 @@ impl SamTree {
         }
     }
 
+    /// Weighted sample driven by an externally drawn residual mass
+    /// `r ∈ [0, total_weight())`.
+    pub fn sample_with(&self, r: f64) -> Option<u64> {
+        self.locate(r).map(|(l, i)| l.ids.get(i))
+    }
+
     /// Draw one neighbor with probability `w_{s,u} / w_s`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u64> {
+        self.sample_stamped(rng).map(|(id, _)| id)
+    }
+
+    /// [`sample`](Self::sample) returning `(id, ts)`: the event time is read
+    /// from the leaf slot the draw landed on. Consumes the RNG exactly as
+    /// `sample` does.
+    pub fn sample_stamped<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<(u64, u64)> {
         let total = self.total_weight();
         if self.is_empty() || total <= 0.0 {
             return None;
         }
-        self.sample_with(rng.random_range(0.0..total))
+        self.locate(rng.random_range(0.0..total))
+            .map(|(l, i)| (l.ids.get(i), l.ts_at(i)))
     }
 
     /// Draw `k` neighbors with replacement.
@@ -1055,20 +1222,33 @@ impl SamTree {
         all
     }
 
-    /// All `(id, weight)` pairs, in tree (left-to-right) order.
-    pub fn entries(&self) -> Vec<IdWeight> {
-        fn collect(node: &Node, out: &mut Vec<IdWeight>) {
+    /// Visit every `(id, weight, ts)` row in tree (left-to-right) order
+    /// without allocating.
+    pub fn for_each_row(&self, mut f: impl FnMut(u64, f64, u64)) {
+        fn walk(node: &Node, f: &mut impl FnMut(u64, f64, u64)) {
             match node {
-                Node::Leaf(l) => out.extend(l.pairs()),
+                Node::Leaf(l) => l.for_each_row(f),
                 Node::Internal(i) => {
                     for c in &i.children {
-                        collect(c, out);
+                        walk(c, f);
                     }
                 }
             }
         }
+        walk(&self.root, &mut f);
+    }
+
+    /// All `(id, weight)` pairs, in tree (left-to-right) order.
+    pub fn entries(&self) -> Vec<IdWeight> {
         let mut out = Vec::with_capacity(self.len);
-        collect(&self.root, &mut out);
+        self.for_each_row(|id, w, _| out.push((id, w)));
+        out
+    }
+
+    /// All `(id, weight, ts)` rows, in tree (left-to-right) order.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut out = Vec::with_capacity(self.len);
+        self.for_each_row(|id, w, ts| out.push((id, w, ts)));
         out
     }
 
@@ -1098,6 +1278,20 @@ impl SamTree {
             }
         }
         split(&self.root)
+    }
+
+    /// Heap bytes of the leaves' timestamp columns (0 for a timeless tree).
+    /// Reported on its own: [`DeepSize::heap_bytes`] and
+    /// [`memory_breakdown`](Self::memory_breakdown) keep the paper's
+    /// Table-IV topology definition (ids, weights, index) and exclude it.
+    pub fn timestamp_bytes(&self) -> usize {
+        fn walk(node: &Node) -> usize {
+            match node {
+                Node::Leaf(l) => l.ts.as_ref().map_or(0, DeepSize::heap_bytes),
+                Node::Internal(i) => i.children.iter().map(walk).sum(),
+            }
+        }
+        walk(&self.root)
     }
 
     /// Number of (leaf, internal) nodes.
@@ -1135,6 +1329,15 @@ impl SamTree {
                             l.ids.len(),
                             l.fs.len()
                         ));
+                    }
+                    if let Some(col) = &l.ts {
+                        if col.len() != l.ids.len() {
+                            return Err(format!(
+                                "leaf ids/ts length mismatch: {} vs {}",
+                                l.ids.len(),
+                                col.len()
+                            ));
+                        }
                     }
                     if l.ids.len() > cfg.capacity {
                         return Err(format!("leaf over capacity: {}", l.ids.len()));
@@ -1215,7 +1418,8 @@ impl SamTree {
             }
         }
         let (_, _, total, _) = walk(&self.root, cfg, true)?;
-        let expected: usize = self.entries().len();
+        let mut expected = 0usize;
+        self.for_each_row(|_, _, _| expected += 1);
         if expected != self.len {
             return Err(format!("len {} != entries {}", self.len, expected));
         }
@@ -1407,6 +1611,31 @@ mod tests {
     }
 
     #[test]
+    fn draining_at_min_fill_one_leaves_no_empty_nodes() {
+        // capacity 4, α = 1: `min_fill` is 1, so one-child internal nodes
+        // are legal and an only child can empty under them.
+        let c = cfg(4, 1);
+        for order in 0..3 {
+            let mut t = SamTree::new();
+            let mut stats = OpStats::default();
+            for id in 0..200u64 {
+                t.insert(&c, id, 1.0, &mut stats);
+            }
+            for k in 0..200u64 {
+                let id = match order {
+                    0 => k,
+                    1 => 199 - k,
+                    _ => (k * 77) % 200,
+                };
+                assert!(t.delete(&c, id, &mut stats).is_some());
+                t.check_invariants(&c)
+                    .unwrap_or_else(|e| panic!("order {order}, after deleting {id}: {e}"));
+            }
+            assert!(t.is_empty() && t.height() == 1);
+        }
+    }
+
+    #[test]
     fn delete_missing_returns_none() {
         let c = cfg(4, 0);
         let mut t = build(&c, &[(1, 1.0), (2, 2.0)]);
@@ -1431,27 +1660,52 @@ mod tests {
     }
 
     #[test]
-    fn decay_weight_propagates_and_clamps_at_floor() {
+    fn decay_rows_propagates_and_clamps_at_floor() {
         let c = cfg(4, 0);
         let mut t = SamTree::new();
         let mut stats = OpStats::default();
+        // Even ids stamped with their id, odd ids timeless.
         for id in 0..50u64 {
-            t.insert(&c, id, 1.0, &mut stats);
+            let ts = if id % 2 == 0 { id + 1 } else { 0 };
+            t.insert_stamped(&c, (id, 1.0, ts), &mut stats);
         }
+        assert!(t.height() >= 3);
         let floor = 1e-3;
-        let delta = t
-            .decay_weight(&c, 30, 0.5, floor, &mut stats)
-            .expect("present");
-        assert!((delta - (-0.5)).abs() < 1e-9);
-        assert_eq!(t.get(30), Some(0.5));
+        // Halve the one row stamped 31 (id 30).
+        let counts = t.decay_rows(floor, |_, ts| (ts == 31).then_some(0.5), &mut stats);
+        assert_eq!(
+            counts,
+            DecayCounts {
+                decayed: 1,
+                floored: 0
+            }
+        );
+        assert!((t.get(30).expect("present") - 0.5).abs() < 1e-12);
         assert!((t.total_weight() - 49.5).abs() < 1e-6);
-        // Repeated aggressive decay converges to the floor, never below.
+        // Repeated aggressive decay converges to the floor, never below,
+        // and timeless rows are never offered.
+        let mut offered_timeless = false;
         for _ in 0..100 {
-            t.decay_weight(&c, 30, 0.1, floor, &mut stats);
+            t.decay_rows(
+                floor,
+                |_, ts| {
+                    offered_timeless |= ts == 0;
+                    Some(0.1)
+                },
+                &mut stats,
+            );
         }
-        assert!((t.get(30).unwrap() - floor).abs() < 1e-12);
+        assert!(!offered_timeless);
+        for id in 0..50u64 {
+            let want = if id % 2 == 0 { floor } else { 1.0 };
+            assert!(
+                (t.get(id).expect("present") - want).abs() < 1e-12,
+                "id {id}"
+            );
+        }
+        let counts = t.decay_rows(floor, |_, _| Some(0.1), &mut stats);
+        assert_eq!(counts, DecayCounts::default(), "floored rows stay put");
         t.check_invariants(&c).expect("invariants after decay");
-        assert!(t.decay_weight(&c, 999, 0.5, floor, &mut stats).is_none());
     }
 
     #[test]
@@ -1564,6 +1818,76 @@ mod tests {
             empty.memory_breakdown().0 + empty.memory_breakdown().1,
             empty.heap_bytes()
         );
+    }
+
+    #[test]
+    fn timestamp_column_costs_no_node_bytes_and_is_counted_on_its_own() {
+        // Pinned to the values before the column existed: the boxed `Vec`
+        // sits in the slack `Leaf` has under `Internal`.
+        assert_eq!(std::mem::size_of::<Node>(), 88);
+        assert_eq!(std::mem::size_of::<SamTree>(), 96);
+        let c = cfg(16, 0);
+        let mut stats = OpStats::default();
+        let (mut timeless, mut stamped) = (SamTree::new(), SamTree::new());
+        for i in 0..5_000u64 {
+            let id = (i * 2654435761) % 100_000;
+            timeless.insert(&c, id, 1.0, &mut stats);
+            stamped.insert_stamped(&c, (id, 1.0, i + 1), &mut stats);
+        }
+        assert_eq!(timeless.timestamp_bytes(), 0);
+        assert!(stamped.timestamp_bytes() >= 5_000 * 8);
+        // Table-IV bytes (ids, weights, index) do not see the column.
+        assert_eq!(stamped.heap_bytes(), timeless.heap_bytes());
+        let (leaf, internal) = stamped.memory_breakdown();
+        assert_eq!(leaf + internal, stamped.heap_bytes());
+    }
+
+    #[test]
+    fn leaf_column_is_absent_until_the_first_stamp() {
+        let c = cfg(4, 0);
+        let mut stats = OpStats::default();
+        let mut t = SamTree::new();
+        for id in 0..40u64 {
+            t.insert(&c, id, 1.0, &mut stats);
+        }
+        assert_eq!(t.timestamp_bytes(), 0);
+        // One stamp allocates one leaf's column, zero-filled.
+        assert!(t.update_weight_stamped(&c, (17, 2.0, 900), &mut stats));
+        let one_leaf = t.timestamp_bytes();
+        assert!(one_leaf > 0 && one_leaf <= std::mem::size_of::<Vec<u64>>() + 4 * 8);
+        assert_eq!(t.get_stamped(17), Some((2.0, 900)));
+        assert_eq!(t.get_stamped(16), Some((1.0, 0)));
+        // A rebuilt leaf whose rows are all timeless drops the column.
+        t.insert(&c, 17, 2.0, &mut stats);
+        for id in 40..60u64 {
+            t.insert(&c, id, 1.0, &mut stats);
+        }
+        t.delete(&c, 16, &mut stats);
+        t.delete(&c, 18, &mut stats);
+        t.check_invariants(&c).expect("invariants");
+        let mut stamps = 0;
+        t.for_each_row(|_, _, ts| stamps += usize::from(ts != 0));
+        assert_eq!(stamps, 0);
+    }
+
+    #[test]
+    fn stamped_draw_reads_the_slot_it_landed_on() {
+        let c = cfg(4, 0);
+        let mut stats = OpStats::default();
+        let mut t = SamTree::new();
+        for id in 0..200u64 {
+            let ts = if id % 3 == 0 { 0 } else { 1_000 + id };
+            t.insert_stamped(&c, (id, 1.0 + (id % 5) as f64, ts), &mut stats);
+        }
+        // Same RNG consumption as the timeless draw.
+        let mut a = StdRng::seed_from_u64(7);
+        let mut b = StdRng::seed_from_u64(7);
+        for _ in 0..2_000 {
+            let (id, ts) = t.sample_stamped(&mut a).expect("non-empty");
+            assert_eq!(Some(id), t.sample(&mut b));
+            assert_eq!(ts, if id % 3 == 0 { 0 } else { 1_000 + id });
+        }
+        assert_eq!(SamTree::new().sample_stamped(&mut a), None);
     }
 
     #[test]
@@ -1819,6 +2143,104 @@ mod proptests {
             distinct.sort_unstable();
             distinct.dedup();
             prop_assert_eq!(t.len(), distinct.len());
+        }
+    }
+
+    /// One step of the stamped model test. Ids come from a small range so
+    /// steps collide; `Batch` runs are long enough for multi-way splits at
+    /// capacity 4-8, `DrainFrom` deletes until leaves merge and the root
+    /// collapses.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Insert(Row),
+        Update(Row),
+        Delete(u64),
+        Batch(Vec<Row>),
+        DrainFrom(u64, usize),
+    }
+
+    /// Decode a generated `(kind, id, weight, x)` tuple; `x` carries the
+    /// event time (timeless half the time) or a run length.
+    fn step((kind, id, w, x): (u8, u64, f64, u64)) -> Step {
+        let ts = x.saturating_sub(999);
+        match kind {
+            0..=2 => Step::Insert((id, w, ts)),
+            3 | 4 => Step::Update((id, w, ts)),
+            5 | 6 => Step::Delete(id),
+            7 => Step::Batch(
+                (0..1 + x % 60)
+                    .map(|k| {
+                        let ts = if (x + k) % 2 == 0 {
+                            0
+                        } else {
+                            1 + (x * k) % 999
+                        };
+                        ((id * 31 + k * k * 7 + x) % 120, w + k as f64 * 0.01, ts)
+                    })
+                    .collect(),
+            ),
+            _ => Step::DrainFrom(id, 1 + (x % 80) as usize),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn stamped_ops_match_btreemap_model(
+            capacity in 4usize..9,
+            alpha in 0usize..2,
+            steps in proptest::collection::vec((0u8..9, 0u64..120, 0.1f64..10.0, 0u64..2_000), 1..80),
+        ) {
+            use std::collections::BTreeMap;
+            let cfg = SamTreeConfig { capacity, alpha, compression: true, leaf_index: LeafIndex::Fenwick }.validated();
+            let mut t = SamTree::new();
+            let mut model: BTreeMap<u64, (f64, u64)> = BTreeMap::new();
+            let mut stats = OpStats::default();
+            for step in steps.into_iter().map(step) {
+                match step.clone() {
+                    Step::Insert((id, w, ts)) => {
+                        let outcome = t.insert_stamped(&cfg, (id, w, ts), &mut stats);
+                        let existed = model.insert(id, (w, ts)).is_some();
+                        prop_assert_eq!(outcome == InsertOutcome::Updated, existed);
+                    }
+                    Step::Update((id, w, ts)) => {
+                        let updated = t.update_weight_stamped(&cfg, (id, w, ts), &mut stats);
+                        prop_assert_eq!(updated, model.contains_key(&id));
+                        if let Some(slot) = model.get_mut(&id) {
+                            *slot = (w, if ts == 0 { slot.1 } else { ts });
+                        }
+                    }
+                    Step::Delete(id) => {
+                        let got = t.delete(&cfg, id, &mut stats);
+                        prop_assert_eq!(got.is_some(), model.remove(&id).is_some());
+                    }
+                    Step::Batch(rows) => {
+                        let before = model.len();
+                        let inserted = t.insert_batch_stamped(&cfg, &rows, &mut stats);
+                        for (id, w, ts) in rows {
+                            model.insert(id, (w, ts));
+                        }
+                        prop_assert_eq!(inserted, model.len() - before);
+                    }
+                    Step::DrainFrom(from, n) => {
+                        let ids: Vec<u64> = model.range(from..).take(n).map(|(&id, _)| id).collect();
+                        for id in ids {
+                            prop_assert!(t.delete(&cfg, id, &mut stats).is_some());
+                            model.remove(&id);
+                        }
+                    }
+                }
+                t.check_invariants(&cfg).map_err(|e| {
+                    TestCaseError::fail(format!("after {step:?}: {e}"))
+                })?;
+                let mut rows = t.rows();
+                rows.sort_by_key(|r| r.0);
+                prop_assert_eq!(rows.len(), model.len(), "after {:?}", step);
+                for ((id, w, ts), (&mid, &(mw, mts))) in rows.into_iter().zip(&model) {
+                    prop_assert_eq!((id, ts), (mid, mts), "after {:?}", step);
+                    prop_assert!((w - mw).abs() < 1e-6, "id {} after {:?}", id, step);
+                }
+            }
         }
     }
 

@@ -288,8 +288,9 @@ pub struct ShardMemory {
 /// Cluster-wide resident memory: the paper's Table IV accounting, walked
 /// live over every shard's `DeepSize` implementations. Produced by
 /// [`Cluster::memory_breakdown`], which also refreshes the
-/// `graph.mem.samtree_bytes` / `graph.mem.attr_bytes` gauges so the split
-/// appears in every snapshot and on `/metrics`.
+/// `graph.mem.samtree_bytes` / `graph.mem.timestamp_bytes` /
+/// `graph.mem.attr_bytes` gauges so the split appears in every snapshot and
+/// on `/metrics`.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterMemory {
     /// Per-shard breakdowns, shard order.
@@ -303,6 +304,9 @@ pub struct ClusterMemory {
     pub internal_bytes: usize,
     /// Cuckoo directory bytes across shards.
     pub directory_bytes: usize,
+    /// Leaf timestamp-column bytes across shards, outside `samtree_bytes`
+    /// (`graph.mem.timestamp_bytes`; 0 on a timeless graph).
+    pub timestamp_bytes: usize,
     /// Attribute blob bytes across shards (`graph.mem.attr_bytes`).
     pub attr_bytes: usize,
 }
@@ -330,6 +334,7 @@ struct ClusterMetrics {
     update_latency: Arc<Histogram>,
     graph_version: Arc<Gauge>,
     mem_samtree: Arc<Gauge>,
+    mem_timestamp: Arc<Gauge>,
     mem_attr: Arc<Gauge>,
 }
 
@@ -355,6 +360,7 @@ impl ClusterMetrics {
             update_latency: registry.histogram("cluster.update_latency_ns"),
             graph_version: registry.gauge("cluster.graph_version"),
             mem_samtree: registry.gauge("graph.mem.samtree_bytes"),
+            mem_timestamp: registry.gauge("graph.mem.timestamp_bytes"),
             mem_attr: registry.gauge("graph.mem.attr_bytes"),
         }
     }
@@ -1570,7 +1576,8 @@ impl Cluster {
     }
 
     /// Walk every shard's `DeepSize` accounting and refresh the
-    /// `graph.mem.samtree_bytes` / `graph.mem.attr_bytes` gauges.
+    /// `graph.mem.samtree_bytes` / `graph.mem.timestamp_bytes` /
+    /// `graph.mem.attr_bytes` gauges.
     /// Diagnostics-priced (takes each samtree's read lock in turn); the
     /// admin server calls it per `/metrics` and `/debug/memory` request.
     pub fn memory_breakdown(&self) -> ClusterMemory {
@@ -1583,6 +1590,7 @@ impl Cluster {
             mem.leaf_bytes += topology.leaf_bytes;
             mem.internal_bytes += topology.internal_bytes;
             mem.directory_bytes += topology.directory_bytes;
+            mem.timestamp_bytes += topology.timestamp_bytes;
             mem.attr_bytes += attr_bytes;
             mem.per_shard.push(ShardMemory {
                 shard: s.shard_id,
@@ -1592,6 +1600,7 @@ impl Cluster {
             });
         }
         self.m.mem_samtree.set(mem.samtree_bytes as i64);
+        self.m.mem_timestamp.set(mem.timestamp_bytes as i64);
         self.m.mem_attr.set(mem.attr_bytes as i64);
         mem
     }
@@ -2494,6 +2503,28 @@ mod tests {
         assert_eq!(
             snap.gauge("graph.mem.attr_bytes"),
             Some(mem.attr_bytes as i64)
+        );
+        // Timeless so far: no leaf has a timestamp column.
+        assert_eq!(mem.timestamp_bytes, 0);
+        assert_eq!(snap.gauge("graph.mem.timestamp_bytes"), Some(0));
+        // Stamping edges grows the column gauge and nothing else.
+        for e in DatasetProfile::tiny().edge_stream(6).take(400) {
+            c.update_weight(e.at(77));
+        }
+        let stamped = c.memory_breakdown();
+        assert!(stamped.timestamp_bytes > 0);
+        assert_eq!(stamped.samtree_bytes, mem.samtree_bytes);
+        assert_eq!(
+            stamped.timestamp_bytes,
+            stamped
+                .per_shard
+                .iter()
+                .map(|s| s.topology.timestamp_bytes)
+                .sum::<usize>()
+        );
+        assert_eq!(
+            c.obs().snapshot().gauge("graph.mem.timestamp_bytes"),
+            Some(stamped.timestamp_bytes as i64)
         );
     }
 }

@@ -8,7 +8,7 @@ use platod2gl_graph::{
 };
 use platod2gl_mem::DeepSize;
 use platod2gl_obs::{Counter, Gauge, Histogram, Registry};
-use platod2gl_samtree::{InsertOutcome, OpStats, SamTree, SamTreeConfig};
+use platod2gl_samtree::{InsertOutcome, OpStats, Row, SamTree, SamTreeConfig};
 use rand::{Rng, RngCore};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,30 +59,12 @@ impl DeepSize for TreeKey {
     }
 }
 
-/// Timestamp-column key: one event time per resident edge.
-///
-/// The column lives beside the samtrees rather than inside them so the
-/// weight hot paths (insert runs, Fenwick updates, inverse-CDF draws) are
-/// untouched when the workload is timeless — the map simply stays empty
-/// and every guard on it short-circuits.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct TsKey {
-    src: u64,
-    dst: u64,
-    etype: u16,
-}
-
-impl DeepSize for TsKey {
-    fn heap_bytes(&self) -> usize {
-        0
-    }
-}
-
 /// Outcome of one per-source recency-decay pass (see
 /// [`DynamicGraphStore::decay_recency`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecayOutcome {
-    /// Edges examined (the source's full out-neighborhood).
+    /// Edges the pass covered (the source's full out-neighborhood; leaves
+    /// holding only timeless edges are skipped without a per-edge look).
     pub scanned: usize,
     /// Edges whose weight actually shrank.
     pub decayed: usize,
@@ -113,7 +95,9 @@ impl DeepSize for TreeCell {
 /// (leaf id lists + Fenwick tables), samtree index (separators,
 /// cumulative-sum tables, child spines), and directory overhead (cuckoo
 /// buckets + lock cells). The three parts sum to `total_bytes`, which is
-/// exactly [`GraphStore::topology_bytes`].
+/// exactly [`GraphStore::topology_bytes`]; the leaves' timestamp columns
+/// are not topology in the paper's Table-IV sense and are reported beside
+/// it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreMemory {
     /// Bytes holding actual neighbor ids and weights (leaf level).
@@ -124,6 +108,9 @@ pub struct StoreMemory {
     pub directory_bytes: usize,
     /// Total resident topology bytes.
     pub total_bytes: usize,
+    /// Leaf timestamp-column bytes (0 on a timeless store), outside
+    /// `total_bytes`.
+    pub timestamp_bytes: usize,
 }
 
 /// PlatoD2GL's dynamic graph topology store: a concurrent cuckoo directory
@@ -147,12 +134,6 @@ pub struct StoreMemory {
 pub struct DynamicGraphStore {
     config: StoreConfig,
     directory: CuckooMap<TreeKey, TreeCell>,
-    /// Per-edge event times (temporal plane). Only stamped edges
-    /// (`ts != 0`) occupy the map; timeless workloads never touch it.
-    timestamps: CuckooMap<TsKey, u64>,
-    /// Resident stamped-edge count: the cheap guard that keeps every
-    /// timestamp-column branch off the static hot paths.
-    num_stamped: AtomicUsize,
     num_edges: AtomicUsize,
     registry: Arc<Registry>,
     metrics: StoreMetrics,
@@ -234,8 +215,6 @@ impl DynamicGraphStore {
         Self {
             config: StoreConfig { tree, ..config },
             directory: CuckooMap::with_shards_and_capacity(config.directory_shards, 1024),
-            timestamps: CuckooMap::with_shards_and_capacity(config.directory_shards, 1024),
-            num_stamped: AtomicUsize::new(0),
             num_edges: AtomicUsize::new(0),
             registry,
             metrics,
@@ -280,36 +259,15 @@ impl DynamicGraphStore {
         self.directory.read(&key, TreeCell::clone)
     }
 
-    /// Whether any edge currently carries a timestamp. Guards every
-    /// timestamp-column touch so timeless workloads pay one relaxed load.
-    #[inline]
-    fn has_stamps(&self) -> bool {
-        self.num_stamped.load(Ordering::Relaxed) > 0
-    }
-
-    fn stamp(&self, key: TsKey, ts: u64) {
-        if self.timestamps.insert(key, ts).is_none() {
-            self.num_stamped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn unstamp(&self, key: &TsKey) {
-        if self.timestamps.remove(key).is_some() {
-            self.num_stamped.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    fn ts_of(&self, src: u64, dst: u64, etype: u16) -> u64 {
-        if !self.has_stamps() {
-            return 0;
-        }
-        self.timestamps.get(&TsKey { src, dst, etype }).unwrap_or(0)
-    }
-
     /// The event time of an edge, or `0` if the edge is timeless (or
     /// absent — callers that need presence use [`GraphStore::edge_weight`]).
     pub fn edge_ts(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> u64 {
-        self.ts_of(src.raw(), dst.raw(), etype.0)
+        self.cell(TreeKey {
+            src: src.raw(),
+            etype: etype.0,
+        })
+        .and_then(|cell| cell.0.read().get_stamped(dst.raw()))
+        .map_or(0, |(_, ts)| ts)
     }
 
     fn cell_or_create(&self, key: TreeKey) -> TreeCell {
@@ -329,75 +287,41 @@ impl DynamicGraphStore {
             // path (one descent per leaf run, one aggregation rebuild per
             // node). Updates/deletes flush the run so same-destination op
             // interleavings keep sequential semantics.
-            let mut run: Vec<(u64, f64)> = Vec::new();
+            // An insert's `ts` rides in its row (0 clears a stale stamp:
+            // the insert replaces the edge); an update's `ts` sets the
+            // stamp only when non-zero; a delete drops the row, stamp
+            // included.
+            let mut run: Vec<Row> = Vec::new();
             let flush = |tree: &mut SamTree,
-                         run: &mut Vec<(u64, f64)>,
+                         run: &mut Vec<Row>,
                          local: &mut OpStats,
                          edge_delta: &mut isize| {
                 if run.len() == 1 {
-                    let (id, w) = run[0];
-                    if tree.insert(&cfg, id, w, local) == InsertOutcome::Inserted {
+                    if tree.insert_stamped(&cfg, run[0], local) == InsertOutcome::Inserted {
                         *edge_delta += 1;
                     }
                 } else if !run.is_empty() {
-                    *edge_delta += tree.insert_batch(&cfg, run, local) as isize;
+                    *edge_delta += tree.insert_batch_stamped(&cfg, run, local) as isize;
                 }
                 run.clear();
             };
             for op in ops {
                 match op {
                     UpdateOp::Insert(e) => {
-                        run.push((e.dst.raw(), sanitize_weight(e.weight)));
-                        if e.ts != 0 {
-                            self.stamp(
-                                TsKey {
-                                    src: key.src,
-                                    dst: e.dst.raw(),
-                                    etype: key.etype,
-                                },
-                                e.ts,
-                            );
-                        } else if self.has_stamps() {
-                            // A timeless re-insert replaces the edge: clear
-                            // any stale stamp so it cannot mislabel the new
-                            // edge's event time.
-                            self.unstamp(&TsKey {
-                                src: key.src,
-                                dst: e.dst.raw(),
-                                etype: key.etype,
-                            });
-                        }
+                        run.push((e.dst.raw(), sanitize_weight(e.weight), e.ts));
                     }
                     UpdateOp::UpdateWeight(e) => {
                         flush(&mut tree, &mut run, &mut local, &mut edge_delta);
-                        let updated = tree.update_weight(
+                        tree.update_weight_stamped(
                             &cfg,
-                            e.dst.raw(),
-                            sanitize_weight(e.weight),
+                            (e.dst.raw(), sanitize_weight(e.weight), e.ts),
                             &mut local,
                         );
-                        if updated && e.ts != 0 {
-                            self.stamp(
-                                TsKey {
-                                    src: key.src,
-                                    dst: e.dst.raw(),
-                                    etype: key.etype,
-                                },
-                                e.ts,
-                            );
-                        }
                     }
                     UpdateOp::Delete { dst, .. } => {
                         flush(&mut tree, &mut run, &mut local, &mut edge_delta);
                         if tree.delete(&cfg, dst.raw(), &mut local).is_some() {
                             edge_delta -= 1;
-                            if self.has_stamps() {
-                                self.unstamp(&TsKey {
-                                    src: key.src,
-                                    dst: dst.raw(),
-                                    etype: key.etype,
-                                });
-                            }
                         }
                     }
                 }
@@ -484,32 +408,22 @@ impl DynamicGraphStore {
     /// already have a tree fall back to incremental inserts.
     pub fn bulk_build(&self, edges: impl IntoIterator<Item = Edge>) {
         use std::collections::HashMap;
-        let mut groups: HashMap<TreeKey, Vec<(u64, f64)>> = HashMap::new();
+        let mut groups: HashMap<TreeKey, Vec<Row>> = HashMap::new();
         for e in edges {
-            if e.ts != 0 {
-                self.stamp(
-                    TsKey {
-                        src: e.src.raw(),
-                        dst: e.dst.raw(),
-                        etype: e.etype.0,
-                    },
-                    e.ts,
-                );
-            }
             groups
                 .entry(TreeKey {
                     src: e.src.raw(),
                     etype: e.etype.0,
                 })
                 .or_default()
-                .push((e.dst.raw(), sanitize_weight(e.weight)));
+                .push((e.dst.raw(), sanitize_weight(e.weight), e.ts));
         }
         let cfg = self.config.tree;
-        for (key, pairs) in groups {
+        for (key, rows) in groups {
             let cell = self.cell_or_create(key);
             let mut tree = cell.0.write();
             if tree.is_empty() {
-                *tree = SamTree::bulk_load(&cfg, &pairs);
+                *tree = SamTree::bulk_load_stamped(&cfg, rows);
                 self.num_edges.fetch_add(tree.len(), Ordering::Relaxed);
                 self.metrics.edges.add(tree.len() as i64);
             } else {
@@ -517,8 +431,8 @@ impl DynamicGraphStore {
                 // call): fall back to incremental inserts.
                 let mut local = OpStats::default();
                 let mut added = 0usize;
-                for (id, w) in pairs {
-                    if tree.insert(&cfg, id, w, &mut local) == InsertOutcome::Inserted {
+                for row in rows {
+                    if tree.insert_stamped(&cfg, row, &mut local) == InsertOutcome::Inserted {
                         added += 1;
                     }
                 }
@@ -574,7 +488,6 @@ impl DynamicGraphStore {
             return Vec::new();
         };
         let tree = cell.0.read();
-        let src = v.raw();
         let mut picks = Vec::with_capacity(k);
         // Filtered in-window (dst, cumulative weight) list, built lazily on
         // the first fallback and reused for the rest of the request.
@@ -583,10 +496,10 @@ impl DynamicGraphStore {
         let mut fallbacks = 0u64;
         'slots: for _ in 0..k {
             for _ in 0..WINDOW_RETRIES {
-                let Some(id) = tree.sample(rng) else {
+                let Some((id, ts)) = tree.sample_stamped(rng) else {
                     break 'slots; // empty / zero-weight tree
                 };
-                if win.contains(self.ts_of(src, id, etype.0)) {
+                if win.contains(ts) {
                     picks.push(VertexId(id));
                     continue 'slots;
                 }
@@ -597,13 +510,13 @@ impl DynamicGraphStore {
                 let mut ids = Vec::new();
                 let mut cum = Vec::new();
                 let mut acc = 0.0f64;
-                for (dst, w) in tree.entries() {
-                    if w > 0.0 && win.contains(self.ts_of(src, dst, etype.0)) {
+                tree.for_each_row(|dst, w, ts| {
+                    if w > 0.0 && win.contains(ts) {
                         acc += w;
                         ids.push(dst);
                         cum.push(acc);
                     }
-                }
+                });
                 (ids, cum)
             });
             let Some(&total) = cum.last() else {
@@ -626,9 +539,10 @@ impl DynamicGraphStore {
     /// One recency-decay pass over a single source's out-neighborhood:
     /// every stamped edge older than `now` has its weight multiplied by
     /// `exp(-lambda · (now - ts))`, clamped at the strictly positive
-    /// `floor`, through the samtree's `O(log n)` floored FSTable update.
-    /// Timeless edges (`ts == 0`) and edges at/below the floor are left
-    /// untouched; event times are never refreshed by decay.
+    /// `floor`, in one walk over the tree's leaves (floored FSTable updates
+    /// in place, one cumulative-table fold per touched node). Timeless
+    /// edges (`ts == 0`) and edges at/below the floor are left untouched;
+    /// event times are never refreshed by decay.
     ///
     /// The maintenance worker in `platod2gl-temporal` drives this method in
     /// amortized batches of sources.
@@ -642,17 +556,15 @@ impl DynamicGraphStore {
     ) -> DecayOutcome {
         assert!(lambda.is_finite() && lambda >= 0.0, "lambda must be >= 0");
         assert!(floor.is_finite() && floor > 0.0, "floor must be positive");
-        let mut out = DecayOutcome::default();
-        if lambda == 0.0 || !self.has_stamps() {
-            return out;
+        if lambda == 0.0 {
+            return DecayOutcome::default();
         }
         let Some(cell) = self.cell(TreeKey {
             src: v.raw(),
             etype: etype.0,
         }) else {
-            return out;
+            return DecayOutcome::default();
         };
-        let cfg = self.config.tree;
         let mut local = OpStats::default();
         let mut tree = cell.0.write();
         // Leaf weights read back with a few ULPs of prefix-sum
@@ -661,28 +573,25 @@ impl DynamicGraphStore {
         // tolerance keeps such edges skipped instead of "decaying" by
         // denormal-sized deltas every sweep.
         let floor_cut = floor * (1.0 + 1e-9);
-        for (dst, w) in tree.entries() {
-            out.scanned += 1;
-            let ts = self.ts_of(v.raw(), dst, etype.0);
-            if ts == 0 || ts >= now || w <= floor_cut {
-                continue;
-            }
-            let factor = (-lambda * (now - ts) as f64).exp();
-            if factor >= 1.0 {
-                continue;
-            }
-            if let Some(delta) = tree.decay_weight(&cfg, dst, factor, floor, &mut local) {
-                if delta < 0.0 {
-                    out.decayed += 1;
-                    if w * factor <= floor {
-                        out.floored += 1;
-                    }
+        let counts = tree.decay_rows(
+            floor,
+            |w, ts| {
+                if ts >= now || w <= floor_cut {
+                    return None;
                 }
-            }
-        }
+                let factor = (-lambda * (now - ts) as f64).exp();
+                (factor < 1.0).then_some(factor)
+            },
+            &mut local,
+        );
+        let scanned = tree.len();
         drop(tree);
         self.metrics.add_ops(&local);
-        out
+        DecayOutcome {
+            scanned,
+            decayed: counts.decayed,
+            floored: counts.floored,
+        }
     }
 
     /// The `k` heaviest out-neighbors of `v`, heaviest first (the
@@ -715,15 +624,6 @@ impl DynamicGraphStore {
             return 0;
         };
         let mut tree = cell.0.write();
-        if self.has_stamps() {
-            for (dst, _) in tree.entries() {
-                self.unstamp(&TsKey {
-                    src: v.raw(),
-                    dst,
-                    etype: etype.0,
-                });
-            }
-        }
         let removed = tree.len();
         *tree = SamTree::new();
         self.num_edges.fetch_sub(removed, Ordering::Relaxed);
@@ -732,25 +632,14 @@ impl DynamicGraphStore {
     }
 
     /// Dump the whole adjacency as `((src, etype), [(dst, weight, ts)])`
-    /// entries (snapshotting and diagnostics). Each tree is read under its
-    /// own lock.
+    /// entries (snapshotting and diagnostics). Each tree's rows are read in
+    /// one pass under its own lock, so a row's `ts` is always one the edge
+    /// held together with that weight.
     pub fn export_adjacency(&self) -> Vec<AdjacencyEntry> {
         let mut out = Vec::with_capacity(self.directory.len());
-        let stamped = self.has_stamps();
         self.directory.for_each(|key, cell| {
-            let entries = cell.0.read().entries();
-            if !entries.is_empty() {
-                let rows = entries
-                    .into_iter()
-                    .map(|(dst, w)| {
-                        let ts = if stamped {
-                            self.ts_of(key.src, dst, key.etype)
-                        } else {
-                            0
-                        };
-                        (dst, w, ts)
-                    })
-                    .collect();
+            let rows = cell.0.read().rows();
+            if !rows.is_empty() {
                 out.push(((key.src, key.etype), rows));
             }
         });
@@ -767,24 +656,8 @@ impl DynamicGraphStore {
             src: v.raw(),
             etype: etype.0,
         })?;
-        let entries = cell.0.read().entries();
-        if entries.is_empty() {
-            return None;
-        }
-        let stamped = self.has_stamps();
-        Some(
-            entries
-                .into_iter()
-                .map(|(dst, w)| {
-                    let ts = if stamped {
-                        self.ts_of(v.raw(), dst, etype.0)
-                    } else {
-                        0
-                    };
-                    (dst, w, ts)
-                })
-                .collect(),
-        )
+        let rows = cell.0.read().rows();
+        (!rows.is_empty()).then_some(rows)
     }
 
     /// Visit every resident `(src, etype)` directory key with its current
@@ -807,10 +680,13 @@ impl DynamicGraphStore {
     pub fn memory_breakdown(&self) -> StoreMemory {
         let mut leaf_bytes = 0;
         let mut internal_bytes = 0;
+        let mut timestamp_bytes = 0;
         self.directory.for_each(|_, cell| {
-            let (l, i) = cell.0.read().memory_breakdown();
+            let tree = cell.0.read();
+            let (l, i) = tree.memory_breakdown();
             leaf_bytes += l;
             internal_bytes += i;
+            timestamp_bytes += tree.timestamp_bytes();
         });
         let total_bytes = self.topology_bytes();
         StoreMemory {
@@ -818,6 +694,7 @@ impl DynamicGraphStore {
             internal_bytes,
             directory_bytes: total_bytes.saturating_sub(leaf_bytes + internal_bytes),
             total_bytes,
+            timestamp_bytes,
         }
     }
 
@@ -879,13 +756,6 @@ impl GraphStore for DynamicGraphStore {
         if deleted {
             self.num_edges.fetch_sub(1, Ordering::Relaxed);
             self.metrics.edges.add(-1);
-            if self.has_stamps() {
-                self.unstamp(&TsKey {
-                    src: src.raw(),
-                    dst: dst.raw(),
-                    etype: etype.0,
-                });
-            }
         }
         self.metrics.add_ops(&local);
         deleted
@@ -899,22 +769,11 @@ impl GraphStore for DynamicGraphStore {
             return false;
         };
         let mut local = OpStats::default();
-        let updated = cell.0.write().update_weight(
+        let updated = cell.0.write().update_weight_stamped(
             &self.config.tree,
-            edge.dst.raw(),
-            sanitize_weight(edge.weight),
+            (edge.dst.raw(), sanitize_weight(edge.weight), edge.ts),
             &mut local,
         );
-        if updated && edge.ts != 0 {
-            self.stamp(
-                TsKey {
-                    src: edge.src.raw(),
-                    dst: edge.dst.raw(),
-                    etype: edge.etype.0,
-                },
-                edge.ts,
-            );
-        }
         self.metrics.add_ops(&local);
         updated
     }

@@ -3,7 +3,7 @@
 //! Dynamic interaction graphs age: an edge observed a week ago should
 //! carry less sampling weight than one observed a minute ago, or hub
 //! neighborhoods ossify around stale interests. PlatoD2GL keeps event
-//! times as a first-class per-edge column in the storage layer
+//! times as a first-class per-edge column inside the samtree leaves
 //! ([`DynamicGraphStore::edge_ts`]); this crate turns those timestamps
 //! into weights with the standard exponential recency kernel
 //!
@@ -12,9 +12,10 @@
 //! ```
 //!
 //! applied **in place** through the samtree's floored FSTable update
-//! ([`DynamicGraphStore::decay_recency`]) — `O(log n)` per touched edge,
-//! no rebuild, and the inverse-CDF sampling invariant (all weights
-//! strictly positive once set) is preserved by the clamp.
+//! ([`DynamicGraphStore::decay_recency`]) — one walk over the source's
+//! leaves, `O(log n)` per touched edge, no rebuild, and the inverse-CDF
+//! sampling invariant (all weights strictly positive once set) is
+//! preserved by the clamp.
 //!
 //! A full-store sweep is too expensive to run inline with training, so
 //! [`RecencyDecay`] amortizes it: each [`RecencyDecay::tick`] decays at

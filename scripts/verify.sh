@@ -19,6 +19,17 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> standing benchmark (perf/ is its own workspace: build, unit tests, every workload at smoke size)"
+# perf/ compiles against the crates' public API from outside the workspace,
+# so a signature change that breaks it passes every gate above.
+cargo build --release --manifest-path perf/Cargo.toml
+cargo test -q --manifest-path perf/Cargo.toml
+if ! cargo run --release --quiet --manifest-path perf/Cargo.toml -- suite --smoke >"$build_log" 2>&1; then
+    echo "verify: FAIL - perf suite --smoke:"
+    tail -n 40 "$build_log"
+    exit 1
+fi
+
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
