@@ -14,13 +14,50 @@ use platod2gl_storage::AttributeStore;
 /// "feature gather" stage of the training pipeline, split out as a free
 /// function so prefetch workers can run it without borrowing the model.
 pub fn gather_features(provider: &dyn FeatureProvider, nodes: &[VertexId], dim: usize) -> Matrix {
-    let mut m = Matrix::zeros(nodes.len(), dim);
-    let mut buf = vec![0.0; dim];
+    gather_features_counted(provider, nodes, dim).0
+}
+
+/// [`gather_features`] plus the number of distinct vertices in `nodes`.
+///
+/// A sampled level repeats vertices (hubs, self-padding), so a row is
+/// computed the first time its vertex appears and copied for every later
+/// slot; the count is how many rows were computed.
+pub fn gather_features_counted(
+    provider: &dyn FeatureProvider,
+    nodes: &[VertexId],
+    dim: usize,
+) -> (Matrix, usize) {
+    assert!(nodes.len() < u32::MAX as usize, "level too large to index");
+    // Rows are appended in slot order, so no pass zeroes the matrix first.
+    let mut data: Vec<f64> = Vec::with_capacity(nodes.len() * dim);
+    // Open-addressed table of first occurrences, at most half full:
+    // `first_row[i]` is a row index + 1, or 0 for an empty slot. Fibonacci
+    // hashing, not SipHash: a probe has to stay far cheaper than the row a
+    // hit saves, and the ids are vertices the graph service itself returned.
+    let slots = (nodes.len() * 2).next_power_of_two().max(2);
+    let shift = 64 - slots.trailing_zeros();
+    let mut first_row = vec![0u32; slots];
+    let mut distinct = 0;
     for (r, &v) in nodes.iter().enumerate() {
-        provider.write_feature(v, &mut buf);
-        m.set_row(r, &buf);
+        let mut i = (v.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        loop {
+            match first_row[i] as usize {
+                0 => {
+                    first_row[i] = r as u32 + 1;
+                    data.resize((r + 1) * dim, 0.0);
+                    provider.write_feature(v, &mut data[r * dim..]);
+                    distinct += 1;
+                    break;
+                }
+                seen if nodes[seen - 1] == v => {
+                    data.extend_from_within((seen - 1) * dim..seen * dim);
+                    break;
+                }
+                _ => i = (i + 1) & (slots - 1),
+            }
+        }
     }
-    m
+    (Matrix::from_vec(nodes.len(), dim, data), distinct)
 }
 
 /// Supplies the input embedding `e_u^{(0)} = f_u` of the paper's Eq. 1.
@@ -41,7 +78,7 @@ pub trait FeatureProvider: Send + Sync {
 
 /// Features decoded from the attribute store (little-endian `f32`s, the
 /// common on-wire format for embedding services). Vertices without a stored
-/// attribute get zeros.
+/// attribute get zeros, and so does any stored value that is not finite.
 pub struct AttributeFeatures<'a> {
     store: &'a AttributeStore,
     dim: usize,
@@ -73,7 +110,10 @@ impl FeatureProvider for AttributeFeatures<'_> {
         if let Some(bytes) = self.store.vertex(v) {
             for (i, chunk) in bytes.chunks_exact(4).take(self.dim).enumerate() {
                 let arr: [u8; 4] = chunk.try_into().expect("4-byte chunk");
-                out[i] = f32::from_le_bytes(arr) as f64;
+                // Stored bytes arrive over the write path; a non-finite
+                // value reads as 0.0, the rule ingest applies to weights.
+                let x = f32::from_le_bytes(arr);
+                out[i] = if x.is_finite() { x as f64 } else { 0.0 };
             }
         }
     }
@@ -176,5 +216,54 @@ mod tests {
         store.set_vertex(v, AttributeFeatures::encode(&[1.0, 2.0, 3.0, 4.0]));
         let p = AttributeFeatures::new(&store, 2);
         assert_eq!(p.feature(v), vec![1.0, 2.0]);
+    }
+
+    /// `gather_features_counted` against one `feature()` call per slot, bit
+    /// for bit, plus the distinct count it reports.
+    fn assert_gather_matches_rows(provider: &dyn FeatureProvider, nodes: &[VertexId]) {
+        let dim = provider.dim();
+        let (m, distinct) = gather_features_counted(provider, nodes, dim);
+        assert_eq!((m.rows(), m.cols()), (nodes.len(), dim));
+        for (r, &v) in nodes.iter().enumerate() {
+            let want: Vec<u64> = provider.feature(v).iter().map(|x| x.to_bits()).collect();
+            let got: Vec<u64> = m.row(r).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "row {r} (vertex {v:?})");
+        }
+        let unique: std::collections::BTreeSet<u64> = nodes.iter().map(|v| v.raw()).collect();
+        assert_eq!(distinct, unique.len());
+        assert_eq!(gather_features(provider, nodes, dim), m);
+    }
+
+    #[test]
+    fn gather_with_repeats_equals_row_by_row() {
+        // Ids chosen to collide in the first-occurrence table as well as to
+        // repeat: multiples of a power of two next to small ids.
+        let nodes: Vec<VertexId> = [7u64, 3, 7, 1 << 40, 3, 3, 0, 1 << 41, 7, 0, u64::MAX, 9]
+            .iter()
+            .map(|&v| VertexId(v))
+            .collect();
+        let hash = HashFeatures::new(5, 3, 11);
+        assert_gather_matches_rows(&hash, &nodes);
+
+        let store = AttributeStore::new();
+        store.set_vertex(VertexId(7), AttributeFeatures::encode(&[0.5, -0.0, 2.0]));
+        store.set_vertex(VertexId(3), AttributeFeatures::encode(&[1.0])); // short: zero-padded
+        store.set_vertex(
+            VertexId(9),
+            AttributeFeatures::encode(&[f64::NAN, 1.5, 4.0]),
+        );
+        // Vertices 0, 2^40, 2^41 and u64::MAX have no attribute; 0 repeats.
+        let attrs = AttributeFeatures::new(&store, 3);
+        assert_gather_matches_rows(&attrs, &nodes);
+        assert_eq!(attrs.feature(VertexId(9)), vec![0.0, 1.5, 4.0]);
+    }
+
+    #[test]
+    fn gather_all_distinct_and_empty_lists() {
+        let hash = HashFeatures::new(4, 2, 5);
+        let distinct: Vec<VertexId> = (0..300u64).map(|i| VertexId(i * 64)).collect();
+        assert_gather_matches_rows(&hash, &distinct);
+        assert_gather_matches_rows(&hash, &[]);
+        assert_gather_matches_rows(&hash, &[VertexId(1); 9]);
     }
 }

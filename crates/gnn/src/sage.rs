@@ -7,11 +7,13 @@
 //! mean-pooling is a reshape. Layer `l` then computes
 //! `h^l_v = ReLU(h^{l-1}_v W_self + mean(h^{l-1}_u) W_neigh + b)` for every
 //! depth it is still needed at — the standard sampled-GraphSAGE dataflow.
+//!
+//! A step computes only what the parameter gradients need: the backward
+//! pass stops at layer 0, whose input gradient would be a gradient with
+//! respect to the *features*, which nothing reads.
 
-#![allow(clippy::needless_range_loop)] // index math reads clearer than enumerate chains here
-
-use crate::features::FeatureProvider;
-use crate::nn::{softmax_cross_entropy, Dense, Matrix};
+use crate::features::{gather_features, FeatureProvider};
+use crate::nn::{sgd_update, softmax_cross_entropy, Dense, Matrix};
 use crate::ops::NeighborSampler;
 use platod2gl_graph::{EdgeType, GraphStore, VertexId};
 use rand::RngCore;
@@ -25,6 +27,7 @@ pub struct SageLayer {
 }
 
 /// Accumulated parameter gradients for one layer.
+#[derive(Default)]
 struct SageGrads {
     gw_self: Matrix,
     gw_neigh: Matrix,
@@ -40,48 +43,18 @@ impl SageLayer {
         }
     }
 
-    fn out_dim(&self) -> usize {
-        self.w_self.cols()
-    }
-
-    /// `ReLU(h_self W_self + pooled W_neigh + b)`.
-    fn forward(&self, h_self: &Matrix, pooled: &Matrix) -> Matrix {
-        let mut z = h_self.matmul(&self.w_self);
-        z.add_assign(&pooled.matmul(&self.w_neigh));
-        z.add_row_broadcast(&self.bias);
-        z.relu()
-    }
-
-    /// Backward through the layer; returns (grad_h_self, grad_pooled).
-    fn backward(
-        &self,
-        h_self: &Matrix,
-        pooled: &Matrix,
-        activated: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut SageGrads,
-    ) -> (Matrix, Matrix) {
-        let gz = Matrix::relu_backward(grad_out, activated);
-        grads.gw_self.add_assign(&h_self.t_matmul(&gz));
-        grads.gw_neigh.add_assign(&pooled.t_matmul(&gz));
-        for r in 0..gz.rows() {
-            for c in 0..gz.cols() {
-                grads.gbias[c] += gz.get(r, c);
-            }
-        }
-        (gz.matmul_t(&self.w_self), gz.matmul_t(&self.w_neigh))
+    /// `out = ReLU(h_self W_self + pooled W_neigh + b)`.
+    fn forward(&self, h_self: &Matrix, pooled: &Matrix, out: &mut Matrix) {
+        out.reset_rows(h_self.rows(), &self.bias);
+        out.add_matmul(h_self, &self.w_self);
+        out.add_matmul(pooled, &self.w_neigh);
+        out.relu();
     }
 
     fn apply(&mut self, grads: &SageGrads, lr: f64) {
-        for r in 0..self.w_self.rows() {
-            for c in 0..self.w_self.cols() {
-                *self.w_self.get_mut(r, c) -= lr * grads.gw_self.get(r, c);
-                *self.w_neigh.get_mut(r, c) -= lr * grads.gw_neigh.get(r, c);
-            }
-        }
-        for (b, g) in self.bias.iter_mut().zip(&grads.gbias) {
-            *b -= lr * g;
-        }
+        sgd_update(self.w_self.as_mut_slice(), grads.gw_self.as_slice(), lr);
+        sgd_update(self.w_neigh.as_mut_slice(), grads.gw_neigh.as_slice(), lr);
+        sgd_update(&mut self.bias, &grads.gbias, lr);
     }
 }
 
@@ -126,12 +99,51 @@ pub struct TrainStats {
     pub accuracy: f64,
 }
 
+/// Every intermediate of a forward/backward pass. The net owns one for
+/// training: its matrices are sized by the first step and reused by every
+/// later one, so a steady-state step allocates nothing of its own.
+#[derive(Default)]
+struct Workspace {
+    /// `pooled[l][d]`: mean over the children of depth `d` in layer `l`'s
+    /// input (kept for backward).
+    pooled: Vec<Vec<Matrix>>,
+    /// `act[l][d]`: layer `l`'s output at depth `d`.
+    act: Vec<Vec<Matrix>>,
+    logits: Matrix,
+    /// `grad[d]` = dL/d `act[l][d]` for the layer `l` being walked.
+    grad: Vec<Matrix>,
+    /// dL/d (layer `l`'s input) per depth, which becomes `grad` one layer
+    /// down.
+    grad_below: Vec<Matrix>,
+    /// Gradient of one pooled input before it is spread over the children.
+    grad_pooled: Matrix,
+    /// The walked layer's weights, transposed once for its input-gradient
+    /// products.
+    wt_self: Matrix,
+    wt_neigh: Matrix,
+    layer_grads: Vec<SageGrads>,
+    gw_cls: Matrix,
+    gb_cls: Vec<f64>,
+}
+
+/// Index of the largest logit. `total_cmp` gives NaN a place in the order,
+/// so non-finite logits (features come off the write path) pick some class
+/// instead of panicking the training thread.
+fn argmax(row: &[f64]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .expect("non-empty row")
+}
+
 /// A stacked GraphSAGE classifier trained by minibatch SGD against any
 /// [`GraphStore`].
 pub struct SageNet {
     cfg: SageNetConfig,
     layers: Vec<SageLayer>,
     classifier: Dense,
+    workspace: Workspace,
 }
 
 impl SageNet {
@@ -149,6 +161,7 @@ impl SageNet {
             cfg,
             layers,
             classifier,
+            workspace: Workspace::default(),
         }
     }
 
@@ -179,58 +192,41 @@ impl SageNet {
         nodes
     }
 
-    fn feature_matrix(&self, provider: &dyn FeatureProvider, nodes: &[VertexId]) -> Matrix {
-        crate::features::gather_features(provider, nodes, self.cfg.feature_dim)
-    }
-
-    /// Full forward pass, caching every intermediate for backprop.
-    /// Returns `(logits, caches, h)` where `h[l][d]` is the embedding of
-    /// depth-`d` nodes after `l` layers.
-    fn forward<S: GraphStore + ?Sized>(
+    /// Sample a seed batch's node flow and gather its per-depth features.
+    fn sample_features<S: GraphStore + ?Sized>(
         &self,
         store: &S,
         provider: &dyn FeatureProvider,
         seeds: &[VertexId],
         rng: &mut dyn RngCore,
-    ) -> (Matrix, Vec<Vec<Matrix>>, Vec<Vec<Matrix>>) {
-        let nf = self.node_flow(store, seeds, rng);
-        let feats = nf
+    ) -> Vec<Matrix> {
+        self.node_flow(store, seeds, rng)
             .iter()
-            .map(|nodes| self.feature_matrix(provider, nodes))
-            .collect();
-        self.forward_from_features(feats)
+            .map(|nodes| gather_features(provider, nodes, self.cfg.feature_dim))
+            .collect()
     }
 
-    /// Forward pass over pre-gathered depth features (`feats[d]` is the
-    /// feature matrix of depth-`d` nodes of an already-sampled node flow).
-    /// This is the entry point for pipelined training, where sampling and
-    /// feature gathering happened on a prefetch worker.
-    fn forward_from_features(
-        &self,
-        feats: Vec<Matrix>,
-    ) -> (Matrix, Vec<Vec<Matrix>>, Vec<Vec<Matrix>>) {
+    /// Forward pass over depth features (`feats[d]` is the feature matrix
+    /// of depth-`d` nodes of a sampled node flow), leaving the logits and
+    /// every intermediate backward needs in `ws`.
+    fn forward(&self, feats: &[Matrix], ws: &mut Workspace) {
         let num_layers = self.layers.len();
-        // h[0][d] = raw features at depth d.
-        let mut h: Vec<Vec<Matrix>> = Vec::with_capacity(num_layers + 1);
-        h.push(feats);
-        // pooled[l][d] caches the mean-pooled neighbor input of layer l+1 at
-        // depth d (needed for backward).
-        let mut pooled_cache: Vec<Vec<Matrix>> = Vec::with_capacity(num_layers);
-        for l in 0..num_layers {
-            let depths = num_layers - l; // layer l+1 output exists for d < depths
-            let mut level = Vec::with_capacity(depths);
-            let mut pooled_level = Vec::with_capacity(depths);
-            for d in 0..depths {
-                let pooled = h[l][d + 1].group_mean(self.cfg.fanouts[d]);
-                let out = self.layers[l].forward(&h[l][d], &pooled);
-                pooled_level.push(pooled);
-                level.push(out);
+        ws.pooled.resize_with(num_layers, Vec::new);
+        ws.act.resize_with(num_layers, Vec::new);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let depths = num_layers - l; // layer l's output exists for d < depths
+            let (below, at) = ws.act.split_at_mut(l);
+            let input = below.last().map_or(feats, Vec::as_slice);
+            let (out, pooled) = (&mut at[0], &mut ws.pooled[l]);
+            out.resize_with(depths, Matrix::default);
+            pooled.resize_with(depths, Matrix::default);
+            for (d, (out, pooled)) in out.iter_mut().zip(pooled).enumerate() {
+                input[d + 1].group_mean_into(self.cfg.fanouts[d], pooled);
+                layer.forward(&input[d], pooled, out);
             }
-            pooled_cache.push(pooled_level);
-            h.push(level);
         }
-        let logits = self.classifier.forward(&h[num_layers][0]);
-        (logits, pooled_cache, h)
+        self.classifier
+            .forward(&ws.act[num_layers - 1][0], &mut ws.logits);
     }
 
     /// Final-layer embeddings for a seed batch (one row per seed) — the
@@ -242,9 +238,9 @@ impl SageNet {
         seeds: &[VertexId],
         rng: &mut dyn RngCore,
     ) -> Matrix {
-        let num_layers = self.layers.len();
-        let (_, _, mut h) = self.forward(store, provider, seeds, rng);
-        h.swap_remove(num_layers).swap_remove(0)
+        let mut ws = Workspace::default();
+        self.forward(&self.sample_features(store, provider, seeds, rng), &mut ws);
+        ws.act.swap_remove(self.layers.len() - 1).swap_remove(0)
     }
 
     /// Predict class indices for a seed batch.
@@ -255,16 +251,10 @@ impl SageNet {
         seeds: &[VertexId],
         rng: &mut dyn RngCore,
     ) -> Vec<usize> {
-        let (logits, _, _) = self.forward(store, provider, seeds, rng);
-        (0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row")
-            })
+        let mut ws = Workspace::default();
+        self.forward(&self.sample_features(store, provider, seeds, rng), &mut ws);
+        (0..ws.logits.rows())
+            .map(|r| argmax(ws.logits.row(r)))
             .collect()
     }
 
@@ -278,11 +268,7 @@ impl SageNet {
         rng: &mut dyn RngCore,
     ) -> TrainStats {
         assert_eq!(seeds.len(), labels.len());
-        let nf = self.node_flow(store, seeds, rng);
-        let feats = nf
-            .iter()
-            .map(|nodes| self.feature_matrix(provider, nodes))
-            .collect();
+        let feats = self.sample_features(store, provider, seeds, rng);
         self.train_step_features(feats, labels)
     }
 
@@ -314,77 +300,88 @@ impl SageNet {
                 "depth {d} feature width mismatch"
             );
         }
-        let (logits, pooled_cache, h) = self.forward_from_features(feats);
-        let (loss, grad_logits) = softmax_cross_entropy(&logits, labels);
-        let accuracy = {
-            let mut correct = 0usize;
-            for r in 0..logits.rows() {
-                let row = logits.row(r);
-                let pred = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row");
-                if pred == labels[r] {
-                    correct += 1;
-                }
-            }
-            correct as f64 / labels.len() as f64
-        };
+        let mut ws = std::mem::take(&mut self.workspace);
+        let stats = self.compute_grads(&feats, labels, &mut ws);
+        self.apply_grads(&ws);
+        self.workspace = ws;
+        stats
+    }
 
-        // Classifier backward.
-        let mut gw_cls = Matrix::zeros(self.cfg.hidden_dim, self.cfg.num_classes);
-        let mut gb_cls = vec![0.0; self.cfg.num_classes];
-        let grad_top =
-            self.classifier
-                .backward(&h[num_layers][0], &grad_logits, &mut gw_cls, &mut gb_cls);
-
-        // Layer grads, accumulated across depths.
-        let mut layer_grads: Vec<SageGrads> = self
-            .layers
+    /// Forward, loss, and backward down to layer 0's parameters: leaves
+    /// dL/d(every parameter) in `ws.layer_grads` / `ws.gw_cls` / `ws.gb_cls`
+    /// and moves nothing.
+    fn compute_grads(&self, feats: &[Matrix], labels: &[usize], ws: &mut Workspace) -> TrainStats {
+        let num_layers = self.layers.len();
+        self.forward(feats, ws);
+        let (loss, grad_logits) = softmax_cross_entropy(&ws.logits, labels);
+        let correct = labels
             .iter()
-            .map(|l| SageGrads {
-                gw_self: Matrix::zeros(l.w_self.rows(), l.w_self.cols()),
-                gw_neigh: Matrix::zeros(l.w_neigh.rows(), l.w_neigh.cols()),
-                gbias: vec![0.0; l.out_dim()],
-            })
-            .collect();
+            .enumerate()
+            .filter(|&(r, &label)| argmax(ws.logits.row(r)) == label)
+            .count();
 
-        // grads[d] = dL/d h[l][d] for the current level l.
-        let mut grads: Vec<Option<Matrix>> = vec![None; num_layers + 2];
-        grads[0] = Some(grad_top);
-        for l in (0..num_layers).rev() {
+        ws.grad.resize_with(num_layers + 1, Matrix::default);
+        ws.grad_below.resize_with(num_layers + 1, Matrix::default);
+        ws.layer_grads.resize_with(num_layers, SageGrads::default);
+
+        ws.gw_cls.reset(self.cfg.hidden_dim, self.cfg.num_classes);
+        ws.gb_cls.clear();
+        ws.gb_cls.resize(self.cfg.num_classes, 0.0);
+        self.classifier.backward(
+            &ws.act[num_layers - 1][0],
+            &grad_logits,
+            &mut ws.gw_cls,
+            &mut ws.gb_cls,
+            &mut ws.grad[0],
+        );
+
+        // Walk the layers top down; parameter gradients accumulate across
+        // the depths a layer runs at.
+        let layer_grads = self.layers.iter().zip(&mut ws.layer_grads);
+        for (l, (layer, grads)) in layer_grads.enumerate().rev() {
             let depths = num_layers - l;
-            let mut next: Vec<Option<Matrix>> = vec![None; num_layers + 2];
-            for (d, maybe_g) in grads.iter().enumerate().take(depths) {
-                let Some(g) = maybe_g else { continue };
-                let (g_self, g_pooled) = self.layers[l].backward(
-                    &h[l][d],
-                    &pooled_cache[l][d],
-                    &h[l + 1][d],
-                    g,
-                    &mut layer_grads[l],
-                );
-                match &mut next[d] {
-                    Some(acc) => acc.add_assign(&g_self),
-                    slot => *slot = Some(g_self),
-                }
-                let spread = Matrix::group_mean_backward(&g_pooled, self.cfg.fanouts[d]);
-                match &mut next[d + 1] {
-                    Some(acc) => acc.add_assign(&spread),
-                    slot => *slot = Some(spread),
+            let input = if l == 0 { feats } else { &ws.act[l - 1] };
+            let (in_dim, out_dim) = (layer.w_self.rows(), layer.bias.len());
+            grads.gw_self.reset(in_dim, out_dim);
+            grads.gw_neigh.reset(in_dim, out_dim);
+            grads.gbias.clear();
+            grads.gbias.resize(out_dim, 0.0);
+            if l > 0 {
+                layer.w_self.transpose_into(&mut ws.wt_self);
+                layer.w_neigh.transpose_into(&mut ws.wt_neigh);
+                for (below, input) in ws.grad_below.iter_mut().zip(input) {
+                    below.reset(input.rows(), in_dim);
                 }
             }
-            grads = next;
+            for (d, gz) in ws.grad.iter_mut().enumerate().take(depths) {
+                // Through the ReLU, then into the parameters.
+                gz.relu_backward(&ws.act[l][d]);
+                grads.gw_self.add_t_matmul(&input[d], gz);
+                grads.gw_neigh.add_t_matmul(&ws.pooled[l][d], gz);
+                gz.add_col_sums(&mut grads.gbias);
+                // Layer 0's input is the features: nothing below it learns.
+                if l > 0 {
+                    ws.grad_below[d].add_matmul(gz, &ws.wt_self);
+                    ws.grad_pooled.reset(gz.rows(), in_dim);
+                    ws.grad_pooled.add_matmul(gz, &ws.wt_neigh);
+                    ws.grad_below[d + 1].add_group_spread(&ws.grad_pooled, self.cfg.fanouts[d]);
+                }
+            }
+            std::mem::swap(&mut ws.grad, &mut ws.grad_below);
         }
+        TrainStats {
+            loss,
+            accuracy: correct as f64 / labels.len() as f64,
+        }
+    }
 
-        // SGD updates.
-        self.classifier.apply_grads(&gw_cls, &gb_cls, self.cfg.lr);
-        for (layer, g) in self.layers.iter_mut().zip(&layer_grads) {
+    /// The SGD update from the gradients `compute_grads` left in `ws`.
+    fn apply_grads(&mut self, ws: &Workspace) {
+        self.classifier
+            .apply_grads(&ws.gw_cls, &ws.gb_cls, self.cfg.lr);
+        for (layer, g) in self.layers.iter_mut().zip(&ws.layer_grads) {
             layer.apply(g, self.cfg.lr);
         }
-        TrainStats { loss, accuracy }
     }
 }
 
@@ -543,12 +540,15 @@ mod tests {
             ..Default::default()
         });
         let mut rng = StdRng::seed_from_u64(3);
-        let (logits, _, h) = net.forward(&store, &provider, &[VertexId(1), VertexId(9)], &mut rng);
-        assert_eq!((logits.rows(), logits.cols()), (2, 3));
-        assert_eq!(h[0].len(), 2); // depths 0 and 1
-        assert_eq!(h[0][1].rows(), 4); // 2 seeds * fanout 2
-        assert_eq!(h[1].len(), 1);
-        assert_eq!(h[1][0].rows(), 2);
+        let feats = net.sample_features(&store, &provider, &[VertexId(1), VertexId(9)], &mut rng);
+        assert_eq!(feats.len(), 2); // depths 0 and 1
+        assert_eq!(feats[1].rows(), 4); // 2 seeds * fanout 2
+        let mut ws = Workspace::default();
+        net.forward(&feats, &mut ws);
+        assert_eq!((ws.logits.rows(), ws.logits.cols()), (2, 3));
+        assert_eq!(ws.act.len(), 1);
+        assert_eq!(ws.act[0].len(), 1);
+        assert_eq!((ws.act[0][0].rows(), ws.act[0][0].cols()), (2, 4));
     }
 
     #[test]
@@ -576,9 +576,7 @@ mod tests {
                 let flow = net.node_flow(&store, chunk, &mut rng);
                 let feats: Vec<Matrix> = flow
                     .iter()
-                    .map(|nodes| {
-                        crate::features::gather_features(&provider, nodes, net.cfg.feature_dim)
-                    })
+                    .map(|nodes| gather_features(&provider, nodes, net.cfg.feature_dim))
                     .collect();
                 let stats = net.train_step_features(feats, &batch_labels);
                 first.get_or_insert(stats.loss);
@@ -622,48 +620,329 @@ mod tests {
         assert!(stats.loss.is_finite());
     }
 
-    #[test]
-    fn gradient_check_through_one_sage_layer() {
-        // Finite differences through forward() on a fixed node flow: freeze
-        // sampling by using a deterministic store (every vertex has exactly
-        // one neighbor, itself-padded), so forward is a pure function of
-        // parameters.
-        let provider = HashFeatures::new(4, 2, 9);
-        let store = DynamicGraphStore::with_defaults();
-        store.insert_edge(Edge::new(VertexId(0), VertexId(1), 1.0));
-        store.insert_edge(Edge::new(VertexId(1), VertexId(0), 1.0));
-        let cfg = SageNetConfig {
-            feature_dim: 4,
-            hidden_dim: 3,
-            num_classes: 2,
-            fanouts: vec![1], // fanout 1 over single-neighbor vertices => deterministic
-            lr: 0.0,          // do not move parameters during the check
+    /// The parent commit's training step, verbatim over the element-wise
+    /// reference kernels: all six products at every layer, input gradients
+    /// propagated below layer 0 and thrown away.
+    #[allow(clippy::needless_range_loop)]
+    mod reference_step {
+        use super::super::*;
+        use crate::nn::reference as k;
+
+        fn layer_forward(layer: &SageLayer, h_self: &Matrix, pooled: &Matrix) -> Matrix {
+            let mut z = k::matmul(h_self, &layer.w_self);
+            z.add_assign(&k::matmul(pooled, &layer.w_neigh));
+            k::add_row_broadcast(&mut z, &layer.bias);
+            k::relu(&z)
+        }
+
+        fn layer_backward(
+            layer: &SageLayer,
+            h_self: &Matrix,
+            pooled: &Matrix,
+            activated: &Matrix,
+            grad_out: &Matrix,
+            grads: &mut SageGrads,
+        ) -> (Matrix, Matrix) {
+            let gz = k::relu_backward(grad_out, activated);
+            grads.gw_self.add_assign(&k::t_matmul(h_self, &gz));
+            grads.gw_neigh.add_assign(&k::t_matmul(pooled, &gz));
+            for r in 0..gz.rows() {
+                for c in 0..gz.cols() {
+                    grads.gbias[c] += gz.get(r, c);
+                }
+            }
+            (
+                k::matmul_t(&gz, &layer.w_self),
+                k::matmul_t(&gz, &layer.w_neigh),
+            )
+        }
+
+        fn forward_from_features(
+            net: &SageNet,
+            feats: Vec<Matrix>,
+        ) -> (Matrix, Vec<Vec<Matrix>>, Vec<Vec<Matrix>>) {
+            let num_layers = net.layers.len();
+            let mut h: Vec<Vec<Matrix>> = Vec::with_capacity(num_layers + 1);
+            h.push(feats);
+            let mut pooled_cache: Vec<Vec<Matrix>> = Vec::with_capacity(num_layers);
+            for l in 0..num_layers {
+                let depths = num_layers - l;
+                let mut level = Vec::with_capacity(depths);
+                let mut pooled_level = Vec::with_capacity(depths);
+                for d in 0..depths {
+                    let pooled = k::group_mean(&h[l][d + 1], net.cfg.fanouts[d]);
+                    let out = layer_forward(&net.layers[l], &h[l][d], &pooled);
+                    pooled_level.push(pooled);
+                    level.push(out);
+                }
+                pooled_cache.push(pooled_level);
+                h.push(level);
+            }
+            let mut logits = k::matmul(&h[num_layers][0], &net.classifier.w);
+            k::add_row_broadcast(&mut logits, &net.classifier.b);
+            (logits, pooled_cache, h)
+        }
+
+        pub(super) fn train_step_features(
+            net: &mut SageNet,
+            feats: Vec<Matrix>,
+            labels: &[usize],
+        ) -> TrainStats {
+            let num_layers = net.layers.len();
+            let (logits, pooled_cache, h) = forward_from_features(net, feats);
+            let (loss, grad_logits) = softmax_cross_entropy(&logits, labels);
+            let accuracy = {
+                let mut correct = 0usize;
+                for r in 0..logits.rows() {
+                    if argmax(logits.row(r)) == labels[r] {
+                        correct += 1;
+                    }
+                }
+                correct as f64 / labels.len() as f64
+            };
+
+            // Classifier backward.
+            let mut gw_cls = Matrix::zeros(net.cfg.hidden_dim, net.cfg.num_classes);
+            let mut gb_cls = vec![0.0; net.cfg.num_classes];
+            gw_cls.add_assign(&k::t_matmul(&h[num_layers][0], &grad_logits));
+            for r in 0..grad_logits.rows() {
+                for c in 0..grad_logits.cols() {
+                    gb_cls[c] += grad_logits.get(r, c);
+                }
+            }
+            let grad_top = k::matmul_t(&grad_logits, &net.classifier.w);
+
+            // Layer grads, accumulated across depths.
+            let mut layer_grads: Vec<SageGrads> = net
+                .layers
+                .iter()
+                .map(|l| SageGrads {
+                    gw_self: Matrix::zeros(l.w_self.rows(), l.w_self.cols()),
+                    gw_neigh: Matrix::zeros(l.w_neigh.rows(), l.w_neigh.cols()),
+                    gbias: vec![0.0; l.bias.len()],
+                })
+                .collect();
+
+            // grads[d] = dL/d h[l][d] for the current level l.
+            let mut grads: Vec<Option<Matrix>> = vec![None; num_layers + 2];
+            grads[0] = Some(grad_top);
+            for l in (0..num_layers).rev() {
+                let depths = num_layers - l;
+                let mut next: Vec<Option<Matrix>> = vec![None; num_layers + 2];
+                for (d, maybe_g) in grads.iter().enumerate().take(depths) {
+                    let Some(g) = maybe_g else { continue };
+                    let (g_self, g_pooled) = layer_backward(
+                        &net.layers[l],
+                        &h[l][d],
+                        &pooled_cache[l][d],
+                        &h[l + 1][d],
+                        g,
+                        &mut layer_grads[l],
+                    );
+                    match &mut next[d] {
+                        Some(acc) => acc.add_assign(&g_self),
+                        slot => *slot = Some(g_self),
+                    }
+                    let spread = k::group_mean_backward(&g_pooled, net.cfg.fanouts[d]);
+                    match &mut next[d + 1] {
+                        Some(acc) => acc.add_assign(&spread),
+                        slot => *slot = Some(spread),
+                    }
+                }
+                grads = next;
+            }
+
+            // SGD updates.
+            net.classifier.apply_grads(&gw_cls, &gb_cls, net.cfg.lr);
+            for (layer, g) in net.layers.iter_mut().zip(&layer_grads) {
+                layer.apply(g, net.cfg.lr);
+            }
+            TrainStats { loss, accuracy }
+        }
+    }
+
+    /// Per-depth feature matrices and seed labels.
+    type Block = (Vec<Matrix>, Vec<usize>);
+
+    /// A net over `fanouts` with no dimension a multiple of four, and
+    /// `steps` random blocks for it (5 seeds at depth 0).
+    fn odd_net_and_blocks(fanouts: &[usize], steps: u64) -> (SageNet, Vec<Block>) {
+        let net = SageNet::new(SageNetConfig {
+            feature_dim: 5,
+            hidden_dim: 7,
+            num_classes: 3,
+            fanouts: fanouts.to_vec(),
+            lr: 0.1,
+            seed: 17,
             ..Default::default()
+        });
+        let blocks = (0..steps)
+            .map(|s| {
+                let mut rows = 5;
+                let mut feats = vec![Matrix::glorot(rows, 5, 100 + 10 * s)];
+                for (d, fanout) in fanouts.iter().enumerate() {
+                    rows *= fanout;
+                    feats.push(Matrix::glorot(rows, 5, 101 + 10 * s + d as u64));
+                }
+                (feats, (0..5).map(|i| (i + s as usize) % 3).collect())
+            })
+            .collect();
+        (net, blocks)
+    }
+
+    /// Every parameter tensor, flat, in one fixed order.
+    fn params_mut(net: &mut SageNet) -> Vec<&mut [f64]> {
+        let mut out: Vec<&mut [f64]> = Vec::new();
+        for l in &mut net.layers {
+            out.push(l.w_self.as_mut_slice());
+            out.push(l.w_neigh.as_mut_slice());
+            out.push(&mut l.bias);
+        }
+        out.push(net.classifier.w.as_mut_slice());
+        out.push(&mut net.classifier.b);
+        out
+    }
+
+    fn flat_params(net: &mut SageNet) -> Vec<f64> {
+        params_mut(net)
+            .iter()
+            .flat_map(|p| p.iter().copied())
+            .collect()
+    }
+
+    /// The gradients `compute_grads` left in `ws`, in `params_mut` order.
+    fn grads_of(ws: &Workspace) -> Vec<&[f64]> {
+        let mut out: Vec<&[f64]> = Vec::new();
+        for g in &ws.layer_grads {
+            out.push(g.gw_self.as_slice());
+            out.push(g.gw_neigh.as_slice());
+            out.push(&g.gbias);
+        }
+        out.push(ws.gw_cls.as_slice());
+        out.push(&ws.gb_cls);
+        out
+    }
+
+    #[test]
+    fn finite_differences_match_every_parameter_gradient() {
+        let (mut net, blocks) = odd_net_and_blocks(&[3, 2], 1);
+        let (feats, labels) = &blocks[0];
+        let mut ws = Workspace::default();
+        net.compute_grads(feats, labels, &mut ws);
+        let analytic: Vec<Vec<f64>> = grads_of(&ws).iter().map(|g| g.to_vec()).collect();
+        let loss_at = |net: &SageNet| {
+            let mut ws = Workspace::default();
+            net.forward(feats, &mut ws);
+            softmax_cross_entropy(&ws.logits, labels).0
         };
-        let seeds = [VertexId(0), VertexId(1)];
-        let labels = [0usize, 1];
-        let mut net = SageNet::new(cfg);
-        // Analytic gradient of w_self[0][0] via a zero-lr train step.
-        let mut rng = StdRng::seed_from_u64(5);
-        let loss_at = |net: &SageNet, rng_seed: u64| {
-            let mut r = StdRng::seed_from_u64(rng_seed);
-            let (logits, _, _) = net.forward(&store, &provider, &seeds, &mut r);
-            softmax_cross_entropy(&logits, &labels).0
-        };
-        // Capture analytic grads by re-implementing the step with lr=0 and
-        // inspecting the numeric direction instead: perturb and compare.
-        let base = loss_at(&net, 11);
         let eps = 1e-5;
-        let orig = net.layers[0].w_self.get(0, 0);
-        *net.layers[0].w_self.get_mut(0, 0) = orig + eps;
-        let plus = loss_at(&net, 11);
-        *net.layers[0].w_self.get_mut(0, 0) = orig;
-        let numeric = (plus - base) / eps;
-        // The loss surface must actually depend on the parameter.
-        assert!(numeric.abs() > 1e-12 || base < 1e-9);
-        // And a zero-lr train step must not change the loss.
-        net.train_step(&store, &provider, &seeds, &labels, &mut rng);
-        let after = loss_at(&net, 11);
-        assert!((after - base).abs() < 1e-12, "lr=0 moved parameters");
+        let mut checked = 0;
+        for (t, grads) in analytic.iter().enumerate() {
+            assert_eq!(grads.len(), params_mut(&mut net)[t].len());
+            assert!(
+                grads.iter().any(|&g| g != 0.0),
+                "tensor {t} has no gradient"
+            );
+            for (i, &analytic) in grads.iter().enumerate() {
+                let orig = params_mut(&mut net)[t][i];
+                params_mut(&mut net)[t][i] = orig + eps;
+                let plus = loss_at(&net);
+                params_mut(&mut net)[t][i] = orig - eps;
+                let minus = loss_at(&net);
+                params_mut(&mut net)[t][i] = orig;
+                let numeric = (plus - minus) / (2.0 * eps);
+                let scale = numeric.abs().max(analytic.abs()).max(1e-4);
+                assert!(
+                    (numeric - analytic).abs() <= 1e-6 * scale,
+                    "tensor {t}[{i}]: numeric {numeric} vs analytic {analytic}"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 2 * (5 * 7 + 7 * 7) + 2 * 7 + 7 * 3 + 3);
+    }
+
+    #[test]
+    fn new_step_matches_the_parents_step() {
+        // Same init, same three blocks: the step that skips layer 0's input
+        // gradients must land on the parameters of the one that computes
+        // them — which is what proves those products were dead.
+        // Three layers as well: there layers 1 and 2 do propagate, over
+        // more than one depth.
+        for fanouts in [&[3, 2][..], &[2, 3, 2]] {
+            let (mut new, blocks) = odd_net_and_blocks(fanouts, 3);
+            let (mut old, _) = odd_net_and_blocks(fanouts, 0);
+            for (feats, labels) in blocks {
+                let want = reference_step::train_step_features(&mut old, feats.clone(), &labels);
+                let got = new.train_step_features(feats, &labels);
+                assert!((got.loss - want.loss).abs() <= 1e-10);
+                assert_eq!(got.accuracy, want.accuracy);
+            }
+            let (got, want) = (flat_params(&mut new), flat_params(&mut old));
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() <= 1e-10, "parameter {i}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn same_blocks_give_bit_identical_parameters() {
+        let run = || {
+            let (mut net, blocks) = odd_net_and_blocks(&[3, 2], 3);
+            let losses: Vec<u64> = blocks
+                .into_iter()
+                .map(|(feats, labels)| net.train_step_features(feats, &labels).loss.to_bits())
+                .collect();
+            let params: Vec<u64> = flat_params(&mut net).iter().map(|p| p.to_bits()).collect();
+            (losses, params)
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn zero_lr_step_leaves_parameters_alone() {
+        let (mut net, blocks) = odd_net_and_blocks(&[3, 2], 1);
+        net.cfg.lr = 0.0;
+        let before = flat_params(&mut net);
+        let (feats, labels) = blocks.into_iter().next().expect("one block");
+        net.train_step_features(feats, &labels);
+        assert_eq!(flat_params(&mut net), before);
+    }
+
+    #[test]
+    fn argmax_orders_non_finite_logits_without_panicking() {
+        assert_eq!(argmax(&[0.5, f64::INFINITY, -1.0]), 1);
+        assert_eq!(argmax(&[f64::NEG_INFINITY, -3.0]), 1);
+        // A NaN sorts above +inf under total_cmp; any answer would do, a
+        // panic would not.
+        assert_eq!(argmax(&[1.0, f64::NAN, f64::INFINITY]), 1);
+        assert_eq!(argmax(&[f64::NAN, f64::NAN]), 1);
+    }
+
+    #[test]
+    fn stored_nan_feature_trains_to_a_finite_loss() {
+        use crate::features::AttributeFeatures;
+        use platod2gl_storage::AttributeStore;
+        let attrs = AttributeStore::new();
+        let store = DynamicGraphStore::with_defaults();
+        for v in 0..8u64 {
+            store.insert_edge(Edge::new(VertexId(v), VertexId((v + 1) % 8), 1.0));
+            let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.25];
+            attrs.set_vertex(VertexId(v), AttributeFeatures::encode(&poison));
+        }
+        let provider = AttributeFeatures::new(&attrs, 4);
+        let mut net = SageNet::new(SageNetConfig {
+            feature_dim: 4,
+            hidden_dim: 6,
+            fanouts: vec![2, 2],
+            ..Default::default()
+        });
+        let seeds: Vec<VertexId> = (0..8).map(VertexId).collect();
+        let labels: Vec<usize> = (0..8).map(|i| i % 2).collect();
+        let mut rng = StdRng::seed_from_u64(6);
+        let stats = net.train_step(&store, &provider, &seeds, &labels, &mut rng);
+        assert!(stats.loss.is_finite(), "loss {}", stats.loss);
+        assert_eq!(net.predict(&store, &provider, &seeds, &mut rng).len(), 8);
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::cache::{CacheConfig, CacheStats, NeighborCache};
 use crate::sampler::KHopSampler;
-use platod2gl_gnn::{gather_features, FeatureProvider, Matrix, SageNet};
+use platod2gl_gnn::{gather_features_counted, FeatureProvider, Matrix, SageNet};
 use platod2gl_graph::{EdgeType, Error, TimeWindow, VertexId};
 use platod2gl_obs::{Counter, Histogram};
 use platod2gl_server::{Cluster, GraphService, HistogramSnapshot};
@@ -251,6 +251,8 @@ pub struct TrainingPipeline<'a, S: GraphService = Cluster> {
     distinct_sampled: Arc<Counter>,
     cluster_requests: Arc<Counter>,
     frontier_slots: Arc<Counter>,
+    gather_rows: Arc<Counter>,
+    gather_distinct_rows: Arc<Counter>,
 }
 
 fn mix64(mut x: u64) -> u64 {
@@ -280,6 +282,8 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
             distinct_sampled: registry.counter("pipeline.distinct_sampled"),
             cluster_requests: registry.counter("pipeline.cluster_requests"),
             frontier_slots: registry.counter("pipeline.frontier_slots"),
+            gather_rows: registry.counter("pipeline.gather_rows"),
+            gather_distinct_rows: registry.counter("pipeline.gather_distinct_rows"),
         }
     }
 
@@ -337,7 +341,14 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
         let feats = outcome
             .levels
             .iter()
-            .map(|level| gather_features(provider, level, dim))
+            .map(|level| {
+                // Rows gathered vs rows computed: the share of slots that
+                // repeat a vertex of their level is what the gather saves.
+                let (m, distinct) = gather_features_counted(provider, level, dim);
+                self.gather_rows.add(level.len() as u64);
+                self.gather_distinct_rows.add(distinct as u64);
+                m
+            })
             .collect();
         self.gather_lat.record(t.elapsed());
         Block {

@@ -19,6 +19,16 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -p platod2gl-gnn --release (the kernels vectorise only at opt-level 3)"
+# The slice kernels' equivalence and gradient tests must see the code the
+# benchmark runs; the debug run above only sees the scalar form.
+cargo test -q -p platod2gl-gnn --release 2>&1 | tee "$build_log"
+if grep "^warning" "$build_log" >/dev/null; then
+    echo "verify: FAIL - compiler warnings in the release test build:"
+    grep "^warning" "$build_log"
+    exit 1
+fi
+
 echo "==> standing benchmark (perf/ is its own workspace: build, unit tests, every workload at smoke size)"
 # perf/ compiles against the crates' public API from outside the workspace,
 # so a signature change that breaks it passes every gate above.

@@ -112,6 +112,13 @@ fn one_snapshot_covers_samtree_storage_wal_server_and_pipeline() {
         + snap.counter("pipeline.cache.misses").unwrap()
         + snap.counter("pipeline.cache.stale_hits").unwrap();
     assert!(cache_lookups > 0);
+    // Gather accounting: every slot of every level is a gathered row (each
+    // seed contributes 1 + 3 + 9), and a level repeats vertices, so fewer
+    // rows were computed than gathered.
+    let gathered = snap.counter("pipeline.gather_rows").unwrap();
+    let computed = snap.counter("pipeline.gather_distinct_rows").unwrap();
+    assert_eq!(gathered, vertices.len() as u64 * 13);
+    assert!(computed >= vertices.len() as u64 && computed < gathered);
 
     // The typed views stay consistent with the registry.
     assert_eq!(
