@@ -13,23 +13,16 @@ use platod2gl_storage::AttributeStore;
 /// Gather a `nodes.len() x dim` feature matrix from a provider — the
 /// "feature gather" stage of the training pipeline, split out as a free
 /// function so prefetch workers can run it without borrowing the model.
-pub fn gather_features(provider: &dyn FeatureProvider, nodes: &[VertexId], dim: usize) -> Matrix {
-    gather_features_counted(provider, nodes, dim).0
-}
-
-/// [`gather_features`] plus the number of distinct vertices in `nodes`.
 ///
-/// A sampled level repeats vertices (hubs, self-padding), so a row is
-/// computed the first time its vertex appears and copied for every later
-/// slot; the count is how many rows were computed.
-pub fn gather_features_counted(
-    provider: &dyn FeatureProvider,
-    nodes: &[VertexId],
-    dim: usize,
-) -> (Matrix, usize) {
+/// A block's last depth (and every level of a padded flow) repeats vertices
+/// — hubs, self-padding — so a row is computed the first time its vertex
+/// appears and copied for every later slot.
+pub fn gather_features(provider: &dyn FeatureProvider, nodes: &[VertexId], dim: usize) -> Matrix {
     assert!(nodes.len() < u32::MAX as usize, "level too large to index");
     // Rows are appended in slot order, so no pass zeroes the matrix first.
-    let mut data: Vec<f64> = Vec::with_capacity(nodes.len() * dim);
+    // A block's depths change size from batch to batch: a rounded capacity
+    // has consecutive blocks ask the allocator for, and get, the same chunk.
+    let mut data: Vec<f64> = Vec::with_capacity((nodes.len() * dim).next_power_of_two());
     // Open-addressed table of first occurrences, at most half full:
     // `first_row[i]` is a row index + 1, or 0 for an empty slot. Fibonacci
     // hashing, not SipHash: a probe has to stay far cheaper than the row a
@@ -37,7 +30,6 @@ pub fn gather_features_counted(
     let slots = (nodes.len() * 2).next_power_of_two().max(2);
     let shift = 64 - slots.trailing_zeros();
     let mut first_row = vec![0u32; slots];
-    let mut distinct = 0;
     for (r, &v) in nodes.iter().enumerate() {
         let mut i = (v.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
         loop {
@@ -46,7 +38,6 @@ pub fn gather_features_counted(
                     first_row[i] = r as u32 + 1;
                     data.resize((r + 1) * dim, 0.0);
                     provider.write_feature(v, &mut data[r * dim..]);
-                    distinct += 1;
                     break;
                 }
                 seen if nodes[seen - 1] == v => {
@@ -57,7 +48,7 @@ pub fn gather_features_counted(
             }
         }
     }
-    (Matrix::from_vec(nodes.len(), dim, data), distinct)
+    Matrix::from_vec(nodes.len(), dim, data)
 }
 
 /// Supplies the input embedding `e_u^{(0)} = f_u` of the paper's Eq. 1.
@@ -218,20 +209,16 @@ mod tests {
         assert_eq!(p.feature(v), vec![1.0, 2.0]);
     }
 
-    /// `gather_features_counted` against one `feature()` call per slot, bit
-    /// for bit, plus the distinct count it reports.
+    /// `gather_features` against one `feature()` call per slot, bit for bit.
     fn assert_gather_matches_rows(provider: &dyn FeatureProvider, nodes: &[VertexId]) {
         let dim = provider.dim();
-        let (m, distinct) = gather_features_counted(provider, nodes, dim);
+        let m = gather_features(provider, nodes, dim);
         assert_eq!((m.rows(), m.cols()), (nodes.len(), dim));
         for (r, &v) in nodes.iter().enumerate() {
             let want: Vec<u64> = provider.feature(v).iter().map(|x| x.to_bits()).collect();
             let got: Vec<u64> = m.row(r).iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, want, "row {r} (vertex {v:?})");
         }
-        let unique: std::collections::BTreeSet<u64> = nodes.iter().map(|v| v.raw()).collect();
-        assert_eq!(distinct, unique.len());
-        assert_eq!(gather_features(provider, nodes, dim), m);
     }
 
     #[test]

@@ -26,9 +26,7 @@ mod ops;
 mod sage;
 
 pub use deepwalk::{DeepWalkConfig, DeepWalkTrainer, EmbeddingTable};
-pub use features::{
-    gather_features, gather_features_counted, AttributeFeatures, FeatureProvider, HashFeatures,
-};
+pub use features::{gather_features, AttributeFeatures, FeatureProvider, HashFeatures};
 pub use nn::{softmax_cross_entropy, Adam, Dense, Matrix};
 pub use ops::{
     MetapathSampler, NegativeSampler, NeighborSampler, Node2VecWalker, NodeSampler,

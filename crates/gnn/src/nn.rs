@@ -284,23 +284,20 @@ impl Matrix {
         }
     }
 
-    /// Mean of groups of `group` consecutive rows of `self` into `out`:
-    /// rows `[i*group, (i+1)*group)` average into output row `i`. This is
-    /// GraphSAGE's mean aggregator over the fixed-fanout children block.
-    pub(crate) fn group_mean_into(&self, group: usize, out: &mut Matrix) {
+    /// Mean of rows `child[i * group..][..group]` of `self` into row `i` of
+    /// `out`: GraphSAGE's mean aggregator read through a block's child table,
+    /// whose entries may repeat and come in any order.
+    pub(crate) fn index_mean_into(&self, child: &[u32], group: usize, out: &mut Matrix) {
         assert!(
-            group > 0 && self.rows.is_multiple_of(group),
-            "rows not divisible"
+            group > 0 && child.len().is_multiple_of(group),
+            "ragged child table"
         );
-        out.reset(self.rows / group, self.cols);
-        let n = self.stride();
+        out.reset(child.len() / group, self.cols);
         let inv = 1.0 / group as f64;
-        let blocks = self.data.chunks_exact(group * n);
-        for (o, block) in out.data.chunks_exact_mut(n).zip(blocks) {
-            for row in block.chunks_exact(n) {
-                for (x, r) in o.iter_mut().zip(row) {
-                    *x += r;
-                }
+        let runs = child.chunks_exact(group);
+        for (o, run) in out.data.chunks_exact_mut(self.stride()).zip(runs) {
+            for &c in run {
+                axpy(o, 1.0, self.row(c as usize));
             }
             for x in o.iter_mut() {
                 *x *= inv;
@@ -308,16 +305,17 @@ impl Matrix {
         }
     }
 
-    /// Backward of [`group_mean_into`](Self::group_mean_into), accumulated:
-    /// each row of `grad` spreads over its `group` rows of `self`.
-    pub(crate) fn add_group_spread(&mut self, grad: &Matrix, group: usize) {
-        assert_eq!((self.rows, self.cols), (grad.rows * group, grad.cols));
+    /// Backward of [`index_mean_into`](Self::index_mean_into), accumulated:
+    /// row `i` of `grad` spreads over the rows of `self` its run of `child`
+    /// names, in table order — a row named by many runs sums their shares.
+    pub(crate) fn add_index_spread(&mut self, grad: &Matrix, child: &[u32], group: usize) {
+        assert_eq!((child.len(), self.cols), (grad.rows * group, grad.cols));
         let n = self.stride();
         let inv = 1.0 / group as f64;
-        let blocks = self.data.chunks_exact_mut(group.max(1) * n);
-        for (block, g) in blocks.zip(grad.data.chunks_exact(n)) {
-            for row in block.chunks_exact_mut(n) {
-                axpy(row, inv, g);
+        let runs = child.chunks_exact(group.max(1));
+        for (g, run) in grad.data.chunks_exact(n).zip(runs) {
+            for &c in run {
+                axpy(&mut self.data[c as usize * n..][..n], inv, g);
             }
         }
     }
@@ -656,21 +654,35 @@ mod tests {
             assert_close(&out, &want)?;
         }
 
+        /// The indexed mean and scatter-add against the group references
+        /// run on the table's expansion: rows repeat, arrive out of order,
+        /// and some are never named.
         #[test]
-        fn group_mean_and_spread_match_references(
-            groups in 0usize..38, group in 1usize..38, cols in 0usize..38, seed in any::<u64>(),
+        fn index_mean_and_spread_match_references(
+            groups in 0usize..38, group in 1usize..38, rows in 0usize..38, cols in 0usize..38,
+            seed in any::<u64>(),
         ) {
-            let x = matrix_with_zeros(groups * group, cols, seed);
+            let groups = if rows == 0 { 0 } else { groups }; // no row to name
+            let mut rng = StdRng::seed_from_u64(seed ^ 7);
+            let child: Vec<u32> =
+                (0..groups * group).map(|_| rng.random_range(0..rows as u32)).collect();
+            let x = matrix_with_zeros(rows, cols, seed);
+            let expanded = Matrix::from_fn(child.len(), cols, |r, c| x.get(child[r] as usize, c));
             let mut pooled = matrix_with_zeros(2, 5, seed); // reshaped and overwritten
-            x.group_mean_into(group, &mut pooled);
-            assert_close(&pooled, &reference::group_mean(&x, group))?;
+            x.index_mean_into(&child, group, &mut pooled);
+            assert_close(&pooled, &reference::group_mean(&expanded, group))?;
 
             let grad = matrix_with_zeros(groups, cols, seed ^ 1);
-            let init = matrix_with_zeros(groups * group, cols, seed ^ 2);
+            let init = matrix_with_zeros(rows, cols, seed ^ 2);
             let mut out = init.clone();
-            out.add_group_spread(&grad, group);
-            let mut want = reference::group_mean_backward(&grad, group);
-            want.add_assign(&init);
+            out.add_index_spread(&grad, &child, group);
+            let per_slot = reference::group_mean_backward(&grad, group);
+            let mut want = init;
+            for (slot, &row) in child.iter().enumerate() {
+                for c in 0..cols {
+                    *want.get_mut(row as usize, c) += per_slot.get(slot, c);
+                }
+            }
             assert_close(&out, &want)?;
         }
 
@@ -727,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn group_mean_and_backward_roundtrip() {
+    fn index_mean_and_backward_roundtrip() {
         let x = Matrix::from_rows(&[
             vec![1.0, 2.0],
             vec![3.0, 4.0],
@@ -735,14 +747,20 @@ mod tests {
             vec![7.0, 8.0],
         ]);
         let mut m = Matrix::default();
-        x.group_mean_into(2, &mut m);
+        x.index_mean_into(&[0, 1, 2, 3], 2, &mut m);
         assert_eq!(m.row(0), &[2.0, 3.0]);
         assert_eq!(m.row(1), &[6.0, 7.0]);
-        let g = Matrix::from_rows(&[vec![2.0, 2.0], vec![4.0, 4.0]]);
+        // Row 3 twice, row 0 shared by both groups, rows 1 and 2 unnamed.
+        let table = [3, 3, 0, 0, 3, 0];
+        x.index_mean_into(&table, 3, &mut m);
+        assert_eq!(m.row(0), &[5.0, 6.0]);
+        assert_eq!(m.row(1), &[3.0, 4.0]);
+        let g = Matrix::from_rows(&[vec![3.0, 3.0], vec![6.0, 6.0]]);
         let mut gx = Matrix::zeros(4, 2);
-        gx.add_group_spread(&g, 2);
-        assert_eq!(gx.row(0), &[1.0, 1.0]);
-        assert_eq!(gx.row(3), &[2.0, 2.0]);
+        gx.add_index_spread(&g, &table, 3);
+        assert_eq!(gx.row(0), &[1.0 + 4.0, 1.0 + 4.0]);
+        assert_eq!(gx.row(1), &[0.0, 0.0]);
+        assert_eq!(gx.row(3), &[2.0 + 2.0, 2.0 + 2.0]);
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! GraphSAGE over the dynamic store: the paper's Eq. 1 with mean
 //! aggregation, sampled fixed-fanout neighborhoods and minibatch SGD.
 //!
-//! Each minibatch materializes a "node flow": `nodes[0]` are the seeds and
-//! `nodes[d+1]` holds `fanout_d` sampled (self-padded) neighbors per node of
-//! depth `d`, so depth `d+1` has exactly `|nodes[d]| * fanout_d` rows and
-//! mean-pooling is a reshape. Layer `l` then computes
-//! `h^l_v = ReLU(h^{l-1}_v W_self + mean(h^{l-1}_u) W_neigh + b)` for every
-//! depth it is still needed at — the standard sampled-GraphSAGE dataflow.
+//! A minibatch is a message-flow block: `feats[d]` holds one feature row per
+//! node of depth `d` (`feats[0]` the seeds, one per label) and `child[d]`
+//! names, for every node of depth `d`, the `fanout_d` rows of depth `d + 1`
+//! that are its sampled (self-padded) neighbors. Layer `l` computes
+//! `h^l_v = ReLU(h^{l-1}_v W_self + mean(h^{l-1}_u) W_neigh + b)` once per
+//! node of every depth it is still needed at. The mean reads its rows
+//! through `child` and backward scatter-adds through it, which is what sums
+//! the gradients of every slot a shared node stands for into its one row —
+//! so a block that holds each distinct `(vertex, window)` of a depth once
+//! (the pipeline's) costs what its distinct nodes cost. A padded node flow,
+//! one row per slot, is the same computation under identity tables. Both
+//! kernels walk the tables in order on one thread: the loss is a function
+//! of the block alone.
 //!
 //! A step computes only what the parameter gradients need: the backward
 //! pass stops at layer 0, whose input gradient would be a gradient with
@@ -137,6 +144,12 @@ fn argmax(row: &[f64]) -> usize {
         .expect("non-empty row")
 }
 
+/// The child tables of a padded node flow: every slot is its own row.
+fn identity_tables(feats: &[Matrix]) -> Vec<Vec<u32>> {
+    let rows = feats.iter().skip(1).map(|m| 0..m.rows() as u32);
+    rows.map(Vec::from_iter).collect()
+}
+
 /// A stacked GraphSAGE classifier trained by minibatch SGD against any
 /// [`GraphStore`].
 pub struct SageNet {
@@ -206,10 +219,10 @@ impl SageNet {
             .collect()
     }
 
-    /// Forward pass over depth features (`feats[d]` is the feature matrix
-    /// of depth-`d` nodes of a sampled node flow), leaving the logits and
-    /// every intermediate backward needs in `ws`.
-    fn forward(&self, feats: &[Matrix], ws: &mut Workspace) {
+    /// Forward pass over a block (`feats[d]` is the feature matrix of its
+    /// depth-`d` nodes, `child[d]` their children's rows), leaving the logits
+    /// and every intermediate backward needs in `ws`.
+    fn forward(&self, feats: &[Matrix], child: &[Vec<u32>], ws: &mut Workspace) {
         let num_layers = self.layers.len();
         ws.pooled.resize_with(num_layers, Vec::new);
         ws.act.resize_with(num_layers, Vec::new);
@@ -221,7 +234,7 @@ impl SageNet {
             out.resize_with(depths, Matrix::default);
             pooled.resize_with(depths, Matrix::default);
             for (d, (out, pooled)) in out.iter_mut().zip(pooled).enumerate() {
-                input[d + 1].group_mean_into(self.cfg.fanouts[d], pooled);
+                input[d + 1].index_mean_into(&child[d], self.cfg.fanouts[d], pooled);
                 layer.forward(&input[d], pooled, out);
             }
         }
@@ -239,7 +252,8 @@ impl SageNet {
         rng: &mut dyn RngCore,
     ) -> Matrix {
         let mut ws = Workspace::default();
-        self.forward(&self.sample_features(store, provider, seeds, rng), &mut ws);
+        let feats = self.sample_features(store, provider, seeds, rng);
+        self.forward(&feats, &identity_tables(&feats), &mut ws);
         ws.act.swap_remove(self.layers.len() - 1).swap_remove(0)
     }
 
@@ -252,7 +266,8 @@ impl SageNet {
         rng: &mut dyn RngCore,
     ) -> Vec<usize> {
         let mut ws = Workspace::default();
-        self.forward(&self.sample_features(store, provider, seeds, rng), &mut ws);
+        let feats = self.sample_features(store, provider, seeds, rng);
+        self.forward(&feats, &identity_tables(&feats), &mut ws);
         (0..ws.logits.rows())
             .map(|r| argmax(ws.logits.row(r)))
             .collect()
@@ -272,24 +287,36 @@ impl SageNet {
         self.train_step_features(feats, labels)
     }
 
-    /// One SGD step on a pre-sampled, pre-gathered minibatch block:
-    /// `feats[d]` holds the depth-`d` feature matrix of a padded node flow
-    /// (`feats[d + 1].rows() == feats[d].rows() * fanouts[d]`, seeds at
-    /// depth 0). Sampling and gathering can therefore run on prefetch
-    /// workers while this step consumes earlier blocks.
+    /// One SGD step on a pre-sampled, pre-gathered *padded* node flow, one
+    /// row per slot (`feats[d + 1].rows() == feats[d].rows() * fanouts[d]`,
+    /// seeds at depth 0): the identity-table entry to
+    /// [`SageNet::train_step_block`].
     pub fn train_step_features(&mut self, feats: Vec<Matrix>, labels: &[usize]) -> TrainStats {
+        self.train_step_block(&feats, &identity_tables(&feats), labels)
+    }
+
+    /// One SGD step on a message-flow block (module docs): `child[d]` holds
+    /// `feats[d].rows() * fanouts[d]` row indices into `feats[d + 1]`.
+    /// Sampling and gathering can therefore run on prefetch workers while
+    /// this step consumes earlier blocks.
+    pub fn train_step_block(
+        &mut self,
+        feats: &[Matrix],
+        child: &[Vec<u32>],
+        labels: &[usize],
+    ) -> TrainStats {
         let num_layers = self.layers.len();
         assert_eq!(
-            feats.len(),
-            num_layers + 1,
-            "need one feature matrix per node-flow depth"
+            (feats.len(), child.len()),
+            (num_layers + 1, num_layers),
+            "need one feature matrix per depth and one child table per hop"
         );
         assert_eq!(feats[0].rows(), labels.len(), "one label per seed row");
         for (d, &fanout) in self.cfg.fanouts.iter().enumerate() {
             assert_eq!(
-                feats[d + 1].rows(),
+                child[d].len(),
                 feats[d].rows() * fanout,
-                "depth {} rows must equal parent rows x fanout",
+                "depth {} slots must equal parent rows x fanout",
                 d + 1
             );
         }
@@ -301,7 +328,7 @@ impl SageNet {
             );
         }
         let mut ws = std::mem::take(&mut self.workspace);
-        let stats = self.compute_grads(&feats, labels, &mut ws);
+        let stats = self.compute_grads(feats, child, labels, &mut ws);
         self.apply_grads(&ws);
         self.workspace = ws;
         stats
@@ -310,9 +337,15 @@ impl SageNet {
     /// Forward, loss, and backward down to layer 0's parameters: leaves
     /// dL/d(every parameter) in `ws.layer_grads` / `ws.gw_cls` / `ws.gb_cls`
     /// and moves nothing.
-    fn compute_grads(&self, feats: &[Matrix], labels: &[usize], ws: &mut Workspace) -> TrainStats {
+    fn compute_grads(
+        &self,
+        feats: &[Matrix],
+        child: &[Vec<u32>],
+        labels: &[usize],
+        ws: &mut Workspace,
+    ) -> TrainStats {
         let num_layers = self.layers.len();
-        self.forward(feats, ws);
+        self.forward(feats, child, ws);
         let (loss, grad_logits) = softmax_cross_entropy(&ws.logits, labels);
         let correct = labels
             .iter()
@@ -364,7 +397,8 @@ impl SageNet {
                     ws.grad_below[d].add_matmul(gz, &ws.wt_self);
                     ws.grad_pooled.reset(gz.rows(), in_dim);
                     ws.grad_pooled.add_matmul(gz, &ws.wt_neigh);
-                    ws.grad_below[d + 1].add_group_spread(&ws.grad_pooled, self.cfg.fanouts[d]);
+                    let fanout = self.cfg.fanouts[d];
+                    ws.grad_below[d + 1].add_index_spread(&ws.grad_pooled, &child[d], fanout);
                 }
             }
             std::mem::swap(&mut ws.grad, &mut ws.grad_below);
@@ -392,7 +426,7 @@ mod tests {
     use platod2gl_graph::Edge;
     use platod2gl_storage::DynamicGraphStore;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Two-community graph: vertices of the same HashFeatures label connect
     /// densely, cross-community edges are rare.
@@ -544,7 +578,7 @@ mod tests {
         assert_eq!(feats.len(), 2); // depths 0 and 1
         assert_eq!(feats[1].rows(), 4); // 2 seeds * fanout 2
         let mut ws = Workspace::default();
-        net.forward(&feats, &mut ws);
+        net.forward(&feats, &identity_tables(&feats), &mut ws);
         assert_eq!((ws.logits.rows(), ws.logits.cols()), (2, 3));
         assert_eq!(ws.act.len(), 1);
         assert_eq!(ws.act[0].len(), 1);
@@ -591,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rows must equal parent rows x fanout")]
+    #[should_panic(expected = "slots must equal parent rows x fanout")]
     fn train_step_features_rejects_malformed_blocks() {
         let mut net = SageNet::new(SageNetConfig {
             feature_dim: 4,
@@ -761,12 +795,12 @@ mod tests {
         }
     }
 
-    /// Per-depth feature matrices and seed labels.
-    type Block = (Vec<Matrix>, Vec<usize>);
+    /// Feature matrices, child tables and seed labels.
+    type FlowBlock = (Vec<Matrix>, Vec<Vec<u32>>, Vec<usize>);
 
     /// A net over `fanouts` with no dimension a multiple of four, and
-    /// `steps` random blocks for it (5 seeds at depth 0).
-    fn odd_net_and_blocks(fanouts: &[usize], steps: u64) -> (SageNet, Vec<Block>) {
+    /// `steps` random padded blocks for it (5 seeds at depth 0).
+    fn odd_net_and_blocks(fanouts: &[usize], steps: u64) -> (SageNet, Vec<FlowBlock>) {
         let net = SageNet::new(SageNetConfig {
             feature_dim: 5,
             hidden_dim: 7,
@@ -784,10 +818,64 @@ mod tests {
                     rows *= fanout;
                     feats.push(Matrix::glorot(rows, 5, 101 + 10 * s + d as u64));
                 }
-                (feats, (0..5).map(|i| (i + s as usize) % 3).collect())
+                let child = identity_tables(&feats);
+                (feats, child, (0..5).map(|i| (i + s as usize) % 3).collect())
             })
             .collect();
         (net, blocks)
+    }
+
+    /// `steps` compact blocks for [`odd_net_and_blocks`]' net: 5 seeds, 4
+    /// nodes at every inner depth — each named at least once, then again in
+    /// any order, so seeds share depth-1 nodes — and the child lists of the
+    /// last inner depth below them. Seed 0 is self-padded (all its children
+    /// are node 0, which carries the seed's features) and depth-1 nodes 1
+    /// and 2 are one vertex under two windows: same features, own children.
+    fn compact_blocks(fanouts: &[usize], steps: u64) -> Vec<FlowBlock> {
+        let blocks = (0..steps).map(|s| {
+            let mut rng = StdRng::seed_from_u64(900 + s);
+            let mut rows = vec![5];
+            let mut child: Vec<Vec<u32>> = Vec::new();
+            for (d, &fanout) in fanouts.iter().enumerate() {
+                let slots = rows[d] * fanout;
+                if d + 1 == fanouts.len() {
+                    rows.push(slots);
+                    child.push((0..slots as u32).collect());
+                } else {
+                    rows.push(4);
+                    let named = (0..slots).map(|i| match slots - i {
+                        left @ 1..=4 => left as u32 - 1,
+                        _ => rng.random_range(0..4),
+                    });
+                    child.push(named.collect());
+                }
+            }
+            child[0][..fanouts[0]].fill(0);
+            let mut feats: Vec<Matrix> = (0u64..)
+                .zip(&rows)
+                .map(|(d, &n)| Matrix::glorot(n, 5, 100 + 10 * s + d))
+                .collect();
+            let seed_row = feats[0].row(0).to_vec();
+            feats[1].as_mut_slice()[..5].copy_from_slice(&seed_row);
+            feats[1].as_mut_slice().copy_within(5..10, 10);
+            (feats, child, (0..5).map(|i| (i + s as usize) % 3).collect())
+        });
+        blocks.collect()
+    }
+
+    /// The padded node flow a block stands for: one feature row per slot.
+    fn padded(feats: &[Matrix], child: &[Vec<u32>], fanouts: &[usize]) -> Vec<Matrix> {
+        let mut rows: Vec<usize> = (0..feats[0].rows()).collect();
+        let mut out = vec![feats[0].clone()];
+        for (d, &fanout) in fanouts.iter().enumerate() {
+            let kids = |&r: &usize| child[d][r * fanout..][..fanout].iter();
+            rows = rows.iter().flat_map(kids).map(|&c| c as usize).collect();
+            let below = &feats[d + 1];
+            out.push(Matrix::from_fn(rows.len(), below.cols(), |r, c| {
+                below.get(rows[r], c)
+            }));
+        }
+        out
     }
 
     /// Every parameter tensor, flat, in one fixed order.
@@ -823,33 +911,34 @@ mod tests {
         out
     }
 
-    #[test]
-    fn finite_differences_match_every_parameter_gradient() {
-        let (mut net, blocks) = odd_net_and_blocks(&[3, 2], 1);
-        let (feats, labels) = &blocks[0];
+    /// Central differences on every parameter against `compute_grads`.
+    fn assert_gradients_match_finite_differences(
+        net: &mut SageNet,
+        (feats, child, labels): &FlowBlock,
+    ) {
         let mut ws = Workspace::default();
-        net.compute_grads(feats, labels, &mut ws);
+        net.compute_grads(feats, child, labels, &mut ws);
         let analytic: Vec<Vec<f64>> = grads_of(&ws).iter().map(|g| g.to_vec()).collect();
         let loss_at = |net: &SageNet| {
             let mut ws = Workspace::default();
-            net.forward(feats, &mut ws);
+            net.forward(feats, child, &mut ws);
             softmax_cross_entropy(&ws.logits, labels).0
         };
         let eps = 1e-5;
         let mut checked = 0;
         for (t, grads) in analytic.iter().enumerate() {
-            assert_eq!(grads.len(), params_mut(&mut net)[t].len());
+            assert_eq!(grads.len(), params_mut(net)[t].len());
             assert!(
                 grads.iter().any(|&g| g != 0.0),
                 "tensor {t} has no gradient"
             );
             for (i, &analytic) in grads.iter().enumerate() {
-                let orig = params_mut(&mut net)[t][i];
-                params_mut(&mut net)[t][i] = orig + eps;
-                let plus = loss_at(&net);
-                params_mut(&mut net)[t][i] = orig - eps;
-                let minus = loss_at(&net);
-                params_mut(&mut net)[t][i] = orig;
+                let orig = params_mut(net)[t][i];
+                params_mut(net)[t][i] = orig + eps;
+                let plus = loss_at(net);
+                params_mut(net)[t][i] = orig - eps;
+                let minus = loss_at(net);
+                params_mut(net)[t][i] = orig;
                 let numeric = (plus - minus) / (2.0 * eps);
                 let scale = numeric.abs().max(analytic.abs()).max(1e-4);
                 assert!(
@@ -863,6 +952,41 @@ mod tests {
     }
 
     #[test]
+    fn finite_differences_match_every_parameter_gradient() {
+        let (mut net, blocks) = odd_net_and_blocks(&[3, 2], 1);
+        assert_gradients_match_finite_differences(&mut net, &blocks[0]);
+        // Depth-1 nodes shared by several seeds: the gradient through a
+        // shared row is the sum over the slots that name it.
+        let block = &compact_blocks(&[3, 2], 1)[0];
+        let mut uses = [0; 4];
+        block.1[0].iter().for_each(|&c| uses[c as usize] += 1);
+        assert!(uses.iter().all(|&n| n >= 1) && uses.iter().any(|&n| n > 3));
+        assert_gradients_match_finite_differences(&mut net, block);
+    }
+
+    #[test]
+    fn compact_step_matches_the_padded_step() {
+        // One row per distinct node against one row per slot, same init,
+        // same three blocks: same loss, same parameters.
+        for fanouts in [&[3, 2][..], &[2, 3, 2]] {
+            let (mut compact, _) = odd_net_and_blocks(fanouts, 0);
+            let (mut slotwise, _) = odd_net_and_blocks(fanouts, 0);
+            for (feats, child, labels) in compact_blocks(fanouts, 3) {
+                let flow = padded(&feats, &child, fanouts);
+                assert!(flow[1].rows() > feats[1].rows());
+                let got = compact.train_step_block(&feats, &child, &labels);
+                let want = slotwise.train_step_features(flow, &labels);
+                assert!((got.loss - want.loss).abs() <= 1e-10);
+                assert_eq!(got.accuracy, want.accuracy);
+            }
+            let (got, want) = (flat_params(&mut compact), flat_params(&mut slotwise));
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() <= 1e-10, "parameter {i}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
     fn new_step_matches_the_parents_step() {
         // Same init, same three blocks: the step that skips layer 0's input
         // gradients must land on the parameters of the one that computes
@@ -872,7 +996,7 @@ mod tests {
         for fanouts in [&[3, 2][..], &[2, 3, 2]] {
             let (mut new, blocks) = odd_net_and_blocks(fanouts, 3);
             let (mut old, _) = odd_net_and_blocks(fanouts, 0);
-            for (feats, labels) in blocks {
+            for (feats, _, labels) in blocks {
                 let want = reference_step::train_step_features(&mut old, feats.clone(), &labels);
                 let got = new.train_step_features(feats, &labels);
                 assert!((got.loss - want.loss).abs() <= 1e-10);
@@ -888,12 +1012,15 @@ mod tests {
 
     #[test]
     fn same_blocks_give_bit_identical_parameters() {
+        // Padded blocks, then compact ones: the scatter-add runs in table
+        // order, so shared rows sum in one order every time.
         let run = || {
-            let (mut net, blocks) = odd_net_and_blocks(&[3, 2], 3);
-            let losses: Vec<u64> = blocks
-                .into_iter()
-                .map(|(feats, labels)| net.train_step_features(feats, &labels).loss.to_bits())
-                .collect();
+            let (mut net, mut blocks) = odd_net_and_blocks(&[3, 2], 3);
+            blocks.extend(compact_blocks(&[3, 2], 3));
+            let steps = blocks
+                .iter()
+                .map(|(feats, child, labels)| net.train_step_block(feats, child, labels));
+            let losses: Vec<u64> = steps.map(|s| s.loss.to_bits()).collect();
             let params: Vec<u64> = flat_params(&mut net).iter().map(|p| p.to_bits()).collect();
             (losses, params)
         };
@@ -905,7 +1032,7 @@ mod tests {
         let (mut net, blocks) = odd_net_and_blocks(&[3, 2], 1);
         net.cfg.lr = 0.0;
         let before = flat_params(&mut net);
-        let (feats, labels) = blocks.into_iter().next().expect("one block");
+        let (feats, _, labels) = blocks.into_iter().next().expect("one block");
         net.train_step_features(feats, &labels);
         assert_eq!(flat_params(&mut net), before);
     }

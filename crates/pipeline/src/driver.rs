@@ -17,7 +17,7 @@
 
 use crate::cache::{CacheConfig, CacheStats, NeighborCache};
 use crate::sampler::KHopSampler;
-use platod2gl_gnn::{gather_features_counted, FeatureProvider, Matrix, SageNet};
+use platod2gl_gnn::{gather_features, FeatureProvider, Matrix, SageNet};
 use platod2gl_graph::{EdgeType, Error, TimeWindow, VertexId};
 use platod2gl_obs::{Counter, Histogram};
 use platod2gl_server::{Cluster, GraphService, HistogramSnapshot};
@@ -153,12 +153,14 @@ impl PipelineConfigBuilder {
 /// windows (empty = unwindowed batch).
 pub type WindowedBatch = (Vec<VertexId>, Vec<usize>, Vec<Option<TimeWindow>>);
 
-/// A fully materialized mini-batch, ready for `train_step_features`.
+/// A fully materialized mini-batch, ready for `train_step_block`.
 pub struct Block {
     /// Class labels for the seed vertices.
     pub labels: Vec<usize>,
-    /// Per-level feature matrices (`feats[0]` = seeds).
+    /// Per-depth feature matrices, one row per node (`feats[0]` = seeds).
     pub feats: Vec<Matrix>,
+    /// Per-hop child tables into the next depth's rows.
+    pub child: Vec<Vec<u32>>,
     /// Sample requests in this block answered by a degraded shard.
     pub degraded_samples: u64,
 }
@@ -329,31 +331,27 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
         self.sample_lat.record(t.elapsed());
         self.distinct_sampled.add(outcome.distinct_sampled);
         self.cluster_requests.add(outcome.cluster_requests);
-        let slots: u64 = outcome.levels[..outcome.levels.len() - 1]
-            .iter()
-            .map(|l| l.len() as u64)
-            .sum();
-        self.frontier_slots.add(slots);
+        // All of the padded flow's slots but its last level's get expanded.
+        let len = |level: &Vec<VertexId>| level.len() as u64;
+        let slots: u64 = outcome.levels.iter().map(len).sum();
+        self.frontier_slots
+            .add(slots - outcome.levels.last().map_or(0, len));
 
         let t = Instant::now();
         let _span = self.service.registry().span("pipeline.gather");
         let dim = provider.dim();
-        let feats = outcome
-            .levels
-            .iter()
-            .map(|level| {
-                // Rows gathered vs rows computed: the share of slots that
-                // repeat a vertex of their level is what the gather saves.
-                let (m, distinct) = gather_features_counted(provider, level, dim);
-                self.gather_rows.add(level.len() as u64);
-                self.gather_distinct_rows.add(distinct as u64);
-                m
-            })
-            .collect();
+        let gather = |nodes: &Vec<VertexId>| gather_features(provider, nodes, dim);
+        let feats = outcome.nodes.iter().map(gather).collect();
+        // Slots the block stands for vs rows it holds: the share between
+        // them is gather and layer-0 work the block did not do.
+        self.gather_rows.add(slots);
+        self.gather_distinct_rows
+            .add(outcome.nodes.iter().map(len).sum());
         self.gather_lat.record(t.elapsed());
         Block {
             labels: labels.to_vec(),
             feats,
+            child: outcome.child,
             degraded_samples: outcome.degraded_samples,
         }
     }
@@ -362,7 +360,7 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
     fn train_block(&self, net: &mut SageNet, block: Block, report: &mut EpochReport) {
         let t = Instant::now();
         let _span = self.service.registry().span("pipeline.train_step");
-        let stats = net.train_step_features(block.feats, &block.labels);
+        let stats = net.train_step_block(&block.feats, &block.child, &block.labels);
         self.train_lat.record(t.elapsed());
         self.batches.inc();
         report.batches += 1;

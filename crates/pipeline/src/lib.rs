@@ -5,9 +5,10 @@
 //! cooperating pieces:
 //!
 //! * [`KHopSampler`] — expands seed batches level by level through the
-//!   cluster's weighted neighbor sampling, deduplicating repeated
-//!   frontier vertices and self-padding isolated or degraded ones so the
-//!   resulting node flow always has static GraphSAGE shapes.
+//!   cluster's weighted neighbor sampling into a message-flow block: each
+//!   distinct `(vertex, window)` of a level once, child tables between
+//!   levels, isolated or degraded nodes self-padded so the node flow the
+//!   block stands for always has static GraphSAGE shapes.
 //! * [`NeighborCache`] — an epoch-versioned, sharded two-generation LRU
 //!   keyed by `(vertex, etype, fanout)`. Entries carry the cluster's
 //!   monotone graph version at fill time and are servable only while

@@ -8,8 +8,8 @@
 //! Environment knobs: `EPOCHS` (default 8), `VERTICES` (default 600).
 
 use platod2gl::{
-    CacheConfig, Cluster, ClusterConfig, Edge, EdgeType, FeatureProvider, GraphStore, HashFeatures,
-    PipelineConfig, SageNet, SageNetConfig, TrainingPipeline, UpdateOp, VertexId,
+    CacheConfig, Cluster, ClusterConfig, Edge, EdgeType, FeatureProvider, GraphService, GraphStore,
+    HashFeatures, PipelineConfig, SageNet, SageNetConfig, TrainingPipeline, UpdateOp, VertexId,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -167,6 +167,15 @@ fn main() {
         stats.distinct_sampled,
         (100 - 100 * stats.distinct_sampled / stats.frontier_slots.max(1)),
         stats.cluster_requests
+    );
+    // Slots of the padded node flow the blocks stood for vs rows they held:
+    // `scripts/verify.sh` fails the build if this stops being a compaction.
+    let snap = cluster.registry().snapshot();
+    let slots = snap.counter("pipeline.gather_rows").unwrap_or(0);
+    let nodes = snap.counter("pipeline.gather_distinct_rows").unwrap_or(0);
+    println!(
+        "block: {slots} slots -> {nodes} nodes ({}% compacted)",
+        100 - 100 * nodes / slots.max(1)
     );
     println!(
         "stage p99s: sample {}us, gather {}us, train {}us",

@@ -43,8 +43,14 @@ fi
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
-echo "==> pipeline smoke test (train_pipeline example, reduced size)"
-EPOCHS=2 VERTICES=200 cargo run -p platod2gl --release --example train_pipeline
+echo "==> pipeline smoke test (train_pipeline example, reduced size; blocks must come out compacted)"
+pipeline_out=$(EPOCHS=2 VERTICES=200 cargo run -p platod2gl --release --example train_pipeline)
+echo "$pipeline_out"
+# A block that degenerated to the padded form holds as many rows as slots.
+if ! grep -qE '^block: [0-9]+ slots -> [0-9]+ nodes \([1-9][0-9]*% compacted\)' <<<"$pipeline_out"; then
+    echo "verify: FAIL - train_pipeline reported no block compaction"
+    exit 1
+fi
 
 echo "==> observability smoke test (obs_snapshot example)"
 obs_out=$(cargo run -p platod2gl --release --example obs_snapshot 2>/dev/null)
