@@ -70,8 +70,8 @@ impl AdminServer {
 
     /// Bind a single-cluster admin plane that additionally serves
     /// `GET /debug/rpc` — the live connection table of a graph-service
-    /// server (backend in use, accept/reject totals, per-connection
-    /// protocol version, frame counts, and in-flight requests). `rpc` is
+    /// server (poller in use, accept/reject totals, per-connection frame
+    /// counts and in-flight requests). `rpc` is
     /// typically `GraphServiceServer::introspect()`.
     pub fn bind_with_rpc<R>(
         addr: impl ToSocketAddrs,
@@ -246,8 +246,6 @@ pub fn route(path: &str, cluster: &Cluster) -> (u16, &'static str, String) {
 pub struct RpcConnView {
     /// Peer address.
     pub peer: String,
-    /// Protocol version of the last served frame (`0` before the first).
-    pub protocol: u8,
     /// Frames served on this connection.
     pub frames: u64,
     /// Requests dispatched but not yet answered.
@@ -259,7 +257,7 @@ pub struct RpcConnView {
 /// Point-in-time state of one graph-service server for `/debug/rpc`.
 #[derive(Clone, Debug, Default)]
 pub struct RpcSnapshot {
-    /// Serving core in use: `"epoll"`, `"scan"`, or `"threaded"`.
+    /// Poller the event loop runs on: `"epoll"` or `"scan"`.
     pub backend: String,
     /// Connections accepted since bind.
     pub accepted: u64,
@@ -314,9 +312,8 @@ fn rpc_json(snap: &RpcSnapshot) -> String {
             body.push(',');
         }
         body.push_str(&format!(
-            "{{\"peer\":\"{}\",\"protocol\":{},\"frames\":{},\"in_flight\":{},\"age_ms\":{}}}",
+            "{{\"peer\":\"{}\",\"frames\":{},\"in_flight\":{},\"age_ms\":{}}}",
             json_escape(&c.peer),
-            c.protocol,
             c.frames,
             c.in_flight,
             c.age_ms
@@ -1097,7 +1094,6 @@ mod tests {
                 open: 1,
                 conns: vec![RpcConnView {
                     peer: "127.0.0.1:5555".to_string(),
-                    protocol: 2,
                     frames: 12,
                     in_flight: 3,
                     age_ms: 40,
@@ -1115,7 +1111,7 @@ mod tests {
         assert!(body.contains("\"accepted\":9"), "{body}");
         assert!(body.contains("\"rejected\":1"), "{body}");
         assert!(
-            body.contains("\"peer\":\"127.0.0.1:5555\",\"protocol\":2,\"frames\":12"),
+            body.contains("\"peer\":\"127.0.0.1:5555\",\"frames\":12"),
             "{body}"
         );
         // Every plain-cluster endpoint still answers through the rpc

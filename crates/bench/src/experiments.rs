@@ -415,367 +415,13 @@ pub fn ablations() {
     );
 }
 
-/// Mini-batch training pipeline throughput under streaming updates:
-/// prefetch on/off x neighbor cache on/off, with a per-call simulated RPC
-/// latency on every shard (the paper's deployment talks to 54 remote
-/// graph servers; the sleep models that network hop, so overlap and
-/// request elision show up as real wall-clock wins).
-pub fn pipeline_throughput() {
-    use platod2gl::{
-        CacheConfig, Cluster, ClusterConfig, Edge, FeatureProvider, HashFeatures, PipelineConfig,
-        SageNet, SageNetConfig, TrainingPipeline, UpdateOp, VertexId,
-    };
-    use std::sync::atomic::{AtomicBool, Ordering};
+/// Where the trail reports leave their machine-readable line: under the
+/// untracked build directory, so a run leaves the working tree as it was.
+const TRAIL_DIR: &str = "target/bench";
 
-    println!("\n=== Pipeline: training throughput under streaming updates (batches/s) ===");
-    let rpc = Duration::from_micros(100);
-    let n: u64 = 800;
-    let epochs: u64 = 3;
-    let provider = HashFeatures::new(16, 2, 7);
-    println!(
-        "  {n} vertices, fanouts [5, 5], batch 64, {epochs} epochs, {}us simulated RPC per shard call,\n\
-         \x20 concurrent writer streaming 32-op update batches",
-        rpc.as_micros()
-    );
-    header(&["config", "batches/s", "hit rate", "p99 sample", "mean loss"]);
-
-    let build = |cluster: &Cluster| -> (Vec<VertexId>, Vec<usize>) {
-        let vertices: Vec<VertexId> = (0..n).map(VertexId).collect();
-        let labels: Vec<usize> = vertices.iter().map(|&v| provider.label(v)).collect();
-        let mut state = 0x00c0_ffeeu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut ops = Vec::new();
-        for &v in &vertices {
-            for _ in 0..6 {
-                let mut u = VertexId(next() % n);
-                for _ in 0..8 {
-                    if provider.label(u) == provider.label(v) {
-                        break;
-                    }
-                    u = VertexId(next() % n);
-                }
-                ops.push(UpdateOp::Insert(Edge::new(v, u, 1.0)));
-            }
-        }
-        cluster.apply_batch_sharded(&ops).expect("bulk load");
-        (vertices, labels)
-    };
-
-    let mut rates: Vec<(&str, f64)> = Vec::new();
-    let mut jsons: Vec<(&str, String)> = Vec::new();
-    let grid: [(&str, usize, bool); 4] = [
-        ("sync, no cache", 0, false),
-        ("sync, cache", 0, true),
-        ("prefetch, no cache", 4, false),
-        ("prefetch, cache", 4, true),
-    ];
-    for (name, prefetch_depth, cache_on) in grid {
-        let cluster = Cluster::new(
-            ClusterConfig::builder()
-                .num_shards(6)
-                .build()
-                .expect("valid config"),
-        );
-        let (vertices, labels) = build(&cluster);
-        for shard in 0..cluster.num_shards() {
-            cluster.faults().slow_shard(shard, rpc);
-        }
-        let pipeline = TrainingPipeline::new(
-            &cluster,
-            PipelineConfig {
-                fanouts: vec![5, 5],
-                batch_size: 64,
-                prefetch_depth,
-                workers: 2,
-                cache: if cache_on {
-                    CacheConfig {
-                        capacity: 1 << 14,
-                        shards: 8,
-                        max_staleness: 256,
-                    }
-                } else {
-                    CacheConfig::disabled()
-                },
-                seed: 7,
-                ..Default::default()
-            },
-        );
-        let mut net = SageNet::new(SageNetConfig {
-            feature_dim: provider.dim(),
-            fanouts: vec![5, 5],
-            lr: 0.1,
-            ..Default::default()
-        });
-        let stop = AtomicBool::new(false);
-        let (batches, elapsed, loss) = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut state = 0x7777u64;
-                let mut next = move || {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state
-                };
-                while !stop.load(Ordering::Relaxed) {
-                    let ops: Vec<UpdateOp> = (0..32)
-                        .map(|_| {
-                            UpdateOp::Insert(Edge::new(
-                                VertexId(next() % n),
-                                VertexId(next() % n),
-                                1.0,
-                            ))
-                        })
-                        .collect();
-                    let _ = cluster.apply_batch_sharded(&ops);
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            });
-            let mut batches = 0u64;
-            let mut elapsed = Duration::ZERO;
-            let mut loss = 0.0;
-            for epoch in 0..epochs {
-                let r = pipeline.run_epoch(&mut net, &provider, &vertices, &labels, epoch);
-                batches += r.batches;
-                elapsed += r.elapsed;
-                loss = r.mean_loss;
-            }
-            stop.store(true, Ordering::Relaxed);
-            (batches, elapsed, loss)
-        });
-        let rate = batches as f64 / elapsed.as_secs_f64().max(1e-9);
-        let stats = pipeline.stats();
-        row(
-            name,
-            &[
-                format!("{rate:.1}"),
-                format!("{:.1}%", stats.cache.hit_rate() * 100.0),
-                ms(Duration::from_nanos(stats.sample.p99_ns)),
-                format!("{loss:.4}"),
-            ],
-        );
-        rates.push((name, rate));
-        jsons.push((name, stats.to_json()));
-    }
-    let rate_of = |label: &str| rates.iter().find(|r| r.0 == label).expect("ran").1;
-    println!(
-        "  prefetch overlap: {:.2}x over sync (no cache); cache elision: {:.2}x over no-cache \
-         (prefetch); combined {:.2}x",
-        rate_of("prefetch, no cache") / rate_of("sync, no cache"),
-        rate_of("prefetch, cache") / rate_of("prefetch, no cache"),
-        rate_of("prefetch, cache") / rate_of("sync, no cache"),
-    );
-    for (name, json) in &jsons {
-        println!("  json[{name}]: {json}");
-    }
-}
-
-/// Observability report: run a full-stack training session — sharded
-/// cluster, WAL-backed durability sidecar, mini-batch pipeline — all
-/// recording into one shared registry, then print a per-subsystem digest
-/// followed by both exposition formats.
-pub fn obs_report() {
-    use platod2gl::{
-        Cluster, ClusterConfig, DurableGraphStore, Edge, FeatureProvider, HashFeatures,
-        PipelineConfig, Registry, SageNet, SageNetConfig, StoreConfig, TrainingPipeline, UpdateOp,
-        VertexId,
-    };
-    use std::sync::Arc;
-
-    println!("\n=== Observability: unified registry snapshot for one training run ===");
-    let registry = Arc::new(Registry::new());
-    let cluster = Cluster::with_registry(
-        ClusterConfig::builder()
-            .num_shards(4)
-            .build()
-            .expect("valid config"),
-        Arc::clone(&registry),
-    );
-    let dir = std::env::temp_dir().join(format!("platod2gl-report-obs-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (durable, _) =
-        DurableGraphStore::open_with_registry(&dir, StoreConfig::default(), Arc::clone(&registry))
-            .expect("open durable store");
-
-    let n: u64 = 600;
-    let provider = HashFeatures::new(16, 2, 7);
-    let vertices: Vec<VertexId> = (0..n).map(VertexId).collect();
-    let labels: Vec<usize> = vertices.iter().map(|&v| provider.label(v)).collect();
-    let mut state = 0x00c0_ffeeu64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut ops = Vec::new();
-    for &v in &vertices {
-        for _ in 0..6 {
-            let mut u = VertexId(next() % n);
-            for _ in 0..8 {
-                if provider.label(u) == provider.label(v) {
-                    break;
-                }
-                u = VertexId(next() % n);
-            }
-            ops.push(UpdateOp::Insert(Edge::new(v, u, 1.0)));
-        }
-    }
-    cluster.apply_batch_sharded(&ops).expect("bulk load");
-    durable.try_apply_batch(&ops, 2).expect("wal apply");
-    durable.checkpoint().expect("wal checkpoint");
-
-    let pipeline = TrainingPipeline::new(
-        &cluster,
-        PipelineConfig::builder()
-            .fanouts(vec![5, 5])
-            .batch_size(64)
-            .seed(7)
-            .build()
-            .expect("valid pipeline config"),
-    );
-    let mut net = SageNet::new(SageNetConfig {
-        feature_dim: provider.dim(),
-        fanouts: vec![5, 5],
-        lr: 0.1,
-        ..Default::default()
-    });
-    for epoch in 0..2 {
-        let r = pipeline.run_epoch(&mut net, &provider, &vertices, &labels, epoch);
-        println!(
-            "  epoch {epoch}: loss {:.4}, accuracy {:.3}, {:.1} batches/s",
-            r.mean_loss,
-            r.mean_accuracy,
-            r.batches as f64 / r.elapsed.as_secs_f64().max(1e-9)
-        );
-    }
-
-    let snap = registry.snapshot();
-    header(&["subsystem", "counters", "events", "histograms"]);
-    for prefix in ["samtree.", "storage.", "wal.", "cluster.", "pipeline."] {
-        let counters = snap
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .count();
-        let events: u64 = snap
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum();
-        let hists = snap
-            .histograms
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .count();
-        row(
-            prefix.trim_end_matches('.'),
-            &[counters.to_string(), events.to_string(), hists.to_string()],
-        );
-    }
-    println!("\n  hot-path latency (p50 / p99, ms):");
-    for (name, h) in &snap.histograms {
-        println!(
-            "    {name:<28} {} / {}  (n={})",
-            ms(Duration::from_nanos(h.p50_ns)),
-            ms(Duration::from_nanos(h.p99_ns)),
-            h.count
-        );
-    }
-    println!("\n  spans captured: {}", snap.spans.len());
-    println!("\n--- Prometheus exposition ---");
-    print!("{}", snap.to_prometheus());
-    println!("--- JSON exposition ---");
-    println!("{}", snap.to_json());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Transactional write plane: txn apply throughput vs the raw sharded
-/// batch path, across batch sizes. The gap is the price of phase-1
-/// validation + the ledger/journal bookkeeping; it should stay a small
-/// constant factor. Writes the machine-readable trail to `BENCH_6.json`.
-pub fn txn_report() {
-    use platod2gl::{Cluster, ClusterConfig, Edge, GraphTxn, UpdateOp, VertexId};
-
-    println!("\n=== Txn plane: validated txn apply vs raw apply_batch_sharded (ops/s) ===");
-    let rounds: u64 = 24;
-    header(&["batch", "raw ops/s", "txn ops/s", "txn/raw"]);
-
-    let fresh_cluster = || {
-        let c = Cluster::new(
-            ClusterConfig::builder()
-                .num_shards(4)
-                .build()
-                .expect("valid config"),
-        );
-        for v in 0..2_000u64 {
-            c.insert_edge(Edge::new(VertexId(v), VertexId(v + 10_000), 1.0));
-        }
-        c
-    };
-    // Fresh, key-disjoint inserts each round: valid under phase 1 and
-    // identical work for both paths.
-    let batch_ops = |round: u64, batch: u64| -> Vec<UpdateOp> {
-        (0..batch)
-            .map(|k| {
-                let v = 100_000 + round * batch + k;
-                UpdateOp::Insert(Edge::new(VertexId(v), VertexId(v + 1_000_000), 1.0))
-            })
-            .collect()
-    };
-
-    let mut json_rows = Vec::new();
-    for exp in [8u32, 10, 12, 14] {
-        let batch = 1u64 << exp;
-
-        let raw = fresh_cluster();
-        let t = Instant::now();
-        for round in 0..rounds {
-            raw.apply_batch_sharded(&batch_ops(round, batch))
-                .expect("raw");
-        }
-        let raw_ops_per_s = (rounds * batch) as f64 / t.elapsed().as_secs_f64();
-
-        let txn_cluster = fresh_cluster();
-        let t = Instant::now();
-        for round in 0..rounds {
-            let mut txn = GraphTxn::new(round + 1);
-            for op in batch_ops(round, batch) {
-                if let UpdateOp::Insert(e) = op {
-                    txn = txn.insert_edge(e);
-                }
-            }
-            txn_cluster.apply_txn(&txn).expect("txn");
-        }
-        let txn_ops_per_s = (rounds * batch) as f64 / t.elapsed().as_secs_f64();
-
-        let ratio = txn_ops_per_s / raw_ops_per_s;
-        row(
-            &batch.to_string(),
-            &[
-                format!("{raw_ops_per_s:.0}"),
-                format!("{txn_ops_per_s:.0}"),
-                format!("{ratio:.2}x"),
-            ],
-        );
-        json_rows.push(format!(
-            "{{\"batch\":{batch},\"raw_ops_per_s\":{raw_ops_per_s:.0},\
-             \"txn_ops_per_s\":{txn_ops_per_s:.0},\"txn_over_raw\":{ratio:.3}}}"
-        ));
-    }
-
-    let json = format!(
-        "{{\"bench\":\"txn_apply_vs_raw\",\"shards\":4,\"rounds\":{rounds},\
-         \"rows\":[{}]}}\n",
-        json_rows.join(",")
-    );
-    std::fs::write("BENCH_6.json", &json).expect("write BENCH_6.json");
-    println!("  wrote BENCH_6.json ({} rows)", json_rows.len());
+fn write_trail(file: &str, json: &str) {
+    std::fs::create_dir_all(TRAIL_DIR).expect("create the trail directory");
+    std::fs::write(format!("{TRAIL_DIR}/{file}"), json).expect("write the trail file");
 }
 
 /// Scale-out: k-hop sampling throughput of a partition-routed fleet at
@@ -789,7 +435,7 @@ pub fn txn_report() {
 /// service times run in parallel where the single server serializes
 /// them. That is the paper's horizontal-scaling claim in miniature, and
 /// it holds on a one-core box because waiting, not computing, dominates.
-/// Writes the machine-readable trail to `BENCH_7.json`.
+/// Writes the machine-readable trail to `target/bench/BENCH_7.json`.
 pub fn fleet_report() {
     use platod2gl::{
         Cluster, ClusterConfig, Edge, FleetCluster, FleetClusterConfig, FleetNode, GraphService,
@@ -933,243 +579,22 @@ pub fn fleet_report() {
         SHARD_LATENCY.as_micros(),
         json_rows.join(",")
     );
-    std::fs::write("BENCH_7.json", &json).expect("write BENCH_7.json");
-    println!("  wrote BENCH_7.json (speedup_3v1 = {speedup_3v1:.2}x)");
-}
-
-/// Serving-core report: connection-churn throughput of the thread-per-
-/// connection backend vs the readiness-driven event loop at 64 / 512 /
-/// 2048 concurrent connections, plus a 10k-accept endurance phase.
-///
-/// Each driver session is the life of one short-lived client: connect,
-/// pipeline a burst of v2-framed sample requests, drain the replies, and
-/// close. The threaded backend pays a thread spawn + teardown per
-/// session and schedules one blocked thread per open socket; the event
-/// loop serves the same churn from a single poller thread.
-pub fn rpc_report() {
-    use platod2gl::{Cluster, ClusterConfig, Edge, SampleRequest, VertexId};
-    use platod2gl_rpc::codec::{
-        encode_frame_v2, encode_sample_batch, read_frame_ex, FrameKind, SampleBatch,
-    };
-    use platod2gl_rpc::{Backend, GraphServiceServer, ServerConfig};
-    use std::io::Write;
-    use std::net::{SocketAddr, TcpStream};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Barrier};
-
-    const DRIVERS: usize = 8;
-    const PIPELINE: usize = 8;
-    const CONN_GRID: [usize; 3] = [64, 512, 2048];
-    const VERTICES: u64 = 256;
-    const ACCEPT_TOTAL: usize = 10_000;
-    const ACCEPT_WAVE: usize = 500;
-
-    println!("\n=== Serving core: connection churn, threaded vs event loop (reqs/s) ===");
-    println!(
-        "  {DRIVERS} drivers; session = connect + pipeline {PIPELINE} v2 sample frames + drain + close"
-    );
-    header(&["backend", "64 conns", "512 conns", "2048 conns"]);
-
-    let cluster = Arc::new(Cluster::new(
-        ClusterConfig::builder()
-            .num_shards(2)
-            .build()
-            .expect("valid config"),
-    ));
-    for v in 0..VERTICES {
-        cluster.insert_edge(Edge::new(VertexId(v), VertexId((v + 1) % VERTICES), 1.0));
-    }
-    let payload = encode_sample_batch(&SampleBatch {
-        deadline_ms: 30_000,
-        ctx: None,
-        requests: (0..4)
-            .map(|i| (SampleRequest::new(VertexId(i), EdgeType(0), 4), 0x5EED + i))
-            .collect(),
-    });
-
-    // One churn cell: every driver owns `conns / DRIVERS` connection
-    // slots, all open at once, so the server genuinely holds `conns`
-    // connections. The flood-connect warm-up is paced by a probe round
-    // trip per socket (serial per driver, so pending accepts stay under
-    // the listener backlog) and is NOT timed; the timed phase serves
-    // `ROUNDS` pipelined bursts per slot and closes + reconnects the slot
-    // between rounds — the thread-per-connection backend pays a thread
-    // spawn and teardown per reconnect, the event loop only an accept.
-    const ROUNDS: usize = 2;
-    let connect_probed = |addr: SocketAddr| -> TcpStream {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.set_nodelay(true).expect("nodelay");
-        let probe = encode_frame_v2(FrameKind::HealthProbe, 1, &[]);
-        s.write_all(&probe).expect("probe");
-        let (header, _) = read_frame_ex(&mut s).expect("probe reply");
-        assert_eq!(header.kind, FrameKind::HealthReply);
-        s
-    };
-    let churn = |addr: SocketAddr, conns: usize| -> f64 {
-        let connected = Arc::new(Barrier::new(DRIVERS + 1));
-        let done = Arc::new(Barrier::new(DRIVERS + 1));
-        let handles: Vec<_> = (0..DRIVERS)
-            .map(|_| {
-                let payload = payload.clone();
-                let connected = Arc::clone(&connected);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    let sessions = conns / DRIVERS;
-                    let mut socks: Vec<TcpStream> =
-                        (0..sessions).map(|_| connect_probed(addr)).collect();
-                    connected.wait();
-                    for round in 0..ROUNDS {
-                        for (i, sock) in socks.iter_mut().enumerate() {
-                            for req in 0..PIPELINE {
-                                let frame = encode_frame_v2(
-                                    FrameKind::SampleBatch,
-                                    (i * PIPELINE + req) as u64 + 1,
-                                    &payload,
-                                );
-                                sock.write_all(&frame).expect("send");
-                            }
-                            for _ in 0..PIPELINE {
-                                let (header, _) = read_frame_ex(sock).expect("reply");
-                                assert_eq!(header.kind, FrameKind::SampleReply);
-                            }
-                            if round + 1 < ROUNDS {
-                                // Churn the slot: close and redial.
-                                let fresh = TcpStream::connect(addr).expect("reconnect");
-                                fresh.set_nodelay(true).expect("nodelay");
-                                *sock = fresh;
-                            }
-                        }
-                    }
-                    done.wait();
-                })
-            })
-            .collect();
-        connected.wait();
-        let t = Instant::now();
-        done.wait();
-        let elapsed = t.elapsed().as_secs_f64();
-        for h in handles {
-            h.join().expect("driver clean");
-        }
-        (conns * PIPELINE * ROUNDS) as f64 / elapsed
-    };
-
-    let mut rates = std::collections::HashMap::new();
-    for backend in [Backend::Threaded, Backend::EventLoop] {
-        let name = match backend {
-            Backend::Threaded => "threaded",
-            Backend::EventLoop => "event-loop",
-        };
-        let server = GraphServiceServer::bind_with(
-            "127.0.0.1:0",
-            Arc::clone(&cluster),
-            ServerConfig::builder()
-                .backend(backend)
-                .max_connections(4096)
-                .build()
-                .expect("valid config"),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
-        // Warm-up: fault in lazy paths on both sides.
-        churn(addr, DRIVERS);
-        let mut cells = Vec::new();
-        for conns in CONN_GRID {
-            let reqs_per_s = churn(addr, conns);
-            rates.insert((name, conns), reqs_per_s);
-            cells.push(format!("{reqs_per_s:.0}"));
-        }
-        row(name, &cells);
-        server.shutdown();
-    }
-
-    // Endurance: 10k accepts against the event loop, in bounded waves so
-    // client-side ephemeral ports stay within ulimit.
-    let server = GraphServiceServer::bind_with(
-        "127.0.0.1:0",
-        Arc::clone(&cluster),
-        ServerConfig::builder()
-            .max_connections(4096)
-            .build()
-            .expect("valid config"),
-    )
-    .expect("bind");
-    let addr = server.local_addr();
-    let accept_errors = Arc::new(AtomicU64::new(0));
-    let mut accepted = 0usize;
-    while accepted < ACCEPT_TOTAL {
-        let wave = ACCEPT_WAVE.min(ACCEPT_TOTAL - accepted);
-        let per_driver = wave / DRIVERS;
-        let handles: Vec<_> = (0..DRIVERS)
-            .map(|_| {
-                let errors = Arc::clone(&accept_errors);
-                std::thread::spawn(move || {
-                    for _ in 0..per_driver {
-                        match TcpStream::connect(addr) {
-                            Ok(mut s) => {
-                                let probe = encode_frame_v2(FrameKind::HealthProbe, 1, &[]);
-                                let served = s.write_all(&probe).is_ok()
-                                    && matches!(
-                                        read_frame_ex(&mut s),
-                                        Ok((h, _)) if h.kind == FrameKind::HealthReply
-                                    );
-                                if !served {
-                                    errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            Err(_) => {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("accept driver clean");
-        }
-        accepted += per_driver * DRIVERS;
-    }
-    let accept_errors = accept_errors.load(Ordering::Relaxed);
-    server.shutdown();
-    println!("  {accepted} accepts, {accept_errors} errors");
-
-    let speedup =
-        |conns: usize| rates[&("event-loop", conns)] / rates[&("threaded", conns)].max(1e-9);
-    let (s64, s512, s2048) = (speedup(64), speedup(512), speedup(2048));
-    println!("  event loop vs threaded: {s64:.2}x @64, {s512:.2}x @512, {s2048:.2}x @2048 conns");
-
-    let mut json_rows = Vec::new();
-    for name in ["threaded", "event-loop"] {
-        for conns in CONN_GRID {
-            json_rows.push(format!(
-                "{{\"backend\":\"{name}\",\"conns\":{conns},\"reqs_per_s\":{:.0}}}",
-                rates[&(name, conns)]
-            ));
-        }
-    }
-    let json = format!(
-        "{{\"bench\":\"rpc_serving\",\"pipeline\":{PIPELINE},\"drivers\":{DRIVERS},\
-         \"speedup_64\":{s64:.3},\"speedup_512\":{s512:.3},\"speedup_2048\":{s2048:.3},\
-         \"accepts\":{accepted},\"accept_errors\":{accept_errors},\"rows\":[{}]}}\n",
-        json_rows.join(",")
-    );
-    std::fs::write("BENCH_8.json", &json).expect("write BENCH_8.json");
-    println!("  wrote BENCH_8.json (speedup_512 = {s512:.2}x)");
+    write_trail("BENCH_7.json", &json);
+    println!("  wrote {TRAIL_DIR}/BENCH_7.json (speedup_3v1 = {speedup_3v1:.2}x)");
 }
 
 /// Tracing-overhead gate: the same pipelined sampling workload served by
-/// the event-loop backend twice — once with untraced batches (no trace
+/// the graph server twice — once with untraced batches (no trace
 /// context on the wire, so the server opens no per-request spans) and
 /// once with every batch carrying a trace context (the server opens a
 /// remote-parented root span per batch and records it into the export
-/// ring, exactly what a fleet client induces). Writes BENCH_9.json with
+/// ring, exactly what a fleet client induces). Writes `target/bench/BENCH_9.json` with
 /// both rates and the traced/untraced throughput ratio; verify.sh gates
 /// on the ratio staying >= 0.9, i.e. tracing costs at most 10%.
 pub fn obs_overhead_report() {
     use platod2gl::{Cluster, ClusterConfig, Edge, SampleRequest, TraceContext, VertexId};
     use platod2gl_rpc::codec::{
-        encode_frame_v2, encode_sample_batch, read_frame_ex, FrameKind, SampleBatch,
+        encode_frame, encode_sample_batch, read_frame, FrameKind, SampleBatch,
     };
     use platod2gl_rpc::{GraphServiceServer, ServerConfig};
     use std::io::Write;
@@ -1184,7 +609,7 @@ pub fn obs_overhead_report() {
 
     println!("\n=== Observability overhead: traced vs untraced serving (reqs/s) ===");
     println!(
-        "  {DRIVERS} drivers x {BURSTS} bursts of {PIPELINE} pipelined v2 sample frames; \
+        "  {DRIVERS} drivers x {BURSTS} bursts of {PIPELINE} pipelined sample frames; \
          best of {TRIALS} interleaved trials per mode"
     );
     header(&["mode", "reqs/s"]);
@@ -1238,19 +663,19 @@ pub fn obs_overhead_report() {
                 std::thread::spawn(move || {
                     let mut sock = TcpStream::connect(addr).expect("connect");
                     sock.set_nodelay(true).expect("nodelay");
-                    let probe = encode_frame_v2(FrameKind::HealthProbe, 1, &[]);
+                    let probe = encode_frame(FrameKind::HealthProbe, 1, &[]);
                     sock.write_all(&probe).expect("probe");
-                    let (head, _) = read_frame_ex(&mut sock).expect("probe reply");
+                    let (head, _) = read_frame(&mut sock).expect("probe reply");
                     assert_eq!(head.kind, FrameKind::HealthReply);
                     start.wait();
                     for burst in 0..BURSTS {
                         for req in 0..PIPELINE {
                             let id = ((d * BURSTS + burst) * PIPELINE + req) as u64 + 1;
-                            let frame = encode_frame_v2(FrameKind::SampleBatch, id, &payload);
+                            let frame = encode_frame(FrameKind::SampleBatch, id, &payload);
                             sock.write_all(&frame).expect("send");
                         }
                         for _ in 0..PIPELINE {
-                            let (head, _) = read_frame_ex(&mut sock).expect("reply");
+                            let (head, _) = read_frame(&mut sock).expect("reply");
                             assert_eq!(head.kind, FrameKind::SampleReply);
                         }
                     }
@@ -1293,120 +718,8 @@ pub fn obs_overhead_report() {
          \"untraced_reqs_per_s\":{untraced:.0},\"traced_reqs_per_s\":{traced:.0},\
          \"overhead_ratio\":{ratio:.3}}}\n"
     );
-    std::fs::write("BENCH_9.json", &json).expect("write BENCH_9.json");
-    println!("  wrote BENCH_9.json (overhead_ratio = {ratio:.3})");
-}
-
-/// Temporal plane: windowed k-hop sampling throughput vs the unwindowed
-/// baseline at three window selectivities, plus the recency-decay
-/// maintenance sweep rate. The acceptance bar (gated in `verify.sh`) is
-/// that windowed sampling stays within 2x of unwindowed throughput — the
-/// rejection-with-retry fast path has to be doing its job, not falling
-/// back to full neighborhood scans. Writes `BENCH_10.json`.
-pub fn temporal_report() {
-    use platod2gl::{
-        CacheConfig, Cluster, ClusterConfig, DecayConfig, DynamicGraphStore, Edge, KHopSampler,
-        NeighborCache, RecencyDecay, Registry, TimeWindow, VertexId,
-    };
-
-    const V: u64 = 5_000;
-    const DEGREE: u64 = 12;
-    const MAX_TS: u64 = 1_000;
-    const ROUNDS: usize = 20;
-    const BATCH: usize = 512;
-
-    println!("\n=== Temporal plane: windowed vs unwindowed k-hop sampling (seeds/s) ===");
-    header(&["window", "seeds/s", "vs unwindowed"]);
-
-    let stamp = |s: u64, d: u64| (s * 31 + d * 17) % MAX_TS + 1;
-    let cluster = Cluster::new(
-        ClusterConfig::builder()
-            .num_shards(2)
-            .build()
-            .expect("valid config"),
-    );
-    for s in 0..V {
-        for k in 1..=DEGREE {
-            let d = (s + k * 131) % V;
-            if d != s {
-                cluster.insert_edge(Edge::new(VertexId(s), VertexId(d), 1.0).at(stamp(s, d)));
-            }
-        }
-    }
-
-    let sampler = KHopSampler::new(EdgeType::DEFAULT, vec![10, 10]);
-    let cache = NeighborCache::new(CacheConfig::disabled());
-    let seeds: Vec<VertexId> = (0..BATCH as u64).map(|i| VertexId(i * 7 % V)).collect();
-    let run = |windows: &[Option<TimeWindow>]| -> f64 {
-        let mut rng = StdRng::seed_from_u64(7);
-        let t = Instant::now();
-        for _ in 0..ROUNDS {
-            let out = sampler.sample_block_windowed(&cluster, &cache, &seeds, windows, &mut rng);
-            assert_eq!(out.degraded_samples, 0);
-        }
-        (ROUNDS * BATCH) as f64 / t.elapsed().as_secs_f64()
-    };
-
-    let unwindowed = run(&[]);
-    row("none", &[format!("{unwindowed:.0}"), "1.00x".into()]);
-    let mut json_rows = vec![format!(
-        "{{\"window\":\"none\",\"seeds_per_s\":{unwindowed:.0},\"slowdown\":1.0}}"
-    )];
-    let mut worst_slowdown: f64 = 1.0;
-    for (name, max_ts) in [("broad", 900u64), ("half", 500), ("narrow", 150)] {
-        // Per-seed windows, as training issues them: each seed bounded at
-        // its own (deterministic) event time near the selectivity point.
-        let windows: Vec<Option<TimeWindow>> = seeds
-            .iter()
-            .map(|v| Some(TimeWindow::until(max_ts + v.raw() % 100)))
-            .collect();
-        let windowed = run(&windows);
-        let slowdown = unwindowed / windowed;
-        worst_slowdown = worst_slowdown.max(slowdown);
-        row(name, &[format!("{windowed:.0}"), format!("{slowdown:.2}x")]);
-        json_rows.push(format!(
-            "{{\"window\":\"{name}\",\"seeds_per_s\":{windowed:.0},\"slowdown\":{slowdown:.3}}}"
-        ));
-    }
-
-    // The maintenance half: a full recency-decay sweep over the same
-    // stamped topology, measured as scanned edges per second.
-    let store = DynamicGraphStore::with_defaults();
-    for s in 0..V {
-        for k in 1..=DEGREE {
-            let d = (s + k * 131) % V;
-            if d != s {
-                store.insert_edge(Edge::new(VertexId(s), VertexId(d), 1.0).at(stamp(s, d)));
-            }
-        }
-    }
-    let registry = Registry::new();
-    let mut decay = RecencyDecay::new(
-        DecayConfig {
-            lambda: 1e-3,
-            floor: 1e-6,
-            batch_sources: 256,
-        },
-        &registry,
-    )
-    .expect("valid policy");
-    let t = Instant::now();
-    let tick = decay.run_sweep(&store, MAX_TS + 500);
-    let decay_edges_per_s = tick.scanned as f64 / t.elapsed().as_secs_f64();
-    println!(
-        "  decay sweep: {} edges scanned, {} decayed, {:.0} edges/s",
-        tick.scanned, tick.decayed, decay_edges_per_s
-    );
-
-    let json = format!(
-        "{{\"bench\":\"temporal_sampling\",\"vertices\":{V},\"degree\":{DEGREE},\
-         \"fanouts\":[10,10],\"rows\":[{}],\
-         \"worst_slowdown\":{worst_slowdown:.3},\
-         \"decay_edges_per_s\":{decay_edges_per_s:.0}}}\n",
-        json_rows.join(",")
-    );
-    std::fs::write("BENCH_10.json", &json).expect("write BENCH_10.json");
-    println!("  wrote BENCH_10.json (worst windowed slowdown = {worst_slowdown:.2}x)");
+    write_trail("BENCH_9.json", &json);
+    println!("  wrote {TRAIL_DIR}/BENCH_9.json (overhead_ratio = {ratio:.3})");
 }
 
 /// Run the whole evaluation in paper order.
@@ -1424,11 +737,4 @@ pub fn run_all() {
     fig10_sampling();
     fig11_sensitivity();
     ablations();
-    pipeline_throughput();
-    txn_report();
-    obs_report();
-    fleet_report();
-    rpc_report();
-    obs_overhead_report();
-    temporal_report();
 }

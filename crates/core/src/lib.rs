@@ -60,7 +60,7 @@ pub use platod2gl_pipeline::{
     PipelineConfigBuilder, PipelineStats, SampleOutcome, TrainingPipeline, WindowedBatch,
 };
 pub use platod2gl_rpc::{
-    Backend, ClientConfig, ClientConfigBuilder, ConnectionMode, GraphServiceServer, PollerKind,
+    ClientConfig, ClientConfigBuilder, ConnectionMode, GraphServiceServer, PollerKind,
     RemoteCluster, RemoteClusterConfig, ServerConfig, ServerConfigBuilder, ServerIntrospect,
 };
 pub use platod2gl_sampling::{AliasTable, CsTable, WeightedIndex};

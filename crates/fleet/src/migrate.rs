@@ -6,7 +6,7 @@
 //!
 //! 1. **Arm** the source's migration journal — every op touching the
 //!    partition from now on is recorded alongside being applied.
-//! 2. **Stream** the partition as resumable snapshot-v2 chunks into the
+//! 2. **Stream** the partition as resumable snapshot chunks into the
 //!    target over the replica channel (no fan-out from the target). The
 //!    source keeps serving; writes race the copy but land in the journal.
 //! 3. **Drain** the journal tail in rounds until a round comes back

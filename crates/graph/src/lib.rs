@@ -107,9 +107,9 @@ impl EdgeType {
 ///
 /// `ts` is the edge's event time in whatever unit the workload chooses
 /// (seconds, milliseconds, logical ticks). `ts == 0` means "no timestamp":
-/// static workloads never set it, v1/v2 snapshots restore with it, and the
-/// temporal plane (windowed sampling, recency decay) treats such edges as
-/// timeless — always in-window, never decayed.
+/// static workloads never set it, and the temporal plane (windowed
+/// sampling, recency decay) treats such edges as timeless — always
+/// in-window, never decayed.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct Edge {
     pub src: VertexId,

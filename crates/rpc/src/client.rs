@@ -49,12 +49,11 @@ use crate::codec::{
     decode_error_reply, decode_heal_reply, decode_health_reply, decode_map_reply,
     decode_migrate_ctl_reply, decode_obs_export_reply, decode_partition_chunk,
     decode_partition_stats_reply, decode_sample_reply, decode_span_export_reply, decode_tail_reply,
-    decode_txn_reply, decode_update_reply, encode_frame_v2, encode_heal_request,
-    encode_map_install, encode_migrate_ctl, encode_partition_fetch, encode_partition_stats,
-    encode_sample_batch, encode_span_export, encode_tail_fetch, encode_txn_apply,
-    encode_update_batch, error_code, frame_len, migrate_action, parse_frame, read_frame_ex,
-    take_timing_echo, write_frame_v2, FrameError, FrameKind, MapReply, PartitionFetch, SampleBatch,
-    TxnApply, TxnReply, UpdateBatch, PROTOCOL_V2,
+    decode_txn_reply, decode_update_reply, encode_frame, encode_heal_request, encode_map_install,
+    encode_migrate_ctl, encode_partition_fetch, encode_partition_stats, encode_sample_batch,
+    encode_span_export, encode_tail_fetch, encode_txn_apply, encode_update_batch, error_code,
+    frame_len, migrate_action, parse_frame, read_frame, take_timing_echo, write_frame, FrameError,
+    FrameKind, MapReply, PartitionFetch, SampleBatch, TxnApply, TxnReply, UpdateBatch,
 };
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{
@@ -293,7 +292,7 @@ struct ClientMetrics {
     reconnects: Arc<Counter>,
     pool_evictions: Arc<Counter>,
     rtt: Arc<Histogram>,
-    /// Server-reported queue + service time from the v2 reply timing
+    /// Server-reported queue + service time from the reply timing
     /// echo. `rtt_ns - server_time_ns` for the same request is the
     /// network + client-side share of the round trip, so a slow batch can
     /// be attributed without a server-side lookup.
@@ -384,7 +383,7 @@ impl MuxChannel {
             }
             pending.insert(req_id, tx);
         }
-        let frame = encode_frame_v2(kind, req_id, payload);
+        let frame = encode_frame(kind, req_id, payload);
         let wrote = {
             let mut writer = lock(&self.writer);
             writer.write_all(&frame).and_then(|()| writer.flush())
@@ -660,6 +659,36 @@ impl RemoteCluster {
         }
     }
 
+    /// The Multiplexed counterpart of [`Self::with_retries`]: run one
+    /// whole attempt, and on a transport error sleep the (doubling)
+    /// backoff and run it again — the next attempt picks a live channel or
+    /// dials a fresh one. Protocol-level errors are not retried.
+    fn mux_with_retries<T>(
+        &self,
+        mut attempt_once: impl FnMut() -> Result<T, FrameError>,
+    ) -> Result<T, FrameError> {
+        let mut backoff = self.cfg.retry_backoff;
+        let mut attempt = 0;
+        loop {
+            match attempt_once() {
+                Ok(out) => return Ok(out),
+                Err(FrameError::Io(_)) if attempt < self.cfg.max_retries => {
+                    self.m.transport_errors.inc();
+                    self.m.retries.inc();
+                    attempt += 1;
+                    std::thread::sleep(backoff);
+                    backoff = backoff.saturating_mul(2);
+                }
+                Err(e) => {
+                    if matches!(e, FrameError::Io(_)) {
+                        self.m.transport_errors.inc();
+                    }
+                    return Err(e);
+                }
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Multiplexed transport.
     // ------------------------------------------------------------------
@@ -714,8 +743,7 @@ impl RemoteCluster {
         let started = Instant::now();
         let rx = channel.submit(req_id, kind, payload, self.cfg.max_in_flight)?;
         let (kind, mut payload) = self.mux_await(&channel, req_id, &rx)?;
-        // Mux channels are always v2, so every reply carries the echo.
-        let echo = take_timing_echo(PROTOCOL_V2, &mut payload)?;
+        let echo = take_timing_echo(&mut payload)?;
         self.m.rtt.record(started.elapsed());
         self.m.server_time.record(echo.server_time());
         Ok((kind, payload))
@@ -732,42 +760,23 @@ impl RemoteCluster {
         match self.cfg.mode {
             ConnectionMode::Pooled => self.with_retries(|stream| {
                 let req_id = self.next_req_id();
-                write_frame_v2(stream, kind, req_id, payload)?;
+                write_frame(stream, kind, req_id, payload)?;
                 stream.flush()?;
-                let (header, mut reply) = read_frame_ex(stream)?;
-                // A v2 server echoes the id; a mismatch means the stream
+                let (header, mut reply) = read_frame(stream)?;
+                // The server echoes the id; a mismatch means the stream
                 // carries someone else's reply and cannot be trusted.
-                if header.version == PROTOCOL_V2 && header.req_id != req_id {
+                if header.req_id != req_id {
                     return Err(FrameError::UnexpectedReply {
                         expected: "matching correlation id",
                         got: header.kind,
                     });
                 }
-                let echo = take_timing_echo(header.version, &mut reply)?;
+                let echo = take_timing_echo(&mut reply)?;
                 self.m.server_time.record(echo.server_time());
                 Ok((header.kind, reply))
             }),
             ConnectionMode::Multiplexed => {
-                let mut backoff = self.cfg.retry_backoff;
-                let mut attempt = 0;
-                loop {
-                    match self.mux_call_once(kind, payload) {
-                        Ok(reply) => return Ok(reply),
-                        Err(FrameError::Io(_)) if attempt < self.cfg.max_retries => {
-                            self.m.transport_errors.inc();
-                            self.m.retries.inc();
-                            attempt += 1;
-                            std::thread::sleep(backoff);
-                            backoff = backoff.saturating_mul(2);
-                        }
-                        Err(e) => {
-                            if matches!(e, FrameError::Io(_)) {
-                                self.m.transport_errors.inc();
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
+                self.mux_with_retries(|| self.mux_call_once(kind, payload))
             }
         }
     }
@@ -832,40 +841,21 @@ impl RemoteCluster {
             ConnectionMode::Pooled => self.with_retries(|stream| {
                 let ids: Vec<u64> = chunks.iter().map(|_| self.next_req_id()).collect();
                 for (payload, &id) in encoded.iter().zip(&ids) {
-                    write_frame_v2(stream, FrameKind::SampleBatch, id, payload)?;
+                    write_frame(stream, FrameKind::SampleBatch, id, payload)?;
                 }
                 stream.flush()?;
                 let mut by_id: HashMap<u64, (FrameKind, Vec<u8>)> =
                     HashMap::with_capacity(chunks.len());
                 for _ in chunks {
-                    let (header, mut payload) = read_frame_ex(stream)?;
-                    let echo = take_timing_echo(header.version, &mut payload)?;
+                    let (header, mut payload) = read_frame(stream)?;
+                    let echo = take_timing_echo(&mut payload)?;
                     self.m.server_time.record(echo.server_time());
                     by_id.insert(header.req_id, (header.kind, payload));
                 }
                 stitch_sample_replies(chunks, &ids, |id| by_id.remove(&id))
             }),
             ConnectionMode::Multiplexed => {
-                let mut backoff = self.cfg.retry_backoff;
-                let mut attempt = 0;
-                loop {
-                    match self.mux_pipelined_once(chunks, &encoded) {
-                        Ok(out) => return Ok(out),
-                        Err(FrameError::Io(_)) if attempt < self.cfg.max_retries => {
-                            self.m.transport_errors.inc();
-                            self.m.retries.inc();
-                            attempt += 1;
-                            std::thread::sleep(backoff);
-                            backoff = backoff.saturating_mul(2);
-                        }
-                        Err(e) => {
-                            if matches!(e, FrameError::Io(_)) {
-                                self.m.transport_errors.inc();
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
+                self.mux_with_retries(|| self.mux_pipelined_once(chunks, &encoded))
             }
         }
     }
@@ -893,7 +883,7 @@ impl RemoteCluster {
         let mut by_id: HashMap<u64, (FrameKind, Vec<u8>)> = HashMap::with_capacity(waiters.len());
         for (req_id, rx) in &waiters {
             let (kind, mut payload) = self.mux_await(&channel, *req_id, rx)?;
-            let echo = take_timing_echo(PROTOCOL_V2, &mut payload)?;
+            let echo = take_timing_echo(&mut payload)?;
             self.m.server_time.record(echo.server_time());
             by_id.insert(*req_id, (kind, payload));
         }

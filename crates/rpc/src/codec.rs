@@ -1,16 +1,9 @@
 //! The frame layer of the graph-service protocol.
 //!
-//! Every message on the wire is one *frame*. The current (v2) layout is:
+//! Every message on the wire is one *frame*:
 //!
 //! ```text
 //! | len u32 LE | version u8 | kind u8 | req_id u64 LE | payload ... | crc32c u32 LE |
-//! ```
-//!
-//! and the legacy (v1) layout, still accepted from old clients, omits the
-//! `req_id`:
-//!
-//! ```text
-//! | len u32 LE | version u8 | kind u8 | payload ... | crc32c u32 LE |
 //! ```
 //!
 //! `len` counts everything after itself (header + payload + CRC), so a
@@ -18,17 +11,15 @@
 //! frame. The CRC32C trailer (same polynomial and implementation as the
 //! WAL, [`platod2gl_storage::crc32c`]) covers everything between `len`
 //! and the trailer; a frame whose trailer disagrees is rejected before
-//! any payload decode runs. The version byte is checked next and selects
-//! the header layout.
+//! any payload decode runs. The version byte is checked next: anything
+//! but [`PROTOCOL_VERSION`] is [`FrameError::BadVersion`].
 //!
-//! ## Request correlation (v2)
+//! ## Request correlation
 //!
 //! `req_id` is an opaque correlation id: a server echoes the request's id
 //! into the reply frame, which is what lets the event-loop server answer
 //! **out of order** and lets a multiplexing client pipeline many in-flight
-//! requests over one socket, re-stitching replies by id. v1 frames carry
-//! no id, so v1 connections are answered strictly in order (the PR-5
-//! contract old clients were built against).
+//! requests over one socket, re-stitching replies by id.
 //!
 //! Defensive bounds: `len` is validated against [`MAX_FRAME_BYTES`]
 //! *before* the body buffer is allocated, and every collection count
@@ -40,8 +31,8 @@
 //! For buffer-oriented readers (the event-loop server) the
 //! [`frame_len`]/[`parse_frame`] pair decodes a frame **zero-copy**: the
 //! returned payload borrows from the read buffer instead of re-allocating
-//! per frame. [`read_frame`]/[`read_frame_ex`] remain the streaming
-//! entry points for blocking sockets.
+//! per frame. [`read_frame`] is the streaming entry point for blocking
+//! sockets.
 //!
 //! Record layouts inside payloads are defined by [`platod2gl_server::wire`]
 //! — the same functions the in-process cluster uses for traffic
@@ -55,16 +46,9 @@ use platod2gl_storage::crc32c::crc32c;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// The legacy protocol version: in-order replies, no request id.
-pub const PROTOCOL_V1: u8 = 1;
-
-/// The current protocol version: `req_id`-correlated, replies may arrive
-/// out of order.
-pub const PROTOCOL_V2: u8 = 2;
-
-/// Protocol version stamped into frames by default ([`PROTOCOL_V2`]).
-/// Readers accept both [`PROTOCOL_V1`] and [`PROTOCOL_V2`].
-pub const PROTOCOL_VERSION: u8 = PROTOCOL_V2;
+/// The protocol version stamped into every frame. Readers reject any
+/// other value with [`FrameError::BadVersion`].
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on a whole frame. A length prefix exceeding this is
 /// rejected before any allocation — the cap bounds a malicious or corrupt
@@ -72,13 +56,9 @@ pub const PROTOCOL_VERSION: u8 = PROTOCOL_V2;
 /// frame (a ~64k-op update batch is under 2 MiB).
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
-/// Everything after the length prefix that is not payload in a v1 frame:
-/// version byte, kind byte, CRC trailer.
-const V1_NON_PAYLOAD_BYTES: usize = 6;
-
-/// Everything after the length prefix that is not payload in a v2 frame:
-/// version byte, kind byte, req_id, CRC trailer.
-const V2_NON_PAYLOAD_BYTES: usize = 14;
+/// Everything after the length prefix that is not payload: version byte,
+/// kind byte, req_id, CRC trailer.
+const NON_PAYLOAD_BYTES: usize = 14;
 
 /// Message kinds. Requests have odd tags, their replies the next even tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,7 +112,7 @@ pub enum FrameKind {
     ReplicaTxn = 0x11,
     /// Mover → leader: export one partition chunk (resumable cursor).
     PartitionFetch = 0x13,
-    /// Leader → mover: a snapshot-v2 chunk of the partition.
+    /// Leader → mover: a snapshot chunk of the partition.
     PartitionChunkReply = 0x14,
     /// Mover → leader: arm (begin) or disarm (end) the live-migration
     /// journal for one partition.
@@ -206,7 +186,7 @@ pub enum FrameError {
     /// Transport failure (includes timeouts and mid-frame EOF).
     Io(io::Error),
     /// The length prefix exceeds [`MAX_FRAME_BYTES`] (or is shorter than
-    /// the mandatory version/kind/CRC bytes).
+    /// the mandatory version/kind/req_id/CRC bytes).
     BadLength { len: u32 },
     /// The CRC trailer disagrees with the frame contents.
     BadCrc { expected: u32, actual: u32 },
@@ -266,27 +246,22 @@ impl From<WireError> for FrameError {
     }
 }
 
-/// The decoded header of one frame: which protocol version the peer
-/// spoke, the message kind, and (v2) the correlation id. v1 frames carry
-/// no id; their header reports `req_id: 0`.
+/// The decoded header of one frame: the message kind and the correlation
+/// id. Replies echo the request's id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// [`PROTOCOL_V1`] or [`PROTOCOL_V2`]. A server mirrors the request's
-    /// version into the reply so old clients never see a v2 frame.
-    pub version: u8,
     /// The message kind.
     pub kind: FrameKind,
-    /// Correlation id (v2 only; `0` on v1 frames). Replies echo the
-    /// request's id.
+    /// Correlation id.
     pub req_id: u64,
 }
 
-/// Encode one v2 frame into a fresh buffer (length prefix through CRC).
-pub fn encode_frame_v2(kind: FrameKind, req_id: u64, payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() + V2_NON_PAYLOAD_BYTES;
+/// Encode one frame into a fresh buffer (length prefix through CRC).
+pub fn encode_frame(kind: FrameKind, req_id: u64, payload: &[u8]) -> Vec<u8> {
+    let len = payload.len() + NON_PAYLOAD_BYTES;
     let mut out = Vec::with_capacity(4 + len);
     wire::put_u32(&mut out, len as u32);
-    out.push(PROTOCOL_V2);
+    out.push(PROTOCOL_VERSION);
     out.push(kind as u8);
     wire::put_u64(&mut out, req_id);
     out.extend_from_slice(payload);
@@ -295,101 +270,42 @@ pub fn encode_frame_v2(kind: FrameKind, req_id: u64, payload: &[u8]) -> Vec<u8> 
     out
 }
 
-/// Encode one legacy v1 frame (no request id). Kept for old-client compat
-/// tests and for servers answering v1 peers.
-pub fn encode_frame_v1(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() + V1_NON_PAYLOAD_BYTES;
-    let mut out = Vec::with_capacity(4 + len);
-    wire::put_u32(&mut out, len as u32);
-    out.push(PROTOCOL_V1);
-    out.push(kind as u8);
-    out.extend_from_slice(payload);
-    let crc = crc32c(&out[4..]);
-    wire::put_u32(&mut out, crc);
-    out
-}
-
-/// Encode one frame at the default version with correlation id 0 — the
-/// convenience for strictly request/reply flows that never have more than
-/// one frame in flight per stream.
-pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    encode_frame_v2(kind, 0, payload)
-}
-
-/// Encode a reply frame matching a request's header: same version, same
-/// correlation id. This is the one servers must use — an old (v1) client
-/// must never see a v2 frame.
-pub fn encode_reply_frame(req: &FrameHeader, kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    if req.version == PROTOCOL_V1 {
-        encode_frame_v1(kind, payload)
-    } else {
-        encode_frame_v2(kind, req.req_id, payload)
-    }
-}
-
 /// Write one frame (single `write_all`, so a frame is never interleaved
 /// with another writer's bytes on the same stream).
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode_frame(kind, payload))
-}
-
-/// Write one v2 frame carrying an explicit correlation id.
-pub fn write_frame_v2(
+pub fn write_frame(
     w: &mut impl Write,
     kind: FrameKind,
     req_id: u64,
     payload: &[u8],
 ) -> io::Result<()> {
-    w.write_all(&encode_frame_v2(kind, req_id, payload))
+    w.write_all(&encode_frame(kind, req_id, payload))
 }
 
-/// Validate a length prefix against the frame bounds.
+/// Validate a length prefix against the frame bounds: at least the
+/// mandatory header + CRC bytes, at most [`MAX_FRAME_BYTES`].
 fn check_len(len: u32) -> Result<(), FrameError> {
-    if (len as usize) < V1_NON_PAYLOAD_BYTES || len as usize > MAX_FRAME_BYTES {
+    if (len as usize) < NON_PAYLOAD_BYTES || len as usize > MAX_FRAME_BYTES {
         return Err(FrameError::BadLength { len });
     }
     Ok(())
 }
 
-/// Validate a CRC-checked frame body (everything after the length prefix)
-/// and split it into header + payload bounds. Returns the header and the
-/// payload range *within* `body`.
-fn parse_body(body: &[u8], len: u32) -> Result<(FrameHeader, std::ops::Range<usize>), FrameError> {
+/// Validate a length-checked frame body (everything after the length
+/// prefix) and split it into header + payload bounds. Returns the header
+/// and the payload range *within* `body`.
+fn parse_body(body: &[u8]) -> Result<(FrameHeader, std::ops::Range<usize>), FrameError> {
     let crc_off = body.len() - 4;
     let expected = u32::from_le_bytes(body[crc_off..].try_into().unwrap());
     let actual = crc32c(&body[..crc_off]);
     if expected != actual {
         return Err(FrameError::BadCrc { expected, actual });
     }
-    match body[0] {
-        PROTOCOL_V1 => {
-            let kind = FrameKind::from_tag(body[1])?;
-            Ok((
-                FrameHeader {
-                    version: PROTOCOL_V1,
-                    kind,
-                    req_id: 0,
-                },
-                2..crc_off,
-            ))
-        }
-        PROTOCOL_V2 => {
-            if (len as usize) < V2_NON_PAYLOAD_BYTES {
-                return Err(FrameError::BadLength { len });
-            }
-            let kind = FrameKind::from_tag(body[1])?;
-            let req_id = u64::from_le_bytes(body[2..10].try_into().unwrap());
-            Ok((
-                FrameHeader {
-                    version: PROTOCOL_V2,
-                    kind,
-                    req_id,
-                },
-                10..crc_off,
-            ))
-        }
-        v => Err(FrameError::BadVersion(v)),
+    if body[0] != PROTOCOL_VERSION {
+        return Err(FrameError::BadVersion(body[0]));
     }
+    let kind = FrameKind::from_tag(body[1])?;
+    let req_id = u64::from_le_bytes(body[2..10].try_into().unwrap());
+    Ok((FrameHeader { kind, req_id }, 10..crc_off))
 }
 
 /// Peek at a buffered byte stream: how long is the frame at its head?
@@ -416,31 +332,24 @@ pub fn parse_frame(buf: &[u8]) -> Result<(FrameHeader, &[u8]), FrameError> {
     let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
     check_len(len)?;
     let body = &buf[4..4 + len as usize];
-    let (header, payload) = parse_body(body, len)?;
+    let (header, payload) = parse_body(body)?;
     Ok((header, &body[payload]))
 }
 
 /// Read one frame from a blocking stream: length prefix, bounded
 /// allocation, CRC and version checks, header parse. The payload is
 /// returned still encoded; pair with the `decode_*` functions below.
-pub fn read_frame_ex(r: &mut impl Read) -> Result<(FrameHeader, Vec<u8>), FrameError> {
+pub fn read_frame(r: &mut impl Read) -> Result<(FrameHeader, Vec<u8>), FrameError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
     check_len(len)?;
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    let (header, payload) = parse_body(&body, len)?;
+    let (header, payload) = parse_body(&body)?;
     body.truncate(payload.end);
     body.drain(..payload.start);
     Ok((header, body))
-}
-
-/// [`read_frame_ex`] minus the header detail — for strictly in-order
-/// request/reply flows that don't correlate by id.
-pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>), FrameError> {
-    let (header, payload) = read_frame_ex(r)?;
-    Ok((header.kind, payload))
 }
 
 /// A [`FrameKind::SampleBatch`] payload: deadline plus seeded requests.
@@ -483,8 +392,7 @@ pub fn encode_sample_batch(batch: &SampleBatch) -> Vec<u8> {
 }
 
 /// Decode a [`SampleBatch`] payload. An absent time-window trailer (an
-/// old client, or an unwindowed batch) decodes every request with
-/// `window: None`.
+/// unwindowed batch) decodes every request with `window: None`.
 pub fn decode_sample_batch(payload: &[u8]) -> Result<SampleBatch, WireError> {
     let mut r = Reader::new(payload);
     let deadline_ms = r.u32()?;
@@ -973,7 +881,7 @@ pub fn decode_partition_fetch(payload: &[u8]) -> Result<PartitionFetch, WireErro
     })
 }
 
-/// A [`FrameKind::PartitionChunkReply`] payload: one snapshot-v2 chunk of
+/// A [`FrameKind::PartitionChunkReply`] payload: one snapshot chunk of
 /// a migrating partition (mirrors
 /// [`platod2gl_server::PartitionChunk`](platod2gl_server::PartitionChunk)).
 #[derive(Clone, Debug, PartialEq)]
@@ -984,7 +892,7 @@ pub struct PartitionChunkReply {
     pub cursor: Option<(u64, u16)>,
     /// Edges inside the chunk.
     pub edges: u64,
-    /// Snapshot-v2 bytes (per-block CRC; decode with
+    /// Snapshot bytes (per-block CRC; decode with
     /// [`platod2gl_storage::read_snapshot`](platod2gl_storage::read_snapshot)).
     pub snapshot: Vec<u8>,
 }
@@ -1197,13 +1105,12 @@ pub fn decode_error_reply(payload: &[u8]) -> Result<ErrorReply, WireError> {
     })
 }
 
-/// The server-side timing breakdown every v2 reply carries as a fixed
+/// The server-side timing breakdown every reply carries as a fixed
 /// 8-byte trailer ([`wire::REPLY_TIMING_ECHO_BYTES`]) between payload and
 /// CRC: how long the request waited before a handler picked it up and how
 /// long the handler spent serving it, both in microseconds (saturating).
 /// Clients subtract `queue_us + service_us` from observed round-trip time
-/// to attribute latency to the network vs. the server. Legacy v1 replies
-/// never carry the trailer — old clients see byte-identical frames.
+/// to attribute latency to the network vs. the server.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimingEcho {
     /// Microseconds between frame arrival and handler start.
@@ -1220,20 +1127,15 @@ impl TimingEcho {
 }
 
 /// Append the timing-echo trailer to a reply payload. Servers call this on
-/// every v2 reply — including error replies — immediately before framing.
+/// every reply — including error replies — immediately before framing.
 pub fn append_timing_echo(payload: &mut Vec<u8>, queue_us: u32, service_us: u32) {
     wire::put_u32(payload, queue_us);
     wire::put_u32(payload, service_us);
 }
 
 /// Strip the timing-echo trailer off a reply payload, in place, and decode
-/// it. `version` is the reply frame's header version: v1 replies carry no
-/// echo (zeros, payload untouched); a v2 reply shorter than the trailer is
-/// truncated.
-pub fn take_timing_echo(version: u8, payload: &mut Vec<u8>) -> Result<TimingEcho, FrameError> {
-    if version == PROTOCOL_V1 {
-        return Ok(TimingEcho::default());
-    }
+/// it. A reply shorter than the trailer is truncated.
+pub fn take_timing_echo(payload: &mut Vec<u8>) -> Result<TimingEcho, FrameError> {
     let echo_at = payload
         .len()
         .checked_sub(wire::REPLY_TIMING_ECHO_BYTES as usize)
@@ -1455,8 +1357,9 @@ mod tests {
     use platod2gl_server::SlotSource;
 
     fn roundtrip(kind: FrameKind, payload: &[u8]) -> (FrameKind, Vec<u8>) {
-        let encoded = encode_frame(kind, payload);
-        read_frame(&mut encoded.as_slice()).expect("roundtrip")
+        let encoded = encode_frame(kind, 0, payload);
+        let (header, payload) = read_frame(&mut encoded.as_slice()).expect("roundtrip");
+        (header.kind, payload)
     }
 
     #[test]
@@ -1514,7 +1417,7 @@ mod tests {
                 ),
             ],
         };
-        let frame = encode_frame(FrameKind::SampleBatch, &encode_sample_batch(&batch));
+        let frame = encode_frame(FrameKind::SampleBatch, 0, &encode_sample_batch(&batch));
         assert_eq!(frame.len() as u64, wire::sample_request_frame_bytes(2));
 
         let resps = vec![
@@ -1531,10 +1434,10 @@ mod tests {
                 shard: 1,
             },
         ];
-        // Reply size models include the v2 timing-echo trailer.
+        // Reply size models include the timing-echo trailer.
         let mut payload = encode_sample_reply(&resps);
         append_timing_echo(&mut payload, 1, 2);
-        let frame = encode_frame(FrameKind::SampleReply, &payload);
+        let frame = encode_frame(FrameKind::SampleReply, 0, &payload);
         assert_eq!(
             frame.len() as u64,
             wire::sample_response_frame_bytes([2, 0])
@@ -1548,7 +1451,7 @@ mod tests {
             }),
             ops: vec![UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 1.0)); 3],
         };
-        let frame = encode_frame(FrameKind::UpdateBatch, &encode_update_batch(&ops));
+        let frame = encode_frame(FrameKind::UpdateBatch, 0, &encode_update_batch(&ops));
         assert_eq!(frame.len() as u64, wire::update_frame_bytes(3));
 
         let reply = UpdateReply {
@@ -1557,7 +1460,7 @@ mod tests {
         };
         let mut payload = encode_update_reply(&reply);
         append_timing_echo(&mut payload, 0, 0);
-        let frame = encode_frame(FrameKind::UpdateReply, &payload);
+        let frame = encode_frame(FrameKind::UpdateReply, 0, &payload);
         assert_eq!(frame.len() as u64, wire::UPDATE_REPLY_FRAME_BYTES);
     }
 
@@ -1574,8 +1477,8 @@ mod tests {
             bare.len() + wire::REPLY_TIMING_ECHO_BYTES as usize
         );
 
-        // v2: the trailer comes back off and the remainder decodes clean.
-        let echo = take_timing_echo(PROTOCOL_V2, &mut payload).expect("echo");
+        // The trailer comes back off and the remainder decodes clean.
+        let echo = take_timing_echo(&mut payload).expect("echo");
         assert_eq!(
             echo,
             TimingEcho {
@@ -1586,16 +1489,10 @@ mod tests {
         assert_eq!(echo.server_time(), std::time::Duration::from_micros(2_150));
         assert_eq!(payload, bare);
 
-        // v1: no trailer on the wire, zeros reported, payload untouched.
-        let mut v1_payload = bare.clone();
-        let echo = take_timing_echo(PROTOCOL_V1, &mut v1_payload).expect("v1");
-        assert_eq!(echo, TimingEcho::default());
-        assert_eq!(v1_payload, bare);
-
-        // A v2 reply too short for the trailer is truncated, not a panic.
+        // A reply too short for the trailer is truncated, not a panic.
         let mut tiny = vec![1u8, 2, 3];
         assert!(matches!(
-            take_timing_echo(PROTOCOL_V2, &mut tiny),
+            take_timing_echo(&mut tiny),
             Err(FrameError::Wire(WireError::Truncated))
         ));
     }
@@ -1694,7 +1591,7 @@ mod tests {
 
     #[test]
     fn corrupt_frames_are_rejected_without_panics() {
-        let good = encode_frame(FrameKind::HealthProbe, &[]);
+        let good = encode_frame(FrameKind::HealthProbe, 0, &[]);
 
         // Truncation at every cut point: either an Io (short read) error
         // or a graceful decode error, never a panic.
@@ -1705,6 +1602,7 @@ mod tests {
         // Flip one payload byte: the CRC must catch it.
         let batch = encode_frame(
             FrameKind::SampleBatch,
+            0,
             &encode_sample_batch(&SampleBatch {
                 deadline_ms: 0,
                 ctx: None,
@@ -1742,23 +1640,42 @@ mod tests {
         ));
     }
 
+    /// `frame` with one header byte overwritten and the CRC recomputed, so
+    /// the header check (not the CRC) is what judges it.
+    fn with_header_byte(mut frame: Vec<u8>, at: usize, value: u8) -> Vec<u8> {
+        frame[at] = value;
+        let crc_at = frame.len() - 4;
+        let crc = crc32c(&frame[4..crc_at]);
+        frame[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        frame
+    }
+
     #[test]
     fn wrong_version_and_unknown_kind_are_rejected() {
-        let mut frame = encode_frame(FrameKind::HealReply, &encode_heal_reply(1));
-        frame[4] = 9; // version byte
-        let crc = crc32c(&frame[4..frame.len() - 4]);
-        let at = frame.len() - 4;
-        frame[at..].copy_from_slice(&crc.to_le_bytes());
+        let good = encode_frame(FrameKind::HealReply, 0, &encode_heal_reply(1));
+        let frame = with_header_byte(good.clone(), 4, 9);
         assert!(matches!(
             read_frame(&mut frame.as_slice()),
             Err(FrameError::BadVersion(9))
         ));
 
-        let mut frame = encode_frame(FrameKind::HealReply, &encode_heal_reply(1));
-        frame[5] = 0x44; // kind byte
-        let crc = crc32c(&frame[4..frame.len() - 4]);
-        let at = frame.len() - 4;
-        frame[at..].copy_from_slice(&crc.to_le_bytes());
+        // A frame in the retired version-1 layout (no req_id), CRC valid.
+        // Its 8-byte payload makes it exactly as long as an empty current
+        // frame, so the version check is what rejects it.
+        let mut body = vec![1u8, FrameKind::HealReply as u8];
+        body.extend_from_slice(&encode_heal_reply(1));
+        let crc = crc32c(&body);
+        wire::put_u32(&mut body, crc);
+        let mut v1 = Vec::new();
+        wire::put_u32(&mut v1, body.len() as u32);
+        v1.extend_from_slice(&body);
+        assert!(matches!(
+            read_frame(&mut v1.as_slice()),
+            Err(FrameError::BadVersion(1))
+        ));
+        assert!(matches!(parse_frame(&v1), Err(FrameError::BadVersion(1))));
+
+        let frame = with_header_byte(good, 5, 0x44);
         assert!(matches!(
             read_frame(&mut frame.as_slice()),
             Err(FrameError::BadKind(0x44))
@@ -1766,49 +1683,15 @@ mod tests {
     }
 
     #[test]
-    fn both_versions_decode_and_reply_frames_mirror_the_request() {
-        // v2 round-trip keeps the correlation id.
-        let v2 = encode_frame_v2(FrameKind::HealthProbe, 0xfeed_beef_cafe_0001, b"pp");
-        let (header, payload) = read_frame_ex(&mut v2.as_slice()).expect("v2");
-        assert_eq!(header.version, PROTOCOL_V2);
-        assert_eq!(header.kind, FrameKind::HealthProbe);
-        assert_eq!(header.req_id, 0xfeed_beef_cafe_0001);
-        assert_eq!(payload, b"pp");
-
-        // v1 round-trip reports id 0.
-        let v1 = encode_frame_v1(FrameKind::HealthProbe, b"qq");
-        let (header, payload) = read_frame_ex(&mut v1.as_slice()).expect("v1");
-        assert_eq!(header.version, PROTOCOL_V1);
-        assert_eq!(header.req_id, 0);
-        assert_eq!(payload, b"qq");
-        assert_eq!(v2.len(), v1.len() + 8, "v2 header adds exactly req_id");
-
-        // A reply to a v1 request is a v1 frame; to a v2 request, a v2
-        // frame under the same id.
-        let (req_v1, _) = read_frame_ex(&mut v1.as_slice()).expect("v1");
-        let reply = encode_reply_frame(&req_v1, FrameKind::HealthReply, b"r");
-        let (h, _) = read_frame_ex(&mut reply.as_slice()).expect("reply");
-        assert_eq!(h.version, PROTOCOL_V1);
-        let (req_v2, _) = read_frame_ex(&mut v2.as_slice()).expect("v2");
-        let reply = encode_reply_frame(&req_v2, FrameKind::HealthReply, b"r");
-        let (h, _) = read_frame_ex(&mut reply.as_slice()).expect("reply");
-        assert_eq!((h.version, h.req_id), (PROTOCOL_V2, req_v2.req_id));
-    }
-
-    #[test]
     fn zero_copy_parse_agrees_with_the_streaming_reader() {
-        for frame in [
-            encode_frame_v2(FrameKind::HealReply, 42, &encode_heal_reply(7)),
-            encode_frame_v1(FrameKind::HealReply, &encode_heal_reply(7)),
-        ] {
-            let total = frame_len(&frame).expect("len").expect("complete");
-            assert_eq!(total, frame.len());
-            let (header, payload) = parse_frame(&frame).expect("parse");
-            let (stream_header, stream_payload) =
-                read_frame_ex(&mut frame.as_slice()).expect("read");
-            assert_eq!(header, stream_header);
-            assert_eq!(payload, stream_payload.as_slice());
-        }
+        let frame = encode_frame(FrameKind::HealReply, 42, &encode_heal_reply(7));
+        let total = frame_len(&frame).expect("len").expect("complete");
+        assert_eq!(total, frame.len());
+        let (header, payload) = parse_frame(&frame).expect("parse");
+        let (stream_header, stream_payload) = read_frame(&mut frame.as_slice()).expect("read");
+        assert_eq!(header, stream_header);
+        assert_eq!(header.req_id, 42);
+        assert_eq!(payload, stream_payload.as_slice());
         // An incomplete prefix is "not yet", not an error.
         assert!(matches!(frame_len(&[1, 2]), Ok(None)));
         // A forged prefix is rejected at peek time, before any buffering.
@@ -1822,16 +1705,16 @@ mod tests {
 
     #[test]
     fn v2_frame_too_short_for_its_header_is_rejected() {
-        // len = 8 can hold a v1 header but not a v2 one; forge a frame
-        // claiming version 2 at that length with a valid CRC.
-        let mut body = vec![PROTOCOL_V2, FrameKind::HealthProbe as u8, 0, 0];
+        // len = 8 cannot hold version + kind + req_id + CRC; forge such a
+        // frame with a valid CRC: the length floor rejects it first.
+        let mut body = vec![PROTOCOL_VERSION, FrameKind::HealthProbe as u8, 0, 0];
         let crc = crc32c(&body);
         wire::put_u32(&mut body, crc);
         let mut frame = Vec::new();
         wire::put_u32(&mut frame, body.len() as u32);
         frame.extend_from_slice(&body);
         assert!(matches!(
-            read_frame_ex(&mut frame.as_slice()),
+            read_frame(&mut frame.as_slice()),
             Err(FrameError::BadLength { len: 8 })
         ));
         assert!(matches!(
@@ -1994,7 +1877,7 @@ mod tests {
             ],
         };
         let payload = encode_txn_apply(&apply);
-        let frame = encode_frame(FrameKind::TxnApply, &payload);
+        let frame = encode_frame(FrameKind::TxnApply, 0, &payload);
         assert_eq!(frame.len() as u64, wire::txn_frame_bytes(3));
         assert_eq!(decode_txn_apply(&payload).expect("apply"), apply);
 
@@ -2007,7 +1890,7 @@ mod tests {
         let payload = encode_txn_reply(&committed);
         let mut echoed = payload.clone();
         append_timing_echo(&mut echoed, 5, 10);
-        let frame = encode_frame(FrameKind::TxnReply, &echoed);
+        let frame = encode_frame(FrameKind::TxnReply, 0, &echoed);
         assert_eq!(frame.len() as u64, wire::TXN_REPLY_FRAME_BYTES);
         assert_eq!(decode_txn_reply(&payload).expect("committed"), committed);
 

@@ -1,18 +1,16 @@
-//! Backend-agnostic request dispatch.
+//! Request dispatch: what a frame means, away from any socket.
 //!
-//! Both server backends — the legacy thread-per-connection loop and the
-//! readiness-driven event loop — funnel every decoded frame through
-//! [`dispatch`]: one CRC-valid `(kind, payload)` in, one encoded reply
-//! `(kind, payload)` out. Nothing in here touches a socket, which is the
-//! point: the [`GraphService`] surface no longer assumes one blocking
-//! reply per read. A backend may answer inline (threaded, event loop with
-//! `workers = 0`) or hand frames to a worker pool and write completions
-//! out of order under their request ids (event loop with `workers > 0`).
+//! The event loop funnels every decoded frame through [`dispatch`]: one
+//! CRC-valid `(kind, payload)` in, one encoded reply `(kind, payload)`
+//! out. Nothing in here touches a socket, so the loop is free to answer
+//! inline (`workers = 0`) or to hand frames to a worker pool or an
+//! offload thread and write completions out of order under their request
+//! ids.
 //!
-//! Telemetry flows through the *service's* registry, exactly as before:
-//! `rpc.server.*` counters, the request-latency histogram, and slow
-//! update batches recorded with the client's trace id so `GET /debug/slow`
-//! works across the wire.
+//! Telemetry flows through the *service's* registry: `rpc.server.*`
+//! counters, the request-latency histogram, and slow update batches
+//! recorded with the client's trace id so `GET /debug/slow` works across
+//! the wire.
 
 use crate::codec::{
     decode_heal_request, decode_map_install, decode_migrate_ctl, decode_partition_fetch,
@@ -69,10 +67,10 @@ pub(crate) struct ServerMetrics {
     pub deadline_expired: Arc<Counter>,
     pub request_lat: Arc<Histogram>,
     // Latency anatomy: where a request's server-resident time actually
-    // goes. `poll_wait` is loop idle/readiness time (event backend only);
-    // `queue_wait` is frame receipt → handler start; `service_time` is the
-    // handler itself; `write_stall` is reply bytes parked behind a
-    // pushed-back socket. queue + service are echoed to v2 clients.
+    // goes. `poll_wait` is loop idle/readiness time; `queue_wait` is frame
+    // receipt → handler start; `service_time` is the handler itself;
+    // `write_stall` is reply bytes parked behind a pushed-back socket.
+    // queue + service are echoed to clients.
     pub poll_wait: Arc<Histogram>,
     pub queue_wait: Arc<Histogram>,
     pub service_time: Arc<Histogram>,

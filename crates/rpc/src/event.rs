@@ -1,4 +1,4 @@
-//! The readiness-driven event-loop backend of [`GraphServiceServer`].
+//! The readiness-driven event loop behind [`GraphServiceServer`].
 //!
 //! One loop thread owns every connection. A [`Poller`] (epoll on Linux,
 //! scanning fallback elsewhere — see [`crate::poll`]) reports readiness;
@@ -12,20 +12,17 @@
 //! With `workers > 0`, CRC-valid frames are copied onto a work queue and
 //! dispatch runs on a small worker pool; completions come back through a
 //! completion queue plus a [`Waker`] poke, and replies are written in
-//! whatever order handlers finish. Protocol v2 clients correlate replies
-//! by `req_id`, so out-of-order completion is fine for them; v1 frames
-//! have no id, so their replies are held back in a per-connection
-//! sequence buffer and flushed strictly in request order — an old client
-//! on a new server observes exactly the PR-5 contract.
+//! whatever order handlers finish — clients correlate replies by
+//! `req_id`.
 //!
 //! Write-path frames (`TxnApply`/`UpdateBatch` and their replica twins)
 //! never run on the loop thread *or* the bounded pool: a fleet node's
 //! handler for them issues nested RPCs (relay to owners, replicate to
 //! followers), and a handler that blocks on a peer whose own loop is
 //! blocked on us is a distributed deadlock. They are offloaded to
-//! short-lived threads — unbounded, like the legacy thread-per-connection
-//! core, but scoped to the write path where request rates are batch-sized
-//! — and their replies come back through the same completion queue.
+//! short-lived threads — unbounded, but scoped to the write path where
+//! request rates are batch-sized — and their replies come back through
+//! the same completion queue.
 //!
 //! Event-loop health is published as gauges on the service's registry:
 //! `rpc.server.ready_queue_depth` (events per poll batch),
@@ -37,8 +34,8 @@
 //! [`GraphServiceServer`]: crate::GraphServiceServer
 
 use crate::codec::{
-    append_timing_echo, encode_error_reply, encode_reply_frame, error_code, frame_len, parse_frame,
-    ErrorReply, FrameError, FrameHeader, FrameKind, PROTOCOL_V1, PROTOCOL_V2,
+    append_timing_echo, encode_error_reply, encode_frame, error_code, frame_len, parse_frame,
+    ErrorReply, FrameError, FrameHeader, FrameKind,
 };
 use crate::dispatch::{dispatch, ServerMetrics};
 use crate::poll::{PollEvent, Poller, Waker};
@@ -46,7 +43,7 @@ use crate::server::ServerConfig;
 use crate::stats::{ConnInfo, RpcServerStats};
 use platod2gl_obs::Histogram;
 use platod2gl_server::GraphService;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,6 +60,12 @@ const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
 /// Read granularity: bytes appended to a connection's read buffer per
 /// `read` call while draining a readable socket.
 const READ_CHUNK: usize = 64 * 1024;
+/// Bytes one readable event may pull off a socket before the loop serves
+/// what is buffered and moves on. The poller is level-triggered, so a
+/// socket with more to give reports readable again; the bound keeps a
+/// peer that writes faster than the loop reads from monopolising the loop
+/// thread and from growing its read buffer past the frame-length check.
+const READ_BUDGET: usize = 4 * READ_CHUNK;
 
 fn make_token(idx: usize, gen: u32) -> u64 {
     (u64::from(gen) << 32) | idx as u64
@@ -113,15 +116,6 @@ struct Conn {
     wpos: usize,
     /// Whether the poller currently watches this socket for writability.
     want_write: bool,
-    /// Version of the last good frame, so even an error reply to a
-    /// garbled frame is encoded in a layout the peer can parse.
-    peer_version: u8,
-    /// v1 ordering state (worker mode): next sequence to assign to an
-    /// incoming v1 frame / next sequence allowed to flush, plus replies
-    /// that finished early.
-    v1_next_assign: u64,
-    v1_next_flush: u64,
-    v1_hold: BTreeMap<u64, (Vec<u8>, bool)>,
     /// Stop reading, flush what is queued, then close (fatal frame error).
     closing: bool,
     /// Close now; the peer is gone or the stream is broken.
@@ -143,7 +137,6 @@ impl Conn {
 /// owned copy of the payload.
 struct WorkItem {
     token: u64,
-    v1_seq: Option<u64>,
     header: FrameHeader,
     payload: Vec<u8>,
     started: Instant,
@@ -152,8 +145,6 @@ struct WorkItem {
 /// A finished dispatch: the fully encoded reply frame, ready to queue.
 struct Completion {
     token: u64,
-    v1_seq: Option<u64>,
-    version: u8,
     bytes: Vec<u8>,
     /// The payload failed record-level decoding — send the (error) reply,
     /// then close.
@@ -272,19 +263,17 @@ fn echo_us(d: Duration) -> u32 {
     d.as_micros().min(u128::from(u32::MAX)) as u32
 }
 
-/// Encode a reply frame, appending the timing echo to v2 replies (v1
-/// clients see byte-identical frames).
+/// Encode a reply frame under the request's correlation id, timing echo
+/// appended.
 fn reply_with_echo(
-    header: &FrameHeader,
+    req_id: u64,
     kind: FrameKind,
     mut reply: Vec<u8>,
     queued: Duration,
     service_time: Duration,
 ) -> Vec<u8> {
-    if header.version == PROTOCOL_V2 {
-        append_timing_echo(&mut reply, echo_us(queued), echo_us(service_time));
-    }
-    encode_reply_frame(header, kind, &reply)
+    append_timing_echo(&mut reply, echo_us(queued), echo_us(service_time));
+    encode_frame(kind, req_id, &reply)
 }
 
 /// Dispatch one deferred item to its finished completion.
@@ -310,9 +299,7 @@ fn run_item<S: GraphService + ?Sized>(
             metrics.service_time.record(service_time);
             Completion {
                 token: item.token,
-                v1_seq: item.v1_seq,
-                version: item.header.version,
-                bytes: reply_with_echo(&item.header, kind, reply, queued, service_time),
+                bytes: reply_with_echo(item.header.req_id, kind, reply, queued, service_time),
                 close_after: false,
             }
         }
@@ -320,9 +307,7 @@ fn run_item<S: GraphService + ?Sized>(
             metrics.errors.inc();
             Completion {
                 token: item.token,
-                v1_seq: item.v1_seq,
-                version: item.header.version,
-                bytes: error_frame(item.header.version, &e),
+                bytes: error_frame(&e),
                 close_after: true,
             }
         }
@@ -374,25 +359,19 @@ fn spawn_offload<S>(
     }
 }
 
-/// A best-effort error reply encoded in the peer's own protocol version.
-fn error_frame(peer_version: u8, e: &FrameError) -> Vec<u8> {
-    let header = FrameHeader {
-        version: peer_version,
-        kind: FrameKind::ErrorReply,
-        req_id: 0,
-    };
+/// A best-effort `BAD_REQUEST` error reply (correlation id 0: the frame
+/// it answers could not be trusted to name one).
+fn error_frame(e: &FrameError) -> Vec<u8> {
     let reply = ErrorReply {
         code: error_code::BAD_REQUEST,
         shard: 0,
         message: e.to_string(),
     };
     let mut payload = encode_error_reply(&reply);
-    // Even error replies honor the v2 framing contract: every v2 reply
-    // carries the echo trailer (zeros here — no meaningful breakdown).
-    if peer_version == PROTOCOL_V2 {
-        append_timing_echo(&mut payload, 0, 0);
-    }
-    encode_reply_frame(&header, FrameKind::ErrorReply, &payload)
+    // Every reply carries the echo trailer (zeros here — no meaningful
+    // breakdown).
+    append_timing_echo(&mut payload, 0, 0);
+    encode_frame(FrameKind::ErrorReply, 0, &payload)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -621,10 +600,6 @@ fn accept_burst(
                     wbuf: Vec::new(),
                     wpos: 0,
                     want_write: false,
-                    peer_version: PROTOCOL_V2,
-                    v1_next_assign: 0,
-                    v1_next_flush: 0,
-                    v1_hold: BTreeMap::new(),
                     closing: false,
                     dead: false,
                     stalled_since: None,
@@ -643,8 +618,7 @@ fn accept_burst(
 /// What one parsed frame asks the loop to do (computed while the payload
 /// still borrows the read buffer, applied after the borrow ends).
 enum Step {
-    /// Inline dispatch finished: route this completion (it still honors
-    /// the v1 hold-back, so inline replies cannot overtake deferred ones).
+    /// Inline dispatch finished: queue this completion's reply.
     Done(Completion),
     /// Deferred (pool or offload thread): nothing to write yet.
     Submitted,
@@ -652,8 +626,9 @@ enum Step {
     Fail(FrameError),
 }
 
-/// Drain a readable socket into the connection's buffer, then parse and
-/// serve every complete frame sitting in it.
+/// Pull up to [`READ_BUDGET`] bytes off a readable socket into the
+/// connection's buffer, then parse and serve every complete frame sitting
+/// in it.
 #[allow(clippy::too_many_arguments)]
 fn handle_readable<S>(
     conn: &mut Conn,
@@ -666,8 +641,8 @@ fn handle_readable<S>(
 ) where
     S: GraphService + Send + Sync + 'static,
 {
-    // Phase 1: pull everything the socket has.
-    loop {
+    // Phase 1: pull what the socket has, up to the per-event budget.
+    for _ in 0..READ_BUDGET / READ_CHUNK {
         let start = conn.rbuf.len();
         conn.rbuf.resize(start + READ_CHUNK, 0);
         match conn.stream.read(&mut conn.rbuf[start..]) {
@@ -717,15 +692,6 @@ fn handle_readable<S>(
         let started = Instant::now();
         let step = match parse_frame(&conn.rbuf[..flen]) {
             Ok((header, payload)) => {
-                conn.peer_version = header.version;
-                // Every v1 frame takes a sequence number regardless of how
-                // it is dispatched, so inline and deferred replies share
-                // one ordering domain.
-                let v1_seq = (header.version == PROTOCOL_V1).then(|| {
-                    let seq = conn.v1_next_assign;
-                    conn.v1_next_assign += 1;
-                    seq
-                });
                 if must_offload(header.kind) {
                     spawn_offload(
                         service,
@@ -733,7 +699,6 @@ fn handle_readable<S>(
                         completions,
                         WorkItem {
                             token,
-                            v1_seq,
                             header,
                             payload: payload.to_vec(),
                             started,
@@ -754,10 +719,8 @@ fn handle_readable<S>(
                                     metrics.service_time.record(service_time);
                                     Step::Done(Completion {
                                         token,
-                                        v1_seq,
-                                        version: header.version,
                                         bytes: reply_with_echo(
-                                            &header,
+                                            header.req_id,
                                             kind,
                                             reply,
                                             queued,
@@ -772,7 +735,6 @@ fn handle_readable<S>(
                         Some(pool) => {
                             pool.submit(WorkItem {
                                 token,
-                                v1_seq,
                                 header,
                                 payload: payload.to_vec(),
                                 started,
@@ -805,33 +767,18 @@ fn handle_readable<S>(
 /// Queue a fatal-error reply and mark the connection closing.
 fn fail_conn(conn: &mut Conn, metrics: &ServerMetrics, e: FrameError) {
     metrics.errors.inc();
-    let bytes = error_frame(conn.peer_version, &e);
+    let bytes = error_frame(&e);
     queue_write(conn, &bytes);
     conn.closing = true;
 }
 
-/// A worker completion arrives: v2 replies go straight out (possibly out
-/// of order — the client re-stitches by id), v1 replies are held until
-/// every earlier v1 request has flushed.
+/// A dispatch finished: its reply goes straight out, in whatever order
+/// handlers complete — the client re-stitches by id.
 fn apply_completion(conn: &mut Conn, done: Completion) {
-    conn.info.served(done.version);
-    match done.v1_seq {
-        None => {
-            queue_write(conn, &done.bytes);
-            if done.close_after {
-                conn.closing = true;
-            }
-        }
-        Some(seq) => {
-            conn.v1_hold.insert(seq, (done.bytes, done.close_after));
-            while let Some((bytes, close_after)) = conn.v1_hold.remove(&conn.v1_next_flush) {
-                queue_write(conn, &bytes);
-                if close_after {
-                    conn.closing = true;
-                }
-                conn.v1_next_flush += 1;
-            }
-        }
+    conn.info.served();
+    queue_write(conn, &done.bytes);
+    if done.close_after {
+        conn.closing = true;
     }
 }
 

@@ -6,18 +6,16 @@
 //! `TcpListener`/`TcpStream`, same zero-dep discipline as
 //! `platod2gl-admin`), in three layers:
 //!
-//! * [`codec`] — length-prefixed, CRC32C-framed binary messages, protocol
-//!   v2 (frames carry a `req_id` correlation id; v1 frames without one
-//!   are still accepted and answered in kind). Record layouts and sizes
+//! * [`codec`] — length-prefixed, CRC32C-framed binary messages; every
+//!   frame carries a `req_id` correlation id. Record layouts and sizes
 //!   come from [`platod2gl_server::wire`], the same functions the
 //!   in-process cluster's traffic accounting uses, so simulated and real
 //!   `net.*` byte counts agree by construction.
 //! * [`GraphServiceServer`] — hosts a shared
 //!   [`GraphService`](platod2gl_server::GraphService) (an `Arc<Cluster>` +
-//!   its registry) on one of two cores selected by [`ServerConfig`]: the
-//!   default readiness-driven event loop (epoll-backed, non-blocking
-//!   connections, zero-copy frame decode, out-of-order v2 replies) or the
-//!   legacy thread-per-connection loop. Requests feed the cluster's span
+//!   its registry) on a readiness-driven event loop (epoll-backed,
+//!   non-blocking connections, zero-copy frame decode, out-of-order
+//!   replies), shaped by [`ServerConfig`]. Requests feed the cluster's span
 //!   tracer and slow-op log — client trace ids show up in the server's
 //!   `GET /debug/slow` — and the live connection table is exposed via
 //!   [`GraphServiceServer::introspect`] for `GET /debug/rpc`.
@@ -36,8 +34,8 @@
 //! against a local `Cluster` and a `RemoteCluster`: the client draws
 //! exactly one `u64` per request and ships it; the server derives the
 //! sampling stream from that seed exactly as the in-process path does.
-//! Neither the serving core nor the connection mode enters that contract
-//! — seeds are pre-drawn before any I/O, and replies are re-stitched to
+//! Neither the server's dispatch shape nor the connection mode enters
+//! that contract — seeds are pre-drawn before any I/O, and replies are re-stitched to
 //! request order before decoding.
 
 mod client;
@@ -52,5 +50,5 @@ pub use client::{
     ClientConfig, ClientConfigBuilder, ConnectionMode, RemoteCluster, RemoteClusterConfig,
 };
 pub use poll::PollerKind;
-pub use server::{Backend, GraphServiceServer, ServerConfig, ServerConfigBuilder};
+pub use server::{GraphServiceServer, ServerConfig, ServerConfigBuilder};
 pub use stats::ServerIntrospect;

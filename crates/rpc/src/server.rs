@@ -2,24 +2,16 @@
 //!
 //! [`GraphServiceServer`] hosts any shared [`GraphService`] (in practice an
 //! `Arc<Cluster>` with its registry) and serves the frame protocol of
-//! [`codec`](crate::codec) on one of two backends, selected by
-//! [`ServerConfig`]:
+//! [`codec`](crate::codec) from a readiness-driven loop on a single
+//! thread: epoll-backed poller (portable fallback available),
+//! non-blocking connections with per-connection read/write buffers,
+//! zero-copy frame decode, replies correlated by `req_id` so clients may
+//! be answered out of order. See [`crate::event`]; [`ServerConfig`] shapes
+//! the loop (dispatch workers, connection ceiling, poller).
 //!
-//! * [`Backend::EventLoop`] (the default) — a readiness-driven loop on a
-//!   single thread: epoll-backed poller (portable fallback available),
-//!   non-blocking connections with per-connection read/write buffers,
-//!   zero-copy frame decode, replies correlated by `req_id` so v2 clients
-//!   may be answered out of order. See [`crate::event`].
-//! * [`Backend::Threaded`] — the PR-5 design, one thread per connection
-//!   with strictly in-order replies. Kept as the baseline the
-//!   `report_rpc` bench compares against (and as a conservative fallback).
-//!
-//! Both backends funnel every frame through the same
-//! [`dispatch`](crate::dispatch) logic, so semantics (determinism
-//! contract, deadline handling, failure mapping, slow-op capture with
-//! client trace ids) are backend-independent. Protocol compat is
-//! per-frame: a v1 frame is answered with a v1 frame, in order; v2 frames
-//! carry ids and may be reordered.
+//! Every frame goes through [`dispatch`](crate::dispatch), which owns the
+//! request semantics (determinism contract, deadline handling, failure
+//! mapping, slow-op capture with client trace ids).
 //!
 //! Observability flows through the *service's* registry: the cluster's
 //! root spans and slow-op captures land in the same ring the admin server
@@ -36,61 +28,36 @@
 //! which is the same contract the paper's servers offer (cancellation is
 //! cooperative).
 
-use crate::codec::{
-    append_timing_echo, encode_error_reply, encode_reply_frame, error_code, parse_frame,
-    ErrorReply, FrameError, FrameHeader, FrameKind, PROTOCOL_V2,
-};
-use crate::dispatch::{dispatch, ServerMetrics};
 use crate::event;
 use crate::poll::PollerKind;
-use crate::stats::{ConnInfo, RpcServerStats, ServerIntrospect};
+use crate::stats::{RpcServerStats, ServerIntrospect};
 use platod2gl_graph::Error;
 use platod2gl_server::GraphService;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Poll interval of the threaded accept loop while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Socket read timeout of threaded connection threads: the granularity at
-/// which an idle connection notices the stop flag.
-const CONN_POLL: Duration = Duration::from_millis(25);
-
-/// Which serving core a [`GraphServiceServer`] runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// Readiness-driven event loop (the default).
-    #[default]
-    EventLoop,
-    /// Legacy thread-per-connection core.
-    Threaded,
-}
 
 /// Validated server shape. Build via [`ServerConfig::builder`]; the
-/// zero-argument [`Default`] is the event loop with inline dispatch.
+/// zero-argument [`Default`] serves requests inline on the loop thread.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// The serving core.
-    pub backend: Backend,
-    /// Event loop only: dispatch worker threads. `0` (default) serves
-    /// requests inline on the loop thread — the right choice when
-    /// handlers are short; workers add out-of-order completion for slow
-    /// handlers at the cost of one payload copy per frame.
+    /// Dispatch worker threads. `0` (default) serves requests inline on
+    /// the loop thread — the right choice when handlers are short; workers
+    /// add out-of-order completion for slow handlers at the cost of one
+    /// payload copy per frame.
     pub workers: usize,
-    /// Event loop only: connection-table ceiling. Accepts beyond it are
-    /// dropped (and counted) instead of exhausting fds.
+    /// Connection-table ceiling. Accepts beyond it are dropped (and
+    /// counted) instead of exhausting fds.
     pub max_connections: usize,
-    /// Event loop only: poller backend selection.
+    /// Poller backend selection.
     pub poller: PollerKind,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            backend: Backend::EventLoop,
             workers: 0,
             max_connections: 16_384,
             poller: PollerKind::Auto,
@@ -114,25 +81,19 @@ pub struct ServerConfigBuilder {
 }
 
 impl ServerConfigBuilder {
-    /// Select the serving core.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
-    /// Dispatch worker threads (event loop; `0` = inline).
+    /// Dispatch worker threads (`0` = inline).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self
     }
 
-    /// Connection-table ceiling (event loop).
+    /// Connection-table ceiling.
     pub fn max_connections(mut self, n: usize) -> Self {
         self.cfg.max_connections = n;
         self
     }
 
-    /// Poller backend (event loop).
+    /// Poller backend.
     pub fn poller(mut self, kind: PollerKind) -> Self {
         self.cfg.poller = kind;
         self
@@ -154,20 +115,20 @@ impl ServerConfigBuilder {
     }
 }
 
-/// A running graph-service TCP server. All serving threads are joined on
-/// [`GraphServiceServer::shutdown`] (or drop), so shutdown is clean — no
-/// detached threads left running.
+/// A running graph-service TCP server. The loop thread and its workers
+/// are joined on [`GraphServiceServer::shutdown`] (or drop), so shutdown
+/// is clean — no detached threads left running.
 pub struct GraphServiceServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    wake: Option<crate::poll::Waker>,
+    wake: crate::poll::Waker,
     stats: Arc<RpcServerStats>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl GraphServiceServer {
     /// Bind `addr` (port 0 for an ephemeral port) and serve `service` with
-    /// the default config — the event-loop backend.
+    /// the default config.
     pub fn bind<S>(addr: impl ToSocketAddrs, service: Arc<S>) -> io::Result<Self>
     where
         S: GraphService + Send + Sync + 'static,
@@ -189,27 +150,13 @@ impl GraphServiceServer {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = RpcServerStats::new();
-        let (handle, wake) = match cfg.backend {
-            Backend::Threaded => {
-                stats.set_backend("threaded");
-                let thread_stop = Arc::clone(&stop);
-                let thread_stats = Arc::clone(&stats);
-                let handle = std::thread::Builder::new()
-                    .name("platod2gl-rpc-accept".to_string())
-                    .spawn(move || accept_loop(&listener, &service, &thread_stop, &thread_stats))?;
-                (handle, None)
-            }
-            Backend::EventLoop => {
-                let (handle, waker) = event::spawn(
-                    listener,
-                    service,
-                    Arc::clone(&stop),
-                    Arc::clone(&stats),
-                    cfg,
-                )?;
-                (handle, Some(waker))
-            }
-        };
+        let (handle, wake) = event::spawn(
+            listener,
+            service,
+            Arc::clone(&stop),
+            Arc::clone(&stats),
+            cfg,
+        )?;
         Ok(Self {
             addr: local,
             stop,
@@ -238,9 +185,7 @@ impl GraphServiceServer {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(wake) = &self.wake {
-            wake.wake();
-        }
+        self.wake.wake();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -251,188 +196,6 @@ impl Drop for GraphServiceServer {
     fn drop(&mut self) {
         self.stop_and_join();
     }
-}
-
-// ---------------------------------------------------------------------
-// Threaded backend (legacy, kept as the bench baseline).
-// ---------------------------------------------------------------------
-
-fn accept_loop<S>(
-    listener: &TcpListener,
-    service: &Arc<S>,
-    stop: &Arc<AtomicBool>,
-    stats: &Arc<RpcServerStats>,
-) where
-    S: GraphService + Send + Sync + 'static,
-{
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let connections = service.registry().counter("rpc.server.connections");
-    let metrics = Arc::new(ServerMetrics::new(Arc::clone(service.registry())));
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                connections.inc();
-                let info = ConnInfo::new(peer.to_string());
-                let conn_id = stats.open(Arc::clone(&info));
-                let service = Arc::clone(service);
-                let stop = Arc::clone(stop);
-                let conn_stats = Arc::clone(stats);
-                let metrics = Arc::clone(&metrics);
-                let spawned = std::thread::Builder::new()
-                    .name("platod2gl-rpc-conn".to_string())
-                    .spawn(move || {
-                        // A broken connection must not take the server
-                        // down; the error ends this connection only.
-                        let _ = serve_connection(stream, &*service, &metrics, &info, &stop);
-                        conn_stats.close(conn_id);
-                    });
-                if let Ok(handle) = spawned {
-                    conns.push(handle);
-                } else {
-                    stats.close(conn_id);
-                }
-                // Opportunistically reap finished connections so a
-                // long-lived server does not accumulate dead handles.
-                conns.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    for handle in conns {
-        let _ = handle.join();
-    }
-}
-
-/// Read exactly `buf.len()` bytes. `Ok(false)` means the connection ended
-/// cleanly — EOF before the first byte, or the stop flag was raised (an
-/// abandoned partial frame at shutdown is fine: the stream is dropped).
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-fn serve_connection<S: GraphService>(
-    mut stream: TcpStream,
-    service: &S,
-    metrics: &ServerMetrics,
-    info: &ConnInfo,
-    stop: &AtomicBool,
-) -> Result<(), FrameError> {
-    stream.set_read_timeout(Some(CONN_POLL))?;
-    stream.set_nodelay(true)?;
-    // The version the peer last spoke, so even an error reply to a
-    // garbled frame is encoded in a layout the peer can parse.
-    let mut peer_version = PROTOCOL_V2;
-    loop {
-        // Pull the length prefix with the stop-aware reader, then hand the
-        // already-framed bytes to the codec.
-        let mut len_buf = [0u8; 4];
-        if !read_full(&mut stream, &mut len_buf, stop)? {
-            return Ok(());
-        }
-        let len = u32::from_le_bytes(len_buf);
-        let mut framed = vec![0u8; 4 + len as usize];
-        framed[..4].copy_from_slice(&len_buf);
-        match crate::codec::frame_len(&framed) {
-            Ok(Some(_)) => {}
-            // An in-bounds check of the prefix alone failed: poisoned
-            // stream.
-            _ => {
-                return fail_connection(
-                    &mut stream,
-                    metrics,
-                    peer_version,
-                    FrameError::BadLength { len },
-                )
-            }
-        }
-        if !read_full(&mut stream, &mut framed[4..], stop)? {
-            return Ok(());
-        }
-        let (header, payload) = match parse_frame(&framed) {
-            Ok(frame) => frame,
-            Err(e) => return fail_connection(&mut stream, metrics, peer_version, e),
-        };
-        peer_version = header.version;
-        info.in_flight.fetch_add(1, Ordering::Relaxed);
-        let svc_started = std::time::Instant::now();
-        let outcome = dispatch(service, metrics, header.kind, payload, svc_started);
-        info.in_flight.fetch_sub(1, Ordering::Relaxed);
-        match outcome {
-            Ok((kind, mut reply)) => {
-                // The threaded backend dispatches inline off the read, so
-                // its echo has zero queue time — all service.
-                let service_time = svc_started.elapsed();
-                metrics.service_time.record(service_time);
-                info.served(header.version);
-                if header.version == PROTOCOL_V2 {
-                    let service_us = service_time.as_micros().min(u128::from(u32::MAX)) as u32;
-                    append_timing_echo(&mut reply, 0, service_us);
-                }
-                stream.write_all(&encode_reply_frame(&header, kind, &reply))?;
-            }
-            // The payload failed record-level decoding: the stream cannot
-            // be trusted past it.
-            Err(e) => return fail_connection(&mut stream, metrics, peer_version, e),
-        }
-    }
-}
-
-/// Best-effort error reply (in the peer's own protocol version), then
-/// close by returning the error.
-fn fail_connection(
-    stream: &mut TcpStream,
-    metrics: &ServerMetrics,
-    peer_version: u8,
-    e: FrameError,
-) -> Result<(), FrameError> {
-    metrics.errors.inc();
-    let reply = ErrorReply {
-        code: error_code::BAD_REQUEST,
-        shard: 0,
-        message: e.to_string(),
-    };
-    let header = FrameHeader {
-        version: peer_version,
-        kind: FrameKind::ErrorReply,
-        req_id: 0,
-    };
-    let mut payload = encode_error_reply(&reply);
-    if peer_version == PROTOCOL_V2 {
-        append_timing_echo(&mut payload, 0, 0);
-    }
-    let _ = stream.write_all(&encode_reply_frame(
-        &header,
-        FrameKind::ErrorReply,
-        &payload,
-    ));
-    Err(e)
 }
 
 #[cfg(test)]
@@ -464,12 +227,7 @@ mod tests {
 
     #[test]
     fn server_config_builder_validates() {
-        let cfg = ServerConfig::builder()
-            .backend(Backend::Threaded)
-            .workers(2)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.backend, Backend::Threaded);
+        let cfg = ServerConfig::builder().workers(2).build().expect("valid");
         assert_eq!(cfg.workers, 2);
         assert!(ServerConfig::builder().max_connections(0).build().is_err());
         assert!(ServerConfig::builder().workers(1000).build().is_err());

@@ -1,6 +1,6 @@
 //! Live connection-table bookkeeping for `/debug/rpc`.
 //!
-//! Both server backends maintain one [`RpcServerStats`]: connections
+//! The server maintains one [`RpcServerStats`]: connections
 //! register on accept and deregister on close, per-connection counters
 //! are plain atomics touched on the hot path without locks. The admin
 //! plane reads a point-in-time snapshot through the
@@ -10,7 +10,7 @@
 
 use platod2gl_admin::{RpcConnView, RpcIntrospect, RpcSnapshot};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -18,8 +18,6 @@ use std::time::Instant;
 pub(crate) struct ConnInfo {
     pub peer: String,
     pub opened: Instant,
-    /// 0 until the first good frame names the protocol version.
-    pub protocol: AtomicU8,
     pub frames: AtomicU64,
     pub in_flight: AtomicU64,
 }
@@ -29,16 +27,13 @@ impl ConnInfo {
         Arc::new(Self {
             peer,
             opened: Instant::now(),
-            protocol: AtomicU8::new(0),
             frames: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
         })
     }
 
-    /// Record one served frame under `version`, retiring its in-flight
-    /// slot.
-    pub fn served(&self, version: u8) {
-        self.protocol.store(version, Ordering::Relaxed);
+    /// Record one served frame.
+    pub fn served(&self) {
         self.frames.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -100,7 +95,6 @@ impl RpcIntrospect for ServerIntrospect {
             .values()
             .map(|c| RpcConnView {
                 peer: c.peer.clone(),
-                protocol: c.protocol.load(Ordering::Relaxed),
                 frames: c.frames.load(Ordering::Relaxed),
                 in_flight: c.in_flight.load(Ordering::Relaxed),
                 age_ms: c.opened.elapsed().as_millis().min(u128::from(u64::MAX)) as u64,

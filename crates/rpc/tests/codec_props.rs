@@ -10,11 +10,10 @@ use platod2gl_obs::TraceContext;
 use platod2gl_rpc::codec::{
     append_timing_echo, decode_error_reply, decode_heal_reply, decode_heal_request,
     decode_health_reply, decode_sample_batch, decode_sample_reply, decode_update_batch,
-    decode_update_reply, encode_error_reply, encode_frame, encode_frame_v1, encode_frame_v2,
-    encode_heal_reply, encode_heal_request, encode_health_reply, encode_reply_frame,
-    encode_sample_batch, encode_sample_reply, encode_update_batch, encode_update_reply, frame_len,
-    parse_frame, read_frame, read_frame_ex, take_timing_echo, ErrorReply, FrameHeader, FrameKind,
-    HealthReply, SampleBatch, UpdateBatch, UpdateReply, MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
+    decode_update_reply, encode_error_reply, encode_frame, encode_heal_reply, encode_heal_request,
+    encode_health_reply, encode_sample_batch, encode_sample_reply, encode_update_batch,
+    encode_update_reply, frame_len, parse_frame, read_frame, take_timing_echo, ErrorReply,
+    FrameKind, HealthReply, SampleBatch, UpdateBatch, UpdateReply, MAX_FRAME_BYTES,
 };
 use platod2gl_server::wire;
 use platod2gl_server::{DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
@@ -123,9 +122,9 @@ fn arb_health() -> impl Strategy<Value = ShardHealth> {
 /// Frame-level round trip: encode the payload, frame it, read the frame
 /// back, and return the decoded payload bytes (asserting the kind).
 fn frame_roundtrip(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let framed = encode_frame(kind, payload);
-    let (got_kind, got_payload) = read_frame(&mut framed.as_slice()).expect("valid frame");
-    assert_eq!(got_kind, kind);
+    let framed = encode_frame(kind, 0, payload);
+    let (header, got_payload) = read_frame(&mut framed.as_slice()).expect("valid frame");
+    assert_eq!(header.kind, kind);
     got_payload
 }
 
@@ -137,7 +136,7 @@ proptest! {
         requests in vec(arb_request(), 0..40),
     ) {
         let batch = SampleBatch { deadline_ms, ctx, requests };
-        let framed = encode_frame(FrameKind::SampleBatch, &encode_sample_batch(&batch));
+        let framed = encode_frame(FrameKind::SampleBatch, 0, &encode_sample_batch(&batch));
         // The optional time-window trailer is emitted only when at least
         // one request is windowed; the size model splits the same way.
         let windowed = batch.requests.iter().any(|(r, _)| r.window.is_some());
@@ -170,7 +169,7 @@ proptest! {
             .collect();
         let n = requests.len();
         let batch = SampleBatch { deadline_ms, ctx, requests };
-        let framed = encode_frame(FrameKind::SampleBatch, &encode_sample_batch(&batch));
+        let framed = encode_frame(FrameKind::SampleBatch, 0, &encode_sample_batch(&batch));
         prop_assert_eq!(framed.len() as u64, wire::sample_request_frame_bytes(n));
         let payload = frame_roundtrip(FrameKind::SampleBatch, &encode_sample_batch(&batch));
         let back = decode_sample_batch(&payload).expect("decode");
@@ -217,17 +216,17 @@ proptest! {
         queue_us in any::<u32>(),
         service_us in any::<u32>(),
     ) {
-        // The size model counts the v2 timing-echo trailer, so append one
+        // The size model counts the timing-echo trailer, so append one
         // before framing — exactly as the server reply path does.
         let mut payload = encode_sample_reply(&responses);
         append_timing_echo(&mut payload, queue_us, service_us);
-        let framed = encode_frame(FrameKind::SampleReply, &payload);
+        let framed = encode_frame(FrameKind::SampleReply, 0, &payload);
         prop_assert_eq!(
             framed.len() as u64,
             wire::sample_response_frame_bytes(responses.iter().map(|r| r.neighbors.len()))
         );
         let mut body = frame_roundtrip(FrameKind::SampleReply, &payload);
-        let echo = take_timing_echo(PROTOCOL_V2, &mut body).expect("echo");
+        let echo = take_timing_echo(&mut body).expect("echo");
         prop_assert_eq!((echo.queue_us, echo.service_us), (queue_us, service_us));
         let back = decode_sample_reply(&body).expect("decode");
         prop_assert_eq!(back, responses);
@@ -240,7 +239,7 @@ proptest! {
         ops in vec(arb_op(), 0..48),
     ) {
         let batch = UpdateBatch { deadline_ms, ctx, ops };
-        let framed = encode_frame(FrameKind::UpdateBatch, &encode_update_batch(&batch));
+        let framed = encode_frame(FrameKind::UpdateBatch, 0, &encode_update_batch(&batch));
         prop_assert_eq!(framed.len() as u64, wire::update_frame_bytes(batch.ops.len()));
         let payload = frame_roundtrip(FrameKind::UpdateBatch, &encode_update_batch(&batch));
         let back = decode_update_batch(&payload).expect("decode");
@@ -252,10 +251,10 @@ proptest! {
         let reply = UpdateReply { applied_ops: applied, queued_ops: queued };
         let mut payload = encode_update_reply(&reply);
         append_timing_echo(&mut payload, 1, 2);
-        let framed = encode_frame(FrameKind::UpdateReply, &payload);
+        let framed = encode_frame(FrameKind::UpdateReply, 0, &payload);
         prop_assert_eq!(framed.len() as u64, wire::UPDATE_REPLY_FRAME_BYTES);
         let mut body = frame_roundtrip(FrameKind::UpdateReply, &payload);
-        take_timing_echo(PROTOCOL_V2, &mut body).expect("echo");
+        take_timing_echo(&mut body).expect("echo");
         prop_assert_eq!(decode_update_reply(&body).expect("decode"), reply);
     }
 
@@ -306,7 +305,7 @@ proptest! {
         cut_seed in any::<u64>(),
     ) {
         let batch = SampleBatch { deadline_ms: 0, ctx: None, requests };
-        let framed = encode_frame(FrameKind::SampleBatch, &encode_sample_batch(&batch));
+        let framed = encode_frame(FrameKind::SampleBatch, 0, &encode_sample_batch(&batch));
         let cut = (cut_seed as usize) % framed.len();
         prop_assert!(read_frame(&mut &framed[..cut]).is_err());
     }
@@ -324,7 +323,7 @@ proptest! {
             ctx: Some(TraceContext { trace_id: 7, parent_span: 3 }),
             ops,
         };
-        let mut framed = encode_frame(FrameKind::UpdateBatch, &encode_update_batch(&batch));
+        let mut framed = encode_frame(FrameKind::UpdateBatch, 0, &encode_update_batch(&batch));
         let at = 4 + (at_seed as usize) % (framed.len() - 4);
         framed[at] ^= 1 << bit;
         prop_assert!(read_frame(&mut framed.as_slice()).is_err());
@@ -350,73 +349,35 @@ proptest! {
         // A sample reply claiming `count` responses but carrying none.
         let mut payload = Vec::new();
         wire::put_u32(&mut payload, count);
-        let framed = encode_frame(FrameKind::SampleReply, &payload);
+        let framed = encode_frame(FrameKind::SampleReply, 0, &payload);
         let (_, body) = read_frame(&mut framed.as_slice()).expect("frame itself is valid");
         prop_assert!(decode_sample_reply(&body).is_err());
     }
 
-    /// v2 frames carry an arbitrary correlation id through encode → stream
+    /// Frames carry an arbitrary correlation id through encode → stream
     /// read → header intact, for any payload.
     #[test]
     fn v2_frames_roundtrip_with_req_id(
         req_id in any::<u64>(),
         payload in vec(any::<u8>(), 0..256),
     ) {
-        let framed = encode_frame_v2(FrameKind::SampleBatch, req_id, &payload);
-        let (header, body) = read_frame_ex(&mut framed.as_slice()).expect("valid v2 frame");
-        prop_assert_eq!(header.version, PROTOCOL_V2);
+        let framed = encode_frame(FrameKind::SampleBatch, req_id, &payload);
+        let (header, body) = read_frame(&mut framed.as_slice()).expect("valid frame");
         prop_assert_eq!(header.kind, FrameKind::SampleBatch);
         prop_assert_eq!(header.req_id, req_id);
         prop_assert_eq!(body, payload);
     }
 
-    /// v1 frames (no id on the wire) parse to `req_id == 0` and are still
-    /// fully accepted by the same reader — old clients keep working.
-    #[test]
-    fn v1_frames_still_parse_with_zero_req_id(payload in vec(any::<u8>(), 0..256)) {
-        let framed = encode_frame_v1(FrameKind::UpdateBatch, &payload);
-        let (header, body) = read_frame_ex(&mut framed.as_slice()).expect("valid v1 frame");
-        prop_assert_eq!(header.version, PROTOCOL_V1);
-        prop_assert_eq!(header.req_id, 0);
-        prop_assert_eq!(body, payload);
-    }
-
-    /// `encode_reply_frame` mirrors the request's version AND id: a v1
-    /// request gets a v1 reply, a v2 request gets its own id echoed back.
-    #[test]
-    fn reply_frames_mirror_request_version_and_id(
-        v2 in any::<bool>(),
-        req_id in any::<u64>(),
-        payload in vec(any::<u8>(), 0..128),
-    ) {
-        let req = FrameHeader {
-            version: if v2 { PROTOCOL_V2 } else { PROTOCOL_V1 },
-            kind: FrameKind::SampleBatch,
-            req_id: if v2 { req_id } else { 0 },
-        };
-        let framed = encode_reply_frame(&req, FrameKind::SampleReply, &payload);
-        let (header, body) = read_frame_ex(&mut framed.as_slice()).expect("valid reply");
-        prop_assert_eq!(header.version, req.version);
-        prop_assert_eq!(header.kind, FrameKind::SampleReply);
-        prop_assert_eq!(header.req_id, req.req_id);
-        prop_assert_eq!(body, payload);
-    }
-
-    /// The `frame_len` peek agrees with the encoded length for both
-    /// versions, reports `None` on every strict prefix, and `parse_frame`
-    /// on the exact slice matches the stream reader byte for byte.
+    /// The `frame_len` peek agrees with the encoded length, reports `None`
+    /// on every strict prefix, and `parse_frame` on the exact slice matches
+    /// the stream reader byte for byte.
     #[test]
     fn frame_len_peek_agrees_with_parse(
-        v2 in any::<bool>(),
         req_id in any::<u64>(),
         payload in vec(any::<u8>(), 0..200),
         cut_seed in any::<u64>(),
     ) {
-        let framed = if v2 {
-            encode_frame_v2(FrameKind::HealthProbe, req_id, &payload)
-        } else {
-            encode_frame_v1(FrameKind::HealthProbe, &payload)
-        };
+        let framed = encode_frame(FrameKind::HealthProbe, req_id, &payload);
         prop_assert_eq!(frame_len(&framed).expect("peek"), Some(framed.len()));
         let cut = (cut_seed as usize) % framed.len();
         // A prefix either cannot name its length yet (under 4 bytes) or
@@ -427,13 +388,14 @@ proptest! {
         }
         let (header, body) = parse_frame(&framed).expect("parse");
         let (stream_header, stream_body) =
-            read_frame_ex(&mut framed.as_slice()).expect("stream read");
+            read_frame(&mut framed.as_slice()).expect("stream read");
         prop_assert_eq!(header, stream_header);
         prop_assert_eq!(body, stream_body.as_slice());
     }
 
-    /// Bit-flips anywhere past the length prefix of a v2 frame are caught
-    /// (CRC, version, or kind check) exactly as for v1.
+    /// The zero-copy path catches the same corruption the stream reader
+    /// does: a bit-flip anywhere past the length prefix, under any
+    /// correlation id, fails `parse_frame` (CRC, version, or kind check).
     #[test]
     fn corrupted_v2_frames_are_rejected(
         req_id in any::<u64>(),
@@ -447,10 +409,11 @@ proptest! {
             ops,
         };
         let mut framed =
-            encode_frame_v2(FrameKind::UpdateBatch, req_id, &encode_update_batch(&batch));
+            encode_frame(FrameKind::UpdateBatch, req_id, &encode_update_batch(&batch));
         let at = 4 + (at_seed as usize) % (framed.len() - 4);
         framed[at] ^= 1 << bit;
-        prop_assert!(read_frame_ex(&mut framed.as_slice()).is_err());
+        prop_assert!(parse_frame(&framed).is_err());
+        prop_assert!(read_frame(&mut framed.as_slice()).is_err());
     }
 
     /// The pre-allocation length cap holds for the peek path too: a forged

@@ -12,7 +12,7 @@
 use platod2gl_graph::{Edge, EdgeType, Error, GraphStore, ShardHealth, UpdateOp, VertexId};
 use platod2gl_rpc::codec::{
     decode_error_reply, decode_sample_reply, encode_sample_batch, error_code, read_frame,
-    write_frame, FrameError, FrameKind, SampleBatch,
+    take_timing_echo, write_frame, FrameError, FrameKind, SampleBatch, MAX_FRAME_BYTES,
 };
 use platod2gl_rpc::{GraphServiceServer, RemoteCluster, RemoteClusterConfig};
 use platod2gl_server::{
@@ -248,12 +248,14 @@ fn deadline_lapse_degrades_remaining_requests_server_side() {
     write_frame(
         &mut stream,
         FrameKind::SampleBatch,
+        1,
         &encode_sample_batch(&batch),
     )
     .expect("send");
     stream.flush().expect("flush");
-    let (kind, payload) = read_frame(&mut stream).expect("reply");
-    assert_eq!(kind, FrameKind::SampleReply);
+    let (header, mut payload) = read_frame(&mut stream).expect("reply");
+    assert_eq!(header.kind, FrameKind::SampleReply);
+    take_timing_echo(&mut payload).expect("echo");
     let responses = decode_sample_reply(&payload).expect("decode");
     assert_eq!(responses.len(), 4);
     assert!(
@@ -279,28 +281,94 @@ fn malformed_frames_get_an_error_reply_then_close() {
     let cluster = loaded_cluster();
     let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(&cluster)).expect("bind");
 
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     // A plausible length prefix followed by garbage: CRC cannot match.
-    let mut junk = 10u32.to_le_bytes().to_vec();
-    junk.extend_from_slice(&[0xAB; 10]);
-    stream.write_all(&junk).expect("send junk");
-    stream.flush().expect("flush");
+    let mut junk = 14u32.to_le_bytes().to_vec();
+    junk.extend_from_slice(&[0xAB; 14]);
+    // A health probe in the retired version-1 layout (no req_id), CRC
+    // valid, padded to the minimum frame length: the version check is
+    // what rejects it.
+    let mut body = vec![1u8, FrameKind::HealthProbe as u8];
+    body.extend_from_slice(&[0u8; 8]);
+    body.extend_from_slice(&platod2gl_storage::crc32c::crc32c(&body).to_le_bytes());
+    let mut version_1 = (body.len() as u32).to_le_bytes().to_vec();
+    version_1.extend_from_slice(&body);
 
-    let (kind, payload) = read_frame(&mut stream).expect("error reply");
-    assert_eq!(kind, FrameKind::ErrorReply);
-    let err = decode_error_reply(&payload).expect("decode");
-    assert_eq!(err.code, error_code::BAD_REQUEST);
+    for (bad, names) in [(junk, "crc"), (version_1, "version 1")] {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.write_all(&bad).expect("send");
+        stream.flush().expect("flush");
 
-    // The server does not trust the stream past a framing error: closed.
-    match read_frame(&mut stream) {
-        Err(FrameError::Io(_)) => {}
-        other => panic!("expected the connection to close, got {other:?}"),
+        let (header, mut payload) = read_frame(&mut stream).expect("error reply");
+        assert_eq!(header.kind, FrameKind::ErrorReply);
+        take_timing_echo(&mut payload).expect("echo");
+        let err = decode_error_reply(&payload).expect("decode");
+        assert_eq!(err.code, error_code::BAD_REQUEST);
+        assert!(err.message.contains(names), "{}", err.message);
+
+        // The server does not trust the stream past a framing error: closed.
+        match read_frame(&mut stream) {
+            Err(FrameError::Io(_)) => {}
+            other => panic!("expected the connection to close, got {other:?}"),
+        }
     }
 
     // The server itself is unharmed: a fresh connection still works.
     let remote = RemoteCluster::connect(server.local_addr(), RemoteClusterConfig::default())
         .expect("connect after bad peer");
     assert_eq!(remote.num_shards(), 3);
+    server.shutdown();
+}
+
+/// A peer that writes as fast as it can — its bytes opening with an
+/// over-limit length prefix — must neither starve other connections nor
+/// grow its read buffer: the loop reads a bounded amount per event, the
+/// length check fires on the first pass, and the connection is closed.
+#[test]
+fn flooding_peer_is_cut_off_and_starves_nobody() {
+    let cluster = loaded_cluster();
+    let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(&cluster)).expect("bind");
+    let addr = server.local_addr();
+
+    let blaster = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_write_timeout(Some(Duration::from_secs(20)))
+            .expect("write timeout");
+        let mut block = vec![0xEEu8; 64 * 1024];
+        block[..4].copy_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+        // Blast until the server hangs up on us. What it accepts before
+        // that is one read budget plus the kernel's socket buffers.
+        let mut sent = 0usize;
+        loop {
+            match stream.write_all(&block) {
+                Ok(()) => {
+                    sent += block.len();
+                    assert!(sent < (64 << 20), "server kept reading a flooding peer");
+                }
+                Err(e) => {
+                    assert!(
+                        !matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ),
+                        "flooding peer stalled instead of being closed: {e}"
+                    );
+                    break;
+                }
+            }
+        }
+    });
+
+    // Meanwhile a well-behaved connection is answered promptly.
+    let mut probe = TcpStream::connect(addr).expect("connect");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    write_frame(&mut probe, FrameKind::HealthProbe, 7, &[]).expect("probe");
+    let (header, _) = read_frame(&mut probe).expect("probe answered while the flood runs");
+    assert_eq!((header.kind, header.req_id), (FrameKind::HealthReply, 7));
+
+    blaster.join().expect("blaster saw its connection closed");
     server.shutdown();
 }
 

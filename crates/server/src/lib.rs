@@ -420,7 +420,7 @@ pub fn partition_for(v: VertexId, num_partitions: u32) -> u32 {
 /// [`Cluster::export_partition`] and shipped over the rpc layer's
 /// `PartitionFetch` frames during live migration.
 ///
-/// `snapshot` is **snapshot v2 bytes** ([`platod2gl_storage::write_snapshot`]):
+/// `snapshot` is **snapshot bytes** ([`platod2gl_storage::write_snapshot`]):
 /// the same per-block CRC'd format checkpoints use, so the receiver
 /// validates each chunk with the proven decoder. `cursor` is the
 /// `(src, etype)` key of the last entry included; passing it back fetches
@@ -1335,7 +1335,7 @@ impl Cluster {
         }
     }
 
-    /// Export one partition's adjacency as a bounded snapshot-v2 chunk
+    /// Export one partition's adjacency as a bounded snapshot chunk
     /// (see [`PartitionChunk`]). Entries are keyed `(src, etype)` and
     /// returned in key order starting strictly after `cursor`, so the
     /// mover streams the partition in stable, resumable chunks while the

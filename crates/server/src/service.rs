@@ -149,7 +149,7 @@ pub trait GraphService: Sync {
         ))
     }
 
-    /// Export one partition's adjacency as a resumable snapshot-v2 chunk.
+    /// Export one partition's adjacency as a resumable snapshot chunk.
     fn export_partition(
         &self,
         _partition: u32,

@@ -47,15 +47,10 @@ use platod2gl_graph::{Edge, EdgeType, ShardHealth, TimeWindow, TxnOp, UpdateOp, 
 use platod2gl_obs::TraceContext;
 use std::fmt;
 
-/// Fixed per-frame overhead of the rpc frame layer at the current (v2)
-/// protocol: 4-byte length prefix, 1 version byte, 1 kind byte, 8-byte
-/// req_id, 4-byte CRC32C trailer. Legacy v1 frames (no req_id) are 8
-/// bytes lighter ([`FRAME_OVERHEAD_V1_BYTES`]); traffic accounting sizes
-/// against the protocol current clients speak.
+/// Fixed per-frame overhead of the rpc frame layer: 4-byte length
+/// prefix, 1 version byte, 1 kind byte, 8-byte req_id, 4-byte CRC32C
+/// trailer.
 pub const FRAME_OVERHEAD_BYTES: u64 = 18;
-
-/// Fixed per-frame overhead of a legacy v1 frame (no req_id field).
-pub const FRAME_OVERHEAD_V1_BYTES: u64 = 10;
 
 /// Encoded size of one [`SampleRequest`] record.
 pub const SAMPLE_REQUEST_BYTES: u64 = 32;
@@ -75,10 +70,10 @@ pub const TIME_WINDOW_BLOCK_TAG: u8 = 1;
 /// fixed-layout.
 pub const TRACE_CTX_BYTES: u64 = 17;
 
-/// Fixed trailer every v2 *reply* frame carries between payload and CRC:
+/// Fixed trailer every *reply* frame carries between payload and CRC:
 /// queue_us u32 + service_us u32 — the server-side timing echo that lets a
 /// client split observed round-trip latency into network vs. server
-/// queueing vs. service time. Legacy v1 replies do not carry it.
+/// queueing vs. service time.
 pub const REPLY_TIMING_ECHO_BYTES: u64 = 8;
 
 /// Fixed body prefix of a sample-batch request frame: deadline u32 +
@@ -107,7 +102,7 @@ pub fn time_window_block_bytes(count: usize) -> u64 {
 }
 
 /// Full on-wire size of a sample reply frame whose responses carry the
-/// given neighbor-slot counts (v2: includes the timing echo trailer).
+/// given neighbor-slot counts (includes the timing echo trailer).
 pub fn sample_response_frame_bytes(neighbor_counts: impl IntoIterator<Item = usize>) -> u64 {
     FRAME_OVERHEAD_BYTES
         + REPLY_TIMING_ECHO_BYTES

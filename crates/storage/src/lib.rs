@@ -28,9 +28,7 @@ mod wal;
 
 pub use attr::AttributeStore;
 pub use fault::{CrashInjector, CrashPoint};
-pub use snapshot::{
-    read_snapshot, write_snapshot, write_snapshot_v1, write_snapshot_v2, SNAPSHOT_VERSION,
-};
+pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_VERSION};
 pub use topology::{AdjacencyEntry, DecayOutcome, DynamicGraphStore, StoreConfig, StoreMemory};
 pub use wal::{
     replay_wal, replay_wal_from, DurableGraphStore, RecoveryReport, TornTail, TornTailKind,

@@ -7,7 +7,7 @@
 //! The snapshot is a compact length-prefixed binary stream; restore feeds
 //! [`DynamicGraphStore::bulk_build`], rebuilding every samtree bottom-up.
 //!
-//! # Format v3 (current, little-endian)
+//! # Format (version 3, little-endian)
 //!
 //! ```text
 //! header : magic "PD2GSNAP" | version u32 = 3 | entry count u64
@@ -23,23 +23,12 @@
 //!   anywhere before the footer changes `file_crc`'s input, and a flip in
 //!   the `file_crc` field itself breaks the comparison: every single-bit
 //!   flip is detected even if the per-block framing happens to survive it.
-//! * v3 entry encoding carries the temporal plane's per-edge event time:
+//! * An entry carries the temporal plane's per-edge event time:
 //!   `src u64 | etype u16 | degree u32 | degree x (dst u64, weight f64, ts u64)`
 //!   (`ts == 0` = timeless edge).
 //!
-//! # Format v2 (legacy, still readable and writable for compat tests)
-//!
-//! Identical framing; entries omit the trailing `ts u64` per edge. v2
-//! snapshots restore with every timestamp defaulted to `0`.
-//!
-//! # Format v1 (legacy, still readable)
-//!
-//! ```text
-//! magic "PD2GSNAP" | version u32 = 1 | entry count u64 | entries...
-//! ```
-//!
-//! No checksums: v1 detects truncation but not bit rot. [`read_snapshot`]
-//! accepts all three versions; [`write_snapshot`] emits v3.
+//! [`read_snapshot`] accepts version 3 only; any other version is
+//! `InvalidData` naming the version found and the one supported.
 
 use crate::crc32c::{crc32c, Crc32c};
 use crate::topology::AdjacencyEntry;
@@ -50,13 +39,11 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 8] = b"PD2GSNAP";
 /// Current snapshot format version written by [`write_snapshot`].
 pub const SNAPSHOT_VERSION: u32 = 3;
-const V1: u32 = 1;
-const V2: u32 = 2;
 
-/// Edges per block in v2 snapshots; also the restore batching unit.
+/// Edges per block; also the restore batching unit.
 const BLOCK_EDGES: usize = 8192;
 
-/// Upper bound on a v2 block payload; larger lengths are corruption.
+/// Upper bound on a block payload; larger lengths are corruption.
 const MAX_BLOCK_LEN: u32 = 1 << 30;
 
 fn bad_data(msg: String) -> io::Error {
@@ -67,27 +54,20 @@ fn bad_data(msg: String) -> io::Error {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn encode_entry(((src, etype), rows): &AdjacencyEntry, with_ts: bool, out: &mut Vec<u8>) {
+fn encode_entry(((src, etype), rows): &AdjacencyEntry, out: &mut Vec<u8>) {
     out.extend_from_slice(&src.to_le_bytes());
     out.extend_from_slice(&etype.to_le_bytes());
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for (dst, weight, ts) in rows {
         out.extend_from_slice(&dst.to_le_bytes());
         out.extend_from_slice(&weight.to_le_bytes());
-        if with_ts {
-            out.extend_from_slice(&ts.to_le_bytes());
-        }
+        out.extend_from_slice(&ts.to_le_bytes());
     }
 }
 
-/// Shared checksummed-framing writer for v2/v3 (they differ only in the
-/// entry encoding's trailing per-edge timestamp).
-fn write_checksummed(
-    mut w: impl Write,
-    entries: &[AdjacencyEntry],
-    version: u32,
-    with_ts: bool,
-) -> io::Result<()> {
+/// Write adjacency entries in the snapshot format (shared by single-store
+/// and cluster snapshots).
+pub fn write_snapshot(mut w: impl Write, entries: &[AdjacencyEntry]) -> io::Result<()> {
     let mut file_crc = Crc32c::new();
     let mut emit = |w: &mut dyn Write, bytes: &[u8]| -> io::Result<()> {
         file_crc.update(bytes);
@@ -95,7 +75,7 @@ fn write_checksummed(
     };
 
     emit(&mut w, MAGIC)?;
-    emit(&mut w, &version.to_le_bytes())?;
+    emit(&mut w, &SNAPSHOT_VERSION.to_le_bytes())?;
     emit(&mut w, &(entries.len() as u64).to_le_bytes())?;
 
     let mut payload = Vec::new();
@@ -105,7 +85,7 @@ fn write_checksummed(
         let mut edges_in_block = 0usize;
         // Pack whole entries until the block holds ~BLOCK_EDGES edges.
         while i < entries.len() && (payload.is_empty() || edges_in_block < BLOCK_EDGES) {
-            encode_entry(&entries[i], with_ts, &mut payload);
+            encode_entry(&entries[i], &mut payload);
             edges_in_block += entries[i].1.len();
             i += 1;
         }
@@ -120,39 +100,12 @@ fn write_checksummed(
     w.flush()
 }
 
-/// Write adjacency entries in snapshot format v3 (shared by single-store
-/// and cluster snapshots).
-pub fn write_snapshot(w: impl Write, entries: &[AdjacencyEntry]) -> io::Result<()> {
-    write_checksummed(w, entries, SNAPSHOT_VERSION, true)
-}
-
-/// Write adjacency entries in the legacy v2 format (checksummed, no
-/// per-edge timestamps). Kept so compatibility tests can produce v2
-/// streams; new code writes v3.
-pub fn write_snapshot_v2(w: impl Write, entries: &[AdjacencyEntry]) -> io::Result<()> {
-    write_checksummed(w, entries, V2, false)
-}
-
-/// Write adjacency entries in the legacy v1 format (no checksums, no
-/// timestamps). Kept so compatibility tests can produce v1 streams.
-pub fn write_snapshot_v1(mut w: impl Write, entries: &[AdjacencyEntry]) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&V1.to_le_bytes())?;
-    w.write_all(&(entries.len() as u64).to_le_bytes())?;
-    for entry in entries {
-        let mut buf = Vec::new();
-        encode_entry(entry, false, &mut buf);
-        w.write_all(&buf)?;
-    }
-    w.flush()
-}
-
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
 /// Reader wrapper tracking the byte offset (for error messages) and the
-/// running whole-file CRC (for the v2 footer check).
+/// running whole-file CRC (for the footer check).
 struct TrackedReader<R: Read> {
     r: R,
     offset: u64,
@@ -191,12 +144,6 @@ impl<R: Read> TrackedReader<R> {
         }
     }
 
-    fn u16(&mut self, what: &str) -> io::Result<u16> {
-        let mut b = [0u8; 2];
-        self.read_exact(&mut b, what)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
     fn u32(&mut self, what: &str) -> io::Result<u32> {
         let mut b = [0u8; 4];
         self.read_exact(&mut b, what)?;
@@ -210,8 +157,8 @@ impl<R: Read> TrackedReader<R> {
     }
 }
 
-/// Parse a snapshot stream (v1 or v2), feeding edges to `sink` in batches
-/// of up to 8192 (so restore paths can bulk-load without materializing
+/// Parse a snapshot stream, feeding edges to `sink` in batches of up to
+/// 8192 (so restore paths can bulk-load without materializing
 /// everything). All structural problems — bad magic, unsupported version,
 /// truncation, checksum mismatch, non-finite weights, trailing bytes —
 /// are reported as [`io::ErrorKind::InvalidData`] with the byte offset.
@@ -226,58 +173,12 @@ pub fn read_snapshot(r: impl Read, mut sink: impl FnMut(Vec<Edge>)) -> io::Resul
     }
     let version_offset = r.offset;
     let version = r.u32("version")?;
-    match version {
-        V1 => read_v1(r, &mut sink),
-        V2 => read_checksummed(r, false, &mut sink),
-        SNAPSHOT_VERSION => read_checksummed(r, true, &mut sink),
-        other => Err(bad_data(format!(
-            "unsupported snapshot version {other} at byte offset {version_offset}: \
-             this build supports versions {V1}, {V2} and {SNAPSHOT_VERSION}"
-        ))),
+    if version != SNAPSHOT_VERSION {
+        return Err(bad_data(format!(
+            "unsupported snapshot version {version} at byte offset {version_offset}: \
+             this build supports version {SNAPSHOT_VERSION}"
+        )));
     }
-}
-
-/// Decode one entry's edges from a tracked stream (v1 path).
-fn read_v1(mut r: TrackedReader<impl Read>, sink: &mut impl FnMut(Vec<Edge>)) -> io::Result<()> {
-    let entries = r.u64("entry count")?;
-    let mut batch: Vec<Edge> = Vec::with_capacity(BLOCK_EDGES);
-    for _ in 0..entries {
-        let src = VertexId(r.u64("entry source id")?);
-        let etype = EdgeType(r.u16("entry edge type")?);
-        let degree = r.u32("entry degree")?;
-        for _ in 0..degree {
-            let dst = VertexId(r.u64("edge destination id")?);
-            let weight_offset = r.offset;
-            let weight = f64::from_bits(r.u64("edge weight")?);
-            if !weight.is_finite() {
-                return Err(bad_data(format!(
-                    "non-finite edge weight at byte offset {weight_offset}"
-                )));
-            }
-            batch.push(Edge {
-                src,
-                dst,
-                etype,
-                weight,
-                ts: 0,
-            });
-        }
-        if batch.len() >= BLOCK_EDGES {
-            sink(std::mem::take(&mut batch));
-            batch = Vec::with_capacity(BLOCK_EDGES);
-        }
-    }
-    if !batch.is_empty() {
-        sink(batch);
-    }
-    Ok(())
-}
-
-fn read_checksummed(
-    mut r: TrackedReader<impl Read>,
-    with_ts: bool,
-    sink: &mut impl FnMut(Vec<Edge>),
-) -> io::Result<()> {
     let declared_entries = r.u64("entry count")?;
     let mut seen_entries = 0u64;
 
@@ -331,15 +232,14 @@ fn read_checksummed(
                  check (stored {stored:#010x}, computed {computed:#010x})"
             )));
         }
-        seen_entries += parse_block(&payload, block_offset, with_ts, sink)?;
+        seen_entries += parse_block(&payload, block_offset, &mut sink)?;
     }
 }
 
-/// Parse a CRC-validated v2/v3 block payload: a run of whole entries.
+/// Parse a CRC-validated block payload: a run of whole entries.
 fn parse_block(
     payload: &[u8],
     block_offset: u64,
-    with_ts: bool,
     sink: &mut impl FnMut(Vec<Edge>),
 ) -> io::Result<u64> {
     let corrupt = |detail: &str| {
@@ -370,11 +270,7 @@ fn parse_block(
             if !weight.is_finite() {
                 return Err(corrupt("non-finite edge weight"));
             }
-            let ts = if with_ts {
-                u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap())
-            } else {
-                0
-            };
+            let ts = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
             batch.push(Edge {
                 src,
                 dst,
@@ -396,8 +292,8 @@ fn parse_block(
 }
 
 impl DynamicGraphStore {
-    /// Write a snapshot of the whole topology (format v3, carrying each
-    /// edge's event time).
+    /// Write a snapshot of the whole topology (carrying each edge's event
+    /// time).
     ///
     /// Takes a point-in-time view per source vertex (each samtree is read
     /// under its own lock); concurrent updates land either before or after
@@ -406,9 +302,8 @@ impl DynamicGraphStore {
         write_snapshot(w, &self.export_adjacency())
     }
 
-    /// Read a snapshot (v1, v2 or v3) into this (normally empty) store via
-    /// the bulk-load path. Pre-v3 snapshots restore with every edge
-    /// timestamp defaulted to `0` (timeless).
+    /// Read a snapshot into this (normally empty) store via the bulk-load
+    /// path.
     pub fn restore_from(&self, r: impl Read) -> io::Result<()> {
         read_snapshot(r, |batch| self.bulk_build(batch))
     }
@@ -416,68 +311,11 @@ impl DynamicGraphStore {
 
 #[cfg(test)]
 mod fuzz {
-    use super::write_snapshot_v2;
     use crate::DynamicGraphStore;
-    use platod2gl_graph::{Edge, EdgeType, GraphStore, VertexId};
+    use platod2gl_graph::GraphStore;
     use proptest::prelude::*;
 
     proptest! {
-        /// v2 → v3 compat: an arbitrary stamped graph written as legacy v2
-        /// restores with identical topology/weights and every timestamp
-        /// defaulted to 0, while the v3 writer round-trips timestamps
-        /// exactly.
-        #[test]
-        fn snapshot_v2_to_v3_compat_roundtrip(
-            edges in proptest::collection::vec(
-                ((0u64..16, 100u64..140), (0u16..3, 1u32..1000, 0u64..1_000)),
-                1..80,
-            ),
-        ) {
-            let store = DynamicGraphStore::with_defaults();
-            for &((src, dst), (et, w, ts)) in &edges {
-                store.insert_edge(
-                    Edge {
-                        src: VertexId(src),
-                        dst: VertexId(dst),
-                        etype: EdgeType(et),
-                        weight: w as f64 / 100.0,
-                        ts,
-                    },
-                );
-            }
-            let entries = store.export_adjacency();
-
-            // v3 roundtrip: everything, including event times, survives.
-            let mut v3 = Vec::new();
-            super::write_snapshot(&mut v3, &entries).expect("v3 write");
-            let r3 = DynamicGraphStore::with_defaults();
-            r3.restore_from(v3.as_slice()).expect("v3 restore");
-            prop_assert_eq!(r3.num_edges(), store.num_edges());
-
-            // v2 write of the same entries: restores timeless.
-            let mut v2 = Vec::new();
-            write_snapshot_v2(&mut v2, &entries).expect("v2 write");
-            let r2 = DynamicGraphStore::with_defaults();
-            r2.restore_from(v2.as_slice()).expect("v2 restore");
-            prop_assert_eq!(r2.num_edges(), store.num_edges());
-
-            for &((src, dst), (et, _, _)) in &edges {
-                let (s, d, e) = (VertexId(src), VertexId(dst), EdgeType(et));
-                // Leaf weights live as FSTable prefix sums, so readback has
-                // a few ULPs of reconstruction noise — compare relatively,
-                // as the crash-recovery suite does.
-                let want = store.edge_weight(s, d, e).expect("present");
-                for restored in [&r3, &r2] {
-                    let got = restored.edge_weight(s, d, e).expect("present");
-                    prop_assert!(
-                        (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
-                        "weight differs at {:?}->{:?}: {} vs {}", s, d, got, want
-                    );
-                }
-                prop_assert_eq!(r3.edge_ts(s, d, e), store.edge_ts(s, d, e));
-                prop_assert_eq!(r2.edge_ts(s, d, e), 0u64);
-            }
-        }
         /// Arbitrary bytes must never panic the parser — only `Err` out.
         #[test]
         fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..512)) {
@@ -580,31 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_still_restore() {
-        let original = DynamicGraphStore::with_defaults();
-        for i in 0..1_000u64 {
-            original.insert_edge(Edge::new(
-                VertexId(i % 11),
-                VertexId(500 + i),
-                1.0 + i as f64,
-            ));
-        }
-        let mut bytes = Vec::new();
-        write_snapshot_v1(&mut bytes, &original.export_adjacency()).expect("v1 write");
-        let restored = DynamicGraphStore::with_defaults();
-        restored.restore_from(bytes.as_slice()).expect("v1 restore");
-        assert_eq!(restored.num_edges(), original.num_edges());
-        restored.check_invariants().expect("invariants");
-        for src in 0..11u64 {
-            let mut a = original.neighbors(VertexId(src), EdgeType(0));
-            let mut b = restored.neighbors(VertexId(src), EdgeType(0));
-            a.sort_by_key(|(id, _)| id.raw());
-            b.sort_by_key(|(id, _)| id.raw());
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn v3_roundtrip_preserves_timestamps() {
         let store = DynamicGraphStore::with_defaults();
         for i in 0..200u64 {
@@ -626,29 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_restore_with_timestamps_defaulted_to_zero() {
-        let store = DynamicGraphStore::with_defaults();
-        for i in 0..100u64 {
-            store.insert_edge(Edge::new(VertexId(i % 5), VertexId(500 + i), 2.0).at(10 + i));
-        }
-        let mut bytes = Vec::new();
-        write_snapshot_v2(&mut bytes, &store.export_adjacency()).expect("v2 write");
-        let restored = DynamicGraphStore::with_defaults();
-        restored.restore_from(bytes.as_slice()).expect("v2 restore");
-        assert_eq!(restored.num_edges(), store.num_edges());
-        for i in 0..100u64 {
-            let src = VertexId(i % 5);
-            let dst = VertexId(500 + i);
-            assert!(restored.edge_weight(src, dst, EdgeType(0)).is_some());
-            assert_eq!(
-                restored.edge_ts(src, dst, EdgeType(0)),
-                0,
-                "v2 restore must default timestamps to 0"
-            );
-        }
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let store = DynamicGraphStore::with_defaults();
         let err = store
@@ -660,16 +450,19 @@ mod tests {
 
     #[test]
     fn unknown_version_error_names_found_and_supported() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&7u32.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let store = DynamicGraphStore::with_defaults();
-        let err = store.restore_from(bytes.as_slice()).expect_err("reject v7");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(msg.contains("version 7"), "{msg}");
-        assert!(msg.contains("supports versions 1, 2 and 3"), "{msg}");
+        // 1 and 2 are the retired formats, 7 one that never existed.
+        for version in [1u32, 2, 7] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(MAGIC);
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            let store = DynamicGraphStore::with_defaults();
+            let err = store.restore_from(bytes.as_slice()).expect_err("reject");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("version {version} ")), "{msg}");
+            assert!(msg.contains("supports version 3"), "{msg}");
+        }
     }
 
     #[test]
@@ -689,14 +482,12 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_weight_is_rejected_in_v1() {
-        // v1 has no CRC, so the NaN lands in the parser's lap directly.
-        let store = DynamicGraphStore::with_defaults();
-        store.insert_edge(Edge::new(VertexId(1), VertexId(2), 1.0));
+    fn non_finite_weight_is_rejected() {
+        // The writer checksums what it is given, so the NaN sits in a
+        // CRC-valid block and the parse check is what rejects it.
+        let entries: Vec<AdjacencyEntry> = vec![((1, 0), vec![(2, f64::NAN, 0)])];
         let mut bytes = Vec::new();
-        write_snapshot_v1(&mut bytes, &store.export_adjacency()).expect("v1 write");
-        let n = bytes.len();
-        bytes[n - 8..].copy_from_slice(&f64::NAN.to_le_bytes());
+        write_snapshot(&mut bytes, &entries).expect("write");
         let fresh = DynamicGraphStore::with_defaults();
         let err = fresh
             .restore_from(bytes.as_slice())
@@ -706,9 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn every_single_bit_flip_in_v2_is_rejected() {
+    fn every_single_bit_flip_is_rejected() {
         // The acceptance bar for the checksummed format: flip every bit of
-        // a whole v2 snapshot, one at a time, and demand InvalidData.
+        // a whole snapshot, one at a time, and demand InvalidData.
         let store = DynamicGraphStore::with_defaults();
         for i in 0..40u64 {
             store.insert_edge(Edge::new(

@@ -1,23 +1,18 @@
-//! Soak and compatibility tests for the event-loop serving core.
+//! Soak test for the event-loop serving core.
 //!
-//! The soak drives one event-loop server (dispatch workers on, so
-//! completions genuinely race) from over a thousand concurrently open
-//! connections, each pipelining a randomized interleaving of protocol-v1
-//! and protocol-v2 frames. Every request targets a vertex whose single
-//! out-edge encodes the request's identity, so each reply proves by its
-//! payload which request it answers: a lost, misrouted, or (for v1)
-//! reordered reply cannot go unnoticed.
-//!
-//! The compat test speaks pure v1 — the PR-5 wire format, no `req_id` —
-//! at a default-configured new server and checks the old contract
-//! verbatim: replies come back in v1 framing, strictly in request order,
-//! even when the server dispatches on a worker pool that finishes them
-//! out of order.
+//! One event-loop server (dispatch workers on, so completions genuinely
+//! race) is driven from over a thousand concurrently open connections,
+//! each pipelining a randomized interleaving of health probes and sample
+//! batches. Every sample request targets a vertex whose single out-edge
+//! encodes the request's identity, and every frame's correlation id names
+//! the request it carries, so each reply proves by its payload which
+//! request it answers: a lost, duplicated or misrouted reply cannot go
+//! unnoticed.
 
 use platod2gl::{Cluster, ClusterConfig, Edge, EdgeType, GraphStore, SampleRequest, VertexId};
 use platod2gl_rpc::codec::{
-    decode_sample_reply, encode_frame_v1, encode_frame_v2, encode_sample_batch, read_frame_ex,
-    take_timing_echo, FrameKind, SampleBatch, PROTOCOL_V1, PROTOCOL_V2,
+    decode_sample_reply, encode_frame, encode_sample_batch, read_frame, take_timing_echo,
+    FrameKind, SampleBatch,
 };
 use platod2gl_rpc::{GraphServiceServer, ServerConfig};
 use rand::rngs::StdRng;
@@ -91,9 +86,13 @@ fn connect(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// Over a thousand concurrently open connections, mixed v1/v2 framing,
-/// randomized write interleavings, dispatch workers racing completions:
-/// no reply is lost, misrouted, or — within a v1 stream — reordered.
+/// Correlation-id bit marking a frame as a health probe; the low bits
+/// still carry the request's vertex id, whose top bit is never set.
+const PROBE_BIT: u64 = 1 << 63;
+
+/// Over a thousand concurrently open connections, health probes mixed
+/// into the sample batches, randomized write interleavings, dispatch
+/// workers racing completions: no reply is lost, duplicated or misrouted.
 #[test]
 fn soak_thousand_connections_mixed_protocols() {
     let cluster = soak_cluster();
@@ -120,21 +119,17 @@ fn soak_thousand_connections_mixed_protocols() {
             let may_close = Arc::clone(&may_close);
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xA5A5 + driver as u64);
-                // Even conns speak v1, odd conns speak v2. Each connection
-                // round-trips a health probe immediately: the reply proves
-                // the server *accepted* it (a TCP handshake alone only
-                // proves the kernel queued it), and the serial probes pace
-                // the thousand-connection flood below the listener backlog.
+                // Each connection round-trips a health probe immediately:
+                // the reply proves the server *accepted* it (a TCP
+                // handshake alone only proves the kernel queued it), and
+                // the serial probes pace the thousand-connection flood
+                // below the listener backlog.
                 let mut conns: Vec<TcpStream> = (0..CONNS_PER_DRIVER)
-                    .map(|conn| {
+                    .map(|_| {
                         let mut stream = connect(addr);
-                        let frame = if conn.is_multiple_of(2) {
-                            encode_frame_v1(FrameKind::HealthProbe, &[])
-                        } else {
-                            encode_frame_v2(FrameKind::HealthProbe, 7, &[])
-                        };
+                        let frame = encode_frame(FrameKind::HealthProbe, 7, &[]);
                         stream.write_all(&frame).expect("probe");
-                        let (header, _) = read_frame_ex(&mut stream).expect("probe reply");
+                        let (header, _) = read_frame(&mut stream).expect("probe reply");
                         assert_eq!(header.kind, FrameKind::HealthReply);
                         stream
                     })
@@ -142,7 +137,11 @@ fn soak_thousand_connections_mixed_protocols() {
                 all_connected.wait();
 
                 // Write phase: each conn has a queue of requests; send them
-                // one frame at a time across conns in random order.
+                // one frame at a time across conns in random order. The
+                // correlation id encodes the request identity, so the reply
+                // check is direct. Odd slots of odd conns are health probes,
+                // so cheap and dear handlers race on the same stream.
+                let is_probe = |conn: usize, seq: usize| conn % 2 == 1 && seq % 2 == 1;
                 let mut next_seq = [0usize; CONNS_PER_DRIVER];
                 let mut live: Vec<usize> = (0..CONNS_PER_DRIVER).collect();
                 while !live.is_empty() {
@@ -150,13 +149,10 @@ fn soak_thousand_connections_mixed_protocols() {
                     let conn = live[pick];
                     let seq = next_seq[conn];
                     let v = request_vertex(driver, conn, seq);
-                    let payload = sample_payload(v);
-                    let frame = if conn.is_multiple_of(2) {
-                        encode_frame_v1(FrameKind::SampleBatch, &payload)
+                    let frame = if is_probe(conn, seq) {
+                        encode_frame(FrameKind::HealthProbe, v.raw() | PROBE_BIT, &[])
                     } else {
-                        // v2 correlation ids are arbitrary; encode the
-                        // request identity so the reply check is direct.
-                        encode_frame_v2(FrameKind::SampleBatch, v.raw(), &payload)
+                        encode_frame(FrameKind::SampleBatch, v.raw(), &sample_payload(v))
                     };
                     conns[conn].write_all(&frame).expect("send");
                     next_seq[conn] += 1;
@@ -165,41 +161,30 @@ fn soak_thousand_connections_mixed_protocols() {
                     }
                 }
 
-                // Read phase, conns drained in a fresh random order.
+                // Read phase, conns drained in a fresh random order. Replies
+                // may arrive in any order; the ids must cover every request
+                // exactly once and each reply must match its id.
                 let mut order: Vec<usize> = (0..CONNS_PER_DRIVER).collect();
                 for i in (1..order.len()).rev() {
                     order.swap(i, rng.random_range(0..=i));
                 }
                 for conn in order {
-                    if conn.is_multiple_of(2) {
-                        // v1: no ids on the wire — replies must arrive in
-                        // exactly the order the requests were written.
-                        for seq in 0..REQUESTS_PER_CONN {
-                            let (header, payload) =
-                                read_frame_ex(&mut conns[conn]).expect("v1 reply");
-                            assert_eq!(header.version, PROTOCOL_V1, "v1 in, v1 out");
-                            assert_eq!(header.req_id, 0);
-                            let v = request_vertex(driver, conn, seq);
-                            assert_answers(&payload, v, "v1 in-order");
-                        }
-                    } else {
-                        // v2: replies may arrive in any order; the ids must
-                        // cover every request exactly once and each payload
-                        // must match its id.
-                        let mut seen = [false; REQUESTS_PER_CONN];
-                        for _ in 0..REQUESTS_PER_CONN {
-                            let (header, mut payload) =
-                                read_frame_ex(&mut conns[conn]).expect("v2 reply");
-                            assert_eq!(header.version, PROTOCOL_V2, "v2 in, v2 out");
-                            // v2 replies carry the server timing echo.
-                            take_timing_echo(header.version, &mut payload).expect("echo");
-                            let v = VertexId(header.req_id);
-                            let seq = (v.raw() & 0xFFFF) as usize;
-                            assert!(seq < REQUESTS_PER_CONN, "id names a real request");
-                            assert_eq!(v, request_vertex(driver, conn, seq), "id routes home");
-                            assert!(!seen[seq], "no duplicated replies");
-                            seen[seq] = true;
-                            assert_answers(&payload, v, "v2 correlated");
+                    let mut seen = [false; REQUESTS_PER_CONN];
+                    for _ in 0..REQUESTS_PER_CONN {
+                        let (header, mut payload) = read_frame(&mut conns[conn]).expect("reply");
+                        take_timing_echo(&mut payload).expect("echo");
+                        let v = VertexId(header.req_id & !PROBE_BIT);
+                        let seq = (v.raw() & 0xFFFF) as usize;
+                        assert!(seq < REQUESTS_PER_CONN, "id names a real request");
+                        assert_eq!(v, request_vertex(driver, conn, seq), "id routes home");
+                        assert!(!seen[seq], "no duplicated replies");
+                        seen[seq] = true;
+                        if header.req_id & PROBE_BIT != 0 {
+                            assert!(is_probe(conn, seq), "probe id on a sample slot");
+                            assert_eq!(header.kind, FrameKind::HealthReply);
+                        } else {
+                            assert_eq!(header.kind, FrameKind::SampleReply);
+                            assert_answers(&payload, v, "correlated");
                         }
                     }
                 }
@@ -234,51 +219,5 @@ fn soak_thousand_connections_mixed_protocols() {
         .find(|(name, _)| name == "rpc.server.errors")
         .map_or(0, |(_, value)| *value);
     assert_eq!(errors, 0, "a clean soak serves every frame");
-    server.shutdown();
-}
-
-/// An old (v1, pre-req-id) client against a new default server: the full
-/// exchange works, replies are v1-framed, and a pipelined burst comes
-/// back strictly in request order even though the server's worker pool
-/// finishes dispatches out of order.
-#[test]
-fn old_v1_client_interops_with_new_server() {
-    let cluster = soak_cluster();
-    // Worker pool on: out-of-order completion is exactly what the v1
-    // hold-back must mask.
-    let server = GraphServiceServer::bind_with(
-        "127.0.0.1:0",
-        Arc::clone(&cluster),
-        ServerConfig::builder()
-            .workers(2)
-            .build()
-            .expect("valid config"),
-    )
-    .expect("bind");
-    let mut stream = connect(server.local_addr());
-
-    // Pipeline a burst of v1 frames, then read: order must be preserved.
-    for seq in 0..REQUESTS_PER_CONN {
-        let v = request_vertex(0, 0, seq);
-        let frame = encode_frame_v1(FrameKind::SampleBatch, &sample_payload(v));
-        stream.write_all(&frame).expect("send");
-    }
-    for seq in 0..REQUESTS_PER_CONN {
-        let (header, payload) = read_frame_ex(&mut stream).expect("reply");
-        assert_eq!(
-            header.version, PROTOCOL_V1,
-            "a v1 request gets a v1 reply — old decoders keep working"
-        );
-        assert_eq!(header.req_id, 0, "v1 has no correlation id");
-        assert_answers(&payload, request_vertex(0, 0, seq), "v1 compat");
-    }
-
-    // A v1 health probe still round-trips on the same connection.
-    let frame = encode_frame_v1(FrameKind::HealthProbe, &[]);
-    stream.write_all(&frame).expect("send probe");
-    let (header, _) = read_frame_ex(&mut stream).expect("health reply");
-    assert_eq!(header.version, PROTOCOL_V1);
-    assert_eq!(header.kind, FrameKind::HealthReply);
-
     server.shutdown();
 }
