@@ -46,7 +46,7 @@ pub use platod2gl_gnn::{
 };
 pub use platod2gl_graph::{
     for_each_edge, read_edge_list, sanitize_weight, validate_and_lower, write_edge_list,
-    DatasetProfile, Edge, EdgeType, Error, GraphStore, GraphTxn, RelationSpec, Served, ShardHealth,
+    DatasetProfile, Edge, EdgeType, Error, GraphStore, GraphTxn, RelationSpec, ShardHealth,
     StoreTxnView, TimeWindow, TxnError, TxnOp, TxnReceipt, TxnView, TxnViolation, UpdateOp,
     UpdateStream, VertexId, VertexType, ViolationKind,
 };
@@ -218,14 +218,14 @@ impl PlatoD2GL {
             batch.push(UpdateOp::Insert(e));
             if batch.len() == 8192 {
                 self.cluster
-                    .apply_batch_sharded(&batch)
+                    .apply_updates(&batch)
                     .expect("ingest batch panicked");
                 batch.clear();
             }
         }
         if !batch.is_empty() {
             self.cluster
-                .apply_batch_sharded(&batch)
+                .apply_updates(&batch)
                 .expect("ingest batch panicked");
         }
         IngestReport {
@@ -239,7 +239,7 @@ impl PlatoD2GL {
     /// each shard). Shard loss is reported via `store().traffic()` and
     /// `store().shard_health(..)` rather than a panic.
     pub fn apply_updates(&self, ops: &[UpdateOp]) {
-        let _ = self.cluster.apply_batch_sharded(ops);
+        let _ = self.cluster.apply_updates(ops);
     }
 
     /// Batched weighted neighbor sampling (`k` draws per vertex).

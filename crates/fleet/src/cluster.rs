@@ -25,6 +25,9 @@
 //! [`DegradedPolicy`], client-side.
 
 use crate::map::{PartitionMap, ServerEntry, DEFAULT_PARTITIONS};
+use crate::node::{
+    derive_txn_id, group_by_server, merge_receipt, sub_txn, txn_op_src, CH_OWNER_SPLIT,
+};
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{current_trace_context, Counter, ExportedSpan, Registry, RegistryExport};
 use platod2gl_rpc::{RemoteCluster, RemoteClusterConfig};
@@ -462,12 +465,8 @@ impl GraphService for FleetCluster {
 
     fn apply_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
         let (map, conns) = self.snapshot();
-        let mut groups: HashMap<u32, Vec<UpdateOp>> = HashMap::new();
-        for op in ops {
-            groups.entry(map.owner_of(op.src())).or_default().push(*op);
-        }
         let mut report = BatchReport::default();
-        for (owner, batch) in groups {
+        for (owner, batch) in group_by_server(ops, |op| Some(map.owner_of(op.src()))) {
             let conn = Self::conn(&conns, &map, owner).ok_or(Error::ShardUnavailable {
                 shard: owner as usize,
             })?;
@@ -480,21 +479,15 @@ impl GraphService for FleetCluster {
 
     fn apply_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
         let (map, conns) = self.snapshot();
-        let mut owners: Vec<u32> = Vec::new();
-        for op in txn.ops() {
-            let owner = map.owner_index(map.partition_of(crate::node::txn_op_src(op)));
-            if !owners.contains(&owner) {
-                owners.push(owner);
-            }
-        }
         let route = |owner: u32| -> Result<Arc<RemoteCluster>, TxnError> {
             Self::conn(&conns, &map, owner).ok_or(TxnError::Store(Error::ShardUnavailable {
                 shard: owner as usize,
             }))
         };
-        match owners.as_slice() {
+        let legs = group_by_server(txn.ops(), |op| Some(map.owner_of(txn_op_src(op))));
+        match legs.as_slice() {
             [] => route(0)?.apply_txn(txn),
-            [owner] => route(*owner)?.apply_txn(txn),
+            [(owner, _)] => route(*owner)?.apply_txn(txn),
             many => {
                 // A txn spanning owners splits into per-owner sub-txns
                 // with ids derived deterministically from the original —
@@ -502,25 +495,13 @@ impl GraphService for FleetCluster {
                 // per-server, not fleet-wide (see DESIGN.md §6g).
                 let mut receipt = TxnReceipt {
                     txn_id: txn.id(),
+                    deduped: true,
                     ..TxnReceipt::default()
                 };
-                receipt.deduped = true;
-                for &owner in many {
-                    let server_id = map.servers()[owner as usize].id;
-                    let mut sub = GraphTxn::new(crate::node::derive_txn_id(
-                        txn.id(),
-                        server_id,
-                        crate::node::CH_OWNER_SPLIT,
-                    ));
-                    for op in txn.ops() {
-                        if map.owner_index(map.partition_of(crate::node::txn_op_src(op))) == owner {
-                            sub.push(*op);
-                        }
-                    }
-                    let r = route(owner)?.apply_txn(&sub)?;
-                    receipt.ops_applied += r.ops_applied;
-                    receipt.graph_version = receipt.graph_version.max(r.graph_version);
-                    receipt.deduped &= r.deduped;
+                for (owner, ops) in many {
+                    let server_id = map.servers()[*owner as usize].id;
+                    let id = derive_txn_id(txn.id(), server_id, CH_OWNER_SPLIT);
+                    merge_receipt(&mut receipt, route(*owner)?.apply_txn(&sub_txn(id, ops))?);
                 }
                 Ok(receipt)
             }

@@ -74,6 +74,49 @@ pub(crate) fn derive_txn_id(base: u64, server_id: u64, channel: u64) -> u64 {
     mix64(base ^ mix64(server_id ^ channel.rotate_left(56)))
 }
 
+/// A sub-txn carrying `ops` under `id`.
+pub(crate) fn sub_txn(id: u64, ops: &[TxnOp]) -> GraphTxn {
+    let mut sub = GraphTxn::new(id);
+    for op in ops {
+        sub.push(*op);
+    }
+    sub
+}
+
+/// Fold one leg's receipt into the receipt of the txn it was split from.
+pub(crate) fn merge_receipt(into: &mut TxnReceipt, leg: TxnReceipt) {
+    into.ops_applied += leg.ops_applied;
+    into.graph_version = into.graph_version.max(leg.graph_version);
+    into.deduped &= leg.deduped;
+}
+
+/// Group ops by the server `key` names for them, servers in first-seen
+/// order and ops in submission order within a group (`None` drops the op).
+/// The one split every fleet write uses, whatever the op type.
+pub(crate) fn group_by_server<T: Copy>(
+    ops: &[T],
+    key: impl Fn(&T) -> Option<u32>,
+) -> Vec<(u32, Vec<T>)> {
+    let mut groups: Vec<(u32, Vec<T>)> = Vec::new();
+    for op in ops {
+        let Some(server) = key(op) else { continue };
+        match groups.iter_mut().find(|(s, _)| *s == server) {
+            Some((_, group)) => group.push(*op),
+            None => groups.push((server, vec![*op])),
+        }
+    }
+    groups
+}
+
+/// One first-hand write split under a node's map: the ops this node owns,
+/// their replica legs, and the stale-routed legs other servers own.
+struct Split<T> {
+    map: PartitionMap,
+    owned: Vec<T>,
+    replicas: Vec<(u32, Vec<T>)>,
+    foreign: Vec<(u32, Vec<T>)>,
+}
+
 struct NodeMetrics {
     replica_fanouts: Arc<Counter>,
     replica_errors: Arc<Counter>,
@@ -161,24 +204,61 @@ impl FleetNode {
         Ok(conn)
     }
 
-    /// Partition ops into (owned-by-me, foreign-owner → ops) under `map`.
-    fn split_by_owner(
+    /// Split a first-hand write by `src` under the resident map: ops this
+    /// node owns apply locally and fan out to their partitions' replicas;
+    /// stale-routed ops relay to their owner *without* applying here — a
+    /// local copy of a foreign partition would never see the owner's later
+    /// deletes, and could resurrect them if the partition ever migrates
+    /// here. Relaying only the foreign subset is also what keeps relays
+    /// loop-free (see the module docs): the receiver owns everything in
+    /// its leg. `None` while the node is map-less or not (yet) a roster
+    /// member — it then behaves exactly like the bare cluster.
+    fn split<T: Copy>(&self, ops: &[T], src: impl Fn(&T) -> VertexId) -> Option<Split<T>> {
+        let map = self.map_snapshot()?;
+        let my_idx = map.index_of(self.server_id)?;
+        let (owned, stale): (Vec<T>, Vec<T>) =
+            ops.iter().partition(|op| map.owner_of(src(op)) == my_idx);
+        let replicas = group_by_server(&owned, |op| {
+            map.replica_index(map.partition_of(src(op)))
+                .filter(|r| *r != my_idx)
+        });
+        let foreign = group_by_server(&stale, |op| Some(map.owner_of(src(op))));
+        Some(Split {
+            map,
+            owned,
+            replicas,
+            foreign,
+        })
+    }
+
+    /// Ship a split write's legs. Owner → replica fan-out is best-effort:
+    /// a down replica degrades reads (clients fall back to the owner's
+    /// answer), it must not fail the owner's write path — failures are
+    /// counted and swallowed. Stale-routed legs relay first-hand to the
+    /// real owner, who does its own replica fan-out; this node did not
+    /// apply them, so a dropped relay would silently lose an acked write —
+    /// relay failures are hard errors.
+    fn forward<T, E: From<Error>>(
         &self,
-        map: &PartitionMap,
-        my_idx: u32,
-        ops: &[UpdateOp],
-    ) -> (Vec<UpdateOp>, HashMap<u32, Vec<UpdateOp>>) {
-        let mut owned = Vec::with_capacity(ops.len());
-        let mut foreign: HashMap<u32, Vec<UpdateOp>> = HashMap::new();
-        for op in ops {
-            let owner = map.owner_of(op.src());
-            if owner == my_idx {
-                owned.push(*op);
-            } else {
-                foreign.entry(owner).or_default().push(*op);
+        split: &Split<T>,
+        to_replica: impl Fn(&RemoteCluster, u32, &[T]) -> Result<(), E>,
+        mut relay: impl FnMut(&RemoteCluster, &[T]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for (ridx, leg) in &split.replicas {
+            let sent = self
+                .peer(&split.map, *ridx)
+                .map_err(E::from)
+                .and_then(|peer| to_replica(&peer, *ridx, leg));
+            match sent {
+                Ok(()) => self.m.replica_fanouts.inc(),
+                Err(_) => self.m.replica_errors.inc(),
             }
         }
-        (owned, foreign)
+        for (owner, leg) in &split.foreign {
+            relay(&*self.peer(&split.map, *owner)?, leg)?;
+            self.m.relayed_ops.add(leg.len() as u64);
+        }
+        Ok(())
     }
 }
 
@@ -192,84 +272,28 @@ impl GraphService for FleetNode {
     }
 
     fn apply_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        let map = self.map_snapshot();
-        let Some(map) = map else {
-            return self.cluster.apply_batch_sharded(ops);
+        let Some(split) = self.split(ops, UpdateOp::src) else {
+            return self.cluster.apply_updates(ops);
         };
-        let Some(my_idx) = map.index_of(self.server_id) else {
-            return self.cluster.apply_batch_sharded(ops);
-        };
-        let (owned, foreign) = self.split_by_owner(&map, my_idx, ops);
-        let mut report = self.cluster.apply_batch_sharded(&owned)?;
-
-        // Leader → replica fan-out for the ops we own. Best-effort: a
-        // down replica degrades reads (clients fall back to the owner's
-        // answer), it must not fail the owner's write path.
-        let mut per_replica: HashMap<u32, Vec<UpdateOp>> = HashMap::new();
-        for op in &owned {
-            let p = map.partition_of(op.src());
-            if let Some(r) = map.replica_index(p) {
-                if r != my_idx {
-                    per_replica.entry(r).or_default().push(*op);
-                }
-            }
-        }
-        for (ridx, batch) in per_replica {
-            let sent = self
-                .peer(&map, ridx)
-                .and_then(|peer| peer.apply_replica_updates(&batch));
-            match sent {
-                Ok(_) => self.m.replica_fanouts.inc(),
-                Err(_) => self.m.replica_errors.inc(),
-            }
-        }
-
-        // Stale-routed ops: relay first-hand to the real owner, who does
-        // its own replica fan-out. Losing these would silently drop
-        // writes, so relay failures are hard errors.
-        for (owner, batch) in foreign {
-            let peer = self.peer(&map, owner)?;
-            let relayed = peer.apply_updates(&batch)?;
-            self.m.relayed_ops.add(batch.len() as u64);
-            report.applied_ops += relayed.applied_ops;
-            report.queued_ops += relayed.queued_ops;
-        }
+        let mut report = self.cluster.apply_updates(&split.owned)?;
+        self.forward(
+            &split,
+            |peer, _, leg| peer.apply_replica_updates(leg).map(drop),
+            |peer, leg| {
+                let relayed = peer.apply_updates(leg)?;
+                report.applied_ops += relayed.applied_ops;
+                report.queued_ops += relayed.queued_ops;
+                Ok(())
+            },
+        )?;
         Ok(report)
     }
 
     fn apply_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        let Some(map) = self.map_snapshot() else {
+        let Some(split) = self.split(txn.ops(), txn_op_src) else {
             return self.cluster.apply_txn(txn);
         };
-        let Some(my_idx) = map.index_of(self.server_id) else {
-            return self.cluster.apply_txn(txn);
-        };
-        // Split exactly as `apply_updates` does: ops this node owns apply
-        // locally and fan out to their replicas; stale-routed ops relay to
-        // their owner *without* applying here — a local copy of a foreign
-        // partition would never see the owner's later deletes, and could
-        // resurrect them if the partition ever migrates here. Relaying
-        // only the foreign subset is also what keeps relays loop-free
-        // (see the module docs): the receiver owns everything in its leg.
-        let mut owned = GraphTxn::new(txn.id());
-        let mut foreign: Vec<(u32, GraphTxn)> = Vec::new();
-        for op in txn.ops() {
-            let owner = map.owner_index(map.partition_of(txn_op_src(op)));
-            if owner == my_idx {
-                owned.push(*op);
-            } else if let Some((_, sub)) = foreign.iter_mut().find(|(o, _)| *o == owner) {
-                sub.push(*op);
-            } else {
-                // The relay leg keeps the *original* txn id: a client
-                // retry landing on either server dedupes, and a bounce
-                // from a staler receiver dedupes against our own ledger.
-                let mut sub = GraphTxn::new(txn.id());
-                sub.push(*op);
-                foreign.push((owner, sub));
-            }
-        }
-
-        let mut receipt = if owned.is_empty() {
+        let mut receipt = if split.owned.is_empty() {
             // Nothing of ours — the receipt aggregates the relay legs.
             TxnReceipt {
                 txn_id: txn.id(),
@@ -277,68 +301,41 @@ impl GraphService for FleetNode {
                 ..TxnReceipt::default()
             }
         } else {
-            self.cluster.apply_txn(&owned)?
+            self.cluster.apply_txn(&sub_txn(txn.id(), &split.owned))?
         };
-
-        // Owner → replica fan-out: one sub-txn per replica holding exactly
-        // the partitions it replicates, under a derived id (a server can
-        // receive a relay leg and a replica leg of the same parent txn —
-        // distinct ids keep them from deduping each other away).
-        // Best-effort: a down replica degrades reads, it must not fail
-        // the owner's write path.
-        let mut per_replica: Vec<(u32, GraphTxn)> = Vec::new();
-        for op in owned.ops() {
-            let p = map.partition_of(txn_op_src(op));
-            let Some(r) = map.replica_index(p) else {
-                continue;
-            };
-            if r == my_idx {
-                continue;
-            }
-            if let Some((_, sub)) = per_replica.iter_mut().find(|(idx, _)| *idx == r) {
-                sub.push(*op);
-            } else {
-                let id = derive_txn_id(txn.id(), map.servers()[r as usize].id, CH_REPLICA);
-                let mut sub = GraphTxn::new(id);
-                sub.push(*op);
-                per_replica.push((r, sub));
-            }
-        }
-        for (ridx, sub) in per_replica {
-            let sent = self
-                .peer(&map, ridx)
-                .map_err(TxnError::Store)
-                .and_then(|peer| peer.apply_replica_txn(&sub));
-            match sent {
-                Ok(_) => self.m.replica_fanouts.inc(),
-                Err(_) => self.m.replica_errors.inc(),
-            }
-        }
-
-        // Stale-routed legs: hard errors, exactly like the update path —
-        // this node no longer applies them locally, so a dropped relay
-        // would silently lose an acked write.
-        for (oidx, sub) in foreign {
-            let peer = self.peer(&map, oidx).map_err(TxnError::Store)?;
-            let r = peer.apply_txn(&sub)?;
-            self.m.relayed_ops.add(sub.len() as u64);
-            receipt.ops_applied += r.ops_applied;
-            receipt.graph_version = receipt.graph_version.max(r.graph_version);
-            receipt.deduped &= r.deduped;
-        }
+        self.forward(
+            &split,
+            // One sub-txn per replica holding exactly the partitions it
+            // replicates, under a derived id (a server can receive a relay
+            // leg and a replica leg of the same parent txn — distinct ids
+            // keep them from deduping each other away).
+            |peer, ridx, leg| {
+                let server_id = split.map.servers()[ridx as usize].id;
+                let id = derive_txn_id(txn.id(), server_id, CH_REPLICA);
+                peer.apply_replica_txn(&sub_txn(id, leg)).map(drop)
+            },
+            // The relay leg keeps the *original* txn id: a client retry
+            // landing on either server dedupes, and a bounce from a staler
+            // receiver dedupes against our own ledger.
+            |peer, leg| {
+                merge_receipt(&mut receipt, peer.apply_txn(&sub_txn(txn.id(), leg))?);
+                Ok(())
+            },
+        )?;
         Ok(receipt)
     }
 
     fn apply_replica_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        // Replica channel: apply locally, never re-forward. The
-        // version-silent variant keeps replication and migration streams
-        // from masquerading as logical writes to fleet clients (whose
-        // trainer caches invalidate on the fleet-wide version sum).
-        self.cluster.apply_batch_replicated(ops)
+        // Replica channel: apply locally, never re-forward. The cluster's
+        // replica origin is version-silent, which keeps replication and
+        // migration streams from masquerading as logical writes to fleet
+        // clients (whose trainer caches invalidate on the fleet-wide
+        // version sum).
+        self.cluster.apply_replica_updates(ops)
     }
 
     fn apply_replica_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        self.cluster.apply_txn_replicated(txn)
+        self.cluster.apply_replica_txn(txn)
     }
 
     fn fleet_map_bytes(&self) -> Option<(u64, Vec<u8>)> {

@@ -29,38 +29,6 @@ impl ShardHealth {
     }
 }
 
-/// A read served by a possibly-degraded cluster: the value plus an explicit
-/// flag telling the caller whether any shard involved failed to answer.
-///
-/// Degraded sampling returns an *empty* neighbor set rather than a panic or
-/// a silently wrong one — GNN training tolerates missing neighborhoods for
-/// a minibatch far better than a crashed trainer (the motivating scenario
-/// for graceful degradation).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Served<T> {
-    pub value: T,
-    /// True when a shard could not answer and `value` is a fallback.
-    pub degraded: bool,
-}
-
-impl<T> Served<T> {
-    /// A normal, full-fidelity response.
-    pub fn ok(value: T) -> Self {
-        Served {
-            value,
-            degraded: false,
-        }
-    }
-
-    /// A fallback response from a failed shard.
-    pub fn degraded(value: T) -> Self {
-        Served {
-            value,
-            degraded: true,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,14 +39,5 @@ mod tests {
         assert!(ShardHealth::Degraded.is_serving());
         assert!(!ShardHealth::Failed.is_serving());
         assert_eq!(ShardHealth::default(), ShardHealth::Healthy);
-    }
-
-    #[test]
-    fn served_constructors() {
-        let s = Served::ok(vec![1, 2]);
-        assert!(!s.degraded);
-        let d: Served<Vec<i32>> = Served::degraded(Vec::new());
-        assert!(d.degraded);
-        assert!(d.value.is_empty());
     }
 }

@@ -28,7 +28,7 @@ mod txn;
 pub use edgelist::{for_each_edge, read_edge_list, write_edge_list};
 pub use error::Error;
 pub use generator::{EdgeStream, UpdateStream, ZipfSampler};
-pub use health::{Served, ShardHealth};
+pub use health::ShardHealth;
 pub use profile::{DatasetProfile, RelationSpec};
 pub use store::GraphStore;
 pub use txn::{

@@ -21,7 +21,7 @@
 //!   and degraded-batch counts.
 //!
 //! The pipeline is read-only against the cluster, so a writer thread can
-//! stream `apply_batch_sharded` updates concurrently — exactly the
+//! stream `GraphService::apply_updates` batches concurrently — exactly the
 //! dynamic-graph training regime the paper targets.
 
 mod cache;

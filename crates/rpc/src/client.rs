@@ -52,13 +52,14 @@ use crate::codec::{
     decode_txn_reply, decode_update_reply, encode_frame, encode_heal_request, encode_map_install,
     encode_migrate_ctl, encode_partition_fetch, encode_partition_stats, encode_sample_batch,
     encode_span_export, encode_tail_fetch, encode_txn_apply, encode_update_batch, error_code,
-    frame_len, migrate_action, parse_frame, read_frame, take_timing_echo, write_frame, FrameError,
-    FrameKind, MapReply, PartitionFetch, SampleBatch, TxnApply, TxnReply, UpdateBatch,
+    frame_len, migrate_action, parse_frame, read_frame, take_timing_echo, write_frame, ErrorReply,
+    FrameError, FrameKind, MapReply, PartitionFetch, SampleBatch, TxnApply, TxnReply, UpdateBatch,
 };
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{
     current_trace_context, Counter, ExportedSpan, Histogram, Registry, RegistryExport,
 };
+use platod2gl_server::wire::{Reader, WireError};
 use platod2gl_server::{
     route_for, BatchReport, DegradedPolicy, GraphService, PartitionChunk, SampleRequest,
     SampleResponse, SlotSource,
@@ -781,6 +782,31 @@ impl RemoteCluster {
         }
     }
 
+    /// [`roundtrip`](Self::roundtrip) for a request the server may refuse:
+    /// the reply is either a `want` frame (decoded) or an `ErrorReply`,
+    /// handed back as the inner `Err` for the caller to map onto its own
+    /// error; anything else is a protocol failure.
+    fn call<T>(
+        &self,
+        kind: FrameKind,
+        payload: &[u8],
+        want: FrameKind,
+        what: &'static str,
+        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+    ) -> Result<Result<T, ErrorReply>, FrameError> {
+        let (got, reply) = self.roundtrip(kind, payload)?;
+        if got == want {
+            Ok(Ok(decode(&reply)?))
+        } else if got == FrameKind::ErrorReply {
+            Ok(Err(decode_error_reply(&reply)?))
+        } else {
+            Err(FrameError::UnexpectedReply {
+                expected: what,
+                got,
+            })
+        }
+    }
+
     /// Health probe: graph version plus per-shard healths. Successful
     /// probes refresh the client's cached view.
     pub fn probe(&self) -> Result<crate::codec::HealthReply, FrameError> {
@@ -929,49 +955,16 @@ impl RemoteCluster {
     /// Install a partition map on the server; returns the epoch in effect.
     pub fn install_map(&self, epoch: u64, bytes: &[u8]) -> Result<u64, Error> {
         let payload = encode_map_install(epoch, bytes);
-        let (kind, reply) = self
-            .roundtrip(FrameKind::MapInstall, &payload)
-            .map_err(fleet_err)?;
-        match kind {
-            FrameKind::MapInstallReply => platod2gl_server::wire::Reader::new(&reply)
-                .u64()
-                .map_err(|e| fleet_err(e.into())),
-            FrameKind::ErrorReply => {
-                let err = decode_error_reply(&reply).map_err(|e| fleet_err(e.into()))?;
-                Err(Error::invalid_config(err.message))
-            }
-            kind => Err(fleet_err(FrameError::UnexpectedReply {
-                expected: "map install",
-                got: kind,
-            })),
-        }
-    }
-
-    /// Apply an update batch over the replication channel (the receiver
-    /// must not re-forward — see
-    /// [`FrameKind::ReplicaBatch`](crate::codec::FrameKind::ReplicaBatch)).
-    pub fn replica_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        let batch = UpdateBatch {
-            deadline_ms: self.deadline_ms(),
-            // A fleet owner relaying to replicas runs inside its own
-            // server-side root span; the ambient context carries the
-            // client's trace across the second hop.
-            ctx: current_trace_context(),
-            ops: ops.to_vec(),
-        };
-        let payload = encode_update_batch(&batch);
-        self.exchange_update(FrameKind::ReplicaBatch, &payload)
-    }
-
-    /// Apply a transaction over the replication channel, under its
-    /// original id (the replica's dedupe ledger absorbs retries).
-    pub fn replica_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        let payload = encode_txn_apply(&TxnApply {
-            txn_id: txn.id(),
-            ctx: current_trace_context(),
-            ops: txn.ops().to_vec(),
-        });
-        self.exchange_txn(FrameKind::ReplicaTxn, &payload)
+        let decode = |reply: &[u8]| Reader::new(reply).u64();
+        self.call(
+            FrameKind::MapInstall,
+            &payload,
+            FrameKind::MapInstallReply,
+            "map install",
+            decode,
+        )
+        .map_err(fleet_err)?
+        .map_err(|err| Error::invalid_config(err.message))
     }
 
     /// Pull every recent span on this server belonging to `trace_id` —
@@ -1010,24 +1003,16 @@ impl RemoteCluster {
             cursor,
             max_edges,
         });
-        let (kind, reply) = self
-            .roundtrip(FrameKind::PartitionFetch, &payload)
-            .map_err(fleet_err)?;
-        let chunk = match kind {
-            FrameKind::PartitionChunkReply => {
-                decode_partition_chunk(&reply).map_err(|e| fleet_err(e.into()))?
-            }
-            FrameKind::ErrorReply => {
-                let err = decode_error_reply(&reply).map_err(|e| fleet_err(e.into()))?;
-                return Err(Error::invalid_config(err.message));
-            }
-            kind => {
-                return Err(fleet_err(FrameError::UnexpectedReply {
-                    expected: "partition chunk",
-                    got: kind,
-                }))
-            }
-        };
+        let chunk = self
+            .call(
+                FrameKind::PartitionFetch,
+                &payload,
+                FrameKind::PartitionChunkReply,
+                "partition chunk",
+                decode_partition_chunk,
+            )
+            .map_err(fleet_err)?
+            .map_err(|err| Error::invalid_config(err.message))?;
         Ok(PartitionChunk {
             snapshot: chunk.snapshot,
             cursor: chunk.cursor,
@@ -1048,44 +1033,31 @@ impl RemoteCluster {
 
     fn migrate_ctl(&self, action: u8, partition: u32, num_partitions: u32) -> Result<u64, Error> {
         let payload = encode_migrate_ctl(action, partition, num_partitions);
-        let (kind, reply) = self
-            .roundtrip(FrameKind::MigrateCtl, &payload)
-            .map_err(fleet_err)?;
-        match kind {
-            FrameKind::MigrateCtlReply => {
-                decode_migrate_ctl_reply(&reply).map_err(|e| fleet_err(e.into()))
-            }
-            FrameKind::ErrorReply => {
-                let err = decode_error_reply(&reply).map_err(|e| fleet_err(e.into()))?;
-                Err(Error::invalid_config(err.message))
-            }
-            kind => Err(fleet_err(FrameError::UnexpectedReply {
-                expected: "migrate ctl",
-                got: kind,
-            })),
-        }
+        self.call(
+            FrameKind::MigrateCtl,
+            &payload,
+            FrameKind::MigrateCtlReply,
+            "migrate ctl",
+            decode_migrate_ctl_reply,
+        )
+        .map_err(fleet_err)?
+        .map_err(|err| Error::invalid_config(err.message))
     }
 
     /// Fetch journaled migration ops from `from_seq` on.
     pub fn fetch_tail(&self, partition: u32, from_seq: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
         let payload = encode_tail_fetch(partition, from_seq);
-        let (kind, reply) = self
-            .roundtrip(FrameKind::TailFetch, &payload)
-            .map_err(fleet_err)?;
-        match kind {
-            FrameKind::TailReply => {
-                let tail = decode_tail_reply(&reply).map_err(|e| fleet_err(e.into()))?;
-                Ok((tail.ops, tail.next_seq))
-            }
-            FrameKind::ErrorReply => {
-                let err = decode_error_reply(&reply).map_err(|e| fleet_err(e.into()))?;
-                Err(Error::Corrupt { what: err.message })
-            }
-            kind => Err(fleet_err(FrameError::UnexpectedReply {
-                expected: "tail",
-                got: kind,
-            })),
-        }
+        let tail = self
+            .call(
+                FrameKind::TailFetch,
+                &payload,
+                FrameKind::TailReply,
+                "tail",
+                decode_tail_reply,
+            )
+            .map_err(fleet_err)?
+            .map_err(|err| Error::Corrupt { what: err.message })?;
+        Ok((tail.ops, tail.next_seq))
     }
 
     /// Per-partition resident key counts.
@@ -1098,19 +1070,25 @@ impl RemoteCluster {
         decode_partition_stats_reply(&reply).map_err(|e| fleet_err(e.into()))
     }
 
-    /// Shared body of the update-batch exchange (first-hand and replica
-    /// channels differ only in the request frame kind).
-    fn exchange_update(&self, kind: FrameKind, payload: &[u8]) -> Result<BatchReport, Error> {
-        let outcome = self
-            .roundtrip(kind, payload)
-            .and_then(|(kind, reply)| match kind {
-                FrameKind::UpdateReply => Ok(Ok(decode_update_reply(&reply)?)),
-                FrameKind::ErrorReply => Ok(Err(decode_error_reply(&reply)?)),
-                kind => Err(FrameError::UnexpectedReply {
-                    expected: "update",
-                    got: kind,
-                }),
-            });
+    /// The update-batch exchange. The first-hand and replica channels differ
+    /// only in the request frame kind (the receiver of a
+    /// [`FrameKind::ReplicaBatch`] must not re-forward).
+    fn exchange_update(&self, kind: FrameKind, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
+        let payload = encode_update_batch(&UpdateBatch {
+            deadline_ms: self.deadline_ms(),
+            // A fleet owner relaying to replicas runs inside its own
+            // server-side root span; the ambient context carries the
+            // client's trace across the second hop.
+            ctx: current_trace_context(),
+            ops: ops.to_vec(),
+        });
+        let outcome = self.call(
+            kind,
+            &payload,
+            FrameKind::UpdateReply,
+            "update",
+            decode_update_reply,
+        );
         match outcome {
             Ok(Ok(reply)) => Ok(BatchReport {
                 applied_ops: reply.applied_ops as usize,
@@ -1131,9 +1109,17 @@ impl RemoteCluster {
         }
     }
 
-    /// Shared body of the txn exchange (first-hand and replica channels).
-    fn exchange_txn(&self, kind: FrameKind, payload: &[u8]) -> Result<TxnReceipt, TxnError> {
-        let outcome = self.roundtrip(kind, payload).and_then(|(kind, reply)| {
+    /// The txn exchange, first-hand or on the replica channel. Encoded
+    /// once; every retry re-sends the identical frame — same txn id — so
+    /// the receiver's idempotence ledger answers a replayed commit from the
+    /// cached receipt instead of applying twice.
+    fn exchange_txn(&self, kind: FrameKind, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
+        let payload = encode_txn_apply(&TxnApply {
+            txn_id: txn.id(),
+            ctx: current_trace_context(),
+            ops: txn.ops().to_vec(),
+        });
+        let outcome = self.roundtrip(kind, &payload).and_then(|(kind, reply)| {
             expect_kind(kind, FrameKind::TxnReply, "txn")?;
             Ok(decode_txn_reply(&reply)?)
         });
@@ -1239,24 +1225,11 @@ impl GraphService for RemoteCluster {
     }
 
     fn apply_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        let batch = UpdateBatch {
-            deadline_ms: self.deadline_ms(),
-            ctx: current_trace_context(),
-            ops: ops.to_vec(),
-        };
-        self.exchange_update(FrameKind::UpdateBatch, &encode_update_batch(&batch))
+        self.exchange_update(FrameKind::UpdateBatch, ops)
     }
 
     fn apply_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        // Encoded once; every retry re-sends the identical frame — same
-        // txn id — so the server's idempotence ledger answers a replayed
-        // commit from the cached receipt instead of applying twice.
-        let payload = encode_txn_apply(&TxnApply {
-            txn_id: txn.id(),
-            ctx: current_trace_context(),
-            ops: txn.ops().to_vec(),
-        });
-        self.exchange_txn(FrameKind::TxnApply, &payload)
+        self.exchange_txn(FrameKind::TxnApply, txn)
     }
 
     fn graph_version(&self) -> u64 {
@@ -1298,11 +1271,11 @@ impl GraphService for RemoteCluster {
     // transparent proxy for a fleet-aware server.
 
     fn apply_replica_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        self.replica_updates(ops)
+        self.exchange_update(FrameKind::ReplicaBatch, ops)
     }
 
     fn apply_replica_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        self.replica_txn(txn)
+        self.exchange_txn(FrameKind::ReplicaTxn, txn)
     }
 
     fn fleet_map_bytes(&self) -> Option<(u64, Vec<u8>)> {

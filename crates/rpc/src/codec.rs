@@ -883,7 +883,7 @@ pub fn decode_partition_fetch(payload: &[u8]) -> Result<PartitionFetch, WireErro
 
 /// A [`FrameKind::PartitionChunkReply`] payload: one snapshot chunk of
 /// a migrating partition (mirrors
-/// [`platod2gl_server::PartitionChunk`](platod2gl_server::PartitionChunk)).
+/// [`platod2gl_server::PartitionChunk`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionChunkReply {
     /// The chunk reached the end of the partition.
@@ -893,7 +893,7 @@ pub struct PartitionChunkReply {
     /// Edges inside the chunk.
     pub edges: u64,
     /// Snapshot bytes (per-block CRC; decode with
-    /// [`platod2gl_storage::read_snapshot`](platod2gl_storage::read_snapshot)).
+    /// [`platod2gl_storage::read_snapshot`]).
     pub snapshot: Vec<u8>,
 }
 

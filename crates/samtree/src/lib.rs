@@ -16,7 +16,7 @@
 //! 4. Every leaf carries an [`FsTable`](platod2gl_fenwick::FsTable): one FTS
 //!    step picks a neighbor, and all leaf maintenance is `O(log n_L)`.
 //!
-//! Insertion uses the [`alpha_split`](split::alpha_split) algorithm to split
+//! Insertion uses the [`alpha_split`] algorithm to split
 //! full leaves in `O(n)` without sorting (Alg. 1/2); deletion swap-removes
 //! in the leaf and merges underfull nodes with a sibling (Sec. IV-D).
 //! Sampling draws one random number and threads it down the tree: ITS at

@@ -23,44 +23,52 @@
 //! * **transient faults** are retried with exponential backoff
 //!   ([`TrafficStats::retried_requests`]);
 //! * **failed shards** serve *degraded* reads — sampling returns an empty
-//!   neighbor set flagged via [`Served::degraded`] instead of panicking —
-//!   and their updates are **queued** ([`TrafficStats::queued_ops`]) until
-//!   [`Cluster::heal_shard`] drains them;
+//!   neighbor set flagged via [`SampleResponse::degraded`] instead of
+//!   panicking — and their updates are **queued**
+//!   ([`TrafficStats::queued_ops`]) until [`Cluster::heal_shard`] drains
+//!   them;
 //! * a **panicking batch worker** is caught per shard
-//!   ([`Cluster::apply_batch_sharded`] returns a `Result`), the shard is
+//!   ([`GraphService::apply_updates`] returns a `Result`), the shard is
 //!   marked [`ShardHealth::Failed`], and the other shards' work completes.
 //!
 //! Maintenance paths (snapshots, weight decay, attribute access) talk to
 //! shard storage directly and are not fault-routed.
+//!
+//! ## One write pipeline
+//!
+//! Every write — routed single op, update batch, transaction, first-hand or
+//! on the replica channel — runs the same **route → admit → apply → settle**
+//! pipeline in the private `write` module: an update batch is a transaction
+//! minus validation, with lenient instead of strict admission. DESIGN.md
+//! §6b has the admission table.
 
 mod faults;
 mod request;
 mod service;
 mod txn;
 pub mod wire;
+mod write;
 
 pub use faults::{FaultInjector, FaultKind};
 /// Legacy alias: the server's latency histogram is now the shared
-/// observability crate's [`Histogram`](platod2gl_obs::Histogram).
+/// observability crate's [`Histogram`].
 pub use platod2gl_obs::Histogram as LatencyHistogram;
 pub use platod2gl_obs::HistogramSnapshot;
 pub use request::{DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
 pub use service::GraphService;
 pub use txn::TxnLogEntry;
 
-use faults::Verdict;
 use platod2gl_graph::{
-    validate_and_lower, Edge, EdgeType, Error, GraphStore, GraphTxn, ShardHealth, TxnError,
-    TxnReceipt, TxnView, UpdateOp, VertexId,
+    Edge, EdgeType, Error, GraphStore, ShardHealth, TxnView, UpdateOp, VertexId,
 };
 use platod2gl_obs::{Counter, Gauge, Histogram, Registry};
 use platod2gl_storage::{AttributeStore, DynamicGraphStore, StoreConfig, StoreMemory};
 use rand::RngCore;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use txn::TxnPlane;
+use write::Origin;
 
 /// Cluster-level configuration.
 #[derive(Clone, Copy, Debug)]
@@ -209,10 +217,10 @@ pub struct TrafficStats {
 }
 
 /// Per-shard router-side state: observed health plus updates parked while
-/// the shard is down.
+/// the shard is down, each with the channel it arrived on.
 struct ShardState {
     health: AtomicU8,
-    pending: Mutex<Vec<UpdateOp>>,
+    pending: Mutex<Vec<(UpdateOp, Origin)>>,
 }
 
 const HEALTH_HEALTHY: u8 = 0;
@@ -254,7 +262,7 @@ impl ShardState {
         );
     }
 
-    fn lock_pending(&self) -> std::sync::MutexGuard<'_, Vec<UpdateOp>> {
+    fn lock_pending(&self) -> std::sync::MutexGuard<'_, Vec<(UpdateOp, Origin)>> {
         self.pending
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -488,11 +496,6 @@ impl MigrationLog {
 /// with the real frame sizes from [`wire`].
 const ID_BYTES: u64 = 8;
 
-/// Retry budget for transient shard faults.
-const MAX_RETRIES: u32 = 3;
-/// Base backoff before the first retry; doubles per attempt.
-const BACKOFF_BASE_MICROS: u64 = 50;
-
 impl Cluster {
     /// Boot a cluster with its own fresh observability registry.
     pub fn new(config: ClusterConfig) -> Self {
@@ -581,9 +584,9 @@ impl Cluster {
     }
 
     /// The cluster's graph version: a monotone counter bumped once per
-    /// mutation that reaches a shard — each [`Cluster::apply_batch_sharded`]
-    /// call, each routed single-op write, each heal drain, decay sweep,
-    /// bulk delete, or restore. Readers that cache derived state (e.g. the
+    /// client-origin mutation that reaches a shard — each update batch or
+    /// committed transaction, each routed single-op write, each heal drain,
+    /// decay sweep, bulk delete, or restore. Readers that cache derived state (e.g. the
     /// pipeline's neighbor cache) compare entry versions against this to
     /// bound staleness under concurrent updates.
     pub fn graph_version(&self) -> u64 {
@@ -630,46 +633,6 @@ impl Cluster {
         }
     }
 
-    /// Run one request against a shard under the fault policy: honor the
-    /// injector's verdict, retry transients with exponential backoff, and
-    /// mark shard health. `Err` means the shard is (now) unavailable.
-    fn call_shard<T>(&self, shard: usize, f: impl FnOnce(&GraphServer) -> T) -> Result<T, Error> {
-        let state = &self.shard_states[shard];
-        if state.health() == ShardHealth::Failed {
-            self.m.failed_requests.inc();
-            return Err(Error::ShardUnavailable { shard });
-        }
-        let mut f = Some(f);
-        for attempt in 0..=MAX_RETRIES {
-            match self.faults.verdict(shard, false) {
-                Verdict::Proceed => {
-                    state.mark_success();
-                    return Ok(f.take().expect("closure used once")(&self.servers[shard]));
-                }
-                Verdict::ProceedAfter(delay) => {
-                    std::thread::sleep(delay);
-                    state.mark_success();
-                    return Ok(f.take().expect("closure used once")(&self.servers[shard]));
-                }
-                Verdict::Transient => {
-                    self.m.retried_requests.inc();
-                    state.set_health(ShardHealth::Degraded);
-                    std::thread::sleep(Duration::from_micros(backoff_micros(attempt)));
-                }
-                Verdict::Unavailable => {
-                    self.m.failed_requests.inc();
-                    state.set_health(ShardHealth::Failed);
-                    return Err(Error::ShardUnavailable { shard });
-                }
-                Verdict::PanicBatch => unreachable!("panic faults only fire on the batch path"),
-            }
-        }
-        // Retry budget exhausted: treat the shard as down.
-        self.m.failed_requests.inc();
-        state.set_health(ShardHealth::Failed);
-        Err(Error::ShardUnavailable { shard })
-    }
-
     /// Fault-routed read with a degraded fallback value.
     fn read_or<T>(&self, shard: usize, fallback: T, f: impl FnOnce(&GraphServer) -> T) -> T {
         match self.call_shard(shard, f) {
@@ -678,84 +641,6 @@ impl Cluster {
                 self.m.degraded_responses.inc();
                 fallback
             }
-        }
-    }
-
-    /// Queue an update op for a failed shard (drained by
-    /// [`Cluster::heal_shard`]), re-checking health *under the pending
-    /// lock*: a writer that observed the shard failed may reach here after
-    /// a concurrent [`Cluster::heal_shard`] already drained the queue and
-    /// marked the shard healthy — queueing then would strand the op forever.
-    /// In that case the op is applied directly instead (the heal completed
-    /// its drain before flipping health, so ordering is preserved).
-    ///
-    /// Returns `true` if the op was queued, `false` if it was applied.
-    fn queue_op(&self, shard: usize, op: UpdateOp) -> bool {
-        let state = &self.shard_states[shard];
-        let mut pending = state.lock_pending();
-        if state.health() != ShardHealth::Failed {
-            drop(pending);
-            self.servers[shard].topology.apply(&op);
-            self.record_migration_ops(std::slice::from_ref(&op));
-            return false;
-        }
-        pending.push(op);
-        self.m.queued_ops.inc();
-        true
-    }
-
-    /// Apply a routed update op under the fault policy. Returns `false`
-    /// when the op was queued instead of applied.
-    fn apply_routed(&self, op: UpdateOp) -> bool {
-        let shard = self.route(op.src());
-        let applied = match self.call_shard(shard, |s| s.topology.apply(&op)) {
-            Ok(()) => {
-                self.record_migration_ops(std::slice::from_ref(&op));
-                true
-            }
-            // queue_op journals itself when a heal race applies directly.
-            Err(_) => !self.queue_op(shard, op),
-        };
-        if applied {
-            self.bump_version();
-        }
-        applied
-    }
-
-    /// Clear any scripted fault on a shard, mark it healthy, and drain its
-    /// queued updates through the batch-parallel path. Returns the number
-    /// of drained ops.
-    ///
-    /// Drain and health transition coordinate with writers through the
-    /// pending mutex: the queue is re-checked after every drained batch
-    /// (writers still observing the shard as failed may queue concurrently
-    /// with a drain), and the shard is marked healthy only in the same
-    /// critical section that observes the queue empty. After that, any
-    /// late writer re-checks health under the same lock in
-    /// [`Cluster::queue_op`] and applies directly, so no op is ever parked
-    /// on a healthy shard.
-    pub fn heal_shard(&self, shard: usize) -> usize {
-        let _span = self.registry.span("cluster.heal");
-        self.m.heals.inc();
-        let state = &self.shard_states[shard];
-        let mut drained = 0;
-        loop {
-            let pending: Vec<UpdateOp> = {
-                let mut guard = state.lock_pending();
-                if guard.is_empty() {
-                    self.faults.clear(shard);
-                    state.set_health(ShardHealth::Healthy);
-                    self.m.healed_ops.add(drained as u64);
-                    return drained;
-                }
-                std::mem::take(&mut *guard)
-            };
-            drained += pending.len();
-            self.servers[shard]
-                .topology
-                .apply_batch_parallel(&pending, self.config.threads_per_shard.max(1));
-            self.record_migration_ops(&pending);
-            self.bump_version();
         }
     }
 
@@ -780,201 +665,6 @@ impl Cluster {
         got
     }
 
-    /// Batched update across shards: ops are partitioned by owning shard,
-    /// each shard applies its partition with the PALM batch updater, all
-    /// shards in parallel (they are independent machines in production).
-    ///
-    /// Fault handling: a failed shard's partition is queued (see
-    /// [`BatchReport::queued_ops`] and [`Cluster::heal_shard`]); a panicking
-    /// shard worker is caught, the shard is marked
-    /// [`ShardHealth::Failed`], every *other* shard's partition still
-    /// applies, and the panic surfaces as [`Error::ShardPanicked`].
-    pub fn apply_batch_sharded(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        self.apply_batch_routed(ops, true)
-    }
-
-    /// [`Cluster::apply_batch_sharded`] for the replication/migration
-    /// channel: applies identically but does **not** advance
-    /// [`Cluster::graph_version`] or feed the migration journal. Replica
-    /// fan-out and migration snapshot streams are data *moves* — the
-    /// logical graph a fleet client observes is unchanged, so bumping the
-    /// version here would spuriously invalidate trainer caches
-    /// fleet-wide, and journaling here would let a migrated partition's
-    /// new owner echo drained ops back into the source's journal forever
-    /// (the final drain would never see an empty round).
-    pub fn apply_batch_replicated(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        self.apply_batch_routed(ops, false)
-    }
-
-    fn apply_batch_routed(
-        &self,
-        ops: &[UpdateOp],
-        bump_version: bool,
-    ) -> Result<BatchReport, Error> {
-        let _span = self.registry.span("cluster.apply_batch");
-        let started = Instant::now();
-        let mut per_shard: Vec<Vec<UpdateOp>> = vec![Vec::new(); self.servers.len()];
-        for op in ops {
-            per_shard[self.route(op.src())].push(*op);
-        }
-        // One update frame per shard that receives a partition, one reply
-        // frame back from each — exactly what the rpc transport ships.
-        let live_shards = per_shard.iter().filter(|p| !p.is_empty());
-        let (frames, req_bytes) = live_shards.fold((0u64, 0u64), |(n, b), p| {
-            (n + 1, b + wire::update_frame_bytes(p.len()))
-        });
-        self.tally(frames, req_bytes, frames * wire::UPDATE_REPLY_FRAME_BYTES);
-
-        // Resolve each shard's fate up front (retrying transients), so the
-        // parallel phase below only runs real work.
-        enum Fate {
-            Apply {
-                delay: Option<Duration>,
-                panic: bool,
-            },
-            Queue,
-        }
-        let mut fates: Vec<Option<Fate>> = Vec::with_capacity(per_shard.len());
-        for (shard, shard_ops) in per_shard.iter().enumerate() {
-            if shard_ops.is_empty() {
-                fates.push(None);
-                continue;
-            }
-            if self.shard_states[shard].health() == ShardHealth::Failed {
-                self.m.failed_requests.inc();
-                fates.push(Some(Fate::Queue));
-                continue;
-            }
-            let mut fate = None;
-            for attempt in 0..=MAX_RETRIES {
-                match self.faults.verdict(shard, true) {
-                    Verdict::Proceed => {
-                        fate = Some(Fate::Apply {
-                            delay: None,
-                            panic: false,
-                        });
-                        break;
-                    }
-                    Verdict::ProceedAfter(delay) => {
-                        fate = Some(Fate::Apply {
-                            delay: Some(delay),
-                            panic: false,
-                        });
-                        break;
-                    }
-                    Verdict::PanicBatch => {
-                        fate = Some(Fate::Apply {
-                            delay: None,
-                            panic: true,
-                        });
-                        break;
-                    }
-                    Verdict::Transient => {
-                        self.m.retried_requests.inc();
-                        self.shard_states[shard].set_health(ShardHealth::Degraded);
-                        std::thread::sleep(Duration::from_micros(backoff_micros(attempt)));
-                    }
-                    Verdict::Unavailable => {
-                        self.m.failed_requests.inc();
-                        self.shard_states[shard].set_health(ShardHealth::Failed);
-                        fate = Some(Fate::Queue);
-                        break;
-                    }
-                }
-            }
-            fates.push(Some(match fate {
-                Some(f) => f,
-                None => {
-                    // Retry budget exhausted.
-                    self.m.failed_requests.inc();
-                    self.shard_states[shard].set_health(ShardHealth::Failed);
-                    Fate::Queue
-                }
-            }));
-        }
-
-        let mut report = BatchReport::default();
-        let mut worker_outcomes: Vec<(usize, Result<(), String>)> = Vec::new();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (shard, (shard_ops, fate)) in per_shard.iter().zip(&fates).enumerate() {
-                let Some(fate) = fate else { continue };
-                match fate {
-                    Fate::Queue => {
-                        // queue_op may apply directly if a concurrent heal
-                        // raced in; count whichever actually happened.
-                        for op in shard_ops {
-                            if self.queue_op(shard, *op) {
-                                report.queued_ops += 1;
-                            } else {
-                                report.applied_ops += 1;
-                            }
-                        }
-                    }
-                    Fate::Apply { delay, panic } => {
-                        let server = &self.servers[shard];
-                        let threads = self.config.threads_per_shard.max(1);
-                        let (delay, panic) = (*delay, *panic);
-                        handles.push((
-                            shard,
-                            shard_ops.len(),
-                            s.spawn(move || {
-                                // Each worker catches its own panic so one
-                                // crashed shard cannot abort the batch (or
-                                // the process).
-                                std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    if let Some(d) = delay {
-                                        std::thread::sleep(d);
-                                    }
-                                    if panic {
-                                        panic!(
-                                            "injected fault: shard {shard} batch worker crashed"
-                                        );
-                                    }
-                                    server.topology.apply_batch_parallel(shard_ops, threads);
-                                }))
-                                .map_err(|payload| panic_message(&*payload))
-                            }),
-                        ));
-                    }
-                }
-            }
-            for (shard, n_ops, handle) in handles {
-                let outcome = handle
-                    .join()
-                    .unwrap_or_else(|payload| Err(panic_message(&*payload)));
-                if outcome.is_ok() {
-                    report.applied_ops += n_ops;
-                    if bump_version {
-                        self.record_migration_ops(&per_shard[shard]);
-                    }
-                }
-                worker_outcomes.push((shard, outcome));
-            }
-        });
-        self.m.update_latency.record(started.elapsed());
-        if bump_version && !ops.is_empty() {
-            // Conservative: queued-only batches also bump (a cache refresh
-            // is cheap; serving around a missed invalidation is not).
-            self.bump_version();
-        }
-
-        let mut first_panic = None;
-        for (shard, outcome) in worker_outcomes {
-            if let Err(detail) = outcome {
-                self.shard_states[shard].set_health(ShardHealth::Failed);
-                self.m.failed_requests.inc();
-                if first_panic.is_none() {
-                    first_panic = Some(Error::ShardPanicked { shard, detail });
-                }
-            }
-        }
-        match first_panic {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
-    }
-
     /// Declare the relation schema: edge types `0..limit` are known, and a
     /// transaction naming any other etype is rejected in phase 1 with
     /// [`ViolationKind::UnknownEtype`](platod2gl_graph::ViolationKind).
@@ -994,251 +684,6 @@ impl Cluster {
     /// sickness signal for `/healthz`, distinct from shard health).
     pub fn txn_abort_streak(&self) -> u64 {
         self.txn.abort_streak.load(Ordering::Relaxed)
-    }
-
-    /// Record one aborted transaction: counter, streak, journal.
-    fn note_txn_abort(&self, txn_id: u64, outcome: &'static str, detail: String) {
-        self.m.txn_aborted.inc();
-        let streak = self.txn.abort_streak.fetch_add(1, Ordering::Relaxed) + 1;
-        self.m.txn_abort_streak.set(streak as i64);
-        self.txn.log(TxnLogEntry {
-            txn_id,
-            outcome,
-            ops: 0,
-            detail,
-        });
-    }
-
-    /// Apply a typed transaction: two-phase, all-or-nothing across shards.
-    ///
-    /// **Phase 1** validates the whole batch against live topology
-    /// ([`validate_and_lower`]) and rejects it — zero changes — on any
-    /// violation. **Phase 2** partitions the lowered ops by owning shard
-    /// and applies every partition in parallel through the PALM batch
-    /// updater, bumping the graph version once on commit.
-    ///
-    /// Admission is *strict*, unlike [`Cluster::apply_batch_sharded`]: a
-    /// transaction is atomic across shards, so if any involved shard is
-    /// failed, unavailable after retries, or scripted with
-    /// [`FaultKind::AbortNextTxn`], the whole transaction aborts cleanly
-    /// (nothing is queued — atomicity over availability). Admission aborts
-    /// never mutate shard health; the regular update path owns failure
-    /// discovery. A *worker panic* mid-apply is a real shard crash: the
-    /// shard is marked failed and the error surfaces as
-    /// [`Error::ShardPanicked`].
-    ///
-    /// Replaying an already-committed txn id answers from the idempotence
-    /// ledger with `deduped = true` instead of applying twice — the server
-    /// half of the RPC retry contract.
-    pub fn apply_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        self.apply_txn_routed(txn, true)
-    }
-
-    /// [`Cluster::apply_txn`] for the replication channel: same
-    /// validation, WAL, and dedupe-ledger semantics, but the graph
-    /// version does not advance and the migration journal is not fed — a
-    /// replicated txn is an echo of a commit the owner already versioned,
-    /// not a new logical write (see
-    /// [`Cluster::apply_batch_replicated`]).
-    pub fn apply_txn_replicated(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        self.apply_txn_routed(txn, false)
-    }
-
-    fn apply_txn_routed(&self, txn: &GraphTxn, bump_version: bool) -> Result<TxnReceipt, TxnError> {
-        let _span = self.registry.span("cluster.apply_txn");
-        let started = Instant::now();
-
-        if let Some(mut receipt) = self.txn.lookup(txn.id()) {
-            receipt.deduped = true;
-            self.m.txn_deduped.inc();
-            self.txn.log(TxnLogEntry {
-                txn_id: txn.id(),
-                outcome: "deduped",
-                ops: receipt.ops_applied,
-                detail: String::new(),
-            });
-            return Ok(receipt);
-        }
-
-        // Phase 1: validate against the cluster's live topology (the
-        // `TxnView` impl below routes reads to the owning shards).
-        let lowered = match validate_and_lower(txn, self) {
-            Ok(lowered) => lowered,
-            Err(e) => {
-                self.note_txn_abort(
-                    txn.id(),
-                    "rejected",
-                    format!("{} violation(s)", e.violations().len()),
-                );
-                return Err(e);
-            }
-        };
-
-        let mut per_shard: Vec<Vec<UpdateOp>> = vec![Vec::new(); self.servers.len()];
-        for op in &lowered {
-            per_shard[self.route(op.src())].push(*op);
-        }
-        // One txn-apply frame per involved shard, one reply back from each.
-        let live_shards = per_shard.iter().filter(|p| !p.is_empty());
-        let (frames, req_bytes) = live_shards.fold((0u64, 0u64), |(n, b), p| {
-            (n + 1, b + wire::txn_frame_bytes(p.len()))
-        });
-        self.tally(frames, req_bytes, frames * wire::TXN_REPLY_FRAME_BYTES);
-
-        // Strict admission: every involved shard must be able to take its
-        // partition *before* any shard applies anything.
-        struct Admission {
-            delay: Option<Duration>,
-            panic: bool,
-        }
-        let mut admitted: Vec<Option<Admission>> = Vec::with_capacity(per_shard.len());
-        for (shard, shard_ops) in per_shard.iter().enumerate() {
-            if shard_ops.is_empty() {
-                admitted.push(None);
-                continue;
-            }
-            if self.faults.take_abort_txn(shard) {
-                self.m.failed_requests.inc();
-                self.note_txn_abort(
-                    txn.id(),
-                    "unavailable",
-                    format!("shard {shard}: scripted txn abort"),
-                );
-                return Err(TxnError::Store(Error::ShardUnavailable { shard }));
-            }
-            if self.shard_states[shard].health() == ShardHealth::Failed {
-                self.m.failed_requests.inc();
-                self.note_txn_abort(txn.id(), "unavailable", format!("shard {shard}: failed"));
-                return Err(TxnError::Store(Error::ShardUnavailable { shard }));
-            }
-            let mut admission = None;
-            for attempt in 0..=MAX_RETRIES {
-                match self.faults.verdict(shard, true) {
-                    Verdict::Proceed => {
-                        admission = Some(Admission {
-                            delay: None,
-                            panic: false,
-                        });
-                        break;
-                    }
-                    Verdict::ProceedAfter(delay) => {
-                        admission = Some(Admission {
-                            delay: Some(delay),
-                            panic: false,
-                        });
-                        break;
-                    }
-                    Verdict::PanicBatch => {
-                        admission = Some(Admission {
-                            delay: None,
-                            panic: true,
-                        });
-                        break;
-                    }
-                    Verdict::Transient => {
-                        self.m.retried_requests.inc();
-                        std::thread::sleep(Duration::from_micros(backoff_micros(attempt)));
-                    }
-                    Verdict::Unavailable => break,
-                }
-            }
-            match admission {
-                Some(a) => admitted.push(Some(a)),
-                None => {
-                    // Unavailable, or retry budget exhausted: clean abort.
-                    self.m.failed_requests.inc();
-                    self.note_txn_abort(
-                        txn.id(),
-                        "unavailable",
-                        format!("shard {shard}: unavailable"),
-                    );
-                    return Err(TxnError::Store(Error::ShardUnavailable { shard }));
-                }
-            }
-        }
-
-        // Phase 2: apply every partition, shards in parallel.
-        let threads = self.config.threads_per_shard.max(1);
-        let mut worker_outcomes: Vec<(usize, Result<(), String>)> = Vec::new();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (shard, (shard_ops, admission)) in per_shard.iter().zip(&admitted).enumerate() {
-                let Some(admission) = admission else { continue };
-                let server = &self.servers[shard];
-                let (delay, panic) = (admission.delay, admission.panic);
-                handles.push((
-                    shard,
-                    s.spawn(move || {
-                        std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(d) = delay {
-                                std::thread::sleep(d);
-                            }
-                            if panic {
-                                panic!("injected fault: shard {shard} txn worker crashed");
-                            }
-                            server.topology.apply_batch_parallel(shard_ops, threads);
-                        }))
-                        .map_err(|payload| panic_message(&*payload))
-                    }),
-                ));
-            }
-            for (shard, handle) in handles {
-                let outcome = handle
-                    .join()
-                    .unwrap_or_else(|payload| Err(panic_message(&*payload)));
-                worker_outcomes.push((shard, outcome));
-            }
-        });
-        self.m.update_latency.record(started.elapsed());
-
-        let mut first_panic = None;
-        let mut any_applied = false;
-        for (shard, outcome) in worker_outcomes {
-            match outcome {
-                Ok(()) => {
-                    any_applied = true;
-                    if bump_version {
-                        self.record_migration_ops(&per_shard[shard]);
-                    }
-                }
-                Err(detail) => {
-                    self.shard_states[shard].set_health(ShardHealth::Failed);
-                    self.m.failed_requests.inc();
-                    if first_panic.is_none() {
-                        first_panic = Some(Error::ShardPanicked { shard, detail });
-                    }
-                }
-            }
-        }
-        if any_applied && bump_version {
-            // Version bumps only when shard state actually changed — a
-            // rejected or admission-aborted txn leaves caches valid. A
-            // partial panic still bumps: the surviving shards mutated.
-            self.bump_version();
-        }
-        if let Some(e) = first_panic {
-            self.note_txn_abort(txn.id(), "panicked", e.to_string());
-            return Err(TxnError::Store(e));
-        }
-
-        let receipt = TxnReceipt {
-            txn_id: txn.id(),
-            ops_applied: lowered.len() as u64,
-            graph_version: self.graph_version(),
-            deduped: false,
-        };
-        self.txn.record_commit(receipt);
-        self.txn.abort_streak.store(0, Ordering::Relaxed);
-        self.m.txn_abort_streak.set(0);
-        self.m.txn_committed.inc();
-        self.m.txn_ops_applied.add(receipt.ops_applied);
-        self.txn.log(TxnLogEntry {
-            txn_id: txn.id(),
-            outcome: "committed",
-            ops: receipt.ops_applied,
-            detail: String::new(),
-        });
-        Ok(receipt)
     }
 
     // ------------------------------------------------------------------
@@ -1606,22 +1051,6 @@ impl Cluster {
     }
 }
 
-/// Exponential backoff schedule for transient-fault retries.
-fn backoff_micros(attempt: u32) -> u64 {
-    BACKOFF_BASE_MICROS << attempt.min(6)
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Phase-1 validation reads, routed to the owning shards. Reads go to shard
 /// storage directly (validation is a maintenance-grade path, not
 /// fault-routed): a transaction that touches an unavailable shard is caught
@@ -1647,72 +1076,25 @@ impl GraphStore for Cluster {
     }
 
     fn insert_edge(&self, edge: Edge) {
-        self.tally(
-            1,
-            wire::update_frame_bytes(1),
-            wire::UPDATE_REPLY_FRAME_BYTES,
-        );
-        self.apply_routed(UpdateOp::Insert(edge));
+        self.write_one(UpdateOp::Insert(edge));
     }
 
     fn delete_edge(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> bool {
-        self.tally(
-            1,
-            wire::update_frame_bytes(1),
-            wire::UPDATE_REPLY_FRAME_BYTES,
-        );
-        let shard = self.route(src);
-        match self.call_shard(shard, |s| s.topology.delete_edge(src, dst, etype)) {
-            Ok(existed) => {
-                if existed {
-                    self.record_migration_ops(&[UpdateOp::Delete { src, dst, etype }]);
-                    self.bump_version();
-                }
-                existed
-            }
-            Err(_) => {
-                // Queued (or, on a heal race, applied late); prior existence
-                // is unknown either way.
-                if !self.queue_op(shard, UpdateOp::Delete { src, dst, etype }) {
-                    self.bump_version();
-                }
-                false
-            }
-        }
+        self.write_one(UpdateOp::Delete { src, dst, etype })
     }
 
     fn update_weight(&self, edge: Edge) -> bool {
-        self.tally(
-            1,
-            wire::update_frame_bytes(1),
-            wire::UPDATE_REPLY_FRAME_BYTES,
-        );
-        let shard = self.route(edge.src);
-        match self.call_shard(shard, |s| s.topology.update_weight(edge)) {
-            Ok(existed) => {
-                if existed {
-                    self.record_migration_ops(&[UpdateOp::UpdateWeight(edge)]);
-                    self.bump_version();
-                }
-                existed
-            }
-            Err(_) => {
-                if !self.queue_op(shard, UpdateOp::UpdateWeight(edge)) {
-                    self.bump_version();
-                }
-                false
-            }
-        }
+        self.write_one(UpdateOp::UpdateWeight(edge))
     }
 
     fn apply_batch(&self, ops: &[UpdateOp]) {
         // The infallible trait signature reports shard loss via
         // `shard_health` / `traffic()` instead of a panic: a worker panic
-        // is already captured per shard and recorded by the time
-        // apply_batch_sharded returns. The swallow is deliberate — but it
-        // is *counted*, so a snapshot of `cluster.batch_apply_errors`
-        // reveals how many batches lost their error this way.
-        if self.apply_batch_sharded(ops).is_err() {
+        // is already captured per shard and recorded by the time the
+        // write returns. The swallow is deliberate — but it is *counted*,
+        // so a snapshot of `cluster.batch_apply_errors` reveals how many
+        // batches lost their error this way.
+        if self.apply_updates_from(ops, Origin::Client).is_err() {
             self.m.batch_apply_errors.inc();
         }
     }
@@ -1764,6 +1146,7 @@ impl GraphStore for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::write::MAX_RETRIES;
     use platod2gl_graph::{conformance, DatasetProfile};
     use rand::SeedableRng;
 
@@ -1823,7 +1206,7 @@ mod tests {
         let profile = DatasetProfile::tiny();
         let ops = profile.update_stream(5).next_batch(10_000);
         let cluster = small_cluster();
-        let report = cluster.apply_batch_sharded(&ops).expect("no faults");
+        let report = cluster.apply_updates(&ops).expect("no faults");
         assert_eq!(report.applied_ops, ops.len());
         assert_eq!(report.queued_ops, 0);
         let single = DynamicGraphStore::new(StoreConfig::default());
@@ -1894,7 +1277,7 @@ mod tests {
         assert!(snap.mean_ns > 0);
         assert!(snap.p50_ns <= snap.p99_ns);
         assert!(snap.max_ns >= snap.mean_ns);
-        c.apply_batch_sharded(&DatasetProfile::tiny().update_stream(3).next_batch(100))
+        c.apply_updates(&DatasetProfile::tiny().update_stream(3).next_batch(100))
             .expect("no faults");
         assert_eq!(c.update_latency().count(), 1);
     }
@@ -1966,7 +1349,7 @@ mod tests {
         assert!(c.begin_migration(1, p).is_err(), "one at a time");
         c.insert_edge(Edge::new(VertexId(inside), VertexId(10), 1.0));
         c.insert_edge(Edge::new(VertexId(outside), VertexId(11), 1.0));
-        c.apply_batch_sharded(&[
+        c.apply_updates(&[
             UpdateOp::Insert(Edge::new(VertexId(inside), VertexId(12), 2.0)),
             UpdateOp::Insert(Edge::new(VertexId(outside), VertexId(13), 2.0)),
         ])
@@ -2077,7 +1460,7 @@ mod tests {
         let _ = c.degree(VertexId(1), EdgeType(0));
         assert_eq!(c.graph_version(), v1, "reads must not bump the version");
         // A sharded batch bumps once.
-        c.apply_batch_sharded(&[
+        c.apply_updates(&[
             UpdateOp::Insert(Edge::new(VertexId(3), VertexId(4), 1.0)),
             UpdateOp::Insert(Edge::new(VertexId(5), VertexId(6), 1.0)),
         ])
@@ -2149,9 +1532,7 @@ mod tests {
             UpdateOp::Insert(Edge::new(dead, VertexId(901), 2.0)),
             UpdateOp::Insert(Edge::new(live, VertexId(902), 3.0)),
         ];
-        let report = c
-            .apply_batch_sharded(&ops)
-            .expect("queueing is not an error");
+        let report = c.apply_updates(&ops).expect("queueing is not an error");
         assert_eq!(report.applied_ops, 1, "live shard's op applies");
         assert_eq!(report.queued_ops, 2, "dead shard's ops queue");
         assert_eq!(c.pending_ops(1), 2);
@@ -2167,6 +1548,26 @@ mod tests {
         assert_eq!(c.shard_health(1), ShardHealth::Healthy);
         assert_eq!(c.degree(dead, EdgeType(0)), 2, "queued ops applied on heal");
         assert_eq!(c.traffic().queued_ops, 2);
+    }
+
+    #[test]
+    fn queued_replica_op_keeps_its_channel_through_the_heal_drain() {
+        // A replica-channel write is version- and journal-silent on a
+        // healthy shard; parking it behind a failed shard must not turn it
+        // into a first-hand write when the heal drains it.
+        let c = cluster_with_shards(4);
+        c.begin_migration(0, 1).expect("arms");
+        c.faults().fail_shard(1);
+        let dead = vertex_on_shard(&c, 1);
+        let report = c
+            .apply_replica_updates(&[UpdateOp::Insert(Edge::new(dead, VertexId(900), 1.0))])
+            .expect("queueing is not an error");
+        assert_eq!((report.applied_ops, report.queued_ops), (0, 1));
+        assert_eq!(c.heal_shard(1), 1);
+        assert_eq!(c.degree(dead, EdgeType(0)), 1, "the op did land");
+        assert_eq!(c.graph_version(), 0, "a data move is not a new version");
+        let (tail, _) = c.migration_tail(0, 0).expect("armed");
+        assert!(tail.is_empty(), "a replica echo must not be journaled");
     }
 
     #[test]
@@ -2215,7 +1616,7 @@ mod tests {
             UpdateOp::Insert(Edge::new(dead, VertexId(900), 1.0)),
             UpdateOp::Insert(Edge::new(live, VertexId(901), 1.0)),
         ];
-        let err = c.apply_batch_sharded(&ops).expect_err("panic must surface");
+        let err = c.apply_updates(&ops).expect_err("panic must surface");
         match err {
             Error::ShardPanicked { shard, ref detail } => {
                 assert_eq!(shard, 3);
@@ -2231,7 +1632,7 @@ mod tests {
         );
         // The next batch routes around the dead shard by queueing.
         let report = c
-            .apply_batch_sharded(&[UpdateOp::Insert(Edge::new(dead, VertexId(902), 1.0))])
+            .apply_updates(&[UpdateOp::Insert(Edge::new(dead, VertexId(902), 1.0))])
             .expect("queued, not panicked");
         assert_eq!(report.queued_ops, 1);
     }

@@ -7,7 +7,7 @@
 //! trainer can tell a real weighted draw from degraded padding without
 //! re-deriving it from context.
 
-use platod2gl_graph::{EdgeType, Served, TimeWindow, VertexId};
+use platod2gl_graph::{EdgeType, TimeWindow, VertexId};
 
 /// What a degraded read (failed shard, exhausted retry budget) returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -102,18 +102,6 @@ pub struct SampleResponse {
     pub shard: usize,
 }
 
-impl SampleResponse {
-    /// Bridge to the legacy [`Served`] shape some health-plumbing call
-    /// sites still speak.
-    pub fn into_served(self) -> Served<Vec<VertexId>> {
-        if self.degraded {
-            Served::degraded(self.neighbors)
-        } else {
-            Served::ok(self.neighbors)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,25 +120,5 @@ mod tests {
             r.in_window(TimeWindow::new(5, 10)).window,
             Some(TimeWindow::new(5, 10))
         );
-    }
-
-    #[test]
-    fn into_served_preserves_degradation() {
-        let ok = SampleResponse {
-            neighbors: vec![VertexId(2)],
-            sources: vec![SlotSource::Sampled],
-            degraded: false,
-            shard: 0,
-        };
-        assert!(!ok.into_served().degraded);
-        let bad = SampleResponse {
-            neighbors: Vec::new(),
-            sources: Vec::new(),
-            degraded: true,
-            shard: 1,
-        };
-        let served = bad.into_served();
-        assert!(served.degraded);
-        assert!(served.value.is_empty());
     }
 }

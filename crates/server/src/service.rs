@@ -21,6 +21,7 @@
 //! other.
 
 use crate::request::{SampleRequest, SampleResponse};
+use crate::write::Origin;
 use crate::{BatchReport, Cluster, PartitionChunk};
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::Registry;
@@ -178,11 +179,19 @@ impl GraphService for Cluster {
     }
 
     fn apply_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        self.apply_batch_sharded(ops)
+        self.apply_updates_from(ops, Origin::Client)
     }
 
     fn apply_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
         Cluster::apply_txn(self, txn)
+    }
+
+    fn apply_replica_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
+        self.apply_updates_from(ops, Origin::Replica)
+    }
+
+    fn apply_replica_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
+        self.apply_txn_from(txn, Origin::Replica)
     }
 
     fn graph_version(&self) -> u64 {

@@ -79,12 +79,17 @@ impl TxnPlane {
     }
 
     /// Append to the `/debug/txns` journal ring.
-    pub(crate) fn log(&self, entry: TxnLogEntry) {
+    pub(crate) fn log(&self, txn_id: u64, outcome: &'static str, ops: u64, detail: String) {
         let mut recent = self.lock_recent();
         if recent.len() == RECENT_CAPACITY {
             recent.pop_front();
         }
-        recent.push_back(entry);
+        recent.push_back(TxnLogEntry {
+            txn_id,
+            outcome,
+            ops,
+            detail,
+        });
     }
 
     /// The journal, oldest first.
@@ -142,12 +147,7 @@ mod tests {
     fn journal_ring_is_bounded() {
         let plane = TxnPlane::new();
         for id in 0..(RECENT_CAPACITY as u64 + 5) {
-            plane.log(TxnLogEntry {
-                txn_id: id,
-                outcome: "committed",
-                ops: 1,
-                detail: String::new(),
-            });
+            plane.log(id, "committed", 1, String::new());
         }
         let recent = plane.recent();
         assert_eq!(recent.len(), RECENT_CAPACITY);

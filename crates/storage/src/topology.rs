@@ -458,7 +458,7 @@ impl DynamicGraphStore {
     ///
     /// `window == None` is exactly [`GraphStore::sample_neighbors`]. With a
     /// window, each of the `k` slots is drawn by rejection-with-retry: up
-    /// to [`WINDOW_RETRIES`] weighted draws against the full tree, keeping
+    /// to `WINDOW_RETRIES` (8) weighted draws against the full tree, keeping
     /// the first whose timestamp lies in the window (timeless edges always
     /// qualify). A slot that exhausts its retries falls back to one
     /// weighted draw over the *filtered* in-window neighbor list — exact,

@@ -811,8 +811,9 @@ pub struct RecoveryReport {
 ///
 /// On-disk layout inside the directory passed to [`DurableGraphStore::open`]:
 ///
-/// * `snapshot.bin` — latest checkpoint (snapshot format v2, see
-///   [`crate::snapshot`]); absent until the first checkpoint.
+/// * `snapshot.bin` — latest checkpoint (the format
+///   [`write_snapshot`](crate::write_snapshot) emits); absent until the
+///   first checkpoint.
 /// * `wal.log` — updates since that checkpoint.
 /// * `snapshot.tmp` — in-flight checkpoint; never read, replaced by rename.
 ///
@@ -1005,27 +1006,9 @@ impl DurableGraphStore {
         self.wal_poisoned.load(Ordering::Acquire)
     }
 
-    fn check_poisoned(&self) -> io::Result<()> {
-        if self.is_wal_poisoned() {
-            return Err(io::Error::other(
-                "WAL tail holds an uncommitted transaction after a failed \
-                 write; reopen the store (or checkpoint) to recover",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Record a failed append and, when bytes may already be on disk past
-    /// the last durable record, fail-stop future writes.
-    fn note_append_error(&self, tail_dirty: bool) {
-        self.metrics.append_errors.inc();
-        if tail_dirty {
-            self.wal_poisoned.store(true, Ordering::Release);
-        }
-    }
-
-    /// Log and apply one op. The record is flushed to the OS before the
-    /// in-memory store changes.
+    /// One logged write: everything around the append that the three
+    /// `try_*` paths share. `append` writes and flushes the call's records;
+    /// `apply` then mutates the in-memory store.
     ///
     /// The in-memory apply happens while the WAL lock is still held:
     /// [`checkpoint`](DurableGraphStore::checkpoint) takes the same lock, so
@@ -1033,59 +1016,72 @@ impl DurableGraphStore {
     /// snapshot would miss the op and the subsequent WAL reset would lose
     /// it), and in-memory apply order always matches log order, so replay
     /// reproduces the pre-crash state even for conflicting concurrent ops.
-    pub fn try_apply(&self, op: &UpdateOp) -> Result<(), Error> {
+    ///
+    /// On a failed append the in-memory graph is untouched. A lone record
+    /// either made it whole or is a torn tail replay already tolerates; a
+    /// `multi_record` write may leave a dangling `BatchBegin`, so writes
+    /// fail-stop when anything of it could be on disk (recovery or a
+    /// checkpoint drops the partial transaction).
+    fn logged(
+        &self,
+        n_ops: usize,
+        multi_record: bool,
+        append: impl FnOnce(&mut WalWriter<BufWriter<File>>) -> io::Result<()>,
+        apply: impl FnOnce(&DynamicGraphStore),
+    ) -> io::Result<()> {
         let mut wal = self.lock_wal();
         let started = Instant::now();
         let before = wal.offset();
-        let res: io::Result<()> = (|| {
-            self.check_poisoned()?;
-            self.crash.hit(CrashPoint::WalAppend)?;
-            wal.append(op)?;
-            wal.flush()
-        })();
+        let res = if self.is_wal_poisoned() {
+            Err(io::Error::other(
+                "WAL tail holds an uncommitted transaction after a failed \
+                 write; reopen the store (or checkpoint) to recover",
+            ))
+        } else {
+            append(&mut wal)
+        };
         if let Err(e) = res {
-            // The single record either made it whole or is a torn tail
-            // replay already tolerates — no poison needed.
-            self.note_append_error(false);
-            return Err(e.into());
+            self.metrics.append_errors.inc();
+            if multi_record && wal.offset() > before {
+                self.wal_poisoned.store(true, Ordering::Release);
+            }
+            return Err(e);
         }
         self.metrics.append_ns.record(started.elapsed());
         self.metrics.appends.inc();
-        self.metrics.append_ops.inc();
+        self.metrics.append_ops.add(n_ops as u64);
         self.metrics.append_bytes.add(wal.offset() - before);
         self.metrics.mem_bytes.set(wal.offset() as i64);
-        self.store.apply(op);
+        apply(&self.store);
         Ok(())
     }
 
+    /// Log and apply one op. The record is flushed to the OS before the
+    /// in-memory store changes, and the apply runs under the WAL lock so a
+    /// concurrent checkpoint can never snapshot between the two.
+    pub fn try_apply(&self, op: &UpdateOp) -> Result<(), Error> {
+        let append = |wal: &mut WalWriter<BufWriter<File>>| {
+            self.crash.hit(CrashPoint::WalAppend)?;
+            wal.append(op)?;
+            wal.flush()
+        };
+        Ok(self.logged(1, false, append, |store| store.apply(op))?)
+    }
+
     /// Log and apply a batch atomically (one WAL record), using the store's
-    /// batch-parallel path. As with [`try_apply`](DurableGraphStore::try_apply),
-    /// the apply runs under the WAL lock so a concurrent checkpoint can
-    /// never snapshot between the append and the apply.
+    /// batch-parallel path; same locking as
+    /// [`try_apply`](DurableGraphStore::try_apply).
     pub fn try_apply_batch(&self, ops: &[UpdateOp], threads: usize) -> Result<(), Error> {
         if ops.is_empty() {
             return Ok(());
         }
-        let mut wal = self.lock_wal();
-        let started = Instant::now();
-        let before = wal.offset();
-        let res: io::Result<()> = (|| {
-            self.check_poisoned()?;
+        let append = |wal: &mut WalWriter<BufWriter<File>>| {
             self.crash.hit(CrashPoint::WalAppend)?;
             wal.append_batch(ops)?;
             wal.flush()
-        })();
-        if let Err(e) = res {
-            self.note_append_error(false);
-            return Err(e.into());
-        }
-        self.metrics.append_ns.record(started.elapsed());
-        self.metrics.appends.inc();
-        self.metrics.append_ops.add(ops.len() as u64);
-        self.metrics.append_bytes.add(wal.offset() - before);
-        self.metrics.mem_bytes.set(wal.offset() as i64);
-        self.store.apply_batch_parallel(ops, threads);
-        Ok(())
+        };
+        let apply = |store: &DynamicGraphStore| store.apply_batch_parallel(ops, threads);
+        Ok(self.logged(ops.len(), false, append, apply)?)
     }
 
     /// Ops per tag-4 record inside a transaction: bounds record size and
@@ -1126,13 +1122,8 @@ impl DurableGraphStore {
             return Ok(receipt);
         }
 
-        // Phase 2: WAL protocol under the writer lock (same checkpoint
-        // exclusion argument as try_apply), then in-memory apply.
-        let mut wal = self.lock_wal();
-        let started = Instant::now();
-        let before = wal.offset();
-        let res: io::Result<()> = (|| {
-            self.check_poisoned()?;
+        // Phase 2: the WAL protocol, then the in-memory apply.
+        let append = |wal: &mut WalWriter<BufWriter<File>>| {
             self.crash.hit(CrashPoint::TxnBeforeBegin)?;
             wal.append_txn_begin(txn.id(), lowered.len() as u32)?;
             wal.flush()?;
@@ -1148,26 +1139,13 @@ impl DurableGraphStore {
             wal.flush()?;
             self.crash.hit(CrashPoint::TxnAfterCommit)?;
             wal.get_ref().get_ref().sync_data()?;
-            self.crash.hit(CrashPoint::TxnAfterFsync)?;
-            Ok(())
-        })();
-        if let Err(e) = res {
-            // The tail may hold a dangling BatchBegin: fail-stop writes
-            // when anything past `before` could be on disk. Recovery (or a
-            // checkpoint) drops the partial transaction. Note the in-memory
-            // graph was NOT touched — abort leaves pre-txn state even
-            // in-process.
-            let tail_dirty = wal.offset() > before;
-            self.note_append_error(tail_dirty);
+            self.crash.hit(CrashPoint::TxnAfterFsync)
+        };
+        let apply = |store: &DynamicGraphStore| store.apply_batch_parallel(&lowered, threads);
+        if let Err(e) = self.logged(lowered.len(), true, append, apply) {
             self.metrics.txn_aborted.inc();
             return Err(TxnError::Store(Error::Io(e)));
         }
-        self.metrics.append_ns.record(started.elapsed());
-        self.metrics.appends.inc();
-        self.metrics.append_ops.add(lowered.len() as u64);
-        self.metrics.append_bytes.add(wal.offset() - before);
-        self.metrics.mem_bytes.set(wal.offset() as i64);
-        self.store.apply_batch_parallel(&lowered, threads);
         self.metrics.txn_committed.inc();
         Ok(receipt)
     }
@@ -1844,6 +1822,56 @@ mod tests {
             .unwrap();
         assert_eq!(receipt.ops_applied, 0);
         assert_eq!(store.wal_bytes(), bytes_before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The three logged write paths share their bookkeeping; what each one
+    /// puts on disk must stay exactly what it was before they did (bytes
+    /// recorded at that commit).
+    #[test]
+    fn logged_writes_leave_the_recorded_wal_bytes_and_metrics() {
+        const RECORDED: &str = "\
+            5044324757414c311b00000001010000000000000002000000000000000000000000000000f83fdd\
+            54983c4e000000040300000001030000000000000004000000000000000000000000000000004003\
+            010000000000000002000000000000000000000000000000e03f0203000000000000000400000000\
+            00000000004ff694cd0d00000005edfe00000000000002000000fa90a4b63b000000040200000003\
+            01000000000000000200000000000000000000000000000010400105000000000000000600000000\
+            0000000000000000000000f03f97fbcc7c0d00000006edfe000000000000f901e90e8da823481b00\
+            0000010700000000000000080000000000000000000000000000000840a61ff4df";
+        let dir = tempdir("recorded_bytes");
+        let (store, _) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
+        store.try_apply(&ins(1, 2, 1.5)).unwrap();
+        let batch = [
+            ins(3, 4, 2.0),
+            UpdateOp::UpdateWeight(Edge::new(v(1), v(2), 0.5)),
+            UpdateOp::Delete {
+                src: v(3),
+                dst: v(4),
+                etype: EdgeType::DEFAULT,
+            },
+        ];
+        store.try_apply_batch(&batch, 2).unwrap();
+        store.crash_injector().arm(CrashPoint::WalAppend);
+        assert!(store.try_apply(&ins(9, 9, 1.0)).is_err(), "logs nothing");
+        let txn = GraphTxn::new(0xfeed)
+            .insert_edge(Edge::new(v(5), v(6), 1.0))
+            .patch_weight(Edge::new(v(1), v(2), 4.0));
+        store.try_apply_txn(&txn, 2).unwrap();
+        store.try_apply(&ins(7, 8, 3.0)).unwrap();
+        store.sync().unwrap();
+
+        let bytes = std::fs::read(dir.join("wal.log")).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, RECORDED);
+        let snap = store.registry().snapshot();
+        let counter = |name: &str| snap.counter(name).unwrap_or(0);
+        assert_eq!(counter("wal.appends"), 4);
+        assert_eq!(counter("wal.append_ops"), 7);
+        let logged = (bytes.len() - WAL_MAGIC.len()) as u64;
+        assert_eq!(counter("wal.append_bytes"), logged);
+        assert_eq!(counter("wal.append_errors"), 1);
+        assert_eq!(snap.histogram("wal.append_ns").map(|h| h.count), Some(4));
+        assert!(!store.is_wal_poisoned());
         std::fs::remove_dir_all(&dir).ok();
     }
 

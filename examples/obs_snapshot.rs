@@ -11,9 +11,9 @@
 //! Run with: `cargo run -p platod2gl --release --example obs_snapshot`
 
 use platod2gl::{
-    Cluster, ClusterConfig, DurableGraphStore, Edge, EdgeType, FeatureProvider, GraphStore,
-    HashFeatures, PipelineConfig, Registry, SageNet, SageNetConfig, StoreConfig, TrainingPipeline,
-    UpdateOp, VertexId,
+    Cluster, ClusterConfig, DurableGraphStore, Edge, EdgeType, FeatureProvider, GraphService,
+    GraphStore, HashFeatures, PipelineConfig, Registry, SageNet, SageNetConfig, StoreConfig,
+    TrainingPipeline, UpdateOp, VertexId,
 };
 use std::sync::Arc;
 
@@ -62,7 +62,7 @@ fn main() {
             ops.push(UpdateOp::Insert(Edge::new(v, u, 1.0)));
         }
     }
-    cluster.apply_batch_sharded(&ops).expect("bulk load");
+    cluster.apply_updates(&ops).expect("bulk load");
     durable.try_apply_batch(&ops, 2).expect("wal apply");
     durable.checkpoint().expect("wal checkpoint");
 

@@ -1,6 +1,6 @@
 //! End-to-end mini-batch GNN training against the live sharded cluster —
 //! the full PlatoD2GL serving loop: a writer thread streams graph updates
-//! through `apply_batch_sharded` while the training pipeline samples
+//! through `GraphService::apply_updates` while the training pipeline samples
 //! k-hop blocks (frontier dedup + bounded-staleness neighbor cache),
 //! prefetches them on worker threads, and trains GraphSAGE on the fly.
 //!
@@ -61,7 +61,7 @@ fn build_graph(cluster: &Cluster, provider: &HashFeatures, n: u64) -> (Vec<Verte
             )));
         }
     }
-    cluster.apply_batch_sharded(&ops).expect("bulk load");
+    cluster.apply_updates(&ops).expect("bulk load");
     (vertices, labels)
 }
 
@@ -135,7 +135,7 @@ fn main() {
                     }
                     ops.push(UpdateOp::Insert(Edge::new(v, u, 1.0)));
                 }
-                let _ = cluster.apply_batch_sharded(&ops);
+                let _ = cluster.apply_updates(&ops);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         });

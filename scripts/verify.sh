@@ -164,6 +164,11 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+# A deleted public name that a doc comment still links to fails here
+# instead of rotting as an unresolved link.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 tree_after=$(git status --porcelain)
 if [ "$tree_before" != "$tree_after" ]; then
     echo "verify: FAIL — the run changed the working tree:"

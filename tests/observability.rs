@@ -4,9 +4,9 @@
 //! and both exposition formats must carry them.
 
 use platod2gl::{
-    Cluster, ClusterConfig, DurableGraphStore, Edge, EdgeType, FeatureProvider, GraphStore,
-    HashFeatures, PipelineConfig, Registry, SageNet, SageNetConfig, StoreConfig, TrainingPipeline,
-    UpdateOp, VertexId,
+    Cluster, ClusterConfig, DurableGraphStore, Edge, EdgeType, FeatureProvider, GraphService,
+    GraphStore, HashFeatures, PipelineConfig, Registry, SageNet, SageNetConfig, StoreConfig,
+    TrainingPipeline, UpdateOp, VertexId,
 };
 use std::sync::Arc;
 
@@ -58,7 +58,7 @@ fn one_snapshot_covers_samtree_storage_wal_server_and_pipeline() {
     let n = 300u64;
     let provider = HashFeatures::new(8, 2, 7);
     let ops = community_ops(n, &provider);
-    cluster.apply_batch_sharded(&ops).expect("bulk load");
+    cluster.apply_updates(&ops).expect("bulk load");
     durable.try_apply_batch(&ops, 2).expect("wal apply");
     durable.checkpoint().expect("wal checkpoint");
 

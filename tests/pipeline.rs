@@ -3,8 +3,9 @@
 //! and statistical correctness of composed k-hop sampling.
 
 use platod2gl::{
-    CacheConfig, Cluster, ClusterConfig, Edge, EdgeType, GraphStore, HashFeatures, KHopSampler,
-    NeighborCache, PipelineConfig, SageNet, SageNetConfig, TrainingPipeline, UpdateOp, VertexId,
+    CacheConfig, Cluster, ClusterConfig, Edge, EdgeType, GraphService, GraphStore, HashFeatures,
+    KHopSampler, NeighborCache, PipelineConfig, SageNet, SageNetConfig, TrainingPipeline, UpdateOp,
+    VertexId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,7 +60,7 @@ fn community_cluster(
             ops.push(UpdateOp::Insert(Edge::new(v, u, 0.25)));
         }
     }
-    cluster.apply_batch_sharded(&ops).expect("bulk load");
+    cluster.apply_updates(&ops).expect("bulk load");
     (cluster, vertices, labels)
 }
 
@@ -114,7 +115,7 @@ fn loss_decreases_under_concurrent_updates() {
                     }
                     ops.push(UpdateOp::Insert(Edge::new(v, u, 1.0)));
                 }
-                let _ = cluster.apply_batch_sharded(&ops);
+                let _ = cluster.apply_updates(&ops);
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         });
