@@ -30,7 +30,7 @@
 //! amplify a misbehaving client into cluster-wide lock pressure.
 
 use platod2gl_graph::{GraphStore, ShardHealth};
-use platod2gl_obs::{ExportedSpan, RegistryExport};
+use platod2gl_obs::{json_escape, ObsSnapshot, SlowOpRecord, SpanRecord};
 use platod2gl_server::Cluster;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -383,16 +383,16 @@ pub trait FleetIntrospect {
     /// an implementation with remote members overrides this with a
     /// `SpanExport` pull per member (`GET /debug/trace/<id>` stitches
     /// the result into one cross-process tree).
-    fn fleet_trace(&self, trace_id: u64) -> Vec<(String, Vec<ExportedSpan>)> {
+    fn fleet_trace(&self, trace_id: u64) -> Vec<(String, Vec<SpanRecord>)> {
         vec![("client".to_string(), self.registry().trace_spans(trace_id))]
     }
 
-    /// Each member's full registry export (exact histogram buckets plus
+    /// Each member's registry snapshot (exact histogram buckets plus
     /// recent slow ops), labeled by member. Default: the local registry
     /// only; fleet implementations override with an `ObsExport` pull per
     /// member (`GET /fleet/metrics` and `GET /fleet/slow` merge these).
-    fn fleet_obs(&self) -> Vec<(String, RegistryExport)> {
-        vec![("client".to_string(), self.registry().export())]
+    fn fleet_obs(&self) -> Vec<(String, ObsSnapshot)> {
+        vec![("client".to_string(), self.registry().snapshot())]
     }
 }
 
@@ -422,7 +422,14 @@ pub fn route_fleet(path: &str, fleet: &dyn FleetIntrospect) -> (u16, &'static st
                 .to_string(),
         ),
         "/metrics" => (200, CT_PROM, fleet.registry().snapshot().to_prometheus()),
-        "/fleet/metrics" => (200, CT_PROM, fleet_metrics_prometheus(&fleet.fleet_obs())),
+        // The merged exposition and the single-process `/metrics` share
+        // obs's scalar/histogram emitters: HELP text, `_total` suffixes and
+        // base-unit conversion cannot drift between the two.
+        "/fleet/metrics" => (
+            200,
+            CT_PROM,
+            platod2gl_obs::fleet_prometheus(&fleet.fleet_obs()),
+        ),
         "/fleet/slow" => (200, CT_JSON, fleet_slow_json(&fleet.fleet_obs())),
         "/healthz" => fleet_healthz(&fleet.fleet_snapshot()),
         "/debug/partitions" => (200, CT_JSON, partitions_json(&fleet.fleet_snapshot())),
@@ -430,53 +437,39 @@ pub fn route_fleet(path: &str, fleet: &dyn FleetIntrospect) -> (u16, &'static st
     }
 }
 
-/// Merge per-member registry exports into one Prometheus exposition.
-/// Rendering goes through [`platod2gl_obs::fleet_prometheus`], which
-/// shares the scalar/histogram emitters with the single-process
-/// `/metrics` — one formatter, so HELP text, `_total` suffixes, and
-/// base-unit conversion can never drift between the two.
-fn fleet_metrics_prometheus(members: &[(String, RegistryExport)]) -> String {
-    let snaps: Vec<(String, platod2gl_obs::ObsSnapshot)> = members
-        .iter()
-        .map(|(label, e)| {
-            (
-                label.clone(),
-                platod2gl_obs::ObsSnapshot {
-                    counters: e.counters.clone(),
-                    gauges: e.gauges.clone(),
-                    histograms: e.histograms.clone(),
-                    spans: Vec::new(),
-                },
-            )
-        })
-        .collect();
-    platod2gl_obs::fleet_prometheus(&snaps)
+/// The `"ops":[..]}` tail of both slow-log bodies: `/debug/slow` renders
+/// its captures untagged, `/fleet/slow` tags each with its member.
+fn push_slow_ops<'a>(
+    body: &mut String,
+    ops: impl Iterator<Item = (Option<&'a str>, &'a SlowOpRecord)>,
+) {
+    for (i, (server, op)) in ops.enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push_str(&op.to_json_tagged(server));
+    }
+    body.push_str("]}");
 }
 
 /// The fleet-wide slow-op log: every member's captures tagged with their
 /// origin, slowest first (ties keep member order — deterministic for a
 /// given input).
-fn fleet_slow_json(members: &[(String, RegistryExport)]) -> String {
-    let mut ops: Vec<(&str, &platod2gl_obs::SlowOpExport)> = members
+fn fleet_slow_json(members: &[(String, ObsSnapshot)]) -> String {
+    let mut ops: Vec<(Option<&str>, &SlowOpRecord)> = members
         .iter()
-        .flat_map(|(label, e)| e.slow.iter().map(move |op| (label.as_str(), op)))
+        .flat_map(|(label, e)| e.slow.iter().map(move |op| (Some(label.as_str()), op)))
         .collect();
     ops.sort_by_key(|&(_, op)| std::cmp::Reverse(op.duration_ns));
     let mut body = format!("{{\"captured\":{},\"ops\":[", ops.len());
-    for (i, (server, op)) in ops.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&op.to_json_tagged(Some(server)));
-    }
-    body.push_str("]}");
+    push_slow_ops(&mut body, ops.into_iter());
     body
 }
 
 /// One node of the stitched trace tree: a span plus where it ran.
 struct TraceNode<'a> {
     member: &'a str,
-    span: &'a ExportedSpan,
+    span: &'a SpanRecord,
     children: Vec<usize>,
 }
 
@@ -490,7 +483,7 @@ struct TraceNode<'a> {
 /// where the caller is a different process. Unresolvable spans become
 /// additional roots rather than being dropped: a partial trace renders
 /// partially, never silently shrinks.
-fn trace_json(trace_id: u64, members: &[(String, Vec<ExportedSpan>)]) -> String {
+fn trace_json(trace_id: u64, members: &[(String, Vec<SpanRecord>)]) -> String {
     use std::collections::HashMap;
     let mut nodes: Vec<TraceNode<'_>> = Vec::new();
     // (member index, span id) -> node index; first occurrence wins.
@@ -810,13 +803,7 @@ fn slow_json(cluster: &Cluster) -> String {
         body.push_str(&format!("\"{}\":{}", json_escape(name), h.p99_ns));
     }
     body.push_str("},\"ops\":[");
-    for (i, op) in slow.recent().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&op.to_json());
-    }
-    body.push_str("]}");
+    push_slow_ops(&mut body, snap.slow.iter().map(|op| (None, op)));
     body
 }
 
@@ -836,20 +823,6 @@ fn traffic_json(cluster: &Cluster) -> String {
         t.degraded_responses,
         t.queued_ops
     )
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn txns_json(cluster: &Cluster) -> String {

@@ -2,19 +2,24 @@
 //! sockets: the merged `/fleet/metrics` exposition against a golden file
 //! (regenerate with `UPDATE_GOLDEN=1 cargo test -p platod2gl-admin --test
 //! fleet_telemetry`), the `/debug/trace/<id>` cross-process tree
-//! assembly, and the merged `/fleet/slow` log.
+//! assembly, the merged `/fleet/slow` log, and the fleet views of one
+//! member against that member's own local endpoints.
 
-use platod2gl_admin::{route_fleet, FleetIntrospect, FleetSnapshot};
-use platod2gl_obs::{ExportedSpan, Registry, RegistryExport, SlowOpExport};
+use platod2gl_admin::{route, route_fleet, FleetIntrospect, FleetSnapshot};
+use platod2gl_graph::{Edge, EdgeType, GraphStore, VertexId};
+use platod2gl_obs::{ObsSnapshot, Registry, SlowOpRecord, SpanRecord};
+use platod2gl_server::{Cluster, ClusterConfig, SampleRequest};
+use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A fleet stub with canned per-member telemetry. `fleet_snapshot` is
 /// unused by the endpoints under test.
 struct CannedFleet {
     registry: Arc<Registry>,
-    obs: Vec<(String, RegistryExport)>,
-    trace: Vec<(String, Vec<ExportedSpan>)>,
+    obs: Vec<(String, ObsSnapshot)>,
+    trace: Vec<(String, Vec<SpanRecord>)>,
 }
 
 impl FleetIntrospect for CannedFleet {
@@ -24,17 +29,17 @@ impl FleetIntrospect for CannedFleet {
     fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
-    fn fleet_trace(&self, _trace_id: u64) -> Vec<(String, Vec<ExportedSpan>)> {
+    fn fleet_trace(&self, _trace_id: u64) -> Vec<(String, Vec<SpanRecord>)> {
         self.trace.clone()
     }
-    fn fleet_obs(&self) -> Vec<(String, RegistryExport)> {
+    fn fleet_obs(&self) -> Vec<(String, ObsSnapshot)> {
         self.obs.clone()
     }
 }
 
 /// One member's deterministic export: fixed counters/gauge plus a
 /// histogram fed exact nanosecond observations.
-fn member_export(requests: u64, edges: i64, lat_ns: &[u64]) -> RegistryExport {
+fn member_export(requests: u64, edges: i64, lat_ns: &[u64]) -> ObsSnapshot {
     let r = Registry::new();
     r.counter("cluster.requests").add(requests);
     r.gauge("storage.edges").set(edges);
@@ -42,7 +47,7 @@ fn member_export(requests: u64, edges: i64, lat_ns: &[u64]) -> RegistryExport {
     for &ns in lat_ns {
         h.record_ns(ns);
     }
-    r.export()
+    r.snapshot()
 }
 
 fn span(
@@ -51,9 +56,9 @@ fn span(
     parent: Option<u64>,
     remote_parent: Option<u64>,
     start_ns: u64,
-) -> ExportedSpan {
-    ExportedSpan {
-        name: name.to_string(),
+) -> SpanRecord {
+    SpanRecord {
+        name: name.to_string().into(),
         id,
         parent,
         trace_id: 42,
@@ -198,15 +203,15 @@ fn debug_trace_rejects_bad_ids() {
 #[test]
 fn fleet_slow_merges_and_orders_by_duration() {
     let mut fleet = canned_fleet();
-    fleet.obs[0].1.slow.push(SlowOpExport {
-        op: "rpc.client.sample".to_string(),
+    fleet.obs[0].1.slow.push(SlowOpRecord {
+        op: "rpc.client.sample".into(),
         trace_id: Some(42),
         detail: "batch=64".to_string(),
         duration_ns: 5_000,
         spans: Vec::new(),
     });
-    fleet.obs[1].1.slow.push(SlowOpExport {
-        op: "cluster.sample".to_string(),
+    fleet.obs[1].1.slow.push(SlowOpRecord {
+        op: "cluster.sample".into(),
         trace_id: Some(42),
         detail: "vertex=7".to_string(),
         duration_ns: 9_000,
@@ -232,4 +237,78 @@ fn index_advertises_the_telemetry_endpoints() {
     for needle in ["/debug/trace/<id>", "/fleet/metrics", "/fleet/slow"] {
         assert!(index.contains(needle), "{index}");
     }
+}
+
+/// The captures of a slow-log body, one string per op, server tag
+/// removed, sorted (the fleet view orders by duration, the local one by
+/// age).
+fn slow_ops(body: &str) -> Vec<String> {
+    let tail = body.split_once("\"ops\":[").expect("ops array").1;
+    let tail = tail.strip_suffix("]}").expect("closed body");
+    let mut ops: Vec<String> = tail
+        .replace("{\"server\":\"client\",\"op\":", "{\"op\":")
+        .split("{\"op\":")
+        .skip(1)
+        .map(|op| op.trim_end_matches(',').to_string())
+        .collect();
+    ops.sort();
+    ops
+}
+
+/// A fleet of one member is that member's local view under a `server`
+/// label: `/fleet/slow` holds the ops `/debug/slow` holds and
+/// `/fleet/metrics` the samples `/metrics` holds, series by series — the
+/// two planes render one snapshot type through one set of emitters.
+#[test]
+fn one_member_fleet_renders_what_the_local_endpoints_render() {
+    let config = ClusterConfig::builder()
+        .num_shards(2)
+        .slow_op_threshold(Duration::ZERO)
+        .build()
+        .expect("valid config");
+    let cluster = Cluster::new(config);
+    for dst in 1..=4u64 {
+        cluster.insert_edge(Edge::new(VertexId(0), VertexId(dst), 1.0));
+    }
+    for trace in 1..=3u64 {
+        let req = SampleRequest::new(VertexId(0), EdgeType::DEFAULT, 2).with_trace_id(trace);
+        cluster.sample(&req, &mut rand::rngs::StdRng::seed_from_u64(trace));
+    }
+    // `/metrics` refreshes the memory gauges; snapshot after it.
+    let local_metrics = route("/metrics", &cluster).2;
+    let local_slow = route("/debug/slow", &cluster).2;
+    let fleet = CannedFleet {
+        registry: Arc::clone(cluster.obs()),
+        obs: vec![("client".to_string(), cluster.obs().snapshot())],
+        trace: Vec::new(),
+    };
+    let fleet_metrics = route_fleet("/fleet/metrics", &fleet).2;
+    let fleet_slow = route_fleet("/fleet/slow", &fleet).2;
+
+    let ops = slow_ops(&local_slow);
+    assert_eq!(ops.len(), 3, "{local_slow}");
+    assert_eq!(slow_ops(&fleet_slow), ops);
+    assert_eq!(fleet_slow.matches("\"server\":\"client\"").count(), 3);
+
+    let mut samples = 0;
+    for line in local_metrics.lines() {
+        if line.starts_with('#') {
+            assert!(fleet_metrics.contains(line), "missing {line}");
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect("sample line");
+        let labelled = match series.split_once('{') {
+            Some((name, labels)) => format!("{name}{{server=\"client\",{labels}"),
+            None => format!("{series}{{server=\"client\"}}"),
+        };
+        let expected = format!("{labelled} {value}\n");
+        assert!(fleet_metrics.contains(&expected), "missing {expected}");
+        samples += 1;
+    }
+    assert!(samples > 20, "the local exposition is not trivial");
+    assert_eq!(
+        fleet_metrics.matches("server=\"client\"").count(),
+        samples,
+        "no series the local view lacks"
+    );
 }

@@ -1,11 +1,10 @@
 //! Shared harness for the paper's evaluation (Sec. VII).
 //!
-//! Every table and figure has two artifacts:
-//!
-//! * a **Criterion bench** (`benches/<exp>.rs`) giving statistically sound
-//!   timings of the underlying operation at a reduced, stable scale, and
-//! * a **report binary** (`src/bin/report_<exp>.rs`) that runs the full
-//!   experiment grid and prints the same rows/series the paper reports.
+//! Every table and figure has one artifact: a **report binary**
+//! (`src/bin/report_<exp>.rs`) that runs the full experiment grid in
+//! [`experiments`] and prints the same rows/series the paper reports.
+//! Timing claims about this codebase come from the standing benchmark in
+//! `perf/`, not from here.
 //!
 //! Scale control: report binaries read `PLATOD2GL_SCALE_EDGES` (default
 //! 200 000 directed edges per dataset before bi-directing) so the grid can

@@ -8,7 +8,7 @@
 
 use crate::cluster::FleetCluster;
 use platod2gl_admin::{FleetIntrospect, FleetPartitionView, FleetServerView, FleetSnapshot};
-use platod2gl_obs::{ExportedSpan, Registry, RegistryExport};
+use platod2gl_obs::{ObsSnapshot, Registry, SpanRecord};
 use platod2gl_server::GraphService;
 use std::sync::Arc;
 
@@ -59,11 +59,11 @@ impl FleetIntrospect for FleetCluster {
         GraphService::registry(self)
     }
 
-    fn fleet_trace(&self, trace_id: u64) -> Vec<(String, Vec<ExportedSpan>)> {
+    fn fleet_trace(&self, trace_id: u64) -> Vec<(String, Vec<SpanRecord>)> {
         FleetCluster::fleet_trace(self, trace_id)
     }
 
-    fn fleet_obs(&self) -> Vec<(String, RegistryExport)> {
+    fn fleet_obs(&self) -> Vec<(String, ObsSnapshot)> {
         FleetCluster::fleet_obs(self)
     }
 }

@@ -22,18 +22,16 @@
 //! A request whose owner cannot answer (connection dead, or the owning
 //! shard faulted) retries on the partition's replica with the same seed.
 //! Only when both copies fail does the request degrade under its own
-//! [`DegradedPolicy`], client-side.
+//! [`DegradedPolicy`](platod2gl_server::DegradedPolicy), client-side.
 
 use crate::map::{PartitionMap, ServerEntry, DEFAULT_PARTITIONS};
 use crate::node::{
     derive_txn_id, group_by_server, merge_receipt, sub_txn, txn_op_src, CH_OWNER_SPLIT,
 };
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
-use platod2gl_obs::{current_trace_context, Counter, ExportedSpan, Registry, RegistryExport};
+use platod2gl_obs::{current_trace_context, Counter, ObsSnapshot, Registry, SpanRecord};
 use platod2gl_rpc::{RemoteCluster, RemoteClusterConfig};
-use platod2gl_server::{
-    BatchReport, DegradedPolicy, GraphService, SampleRequest, SampleResponse, SlotSource,
-};
+use platod2gl_server::{BatchReport, GraphService, SampleRequest, SampleResponse};
 use rand::RngCore;
 use std::collections::HashMap;
 use std::net::ToSocketAddrs;
@@ -78,25 +76,6 @@ pub struct FleetCluster {
     registry: Arc<Registry>,
     state: RwLock<FleetState>,
     m: FleetMetrics,
-}
-
-/// Build the degraded fallback a request's policy asks for — the same
-/// shape the in-process router and the single-server client produce.
-fn degraded_response(req: &SampleRequest) -> SampleResponse {
-    match req.on_degraded {
-        DegradedPolicy::EmptySet => SampleResponse {
-            neighbors: Vec::new(),
-            sources: Vec::new(),
-            degraded: true,
-            shard: 0,
-        },
-        DegradedPolicy::SelfLoop => SampleResponse {
-            neighbors: vec![req.vertex; req.fanout],
-            sources: vec![SlotSource::SelfLoop; req.fanout],
-            degraded: true,
-            shard: 0,
-        },
-    }
 }
 
 impl FleetCluster {
@@ -349,7 +328,7 @@ impl FleetCluster {
                 }
                 None => {
                     self.m.degraded_requests.inc();
-                    degraded_response(&batch[pos].0)
+                    SampleResponse::degraded(&batch[pos].0, 0)
                 }
             })
             .collect()
@@ -365,7 +344,7 @@ impl FleetCluster {
     /// from every roster member (`SpanExport` RPC), labeled by member in
     /// roster order. Unreachable members contribute an empty list — the
     /// trace view degrades, it does not fail.
-    pub fn fleet_trace(&self, trace_id: u64) -> Vec<(String, Vec<ExportedSpan>)> {
+    pub fn fleet_trace(&self, trace_id: u64) -> Vec<(String, Vec<SpanRecord>)> {
         let (map, conns) = self.snapshot();
         let mut out = vec![("client".to_string(), self.registry.trace_spans(trace_id))];
         for entry in map.servers() {
@@ -378,15 +357,15 @@ impl FleetCluster {
         out
     }
 
-    /// Pull the full registry export (metrics with exact histogram
-    /// buckets, plus recent slow ops) from this client and every
-    /// reachable roster member, labeled by member in roster order.
-    pub fn fleet_obs(&self) -> Vec<(String, RegistryExport)> {
+    /// Pull the registry snapshot (metrics with exact histogram buckets,
+    /// plus recent slow ops) from this client and every reachable roster
+    /// member, labeled by member in roster order.
+    pub fn fleet_obs(&self) -> Vec<(String, ObsSnapshot)> {
         let (map, conns) = self.snapshot();
-        let mut out = vec![("client".to_string(), self.registry.export())];
+        let mut out = vec![("client".to_string(), self.registry.snapshot())];
         for entry in map.servers() {
-            if let Some(export) = conns.get(&entry.id).and_then(|c| c.export_obs().ok()) {
-                out.push((Self::member_label(entry.id), export));
+            if let Some(snap) = conns.get(&entry.id).and_then(|c| c.export_obs().ok()) {
+                out.push((Self::member_label(entry.id), snap));
             }
         }
         out

@@ -15,7 +15,7 @@
 //! stale map can never overwrite a newer one and clients detect staleness
 //! by comparing epochs.
 
-use platod2gl_graph::{Error, VertexId};
+use platod2gl_graph::{splitmix64, Error, VertexId};
 use platod2gl_server::partition_for;
 
 /// Default partition-keyspace size: enough granularity that a handful of
@@ -48,13 +48,6 @@ pub struct PartitionMap {
     owners: Vec<u32>,
     /// Replica server index per partition; `None` in a one-server fleet.
     replicas: Vec<Option<u32>>,
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Rendezvous score of a server for a partition. Ties broken by id in

@@ -28,7 +28,7 @@
 
 use crate::map::PartitionMap;
 use platod2gl_graph::{
-    Error, GraphTxn, ShardHealth, TxnError, TxnOp, TxnReceipt, UpdateOp, VertexId,
+    splitmix64, Error, GraphTxn, ShardHealth, TxnError, TxnOp, TxnReceipt, UpdateOp, VertexId,
 };
 use platod2gl_obs::{Counter, Registry};
 use platod2gl_rpc::{RemoteCluster, RemoteClusterConfig};
@@ -55,14 +55,6 @@ pub(crate) const CH_OWNER_SPLIT: u64 = 1;
 /// Channel tag for owner → replica sub-txns ([`FleetNode::apply_txn`]).
 pub(crate) const CH_REPLICA: u64 = 2;
 
-/// splitmix64's finalizer: a full-avalanche 64-bit mix.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The id a per-server sub-txn carries in place of its parent's.
 /// Deterministic, so a retried leg dedupes at the receiver; fully mixed,
 /// so a derived id colliding with an unrelated client txn id in a
@@ -71,7 +63,7 @@ fn mix64(mut z: u64) -> u64 {
 /// the owner-split and replica legs a server may receive for the *same*
 /// parent txn from deduping each other away.
 pub(crate) fn derive_txn_id(base: u64, server_id: u64, channel: u64) -> u64 {
-    mix64(base ^ mix64(server_id ^ channel.rotate_left(56)))
+    splitmix64(base ^ splitmix64(server_id ^ channel.rotate_left(56)))
 }
 
 /// A sub-txn carrying `ops` under `id`.

@@ -7,7 +7,7 @@
 
 use crate::nn::Matrix;
 use bytes::Bytes;
-use platod2gl_graph::VertexId;
+use platod2gl_graph::{splitmix64, VertexId};
 use platod2gl_storage::AttributeStore;
 
 /// Gather a `nodes.len() x dim` feature matrix from a provider — the
@@ -130,16 +130,8 @@ impl HashFeatures {
     /// The ground-truth class of a vertex (what a synthetic trainer should
     /// learn to predict).
     pub fn label(&self, v: VertexId) -> usize {
-        (mix(v.raw() ^ self.seed) % self.classes as u64) as usize
+        (splitmix64(v.raw() ^ self.seed) % self.classes as u64) as usize
     }
-}
-
-/// splitmix64 finalizer.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl FeatureProvider for HashFeatures {
@@ -148,9 +140,9 @@ impl FeatureProvider for HashFeatures {
     }
 
     fn write_feature(&self, v: VertexId, out: &mut [f64]) {
-        let mut h = mix(v.raw() ^ self.seed);
+        let mut h = splitmix64(v.raw() ^ self.seed);
         for (i, slot) in out.iter_mut().enumerate() {
-            h = mix(h.wrapping_add(i as u64));
+            h = splitmix64(h.wrapping_add(i as u64));
             *slot = (h as f64 / u64::MAX as f64) * 2.0 - 1.0;
         }
         // Inject a noisy class signal on coordinate 0.

@@ -183,6 +183,18 @@ impl TimeWindow {
     }
 }
 
+/// splitmix64: the workspace's one full-avalanche 64-bit mix. Shard and
+/// partition routing, rendezvous scores, derived txn ids, cache segment
+/// choice and hash features all go through it, so processes that must
+/// agree on a hash agree by construction.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// Ingest-boundary policy for edge weights.
 ///
 /// Sampling probabilities are `w_{v,u} / w_v`: a single NaN or infinite

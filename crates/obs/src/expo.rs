@@ -189,13 +189,15 @@ pub fn fleet_prometheus(members: &[(String, ObsSnapshot)]) -> String {
     out
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control chars) —
+/// the one escaper behind every hand-rendered JSON body in the workspace.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -226,8 +228,9 @@ impl ObsSnapshot {
     }
 
     /// Render as one JSON object:
-    /// `{"counters":{..},"gauges":{..},"histograms":{..},"spans":[..]}`.
-    /// Histogram values use the same shape as
+    /// `{"counters":{..},"gauges":{..},"histograms":{..},"spans":[..]}`
+    /// (slow-op captures have their own endpoint and are not repeated
+    /// here). Histogram values use the same shape as
     /// [`HistogramSnapshot::to_json`], so existing consumers of the bench
     /// report format parse unchanged.
     pub fn to_json(&self) -> String {
@@ -280,7 +283,7 @@ impl SpanRecord {
         format!(
             "{{\"name\":\"{}\",\"id\":{},\"parent\":{},\"trace_id\":{},\"remote_parent\":{},\
              \"start_ns\":{},\"duration_ns\":{}}}",
-            json_escape(self.name),
+            json_escape(&self.name),
             self.id,
             parent,
             self.trace_id,
@@ -292,15 +295,22 @@ impl SpanRecord {
 }
 
 impl SlowOpRecord {
-    /// Render as one JSON object with the span tree inlined (root first).
-    pub fn to_json(&self) -> String {
+    /// Render as one JSON object with the span tree inlined (root first),
+    /// optionally tagged with the server it came from: `/debug/slow`
+    /// renders `None`, the fleet-merged `/fleet/slow` carries provenance.
+    pub fn to_json_tagged(&self, server: Option<&str>) -> String {
         let trace = match self.trace_id {
             Some(t) => t.to_string(),
             None => "null".to_string(),
         };
-        let mut out = format!(
-            "{{\"op\":\"{}\",\"trace_id\":{},\"duration_ns\":{},\"detail\":\"{}\",\"spans\":[",
-            json_escape(self.op),
+        let mut out = String::from("{");
+        if let Some(s) = server {
+            let _ = write!(out, "\"server\":\"{}\",", json_escape(s));
+        }
+        let _ = write!(
+            out,
+            "\"op\":\"{}\",\"trace_id\":{},\"duration_ns\":{},\"detail\":\"{}\",\"spans\":[",
+            json_escape(&self.op),
             trace,
             self.duration_ns,
             json_escape(&self.detail)
@@ -506,13 +516,13 @@ mod tests {
             drop(r.span("samtree.sample"));
         }
         let rec = crate::slow::SlowOpRecord {
-            op: "cluster.sample",
+            op: "cluster.sample".into(),
             trace_id: Some(7),
             detail: "vertex=1 shard=0".to_string(),
             duration_ns: 123,
             spans: crate::slow::span_subtree(&r.tracer().recent(), root_id),
         };
-        let json = rec.to_json();
+        let json = rec.to_json_tagged(None);
         assert!(json.starts_with("{\"op\":\"cluster.sample\",\"trace_id\":7,"));
         assert!(json.contains("\"detail\":\"vertex=1 shard=0\""), "{json}");
         assert!(json.contains("\"name\":\"cluster.sample\""), "{json}");

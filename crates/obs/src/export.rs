@@ -1,181 +1,27 @@
-//! Owned, process-portable views of a registry for cross-process
-//! introspection.
+//! The per-trace read a `SpanExport` reply serves.
 //!
-//! The in-process types ([`SpanRecord`], [`SlowOpRecord`]) hold `&'static
-//! str` names — cheap inside one process, meaningless across a wire. The
-//! `Exported*` mirrors here own their strings, so the rpc layer can encode
-//! them into `SpanExport`/`ObsExport` reply frames and a fleet admin plane
-//! can reassemble spans and merge metrics from every member.
+//! The tracer ring is never shipped whole: an `ObsExport` reply carries a
+//! [`Registry::snapshot`] without its spans, and spans cross the wire
+//! only through this filter, one trace id at a time.
 
-use crate::hist::HistogramSnapshot;
 use crate::registry::Registry;
-use crate::slow::SlowOpRecord;
 use crate::span::SpanRecord;
-use std::fmt::Write;
-
-/// One completed span with an owned name: the wire form of [`SpanRecord`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExportedSpan {
-    /// Span name.
-    pub name: String,
-    /// Span id, unique within the *origin process's* tracer.
-    pub id: u64,
-    /// Local parent span id, if any.
-    pub parent: Option<u64>,
-    /// Distributed trace id (`0` = untraced).
-    pub trace_id: u64,
-    /// The remote caller's span id when this span is a server-side root.
-    pub remote_parent: Option<u64>,
-    /// Start offset in nanoseconds since the origin tracer's epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub duration_ns: u64,
-}
-
-impl From<&SpanRecord> for ExportedSpan {
-    fn from(s: &SpanRecord) -> Self {
-        ExportedSpan {
-            name: s.name.to_string(),
-            id: s.id,
-            parent: s.parent,
-            trace_id: s.trace_id,
-            remote_parent: s.remote_parent,
-            start_ns: s.start_ns,
-            duration_ns: s.duration_ns,
-        }
-    }
-}
-
-impl ExportedSpan {
-    /// Render as one JSON object (same keys as [`SpanRecord::to_json`]).
-    pub fn to_json(&self) -> String {
-        let opt = |v: Option<u64>| match v {
-            Some(p) => p.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"name\":\"{}\",\"id\":{},\"parent\":{},\"trace_id\":{},\"remote_parent\":{},\
-             \"start_ns\":{},\"duration_ns\":{}}}",
-            crate::expo::json_escape(&self.name),
-            self.id,
-            opt(self.parent),
-            self.trace_id,
-            opt(self.remote_parent),
-            self.start_ns,
-            self.duration_ns
-        )
-    }
-}
-
-/// One slow-op capture with owned strings: the wire form of
-/// [`SlowOpRecord`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct SlowOpExport {
-    /// Operation name.
-    pub op: String,
-    /// Trace id carried by the slow request, if any.
-    pub trace_id: Option<u64>,
-    /// Request provenance detail.
-    pub detail: String,
-    /// Duration in nanoseconds.
-    pub duration_ns: u64,
-    /// The captured span subtree, root first.
-    pub spans: Vec<ExportedSpan>,
-}
-
-impl From<&SlowOpRecord> for SlowOpExport {
-    fn from(r: &SlowOpRecord) -> Self {
-        SlowOpExport {
-            op: r.op.to_string(),
-            trace_id: r.trace_id,
-            detail: r.detail.clone(),
-            duration_ns: r.duration_ns,
-            spans: r.spans.iter().map(ExportedSpan::from).collect(),
-        }
-    }
-}
-
-impl SlowOpExport {
-    /// Render as one JSON object, optionally tagged with the server it
-    /// came from (the fleet-merged slow log carries provenance).
-    pub fn to_json_tagged(&self, server: Option<&str>) -> String {
-        let trace = match self.trace_id {
-            Some(t) => t.to_string(),
-            None => "null".to_string(),
-        };
-        let mut out = String::from("{");
-        if let Some(s) = server {
-            let _ = write!(out, "\"server\":\"{}\",", crate::expo::json_escape(s));
-        }
-        let _ = write!(
-            out,
-            "\"op\":\"{}\",\"trace_id\":{},\"duration_ns\":{},\"detail\":\"{}\",\"spans\":[",
-            crate::expo::json_escape(&self.op),
-            trace,
-            self.duration_ns,
-            crate::expo::json_escape(&self.detail)
-        );
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.to_json());
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Everything one process exports for fleet-wide telemetry aggregation:
-/// metric values (with full histogram buckets, so merging is exact) plus
-/// the recent slow-op captures.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RegistryExport {
-    /// Counter values by name, name-sorted.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge values by name, name-sorted.
-    pub gauges: Vec<(String, i64)>,
-    /// Histogram snapshots by name, name-sorted (buckets included).
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Recent slow-op captures, oldest first.
-    pub slow: Vec<SlowOpExport>,
-}
 
 impl Registry {
-    /// Assemble the full cross-process export: the metric snapshot plus
-    /// the slow-op log, in owned form.
-    pub fn export(&self) -> RegistryExport {
-        let snap = self.snapshot();
-        RegistryExport {
-            counters: snap.counters,
-            gauges: snap.gauges,
-            histograms: snap.histograms,
-            slow: self
-                .slow_log()
-                .recent()
-                .iter()
-                .map(SlowOpExport::from)
-                .collect(),
-        }
-    }
-
     /// Every recent span belonging to trace `trace_id`, in completion
-    /// order, as owned records ready for a `SpanExport` reply. Serving
-    /// this needs no new state: the tracer ring already holds the spans,
-    /// the trace id is now part of each record.
-    pub fn trace_spans(&self, trace_id: u64) -> Vec<ExportedSpan> {
-        self.tracer()
-            .recent()
-            .iter()
-            .filter(|s| trace_id != 0 && s.trace_id == trace_id)
-            .map(ExportedSpan::from)
-            .collect()
+    /// order. Serving this needs no new state: the tracer ring already
+    /// holds the spans, and the trace id is part of each record.
+    pub fn trace_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
+        let mut spans = self.tracer().recent();
+        spans.retain(|s| trace_id != 0 && s.trace_id == trace_id);
+        spans
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slow::SlowOpRecord;
     use std::time::Duration;
 
     #[test]
@@ -190,7 +36,7 @@ mod tests {
             let _other = r.span_traced("other_trace", 43);
         }
         let spans = r.trace_spans(42);
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = spans.iter().map(|s| &*s.name).collect();
         assert_eq!(names, ["traced_child", "traced_root"]);
         assert!(spans.iter().all(|s| s.trace_id == 42));
         assert!(r.trace_spans(0).is_empty(), "trace 0 means untraced");
@@ -208,13 +54,13 @@ mod tests {
             root.id()
         };
         r.slow_log().record(SlowOpRecord {
-            op: "slow_op",
+            op: "slow_op".into(),
             trace_id: Some(9),
             detail: "vertex=1".to_string(),
             duration_ns: 5_000_000,
             spans: crate::slow::span_subtree(&r.tracer().recent(), root_id),
         });
-        let e = r.export();
+        let e = r.snapshot();
         assert_eq!(
             e.counters.iter().find(|(n, _)| n == "c.hits"),
             Some(&("c.hits".to_string(), 3))

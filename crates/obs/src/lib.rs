@@ -24,6 +24,13 @@
 //!   Prometheus text ([`ObsSnapshot::to_prometheus`]) and the JSON report
 //!   shape ([`ObsSnapshot::to_json`]).
 //!
+//! Each value has one type wherever it travels: the rpc codec encodes
+//! [`ObsSnapshot`], [`SlowOpRecord`] and [`SpanRecord`] as they are, and a
+//! fleet admin plane merges the decoded values with the same renderers
+//! ([`fleet_prometheus`], [`SlowOpRecord::to_json_tagged`]) the local
+//! endpoints use. Records hold their names as `Cow<'static, str>`:
+//! borrowed where they were recorded, owned once decoded from a peer.
+//!
 //! Naming convention: dot-separated lowercase paths rooted at the
 //! subsystem (`samtree.leaf_splits`, `wal.append_bytes`,
 //! `pipeline.cache.hits`); duration histograms end in `_ns`.
@@ -36,8 +43,7 @@ mod registry;
 mod slow;
 mod span;
 
-pub use expo::{fleet_prometheus, HistogramJson};
-pub use export::{ExportedSpan, RegistryExport, SlowOpExport};
+pub use expo::{fleet_prometheus, json_escape, HistogramJson};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{ObsSnapshot, Registry};

@@ -15,7 +15,7 @@
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::metrics::{Counter, Gauge};
-use crate::slow::{SlowLog, DEFAULT_SLOW_CAPACITY};
+use crate::slow::{SlowLog, SlowOpRecord, DEFAULT_SLOW_CAPACITY};
 use crate::span::{SpanGuard, SpanRecord, SpanTracer, DEFAULT_SPAN_CAPACITY};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -132,7 +132,8 @@ impl Registry {
     }
 
     /// Point-in-time snapshot of every registered metric plus the recent
-    /// spans, suitable for JSON or Prometheus exposition.
+    /// spans and slow-op captures, suitable for JSON or Prometheus
+    /// exposition and for the `ObsExport` reply.
     pub fn snapshot(&self) -> ObsSnapshot {
         ObsSnapshot {
             counters: self
@@ -157,6 +158,7 @@ impl Registry {
                 .map(|(name, h)| (name.clone(), h.snapshot()))
                 .collect(),
             spans: self.tracer.recent(),
+            slow: self.slow.recent(),
         }
     }
 }
@@ -164,6 +166,10 @@ impl Registry {
 /// A point-in-time view of a whole [`Registry`]. Metric entries are sorted
 /// by name (the maps are BTree-ordered), which makes exposition output
 /// deterministic and golden-testable.
+///
+/// This is also what a fleet member ships in an `ObsExport` reply, minus
+/// the span ring: spans cross the wire only per trace id (`SpanExport`),
+/// so a snapshot decoded from a reply has `spans` empty.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsSnapshot {
     /// Counter values by name.
@@ -174,6 +180,8 @@ pub struct ObsSnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Recent completed spans, oldest first.
     pub spans: Vec<SpanRecord>,
+    /// Recent slow-op captures, oldest first.
+    pub slow: Vec<SlowOpRecord>,
 }
 
 impl ObsSnapshot {

@@ -18,6 +18,7 @@
 
 use crate::metrics::Counter;
 use crate::span::SpanRecord;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,8 +32,9 @@ pub const DEFAULT_SLOW_CAPACITY: usize = 64;
 /// One captured slow operation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlowOpRecord {
-    /// Static operation name, e.g. `"cluster.sample"`.
-    pub op: &'static str,
+    /// Operation name, e.g. `"cluster.sample"` (borrowed where it was
+    /// captured, owned once it has crossed the wire).
+    pub op: Cow<'static, str>,
     /// Caller-supplied request trace id, if the request carried one.
     pub trace_id: Option<u64>,
     /// Request provenance (vertex, shard, fanout, degradation, ...).
@@ -144,7 +146,7 @@ mod tests {
 
     fn rec(op: &'static str, duration_ns: u64) -> SlowOpRecord {
         SlowOpRecord {
-            op,
+            op: op.into(),
             trace_id: None,
             detail: String::new(),
             duration_ns,
@@ -194,7 +196,7 @@ mod tests {
             drop(t.span("other_child"));
         }
         let tree = span_subtree(&t.recent(), root_id);
-        let names: Vec<&str> = tree.iter().map(|s| s.name).collect();
+        let names: Vec<&str> = tree.iter().map(|s| &*s.name).collect();
         assert_eq!(names, ["root", "child", "grandchild"], "entry order");
         assert_eq!(tree[0].parent, None);
         assert_eq!(tree[1].parent, Some(tree[0].id));

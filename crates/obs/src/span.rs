@@ -10,17 +10,21 @@
 //! short critical section beats the complexity of a lock-free ring.
 
 use crate::metrics::Counter;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One completed span.
+/// One completed span. The same type in the tracer ring, in a slow-op
+/// capture and on the wire: a span recorded in this process borrows its
+/// static name (entering and completing a span allocates nothing), one
+/// decoded from a `SpanExport` reply owns it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Static span name, e.g. `"wal.checkpoint"`.
-    pub name: &'static str,
+    /// Span name, e.g. `"wal.checkpoint"`.
+    pub name: Cow<'static, str>,
     /// Unique id within this tracer (monotonic from 1).
     pub id: u64,
     /// Id of the span that was active on this thread when this span
@@ -276,7 +280,7 @@ impl Drop for SpanGuard<'_> {
             .as_nanos()
             .min(u128::from(u64::MAX)) as u64;
         self.tracer.complete(SpanRecord {
-            name: self.name,
+            name: Cow::Borrowed(self.name),
             id: self.id,
             parent: self.parent,
             trace_id: self.trace_id,

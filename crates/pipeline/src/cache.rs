@@ -19,7 +19,7 @@
 //! operation is O(1) and the cache is sharded by key hash so prefetch
 //! workers do not serialize on one lock.
 
-use platod2gl_graph::{EdgeType, TimeWindow, VertexId};
+use platod2gl_graph::{splitmix64, EdgeType, TimeWindow, VertexId};
 use platod2gl_obs::{Counter, Registry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -130,20 +130,12 @@ pub struct NeighborCache {
     insertions: Arc<Counter>,
 }
 
-/// splitmix64 finalizer (the same mix the shard router uses).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 fn key_hash(key: &Key) -> u64 {
-    let base = mix(key.0.raw() ^ (u64::from(key.1 .0) << 48) ^ (u64::from(key.2) << 32));
+    let base = splitmix64(key.0.raw() ^ (u64::from(key.1 .0) << 48) ^ (u64::from(key.2) << 32));
     match key.3 {
         None => base,
         // Mix both bounds in so adjacent windows land on different shards.
-        Some(w) => mix(base ^ mix(w.min_ts) ^ w.max_ts),
+        Some(w) => splitmix64(base ^ splitmix64(w.min_ts) ^ w.max_ts),
     }
 }
 

@@ -18,7 +18,7 @@
 use crate::cache::{CacheConfig, CacheStats, NeighborCache};
 use crate::sampler::KHopSampler;
 use platod2gl_gnn::{gather_features, FeatureProvider, Matrix, SageNet};
-use platod2gl_graph::{EdgeType, Error, TimeWindow, VertexId};
+use platod2gl_graph::{splitmix64, EdgeType, Error, TimeWindow, VertexId};
 use platod2gl_obs::{Counter, Histogram};
 use platod2gl_server::{Cluster, GraphService, HistogramSnapshot};
 use rand::rngs::StdRng;
@@ -257,13 +257,6 @@ pub struct TrainingPipeline<'a, S: GraphService = Cluster> {
     gather_distinct_rows: Arc<Counter>,
 }
 
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 impl<'a, S: GraphService> TrainingPipeline<'a, S> {
     /// Build a pipeline over `service` with its own cache instance. Stage
     /// telemetry registers into the service's registry as `pipeline.*`.
@@ -424,7 +417,7 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
         epoch: u64,
     ) -> Vec<WindowedBatch> {
         let mut order: Vec<usize> = (0..seeds.len()).collect();
-        let mut rng = StdRng::seed_from_u64(mix64(self.cfg.seed ^ mix64(epoch)));
+        let mut rng = StdRng::seed_from_u64(splitmix64(self.cfg.seed ^ splitmix64(epoch)));
         order.shuffle(&mut rng);
         order
             .chunks(self.cfg.batch_size.max(1))
@@ -483,7 +476,8 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
             return report;
         }
         if self.cfg.prefetch_depth == 0 || self.cfg.workers == 0 {
-            let mut rng = StdRng::seed_from_u64(mix64(self.cfg.seed ^ mix64(epoch) ^ 0x53796e63));
+            let mut rng =
+                StdRng::seed_from_u64(splitmix64(self.cfg.seed ^ splitmix64(epoch) ^ 0x53796e63));
             for (seeds, labels, windows) in &batches {
                 let block = self.produce_block(provider, seeds, labels, windows, &mut rng);
                 self.train_block(net, block, &mut report);
@@ -496,8 +490,8 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
                     let tx = tx.clone();
                     let batches = &batches;
                     scope.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(mix64(
-                            self.cfg.seed ^ mix64(epoch) ^ mix64(w as u64 + 1),
+                        let mut rng = StdRng::seed_from_u64(splitmix64(
+                            self.cfg.seed ^ splitmix64(epoch) ^ splitmix64(w as u64 + 1),
                         ));
                         for (seeds, labels, windows) in batches.iter().skip(w).step_by(workers) {
                             let block =

@@ -24,13 +24,15 @@
 //! Many in-flight requests over few file descriptors is exactly the shape
 //! the event-loop server is built for.
 //!
-//! Either way, [`RemoteCluster::sample_many`] coalesces a frontier into
-//! chunks of [`ClientConfig::max_batch`] requests and *pipelines* them:
-//! all chunk frames are written before any reply is read, and replies are
-//! re-stitched into request order by correlation id — so a hub-heavy
-//! frontier costs one round trip of latency, not one per chunk, and a
-//! server answering out of order (event loop with workers) changes
-//! nothing observable.
+//! Either way every call is one *exchange*: n frames written before any
+//! reply is read, n replies handed back in request order by correlation
+//! id, under one retry loop — only the body of a single attempt differs
+//! by mode. A one-shot call exchanges one frame;
+//! [`RemoteCluster::sample_many`] coalesces a frontier into chunks of
+//! [`ClientConfig::max_batch`] requests and exchanges them together — so
+//! a hub-heavy frontier costs one round trip of latency, not one per
+//! chunk, and a server answering out of order (event loop with workers)
+//! changes nothing observable.
 //!
 //! ## Failure mapping
 //!
@@ -40,10 +42,14 @@
 //! RNG seeds are drawn *before* any I/O; update batches are safe because
 //! every op kind is idempotent. When the budget is exhausted, the
 //! sampling path does **not** error: each affected request degrades
-//! according to its own [`DegradedPolicy`] — exactly what the in-process
-//! router does for a dead shard — so a trainer rides out a server restart
-//! with degraded batches instead of a crash. Update batches, whose loss
-//! would silently drop writes, surface `Error::Io` after the last retry.
+//! according to its own
+//! [`DegradedPolicy`](platod2gl_server::DegradedPolicy) — exactly what
+//! the in-process router does for a dead shard — so a trainer rides out a
+//! server restart with degraded batches instead of a crash. Update
+//! batches and txns, whose loss would silently drop writes, surface
+//! `Error::Io` after the last retry; a store error the server answered
+//! with comes back as the variant it raised
+//! ([`ErrorReply`](crate::codec::ErrorReply)'s two `From` impls).
 
 use crate::codec::{
     decode_error_reply, decode_heal_reply, decode_health_reply, decode_map_reply,
@@ -51,18 +57,15 @@ use crate::codec::{
     decode_partition_stats_reply, decode_sample_reply, decode_span_export_reply, decode_tail_reply,
     decode_txn_reply, decode_update_reply, encode_frame, encode_heal_request, encode_map_install,
     encode_migrate_ctl, encode_partition_fetch, encode_partition_stats, encode_sample_batch,
-    encode_span_export, encode_tail_fetch, encode_txn_apply, encode_update_batch, error_code,
-    frame_len, migrate_action, parse_frame, read_frame, take_timing_echo, write_frame, ErrorReply,
-    FrameError, FrameKind, MapReply, PartitionFetch, SampleBatch, TxnApply, TxnReply, UpdateBatch,
+    encode_span_export, encode_tail_fetch, encode_txn_apply, encode_update_batch, frame_len,
+    migrate_action, parse_frame, read_frame, take_timing_echo, write_frame, ErrorReply, FrameError,
+    FrameKind, PartitionFetch, SampleBatch, TxnApply, TxnReply, UpdateBatch,
 };
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
-use platod2gl_obs::{
-    current_trace_context, Counter, ExportedSpan, Histogram, Registry, RegistryExport,
-};
+use platod2gl_obs::{current_trace_context, Counter, Histogram, ObsSnapshot, Registry, SpanRecord};
 use platod2gl_server::wire::{Reader, WireError};
 use platod2gl_server::{
-    route_for, BatchReport, DegradedPolicy, GraphService, PartitionChunk, SampleRequest,
-    SampleResponse, SlotSource,
+    route_for, BatchReport, GraphService, PartitionChunk, SampleRequest, SampleResponse,
 };
 use rand::RngCore;
 use std::collections::HashMap;
@@ -319,8 +322,11 @@ impl ClientMetrics {
 // Multiplexed channels.
 // ---------------------------------------------------------------------
 
+/// One reply frame as a transport hands it over: kind plus payload.
+type Reply = (FrameKind, Vec<u8>);
+
 /// What a mux waiter receives: the reply frame, or why it will never come.
-type MuxReply = Result<(FrameKind, Vec<u8>), String>;
+type MuxReply = Result<Reply, String>;
 
 /// One shared socket: writers serialize frame writes under a mutex, a
 /// dedicated reader thread parses replies and routes each to its waiter
@@ -602,92 +608,102 @@ impl RemoteCluster {
             .min(u128::from(u32::MAX)) as u32
     }
 
-    /// One request/reply exchange with retry + backoff. The closure runs
-    /// the whole exchange on a checked-out stream; any [`FrameError::Io`]
-    /// drops the stream, sleeps the (doubling) backoff, and retries on a
-    /// fresh connection. Protocol-level errors are not retried — a peer
-    /// speaking a different protocol will not improve on attempt two.
-    /// Stale pooled connections (the server restarted since check-in) are
-    /// a special case: the dead stream is evicted and the exchange redialed
-    /// immediately, **without** spending a retry or sleeping a backoff —
-    /// otherwise one restart burns the whole retry budget on streams that
-    /// were doomed before the request existed. The eviction loop is bounded
-    /// by the pool size: failed streams are never re-pooled, so each
-    /// eviction shrinks the pool until checkout dials fresh.
-    fn with_retries<T>(
-        &self,
-        mut exchange: impl FnMut(&mut TcpStream) -> Result<T, FrameError>,
-    ) -> Result<T, FrameError> {
+    /// The one exchange every call rides: send `payloads` as `kind` frames —
+    /// all written before any reply is read — and return the replies in
+    /// request order, timing echoes stripped. A one-shot call is an
+    /// exchange of one payload; a pipelined frontier is one of many.
+    ///
+    /// Any [`FrameError::Io`] abandons the attempt's socket, sleeps the
+    /// (doubling) backoff, and retries on a fresh one. Protocol-level
+    /// errors are not retried — a peer speaking a different protocol will
+    /// not improve on attempt two. A stale pooled stream (the server
+    /// restarted since check-in) is a special case: it is evicted and the
+    /// exchange redialed immediately, **without** spending a retry or
+    /// sleeping a backoff — otherwise one restart burns the whole retry
+    /// budget on streams that were doomed before the request existed. The
+    /// eviction loop is bounded by the pool size: failed streams are never
+    /// re-pooled, so each eviction shrinks the pool until checkout dials
+    /// fresh.
+    fn exchange(&self, kind: FrameKind, payloads: &[&[u8]]) -> Result<Vec<Reply>, FrameError> {
         let mut backoff = self.cfg.retry_backoff;
         let mut attempt = 0;
         loop {
-            let (outcome, pooled) = match self.checkout() {
-                Ok((mut s, pooled)) => {
-                    let run: Result<T, FrameError> = (|| {
-                        let started = Instant::now();
-                        let out = exchange(&mut s)?;
-                        self.m.rtt.record(started.elapsed());
-                        Ok(out)
-                    })();
-                    if run.is_ok() {
-                        self.checkin(s);
-                    }
-                    (run, pooled)
-                }
-                Err(e) => (Err(FrameError::Io(e)), false),
+            let (outcome, from_pool) = match self.cfg.mode {
+                ConnectionMode::Pooled => self.pooled_attempt(kind, payloads),
+                ConnectionMode::Multiplexed => (self.mux_attempt(kind, payloads), false),
             };
-            match outcome {
-                Ok(out) => return Ok(out),
-                Err(FrameError::Io(_)) if pooled => {
-                    self.m.transport_errors.inc();
-                    self.m.pool_evictions.inc();
-                }
-                Err(FrameError::Io(e)) if attempt < self.cfg.max_retries => {
-                    self.m.transport_errors.inc();
-                    self.m.retries.inc();
-                    attempt += 1;
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                    let _ = e;
-                }
-                Err(e) => {
-                    if matches!(e, FrameError::Io(_)) {
-                        self.m.transport_errors.inc();
-                    }
-                    return Err(e);
-                }
+            let e = match outcome {
+                Ok(replies) => return Ok(replies),
+                Err(e) => e,
+            };
+            if !matches!(e, FrameError::Io(_)) {
+                return Err(e);
+            }
+            self.m.transport_errors.inc();
+            if from_pool {
+                self.m.pool_evictions.inc();
+            } else if attempt < self.cfg.max_retries {
+                self.m.retries.inc();
+                attempt += 1;
+                std::thread::sleep(backoff);
+                backoff = backoff.saturating_mul(2);
+            } else {
+                return Err(e);
             }
         }
     }
 
-    /// The Multiplexed counterpart of [`Self::with_retries`]: run one
-    /// whole attempt, and on a transport error sleep the (doubling)
-    /// backoff and run it again — the next attempt picks a live channel or
-    /// dials a fresh one. Protocol-level errors are not retried.
-    fn mux_with_retries<T>(
+    /// Strip and record the timing echo every reply payload ends with.
+    fn strip_echo(&self, kind: FrameKind, mut payload: Vec<u8>) -> Result<Reply, FrameError> {
+        let echo = take_timing_echo(&mut payload)?;
+        self.m.server_time.record(echo.server_time());
+        Ok((kind, payload))
+    }
+
+    /// One Pooled attempt: a checked-out stream carries the whole exchange
+    /// and goes back to the pool only if it succeeded. The flag says
+    /// whether the stream came from the pool (see [`Self::exchange`]).
+    fn pooled_attempt(
         &self,
-        mut attempt_once: impl FnMut() -> Result<T, FrameError>,
-    ) -> Result<T, FrameError> {
-        let mut backoff = self.cfg.retry_backoff;
-        let mut attempt = 0;
-        loop {
-            match attempt_once() {
-                Ok(out) => return Ok(out),
-                Err(FrameError::Io(_)) if attempt < self.cfg.max_retries => {
-                    self.m.transport_errors.inc();
-                    self.m.retries.inc();
-                    attempt += 1;
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                Err(e) => {
-                    if matches!(e, FrameError::Io(_)) {
-                        self.m.transport_errors.inc();
-                    }
-                    return Err(e);
-                }
+        kind: FrameKind,
+        payloads: &[&[u8]],
+    ) -> (Result<Vec<Reply>, FrameError>, bool) {
+        let (mut stream, from_pool) = match self.checkout() {
+            Ok(checked_out) => checked_out,
+            Err(e) => return (Err(FrameError::Io(e)), false),
+        };
+        let run = (|| {
+            let started = Instant::now();
+            let ids: Vec<u64> = payloads.iter().map(|_| self.next_req_id()).collect();
+            for (payload, &id) in payloads.iter().zip(&ids) {
+                write_frame(&mut stream, kind, id, payload)?;
             }
+            stream.flush()?;
+            // An event-loop server with workers may answer out of order:
+            // each reply lands in the slot of the request whose id it
+            // echoes. An id this exchange did not send, or one already
+            // answered, means the stream carries someone else's reply and
+            // cannot be trusted.
+            let mut slots: Vec<Option<Reply>> = ids.iter().map(|_| None).collect();
+            for _ in &ids {
+                let (header, payload) = read_frame(&mut stream)?;
+                let slot = ids
+                    .iter()
+                    .position(|&id| id == header.req_id)
+                    .filter(|&i| slots[i].is_none())
+                    .ok_or(FrameError::UnexpectedReply {
+                        expected: "matching correlation id",
+                        got: header.kind,
+                    })?;
+                slots[slot] = Some(self.strip_echo(header.kind, payload)?);
+            }
+            self.m.rtt.record(started.elapsed());
+            Ok(slots.into_iter().flatten().collect())
+        })();
+        if run.is_ok() {
+            self.checkin(stream);
         }
+        (run, from_pool)
     }
 
     // ------------------------------------------------------------------
@@ -716,7 +732,7 @@ impl RemoteCluster {
         channel: &MuxChannel,
         req_id: u64,
         rx: &mpsc::Receiver<MuxReply>,
-    ) -> Result<(FrameKind, Vec<u8>), FrameError> {
+    ) -> Result<Reply, FrameError> {
         match rx.recv_timeout(self.cfg.request_timeout) {
             Ok(Ok(reply)) => Ok(reply),
             Ok(Err(why)) => Err(FrameError::Io(io::Error::new(
@@ -734,52 +750,32 @@ impl RemoteCluster {
         }
     }
 
-    fn mux_call_once(
-        &self,
-        kind: FrameKind,
-        payload: &[u8],
-    ) -> Result<(FrameKind, Vec<u8>), FrameError> {
+    /// One Multiplexed attempt: submit every payload on one channel (all
+    /// frames in flight at once), then collect each waiter's reply — the
+    /// channel's reader has already routed them by id.
+    fn mux_attempt(&self, kind: FrameKind, payloads: &[&[u8]]) -> Result<Vec<Reply>, FrameError> {
         let channel = self.mux_channel()?;
-        let req_id = self.next_req_id();
         let started = Instant::now();
-        let rx = channel.submit(req_id, kind, payload, self.cfg.max_in_flight)?;
-        let (kind, mut payload) = self.mux_await(&channel, req_id, &rx)?;
-        let echo = take_timing_echo(&mut payload)?;
+        let mut waiters = Vec::with_capacity(payloads.len());
+        for payload in payloads {
+            let req_id = self.next_req_id();
+            let rx = channel.submit(req_id, kind, payload, self.cfg.max_in_flight)?;
+            waiters.push((req_id, rx));
+        }
+        let mut replies = Vec::with_capacity(waiters.len());
+        for (req_id, rx) in &waiters {
+            let (kind, payload) = self.mux_await(&channel, *req_id, rx)?;
+            replies.push(self.strip_echo(kind, payload)?);
+        }
         self.m.rtt.record(started.elapsed());
-        self.m.server_time.record(echo.server_time());
-        Ok((kind, payload))
+        Ok(replies)
     }
 
-    /// The generic one-shot exchange, mode-dispatched: returns the reply
-    /// frame for the caller to interpret. Transport errors are retried
-    /// with backoff in both modes.
-    fn roundtrip(
-        &self,
-        kind: FrameKind,
-        payload: &[u8],
-    ) -> Result<(FrameKind, Vec<u8>), FrameError> {
-        match self.cfg.mode {
-            ConnectionMode::Pooled => self.with_retries(|stream| {
-                let req_id = self.next_req_id();
-                write_frame(stream, kind, req_id, payload)?;
-                stream.flush()?;
-                let (header, mut reply) = read_frame(stream)?;
-                // The server echoes the id; a mismatch means the stream
-                // carries someone else's reply and cannot be trusted.
-                if header.req_id != req_id {
-                    return Err(FrameError::UnexpectedReply {
-                        expected: "matching correlation id",
-                        got: header.kind,
-                    });
-                }
-                let echo = take_timing_echo(&mut reply)?;
-                self.m.server_time.record(echo.server_time());
-                Ok((header.kind, reply))
-            }),
-            ConnectionMode::Multiplexed => {
-                self.mux_with_retries(|| self.mux_call_once(kind, payload))
-            }
-        }
+    /// The one-shot exchange: returns the reply frame for the caller to
+    /// interpret.
+    fn roundtrip(&self, kind: FrameKind, payload: &[u8]) -> Result<Reply, FrameError> {
+        let mut replies = self.exchange(kind, &[payload])?;
+        Ok(replies.pop().expect("one reply per payload"))
     }
 
     /// [`roundtrip`](Self::roundtrip) for a request the server may refuse:
@@ -807,12 +803,34 @@ impl RemoteCluster {
         }
     }
 
+    /// [`call`](Self::call) for a request the server has no reason to
+    /// refuse: an `ErrorReply` is a protocol failure like any other
+    /// unexpected kind.
+    fn ask<T>(
+        &self,
+        kind: FrameKind,
+        payload: &[u8],
+        want: FrameKind,
+        what: &'static str,
+        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
+    ) -> Result<T, FrameError> {
+        self.call(kind, payload, want, what, decode)?
+            .map_err(|_| FrameError::UnexpectedReply {
+                expected: what,
+                got: FrameKind::ErrorReply,
+            })
+    }
+
     /// Health probe: graph version plus per-shard healths. Successful
     /// probes refresh the client's cached view.
     pub fn probe(&self) -> Result<crate::codec::HealthReply, FrameError> {
-        let (kind, payload) = self.roundtrip(FrameKind::HealthProbe, &[])?;
-        expect_kind(kind, FrameKind::HealthReply, "health")?;
-        let reply = decode_health_reply(&payload)?;
+        let reply = self.ask(
+            FrameKind::HealthProbe,
+            &[],
+            FrameKind::HealthReply,
+            "health",
+            decode_health_reply,
+        )?;
         self.last_version
             .store(reply.graph_version, Ordering::Release);
         *self.lock_healths() = reply.healths.clone();
@@ -823,31 +841,9 @@ impl RemoteCluster {
         lock(&self.last_healths)
     }
 
-    /// Client-side degraded fallback for one request, used when transport
-    /// to the server is gone: same shape the in-process router produces
-    /// for a dead shard, with the shard predicted by the shared
-    /// [`route_for`] hash.
-    fn transport_degraded(&self, req: &SampleRequest) -> SampleResponse {
-        self.m.degraded_fallbacks.inc();
-        let (neighbors, sources) = match req.on_degraded {
-            DegradedPolicy::EmptySet => (Vec::new(), Vec::new()),
-            DegradedPolicy::SelfLoop => (
-                vec![req.vertex; req.fanout],
-                vec![SlotSource::SelfLoop; req.fanout],
-            ),
-        };
-        SampleResponse {
-            neighbors,
-            sources,
-            degraded: true,
-            shard: route_for(req.vertex, self.num_shards.max(1)),
-        }
-    }
-
-    /// Pipelined exchange of pre-seeded sample chunks: write every chunk
-    /// frame, then read the replies and re-stitch them into request order
-    /// by correlation id (an event-loop server with workers may answer
-    /// out of order).
+    /// Pipelined exchange of pre-seeded sample chunks: one frame per
+    /// chunk, every frame written before any reply is read, each reply
+    /// checked for positional completeness against its chunk.
     fn pipelined_sample(
         &self,
         chunks: &[&[(SampleRequest, u64)]],
@@ -863,59 +859,26 @@ impl RemoteCluster {
                 })
             })
             .collect();
-        match self.cfg.mode {
-            ConnectionMode::Pooled => self.with_retries(|stream| {
-                let ids: Vec<u64> = chunks.iter().map(|_| self.next_req_id()).collect();
-                for (payload, &id) in encoded.iter().zip(&ids) {
-                    write_frame(stream, FrameKind::SampleBatch, id, payload)?;
-                }
-                stream.flush()?;
-                let mut by_id: HashMap<u64, (FrameKind, Vec<u8>)> =
-                    HashMap::with_capacity(chunks.len());
-                for _ in chunks {
-                    let (header, mut payload) = read_frame(stream)?;
-                    let echo = take_timing_echo(&mut payload)?;
-                    self.m.server_time.record(echo.server_time());
-                    by_id.insert(header.req_id, (header.kind, payload));
-                }
-                stitch_sample_replies(chunks, &ids, |id| by_id.remove(&id))
-            }),
-            ConnectionMode::Multiplexed => {
-                self.mux_with_retries(|| self.mux_pipelined_once(chunks, &encoded))
+        let payloads: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        let replies = self.exchange(FrameKind::SampleBatch, &payloads)?;
+        let mut out = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
+        for (chunk, (kind, payload)) in chunks.iter().zip(replies) {
+            if kind != FrameKind::SampleReply {
+                return Err(FrameError::UnexpectedReply {
+                    expected: "sample",
+                    got: kind,
+                });
             }
+            let responses = decode_sample_reply(&payload)?;
+            if responses.len() != chunk.len() {
+                return Err(FrameError::UnexpectedReply {
+                    expected: "positionally complete sample",
+                    got: kind,
+                });
+            }
+            out.extend(responses);
         }
-    }
-
-    /// One multiplexed pipelined attempt: submit every chunk on one
-    /// channel (all frames in flight at once), then collect the replies.
-    fn mux_pipelined_once(
-        &self,
-        chunks: &[&[(SampleRequest, u64)]],
-        encoded: &[Vec<u8>],
-    ) -> Result<Vec<SampleResponse>, FrameError> {
-        let channel = self.mux_channel()?;
-        let started = Instant::now();
-        let mut waiters = Vec::with_capacity(chunks.len());
-        for payload in encoded {
-            let req_id = self.next_req_id();
-            let rx = channel.submit(
-                req_id,
-                FrameKind::SampleBatch,
-                payload,
-                self.cfg.max_in_flight,
-            )?;
-            waiters.push((req_id, rx));
-        }
-        let mut by_id: HashMap<u64, (FrameKind, Vec<u8>)> = HashMap::with_capacity(waiters.len());
-        for (req_id, rx) in &waiters {
-            let (kind, mut payload) = self.mux_await(&channel, *req_id, rx)?;
-            let echo = take_timing_echo(&mut payload)?;
-            self.m.server_time.record(echo.server_time());
-            by_id.insert(*req_id, (kind, payload));
-        }
-        self.m.rtt.record(started.elapsed());
-        let ids: Vec<u64> = waiters.iter().map(|(id, _)| *id).collect();
-        stitch_sample_replies(chunks, &ids, |id| by_id.remove(&id))
+        Ok(out)
     }
 
     /// Sample a batch whose per-request seeds were already drawn. This is
@@ -939,135 +902,45 @@ impl RemoteCluster {
         self.pipelined_sample(&chunks).map_err(fleet_err)
     }
 
-    // ------------------------------------------------------------------
-    // Fleet plane: typed exchanges for the frames the fleet crate drives.
-    // ------------------------------------------------------------------
-
-    /// Fetch the server's fleet partition map (epoch + opaque bytes).
-    pub fn fetch_map(&self) -> Result<MapReply, Error> {
-        let (kind, payload) = self
-            .roundtrip(FrameKind::MapFetch, &[])
-            .map_err(fleet_err)?;
-        expect_kind(kind, FrameKind::MapReply, "map").map_err(fleet_err)?;
-        decode_map_reply(&payload).map_err(|e| fleet_err(e.into()))
-    }
-
-    /// Install a partition map on the server; returns the epoch in effect.
-    pub fn install_map(&self, epoch: u64, bytes: &[u8]) -> Result<u64, Error> {
-        let payload = encode_map_install(epoch, bytes);
-        let decode = |reply: &[u8]| Reader::new(reply).u64();
-        self.call(
-            FrameKind::MapInstall,
-            &payload,
-            FrameKind::MapInstallReply,
-            "map install",
-            decode,
-        )
-        .map_err(fleet_err)?
-        .map_err(|err| Error::invalid_config(err.message))
-    }
-
     /// Pull every recent span on this server belonging to `trace_id` —
     /// the per-member read the fleet admin plane stitches cross-process
     /// trace trees from.
-    pub fn export_spans(&self, trace_id: u64) -> Result<Vec<ExportedSpan>, Error> {
-        let (kind, payload) = self
-            .roundtrip(FrameKind::SpanExport, &encode_span_export(trace_id))
-            .map_err(fleet_err)?;
-        expect_kind(kind, FrameKind::SpanExportReply, "span export").map_err(fleet_err)?;
-        decode_span_export_reply(&payload).map_err(|e| fleet_err(e.into()))
+    pub fn export_spans(&self, trace_id: u64) -> Result<Vec<SpanRecord>, Error> {
+        self.ask(
+            FrameKind::SpanExport,
+            &encode_span_export(trace_id),
+            FrameKind::SpanExportReply,
+            "span export",
+            decode_span_export_reply,
+        )
+        .map_err(fleet_err)
     }
 
-    /// Pull the server's full registry export: metric values with complete
+    /// Pull the server's registry snapshot: metric values with complete
     /// histogram buckets (so fleet-wide merging is exact) plus the slow-op
-    /// log.
-    pub fn export_obs(&self) -> Result<RegistryExport, Error> {
-        let (kind, payload) = self
-            .roundtrip(FrameKind::ObsExport, &[])
-            .map_err(fleet_err)?;
-        expect_kind(kind, FrameKind::ObsExportReply, "obs export").map_err(fleet_err)?;
-        decode_obs_export_reply(&payload).map_err(|e| fleet_err(e.into()))
-    }
-
-    /// Fetch one resumable chunk of a partition export.
-    pub fn fetch_partition_chunk(
-        &self,
-        partition: u32,
-        num_partitions: u32,
-        cursor: Option<(u64, u16)>,
-        max_edges: u32,
-    ) -> Result<PartitionChunk, Error> {
-        let payload = encode_partition_fetch(&PartitionFetch {
-            partition,
-            num_partitions,
-            cursor,
-            max_edges,
-        });
-        let chunk = self
-            .call(
-                FrameKind::PartitionFetch,
-                &payload,
-                FrameKind::PartitionChunkReply,
-                "partition chunk",
-                decode_partition_chunk,
-            )
-            .map_err(fleet_err)?
-            .map_err(|err| Error::invalid_config(err.message))?;
-        Ok(PartitionChunk {
-            snapshot: chunk.snapshot,
-            cursor: chunk.cursor,
-            done: chunk.done,
-            edges: chunk.edges,
-        })
-    }
-
-    /// Arm the server's migration journal for one partition.
-    pub fn migrate_begin(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
-        self.migrate_ctl(migrate_action::BEGIN, partition, num_partitions)
-    }
-
-    /// Disarm it; returns the total ops the journal buffered.
-    pub fn migrate_end(&self, partition: u32) -> Result<u64, Error> {
-        self.migrate_ctl(migrate_action::END, partition, 0)
+    /// log. The span ring is not part of it — `spans` comes back empty;
+    /// [`Self::export_spans`] pulls spans, per trace.
+    pub fn export_obs(&self) -> Result<ObsSnapshot, Error> {
+        self.ask(
+            FrameKind::ObsExport,
+            &[],
+            FrameKind::ObsExportReply,
+            "obs export",
+            decode_obs_export_reply,
+        )
+        .map_err(fleet_err)
     }
 
     fn migrate_ctl(&self, action: u8, partition: u32, num_partitions: u32) -> Result<u64, Error> {
-        let payload = encode_migrate_ctl(action, partition, num_partitions);
         self.call(
             FrameKind::MigrateCtl,
-            &payload,
+            &encode_migrate_ctl(action, partition, num_partitions),
             FrameKind::MigrateCtlReply,
             "migrate ctl",
             decode_migrate_ctl_reply,
         )
         .map_err(fleet_err)?
-        .map_err(|err| Error::invalid_config(err.message))
-    }
-
-    /// Fetch journaled migration ops from `from_seq` on.
-    pub fn fetch_tail(&self, partition: u32, from_seq: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
-        let payload = encode_tail_fetch(partition, from_seq);
-        let tail = self
-            .call(
-                FrameKind::TailFetch,
-                &payload,
-                FrameKind::TailReply,
-                "tail",
-                decode_tail_reply,
-            )
-            .map_err(fleet_err)?
-            .map_err(|err| Error::Corrupt { what: err.message })?;
-        Ok((tail.ops, tail.next_seq))
-    }
-
-    /// Per-partition resident key counts.
-    pub fn partition_stats(&self, num_partitions: u32) -> Result<Vec<u64>, Error> {
-        let payload = encode_partition_stats(num_partitions);
-        let (kind, reply) = self
-            .roundtrip(FrameKind::PartitionStats, &payload)
-            .map_err(fleet_err)?;
-        expect_kind(kind, FrameKind::PartitionStatsReply, "partition stats").map_err(fleet_err)?;
-        decode_partition_stats_reply(&reply).map_err(|e| fleet_err(e.into()))
+        .map_err(|refusal| Error::invalid_config(refusal.message))
     }
 
     /// The update-batch exchange. The first-hand and replica channels differ
@@ -1082,31 +955,15 @@ impl RemoteCluster {
             ctx: current_trace_context(),
             ops: ops.to_vec(),
         });
-        let outcome = self.call(
+        self.call(
             kind,
             &payload,
-            FrameKind::UpdateReply,
+            FrameKind::UpdateBatchReply,
             "update",
             decode_update_reply,
-        );
-        match outcome {
-            Ok(Ok(reply)) => Ok(BatchReport {
-                applied_ops: reply.applied_ops as usize,
-                queued_ops: reply.queued_ops as usize,
-            }),
-            Ok(Err(err)) if err.code == error_code::SHARD_PANICKED => Err(Error::ShardPanicked {
-                shard: err.shard as usize,
-                detail: err.message,
-            }),
-            Ok(Err(err)) => Err(Error::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                err.message,
-            ))),
-            Err(e) => Err(Error::Io(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                e.to_string(),
-            ))),
-        }
+        )
+        .map_err(fleet_err)?
+        .map_err(Error::from)
     }
 
     /// The txn exchange, first-hand or on the replica channel. Encoded
@@ -1119,34 +976,13 @@ impl RemoteCluster {
             ctx: current_trace_context(),
             ops: txn.ops().to_vec(),
         });
-        let outcome = self.roundtrip(kind, &payload).and_then(|(kind, reply)| {
-            expect_kind(kind, FrameKind::TxnReply, "txn")?;
-            Ok(decode_txn_reply(&reply)?)
-        });
-        match outcome {
+        match self.ask(kind, &payload, FrameKind::TxnReply, "txn", decode_txn_reply) {
             Ok(TxnReply::Committed(receipt)) => Ok(receipt),
             Ok(TxnReply::Rejected { txn_id, violations }) => {
                 Err(TxnError::Rejected { txn_id, violations })
             }
-            Ok(TxnReply::StoreError {
-                shard,
-                code,
-                message,
-            }) if code == error_code::SHARD_PANICKED && message.contains("panicked") => {
-                Err(TxnError::Store(Error::ShardPanicked {
-                    shard: shard as usize,
-                    detail: message,
-                }))
-            }
-            Ok(TxnReply::StoreError { shard, .. }) => {
-                Err(TxnError::Store(Error::ShardUnavailable {
-                    shard: shard as usize,
-                }))
-            }
-            Err(e) => Err(TxnError::Store(Error::Io(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                e.to_string(),
-            )))),
+            Ok(TxnReply::StoreError(err)) => Err(TxnError::Store(err.into())),
+            Err(e) => Err(TxnError::Store(fleet_err(e))),
         }
     }
 }
@@ -1160,46 +996,9 @@ impl Drop for RemoteCluster {
     }
 }
 
-/// Re-stitch correlated sample replies into request order and validate
-/// positional completeness per chunk.
-fn stitch_sample_replies(
-    chunks: &[&[(SampleRequest, u64)]],
-    ids: &[u64],
-    mut take: impl FnMut(u64) -> Option<(FrameKind, Vec<u8>)>,
-) -> Result<Vec<SampleResponse>, FrameError> {
-    let mut out = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
-    for (chunk, &id) in chunks.iter().zip(ids) {
-        let (kind, payload) = take(id).ok_or(FrameError::UnexpectedReply {
-            expected: "correlated sample",
-            got: FrameKind::SampleReply,
-        })?;
-        expect_kind(kind, FrameKind::SampleReply, "sample")?;
-        let responses = decode_sample_reply(&payload)?;
-        if responses.len() != chunk.len() {
-            return Err(FrameError::UnexpectedReply {
-                expected: "positionally complete sample",
-                got: kind,
-            });
-        }
-        out.extend(responses);
-    }
-    Ok(out)
-}
-
-/// Transport/protocol failure → the service-level error the fleet plane
-/// reports.
+/// Transport/protocol failure → the service-level error callers see.
 fn fleet_err(e: FrameError) -> Error {
     Error::Io(io::Error::new(io::ErrorKind::BrokenPipe, e.to_string()))
-}
-
-fn expect_kind(got: FrameKind, want: FrameKind, what: &'static str) -> Result<(), FrameError> {
-    if got == want {
-        return Ok(());
-    }
-    Err(FrameError::UnexpectedReply {
-        expected: what,
-        got,
-    })
 }
 
 impl GraphService for RemoteCluster {
@@ -1218,9 +1017,16 @@ impl GraphService for RemoteCluster {
             Ok(responses) => responses,
             // The server is unreachable (or answered garbage) past the
             // retry budget: degrade every request per its own policy, the
-            // same contract the in-process router honors for dead shards.
-            // The trainer sees degraded batches, never a client error.
-            Err(_) => reqs.iter().map(|r| self.transport_degraded(r)).collect(),
+            // same contract the in-process router honors for dead shards,
+            // with the shard predicted by the shared routing hash. The
+            // trainer sees degraded batches, never a client error.
+            Err(_) => {
+                self.m.degraded_fallbacks.add(reqs.len() as u64);
+                let shards = self.num_shards.max(1);
+                reqs.iter()
+                    .map(|r| SampleResponse::degraded(r, route_for(r.vertex, shards)))
+                    .collect()
+            }
         }
     }
 
@@ -1254,12 +1060,13 @@ impl GraphService for RemoteCluster {
     }
 
     fn heal(&self, shard: usize) -> usize {
-        let drained = self
-            .roundtrip(FrameKind::HealRequest, &encode_heal_request(shard as u32))
-            .and_then(|(kind, payload)| {
-                expect_kind(kind, FrameKind::HealReply, "heal")?;
-                Ok(decode_heal_reply(&payload)?)
-            });
+        let drained = self.ask(
+            FrameKind::HealRequest,
+            &encode_heal_request(shard as u32),
+            FrameKind::HealReply,
+            "heal",
+            decode_heal_reply,
+        );
         drained.unwrap_or(0) as usize
     }
 
@@ -1267,8 +1074,8 @@ impl GraphService for RemoteCluster {
         &self.registry
     }
 
-    // Fleet hooks forward over the wire, so a RemoteCluster is a fully
-    // transparent proxy for a fleet-aware server.
+    // The fleet plane forwards over the wire, so a RemoteCluster is a
+    // fully transparent proxy for a fleet-aware server.
 
     fn apply_replica_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
         self.exchange_update(FrameKind::ReplicaBatch, ops)
@@ -1279,24 +1086,52 @@ impl GraphService for RemoteCluster {
     }
 
     fn fleet_map_bytes(&self) -> Option<(u64, Vec<u8>)> {
-        let reply = self.fetch_map().ok()?;
+        let reply = self
+            .ask(
+                FrameKind::MapFetch,
+                &[],
+                FrameKind::MapReply,
+                "map",
+                decode_map_reply,
+            )
+            .ok()?;
         reply.bytes.map(|bytes| (reply.epoch, bytes))
     }
 
     fn install_fleet_map(&self, epoch: u64, bytes: &[u8]) -> Result<u64, Error> {
-        self.install_map(epoch, bytes)
+        self.call(
+            FrameKind::MapInstall,
+            &encode_map_install(epoch, bytes),
+            FrameKind::MapInstallReply,
+            "map install",
+            |reply| Reader::new(reply).u64(),
+        )
+        .map_err(fleet_err)?
+        .map_err(|refusal| Error::invalid_config(refusal.message))
     }
 
     fn begin_migration(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
-        self.migrate_begin(partition, num_partitions)
+        self.migrate_ctl(migrate_action::BEGIN, partition, num_partitions)
     }
 
     fn migration_tail(&self, partition: u32, from_seq: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
-        self.fetch_tail(partition, from_seq)
+        let tail = self
+            .call(
+                FrameKind::TailFetch,
+                &encode_tail_fetch(partition, from_seq),
+                FrameKind::TailReply,
+                "tail",
+                decode_tail_reply,
+            )
+            .map_err(fleet_err)?
+            .map_err(|refusal| Error::Corrupt {
+                what: refusal.message,
+            })?;
+        Ok((tail.ops, tail.next_seq))
     }
 
     fn end_migration(&self, partition: u32) -> Result<u64, Error> {
-        self.migrate_end(partition)
+        self.migrate_ctl(migrate_action::END, partition, 0)
     }
 
     fn export_partition(
@@ -1306,17 +1141,32 @@ impl GraphService for RemoteCluster {
         cursor: Option<(u64, u16)>,
         max_edges: usize,
     ) -> Result<PartitionChunk, Error> {
-        self.fetch_partition_chunk(
+        let fetch = PartitionFetch {
             partition,
             num_partitions,
             cursor,
-            max_edges.min(u32::MAX as usize) as u32,
+            max_edges: max_edges.min(u32::MAX as usize) as u32,
+        };
+        self.call(
+            FrameKind::PartitionFetch,
+            &encode_partition_fetch(&fetch),
+            FrameKind::PartitionFetchReply,
+            "partition chunk",
+            decode_partition_chunk,
         )
+        .map_err(fleet_err)?
+        .map_err(|refusal| Error::invalid_config(refusal.message))
     }
 
     fn partition_key_counts(&self, num_partitions: u32) -> Vec<u64> {
-        self.partition_stats(num_partitions)
-            .unwrap_or_else(|_| vec![0; num_partitions.max(1) as usize])
+        self.ask(
+            FrameKind::PartitionStats,
+            &encode_partition_stats(num_partitions),
+            FrameKind::PartitionStatsReply,
+            "partition stats",
+            decode_partition_stats_reply,
+        )
+        .unwrap_or_else(|_| vec![0; num_partitions.max(1) as usize])
     }
 }
 

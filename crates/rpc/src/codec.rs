@@ -37,11 +37,18 @@
 //! Record layouts inside payloads are defined by [`platod2gl_server::wire`]
 //! — the same functions the in-process cluster uses for traffic
 //! accounting, so simulated and real byte counts agree by construction.
+//!
+//! A payload that carries a value the rest of the workspace already has a
+//! type for is encoded from, and decoded to, that type: [`BatchReport`],
+//! [`PartitionChunk`], [`ObsSnapshot`], [`SpanRecord`]. The codec is where
+//! the byte layout lives; a second struct per value would hide nothing.
 
-use platod2gl_graph::{ShardHealth, TxnOp, TxnReceipt, TxnViolation, UpdateOp, ViolationKind};
-use platod2gl_obs::{ExportedSpan, HistogramSnapshot, RegistryExport, SlowOpExport, TraceContext};
+use platod2gl_graph::{
+    Error, ShardHealth, TxnOp, TxnReceipt, TxnViolation, UpdateOp, ViolationKind,
+};
+use platod2gl_obs::{HistogramSnapshot, ObsSnapshot, SlowOpRecord, SpanRecord, TraceContext};
 use platod2gl_server::wire::{self, Reader, WireError};
-use platod2gl_server::{SampleRequest, SampleResponse};
+use platod2gl_server::{BatchReport, PartitionChunk, SampleRequest, SampleResponse};
 use platod2gl_storage::crc32c::crc32c;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -69,8 +76,8 @@ pub enum FrameKind {
     SampleReply = 0x02,
     /// Client → server: a batch of update ops.
     UpdateBatch = 0x03,
-    /// Server → client: applied/queued counts.
-    UpdateReply = 0x04,
+    /// Server → client: applied/queued counts (a [`BatchReport`]).
+    UpdateBatchReply = 0x04,
     /// Client → server: health probe (empty payload).
     HealthProbe = 0x05,
     /// Server → client: graph version + per-shard healths.
@@ -99,7 +106,7 @@ pub enum FrameKind {
     MapInstallReply = 0x0e,
     /// Leader → replica: an update batch on the replication channel. The
     /// payload is the [`UpdateBatch`] codec and the reply is a standard
-    /// [`FrameKind::UpdateReply`] / [`FrameKind::ErrorReply`] — a
+    /// [`FrameKind::UpdateBatchReply`] / [`FrameKind::ErrorReply`] — a
     /// deliberate deviation from the odd/even pairing, since the reply
     /// shape is identical and reusing it keeps client plumbing shared.
     /// The receiving server applies WITHOUT re-forwarding to its own
@@ -112,8 +119,9 @@ pub enum FrameKind {
     ReplicaTxn = 0x11,
     /// Mover → leader: export one partition chunk (resumable cursor).
     PartitionFetch = 0x13,
-    /// Leader → mover: a snapshot chunk of the partition.
-    PartitionChunkReply = 0x14,
+    /// Leader → mover: a snapshot chunk of the partition (a
+    /// [`PartitionChunk`]).
+    PartitionFetchReply = 0x14,
     /// Mover → leader: arm (begin) or disarm (end) the live-migration
     /// journal for one partition.
     MigrateCtl = 0x15,
@@ -136,7 +144,7 @@ pub enum FrameKind {
     /// Admin → server: export the registry — metric values with full
     /// histogram buckets plus the slow-op log (empty payload).
     ObsExport = 0x1d,
-    /// Server → admin: the registry export.
+    /// Server → admin: the registry snapshot, span ring excluded.
     ObsExportReply = 0x1e,
     /// Server → client: the request could not be served (e.g. a shard
     /// worker panicked). Carries a code, the shard, and a message.
@@ -149,7 +157,7 @@ impl FrameKind {
             0x01 => FrameKind::SampleBatch,
             0x02 => FrameKind::SampleReply,
             0x03 => FrameKind::UpdateBatch,
-            0x04 => FrameKind::UpdateReply,
+            0x04 => FrameKind::UpdateBatchReply,
             0x05 => FrameKind::HealthProbe,
             0x06 => FrameKind::HealthReply,
             0x07 => FrameKind::HealRequest,
@@ -163,7 +171,7 @@ impl FrameKind {
             0x0f => FrameKind::ReplicaBatch,
             0x11 => FrameKind::ReplicaTxn,
             0x13 => FrameKind::PartitionFetch,
-            0x14 => FrameKind::PartitionChunkReply,
+            0x14 => FrameKind::PartitionFetchReply,
             0x15 => FrameKind::MigrateCtl,
             0x16 => FrameKind::MigrateCtlReply,
             0x17 => FrameKind::TailFetch,
@@ -489,30 +497,21 @@ pub fn decode_update_batch(payload: &[u8]) -> Result<UpdateBatch, WireError> {
     })
 }
 
-/// A [`FrameKind::UpdateReply`] payload: the server-side
-/// [`BatchReport`](platod2gl_server::BatchReport) counts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UpdateReply {
-    /// Ops applied to healthy shards.
-    pub applied_ops: u64,
-    /// Ops queued against failed shards (drained on heal).
-    pub queued_ops: u64,
-}
-
-/// Encode an [`UpdateReply`] payload.
-pub fn encode_update_reply(reply: &UpdateReply) -> Vec<u8> {
+/// Encode a [`FrameKind::UpdateBatchReply`] payload: the applied and
+/// queued op counts, a u64 each.
+pub fn encode_update_reply(report: &BatchReport) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16);
-    wire::put_u64(&mut buf, reply.applied_ops);
-    wire::put_u64(&mut buf, reply.queued_ops);
+    wire::put_u64(&mut buf, report.applied_ops as u64);
+    wire::put_u64(&mut buf, report.queued_ops as u64);
     buf
 }
 
-/// Decode an [`UpdateReply`] payload.
-pub fn decode_update_reply(payload: &[u8]) -> Result<UpdateReply, WireError> {
+/// Decode a [`FrameKind::UpdateBatchReply`] payload.
+pub fn decode_update_reply(payload: &[u8]) -> Result<BatchReport, WireError> {
     let mut r = Reader::new(payload);
-    Ok(UpdateReply {
-        applied_ops: r.u64()?,
-        queued_ops: r.u64()?,
+    Ok(BatchReport {
+        applied_ops: r.u64()? as usize,
+        queued_ops: r.u64()? as usize,
     })
 }
 
@@ -628,13 +627,9 @@ pub enum TxnReply {
         txn_id: u64,
         violations: Vec<TxnViolation>,
     },
-    /// Phase 2 could not run (shard unavailable or panicked).
-    StoreError {
-        shard: u32,
-        /// One of [`error_code`]'s constants.
-        code: u8,
-        message: String,
-    },
+    /// Phase 2 could not run: the store error, as the [`ErrorReply`] an
+    /// update batch would have been refused with.
+    StoreError(ErrorReply),
 }
 
 const TXN_STATUS_COMMITTED: u8 = 0;
@@ -669,23 +664,6 @@ fn violation_from(tag: u8) -> Result<ViolationKind, WireError> {
     })
 }
 
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    wire::put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_string(r: &mut Reader<'_>) -> Result<String, WireError> {
-    let n = r.count(1)?;
-    let mut bytes = Vec::with_capacity(n);
-    for _ in 0..n {
-        bytes.push(r.u8()?);
-    }
-    String::from_utf8(bytes).map_err(|_| WireError::BadTag {
-        what: "txn string utf8",
-        tag: 0,
-    })
-}
-
 /// Encode a [`TxnReply`] payload.
 pub fn encode_txn_reply(reply: &TxnReply) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -704,18 +682,16 @@ pub fn encode_txn_reply(reply: &TxnReply) -> Vec<u8> {
             for v in violations {
                 wire::put_u32(&mut buf, v.op_index as u32);
                 buf.push(violation_tag(v.kind));
-                put_string(&mut buf, &v.detail);
+                wire::put_str(&mut buf, &v.detail);
             }
         }
-        TxnReply::StoreError {
-            shard,
-            code,
-            message,
-        } => {
+        // Shard before code: the txn status record predates the shared
+        // `ErrorReply` type and keeps its own field order on the wire.
+        TxnReply::StoreError(err) => {
             buf.push(TXN_STATUS_STORE_ERROR);
-            wire::put_u32(&mut buf, *shard);
-            buf.push(*code);
-            put_string(&mut buf, message);
+            wire::put_u32(&mut buf, err.shard);
+            buf.push(err.code);
+            wire::put_str(&mut buf, &err.message);
         }
     }
     buf
@@ -746,7 +722,7 @@ pub fn decode_txn_reply(payload: &[u8]) -> Result<TxnReply, WireError> {
             for _ in 0..n {
                 let op_index = r.u32()? as usize;
                 let kind = violation_from(r.u8()?)?;
-                let detail = get_string(&mut r)?;
+                let detail = wire::get_str(&mut r)?;
                 violations.push(TxnViolation {
                     op_index,
                     kind,
@@ -758,12 +734,12 @@ pub fn decode_txn_reply(payload: &[u8]) -> Result<TxnReply, WireError> {
         TXN_STATUS_STORE_ERROR => {
             let shard = r.u32()?;
             let code = r.u8()?;
-            let message = get_string(&mut r)?;
-            Ok(TxnReply::StoreError {
-                shard,
+            let message = wire::get_str(&mut r)?;
+            Ok(TxnReply::StoreError(ErrorReply {
                 code,
+                shard,
                 message,
-            })
+            }))
         }
         tag => Err(WireError::BadTag {
             what: "txn reply status",
@@ -881,24 +857,9 @@ pub fn decode_partition_fetch(payload: &[u8]) -> Result<PartitionFetch, WireErro
     })
 }
 
-/// A [`FrameKind::PartitionChunkReply`] payload: one snapshot chunk of
-/// a migrating partition (mirrors
-/// [`platod2gl_server::PartitionChunk`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartitionChunkReply {
-    /// The chunk reached the end of the partition.
-    pub done: bool,
-    /// Last `(src, etype)` key included; feed back as the next cursor.
-    pub cursor: Option<(u64, u16)>,
-    /// Edges inside the chunk.
-    pub edges: u64,
-    /// Snapshot bytes (per-block CRC; decode with
-    /// [`platod2gl_storage::read_snapshot`]).
-    pub snapshot: Vec<u8>,
-}
-
-/// Encode a [`PartitionChunkReply`] payload.
-pub fn encode_partition_chunk(chunk: &PartitionChunkReply) -> Vec<u8> {
+/// Encode a [`FrameKind::PartitionFetchReply`] payload: one snapshot
+/// chunk of a migrating partition.
+pub fn encode_partition_chunk(chunk: &PartitionChunk) -> Vec<u8> {
     let mut buf = Vec::with_capacity(24 + chunk.snapshot.len());
     buf.push(u8::from(chunk.done));
     let (src, etype) = chunk.cursor.unwrap_or((0, 0));
@@ -911,8 +872,8 @@ pub fn encode_partition_chunk(chunk: &PartitionChunkReply) -> Vec<u8> {
     buf
 }
 
-/// Decode a [`PartitionChunkReply`] payload.
-pub fn decode_partition_chunk(payload: &[u8]) -> Result<PartitionChunkReply, WireError> {
+/// Decode a [`FrameKind::PartitionFetchReply`] payload.
+pub fn decode_partition_chunk(payload: &[u8]) -> Result<PartitionChunk, WireError> {
     let mut r = Reader::new(payload);
     let done = r.u8()? != 0;
     let has_cursor = r.u8()? != 0;
@@ -924,11 +885,11 @@ pub fn decode_partition_chunk(payload: &[u8]) -> Result<PartitionChunkReply, Wir
     for _ in 0..n {
         snapshot.push(r.u8()?);
     }
-    Ok(PartitionChunkReply {
-        done,
-        cursor: has_cursor.then_some((src, etype)),
-        edges,
+    Ok(PartitionChunk {
         snapshot,
+        cursor: has_cursor.then_some((src, etype)),
+        done,
+        edges,
     })
 }
 
@@ -1055,12 +1016,18 @@ pub fn decode_partition_stats_reply(payload: &[u8]) -> Result<Vec<u64>, WireErro
     Ok(counts)
 }
 
-/// Error codes carried by [`FrameKind::ErrorReply`].
+/// Error codes carried by [`FrameKind::ErrorReply`] and by a
+/// [`TxnReply::StoreError`].
 pub mod error_code {
     /// A shard worker panicked while applying the batch.
     pub const SHARD_PANICKED: u8 = 1;
     /// The request payload decoded but was semantically invalid.
     pub const BAD_REQUEST: u8 = 2;
+    /// The shard is failed (or out of retry budget) and took nothing.
+    pub const SHARD_UNAVAILABLE: u8 = 3;
+    /// Any other store error — I/O on a relay leg or the WAL, corrupt
+    /// state; the message says which.
+    pub const STORE: u8 = 4;
 }
 
 /// A [`FrameKind::ErrorReply`] payload.
@@ -1074,34 +1041,63 @@ pub struct ErrorReply {
     pub message: String,
 }
 
+/// The reply a store error travels as, on the update and the txn path
+/// alike: one code per variant the client can act on, the rest under
+/// [`error_code::STORE`].
+impl From<&Error> for ErrorReply {
+    fn from(e: &Error) -> Self {
+        let (code, shard, message) = match e {
+            Error::ShardPanicked { shard, .. } => {
+                (error_code::SHARD_PANICKED, *shard, e.to_string())
+            }
+            Error::ShardUnavailable { shard } => {
+                (error_code::SHARD_UNAVAILABLE, *shard, e.to_string())
+            }
+            Error::Io(io) => (error_code::STORE, 0, io.to_string()),
+            _ => (error_code::STORE, 0, e.to_string()),
+        };
+        ErrorReply {
+            code,
+            shard: shard as u32,
+            message,
+        }
+    }
+}
+
+/// The inverse, client side: the variant the server raised, rebuilt from
+/// the code. [`error_code::BAD_REQUEST`] (and any code this client does
+/// not know) is invalid data, not a shard fault.
+impl From<ErrorReply> for Error {
+    fn from(reply: ErrorReply) -> Self {
+        let shard = reply.shard as usize;
+        match reply.code {
+            error_code::SHARD_PANICKED => Error::ShardPanicked {
+                shard,
+                detail: reply.message,
+            },
+            error_code::SHARD_UNAVAILABLE => Error::ShardUnavailable { shard },
+            error_code::STORE => Error::Io(io::Error::other(reply.message)),
+            _ => Error::Io(io::Error::new(io::ErrorKind::InvalidData, reply.message)),
+        }
+    }
+}
+
 /// Encode an [`ErrorReply`] payload.
 pub fn encode_error_reply(reply: &ErrorReply) -> Vec<u8> {
     let mut buf = Vec::with_capacity(9 + reply.message.len());
     buf.push(reply.code);
     wire::put_u32(&mut buf, reply.shard);
-    wire::put_u32(&mut buf, reply.message.len() as u32);
-    buf.extend_from_slice(reply.message.as_bytes());
+    wire::put_str(&mut buf, &reply.message);
     buf
 }
 
 /// Decode an [`ErrorReply`] payload.
 pub fn decode_error_reply(payload: &[u8]) -> Result<ErrorReply, WireError> {
     let mut r = Reader::new(payload);
-    let code = r.u8()?;
-    let shard = r.u32()?;
-    let n = r.count(1)?;
-    let mut bytes = Vec::with_capacity(n);
-    for _ in 0..n {
-        bytes.push(r.u8()?);
-    }
-    let message = String::from_utf8(bytes).map_err(|_| WireError::BadTag {
-        what: "error message utf8",
-        tag: 0,
-    })?;
     Ok(ErrorReply {
-        code,
-        shard,
-        message,
+        code: r.u8()?,
+        shard: r.u32()?,
+        message: wire::get_str(&mut r)?,
     })
 }
 
@@ -1149,51 +1145,47 @@ pub fn take_timing_echo(payload: &mut Vec<u8>) -> Result<TimingEcho, FrameError>
     Ok(echo)
 }
 
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    buf.push(u8::from(v.is_some()));
-    wire::put_u64(buf, v.unwrap_or(0));
-}
-
-fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
-    let present = match r.u8()? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(WireError::BadTag {
-                what: "option",
-                tag,
-            })
-        }
-    };
-    let v = r.u64()?;
-    Ok(present.then_some(v))
-}
-
-/// Smallest encoded [`ExportedSpan`]: empty name (u32 length) + id u64 +
+/// Smallest encoded [`SpanRecord`]: empty name (u32 length) + id u64 +
 /// parent option (flag + u64) + trace u64 + remote-parent option + start
 /// u64 + duration u64.
-const EXPORTED_SPAN_MIN_BYTES: usize = 4 + 8 + 9 + 8 + 9 + 8 + 8;
+const SPAN_MIN_BYTES: usize = 4 + 8 + 9 + 8 + 9 + 8 + 8;
 
-fn put_exported_span(buf: &mut Vec<u8>, s: &ExportedSpan) {
+fn put_span(buf: &mut Vec<u8>, s: &SpanRecord) {
     wire::put_str(buf, &s.name);
     wire::put_u64(buf, s.id);
-    put_opt_u64(buf, s.parent);
+    wire::put_opt_u64(buf, s.parent);
     wire::put_u64(buf, s.trace_id);
-    put_opt_u64(buf, s.remote_parent);
+    wire::put_opt_u64(buf, s.remote_parent);
     wire::put_u64(buf, s.start_ns);
     wire::put_u64(buf, s.duration_ns);
 }
 
-fn get_exported_span(r: &mut Reader<'_>) -> Result<ExportedSpan, WireError> {
-    Ok(ExportedSpan {
-        name: wire::get_str(r)?,
+fn get_span(r: &mut Reader<'_>) -> Result<SpanRecord, WireError> {
+    Ok(SpanRecord {
+        name: wire::get_str(r)?.into(),
         id: r.u64()?,
-        parent: get_opt_u64(r)?,
+        parent: wire::get_opt_u64(r)?,
         trace_id: r.u64()?,
-        remote_parent: get_opt_u64(r)?,
+        remote_parent: wire::get_opt_u64(r)?,
         start_ns: r.u64()?,
         duration_ns: r.u64()?,
     })
+}
+
+fn put_spans(buf: &mut Vec<u8>, spans: &[SpanRecord]) {
+    wire::put_u32(buf, spans.len() as u32);
+    for s in spans {
+        put_span(buf, s);
+    }
+}
+
+fn get_spans(r: &mut Reader<'_>) -> Result<Vec<SpanRecord>, WireError> {
+    let n = r.count(SPAN_MIN_BYTES)?;
+    let mut spans = Vec::with_capacity(n);
+    for _ in 0..n {
+        spans.push(get_span(r)?);
+    }
+    Ok(spans)
 }
 
 /// Encode a [`FrameKind::SpanExport`] payload: the trace id to pull.
@@ -1210,43 +1202,36 @@ pub fn decode_span_export(payload: &[u8]) -> Result<u64, WireError> {
 
 /// Encode a [`FrameKind::SpanExportReply`] payload: every recent span on
 /// this server belonging to the requested trace, completion order.
-pub fn encode_span_export_reply(spans: &[ExportedSpan]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + spans.len() * EXPORTED_SPAN_MIN_BYTES);
-    wire::put_u32(&mut buf, spans.len() as u32);
-    for s in spans {
-        put_exported_span(&mut buf, s);
-    }
+pub fn encode_span_export_reply(spans: &[SpanRecord]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + spans.len() * SPAN_MIN_BYTES);
+    put_spans(&mut buf, spans);
     buf
 }
 
 /// Decode a [`FrameKind::SpanExportReply`] payload.
-pub fn decode_span_export_reply(payload: &[u8]) -> Result<Vec<ExportedSpan>, WireError> {
-    let mut r = Reader::new(payload);
-    let n = r.count(EXPORTED_SPAN_MIN_BYTES)?;
-    let mut spans = Vec::with_capacity(n);
-    for _ in 0..n {
-        spans.push(get_exported_span(&mut r)?);
-    }
-    Ok(spans)
+pub fn decode_span_export_reply(payload: &[u8]) -> Result<Vec<SpanRecord>, WireError> {
+    get_spans(&mut Reader::new(payload))
 }
 
-/// Encode a [`FrameKind::ObsExportReply`] payload: the server's full
-/// [`RegistryExport`] — metric values with complete histogram buckets (so
-/// fleet merging is exact) plus the slow-op log.
-pub fn encode_obs_export_reply(export: &RegistryExport) -> Vec<u8> {
+/// Encode a [`FrameKind::ObsExportReply`] payload: the server's registry
+/// snapshot — metric values with complete histogram buckets (so fleet
+/// merging is exact) plus the slow-op log. `snap.spans` is **not**
+/// encoded: the span ring travels only per trace id, in a
+/// [`FrameKind::SpanExportReply`].
+pub fn encode_obs_export_reply(snap: &ObsSnapshot) -> Vec<u8> {
     let mut buf = Vec::new();
-    wire::put_u32(&mut buf, export.counters.len() as u32);
-    for (name, v) in &export.counters {
+    wire::put_u32(&mut buf, snap.counters.len() as u32);
+    for (name, v) in &snap.counters {
         wire::put_str(&mut buf, name);
         wire::put_u64(&mut buf, *v);
     }
-    wire::put_u32(&mut buf, export.gauges.len() as u32);
-    for (name, v) in &export.gauges {
+    wire::put_u32(&mut buf, snap.gauges.len() as u32);
+    for (name, v) in &snap.gauges {
         wire::put_str(&mut buf, name);
         wire::put_u64(&mut buf, *v as u64);
     }
-    wire::put_u32(&mut buf, export.histograms.len() as u32);
-    for (name, h) in &export.histograms {
+    wire::put_u32(&mut buf, snap.histograms.len() as u32);
+    for (name, h) in &snap.histograms {
         wire::put_str(&mut buf, name);
         wire::put_u64(&mut buf, h.count);
         wire::put_u64(&mut buf, h.mean_ns);
@@ -1261,22 +1246,20 @@ pub fn encode_obs_export_reply(export: &RegistryExport) -> Vec<u8> {
             wire::put_u64(&mut buf, n);
         }
     }
-    wire::put_u32(&mut buf, export.slow.len() as u32);
-    for s in &export.slow {
+    wire::put_u32(&mut buf, snap.slow.len() as u32);
+    for s in &snap.slow {
         wire::put_str(&mut buf, &s.op);
-        put_opt_u64(&mut buf, s.trace_id);
+        wire::put_opt_u64(&mut buf, s.trace_id);
         wire::put_str(&mut buf, &s.detail);
         wire::put_u64(&mut buf, s.duration_ns);
-        wire::put_u32(&mut buf, s.spans.len() as u32);
-        for span in &s.spans {
-            put_exported_span(&mut buf, span);
-        }
+        put_spans(&mut buf, &s.spans);
     }
     buf
 }
 
-/// Decode a [`FrameKind::ObsExportReply`] payload.
-pub fn decode_obs_export_reply(payload: &[u8]) -> Result<RegistryExport, WireError> {
+/// Decode a [`FrameKind::ObsExportReply`] payload into a snapshot whose
+/// `spans` are empty (see [`encode_obs_export_reply`]).
+pub fn decode_obs_export_reply(payload: &[u8]) -> Result<ObsSnapshot, WireError> {
     let mut r = Reader::new(payload);
     // Smallest scalar entry: empty name (u32 length) + value u64.
     let n = r.count(12)?;
@@ -1325,27 +1308,19 @@ pub fn decode_obs_export_reply(payload: &[u8]) -> Result<RegistryExport, WireErr
     let n = r.count(4 + 9 + 4 + 8 + 4)?;
     let mut slow = Vec::with_capacity(n);
     for _ in 0..n {
-        let op = wire::get_str(&mut r)?;
-        let trace_id = get_opt_u64(&mut r)?;
-        let detail = wire::get_str(&mut r)?;
-        let duration_ns = r.u64()?;
-        let s = r.count(EXPORTED_SPAN_MIN_BYTES)?;
-        let mut spans = Vec::with_capacity(s);
-        for _ in 0..s {
-            spans.push(get_exported_span(&mut r)?);
-        }
-        slow.push(SlowOpExport {
-            op,
-            trace_id,
-            detail,
-            duration_ns,
-            spans,
+        slow.push(SlowOpRecord {
+            op: wire::get_str(&mut r)?.into(),
+            trace_id: wire::get_opt_u64(&mut r)?,
+            detail: wire::get_str(&mut r)?,
+            duration_ns: r.u64()?,
+            spans: get_spans(&mut r)?,
         });
     }
-    Ok(RegistryExport {
+    Ok(ObsSnapshot {
         counters,
         gauges,
         histograms,
+        spans: Vec::new(),
         slow,
     })
 }
@@ -1368,7 +1343,7 @@ mod tests {
             FrameKind::SampleBatch,
             FrameKind::SampleReply,
             FrameKind::UpdateBatch,
-            FrameKind::UpdateReply,
+            FrameKind::UpdateBatchReply,
             FrameKind::HealthProbe,
             FrameKind::HealthReply,
             FrameKind::HealRequest,
@@ -1382,7 +1357,7 @@ mod tests {
             FrameKind::ReplicaBatch,
             FrameKind::ReplicaTxn,
             FrameKind::PartitionFetch,
-            FrameKind::PartitionChunkReply,
+            FrameKind::PartitionFetchReply,
             FrameKind::MigrateCtl,
             FrameKind::MigrateCtlReply,
             FrameKind::TailFetch,
@@ -1454,23 +1429,24 @@ mod tests {
         let frame = encode_frame(FrameKind::UpdateBatch, 0, &encode_update_batch(&ops));
         assert_eq!(frame.len() as u64, wire::update_frame_bytes(3));
 
-        let reply = UpdateReply {
+        let reply = BatchReport {
             applied_ops: 3,
             queued_ops: 0,
         };
         let mut payload = encode_update_reply(&reply);
         append_timing_echo(&mut payload, 0, 0);
-        let frame = encode_frame(FrameKind::UpdateReply, 0, &payload);
+        let frame = encode_frame(FrameKind::UpdateBatchReply, 0, &payload);
         assert_eq!(frame.len() as u64, wire::UPDATE_REPLY_FRAME_BYTES);
     }
 
     #[test]
     fn timing_echo_appends_and_strips_by_version() {
-        let mut payload = encode_update_reply(&UpdateReply {
+        let mut payload = encode_update_reply(&BatchReport {
             applied_ops: 1,
             queued_ops: 2,
         });
         let bare = payload.clone();
+        assert_eq!(hex(&bare), "01000000000000000200000000000000", "RECORDED");
         append_timing_echo(&mut payload, 150, 2_000);
         assert_eq!(
             payload.len(),
@@ -1502,8 +1478,8 @@ mod tests {
         assert_eq!(decode_span_export(&encode_span_export(42)), Ok(42));
 
         let spans = vec![
-            ExportedSpan {
-                name: "rpc.server.sample".to_string(),
+            SpanRecord {
+                name: "rpc.server.sample".into(),
                 id: 3,
                 parent: None,
                 trace_id: 42,
@@ -1511,8 +1487,8 @@ mod tests {
                 start_ns: 1_000,
                 duration_ns: 250_000,
             },
-            ExportedSpan {
-                name: "cluster.sample".to_string(),
+            SpanRecord {
+                name: "cluster.sample".into(),
                 id: 4,
                 parent: Some(3),
                 trace_id: 42,
@@ -1522,6 +1498,14 @@ mod tests {
             },
         ];
         let payload = encode_span_export_reply(&spans);
+        assert_eq!(
+            hex(&payload),
+            "02000000110000007270632e7365727665722e73616d706c65030000000000000000000000\
+             00000000002a00000000000000011100000000000000e80300000000000090d0030000000000\
+             0e000000636c75737465722e73616d706c6504000000000000000103000000000000002a0000\
+             0000000000000000000000000000dc05000000000000400d030000000000",
+            "RECORDED"
+        );
         assert_eq!(decode_span_export_reply(&payload).expect("spans"), spans);
         assert_eq!(
             decode_span_export_reply(&encode_span_export_reply(&[])).expect("empty"),
@@ -1538,7 +1522,7 @@ mod tests {
 
     #[test]
     fn obs_export_payloads_roundtrip() {
-        let export = RegistryExport {
+        let export = ObsSnapshot {
             counters: vec![
                 ("cluster.requests".to_string(), 12),
                 ("obs.slow_ops".to_string(), 1),
@@ -1557,13 +1541,15 @@ mod tests {
                     buckets: vec![(10, 2), (11, 1)],
                 },
             )],
-            slow: vec![SlowOpExport {
-                op: "rpc.server.update".to_string(),
+            // The ring is not part of the payload; see the decode below.
+            spans: Vec::new(),
+            slow: vec![SlowOpRecord {
+                op: "rpc.server.update".into(),
                 trace_id: Some(42),
                 detail: "ops=64".to_string(),
                 duration_ns: 9_000_000,
-                spans: vec![ExportedSpan {
-                    name: "apply".to_string(),
+                spans: vec![SpanRecord {
+                    name: "apply".into(),
                     id: 9,
                     parent: None,
                     trace_id: 42,
@@ -1574,11 +1560,30 @@ mod tests {
             }],
         };
         let payload = encode_obs_export_reply(&export);
-        assert_eq!(decode_obs_export_reply(&payload).expect("export"), export);
         assert_eq!(
-            decode_obs_export_reply(&encode_obs_export_reply(&RegistryExport::default()))
+            hex(&payload),
+            "0200000010000000636c75737465722e72657175657374730c000000000000000c0000006f62\
+             732e736c6f775f6f707301000000000000000100000009000000706f6f6c2e69646c65fdffff\
+             ffffffffff01000000150000007270632e7365727665722e736572766963655f6e7303000000\
+             00000000dc05000000000000000800000000000000100000000000000010000000000000b80b\
+             0000000000009411000000000000020000000a00000002000000000000000b00000001000000\
+             0000000001000000110000007270632e7365727665722e757064617465012a00000000000000\
+             060000006f70733d3634405489000000000001000000050000006170706c7909000000000000\
+             000000000000000000002a000000000000000102000000000000000000000000000000405489\
+             0000000000",
+            "RECORDED"
+        );
+        assert_eq!(decode_obs_export_reply(&payload).expect("export"), export);
+        // A snapshot with a populated ring encodes to the same bytes.
+        let with_ring = ObsSnapshot {
+            spans: export.slow[0].spans.clone(),
+            ..export.clone()
+        };
+        assert_eq!(encode_obs_export_reply(&with_ring), payload);
+        assert_eq!(
+            decode_obs_export_reply(&encode_obs_export_reply(&ObsSnapshot::default()))
                 .expect("empty"),
-            RegistryExport::default()
+            ObsSnapshot::default()
         );
         // Truncations decode to errors, never panics.
         for cut in 0..payload.len() {
@@ -1794,7 +1799,7 @@ mod tests {
             );
         }
 
-        let chunk = PartitionChunkReply {
+        let chunk = PartitionChunk {
             done: false,
             cursor: Some((19, 2)),
             edges: 55,
@@ -1844,6 +1849,15 @@ mod tests {
 
         // Truncations decode to errors, never panics.
         let payload = encode_partition_chunk(&chunk);
+        assert_eq!(
+            hex(&payload),
+            format!(
+                "{}{}",
+                "000113000000000000000200370000000000000080000000",
+                "09".repeat(128)
+            ),
+            "RECORDED"
+        );
         for cut in 0..payload.len() {
             assert!(
                 decode_partition_chunk(&payload[..cut]).is_err(),
@@ -1912,11 +1926,16 @@ mod tests {
         let back = decode_txn_reply(&encode_txn_reply(&rejected)).expect("rejected");
         assert_eq!(back, rejected);
 
-        let store_err = TxnReply::StoreError {
-            shard: 2,
+        let store_err = TxnReply::StoreError(ErrorReply {
             code: error_code::SHARD_PANICKED,
+            shard: 2,
             message: "worker for shard 2 panicked".to_string(),
-        };
+        });
+        assert_eq!(
+            hex(&encode_txn_reply(&store_err)),
+            "0202000000011b000000776f726b657220666f7220736861726420322070616e69636b6564",
+            "RECORDED"
+        );
         let back = decode_txn_reply(&encode_txn_reply(&store_err)).expect("store error");
         assert_eq!(back, store_err);
 
@@ -1933,5 +1952,15 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Payload bytes as hex, for the `RECORDED` assertions below: bytes
+    /// captured from these same fixtures at the commit before the codec
+    /// took the domain types (`ObsSnapshot`, `SpanRecord`,
+    /// `PartitionChunk`, `BatchReport`, an `ErrorReply` inside a txn
+    /// reply) in place of its own mirror structs. The change of types
+    /// moved no byte.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 }

@@ -19,12 +19,11 @@ use crate::codec::{
     encode_health_reply, encode_map_reply, encode_migrate_ctl_reply, encode_obs_export_reply,
     encode_partition_chunk, encode_partition_stats_reply, encode_sample_reply,
     encode_span_export_reply, encode_tail_reply, encode_txn_reply, encode_update_reply, error_code,
-    migrate_action, ErrorReply, FrameError, FrameKind, HealthReply, MapReply, PartitionChunkReply,
-    TailReply, TxnReply, UpdateReply,
+    migrate_action, ErrorReply, FrameError, FrameKind, HealthReply, MapReply, TailReply, TxnReply,
 };
-use platod2gl_graph::{Error, GraphTxn, TxnError};
+use platod2gl_graph::{GraphTxn, TxnError};
 use platod2gl_obs::{Counter, Histogram, Registry, SlowOpRecord, SpanGuard, TraceContext};
-use platod2gl_server::{route_for, DegradedPolicy, GraphService, SampleResponse, SlotSource};
+use platod2gl_server::{route_for, GraphService, SampleResponse};
 use rand::RngCore;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,19 +95,6 @@ impl ServerMetrics {
     }
 }
 
-/// Map a store error to the `ErrorReply` the update/replica paths ship.
-fn store_error_reply(e: &Error) -> ErrorReply {
-    let shard = match e {
-        Error::ShardPanicked { shard, .. } | Error::ShardUnavailable { shard } => *shard as u32,
-        _ => 0,
-    };
-    ErrorReply {
-        code: error_code::SHARD_PANICKED,
-        shard,
-        message: e.to_string(),
-    }
-}
-
 fn bad_request_reply(message: String) -> (FrameKind, Vec<u8>) {
     let reply = ErrorReply {
         code: error_code::BAD_REQUEST,
@@ -132,26 +118,6 @@ fn request_span<'r>(
     match ctx {
         Some(c) => registry.span_remote(name, c.trace_id, c.parent_span),
         None => registry.span(name),
-    }
-}
-
-/// Client-policy degraded response, used when the server refuses a request
-/// (deadline lapsed) without consulting the shard.
-pub(crate) fn degraded_response(
-    vertex: platod2gl_graph::VertexId,
-    fanout: usize,
-    policy: DegradedPolicy,
-    shard: usize,
-) -> SampleResponse {
-    let (neighbors, sources) = match policy {
-        DegradedPolicy::EmptySet => (Vec::new(), Vec::new()),
-        DegradedPolicy::SelfLoop => (vec![vertex; fanout], vec![SlotSource::SelfLoop; fanout]),
-    };
-    SampleResponse {
-        neighbors,
-        sources,
-        degraded: true,
-        shard,
     }
 }
 
@@ -186,14 +152,12 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
             let deadline = Duration::from_millis(u64::from(batch.deadline_ms));
             let mut responses = Vec::with_capacity(batch.requests.len());
             for (req, seed) in &batch.requests {
+                // A lapsed deadline refuses the request without consulting
+                // the shard.
                 if batch.deadline_ms > 0 && started.elapsed() >= deadline {
                     m.deadline_expired.inc();
-                    responses.push(degraded_response(
-                        req.vertex,
-                        req.fanout,
-                        req.on_degraded,
-                        route_for(req.vertex, service.num_shards()),
-                    ));
+                    let shard = route_for(req.vertex, service.num_shards());
+                    responses.push(SampleResponse::degraded(req, shard));
                     continue;
                 }
                 responses.push(service.sample_one(req, &mut SeedRng(*seed)));
@@ -212,18 +176,12 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
                 service.apply_updates(&batch.ops)
             };
             let reply = match outcome {
-                Ok(report) => {
-                    let reply = UpdateReply {
-                        applied_ops: report.applied_ops as u64,
-                        queued_ops: report.queued_ops as u64,
-                    };
-                    (FrameKind::UpdateReply, encode_update_reply(&reply))
-                }
+                Ok(report) => (FrameKind::UpdateBatchReply, encode_update_reply(&report)),
                 Err(e) => {
                     m.errors.inc();
                     (
                         FrameKind::ErrorReply,
-                        encode_error_reply(&store_error_reply(&e)),
+                        encode_error_reply(&ErrorReply::from(&e)),
                     )
                 }
             };
@@ -231,7 +189,7 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
             let slow = m.registry.slow_log();
             if slow.is_slow(elapsed) {
                 slow.record(SlowOpRecord {
-                    op: "rpc.update_batch",
+                    op: "rpc.update_batch".into(),
                     trace_id: batch.trace_id(),
                     detail: format!("ops={}", batch.ops.len()),
                     duration_ns: elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
@@ -265,12 +223,7 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
                 }
                 Err(TxnError::Store(e)) => {
                     m.errors.inc();
-                    let err = store_error_reply(&e);
-                    TxnReply::StoreError {
-                        shard: err.shard,
-                        code: err.code,
-                        message: err.message,
-                    }
+                    TxnReply::StoreError(ErrorReply::from(&e))
                 }
             };
             (FrameKind::TxnReply, encode_txn_reply(&reply))
@@ -326,18 +279,10 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
                 fetch.cursor,
                 fetch.max_edges as usize,
             ) {
-                Ok(chunk) => {
-                    let reply = PartitionChunkReply {
-                        done: chunk.done,
-                        cursor: chunk.cursor,
-                        edges: chunk.edges,
-                        snapshot: chunk.snapshot,
-                    };
-                    (
-                        FrameKind::PartitionChunkReply,
-                        encode_partition_chunk(&reply),
-                    )
-                }
+                Ok(chunk) => (
+                    FrameKind::PartitionFetchReply,
+                    encode_partition_chunk(&chunk),
+                ),
                 Err(e) => {
                     m.errors.inc();
                     bad_request_reply(e.to_string())
@@ -381,8 +326,9 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
             )
         }
         // Introspection reads served straight from the server's registry:
-        // the admin plane pulls per-trace span subtrees and full metric
-        // exports from every fleet member through these.
+        // the admin plane pulls per-trace span subtrees and registry
+        // snapshots (span ring excluded) from every fleet member through
+        // these.
         FrameKind::SpanExport => {
             let trace_id = decode_span_export(payload)?;
             (
@@ -392,7 +338,7 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
         }
         FrameKind::ObsExport => (
             FrameKind::ObsExportReply,
-            encode_obs_export_reply(&m.registry.export()),
+            encode_obs_export_reply(&m.registry.snapshot()),
         ),
         // Reply kinds arriving at a server are a protocol violation (the
         // connection stays open — the reply names the offense).

@@ -10,7 +10,10 @@
 //!   frame carries a `req_id` correlation id. Record layouts and sizes
 //!   come from [`platod2gl_server::wire`], the same functions the
 //!   in-process cluster's traffic accounting uses, so simulated and real
-//!   `net.*` byte counts agree by construction.
+//!   `net.*` byte counts agree by construction. Payloads encode the
+//!   workspace's own types (`BatchReport`, `PartitionChunk`,
+//!   `ObsSnapshot`, `SpanRecord`, `graph::Error` ↔ `ErrorReply`): each
+//!   value has one type on both sides of the boundary.
 //! * [`GraphServiceServer`] — hosts a shared
 //!   [`GraphService`](platod2gl_server::GraphService) (an `Arc<Cluster>` +
 //!   its registry) on a readiness-driven event loop (epoll-backed,
@@ -19,12 +22,15 @@
 //!   tracer and slow-op log — client trace ids show up in the server's
 //!   `GET /debug/slow` — and the live connection table is exposed via
 //!   [`GraphServiceServer::introspect`] for `GET /debug/rpc`.
-//! * [`RemoteCluster`] — the client. Implements `GraphService`, so
+//! * [`RemoteCluster`] — the client. Implements `GraphService` — each
+//!   remote operation is that trait's method and nothing else — so
 //!   `KHopSampler` and `TrainingPipeline` run against a remote server
-//!   unmodified; pools connections (with idle-timeout reaping), or — in
-//!   [`ConnectionMode::Multiplexed`] — pipelines many in-flight requests
-//!   over a few shared sockets and re-stitches replies by `req_id`; maps
-//!   transport failure onto per-request
+//!   unmodified. Every call rides one exchange (n frames out, n
+//!   correlated replies back in request order, one retry loop) whose
+//!   attempt body is per mode: a pooled connection (with idle-timeout
+//!   reaping), or — in [`ConnectionMode::Multiplexed`] — many in-flight
+//!   requests over a few shared sockets, routed back by `req_id`.
+//!   Transport failure maps onto per-request
 //!   [`DegradedPolicy`](platod2gl_server::DegradedPolicy) fallbacks
 //!   instead of erroring the batch.
 //!

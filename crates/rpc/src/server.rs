@@ -201,8 +201,8 @@ impl Drop for GraphServiceServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{degraded_response, SeedRng};
-    use platod2gl_server::DegradedPolicy;
+    use crate::dispatch::SeedRng;
+    use platod2gl_server::{DegradedPolicy, SampleRequest, SampleResponse};
     use rand::RngCore;
 
     #[test]
@@ -216,11 +216,13 @@ mod tests {
 
     #[test]
     fn degraded_response_honors_policy() {
-        use platod2gl_graph::VertexId;
+        use platod2gl_graph::{EdgeType, VertexId};
         use platod2gl_server::SlotSource;
-        let empty = degraded_response(VertexId(5), 3, DegradedPolicy::EmptySet, 1);
+        let req = SampleRequest::new(VertexId(5), EdgeType::DEFAULT, 3);
+        let empty = SampleResponse::degraded(&req, 1);
         assert!(empty.degraded && empty.neighbors.is_empty());
-        let looped = degraded_response(VertexId(5), 3, DegradedPolicy::SelfLoop, 1);
+        let looped = SampleResponse::degraded(&req.on_degraded(DegradedPolicy::SelfLoop), 1);
+        assert_eq!((looped.degraded, looped.shard), (true, 1));
         assert_eq!(looped.neighbors, vec![VertexId(5); 3]);
         assert_eq!(looped.sources, vec![SlotSource::SelfLoop; 3]);
     }

@@ -6,17 +6,18 @@
 //! allocation.
 
 use platod2gl_graph::{Edge, EdgeType, ShardHealth, TimeWindow, UpdateOp, VertexId};
-use platod2gl_obs::TraceContext;
+use platod2gl_obs::{HistogramSnapshot, ObsSnapshot, SlowOpRecord, SpanRecord, TraceContext};
 use platod2gl_rpc::codec::{
     append_timing_echo, decode_error_reply, decode_heal_reply, decode_heal_request,
-    decode_health_reply, decode_sample_batch, decode_sample_reply, decode_update_batch,
-    decode_update_reply, encode_error_reply, encode_frame, encode_heal_reply, encode_heal_request,
-    encode_health_reply, encode_sample_batch, encode_sample_reply, encode_update_batch,
-    encode_update_reply, frame_len, parse_frame, read_frame, take_timing_echo, ErrorReply,
-    FrameKind, HealthReply, SampleBatch, UpdateBatch, UpdateReply, MAX_FRAME_BYTES,
+    decode_health_reply, decode_obs_export_reply, decode_sample_batch, decode_sample_reply,
+    decode_span_export_reply, decode_update_batch, decode_update_reply, encode_error_reply,
+    encode_frame, encode_heal_reply, encode_heal_request, encode_health_reply,
+    encode_obs_export_reply, encode_sample_batch, encode_sample_reply, encode_span_export_reply,
+    encode_update_batch, encode_update_reply, frame_len, parse_frame, read_frame, take_timing_echo,
+    ErrorReply, FrameKind, HealthReply, SampleBatch, UpdateBatch, MAX_FRAME_BYTES,
 };
 use platod2gl_server::wire;
-use platod2gl_server::{DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
+use platod2gl_server::{BatchReport, DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -109,6 +110,93 @@ fn arb_ctx() -> impl Strategy<Value = Option<TraceContext>> {
             parent_span,
         })
     })
+}
+
+/// A name a hostile or merely foreign peer might ship: quotes,
+/// backslashes, control bytes and non-ASCII among the ordinary.
+fn arb_name() -> impl Strategy<Value = String> {
+    const ALPHABET: [char; 12] = [
+        'a',
+        '.',
+        '_',
+        ' ',
+        '"',
+        '\\',
+        '\n',
+        '\u{1}',
+        '\u{7f}',
+        'é',
+        '漢',
+        '\u{1F980}',
+    ];
+    vec(0usize..ALPHABET.len(), 0..12)
+        .prop_map(|picks| picks.iter().map(|&i| ALPHABET[i]).collect())
+}
+
+fn arb_opt_u64() -> impl Strategy<Value = Option<u64>> {
+    (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v))
+}
+
+fn arb_span() -> impl Strategy<Value = SpanRecord> {
+    (
+        (arb_name(), any::<u64>(), arb_opt_u64(), any::<u64>()),
+        (arb_opt_u64(), any::<u64>(), any::<u64>()),
+    )
+        .prop_map(
+            |((name, id, parent, trace_id), (remote_parent, start_ns, duration_ns))| SpanRecord {
+                name: name.into(),
+                id,
+                parent,
+                trace_id,
+                remote_parent,
+                start_ns,
+                duration_ns,
+            },
+        )
+}
+
+/// A registry snapshot as `ObsExport` ships it: arbitrary metric entries
+/// and slow ops, no span ring.
+fn arb_snapshot() -> impl Strategy<Value = ObsSnapshot> {
+    let histogram =
+        (vec(any::<u64>(), 7..8), vec((0u32..64, any::<u64>()), 0..6)).prop_map(|(f, buckets)| {
+            HistogramSnapshot {
+                count: f[0],
+                mean_ns: f[1],
+                p50_ns: f[2],
+                p95_ns: f[3],
+                p99_ns: f[4],
+                max_ns: f[5],
+                sum_ns: f[6],
+                buckets,
+            }
+        });
+    let slow = (
+        (arb_name(), arb_opt_u64(), arb_name()),
+        (any::<u64>(), vec(arb_span(), 0..4)),
+    )
+        .prop_map(
+            |((op, trace_id, detail), (duration_ns, spans))| SlowOpRecord {
+                op: op.into(),
+                trace_id,
+                detail,
+                duration_ns,
+                spans,
+            },
+        );
+    (
+        vec((arb_name(), any::<u64>()), 0..6),
+        vec((arb_name(), any::<u64>()), 0..6),
+        vec((arb_name(), histogram), 0..4),
+        vec(slow, 0..4),
+    )
+        .prop_map(|(counters, gauges, histograms, slow)| ObsSnapshot {
+            counters,
+            gauges: gauges.into_iter().map(|(n, v)| (n, v as i64)).collect(),
+            histograms,
+            spans: Vec::new(),
+            slow,
+        })
 }
 
 fn arb_health() -> impl Strategy<Value = ShardHealth> {
@@ -248,12 +336,12 @@ proptest! {
 
     #[test]
     fn update_replies_roundtrip(applied in any::<u64>(), queued in any::<u64>()) {
-        let reply = UpdateReply { applied_ops: applied, queued_ops: queued };
+        let reply = BatchReport { applied_ops: applied as usize, queued_ops: queued as usize };
         let mut payload = encode_update_reply(&reply);
         append_timing_echo(&mut payload, 1, 2);
-        let framed = encode_frame(FrameKind::UpdateReply, 0, &payload);
+        let framed = encode_frame(FrameKind::UpdateBatchReply, 0, &payload);
         prop_assert_eq!(framed.len() as u64, wire::UPDATE_REPLY_FRAME_BYTES);
-        let mut body = frame_roundtrip(FrameKind::UpdateReply, &payload);
+        let mut body = frame_roundtrip(FrameKind::UpdateBatchReply, &payload);
         take_timing_echo(&mut body).expect("echo");
         prop_assert_eq!(decode_update_reply(&body).expect("decode"), reply);
     }
@@ -289,6 +377,57 @@ proptest! {
         };
         let payload = frame_roundtrip(FrameKind::ErrorReply, &encode_error_reply(&reply));
         prop_assert_eq!(decode_error_reply(&payload).expect("decode"), reply);
+    }
+
+    /// The telemetry payloads carry the obs crate's own types. Whatever
+    /// the names hold, a snapshot and a span list come back equal, every
+    /// strict prefix of the payload is an error (never a panic), and the
+    /// decoded spans still render as JSON without a raw control byte.
+    #[test]
+    fn telemetry_payloads_roundtrip_and_reject_every_truncation(
+        snap in arb_snapshot(),
+        spans in vec(arb_span(), 0..6),
+    ) {
+        let payload = frame_roundtrip(FrameKind::ObsExportReply, &encode_obs_export_reply(&snap));
+        prop_assert_eq!(decode_obs_export_reply(&payload).expect("decode"), snap);
+        for cut in 0..payload.len() {
+            prop_assert!(decode_obs_export_reply(&payload[..cut]).is_err(), "cut {}", cut);
+        }
+        let payload = frame_roundtrip(FrameKind::SpanExportReply, &encode_span_export_reply(&spans));
+        let back = decode_span_export_reply(&payload).expect("decode");
+        for cut in 0..payload.len() {
+            prop_assert!(decode_span_export_reply(&payload[..cut]).is_err(), "cut {}", cut);
+        }
+        prop_assert!(back.iter().all(|s| s.to_json().chars().all(|c| c >= ' ')));
+        prop_assert_eq!(back, spans);
+    }
+
+    /// Every collection count inside the telemetry payloads — entries,
+    /// buckets, slow ops, the spans under a slow op — is checked against
+    /// the bytes present before anything is reserved for it.
+    #[test]
+    fn forged_telemetry_counts_are_rejected(count in 100u32..u32::MAX, which in 0usize..5) {
+        let mut span_list = Vec::new();
+        wire::put_u32(&mut span_list, count);
+        prop_assert!(decode_span_export_reply(&span_list).is_err());
+
+        // An otherwise empty snapshot (four zero counts), with the
+        // `which`-th count forged; the fifth case forges the span count
+        // under one slow op.
+        let mut payload = Vec::new();
+        for section in 0..4 {
+            wire::put_u32(&mut payload, if section == which { count } else { 0 });
+        }
+        if which == 4 {
+            payload.truncate(12);
+            wire::put_u32(&mut payload, 1);
+            wire::put_str(&mut payload, "op");
+            wire::put_opt_u64(&mut payload, None);
+            wire::put_str(&mut payload, "");
+            wire::put_u64(&mut payload, 5);
+            wire::put_u32(&mut payload, count);
+        }
+        prop_assert!(decode_obs_export_reply(&payload).is_err());
     }
 
     /// Arbitrary bytes fed to the frame reader never panic: they are

@@ -7,25 +7,33 @@
 //! batches and heals round-tripping, server-side faults surfacing as
 //! degraded responses (not client errors), deadlines degrading
 //! late-in-batch requests, and transport loss mapping to per-request
-//! degraded fallbacks.
+//! degraded fallbacks. Every client-driven scenario runs once per
+//! [`ConnectionMode`]: the modes differ in how calls map onto sockets,
+//! never in what a call returns.
 
-use platod2gl_graph::{Edge, EdgeType, Error, GraphStore, ShardHealth, UpdateOp, VertexId};
+use platod2gl_graph::{
+    Edge, EdgeType, Error, GraphStore, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp,
+    VertexId,
+};
+use platod2gl_obs::Registry;
 use platod2gl_rpc::codec::{
     decode_error_reply, decode_sample_reply, encode_sample_batch, error_code, read_frame,
     take_timing_echo, write_frame, FrameError, FrameKind, SampleBatch, MAX_FRAME_BYTES,
 };
-use platod2gl_rpc::{GraphServiceServer, RemoteCluster, RemoteClusterConfig};
+use platod2gl_rpc::{ConnectionMode, GraphServiceServer, RemoteCluster, RemoteClusterConfig};
 use platod2gl_server::{
-    route_for, Cluster, ClusterConfig, DegradedPolicy, GraphService, SampleRequest, SlotSource,
+    route_for, BatchReport, Cluster, ClusterConfig, DegradedPolicy, GraphService, SampleRequest,
+    SampleResponse, SlotSource,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 const ET: EdgeType = EdgeType::DEFAULT;
+const MODES: [ConnectionMode; 2] = [ConnectionMode::Pooled, ConnectionMode::Multiplexed];
 
 /// A 3-shard cluster with a dense ring so every vertex has neighbors, and
 /// a zero slow-op threshold so every request is capturable.
@@ -44,16 +52,22 @@ fn loaded_cluster() -> Arc<Cluster> {
     cluster
 }
 
-fn serve(cluster: &Arc<Cluster>) -> (GraphServiceServer, RemoteCluster) {
+/// The scenarios' client shape: one retry, a short backoff.
+fn client_config(mode: ConnectionMode) -> RemoteClusterConfig {
+    RemoteClusterConfig::default()
+        .mode(mode)
+        .max_retries(1)
+        .retry_backoff(Duration::from_millis(2))
+}
+
+fn serve(cluster: &Arc<Cluster>, mode: ConnectionMode) -> (GraphServiceServer, RemoteCluster) {
     let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(cluster)).expect("bind");
-    let client = RemoteCluster::connect(
-        server.local_addr(),
-        RemoteClusterConfig::default()
-            .max_retries(1)
-            .retry_backoff(Duration::from_millis(2)),
-    )
-    .expect("connect");
+    let client = RemoteCluster::connect(server.local_addr(), client_config(mode)).expect("connect");
     (server, client)
+}
+
+fn counter(client: &RemoteCluster, name: &str) -> u64 {
+    client.registry().snapshot().counter(name).unwrap_or(0)
 }
 
 /// Vertices owned by `shard` under the shared routing hash.
@@ -66,156 +80,354 @@ fn vertices_on_shard(shard: usize, num_shards: usize) -> Vec<VertexId> {
 
 #[test]
 fn remote_sampling_is_bit_identical_to_local() {
-    let cluster = loaded_cluster();
-    let (server, remote) = serve(&cluster);
+    for mode in MODES {
+        let cluster = loaded_cluster();
+        let (server, remote) = serve(&cluster, mode);
 
-    let reqs: Vec<SampleRequest> = (0..40u64)
-        .map(|v| SampleRequest::new(VertexId(v), ET, 8))
-        .collect();
-    // Same seed on both sides: the remote path must consume exactly one
-    // u64 per request (shipped on the wire), like the local path.
-    let local = cluster.sample_many(&reqs, &mut StdRng::seed_from_u64(0xD2D2));
-    let over_wire = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(0xD2D2));
-    assert_eq!(local, over_wire, "wire transport must not perturb draws");
-    assert!(over_wire.iter().all(|r| !r.degraded));
+        let reqs: Vec<SampleRequest> = (0..40u64)
+            .map(|v| SampleRequest::new(VertexId(v), ET, 8))
+            .collect();
+        // Same seed on both sides: the remote path must consume exactly one
+        // u64 per request (shipped on the wire), like the local path.
+        let local = cluster.sample_many(&reqs, &mut StdRng::seed_from_u64(0xD2D2));
+        let over_wire = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(0xD2D2));
+        assert_eq!(local, over_wire, "wire transport must not perturb draws");
+        assert!(over_wire.iter().all(|r| !r.degraded));
 
-    // And the batch is insensitive to client-side chunking: a max_batch
-    // smaller than the request count pipelines multiple frames.
-    let chunked = RemoteCluster::connect(
-        server.local_addr(),
-        RemoteClusterConfig::default().max_batch(7),
-    )
-    .expect("connect");
-    let pipelined = chunked.sample_many(&reqs, &mut StdRng::seed_from_u64(0xD2D2));
-    assert_eq!(local, pipelined, "chunking must not change results");
+        // And the batch is insensitive to client-side chunking: a max_batch
+        // smaller than the request count pipelines six frames per call.
+        let chunked = RemoteCluster::connect(server.local_addr(), client_config(mode).max_batch(7))
+            .expect("connect");
+        let pipelined = chunked.sample_many(&reqs, &mut StdRng::seed_from_u64(0xD2D2));
+        assert_eq!(local, pipelined, "chunking must not change results");
 
-    server.shutdown();
+        server.shutdown();
+    }
 }
 
 #[test]
 fn updates_and_heal_round_trip_over_the_wire() {
-    let cluster = loaded_cluster();
-    let (server, remote) = serve(&cluster);
-    assert_eq!(remote.num_shards(), 3);
+    for mode in MODES {
+        let cluster = loaded_cluster();
+        let (server, remote) = serve(&cluster, mode);
+        assert_eq!(remote.num_shards(), 3);
 
-    let before = cluster.num_edges();
-    let ops: Vec<UpdateOp> = (0..20u64)
-        .map(|i| UpdateOp::Insert(Edge::new(VertexId(200 + i), VertexId(300 + i), 0.5)))
-        .collect();
-    let report = remote.apply_updates(&ops).expect("apply over wire");
-    assert_eq!(report.applied_ops, 20);
-    assert_eq!(report.queued_ops, 0);
-    assert_eq!(cluster.num_edges(), before + 20);
+        let before = cluster.num_edges();
+        let ops: Vec<UpdateOp> = (0..20u64)
+            .map(|i| UpdateOp::Insert(Edge::new(VertexId(200 + i), VertexId(300 + i), 0.5)))
+            .collect();
+        let report = remote.apply_updates(&ops).expect("apply over wire");
+        assert_eq!(report.applied_ops, 20);
+        assert_eq!(report.queued_ops, 0);
+        assert_eq!(cluster.num_edges(), before + 20);
 
-    // Fail a shard: its ops queue server-side instead of applying, and
-    // the remote heal drains them.
-    let shard = 1;
-    cluster.faults().fail_shard(shard);
-    let queued_ops: Vec<UpdateOp> = vertices_on_shard(shard, 3)
-        .iter()
-        .take(5)
-        .map(|&v| UpdateOp::Insert(Edge::new(v, VertexId(777), 1.0)))
-        .collect();
-    let report = remote
-        .apply_updates(&queued_ops)
-        .expect("queued, not error");
-    assert_eq!(report.queued_ops, 5);
-    assert_eq!(remote.shard_healths()[shard], ShardHealth::Failed);
+        // Fail a shard: its ops queue server-side instead of applying, and
+        // the remote heal drains them.
+        let shard = 1;
+        cluster.faults().fail_shard(shard);
+        let queued_ops: Vec<UpdateOp> = vertices_on_shard(shard, 3)
+            .iter()
+            .take(5)
+            .map(|&v| UpdateOp::Insert(Edge::new(v, VertexId(777), 1.0)))
+            .collect();
+        let report = remote
+            .apply_updates(&queued_ops)
+            .expect("queued, not error");
+        assert_eq!(report.queued_ops, 5);
+        assert_eq!(remote.shard_healths()[shard], ShardHealth::Failed);
 
-    let drained = remote.heal(shard);
-    assert_eq!(drained, 5, "heal must drain the queued ops");
-    assert_eq!(remote.shard_healths()[shard], ShardHealth::Healthy);
+        let drained = remote.heal(shard);
+        assert_eq!(drained, 5, "heal must drain the queued ops");
+        assert_eq!(remote.shard_healths()[shard], ShardHealth::Healthy);
 
-    // Healing an out-of-range shard is a no-op, not a server fault.
-    assert_eq!(remote.heal(99), 0);
-    server.shutdown();
+        // Healing an out-of-range shard is a no-op, not a server fault.
+        assert_eq!(remote.heal(99), 0);
+
+        // A txn commits once, replays from the ledger under the same id,
+        // and a phase-1 rejection comes back as a verdict, not an error
+        // frame.
+        let txn = GraphTxn::new(0x7A00).insert_edge(Edge::new(VertexId(400), VertexId(401), 1.0));
+        let receipt = remote.apply_txn(&txn).expect("commits");
+        assert_eq!((receipt.ops_applied, receipt.deduped), (1, false));
+        assert!(remote.apply_txn(&txn).expect("replay").deduped);
+        let dangling = GraphTxn::new(0x7A01).delete_edge(VertexId(400), VertexId(999), ET);
+        assert!(matches!(
+            remote.apply_txn(&dangling),
+            Err(TxnError::Rejected { txn_id: 0x7A01, .. })
+        ));
+        server.shutdown();
+    }
 }
 
 #[test]
 fn worker_panic_maps_to_shard_panicked_error() {
-    let cluster = loaded_cluster();
-    let (server, remote) = serve(&cluster);
+    for mode in MODES {
+        let cluster = loaded_cluster();
+        let (server, remote) = serve(&cluster, mode);
 
-    let shard = 2;
-    cluster.faults().panic_next_batch(shard);
-    let ops: Vec<UpdateOp> = vertices_on_shard(shard, 3)
-        .iter()
-        .take(3)
-        .map(|&v| UpdateOp::Insert(Edge::new(v, VertexId(888), 1.0)))
-        .collect();
-    match remote.apply_updates(&ops) {
-        Err(Error::ShardPanicked { shard: s, .. }) => assert_eq!(s, shard),
-        other => panic!("expected ShardPanicked, got {other:?}"),
+        let shard = 2;
+        cluster.faults().panic_next_batch(shard);
+        let ops: Vec<UpdateOp> = vertices_on_shard(shard, 3)
+            .iter()
+            .take(3)
+            .map(|&v| UpdateOp::Insert(Edge::new(v, VertexId(888), 1.0)))
+            .collect();
+        match remote.apply_updates(&ops) {
+            Err(Error::ShardPanicked { shard: s, .. }) => assert_eq!(s, shard),
+            other => panic!("expected ShardPanicked, got {other:?}"),
+        }
+        server.shutdown();
     }
-    server.shutdown();
+}
+
+/// A service whose every write fails with the error `fail` builds. The
+/// replica entry points are the trait's defaults, so all four write
+/// frames reach these two methods.
+struct FailingWrites {
+    registry: Arc<Registry>,
+    fail: fn() -> Error,
+}
+
+impl GraphService for FailingWrites {
+    fn sample_one(&self, req: &SampleRequest, _rng: &mut dyn RngCore) -> SampleResponse {
+        SampleResponse::degraded(req, 0)
+    }
+    fn apply_updates(&self, _ops: &[UpdateOp]) -> Result<BatchReport, Error> {
+        Err((self.fail)())
+    }
+    fn apply_txn(&self, _txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
+        Err(TxnError::Store((self.fail)()))
+    }
+    fn graph_version(&self) -> u64 {
+        0
+    }
+    fn num_shards(&self) -> usize {
+        8
+    }
+    fn shard_healths(&self) -> Vec<ShardHealth> {
+        vec![ShardHealth::Healthy; 8]
+    }
+    fn heal(&self, _shard: usize) -> usize {
+        0
+    }
+    fn registry(&self) -> &Arc<Registry> {
+        &self.registry
+    }
+}
+
+/// A store error crosses the wire as the variant the service raised, with
+/// its shard, on the update and the txn path, first-hand and replica
+/// alike. (A relay leg's `Io` used to arrive as "worker for shard 0
+/// panicked".) What has no code of its own arrives as `Io` naming the
+/// cause.
+#[test]
+fn store_errors_keep_their_variant_over_the_wire() {
+    let variants: [fn() -> Error; 4] = [
+        || Error::ShardPanicked {
+            shard: 5,
+            detail: "boom".to_string(),
+        },
+        || Error::ShardUnavailable { shard: 6 },
+        || {
+            Error::Io(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "relay leg down",
+            ))
+        },
+        || Error::Corrupt {
+            what: "journal overflowed".to_string(),
+        },
+    ];
+    for fail in variants {
+        let service = Arc::new(FailingWrites {
+            registry: Arc::new(Registry::new()),
+            fail,
+        });
+        let server = GraphServiceServer::bind("127.0.0.1:0", service).expect("bind");
+        let remote = RemoteCluster::connect(server.local_addr(), RemoteClusterConfig::default())
+            .expect("connect");
+        let ops = [UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 1.0))];
+        let txn = GraphTxn::new(9).insert_edge(Edge::new(VertexId(1), VertexId(2), 1.0));
+        let store = |r: Result<TxnReceipt, TxnError>| match r {
+            Err(TxnError::Store(e)) => e,
+            other => panic!("expected a store error, got {other:?}"),
+        };
+        let seen = [
+            remote.apply_updates(&ops).expect_err("update"),
+            remote
+                .apply_replica_updates(&ops)
+                .expect_err("replica update"),
+            store(remote.apply_txn(&txn)),
+            store(remote.apply_replica_txn(&txn)),
+        ];
+        for got in seen {
+            match (fail(), got) {
+                (Error::ShardPanicked { shard, .. }, Error::ShardPanicked { shard: s, .. })
+                | (Error::ShardUnavailable { shard }, Error::ShardUnavailable { shard: s }) => {
+                    assert_eq!(s, shard)
+                }
+                (Error::Io(sent), Error::Io(got)) => assert_eq!(got.to_string(), sent.to_string()),
+                (sent @ Error::Corrupt { .. }, Error::Io(got)) => {
+                    assert_eq!(got.to_string(), sent.to_string())
+                }
+                (sent, got) => panic!("sent {sent:?}, the client saw {got:?}"),
+            }
+        }
+        server.shutdown();
+    }
 }
 
 #[test]
 fn server_side_shard_fault_degrades_sampling_without_client_errors() {
-    let cluster = loaded_cluster();
-    let (server, remote) = serve(&cluster);
+    for mode in MODES {
+        let cluster = loaded_cluster();
+        let (server, remote) = serve(&cluster, mode);
 
-    let shard = 0;
-    cluster.faults().fail_shard(shard);
-    let reqs: Vec<SampleRequest> = vertices_on_shard(shard, 3)
-        .iter()
-        .take(6)
-        .map(|&v| {
-            SampleRequest::new(v, ET, 4)
-                .on_degraded(DegradedPolicy::SelfLoop)
-                .with_trace_id(0xFA01)
-        })
-        .collect();
-    let responses = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(1));
-    for (req, resp) in reqs.iter().zip(&responses) {
-        assert!(resp.degraded, "failed shard must degrade, not error");
-        assert_eq!(resp.shard, shard);
-        // The degraded policy travelled the wire: router-side self-loop
-        // padding, full fanout, provenance marked.
-        assert_eq!(resp.neighbors, vec![req.vertex; 4]);
-        assert_eq!(resp.sources, vec![SlotSource::SelfLoop; 4]);
+        let shard = 0;
+        cluster.faults().fail_shard(shard);
+        let reqs: Vec<SampleRequest> = vertices_on_shard(shard, 3)
+            .iter()
+            .take(6)
+            .map(|&v| {
+                SampleRequest::new(v, ET, 4)
+                    .on_degraded(DegradedPolicy::SelfLoop)
+                    .with_trace_id(0xFA01)
+            })
+            .collect();
+        let responses = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(1));
+        for (req, resp) in reqs.iter().zip(&responses) {
+            assert!(resp.degraded, "failed shard must degrade, not error");
+            assert_eq!(resp.shard, shard);
+            // The degraded policy travelled the wire: router-side self-loop
+            // padding, full fanout, provenance marked.
+            assert_eq!(resp.neighbors, vec![req.vertex; 4]);
+            assert_eq!(resp.sources, vec![SlotSource::SelfLoop; 4]);
+        }
+
+        // The trace id crossed the wire into the server's slow-op log — the
+        // same ring `GET /debug/slow` serves.
+        let captures = cluster.obs().slow_log().recent();
+        assert!(
+            captures.iter().any(|c| c.trace_id == Some(0xFA01)),
+            "client trace id must reach the server's slow-op log"
+        );
+        server.shutdown();
     }
-
-    // The trace id crossed the wire into the server's slow-op log — the
-    // same ring `GET /debug/slow` serves.
-    let captures = cluster.obs().slow_log().recent();
-    assert!(
-        captures.iter().any(|c| c.trace_id == Some(0xFA01)),
-        "client trace id must reach the server's slow-op log"
-    );
-    server.shutdown();
 }
 
 #[test]
 fn transport_loss_degrades_sampling_and_errors_updates() {
-    let cluster = loaded_cluster();
-    let (server, remote) = serve(&cluster);
-    server.shutdown(); // the server goes away *after* connect
+    for mode in MODES {
+        let cluster = loaded_cluster();
+        let (server, remote) = serve(&cluster, mode);
+        server.shutdown(); // the server goes away *after* connect
 
-    let reqs = [
-        SampleRequest::new(VertexId(3), ET, 5).on_degraded(DegradedPolicy::SelfLoop),
-        SampleRequest::new(VertexId(4), ET, 5),
-    ];
-    let responses = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(9));
-    assert_eq!(responses.len(), 2);
-    assert!(responses.iter().all(|r| r.degraded));
-    assert_eq!(responses[0].neighbors, vec![VertexId(3); 5]);
-    assert!(responses[1].neighbors.is_empty());
-    // The predicted owner is the shared routing hash, so provenance stays
-    // meaningful even without a server.
-    assert_eq!(responses[0].shard, route_for(VertexId(3), 3));
+        let reqs = [
+            SampleRequest::new(VertexId(3), ET, 5).on_degraded(DegradedPolicy::SelfLoop),
+            SampleRequest::new(VertexId(4), ET, 5),
+        ];
+        let responses = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(9));
+        assert_eq!(responses.len(), 2);
+        assert!(responses.iter().all(|r| r.degraded));
+        assert_eq!(responses[0].neighbors, vec![VertexId(3); 5]);
+        assert!(responses[1].neighbors.is_empty());
+        // The predicted owner is the shared routing hash, so provenance stays
+        // meaningful even without a server.
+        assert_eq!(responses[0].shard, route_for(VertexId(3), 3));
 
-    let snap = remote.registry().snapshot();
-    assert_eq!(snap.counter("rpc.client.degraded_fallbacks"), Some(2));
-    assert!(snap.counter("rpc.client.retries").unwrap_or(0) >= 1);
+        let snap = remote.registry().snapshot();
+        assert_eq!(snap.counter("rpc.client.degraded_fallbacks"), Some(2));
+        assert!(snap.counter("rpc.client.retries").unwrap_or(0) >= 1);
 
-    // Updates must NOT silently degrade — dropped writes are data loss.
-    let err = remote.apply_updates(&[UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 1.0))]);
-    assert!(matches!(err, Err(Error::Io(_))));
+        // Updates must NOT silently degrade — dropped writes are data loss.
+        let err =
+            remote.apply_updates(&[UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 1.0))]);
+        assert!(matches!(err, Err(Error::Io(_))));
 
-    // Version/health probes fall back to the last observed state.
-    assert_eq!(remote.graph_version(), cluster.graph_version());
-    assert_eq!(remote.shard_healths().len(), 3);
+        // Version/health probes fall back to the last observed state.
+        assert_eq!(remote.graph_version(), cluster.graph_version());
+        assert_eq!(remote.shard_healths().len(), 3);
+    }
+}
+
+/// A server restart leaves every socket the client holds dead. Pooled:
+/// the dead stream is evicted and the call redialed without spending a
+/// retry. Multiplexed: the dead channel is replaced, at the cost of at
+/// most the retry budget (none if its reader saw the close first).
+#[test]
+fn server_restart_is_ridden_out_within_the_retry_budget() {
+    for mode in MODES {
+        let cluster = loaded_cluster();
+        let (server, remote) = serve(&cluster, mode);
+        let addr = server.local_addr();
+        server.shutdown();
+        let server = GraphServiceServer::bind(addr, Arc::clone(&cluster)).expect("rebind");
+
+        let reconnects = counter(&remote, "rpc.client.reconnects");
+        let reqs = [SampleRequest::new(VertexId(3), ET, 5)];
+        let local = cluster.sample_many(&reqs, &mut StdRng::seed_from_u64(4));
+        let over_wire = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(4));
+        assert_eq!(
+            local, over_wire,
+            "{mode:?}: the restart must not degrade the call"
+        );
+        assert!(
+            counter(&remote, "rpc.client.reconnects") > reconnects,
+            "{mode:?}"
+        );
+        match mode {
+            ConnectionMode::Pooled => {
+                assert_eq!(
+                    counter(&remote, "rpc.client.retries"),
+                    0,
+                    "eviction is free"
+                );
+                assert_eq!(counter(&remote, "rpc.client.pool_evictions"), 1);
+            }
+            ConnectionMode::Multiplexed => {
+                assert!(
+                    counter(&remote, "rpc.client.retries") <= 1,
+                    "within the budget"
+                );
+            }
+        }
+        server.shutdown();
+    }
+}
+
+/// A reply that does not come within `request_timeout` is a transport
+/// error: retried up to the budget, then degraded per request. In
+/// Multiplexed mode the timeout also kills the channel (its stream order
+/// is unknowable once a reply is abandoned), so every attempt redials.
+#[test]
+fn request_timeout_spends_the_budget_then_degrades() {
+    for mode in MODES {
+        let cluster = loaded_cluster();
+        let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(&cluster)).expect("bind");
+        let config = client_config(mode)
+            .mux_connections(1)
+            .request_timeout(Duration::from_millis(40));
+        let remote = RemoteCluster::connect(server.local_addr(), config).expect("connect");
+        for shard in 0..3 {
+            cluster
+                .faults()
+                .slow_shard(shard, Duration::from_millis(250));
+        }
+
+        let reqs = [SampleRequest::new(VertexId(3), ET, 5).on_degraded(DegradedPolicy::SelfLoop)];
+        let responses = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(9));
+        assert!(responses[0].degraded, "{mode:?}");
+        assert_eq!(responses[0].neighbors, vec![VertexId(3); 5]);
+        assert_eq!(counter(&remote, "rpc.client.retries"), 1, "{mode:?}");
+        assert_eq!(counter(&remote, "rpc.client.degraded_fallbacks"), 1);
+        if mode == ConnectionMode::Multiplexed {
+            // One dial at connect, one for the retry: the first attempt
+            // rode the connect-time channel, and its timeout killed it.
+            assert_eq!(counter(&remote, "rpc.client.reconnects"), 2);
+        }
+
+        server.shutdown();
+    }
 }
 
 #[test]
@@ -374,14 +586,16 @@ fn flooding_peer_is_cut_off_and_starves_nobody() {
 
 #[test]
 fn health_probe_tracks_graph_version_across_updates() {
-    let cluster = loaded_cluster();
-    let (server, remote) = serve(&cluster);
+    for mode in MODES {
+        let cluster = loaded_cluster();
+        let (server, remote) = serve(&cluster, mode);
 
-    let v0 = remote.graph_version();
-    assert_eq!(v0, cluster.graph_version());
-    remote
-        .apply_updates(&[UpdateOp::Insert(Edge::new(VertexId(5), VertexId(6), 2.0))])
-        .expect("apply");
-    assert!(remote.graph_version() > v0, "version advances after writes");
-    server.shutdown();
+        let v0 = remote.graph_version();
+        assert_eq!(v0, cluster.graph_version());
+        remote
+            .apply_updates(&[UpdateOp::Insert(Edge::new(VertexId(5), VertexId(6), 2.0))])
+            .expect("apply");
+        assert!(remote.graph_version() > v0, "version advances after writes");
+        server.shutdown();
+    }
 }

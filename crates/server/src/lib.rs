@@ -59,7 +59,7 @@ pub use service::GraphService;
 pub use txn::TxnLogEntry;
 
 use platod2gl_graph::{
-    Edge, EdgeType, Error, GraphStore, ShardHealth, TxnView, UpdateOp, VertexId,
+    splitmix64, Edge, EdgeType, Error, GraphStore, ShardHealth, TxnView, UpdateOp, VertexId,
 };
 use platod2gl_obs::{Counter, Gauge, Histogram, Registry};
 use platod2gl_storage::{AttributeStore, DynamicGraphStore, StoreConfig, StoreMemory};
@@ -401,18 +401,10 @@ pub struct Cluster {
     migration: MigrationLog,
 }
 
-/// splitmix64, the shard router's hash.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Hash-by-source routing, as a free function so remote clients
 /// (`platod2gl-rpc`) can predict shard ownership without a cluster handle.
 pub fn route_for(v: VertexId, num_shards: usize) -> usize {
-    (mix(v.raw()) % num_shards.max(1) as u64) as usize
+    (splitmix64(v.raw()) % num_shards.max(1) as u64) as usize
 }
 
 /// Fleet-level partition of a vertex: the unit of ownership, replication
@@ -421,11 +413,11 @@ pub fn route_for(v: VertexId, num_shards: usize) -> usize {
 /// is independent of the shard split — a partition's vertices spread over
 /// all of a server's local shards.
 pub fn partition_for(v: VertexId, num_partitions: u32) -> u32 {
-    (mix(v.raw() ^ 0xf1ee_7000_0000_0001) % u64::from(num_partitions.max(1))) as u32
+    (splitmix64(v.raw() ^ 0xf1ee_7000_0000_0001) % u64::from(num_partitions.max(1))) as u32
 }
 
 /// One streamed chunk of a partition's adjacency, produced by
-/// [`Cluster::export_partition`] and shipped over the rpc layer's
+/// [`GraphService::export_partition`] and shipped over the rpc layer's
 /// `PartitionFetch` frames during live migration.
 ///
 /// `snapshot` is **snapshot bytes** ([`platod2gl_storage::write_snapshot`]):
@@ -711,153 +703,6 @@ impl Cluster {
         }
     }
 
-    /// Arm the migration journal for one partition: every update op that
-    /// lands on it from now on is sequence-numbered for
-    /// [`Cluster::migration_tail`]. Returns the starting sequence number.
-    /// One migration at a time per server; a second `begin` is rejected.
-    pub fn begin_migration(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
-        if num_partitions == 0 || partition >= num_partitions {
-            return Err(Error::invalid_config("partition out of range"));
-        }
-        let mut guard = self.migration.lock();
-        if guard.is_some() {
-            return Err(Error::invalid_config(
-                "a migration is already in progress on this server",
-            ));
-        }
-        *guard = Some(MigrationState {
-            partition,
-            num_partitions,
-            next_seq: 0,
-            ops: Vec::new(),
-            overflowed: false,
-        });
-        self.migration.armed.store(true, Ordering::Release);
-        Ok(0)
-    }
-
-    /// Ops journaled for the migrating partition with sequence `>=
-    /// from_seq`, plus the next sequence number to resume from. The mover
-    /// drains in rounds until a round comes back empty.
-    pub fn migration_tail(
-        &self,
-        partition: u32,
-        from_seq: u64,
-    ) -> Result<(Vec<UpdateOp>, u64), Error> {
-        let guard = self.migration.lock();
-        let Some(state) = guard.as_ref() else {
-            return Err(Error::invalid_config("no migration in progress"));
-        };
-        if state.partition != partition {
-            return Err(Error::invalid_config("tail for the wrong partition"));
-        }
-        if state.overflowed {
-            return Err(Error::Corrupt {
-                what: "migration journal overflowed; restart the migration".to_string(),
-            });
-        }
-        let ops = state
-            .ops
-            .iter()
-            .filter(|(seq, _)| *seq >= from_seq)
-            .map(|(_, op)| *op)
-            .collect();
-        Ok((ops, state.next_seq))
-    }
-
-    /// Disarm the migration journal. Returns the total ops it buffered.
-    pub fn end_migration(&self, partition: u32) -> Result<u64, Error> {
-        let mut guard = self.migration.lock();
-        match guard.as_ref() {
-            Some(state) if state.partition == partition => {
-                let total = state.next_seq;
-                *guard = None;
-                self.migration.armed.store(false, Ordering::Release);
-                Ok(total)
-            }
-            Some(_) => Err(Error::invalid_config("ending the wrong partition")),
-            None => Err(Error::invalid_config("no migration in progress")),
-        }
-    }
-
-    /// Export one partition's adjacency as a bounded snapshot chunk
-    /// (see [`PartitionChunk`]). Entries are keyed `(src, etype)` and
-    /// returned in key order starting strictly after `cursor`, so the
-    /// mover streams the partition in stable, resumable chunks while the
-    /// server keeps serving.
-    pub fn export_partition(
-        &self,
-        partition: u32,
-        num_partitions: u32,
-        cursor: Option<(u64, u16)>,
-        max_edges: usize,
-    ) -> Result<PartitionChunk, Error> {
-        if num_partitions == 0 || partition >= num_partitions {
-            return Err(Error::invalid_config("partition out of range"));
-        }
-        // Census pass: directory keys and edge counts only — a serving
-        // node must not re-materialize the whole store's adjacency for
-        // every chunk it streams.
-        let mut keys: Vec<((u64, u16), usize)> = Vec::new();
-        for server in &self.servers {
-            server.topology.for_each_source(|src, etype, len| {
-                if partition_for(src, num_partitions) != partition {
-                    return;
-                }
-                let key = (src.raw(), etype.0);
-                if cursor.is_some_and(|cur| key <= cur) {
-                    return;
-                }
-                keys.push((key, len));
-            });
-        }
-        keys.sort_unstable_by_key(|(k, _)| *k);
-        let budget = max_edges.max(1);
-        let mut take = 0usize;
-        let mut planned = 0usize;
-        for (i, (_, len)) in keys.iter().enumerate() {
-            if i > 0 && planned + len > budget {
-                break;
-            }
-            planned += len;
-            take += 1;
-        }
-        let done = take == keys.len();
-        // Materialize only the chunk's keys, each from its owning shard.
-        // A tree racing away between census and fetch is fine: its
-        // mutation is in the migration journal either way.
-        let mut taken: Vec<platod2gl_storage::AdjacencyEntry> = Vec::with_capacity(take);
-        let mut edges = 0u64;
-        for &((src, etype), _) in &keys[..take] {
-            let server = &self.servers[self.route(VertexId(src))];
-            if let Some(entries) = server.topology.adjacency_of(VertexId(src), EdgeType(etype)) {
-                edges += entries.len() as u64;
-                taken.push(((src, etype), entries));
-            }
-        }
-        let next_cursor = keys[..take].last().map(|(k, _)| *k).or(cursor);
-        let mut snapshot = Vec::new();
-        platod2gl_storage::write_snapshot(&mut snapshot, &taken)?;
-        Ok(PartitionChunk {
-            snapshot,
-            cursor: next_cursor,
-            done,
-            edges,
-        })
-    }
-
-    /// Resident `(src, etype)` directory keys per partition, across all
-    /// local shards — the load view `/debug/partitions` serves.
-    pub fn partition_key_counts(&self, num_partitions: u32) -> Vec<u64> {
-        let mut counts = vec![0u64; num_partitions.max(1) as usize];
-        for server in &self.servers {
-            server.topology.for_each_source(|src, _etype, _edges| {
-                counts[partition_for(src, num_partitions.max(1)) as usize] += 1;
-            });
-        }
-        counts
-    }
-
     /// Time-decay sweep across all shards (each shard in sequence; shards
     /// are independent so production runs them concurrently). Maintenance
     /// path: not fault-routed.
@@ -924,19 +769,7 @@ impl Cluster {
             }
             Err(_) => {
                 self.m.degraded_responses.inc();
-                let (neighbors, sources) = match req.on_degraded {
-                    DegradedPolicy::EmptySet => (Vec::new(), Vec::new()),
-                    DegradedPolicy::SelfLoop => (
-                        vec![req.vertex; req.fanout],
-                        vec![SlotSource::SelfLoop; req.fanout],
-                    ),
-                };
-                SampleResponse {
-                    neighbors,
-                    sources,
-                    degraded: true,
-                    shard,
-                }
+                SampleResponse::degraded(req, shard)
             }
         };
         // Degraded responses are real frames too (the graph server answers
@@ -961,7 +794,7 @@ impl Cluster {
         let slow = self.registry.slow_log();
         if slow.is_slow(elapsed) {
             slow.record(platod2gl_obs::SlowOpRecord {
-                op: "cluster.sample",
+                op: "cluster.sample".into(),
                 trace_id: req.trace_id,
                 detail: format!(
                     "vertex={} etype={} fanout={} shard={} degraded={} returned={}",
@@ -1848,7 +1681,7 @@ mod tests {
         );
         // The span tree must cover cluster -> shard -> samtree, correctly
         // parent-linked (entry order, root first).
-        let names: Vec<&str> = cap.spans.iter().map(|s| s.name).collect();
+        let names: Vec<&str> = cap.spans.iter().map(|s| &*s.name).collect();
         assert_eq!(
             names,
             [

@@ -102,6 +102,29 @@ pub struct SampleResponse {
     pub shard: usize,
 }
 
+impl SampleResponse {
+    /// The fallback for a request whose owning shard cannot answer, shaped
+    /// by the request's own [`DegradedPolicy`]. Every layer that gives up
+    /// on a request — the router on a failed shard, the rpc server past a
+    /// deadline, the clients past their retry budget — answers with this,
+    /// so a trainer sees one degraded shape wherever the fault sits.
+    pub fn degraded(req: &SampleRequest, shard: usize) -> Self {
+        let (neighbors, sources) = match req.on_degraded {
+            DegradedPolicy::EmptySet => (Vec::new(), Vec::new()),
+            DegradedPolicy::SelfLoop => (
+                vec![req.vertex; req.fanout],
+                vec![SlotSource::SelfLoop; req.fanout],
+            ),
+        };
+        Self {
+            neighbors,
+            sources,
+            degraded: true,
+            shard,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

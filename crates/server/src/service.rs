@@ -22,11 +22,14 @@
 
 use crate::request::{SampleRequest, SampleResponse};
 use crate::write::Origin;
-use crate::{BatchReport, Cluster, PartitionChunk};
-use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
+use crate::{partition_for, BatchReport, Cluster, MigrationState, PartitionChunk};
+use platod2gl_graph::{
+    EdgeType, Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp, VertexId,
+};
 use platod2gl_obs::Registry;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The sampling/update surface of a graph service, local or remote.
@@ -122,17 +125,20 @@ pub trait GraphService: Sync {
         ))
     }
 
-    /// Arm the live-migration journal for one partition (see
-    /// [`Cluster::begin_migration`]). Returns the starting journal
-    /// sequence number.
+    /// Arm the live-migration journal for one partition: every first-hand
+    /// update op that lands on it from now on is sequence-numbered for
+    /// [`GraphService::migration_tail`]. Returns the starting sequence
+    /// number. One migration at a time per server; a second `begin` is
+    /// rejected.
     fn begin_migration(&self, _partition: u32, _num_partitions: u32) -> Result<u64, Error> {
         Err(Error::invalid_config(
             "this service does not support live migration",
         ))
     }
 
-    /// Journaled ops for a migrating partition from `from_seq` on, plus
-    /// the next sequence to resume from.
+    /// Ops journaled for the migrating partition with sequence `>=
+    /// from_seq`, plus the next sequence number to resume from. The mover
+    /// drains in rounds until a round comes back empty.
     fn migration_tail(
         &self,
         _partition: u32,
@@ -150,7 +156,11 @@ pub trait GraphService: Sync {
         ))
     }
 
-    /// Export one partition's adjacency as a resumable snapshot chunk.
+    /// Export one partition's adjacency as a bounded snapshot chunk (see
+    /// [`PartitionChunk`]). Entries are keyed `(src, etype)` and returned
+    /// in key order starting strictly after `cursor`, so the mover streams
+    /// the partition in stable, resumable chunks while the server keeps
+    /// serving.
     fn export_partition(
         &self,
         _partition: u32,
@@ -163,9 +173,9 @@ pub trait GraphService: Sync {
         ))
     }
 
-    /// Resident `(src, etype)` key count per partition — the
-    /// `/debug/partitions` load view. Services without partition-level
-    /// accounting report zeros.
+    /// Resident `(src, etype)` directory keys per partition, across all
+    /// local shards — the `/debug/partitions` load view. Services without
+    /// partition-level accounting report zeros.
     fn partition_key_counts(&self, num_partitions: u32) -> Vec<u64> {
         vec![0; num_partitions.max(1) as usize]
     }
@@ -215,15 +225,60 @@ impl GraphService for Cluster {
     }
 
     fn begin_migration(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
-        Cluster::begin_migration(self, partition, num_partitions)
+        if num_partitions == 0 || partition >= num_partitions {
+            return Err(Error::invalid_config("partition out of range"));
+        }
+        let mut guard = self.migration.lock();
+        if guard.is_some() {
+            return Err(Error::invalid_config(
+                "a migration is already in progress on this server",
+            ));
+        }
+        *guard = Some(MigrationState {
+            partition,
+            num_partitions,
+            next_seq: 0,
+            ops: Vec::new(),
+            overflowed: false,
+        });
+        self.migration.armed.store(true, Ordering::Release);
+        Ok(0)
     }
 
     fn migration_tail(&self, partition: u32, from_seq: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
-        Cluster::migration_tail(self, partition, from_seq)
+        let guard = self.migration.lock();
+        let Some(state) = guard.as_ref() else {
+            return Err(Error::invalid_config("no migration in progress"));
+        };
+        if state.partition != partition {
+            return Err(Error::invalid_config("tail for the wrong partition"));
+        }
+        if state.overflowed {
+            return Err(Error::Corrupt {
+                what: "migration journal overflowed; restart the migration".to_string(),
+            });
+        }
+        let ops = state
+            .ops
+            .iter()
+            .filter(|(seq, _)| *seq >= from_seq)
+            .map(|(_, op)| *op)
+            .collect();
+        Ok((ops, state.next_seq))
     }
 
     fn end_migration(&self, partition: u32) -> Result<u64, Error> {
-        Cluster::end_migration(self, partition)
+        let mut guard = self.migration.lock();
+        match guard.as_ref() {
+            Some(state) if state.partition == partition => {
+                let total = state.next_seq;
+                *guard = None;
+                self.migration.armed.store(false, Ordering::Release);
+                Ok(total)
+            }
+            Some(_) => Err(Error::invalid_config("ending the wrong partition")),
+            None => Err(Error::invalid_config("no migration in progress")),
+        }
     }
 
     fn export_partition(
@@ -233,11 +288,68 @@ impl GraphService for Cluster {
         cursor: Option<(u64, u16)>,
         max_edges: usize,
     ) -> Result<PartitionChunk, Error> {
-        Cluster::export_partition(self, partition, num_partitions, cursor, max_edges)
+        if num_partitions == 0 || partition >= num_partitions {
+            return Err(Error::invalid_config("partition out of range"));
+        }
+        // Census pass: directory keys and edge counts only — a serving
+        // node must not re-materialize the whole store's adjacency for
+        // every chunk it streams.
+        let mut keys: Vec<((u64, u16), usize)> = Vec::new();
+        for server in &self.servers {
+            server.topology.for_each_source(|src, etype, len| {
+                if partition_for(src, num_partitions) != partition {
+                    return;
+                }
+                let key = (src.raw(), etype.0);
+                if cursor.is_some_and(|cur| key <= cur) {
+                    return;
+                }
+                keys.push((key, len));
+            });
+        }
+        keys.sort_unstable_by_key(|(k, _)| *k);
+        let budget = max_edges.max(1);
+        let mut take = 0usize;
+        let mut planned = 0usize;
+        for (i, (_, len)) in keys.iter().enumerate() {
+            if i > 0 && planned + len > budget {
+                break;
+            }
+            planned += len;
+            take += 1;
+        }
+        let done = take == keys.len();
+        // Materialize only the chunk's keys, each from its owning shard.
+        // A tree racing away between census and fetch is fine: its
+        // mutation is in the migration journal either way.
+        let mut taken: Vec<platod2gl_storage::AdjacencyEntry> = Vec::with_capacity(take);
+        let mut edges = 0u64;
+        for &((src, etype), _) in &keys[..take] {
+            let server = &self.servers[self.route(VertexId(src))];
+            if let Some(entries) = server.topology.adjacency_of(VertexId(src), EdgeType(etype)) {
+                edges += entries.len() as u64;
+                taken.push(((src, etype), entries));
+            }
+        }
+        let next_cursor = keys[..take].last().map(|(k, _)| *k).or(cursor);
+        let mut snapshot = Vec::new();
+        platod2gl_storage::write_snapshot(&mut snapshot, &taken)?;
+        Ok(PartitionChunk {
+            snapshot,
+            cursor: next_cursor,
+            done,
+            edges,
+        })
     }
 
     fn partition_key_counts(&self, num_partitions: u32) -> Vec<u64> {
-        Cluster::partition_key_counts(self, num_partitions)
+        let mut counts = vec![0u64; num_partitions.max(1) as usize];
+        for server in &self.servers {
+            server.topology.for_each_source(|src, _etype, _edges| {
+                counts[partition_for(src, num_partitions.max(1)) as usize] += 1;
+            });
+        }
+        counts
     }
 }
 

@@ -238,12 +238,15 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
+/// Encode an optional u64 (present flag + value, 9 bytes; zeros when
+/// absent): request trace ids, span parents.
+pub fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     buf.push(u8::from(v.is_some()));
     put_u64(buf, v.unwrap_or(0));
 }
 
-fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
+/// Decode an optional u64; a flag other than 0 or 1 is a bad record.
+pub fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
     let present = match r.u8()? {
         0 => false,
         1 => true,
@@ -256,16 +259,6 @@ fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
     };
     let v = r.u64()?;
     Ok(present.then_some(v))
-}
-
-/// Encode an optional trace id (present flag + value, 9 bytes).
-pub fn put_trace_id(buf: &mut Vec<u8>, trace_id: Option<u64>) {
-    put_opt_u64(buf, trace_id);
-}
-
-/// Decode an optional trace id.
-pub fn get_trace_id(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
-    get_opt_u64(r)
 }
 
 /// Encode an optional [`TraceContext`] (always [`TRACE_CTX_BYTES`]:

@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# The line counts ROADMAP's "net line count going down" is measured by.
+#   ./scripts/loc.sh            the three tree-wide counts, one line
+#   ./scripts/loc.sh FILE...    "production total" per file, for before/after tables
+# "Production" is what sits above a file's first column-0 `#[cfg(test)]`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+production() {
+    awk 'FNR==1{skip=0} /^#\[cfg\(test\)\]/{skip=1} !skip{n++} END{print n+0}' "$@"
+}
+
+if [ "$#" -gt 0 ]; then
+    for f in "$@"; do
+        printf '%s production %s total %s\n' "$f" "$(production "$f")" "$(wc -l <"$f")"
+    done
+    exit 0
+fi
+
+# shellcheck disable=SC2046  # no path in the tree holds a space
+prod=$(production $(find crates/*/src examples -name '*.rs'))
+rpc=$(cat $(find crates/rpc -name '*.rs') | wc -l)
+tree=$(cat $(find crates examples tests -name '*.rs') | wc -l)
+echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crates/rpc with tests $rpc | crates/ examples/ tests/ $tree"

@@ -169,6 +169,9 @@ echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
 # instead of rotting as an unresolved link.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+echo "==> line counts (informational: what a simplicity PR reports before/after)"
+./scripts/loc.sh
+
 tree_after=$(git status --porcelain)
 if [ "$tree_before" != "$tree_after" ]; then
     echo "verify: FAIL — the run changed the working tree:"
