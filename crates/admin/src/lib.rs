@@ -210,17 +210,48 @@ fn write_response(
     stream.flush()
 }
 
+/// The endpoints every index page lists first.
+const INDEX_COMMON: [&str; 2] = ["/metrics", "/healthz"];
+/// What [`route`] serves beside them ([`route_rpc`] adds `/debug/rpc`).
+const INDEX_CLUSTER: [&str; 5] = [
+    "/debug/memory",
+    "/debug/spans",
+    "/debug/slow",
+    "/debug/traffic",
+    "/debug/txns",
+];
+
+/// The `GET /` body: `title`, then [`INDEX_COMMON`] and `endpoints`, one
+/// path per line.
+fn index_page(title: &str, endpoints: &[&str]) -> (u16, &'static str, String) {
+    let mut body = format!("{title}\n\n");
+    for path in INDEX_COMMON.iter().chain(endpoints) {
+        body.push_str(path);
+        body.push('\n');
+    }
+    (200, CT_TEXT, body)
+}
+
+/// Append `items` to `out` as comma-separated JSON values, each written
+/// by `write`.
+fn join_json<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+}
+
 /// Dispatch one GET to its endpoint. Split out (and `pub` for tests) so
 /// endpoint behavior is testable without sockets.
 pub fn route(path: &str, cluster: &Cluster) -> (u16, &'static str, String) {
     match path {
-        "/" => (
-            200,
-            CT_TEXT,
-            "PlatoD2GL admin\n\n/metrics\n/healthz\n/debug/memory\n/debug/spans\n/debug/slow\n\
-             /debug/traffic\n/debug/txns\n"
-                .to_string(),
-        ),
+        "/" => index_page("PlatoD2GL admin", &INDEX_CLUSTER),
         "/metrics" => {
             // Refresh graph.mem.* so every scrape carries current memory.
             cluster.memory_breakdown();
@@ -287,12 +318,9 @@ pub fn route_rpc(
     rpc: &dyn RpcIntrospect,
 ) -> (u16, &'static str, String) {
     match path {
-        "/" => (
-            200,
-            CT_TEXT,
-            "PlatoD2GL admin\n\n/metrics\n/healthz\n/debug/memory\n/debug/spans\n/debug/slow\n\
-             /debug/traffic\n/debug/txns\n/debug/rpc\n"
-                .to_string(),
+        "/" => index_page(
+            "PlatoD2GL admin",
+            &[&INDEX_CLUSTER[..], &["/debug/rpc"]].concat(),
         ),
         "/debug/rpc" => (200, CT_JSON, rpc_json(&rpc.rpc_snapshot())),
         other => route(other, cluster),
@@ -307,18 +335,15 @@ fn rpc_json(snap: &RpcSnapshot) -> String {
         snap.rejected,
         snap.open
     );
-    for (i, c) in snap.conns.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
+    join_json(&mut body, &snap.conns, |out, c| {
+        out.push_str(&format!(
             "{{\"peer\":\"{}\",\"frames\":{},\"in_flight\":{},\"age_ms\":{}}}",
             json_escape(&c.peer),
             c.frames,
             c.in_flight,
             c.age_ms
         ));
-    }
+    });
     body.push_str("]}");
     body
 }
@@ -414,12 +439,14 @@ pub fn route_fleet(path: &str, fleet: &dyn FleetIntrospect) -> (u16, &'static st
         };
     }
     match path {
-        "/" => (
-            200,
-            CT_TEXT,
-            "PlatoD2GL fleet admin\n\n/metrics\n/healthz\n/debug/partitions\n\
-             /debug/trace/<id>\n/fleet/metrics\n/fleet/slow\n"
-                .to_string(),
+        "/" => index_page(
+            "PlatoD2GL fleet admin",
+            &[
+                "/debug/partitions",
+                "/debug/trace/<id>",
+                "/fleet/metrics",
+                "/fleet/slow",
+            ],
         ),
         "/metrics" => (200, CT_PROM, fleet.registry().snapshot().to_prometheus()),
         // The merged exposition and the single-process `/metrics` share
@@ -443,12 +470,9 @@ fn push_slow_ops<'a>(
     body: &mut String,
     ops: impl Iterator<Item = (Option<&'a str>, &'a SlowOpRecord)>,
 ) {
-    for (i, (server, op)) in ops.enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&op.to_json_tagged(server));
-    }
+    join_json(body, ops, |out, (server, op)| {
+        out.push_str(&op.to_json_tagged(server))
+    });
     body.push_str("]}");
 }
 
@@ -544,19 +568,13 @@ fn trace_json(trace_id: u64, members: &[(String, Vec<SpanRecord>)]) -> String {
         "{{\"trace_id\":{trace_id},\"span_count\":{},\"processes\":[",
         nodes.len()
     );
-    for (i, m) in processes.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = std::fmt::Write::write_fmt(&mut body, format_args!("\"{}\"", json_escape(m)));
-    }
+    join_json(&mut body, processes, |out, m| {
+        out.push_str(&format!("\"{}\"", json_escape(m)));
+    });
     body.push_str("],\"roots\":[");
-    for (i, &root) in roots.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        write_trace_node(&mut body, &nodes, root);
-    }
+    join_json(&mut body, roots, |out, root| {
+        write_trace_node(out, &nodes, root)
+    });
     body.push_str("]}");
     body
 }
@@ -578,12 +596,9 @@ fn write_trace_node(out: &mut String, nodes: &[TraceNode<'_>], i: usize) {
         n.span.start_ns,
         n.span.duration_ns
     ));
-    for (k, &child) in n.children.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        write_trace_node(out, nodes, child);
-    }
+    join_json(out, &n.children, |out, &child| {
+        write_trace_node(out, nodes, child)
+    });
     out.push_str("]}");
 }
 
@@ -618,12 +633,7 @@ fn fleet_healthz(snap: &FleetSnapshot) -> (u16, &'static str, String) {
         snap.servers.iter().filter(|s| s.reachable).count(),
         snap.servers.len()
     );
-    for (i, p) in unowned.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&p.to_string());
-    }
+    join_json(&mut body, &unowned, |out, p| out.push_str(&p.to_string()));
     body.push_str("]}");
     let status = if unowned.is_empty() { 200 } else { 503 };
     (status, CT_JSON, body)
@@ -634,32 +644,26 @@ fn partitions_json(snap: &FleetSnapshot) -> String {
         "{{\"epoch\":{},\"num_partitions\":{},\"servers\":[",
         snap.epoch, snap.num_partitions
     );
-    for (i, s) in snap.servers.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
+    join_json(&mut body, &snap.servers, |out, s| {
+        out.push_str(&format!(
             "{{\"id\":{},\"addr\":\"{}\",\"reachable\":{}}}",
             s.id,
             json_escape(&s.addr),
             s.reachable
         ));
-    }
+    });
     body.push_str("],\"partitions\":[");
-    for (i, p) in snap.partitions.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
+    join_json(&mut body, &snap.partitions, |out, p| {
         let replica = match p.replica {
             Some(r) => r.to_string(),
             None => "null".to_string(),
         };
-        body.push_str(&format!(
+        out.push_str(&format!(
             "{{\"partition\":{},\"owner\":{},\"replica\":{replica},\"owner_up\":{},\
              \"replica_up\":{},\"keys\":{}}}",
             p.partition, p.owner, p.owner_up, p.replica_up, p.keys
         ));
-    }
+    });
     body.push_str("]}");
     body
 }
@@ -708,16 +712,13 @@ fn healthz(cluster: &Cluster) -> (u16, &'static str, String) {
         cluster.graph_version(),
         cluster.num_edges()
     );
-    for (shard, &h) in health.iter().enumerate() {
-        if shard > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
+    join_json(&mut body, health.iter().enumerate(), |out, (shard, &h)| {
+        out.push_str(&format!(
             "{{\"shard\":{shard},\"health\":\"{}\",\"pending_ops\":{}}}",
             health_str(h),
             cluster.pending_ops(shard)
         ));
-    }
+    });
     body.push_str("]}");
     // A failed shard flips the probe: orchestrators treat 503 as unhealthy
     // while degraded-but-serving stays 200 (it can still answer queries).
@@ -745,11 +746,8 @@ fn memory_json(cluster: &Cluster) -> String {
         mem.timestamp_bytes,
         mem.attr_bytes
     );
-    for (i, s) in mem.per_shard.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
+    join_json(&mut body, &mem.per_shard, |out, s| {
+        out.push_str(&format!(
             "{{\"shard\":{},\"topology_bytes\":{},\"leaf_bytes\":{},\"internal_bytes\":{},\
              \"directory_bytes\":{},\"timestamp_bytes\":{},\"attr_bytes\":{},\"edges\":{}}}",
             s.shard,
@@ -761,7 +759,7 @@ fn memory_json(cluster: &Cluster) -> String {
             s.attr_bytes,
             s.edges
         ));
-    }
+    });
     body.push_str("]}");
     body
 }
@@ -774,12 +772,9 @@ fn spans_json(cluster: &Cluster) -> String {
         tracer.finished(),
         tracer.dropped()
     );
-    for (i, s) in tracer.recent().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&s.to_json());
-    }
+    join_json(&mut body, &tracer.recent(), |out, s| {
+        out.push_str(&s.to_json())
+    });
     body.push_str("]}");
     body
 }
@@ -796,12 +791,9 @@ fn slow_json(cluster: &Cluster) -> String {
         slow.threshold_ns(),
         slow.captured()
     );
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!("\"{}\":{}", json_escape(name), h.p99_ns));
-    }
+    join_json(&mut body, &snap.histograms, |out, (name, h)| {
+        out.push_str(&format!("\"{}\":{}", json_escape(name), h.p99_ns));
+    });
     body.push_str("},\"ops\":[");
     push_slow_ops(&mut body, snap.slow.iter().map(|op| (None, op)));
     body
@@ -837,18 +829,15 @@ fn txns_json(cluster: &Cluster) -> String {
         count("txn.ops_applied"),
         cluster.txn_abort_streak()
     );
-    for (i, entry) in cluster.txn_journal().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
+    join_json(&mut body, &cluster.txn_journal(), |out, entry| {
+        out.push_str(&format!(
             "{{\"txn_id\":{},\"outcome\":\"{}\",\"ops\":{},\"detail\":\"{}\"}}",
             entry.txn_id,
             entry.outcome,
             entry.ops,
             json_escape(&entry.detail)
         ));
-    }
+    });
     body.push_str("]}");
     body
 }

@@ -60,8 +60,8 @@ pub use platod2gl_pipeline::{
     PipelineConfigBuilder, PipelineStats, SampleOutcome, TrainingPipeline, WindowedBatch,
 };
 pub use platod2gl_rpc::{
-    ClientConfig, ClientConfigBuilder, ConnectionMode, GraphServiceServer, PollerKind,
-    RemoteCluster, RemoteClusterConfig, ServerConfig, ServerConfigBuilder, ServerIntrospect,
+    ClientConfig, ConnectionMode, GraphServiceServer, RemoteCluster, RemoteClusterConfig,
+    ServerConfig, ServerConfigBuilder, ServerIntrospect,
 };
 pub use platod2gl_sampling::{AliasTable, CsTable, WeightedIndex};
 pub use platod2gl_samtree::{LeafIndex, OpStats, SamTree, SamTreeConfig};

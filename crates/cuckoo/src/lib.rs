@@ -432,13 +432,6 @@ impl<K: Eq + Hash, V> CuckooMap<K, V> {
         self.len() == 0
     }
 
-    /// Total slot capacity across all shards (occupied + free). The gap
-    /// between this and [`len`](Self::len) is the index overhead the paper's
-    /// memory accounting charges to key-value stores.
-    pub fn slot_capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().capacity()).sum()
-    }
-
     /// Visit every entry. Shards are visited one at a time, each under its
     /// lock; do not call map methods from inside `f`.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {

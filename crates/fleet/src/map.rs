@@ -15,6 +15,7 @@
 //! stale map can never overwrite a newer one and clients detect staleness
 //! by comparing epochs.
 
+use platod2gl_graph::cursor::{put_str, put_u32, put_u64, Reader, WireError};
 use platod2gl_graph::{splitmix64, Error, VertexId};
 use platod2gl_server::partition_for;
 
@@ -209,22 +210,21 @@ impl PartitionMap {
     ///  owners u32 × P | replicas (present u8 [, idx u32]) × P`
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.num_partitions as usize * 9);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.num_partitions.to_le_bytes());
-        out.extend_from_slice(&(self.servers.len() as u32).to_le_bytes());
+        put_u64(&mut out, self.epoch);
+        put_u32(&mut out, self.num_partitions);
+        put_u32(&mut out, self.servers.len() as u32);
         for s in &self.servers {
-            out.extend_from_slice(&s.id.to_le_bytes());
-            out.extend_from_slice(&(s.addr.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.addr.as_bytes());
+            put_u64(&mut out, s.id);
+            put_str(&mut out, &s.addr);
         }
         for &o in &self.owners {
-            out.extend_from_slice(&o.to_le_bytes());
+            put_u32(&mut out, o);
         }
         for r in &self.replicas {
             match r {
                 Some(i) => {
                     out.push(1);
-                    out.extend_from_slice(&i.to_le_bytes());
+                    put_u32(&mut out, *i);
                 }
                 None => out.push(0),
             }
@@ -236,40 +236,25 @@ impl PartitionMap {
     /// checked — index ranges, UTF-8 addresses, exact length — so a
     /// corrupt install can never poison routing.
     pub fn decode(bytes: &[u8]) -> Result<Self, Error> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], Error> {
-            let end = pos
-                .checked_add(n)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| corrupt("partition map truncated"))?;
-            let slice = &bytes[*pos..end];
-            *pos = end;
-            Ok(slice)
-        };
-        let get_u32 = |pos: &mut usize| -> Result<u32, Error> {
-            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()))
-        };
-        let get_u64 = |pos: &mut usize| -> Result<u64, Error> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().unwrap()))
-        };
-
-        let epoch = get_u64(&mut pos)?;
-        let num_partitions = get_u32(&mut pos)?;
+        let short = |_: WireError| corrupt("partition map truncated");
+        let mut r = Reader::new(bytes);
+        let epoch = r.u64().map_err(short)?;
+        let num_partitions = r.u32().map_err(short)?;
         if num_partitions == 0 || num_partitions > MAX_MAP_PARTITIONS {
             return Err(corrupt("partition map: bad partition count"));
         }
-        let num_servers = get_u32(&mut pos)? as usize;
+        let num_servers = r.u32().map_err(short)? as usize;
         if num_servers == 0 || num_servers > MAX_SERVERS {
             return Err(corrupt("partition map: bad server count"));
         }
         let mut servers = Vec::with_capacity(num_servers);
         for _ in 0..num_servers {
-            let id = get_u64(&mut pos)?;
-            let alen = get_u32(&mut pos)? as usize;
+            let id = r.u64().map_err(short)?;
+            let alen = r.u32().map_err(short)? as usize;
             if alen > MAX_ADDR_BYTES {
                 return Err(corrupt("partition map: address too long"));
             }
-            let addr = std::str::from_utf8(take(&mut pos, alen)?)
+            let addr = std::str::from_utf8(r.take(alen).map_err(short)?)
                 .map_err(|_| corrupt("partition map: address not UTF-8"))?
                 .to_string();
             servers.push(ServerEntry { id, addr });
@@ -282,7 +267,7 @@ impl PartitionMap {
         }
         let mut owners = Vec::with_capacity(num_partitions as usize);
         for _ in 0..num_partitions {
-            let o = get_u32(&mut pos)?;
+            let o = r.u32().map_err(short)?;
             if o as usize >= num_servers {
                 return Err(corrupt("partition map: owner index out of range"));
             }
@@ -290,23 +275,22 @@ impl PartitionMap {
         }
         let mut replicas = Vec::with_capacity(num_partitions as usize);
         for &owner in &owners {
-            let flag = take(&mut pos, 1)?[0];
-            match flag {
+            match r.u8().map_err(short)? {
                 0 => replicas.push(None),
                 1 => {
-                    let r = get_u32(&mut pos)?;
-                    if r as usize >= num_servers {
+                    let replica = r.u32().map_err(short)?;
+                    if replica as usize >= num_servers {
                         return Err(corrupt("partition map: replica index out of range"));
                     }
-                    if r == owner {
+                    if replica == owner {
                         return Err(corrupt("partition map: replica equals owner"));
                     }
-                    replicas.push(Some(r));
+                    replicas.push(Some(replica));
                 }
                 _ => return Err(corrupt("partition map: bad replica flag")),
             }
         }
-        if pos != bytes.len() {
+        if !r.is_empty() {
             return Err(corrupt("partition map: trailing bytes"));
         }
         Ok(Self {

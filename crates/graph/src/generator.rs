@@ -115,16 +115,6 @@ impl EdgeStream {
         self.bidirected = bidirected;
         self
     }
-
-    /// Number of edges this stream will yield in total.
-    pub fn expected_len(&self) -> u64 {
-        let base: u64 = self.relations.iter().map(|r| r.num_edges).sum();
-        if self.bidirected {
-            base * 2
-        } else {
-            base
-        }
-    }
 }
 
 impl Iterator for EdgeStream {

@@ -17,6 +17,7 @@
 //!   not have (see DESIGN.md §3 for the substitution argument).
 
 pub mod conformance;
+pub mod cursor;
 mod edgelist;
 mod error;
 mod generator;

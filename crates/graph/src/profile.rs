@@ -192,36 +192,6 @@ impl DatasetProfile {
         self.scaled(target_edges as f64 / total as f64)
     }
 
-    /// Scale sources, destinations and edges independently.
-    ///
-    /// Uniform scaling caps every neighborhood at the shrunken destination
-    /// space, erasing the big-hub regime the paper's production graph lives
-    /// in (hubs with up to millions of distinct neighbors). Shrinking the
-    /// source space harder than the destination space restores realistic
-    /// absolute degrees at laptop scale.
-    pub fn scaled_split(&self, src_factor: f64, dst_factor: f64, edge_factor: f64) -> Self {
-        assert!(src_factor > 0.0 && dst_factor > 0.0 && edge_factor > 0.0);
-        let scale = |x: u64, f: f64| ((x as f64 * f).round() as u64).max(1);
-        Self {
-            name: self.name.clone(),
-            bidirected: self.bidirected,
-            relations: self
-                .relations
-                .iter()
-                .map(|r| RelationSpec {
-                    name: r.name.clone(),
-                    etype: r.etype,
-                    src_type: r.src_type,
-                    dst_type: r.dst_type,
-                    num_src: scale(r.num_src, src_factor),
-                    num_dst: scale(r.num_dst, dst_factor),
-                    num_edges: scale(r.num_edges, edge_factor),
-                    zipf_exponent: r.zipf_exponent,
-                })
-                .collect(),
-        }
-    }
-
     /// A WeChat-like profile preserving the production *degree* regime at
     /// laptop scale: `target_edges` User-Live interactions over a source
     /// space sized for the paper's mean density (~62) and a destination

@@ -11,16 +11,16 @@
 //! [`ConnectionMode::Pooled`] (the default) is strictly
 //! request/reply-per-stream: each call checks a stream out of the pool,
 //! runs its round trip(s), and checks it back in on success (a failed
-//! stream is dropped, never re-pooled; a stream idle past
-//! [`ClientConfig::idle_timeout`] is reaped at the next checkout and
-//! counted in `rpc.client.pool_evictions`). Concurrent callers — the
-//! pipeline's prefetch workers — each get their own stream.
+//! stream is dropped, never re-pooled; a stream idle for 30 s is reaped
+//! at the next checkout and counted in `rpc.client.pool_evictions`).
+//! Concurrent callers — the pipeline's prefetch workers — each get their
+//! own stream; the pool keeps up to four idle ones.
 //!
 //! [`ConnectionMode::Multiplexed`] shares a handful of sockets
 //! ([`ClientConfig::mux_connections`]) among all callers: every request
 //! carries a fresh `req_id`, a per-channel reader thread demultiplexes
-//! replies back to their waiters by id, and up to
-//! [`ClientConfig::max_in_flight`] requests ride one socket concurrently.
+//! replies back to their waiters by id, and up to 1024 requests ride one
+//! socket concurrently.
 //! Many in-flight requests over few file descriptors is exactly the shape
 //! the event-loop server is built for.
 //!
@@ -61,6 +61,7 @@ use crate::codec::{
     migrate_action, parse_frame, read_frame, take_timing_echo, write_frame, ErrorReply, FrameError,
     FrameKind, PartitionFetch, SampleBatch, TxnApply, TxnReply, UpdateBatch,
 };
+use crate::lock;
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{current_trace_context, Counter, Histogram, ObsSnapshot, Registry, SpanRecord};
 use platod2gl_server::wire::{Reader, WireError};
@@ -72,12 +73,8 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// How a [`RemoteCluster`] maps calls onto sockets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,13 +86,25 @@ pub enum ConnectionMode {
     Multiplexed,
 }
 
-/// Client shape: timeouts, retry budget, pool/mux and coalescing sizes.
-/// Build via [`ClientConfig::builder`] for validation; the chained setters
-/// remain for terse call sites.
+/// TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Idle connections kept in the pool (extras are dropped on check-in).
+const POOL_SIZE: usize = 4;
+/// Multiplexed mode: in-flight request ceiling per socket. A full channel
+/// pushes back (the caller retries after backoff) instead of queueing
+/// unboundedly.
+const MAX_IN_FLIGHT: usize = 1024;
+/// Pooled streams idle longer than this are reaped at checkout
+/// (`rpc.client.pool_evictions` counts them) instead of being handed to a
+/// request that would stall on a half-dead socket.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Client shape: request timeout, retry budget, connection mode and
+/// coalescing sizes. Start from `default()` and chain the setters;
+/// [`RemoteCluster::connect`] rejects a zero `request_timeout`,
+/// `max_batch` or `mux_connections`.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
-    /// TCP connect timeout.
-    pub connect_timeout: Duration,
     /// Per-round-trip socket timeout; also shipped to the server as the
     /// batch's `deadline_ms` budget.
     pub request_timeout: Duration,
@@ -103,22 +112,12 @@ pub struct ClientConfig {
     pub max_retries: u32,
     /// Backoff before the first retry; doubles per attempt.
     pub retry_backoff: Duration,
-    /// Idle connections kept in the pool (extras are dropped on check-in).
-    pub pool_size: usize,
     /// Sample requests per pipelined frame.
     pub max_batch: usize,
     /// Connection mode (pooled vs multiplexed).
     pub mode: ConnectionMode,
     /// Multiplexed mode: sockets shared by all callers.
     pub mux_connections: usize,
-    /// Multiplexed mode: in-flight request ceiling per socket. A full
-    /// channel pushes back (the caller retries after backoff) instead of
-    /// queueing unboundedly.
-    pub max_in_flight: usize,
-    /// Pooled streams idle longer than this are reaped at checkout
-    /// (`rpc.client.pool_evictions` counts them) instead of being handed
-    /// to a request that would stall on a half-dead socket.
-    pub idle_timeout: Duration,
 }
 
 /// The pre-PR-8 name of [`ClientConfig`], kept so existing call sites and
@@ -128,28 +127,17 @@ pub type RemoteClusterConfig = ClientConfig;
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(2),
             max_retries: 2,
             retry_backoff: Duration::from_millis(10),
-            pool_size: 4,
             max_batch: 256,
             mode: ConnectionMode::Pooled,
             mux_connections: 2,
-            max_in_flight: 1024,
-            idle_timeout: Duration::from_secs(30),
         }
     }
 }
 
 impl ClientConfig {
-    /// Start building a validated config.
-    pub fn builder() -> ClientConfigBuilder {
-        ClientConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-
     /// Per-round-trip socket timeout (and server-side deadline budget).
     pub fn request_timeout(mut self, t: Duration) -> Self {
         self.request_timeout = t;
@@ -170,7 +158,7 @@ impl ClientConfig {
 
     /// Sample requests per pipelined frame.
     pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n.max(1);
+        self.max_batch = n;
         self
     }
 
@@ -182,109 +170,8 @@ impl ClientConfig {
 
     /// Multiplexed mode: sockets shared by all callers.
     pub fn mux_connections(mut self, n: usize) -> Self {
-        self.mux_connections = n.max(1);
+        self.mux_connections = n;
         self
-    }
-
-    /// Idle reap threshold for pooled streams.
-    pub fn idle_timeout(mut self, d: Duration) -> Self {
-        self.idle_timeout = d;
-        self
-    }
-}
-
-/// Builder for [`ClientConfig`] — the validated construction path.
-#[derive(Clone, Copy, Debug)]
-pub struct ClientConfigBuilder {
-    cfg: ClientConfig,
-}
-
-impl ClientConfigBuilder {
-    /// Per-round-trip socket timeout (and server-side deadline budget).
-    pub fn request_timeout(mut self, t: Duration) -> Self {
-        self.cfg.request_timeout = t;
-        self
-    }
-
-    /// TCP connect timeout.
-    pub fn connect_timeout(mut self, t: Duration) -> Self {
-        self.cfg.connect_timeout = t;
-        self
-    }
-
-    /// Transport retries after the first attempt.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.cfg.max_retries = n;
-        self
-    }
-
-    /// Backoff before the first retry; doubles per attempt.
-    pub fn retry_backoff(mut self, d: Duration) -> Self {
-        self.cfg.retry_backoff = d;
-        self
-    }
-
-    /// Idle connections kept in the pool.
-    pub fn pool_size(mut self, n: usize) -> Self {
-        self.cfg.pool_size = n;
-        self
-    }
-
-    /// Sample requests per pipelined frame.
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.cfg.max_batch = n;
-        self
-    }
-
-    /// Connection mode.
-    pub fn mode(mut self, mode: ConnectionMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Multiplexed mode: sockets shared by all callers.
-    pub fn mux_connections(mut self, n: usize) -> Self {
-        self.cfg.mux_connections = n;
-        self
-    }
-
-    /// Multiplexed mode: in-flight ceiling per socket.
-    pub fn max_in_flight(mut self, n: usize) -> Self {
-        self.cfg.max_in_flight = n;
-        self
-    }
-
-    /// Idle reap threshold for pooled streams.
-    pub fn idle_timeout(mut self, d: Duration) -> Self {
-        self.cfg.idle_timeout = d;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<ClientConfig, Error> {
-        let c = &self.cfg;
-        if c.max_batch == 0 {
-            return Err(Error::invalid_config("client max_batch must be at least 1"));
-        }
-        if c.request_timeout.is_zero() || c.connect_timeout.is_zero() {
-            return Err(Error::invalid_config("client timeouts must be non-zero"));
-        }
-        if c.mux_connections == 0 {
-            return Err(Error::invalid_config(
-                "client mux_connections must be at least 1",
-            ));
-        }
-        if c.max_in_flight == 0 {
-            return Err(Error::invalid_config(
-                "client max_in_flight must be at least 1",
-            ));
-        }
-        if c.idle_timeout.is_zero() {
-            return Err(Error::invalid_config(
-                "client idle_timeout must be non-zero",
-            ));
-        }
-        Ok(self.cfg)
     }
 }
 
@@ -340,7 +227,7 @@ struct MuxChannel {
 
 impl MuxChannel {
     fn dial(addr: &SocketAddr, cfg: &ClientConfig) -> io::Result<Arc<Self>> {
-        let stream = TcpStream::connect_timeout(addr, cfg.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(cfg.request_timeout))?;
         let read_side = stream.try_clone()?;
@@ -371,7 +258,6 @@ impl MuxChannel {
         req_id: u64,
         kind: FrameKind,
         payload: &[u8],
-        max_in_flight: usize,
     ) -> Result<mpsc::Receiver<MuxReply>, FrameError> {
         if !self.alive.load(Ordering::Acquire) {
             return Err(FrameError::Io(io::Error::new(
@@ -382,7 +268,7 @@ impl MuxChannel {
         let (tx, rx) = mpsc::sync_channel(1);
         {
             let mut pending = lock(&self.pending);
-            if pending.len() >= max_in_flight {
+            if pending.len() >= MAX_IN_FLIGHT {
                 return Err(FrameError::Io(io::Error::new(
                     io::ErrorKind::WouldBlock,
                     "mux channel at max in-flight",
@@ -512,7 +398,21 @@ impl RemoteCluster {
     /// graph version) via an initial health probe. The client owns its own
     /// registry: client-side `rpc.client.*` and `pipeline.*` telemetry
     /// land here, while server-side spans/slow-ops stay in the server's.
+    ///
+    /// A `cfg` that could only panic or stall later — zero `max_batch`,
+    /// `mux_connections` or `request_timeout` — is [`Error::InvalidConfig`].
     pub fn connect(addr: impl ToSocketAddrs, cfg: ClientConfig) -> Result<Self, Error> {
+        for (zero, field) in [
+            (cfg.max_batch == 0, "max_batch"),
+            (cfg.mux_connections == 0, "mux_connections"),
+            (cfg.request_timeout.is_zero(), "request_timeout"),
+        ] {
+            if zero {
+                return Err(Error::invalid_config(format!(
+                    "client {field} must be non-zero"
+                )));
+            }
+        }
         let addr = addr
             .to_socket_addrs()?
             .next()
@@ -552,7 +452,7 @@ impl RemoteCluster {
     }
 
     fn dial(&self) -> io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
         stream.set_read_timeout(Some(self.cfg.request_timeout))?;
         stream.set_write_timeout(Some(self.cfg.request_timeout))?;
         stream.set_nodelay(true)?;
@@ -561,15 +461,15 @@ impl RemoteCluster {
     }
 
     /// Check a stream out of the pool (the flag says it was pooled) or
-    /// dial a fresh one. Streams idle past `idle_timeout` are reaped
+    /// dial a fresh one. Streams idle past [`IDLE_TIMEOUT`] are reaped
     /// first — handing one to a request just trades a cheap reconnect now
     /// for a stalled read later.
     fn checkout(&self) -> io::Result<(TcpStream, bool)> {
         let now = Instant::now();
         let (pooled, reaped) = {
-            let mut pool = self.lock_pool();
+            let mut pool = lock(&self.pool);
             let before = pool.len();
-            pool.retain(|(_, parked)| now.duration_since(*parked) < self.cfg.idle_timeout);
+            pool.retain(|(_, parked)| now.duration_since(*parked) < IDLE_TIMEOUT);
             let reaped = (before - pool.len()) as u64;
             (pool.pop(), reaped)
         };
@@ -586,19 +486,15 @@ impl RemoteCluster {
     /// server restart leaves dead pooled streams; a long pause leaves
     /// stale ones).
     #[cfg(test)]
-    fn inject_pooled(&self, stream: TcpStream) {
-        self.lock_pool().push((stream, Instant::now()));
+    fn inject_pooled(&self, stream: TcpStream, parked: Instant) {
+        lock(&self.pool).push((stream, parked));
     }
 
     fn checkin(&self, stream: TcpStream) {
-        let mut pool = self.lock_pool();
-        if pool.len() < self.cfg.pool_size {
+        let mut pool = lock(&self.pool);
+        if pool.len() < POOL_SIZE {
             pool.push((stream, Instant::now()));
         }
-    }
-
-    fn lock_pool(&self) -> MutexGuard<'_, Vec<(TcpStream, Instant)>> {
-        lock(&self.pool)
     }
 
     fn deadline_ms(&self) -> u32 {
@@ -759,7 +655,7 @@ impl RemoteCluster {
         let mut waiters = Vec::with_capacity(payloads.len());
         for payload in payloads {
             let req_id = self.next_req_id();
-            let rx = channel.submit(req_id, kind, payload, self.cfg.max_in_flight)?;
+            let rx = channel.submit(req_id, kind, payload)?;
             waiters.push((req_id, rx));
         }
         let mut replies = Vec::with_capacity(waiters.len());
@@ -833,12 +729,8 @@ impl RemoteCluster {
         )?;
         self.last_version
             .store(reply.graph_version, Ordering::Release);
-        *self.lock_healths() = reply.healths.clone();
+        *lock(&self.last_healths) = reply.healths.clone();
         Ok(reply)
-    }
-
-    fn lock_healths(&self) -> MutexGuard<'_, Vec<ShardHealth>> {
-        lock(&self.last_healths)
     }
 
     /// Pipelined exchange of pre-seeded sample chunks: one frame per
@@ -1055,7 +947,7 @@ impl GraphService for RemoteCluster {
     fn shard_healths(&self) -> Vec<ShardHealth> {
         match self.probe() {
             Ok(reply) => reply.healths,
-            Err(_) => self.lock_healths().clone(),
+            Err(_) => lock(&self.last_healths).clone(),
         }
     }
 
@@ -1177,12 +1069,7 @@ mod tests {
     use platod2gl_server::{Cluster, ClusterConfig};
 
     fn counter_value(registry: &Arc<Registry>, name: &str) -> u64 {
-        registry
-            .snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
+        registry.snapshot().counter(name).unwrap_or(0)
     }
 
     fn tiny_server() -> GraphServiceServer {
@@ -1213,7 +1100,7 @@ mod tests {
         drop(graveyard);
         dead.set_read_timeout(Some(Duration::from_millis(200)))
             .expect("timeout");
-        client.inject_pooled(dead);
+        client.inject_pooled(dead, Instant::now());
 
         let retries_before = counter_value(client.registry(), "rpc.client.retries");
         let health = client.probe().expect("probe rides out the dead stream");
@@ -1230,7 +1117,7 @@ mod tests {
         server.shutdown();
     }
 
-    /// A pooled stream parked past `idle_timeout` is reaped at checkout —
+    /// A pooled stream parked past `IDLE_TIMEOUT` is reaped at checkout —
     /// counted in `rpc.client.pool_evictions` — instead of being handed to
     /// a request. The stream here is alive but points at a black-hole
     /// listener that will never answer: only the reap saves the probe from
@@ -1238,23 +1125,22 @@ mod tests {
     #[test]
     fn idle_pooled_connection_is_reaped_at_checkout() {
         let server = tiny_server();
-        let cfg = ClientConfig::builder()
-            .idle_timeout(Duration::from_millis(20))
-            .build()
-            .expect("valid");
-        let client = RemoteCluster::connect(server.local_addr(), cfg).expect("connect");
+        let client =
+            RemoteCluster::connect(server.local_addr(), ClientConfig::default()).expect("connect");
         // Drop the connect-probe's pooled stream so the count below is
         // exactly the injected stream's reap.
-        client.lock_pool().clear();
+        lock(&client.pool).clear();
 
         // A live-but-stale stream: the black-hole listener accepts and
         // holds the connection open without ever serving the protocol.
         let black_hole = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let stale = TcpStream::connect(black_hole.local_addr().expect("addr")).expect("dial");
         let _held = black_hole.accept().expect("accept").0;
-        client.inject_pooled(stale);
+        let long_ago = Instant::now()
+            .checked_sub(IDLE_TIMEOUT)
+            .expect("host up longer than the idle timeout");
+        client.inject_pooled(stale, long_ago);
 
-        std::thread::sleep(Duration::from_millis(40));
         let evictions_before = counter_value(client.registry(), "rpc.client.pool_evictions");
         client.probe().expect("probe rides on a fresh dial");
         assert_eq!(
@@ -1265,22 +1151,27 @@ mod tests {
         server.shutdown();
     }
 
+    /// Zero sizes in the `pub` config fields used to panic after a
+    /// successful connect (`chunks(0)`, `% 0` over the undialed channels).
     #[test]
-    fn client_config_builder_validates() {
-        let cfg = ClientConfig::builder()
-            .mode(ConnectionMode::Multiplexed)
-            .mux_connections(3)
-            .max_in_flight(64)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.mode, ConnectionMode::Multiplexed);
-        assert_eq!(cfg.mux_connections, 3);
-        assert!(ClientConfig::builder().max_batch(0).build().is_err());
-        assert!(ClientConfig::builder().mux_connections(0).build().is_err());
-        assert!(ClientConfig::builder()
-            .idle_timeout(Duration::ZERO)
-            .build()
-            .is_err());
+    fn connect_rejects_zero_sized_config() {
+        let server = tiny_server();
+        let rejects = |cfg: ClientConfig| {
+            matches!(
+                RemoteCluster::connect(server.local_addr(), cfg),
+                Err(Error::InvalidConfig { .. })
+            )
+        };
+        assert!(rejects(ClientConfig::default().max_batch(0)));
+        assert!(rejects(
+            ClientConfig::default()
+                .mode(ConnectionMode::Multiplexed)
+                .mux_connections(0)
+        ));
+        assert!(rejects(
+            ClientConfig::default().request_timeout(Duration::ZERO)
+        ));
+        server.shutdown();
     }
 
     /// The multiplexed mode serves the full GraphService surface over a
@@ -1288,11 +1179,9 @@ mod tests {
     #[test]
     fn multiplexed_mode_round_trips() {
         let server = tiny_server();
-        let cfg = ClientConfig::builder()
+        let cfg = ClientConfig::default()
             .mode(ConnectionMode::Multiplexed)
-            .mux_connections(2)
-            .build()
-            .expect("valid");
+            .mux_connections(2);
         let client = RemoteCluster::connect(server.local_addr(), cfg).expect("connect");
         assert_eq!(client.num_shards(), 2);
         let health = client.probe().expect("probe over mux");

@@ -782,11 +782,7 @@ pub fn decode_map_reply(payload: &[u8]) -> Result<MapReply, WireError> {
         0 => None,
         _ => {
             let n = r.count(1)?;
-            let mut bytes = Vec::with_capacity(n);
-            for _ in 0..n {
-                bytes.push(r.u8()?);
-            }
-            Some(bytes)
+            Some(r.take(n)?.to_vec())
         }
     };
     Ok(MapReply { epoch, bytes })
@@ -806,11 +802,7 @@ pub fn decode_map_install(payload: &[u8]) -> Result<(u64, Vec<u8>), WireError> {
     let mut r = Reader::new(payload);
     let epoch = r.u64()?;
     let n = r.count(1)?;
-    let mut bytes = Vec::with_capacity(n);
-    for _ in 0..n {
-        bytes.push(r.u8()?);
-    }
-    Ok((epoch, bytes))
+    Ok((epoch, r.take(n)?.to_vec()))
 }
 
 /// A [`FrameKind::PartitionFetch`] payload: one chunk request of a
@@ -881,10 +873,7 @@ pub fn decode_partition_chunk(payload: &[u8]) -> Result<PartitionChunk, WireErro
     let etype = r.u16()?;
     let edges = r.u64()?;
     let n = r.count(1)?;
-    let mut snapshot = Vec::with_capacity(n);
-    for _ in 0..n {
-        snapshot.push(r.u8()?);
-    }
+    let snapshot = r.take(n)?.to_vec();
     Ok(PartitionChunk {
         snapshot,
         cursor: has_cursor.then_some((src, etype)),

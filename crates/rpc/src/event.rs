@@ -38,6 +38,7 @@ use crate::codec::{
     ErrorReply, FrameError, FrameHeader, FrameKind,
 };
 use crate::dispatch::{dispatch, ServerMetrics};
+use crate::lock;
 use crate::poll::{PollEvent, Poller, Waker};
 use crate::server::ServerConfig;
 use crate::stats::{ConnInfo, RpcServerStats};
@@ -47,7 +48,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,10 +76,6 @@ fn split_token(token: u64) -> (usize, u32) {
     ((token & 0xffff_ffff) as usize, (token >> 32) as u32)
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Spawn the loop thread; returns its handle and a waker that interrupts
 /// the poller (used by shutdown).
 pub(crate) fn spawn<S>(
@@ -91,7 +88,7 @@ pub(crate) fn spawn<S>(
 where
     S: GraphService + Send + Sync + 'static,
 {
-    let poller = Poller::new(cfg.poller)?;
+    let poller = Poller::new()?;
     stats.set_backend(poller.backend_name());
     let waker = poller.waker();
     let loop_waker = waker.clone();

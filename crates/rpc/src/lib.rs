@@ -52,9 +52,12 @@ pub mod poll;
 mod server;
 mod stats;
 
-pub use client::{
-    ClientConfig, ClientConfigBuilder, ConnectionMode, RemoteCluster, RemoteClusterConfig,
-};
-pub use poll::PollerKind;
+pub use client::{ClientConfig, ConnectionMode, RemoteCluster, RemoteClusterConfig};
 pub use server::{GraphServiceServer, ServerConfig, ServerConfigBuilder};
 pub use stats::ServerIntrospect;
+
+/// Lock a mutex whose data every holder leaves valid at each step, so a
+/// panicked holder's poison is ignored.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -25,17 +25,6 @@ use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
 
-/// Which backend [`Poller::new`] should build.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PollerKind {
-    /// epoll where the platform has it, scan elsewhere.
-    #[default]
-    Auto,
-    /// Force the portable scanning fallback (used by tests to cover the
-    /// non-epoll path on any host).
-    Scan,
-}
-
 /// One readiness event: the registered token plus edge directions.
 #[derive(Clone, Copy, Debug)]
 pub struct PollEvent {
@@ -82,21 +71,12 @@ pub enum Poller {
 }
 
 impl Poller {
-    /// Build a poller of the requested kind.
-    pub fn new(kind: PollerKind) -> io::Result<Self> {
-        match kind {
-            PollerKind::Scan => Ok(Poller::Scan(ScanPoller::default())),
-            PollerKind::Auto => {
-                #[cfg(target_os = "linux")]
-                {
-                    Ok(Poller::Epoll(EpollPoller::new()?))
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Ok(Poller::Scan(ScanPoller::default()))
-                }
-            }
-        }
+    /// Build the platform's poller: epoll on Linux, scan elsewhere.
+    pub fn new() -> io::Result<Self> {
+        #[cfg(target_os = "linux")]
+        return Ok(Poller::Epoll(EpollPoller::new()?));
+        #[cfg(not(target_os = "linux"))]
+        return Ok(Poller::Scan(ScanPoller::default()));
     }
 
     /// The backend actually in use (surfaced by `/debug/rpc`).
@@ -383,8 +363,8 @@ mod tests {
     /// bytes, and the epoll waker must interrupt a long wait.
     #[test]
     fn pollers_report_readable_sockets() {
-        for kind in [PollerKind::Auto, PollerKind::Scan] {
-            let mut poller = Poller::new(kind).expect("poller");
+        let scan = Poller::Scan(ScanPoller::default());
+        for mut poller in [Poller::new().expect("poller"), scan] {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("c");
             let (server, _) = listener.accept().expect("accept");
@@ -407,7 +387,7 @@ mod tests {
                     break false;
                 }
             };
-            assert!(seen, "backend {:?} missed readability", kind);
+            assert!(seen, "{} missed readability", poller.backend_name());
             poller.deregister(&server, 7).expect("deregister");
         }
     }
@@ -415,7 +395,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn waker_interrupts_an_idle_wait() {
-        let mut poller = Poller::new(PollerKind::Auto).expect("poller");
+        let mut poller = Poller::new().expect("poller");
         assert_eq!(poller.backend_name(), "epoll");
         let waker = poller.waker();
         let handle = std::thread::spawn(move || {

@@ -29,7 +29,6 @@
 //! cooperative).
 
 use crate::event;
-use crate::poll::PollerKind;
 use crate::stats::{RpcServerStats, ServerIntrospect};
 use platod2gl_graph::Error;
 use platod2gl_server::GraphService;
@@ -51,8 +50,6 @@ pub struct ServerConfig {
     /// Connection-table ceiling. Accepts beyond it are dropped (and
     /// counted) instead of exhausting fds.
     pub max_connections: usize,
-    /// Poller backend selection.
-    pub poller: PollerKind,
 }
 
 impl Default for ServerConfig {
@@ -60,7 +57,6 @@ impl Default for ServerConfig {
         Self {
             workers: 0,
             max_connections: 16_384,
-            poller: PollerKind::Auto,
         }
     }
 }
@@ -90,12 +86,6 @@ impl ServerConfigBuilder {
     /// Connection-table ceiling.
     pub fn max_connections(mut self, n: usize) -> Self {
         self.cfg.max_connections = n;
-        self
-    }
-
-    /// Poller backend.
-    pub fn poller(mut self, kind: PollerKind) -> Self {
-        self.cfg.poller = kind;
         self
     }
 

@@ -8,10 +8,11 @@
 //! [`ServerIntrospect`] implements — wire a server into an
 //! `AdminServer::bind_with_rpc` and `GET /debug/rpc` serves the table.
 
+use crate::lock;
 use platod2gl_admin::{RpcConnView, RpcIntrospect, RpcSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Per-connection live counters (lock-free on the request path).
@@ -77,10 +78,6 @@ impl RpcServerStats {
     pub fn open_connections(&self) -> u64 {
         lock(&self.conns).len() as u64
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A cheap cloneable handle onto a server's live connection table;

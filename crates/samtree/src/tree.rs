@@ -1156,21 +1156,15 @@ impl SamTree {
         self.locate(r).map(|(l, i)| l.ids.get(i))
     }
 
-    /// Draw one neighbor with probability `w_{s,u} / w_s`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u64> {
-        self.sample_stamped(rng).map(|(id, _)| id)
+    /// [`sample_with`](Self::sample_with) returning `(id, ts)`: the event
+    /// time is read from the leaf slot the draw landed on.
+    pub fn sample_with_stamped(&self, r: f64) -> Option<(u64, u64)> {
+        self.locate(r).map(|(l, i)| (l.ids.get(i), l.ts_at(i)))
     }
 
-    /// [`sample`](Self::sample) returning `(id, ts)`: the event time is read
-    /// from the leaf slot the draw landed on. Consumes the RNG exactly as
-    /// `sample` does.
-    pub fn sample_stamped<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<(u64, u64)> {
-        let total = self.total_weight();
-        if self.is_empty() || total <= 0.0 {
-            return None;
-        }
-        self.locate(rng.random_range(0.0..total))
-            .map(|(l, i)| (l.ids.get(i), l.ts_at(i)))
+    /// Draw one neighbor with probability `w_{s,u} / w_s`.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u64> {
+        self.sample_k(1, rng).pop()
     }
 
     /// Draw `k` neighbors with replacement.
@@ -1879,15 +1873,16 @@ mod tests {
             let ts = if id % 3 == 0 { 0 } else { 1_000 + id };
             t.insert_stamped(&c, (id, 1.0 + (id % 5) as f64, ts), &mut stats);
         }
-        // Same RNG consumption as the timeless draw.
+        // The same residual mass lands on the same slot as the timeless draw.
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
         for _ in 0..2_000 {
-            let (id, ts) = t.sample_stamped(&mut a).expect("non-empty");
+            let r = a.random_range(0.0..t.total_weight());
+            let (id, ts) = t.sample_with_stamped(r).expect("non-empty");
             assert_eq!(Some(id), t.sample(&mut b));
             assert_eq!(ts, if id % 3 == 0 { 0 } else { 1_000 + id });
         }
-        assert_eq!(SamTree::new().sample_stamped(&mut a), None);
+        assert_eq!(SamTree::new().sample_with_stamped(0.0), None);
     }
 
     #[test]

@@ -43,9 +43,11 @@
 //! clients/servers interoperate unchanged.
 
 use crate::request::{DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
+pub use platod2gl_graph::cursor::{
+    get_opt_u64, get_str, put_opt_u64, put_str, put_u16, put_u32, put_u64, Reader, WireError,
+};
 use platod2gl_graph::{Edge, EdgeType, ShardHealth, TimeWindow, TxnOp, UpdateOp, VertexId};
 use platod2gl_obs::TraceContext;
-use std::fmt;
 
 /// Fixed per-frame overhead of the rpc frame layer: 4-byte length
 /// prefix, 1 version byte, 1 kind byte, 8-byte req_id, 4-byte CRC32C
@@ -141,126 +143,6 @@ pub fn txn_frame_bytes(ops: usize) -> u64 {
 /// uses the commit size, the overwhelmingly common case.
 pub const TXN_REPLY_FRAME_BYTES: u64 = FRAME_OVERHEAD_BYTES + 26 + REPLY_TIMING_ECHO_BYTES;
 
-/// A record failed to decode. The frame layer has already verified the
-/// CRC when this is raised, so a `WireError` means a peer speaking a
-/// different (or corrupted-at-source) record layout, not line noise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended before the record did.
-    Truncated,
-    /// An enum tag byte held an unknown value.
-    BadTag { what: &'static str, tag: u8 },
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "record truncated"),
-            WireError::BadTag { what, tag } => write!(f, "bad {what} tag {tag:#04x}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Bounds-checked little-endian cursor over an encoded buffer.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// True when the whole buffer has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A `count` read from the wire, validated against the bytes actually
-    /// present: `count * min_record_bytes` must fit in the remainder.
-    /// Guards every collection allocation, so a forged count in an
-    /// otherwise CRC-valid frame cannot drive an oversized `Vec` reserve.
-    pub fn count(&mut self, min_record_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_record_bytes) > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-}
-
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Encode an optional u64 (present flag + value, 9 bytes; zeros when
-/// absent): request trace ids, span parents.
-pub fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    buf.push(u8::from(v.is_some()));
-    put_u64(buf, v.unwrap_or(0));
-}
-
-/// Decode an optional u64; a flag other than 0 or 1 is a bad record.
-pub fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
-    let present = match r.u8()? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(WireError::BadTag {
-                what: "option",
-                tag,
-            })
-        }
-    };
-    let v = r.u64()?;
-    Ok(present.then_some(v))
-}
-
 /// Encode an optional [`TraceContext`] (always [`TRACE_CTX_BYTES`]:
 /// present flag u8 + trace_id u64 + parent_span u64, zeros when absent).
 pub fn put_trace_ctx(buf: &mut Vec<u8>, ctx: Option<TraceContext>) {
@@ -273,43 +155,13 @@ pub fn put_trace_ctx(buf: &mut Vec<u8>, ctx: Option<TraceContext>) {
 
 /// Decode an optional [`TraceContext`].
 pub fn get_trace_ctx(r: &mut Reader<'_>) -> Result<Option<TraceContext>, WireError> {
-    let present = match r.u8()? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(WireError::BadTag {
-                what: "trace ctx",
-                tag,
-            })
-        }
-    };
+    let present = r.flag("trace ctx")?;
     let trace_id = r.u64()?;
     let parent_span = r.u64()?;
     Ok(present.then_some(TraceContext {
         trace_id,
         parent_span,
     }))
-}
-
-/// Encode a length-prefixed UTF-8 string (u32 len + bytes). Used by the
-/// introspection payloads (span/metric export), whose records — unlike the
-/// data-plane ones — carry names and details.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Decode a length-prefixed UTF-8 string; invalid UTF-8 is a bad record.
-pub fn get_str(r: &mut Reader<'_>) -> Result<String, WireError> {
-    let n = r.u32()? as usize;
-    if n > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let bytes = r.take(n)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadTag {
-        what: "utf8 string",
-        tag: 0,
-    })
 }
 
 fn policy_tag(p: DegradedPolicy) -> u8 {
@@ -425,11 +277,7 @@ pub fn put_sample_response(buf: &mut Vec<u8>, resp: &SampleResponse) {
 
 /// Decode one [`SampleResponse`] record.
 pub fn get_sample_response(r: &mut Reader<'_>) -> Result<SampleResponse, WireError> {
-    let degraded = match r.u8()? {
-        0 => false,
-        1 => true,
-        tag => return Err(WireError::BadTag { what: "flags", tag }),
-    };
+    let degraded = r.flag("flags")?;
     let shard = r.u32()? as usize;
     let n = r.count(9)?;
     let mut neighbors = Vec::with_capacity(n);
@@ -616,19 +464,9 @@ pub fn get_time_window_block(
     }
     let mut windows = Vec::with_capacity(count);
     for _ in 0..count {
-        let present = r.u8()?;
-        let min_ts = r.u64()?;
-        let max_ts = r.u64()?;
-        match present {
-            0 => windows.push(None),
-            1 => windows.push(Some(TimeWindow { min_ts, max_ts })),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "time window presence flag",
-                    tag,
-                })
-            }
-        }
+        let present = r.flag("time window presence flag")?;
+        let (min_ts, max_ts) = (r.u64()?, r.u64()?);
+        windows.push(present.then_some(TimeWindow { min_ts, max_ts }));
     }
     Ok(windows)
 }

@@ -33,6 +33,7 @@
 use crate::crc32c::{crc32c, Crc32c};
 use crate::topology::AdjacencyEntry;
 use crate::DynamicGraphStore;
+use platod2gl_graph::cursor::{put_u16, put_u32, put_u64, Reader, WireError};
 use platod2gl_graph::{Edge, EdgeType, VertexId};
 use std::io::{self, Read, Write};
 
@@ -55,13 +56,13 @@ fn bad_data(msg: String) -> io::Error {
 // ---------------------------------------------------------------------------
 
 fn encode_entry(((src, etype), rows): &AdjacencyEntry, out: &mut Vec<u8>) {
-    out.extend_from_slice(&src.to_le_bytes());
-    out.extend_from_slice(&etype.to_le_bytes());
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    put_u64(out, *src);
+    put_u16(out, *etype);
+    put_u32(out, rows.len() as u32);
     for (dst, weight, ts) in rows {
-        out.extend_from_slice(&dst.to_le_bytes());
-        out.extend_from_slice(&weight.to_le_bytes());
-        out.extend_from_slice(&ts.to_le_bytes());
+        put_u64(out, *dst);
+        put_u64(out, weight.to_bits());
+        put_u64(out, *ts);
     }
 }
 
@@ -248,29 +249,21 @@ fn parse_block(
              does not decode: {detail}"
         ))
     };
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> io::Result<&[u8]> {
-        let end = pos
-            .checked_add(n)
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| corrupt("entry extends past the block"))?;
-        let s = &payload[*pos..end];
-        *pos = end;
-        Ok(s)
-    };
+    let past = |_: WireError| corrupt("entry extends past the block");
+    let mut r = Reader::new(payload);
     let mut entries = 0u64;
     let mut batch: Vec<Edge> = Vec::with_capacity(BLOCK_EDGES);
-    while pos < payload.len() {
-        let src = VertexId(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-        let etype = EdgeType(u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()));
-        let degree = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+    while !r.is_empty() {
+        let src = VertexId(r.u64().map_err(past)?);
+        let etype = EdgeType(r.u16().map_err(past)?);
+        let degree = r.u32().map_err(past)?;
         for _ in 0..degree {
-            let dst = VertexId(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-            let weight = f64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+            let dst = VertexId(r.u64().map_err(past)?);
+            let weight = r.f64().map_err(past)?;
             if !weight.is_finite() {
                 return Err(corrupt("non-finite edge weight"));
             }
-            let ts = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+            let ts = r.u64().map_err(past)?;
             batch.push(Edge {
                 src,
                 dst,

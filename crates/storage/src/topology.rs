@@ -8,7 +8,7 @@ use platod2gl_graph::{
 };
 use platod2gl_mem::DeepSize;
 use platod2gl_obs::{Counter, Gauge, Histogram, Registry};
-use platod2gl_samtree::{InsertOutcome, OpStats, Row, SamTree, SamTreeConfig};
+use platod2gl_samtree::{OpStats, Row, SamTree, SamTreeConfig};
 use rand::{Rng, RngCore};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -47,16 +47,15 @@ impl Default for StoreConfig {
 /// The paper's Fig. 3 hashmap is keyed by vertex alone on a homogeneous
 /// example; for heterogeneous graphs each relation keeps its own
 /// neighborhood so that typed neighbor sampling never filters.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct TreeKey {
-    src: u64,
-    etype: u16,
+type TreeKey = (u64, u16);
+
+fn key(v: VertexId, etype: EdgeType) -> TreeKey {
+    (v.raw(), etype.0)
 }
 
-impl DeepSize for TreeKey {
-    fn heap_bytes(&self) -> usize {
-        0
-    }
+/// The samtree row an edge is stored as.
+fn row(e: &Edge) -> Row {
+    (e.dst.raw(), sanitize_weight(e.weight), e.ts)
 }
 
 /// Outcome of one per-source recency-decay pass (see
@@ -181,20 +180,16 @@ impl StoreMetrics {
 
     /// Fold one tree-local [`OpStats`] delta into the registry counters.
     fn add_ops(&self, s: &OpStats) {
-        if s.leaf_ops > 0 {
-            self.leaf_ops.add(s.leaf_ops);
-        }
-        if s.internal_ops > 0 {
-            self.internal_ops.add(s.internal_ops);
-        }
-        if s.leaf_splits > 0 {
-            self.leaf_splits.add(s.leaf_splits);
-        }
-        if s.internal_splits > 0 {
-            self.internal_splits.add(s.internal_splits);
-        }
-        if s.merges > 0 {
-            self.merges.add(s.merges);
+        for (counter, n) in [
+            (&self.leaf_ops, s.leaf_ops),
+            (&self.internal_ops, s.internal_ops),
+            (&self.leaf_splits, s.leaf_splits),
+            (&self.internal_splits, s.internal_splits),
+            (&self.merges, s.merges),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
         }
     }
 }
@@ -259,30 +254,67 @@ impl DynamicGraphStore {
         self.directory.read(&key, TreeCell::clone)
     }
 
+    /// Run `f` on the read-locked tree of `(v, etype)`; `None` if the key
+    /// is not resident.
+    fn read_tree<R>(
+        &self,
+        v: VertexId,
+        etype: EdgeType,
+        f: impl FnOnce(&SamTree) -> R,
+    ) -> Option<R> {
+        let cell = self.cell(key(v, etype))?;
+        let tree = cell.0.read();
+        Some(f(&tree))
+    }
+
+    /// The one write body: `(v, etype)` → directory cell → write-locked tree
+    /// → `f`, then settle what `f` did — the store's edge count and gauge by
+    /// the difference in the tree's length, the samtree op counters by the
+    /// [`OpStats`] `f` filled. `create` is set by inserts and batches; single
+    /// deletes and updates and decay leave a missing key alone (`None`).
+    fn write_tree<R>(
+        &self,
+        v: VertexId,
+        etype: EdgeType,
+        create: bool,
+        f: impl FnOnce(&mut SamTree, &SamTreeConfig, &mut OpStats) -> R,
+    ) -> Option<R> {
+        let key = key(v, etype);
+        let cell = if create {
+            self.directory
+                .update_or_insert_with(key, TreeCell::new, |cell| cell.clone())
+        } else {
+            self.cell(key)?
+        };
+        let mut local = OpStats::default();
+        let (out, before, after) = {
+            let mut tree = cell.0.write();
+            let before = tree.len();
+            let out = f(&mut tree, &self.config.tree, &mut local);
+            (out, before, tree.len())
+        };
+        if after != before {
+            // Atomic adds wrap, so a shrunken tree's difference subtracts.
+            self.num_edges
+                .fetch_add(after.wrapping_sub(before), Ordering::Relaxed);
+            self.metrics.edges.add(after as i64 - before as i64);
+        }
+        self.metrics.add_ops(&local);
+        Some(out)
+    }
+
     /// The event time of an edge, or `0` if the edge is timeless (or
     /// absent — callers that need presence use [`GraphStore::edge_weight`]).
     pub fn edge_ts(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> u64 {
-        self.cell(TreeKey {
-            src: src.raw(),
-            etype: etype.0,
-        })
-        .and_then(|cell| cell.0.read().get_stamped(dst.raw()))
-        .map_or(0, |(_, ts)| ts)
+        self.read_tree(src, etype, |tree| tree.get_stamped(dst.raw()))
+            .flatten()
+            .map_or(0, |(_, ts)| ts)
     }
 
-    fn cell_or_create(&self, key: TreeKey) -> TreeCell {
-        self.directory
-            .update_or_insert_with(key, TreeCell::new, |cell| cell.clone())
-    }
-
-    /// Apply every op for one (src, etype) group under a single tree lock.
-    fn apply_group<'a>(&self, key: TreeKey, ops: impl IntoIterator<Item = &'a UpdateOp>) {
-        let cell = self.cell_or_create(key);
-        let cfg = self.config.tree;
-        let mut local = OpStats::default();
-        let mut edge_delta = 0isize;
-        {
-            let mut tree = cell.0.write();
+    /// Apply every op of one (src, etype) group under a single tree lock.
+    fn apply_group(&self, group: &[&UpdateOp]) {
+        let (src, etype) = (group[0].src(), group[0].etype());
+        self.write_tree(src, etype, true, |tree, cfg, stats| {
             // Consecutive inserts are applied through the Appendix-B batch
             // path (one descent per leaf run, one aggregation rebuild per
             // node). Updates/deletes flush the run so same-destination op
@@ -292,51 +324,29 @@ impl DynamicGraphStore {
             // stamp only when non-zero; a delete drops the row, stamp
             // included.
             let mut run: Vec<Row> = Vec::new();
-            let flush = |tree: &mut SamTree,
-                         run: &mut Vec<Row>,
-                         local: &mut OpStats,
-                         edge_delta: &mut isize| {
+            let flush = |tree: &mut SamTree, run: &mut Vec<Row>, stats: &mut OpStats| {
                 if run.len() == 1 {
-                    if tree.insert_stamped(&cfg, run[0], local) == InsertOutcome::Inserted {
-                        *edge_delta += 1;
-                    }
+                    tree.insert_stamped(cfg, run[0], stats);
                 } else if !run.is_empty() {
-                    *edge_delta += tree.insert_batch_stamped(&cfg, run, local) as isize;
+                    tree.insert_batch_stamped(cfg, run, stats);
                 }
                 run.clear();
             };
-            for op in ops {
+            for &op in group {
                 match op {
-                    UpdateOp::Insert(e) => {
-                        run.push((e.dst.raw(), sanitize_weight(e.weight), e.ts));
-                    }
+                    UpdateOp::Insert(e) => run.push(row(e)),
                     UpdateOp::UpdateWeight(e) => {
-                        flush(&mut tree, &mut run, &mut local, &mut edge_delta);
-                        tree.update_weight_stamped(
-                            &cfg,
-                            (e.dst.raw(), sanitize_weight(e.weight), e.ts),
-                            &mut local,
-                        );
+                        flush(tree, &mut run, stats);
+                        tree.update_weight_stamped(cfg, row(e), stats);
                     }
                     UpdateOp::Delete { dst, .. } => {
-                        flush(&mut tree, &mut run, &mut local, &mut edge_delta);
-                        if tree.delete(&cfg, dst.raw(), &mut local).is_some() {
-                            edge_delta -= 1;
-                        }
+                        flush(tree, &mut run, stats);
+                        tree.delete(cfg, dst.raw(), stats);
                     }
                 }
             }
-            flush(&mut tree, &mut run, &mut local, &mut edge_delta);
-        }
-        if edge_delta >= 0 {
-            self.num_edges
-                .fetch_add(edge_delta as usize, Ordering::Relaxed);
-        } else {
-            self.num_edges
-                .fetch_sub((-edge_delta) as usize, Ordering::Relaxed);
-        }
-        self.metrics.edges.add(edge_delta as i64);
-        self.metrics.add_ops(&local);
+            flush(tree, &mut run, stats);
+        });
     }
 
     /// The batch-based latch-free concurrent update (Sec. VI-B, App. B).
@@ -362,7 +372,7 @@ impl DynamicGraphStore {
             .collect();
         if threads == 1 || groups.len() <= 1 {
             for g in &groups {
-                self.apply_group_refs(g);
+                self.apply_group(g);
             }
             self.metrics.apply_batch_ns.record(started.elapsed());
             return;
@@ -384,7 +394,7 @@ impl DynamicGraphStore {
                 let groups = &groups;
                 s.spawn(move |_| {
                     for &i in mine {
-                        self.apply_group_refs(groups[i]);
+                        self.apply_group(groups[i]);
                     }
                 });
             }
@@ -393,53 +403,28 @@ impl DynamicGraphStore {
         self.metrics.apply_batch_ns.record(started.elapsed());
     }
 
-    fn apply_group_refs(&self, group: &[&UpdateOp]) {
-        let first = group[0];
-        let key = TreeKey {
-            src: first.src().raw(),
-            etype: first.etype().0,
-        };
-        self.apply_group(key, group.iter().copied());
-    }
-
     /// Bulk-load an edge collection, building each samtree bottom-up in one
     /// pass (`SamTree::bulk_load`) instead of edge-at-a-time insertion — the
     /// snapshot-restore / initial-ingest fast path. Edges for sources that
     /// already have a tree fall back to incremental inserts.
     pub fn bulk_build(&self, edges: impl IntoIterator<Item = Edge>) {
         use std::collections::HashMap;
-        let mut groups: HashMap<TreeKey, Vec<Row>> = HashMap::new();
+        let mut groups: HashMap<(VertexId, EdgeType), Vec<Row>> = HashMap::new();
         for e in edges {
-            groups
-                .entry(TreeKey {
-                    src: e.src.raw(),
-                    etype: e.etype.0,
-                })
-                .or_default()
-                .push((e.dst.raw(), sanitize_weight(e.weight), e.ts));
+            groups.entry((e.src, e.etype)).or_default().push(row(&e));
         }
-        let cfg = self.config.tree;
-        for (key, rows) in groups {
-            let cell = self.cell_or_create(key);
-            let mut tree = cell.0.write();
-            if tree.is_empty() {
-                *tree = SamTree::bulk_load_stamped(&cfg, rows);
-                self.num_edges.fetch_add(tree.len(), Ordering::Relaxed);
-                self.metrics.edges.add(tree.len() as i64);
-            } else {
-                // Source already populated (concurrent writer or repeated
-                // call): fall back to incremental inserts.
-                let mut local = OpStats::default();
-                let mut added = 0usize;
-                for row in rows {
-                    if tree.insert_stamped(&cfg, row, &mut local) == InsertOutcome::Inserted {
-                        added += 1;
+        for ((src, etype), rows) in groups {
+            self.write_tree(src, etype, true, |tree, cfg, stats| {
+                if tree.is_empty() {
+                    *tree = SamTree::bulk_load_stamped(cfg, rows);
+                } else {
+                    // Source already populated (concurrent writer or
+                    // repeated call): fall back to incremental inserts.
+                    for row in rows {
+                        tree.insert_stamped(cfg, row, stats);
                     }
                 }
-                self.num_edges.fetch_add(added, Ordering::Relaxed);
-                self.metrics.edges.add(added as i64);
-                self.metrics.add_ops(&local);
-            }
+            });
         }
     }
 
@@ -454,18 +439,20 @@ impl DynamicGraphStore {
         });
     }
 
-    /// Weighted neighbor sampling restricted to a time window.
+    /// Weighted neighbor sampling, optionally restricted to a time window —
+    /// the store's one draw loop ([`GraphStore::sample_neighbors`] is this
+    /// with `window == None`).
     ///
-    /// `window == None` is exactly [`GraphStore::sample_neighbors`]. With a
-    /// window, each of the `k` slots is drawn by rejection-with-retry: up
-    /// to `WINDOW_RETRIES` (8) weighted draws against the full tree, keeping
+    /// Each of the `k` slots is drawn by rejection-with-retry: up to
+    /// `WINDOW_RETRIES` (8) weighted draws against the full tree, keeping
     /// the first whose timestamp lies in the window (timeless edges always
-    /// qualify). A slot that exhausts its retries falls back to one
+    /// qualify, and no window admits every draw, so an unwindowed slot is
+    /// exactly one draw). A slot that exhausts its retries falls back to one
     /// weighted draw over the *filtered* in-window neighbor list — exact,
     /// built at most once per request, and only paid when the window is
     /// weight-skewed toward out-of-window edges.
     ///
-    /// Both paths consume the RNG in a deterministic order, so a windowed
+    /// Both paths consume the RNG in a deterministic order, so a
     /// request replayed with the same per-request seed returns the same
     /// slots locally and remotely.
     pub fn sample_neighbors_windowed(
@@ -476,18 +463,26 @@ impl DynamicGraphStore {
         window: Option<TimeWindow>,
         rng: &mut dyn RngCore,
     ) -> Vec<VertexId> {
-        let Some(win) = window else {
-            return self.sample_neighbors(v, etype, k, rng);
-        };
+        // Nested under the cluster's request root when sampling goes
+        // through a shared registry, so a slow request's capture shows the
+        // samtree descent and the FTS draws as separate levels.
         let _span = self.registry.span("samtree.sample");
         self.metrics.sample_requests.inc();
-        let Some(cell) = self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
-        }) else {
+        let Some(cell) = self.cell(key(v, etype)) else {
             return Vec::new();
         };
         let tree = cell.0.read();
+        // The read lock holds the total still for the whole request.
+        let total = tree.total_weight();
+        if tree.is_empty() || total <= 0.0 {
+            return Vec::new();
+        }
+        // A windowed request is priced by `samtree.sample` alone: a second
+        // span per request is ~140 ns the windowed path never paid.
+        let _draw = window
+            .is_none()
+            .then(|| self.registry.span("samtree.fts_draw"));
+        let admits = |ts: u64| window.is_none_or(|win| win.contains(ts));
         let mut picks = Vec::with_capacity(k);
         // Filtered in-window (dst, cumulative weight) list, built lazily on
         // the first fallback and reused for the rest of the request.
@@ -496,10 +491,10 @@ impl DynamicGraphStore {
         let mut fallbacks = 0u64;
         'slots: for _ in 0..k {
             for _ in 0..WINDOW_RETRIES {
-                let Some((id, ts)) = tree.sample_stamped(rng) else {
-                    break 'slots; // empty / zero-weight tree
+                let Some((id, ts)) = tree.sample_with_stamped(rng.random_range(0.0..total)) else {
+                    break 'slots;
                 };
-                if win.contains(ts) {
+                if admits(ts) {
                     picks.push(VertexId(id));
                     continue 'slots;
                 }
@@ -511,7 +506,7 @@ impl DynamicGraphStore {
                 let mut cum = Vec::new();
                 let mut acc = 0.0f64;
                 tree.for_each_row(|dst, w, ts| {
-                    if w > 0.0 && win.contains(ts) {
+                    if w > 0.0 && admits(ts) {
                         acc += w;
                         ids.push(dst);
                         cum.push(acc);
@@ -559,56 +554,41 @@ impl DynamicGraphStore {
         if lambda == 0.0 {
             return DecayOutcome::default();
         }
-        let Some(cell) = self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
-        }) else {
-            return DecayOutcome::default();
-        };
-        let mut local = OpStats::default();
-        let mut tree = cell.0.write();
         // Leaf weights read back with a few ULPs of prefix-sum
         // reconstruction noise, so an edge clamped at the floor by a
         // previous sweep can read as marginally above it; the relative
         // tolerance keeps such edges skipped instead of "decaying" by
         // denormal-sized deltas every sweep.
         let floor_cut = floor * (1.0 + 1e-9);
-        let counts = tree.decay_rows(
-            floor,
-            |w, ts| {
-                if ts >= now || w <= floor_cut {
-                    return None;
-                }
-                let factor = (-lambda * (now - ts) as f64).exp();
-                (factor < 1.0).then_some(factor)
-            },
-            &mut local,
-        );
-        let scanned = tree.len();
-        drop(tree);
-        self.metrics.add_ops(&local);
-        DecayOutcome {
-            scanned,
-            decayed: counts.decayed,
-            floored: counts.floored,
-        }
+        self.write_tree(v, etype, false, |tree, _, stats| {
+            let counts = tree.decay_rows(
+                floor,
+                |w, ts| {
+                    if ts >= now || w <= floor_cut {
+                        return None;
+                    }
+                    let factor = (-lambda * (now - ts) as f64).exp();
+                    (factor < 1.0).then_some(factor)
+                },
+                stats,
+            );
+            DecayOutcome {
+                scanned: tree.len(),
+                decayed: counts.decayed,
+                floored: counts.floored,
+            }
+        })
+        .unwrap_or_default()
     }
 
     /// The `k` heaviest out-neighbors of `v`, heaviest first (the
     /// deterministic "top interests" serving query).
     pub fn top_k_neighbors(&self, v: VertexId, etype: EdgeType, k: usize) -> Vec<(VertexId, f64)> {
-        self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
+        self.read_tree(v, etype, |tree| {
+            let top = tree.top_k(k).into_iter();
+            top.map(|(id, w)| (VertexId(id), w)).collect()
         })
-        .map_or(Vec::new(), |cell| {
-            cell.0
-                .read()
-                .top_k(k)
-                .into_iter()
-                .map(|(id, w)| (VertexId(id), w))
-                .collect()
-        })
+        .unwrap_or_default()
     }
 
     /// Drop a source vertex's entire out-neighborhood in one relation
@@ -617,10 +597,7 @@ impl DynamicGraphStore {
     /// ops on the detached tree and be discarded with it — the same
     /// semantics as deleting each edge individually while others insert.
     pub fn delete_source(&self, v: VertexId, etype: EdgeType) -> usize {
-        let Some(cell) = self.directory.remove(&TreeKey {
-            src: v.raw(),
-            etype: etype.0,
-        }) else {
+        let Some(cell) = self.directory.remove(&key(v, etype)) else {
             return 0;
         };
         let mut tree = cell.0.write();
@@ -640,7 +617,7 @@ impl DynamicGraphStore {
         self.directory.for_each(|key, cell| {
             let rows = cell.0.read().rows();
             if !rows.is_empty() {
-                out.push(((key.src, key.etype), rows));
+                out.push((*key, rows));
             }
         });
         out
@@ -652,11 +629,7 @@ impl DynamicGraphStore {
     /// export streams chunks by materializing only the keys inside the
     /// chunk's budget instead of the whole store.
     pub fn adjacency_of(&self, v: VertexId, etype: EdgeType) -> Option<Vec<(u64, f64, u64)>> {
-        let cell = self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
-        })?;
-        let rows = cell.0.read().rows();
+        let rows = self.read_tree(v, etype, SamTree::rows)?;
         (!rows.is_empty()).then_some(rows)
     }
 
@@ -665,10 +638,10 @@ impl DynamicGraphStore {
     /// [`DynamicGraphStore::export_adjacency`] does. Partition accounting
     /// (`/debug/partitions` key counts) walks the whole directory this way.
     pub fn for_each_source(&self, mut f: impl FnMut(VertexId, EdgeType, usize)) {
-        self.directory.for_each(|key, cell| {
+        self.directory.for_each(|&(src, etype), cell| {
             let len = cell.0.read().len();
             if len > 0 {
-                f(VertexId(key.src), EdgeType(key.etype), len);
+                f(VertexId(src), EdgeType(etype), len);
             }
         });
     }
@@ -701,24 +674,21 @@ impl DynamicGraphStore {
     /// Per-tree diagnostics: (height, leaf count, internal count) of a
     /// vertex's samtree.
     pub fn tree_shape(&self, v: VertexId, etype: EdgeType) -> Option<(usize, usize, usize)> {
-        let cell = self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
-        })?;
-        let tree = cell.0.read();
-        let (leaves, internals) = tree.node_counts();
-        Some((tree.height(), leaves, internals))
+        self.read_tree(v, etype, |tree| {
+            let (leaves, internals) = tree.node_counts();
+            (tree.height(), leaves, internals)
+        })
     }
 
     /// Validate every samtree's invariants (test support; walks everything).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut err = None;
-        self.directory.for_each(|key, cell| {
+        self.directory.for_each(|(src, _), cell| {
             if err.is_some() {
                 return;
             }
             if let Err(e) = cell.0.read().check_invariants(&self.config.tree) {
-                err = Some(format!("tree of src {}: {e}", key.src));
+                err = Some(format!("tree of src {src}: {e}"));
             }
         });
         err.map_or(Ok(()), Err)
@@ -731,51 +701,23 @@ impl GraphStore for DynamicGraphStore {
     }
 
     fn insert_edge(&self, edge: Edge) {
-        self.apply_group(
-            TreeKey {
-                src: edge.src.raw(),
-                etype: edge.etype.0,
-            },
-            &[UpdateOp::Insert(edge)],
-        );
+        self.write_tree(edge.src, edge.etype, true, |tree, cfg, stats| {
+            tree.insert_stamped(cfg, row(&edge), stats)
+        });
     }
 
     fn delete_edge(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> bool {
-        let Some(cell) = self.cell(TreeKey {
-            src: src.raw(),
-            etype: etype.0,
-        }) else {
-            return false;
-        };
-        let mut local = OpStats::default();
-        let deleted = cell
-            .0
-            .write()
-            .delete(&self.config.tree, dst.raw(), &mut local)
-            .is_some();
-        if deleted {
-            self.num_edges.fetch_sub(1, Ordering::Relaxed);
-            self.metrics.edges.add(-1);
-        }
-        self.metrics.add_ops(&local);
-        deleted
+        self.write_tree(src, etype, false, |tree, cfg, stats| {
+            tree.delete(cfg, dst.raw(), stats).is_some()
+        })
+        .unwrap_or(false)
     }
 
     fn update_weight(&self, edge: Edge) -> bool {
-        let Some(cell) = self.cell(TreeKey {
-            src: edge.src.raw(),
-            etype: edge.etype.0,
-        }) else {
-            return false;
-        };
-        let mut local = OpStats::default();
-        let updated = cell.0.write().update_weight_stamped(
-            &self.config.tree,
-            (edge.dst.raw(), sanitize_weight(edge.weight), edge.ts),
-            &mut local,
-        );
-        self.metrics.add_ops(&local);
-        updated
+        self.write_tree(edge.src, edge.etype, false, |tree, cfg, stats| {
+            tree.update_weight_stamped(cfg, row(&edge), stats)
+        })
+        .unwrap_or(false)
     }
 
     fn apply_batch(&self, ops: &[UpdateOp]) {
@@ -785,29 +727,16 @@ impl GraphStore for DynamicGraphStore {
     }
 
     fn degree(&self, v: VertexId, etype: EdgeType) -> usize {
-        self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
-        })
-        .map_or(0, |c| c.0.read().len())
+        self.read_tree(v, etype, SamTree::len).unwrap_or(0)
     }
 
     fn weight_sum(&self, v: VertexId, etype: EdgeType) -> f64 {
-        self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
-        })
-        .map_or(0.0, |c| c.0.read().total_weight())
+        self.read_tree(v, etype, SamTree::total_weight)
+            .unwrap_or(0.0)
     }
 
     fn edge_weight(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> Option<f64> {
-        self.cell(TreeKey {
-            src: src.raw(),
-            etype: etype.0,
-        })?
-        .0
-        .read()
-        .get(dst.raw())
+        self.read_tree(src, etype, |tree| tree.get(dst.raw()))?
     }
 
     fn sample_neighbors(
@@ -817,38 +746,15 @@ impl GraphStore for DynamicGraphStore {
         k: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<VertexId> {
-        // Nested under the cluster's request root when sampling goes
-        // through a shared registry, so a slow request's capture shows the
-        // samtree descent and the FTS draws as separate levels.
-        let _span = self.registry.span("samtree.sample");
-        self.metrics.sample_requests.inc();
-        let Some(cell) = self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
-        }) else {
-            return Vec::new();
-        };
-        let tree = cell.0.read();
-        let picks: Vec<VertexId> = {
-            let _draw = self.registry.span("samtree.fts_draw");
-            tree.sample_k(k, rng).into_iter().map(VertexId).collect()
-        };
-        self.metrics.sample_draws.add(picks.len() as u64);
-        picks
+        self.sample_neighbors_windowed(v, etype, k, None, rng)
     }
 
     fn neighbors(&self, v: VertexId, etype: EdgeType) -> Vec<(VertexId, f64)> {
-        self.cell(TreeKey {
-            src: v.raw(),
-            etype: etype.0,
+        self.read_tree(v, etype, |tree| {
+            let entries = tree.entries().into_iter();
+            entries.map(|(id, w)| (VertexId(id), w)).collect()
         })
-        .map_or(Vec::new(), |c| {
-            c.0.read()
-                .entries()
-                .into_iter()
-                .map(|(id, w)| (VertexId(id), w))
-                .collect()
-        })
+        .unwrap_or_default()
     }
 
     fn num_edges(&self) -> usize {

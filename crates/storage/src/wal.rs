@@ -76,6 +76,7 @@
 use crate::crc32c::crc32c;
 use crate::fault::{CrashInjector, CrashPoint};
 use crate::topology::{DynamicGraphStore, StoreConfig};
+use platod2gl_graph::cursor::{put_u16, put_u32, put_u64, Reader, WireError};
 use platod2gl_graph::{
     sanitize_weight, validate_and_lower, Edge, EdgeType, Error, GraphStore, GraphTxn, StoreTxnView,
     TxnError, TxnReceipt, UpdateOp, VertexId,
@@ -112,141 +113,68 @@ const MAX_RECORD_LEN: u32 = 1 << 30;
 // ---------------------------------------------------------------------------
 
 fn encode_op(op: &UpdateOp, out: &mut Vec<u8>) {
-    match op {
-        UpdateOp::Insert(e) => {
-            out.push(if e.ts != 0 { TAG_INSERT_TS } else { TAG_INSERT });
-            encode_edge_body(e.src, e.dst, e.etype, Some(e.weight), out);
-            if e.ts != 0 {
-                out.extend_from_slice(&e.ts.to_le_bytes());
-            }
-        }
+    let (plain, stamped, e) = match op {
+        UpdateOp::Insert(e) => (TAG_INSERT, TAG_INSERT_TS, e),
+        UpdateOp::UpdateWeight(e) => (TAG_UPDATE_WEIGHT, TAG_UPDATE_WEIGHT_TS, e),
         UpdateOp::Delete { src, dst, etype } => {
             out.push(TAG_DELETE);
-            encode_edge_body(*src, *dst, *etype, None, out);
+            return encode_key(*src, *dst, *etype, out);
         }
-        UpdateOp::UpdateWeight(e) => {
-            out.push(if e.ts != 0 {
-                TAG_UPDATE_WEIGHT_TS
-            } else {
-                TAG_UPDATE_WEIGHT
-            });
-            encode_edge_body(e.src, e.dst, e.etype, Some(e.weight), out);
-            if e.ts != 0 {
-                out.extend_from_slice(&e.ts.to_le_bytes());
-            }
-        }
+    };
+    out.push(if e.ts != 0 { stamped } else { plain });
+    encode_key(e.src, e.dst, e.etype, out);
+    // Log the weight the store will actually apply (the sanitized one), so
+    // replay reproduces the applied state and never re-ingests a non-finite
+    // value.
+    put_u64(out, sanitize_weight(e.weight).to_bits());
+    if e.ts != 0 {
+        put_u64(out, e.ts);
     }
 }
 
-fn encode_edge_body(
-    src: VertexId,
-    dst: VertexId,
-    etype: EdgeType,
-    weight: Option<f64>,
-    out: &mut Vec<u8>,
-) {
-    out.extend_from_slice(&src.raw().to_le_bytes());
-    out.extend_from_slice(&dst.raw().to_le_bytes());
-    out.extend_from_slice(&etype.0.to_le_bytes());
-    if let Some(w) = weight {
-        // Log the weight the store will actually apply (the sanitized one),
-        // so replay reproduces the applied state and never re-ingests a
-        // non-finite value.
-        out.extend_from_slice(&sanitize_weight(w).to_bits().to_le_bytes());
-    }
+fn encode_key(src: VertexId, dst: VertexId, etype: EdgeType, out: &mut Vec<u8>) {
+    put_u64(out, src.raw());
+    put_u64(out, dst.raw());
+    put_u16(out, etype.0);
 }
 
-/// Cursor-based decoder over a CRC-validated payload.
-struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+/// Decode one op from a CRC-validated payload.
+fn decode_op(r: &mut Reader<'_>) -> Result<UpdateOp, WireError> {
+    let tag = r.u8()?;
+    let src = VertexId(r.u64()?);
+    let dst = VertexId(r.u64()?);
+    let etype = EdgeType(r.u16()?);
+    if tag == TAG_DELETE {
+        return Ok(UpdateOp::Delete { src, dst, etype });
     }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    /// Decode a weight, clamping non-finite values to `0.0` *without* the
-    /// ingest boundary's debug assertion: replay is not ingest — the value
-    /// already passed ingest in a (possibly release-built) writer, and a
-    /// debug-built reader must recover the log, not panic on it. The clamp
-    /// matches what `sanitize_weight` applied in-memory at ingest time.
-    fn weight(&mut self) -> Option<f64> {
-        let w = f64::from_bits(self.u64()?);
-        Some(if w.is_finite() { w } else { 0.0 })
-    }
-
-    fn op(&mut self) -> Option<UpdateOp> {
-        let tag = self.u8()?;
-        let src = VertexId(self.u64()?);
-        let dst = VertexId(self.u64()?);
-        let etype = EdgeType(self.u16()?);
-        match tag {
-            TAG_INSERT => Some(UpdateOp::Insert(Edge {
-                src,
-                dst,
-                etype,
-                weight: self.weight()?,
-                ts: 0,
-            })),
-            TAG_DELETE => Some(UpdateOp::Delete { src, dst, etype }),
-            TAG_UPDATE_WEIGHT => Some(UpdateOp::UpdateWeight(Edge {
-                src,
-                dst,
-                etype,
-                weight: self.weight()?,
-                ts: 0,
-            })),
-            TAG_INSERT_TS => {
-                let weight = self.weight()?;
-                Some(UpdateOp::Insert(Edge {
-                    src,
-                    dst,
-                    etype,
-                    weight,
-                    ts: self.u64()?,
-                }))
-            }
-            TAG_UPDATE_WEIGHT_TS => {
-                let weight = self.weight()?;
-                Some(UpdateOp::UpdateWeight(Edge {
-                    src,
-                    dst,
-                    etype,
-                    weight,
-                    ts: self.u64()?,
-                }))
-            }
-            _ => None,
+    // Clamp a non-finite weight to `0.0` *without* the ingest boundary's
+    // debug assertion: replay is not ingest — the value already passed
+    // ingest in a (possibly release-built) writer, and a debug-built reader
+    // must recover the log, not panic on it. The clamp matches what
+    // `sanitize_weight` applied in-memory at ingest time.
+    let weight = r.f64()?;
+    let weight = if weight.is_finite() { weight } else { 0.0 };
+    let ts = match tag {
+        TAG_INSERT | TAG_UPDATE_WEIGHT => 0,
+        TAG_INSERT_TS | TAG_UPDATE_WEIGHT_TS => r.u64()?,
+        tag => {
+            return Err(WireError::BadTag {
+                what: "WAL op",
+                tag,
+            })
         }
-    }
+    };
+    let edge = Edge {
+        src,
+        dst,
+        etype,
+        weight,
+        ts,
+    };
+    Ok(match tag {
+        TAG_INSERT | TAG_INSERT_TS => UpdateOp::Insert(edge),
+        _ => UpdateOp::UpdateWeight(edge),
+    })
 }
 
 /// What one CRC-validated record holds.
@@ -262,39 +190,41 @@ enum RecordBody {
 /// Decode a full record payload. `None` on any structural problem (unknown
 /// tag, short body, trailing bytes). Ops are pushed onto `ops`.
 fn decode_payload(payload: &[u8], ops: &mut Vec<UpdateOp>) -> Option<RecordBody> {
-    let mut d = Decoder::new(payload);
-    let first = *payload.first()?;
-    let body = match first {
-        TAG_BATCH => {
-            d.u8()?;
-            let count = d.u32()? as usize;
-            for _ in 0..count {
-                ops.push(d.op()?);
+    let mut r = Reader::new(payload);
+    let mut decode = || -> Result<RecordBody, WireError> {
+        Ok(match payload.first() {
+            Some(&TAG_BATCH) => {
+                r.u8()?;
+                let count = r.u32()? as usize;
+                for _ in 0..count {
+                    ops.push(decode_op(&mut r)?);
+                }
+                RecordBody::Ops(count)
             }
-            RecordBody::Ops(count)
-        }
-        TAG_BATCH_BEGIN => {
-            d.u8()?;
-            RecordBody::TxnBegin {
-                txn_id: d.u64()?,
-                n_ops: d.u32()?,
+            Some(&TAG_BATCH_BEGIN) => {
+                r.u8()?;
+                RecordBody::TxnBegin {
+                    txn_id: r.u64()?,
+                    n_ops: r.u32()?,
+                }
             }
-        }
-        TAG_BATCH_COMMIT => {
-            d.u8()?;
-            RecordBody::TxnCommit {
-                txn_id: d.u64()?,
-                crc: d.u32()?,
+            Some(&TAG_BATCH_COMMIT) => {
+                r.u8()?;
+                RecordBody::TxnCommit {
+                    txn_id: r.u64()?,
+                    crc: r.u32()?,
+                }
             }
-        }
-        _ => {
-            ops.push(d.op()?);
-            RecordBody::Ops(1)
-        }
+            _ => {
+                ops.push(decode_op(&mut r)?);
+                RecordBody::Ops(1)
+            }
+        })
     };
+    let body = decode().ok()?;
     // A CRC-valid record with trailing junk indicates a writer bug, not a
     // torn write — reject it.
-    (d.pos == payload.len()).then_some(body)
+    r.is_empty().then_some(body)
 }
 
 // ---------------------------------------------------------------------------
@@ -368,12 +298,9 @@ impl<W: Write> WalWriter<W> {
         }
         self.scratch.clear();
         self.scratch.push(TAG_BATCH);
-        self.scratch
-            .extend_from_slice(&(ops.len() as u32).to_le_bytes());
+        put_u32(&mut self.scratch, ops.len() as u32);
         for op in ops {
-            let mut tmp = Vec::new();
-            encode_op(op, &mut tmp);
-            self.scratch.extend_from_slice(&tmp);
+            encode_op(op, &mut self.scratch);
         }
         self.append_payload()
     }
@@ -382,8 +309,8 @@ impl<W: Write> WalWriter<W> {
     pub fn append_txn_begin(&mut self, txn_id: u64, n_ops: u32) -> io::Result<()> {
         self.scratch.clear();
         self.scratch.push(TAG_BATCH_BEGIN);
-        self.scratch.extend_from_slice(&txn_id.to_le_bytes());
-        self.scratch.extend_from_slice(&n_ops.to_le_bytes());
+        put_u64(&mut self.scratch, txn_id);
+        put_u32(&mut self.scratch, n_ops);
         self.append_payload().map(|_| ())
     }
 
@@ -394,8 +321,8 @@ impl<W: Write> WalWriter<W> {
     pub fn append_txn_commit(&mut self, txn_id: u64, crc: u32) -> io::Result<()> {
         self.scratch.clear();
         self.scratch.push(TAG_BATCH_COMMIT);
-        self.scratch.extend_from_slice(&txn_id.to_le_bytes());
-        self.scratch.extend_from_slice(&crc.to_le_bytes());
+        put_u64(&mut self.scratch, txn_id);
+        put_u32(&mut self.scratch, crc);
         self.append_payload().map(|_| ())
     }
 
@@ -502,24 +429,30 @@ fn valid_record_follows(data: &[u8], from: usize) -> bool {
     let mut budget = SCAN_CRC_BUDGET;
     // A frame needs at least len(4) + 1 payload byte + crc(4).
     for start in from..data.len().saturating_sub(8) {
-        let len = u32::from_le_bytes(data[start..start + 4].try_into().unwrap());
-        if len == 0 || len > MAX_RECORD_LEN {
-            continue;
-        }
-        let Some(frame_end) = (start + 4).checked_add(len as usize + 4) else {
+        let mut r = Reader::new(&data[start..]);
+        let Some((payload, stored)) = r.u32().ok().and_then(|len| frame_body(&mut r, len)) else {
             continue;
         };
-        if frame_end > data.len() || budget == 0 {
+        if budget == 0 {
             continue;
         }
-        let payload = &data[start + 4..start + 4 + len as usize];
         budget = budget.saturating_sub(payload.len());
-        let stored = u32::from_le_bytes(data[frame_end - 4..frame_end].try_into().unwrap());
         if crc32c(payload) == stored {
             return true;
         }
     }
     false
+}
+
+/// The rest of a frame whose length prefix read `len` — `(payload, stored
+/// CRC32C)` — or `None` if `len` is zero, over [`MAX_RECORD_LEN`], or runs
+/// past the data.
+fn frame_body<'a>(r: &mut Reader<'a>, len: u32) -> Option<(&'a [u8], u32)> {
+    if len == 0 || len > MAX_RECORD_LEN {
+        return None;
+    }
+    let payload = r.take(len as usize).ok()?;
+    Some((payload, r.u32().ok()?))
 }
 
 /// Replay a WAL, delivering each decoded op to `sink` in log order.
@@ -628,7 +561,8 @@ fn replay_wal_bytes_from(
             }
             return Ok(report);
         }
-        if remaining < 4 {
+        let mut r = Reader::new(&data[pos..]);
+        let Ok(len) = r.u32() else {
             report.torn_tail = Some(TornTail {
                 offset: pos as u64,
                 kind: TornTailKind::TruncatedHeader,
@@ -637,10 +571,9 @@ fn replay_wal_bytes_from(
                 drop_pending_at_eof(&mut report, p);
             }
             return Ok(report);
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
+        };
         let frame = 4usize + len as usize + 4;
-        if len == 0 || len > MAX_RECORD_LEN || remaining < frame {
+        let Some((payload, stored)) = frame_body(&mut r, len) else {
             // The frame cannot be read as declared. A crash mid-append
             // explains that only if nothing valid follows; if a complete
             // CRC-valid record exists further on, the length prefix itself
@@ -675,13 +608,7 @@ fn replay_wal_bytes_from(
                 drop_pending_at_eof(&mut report, p);
             }
             return Ok(report);
-        }
-        let payload = &data[pos + 4..pos + 4 + len as usize];
-        let stored = u32::from_le_bytes(
-            data[pos + 4 + len as usize..pos + frame]
-                .try_into()
-                .unwrap(),
-        );
+        };
         let computed = crc32c(payload);
         if stored != computed {
             if pos + frame == data.len() {

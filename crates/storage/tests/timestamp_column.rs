@@ -364,3 +364,143 @@ fn edge_churned_between_future_stamps_is_never_drawn_for_until_t() {
         writer.join().expect("writer");
     });
 }
+
+/// One draw request against source 1 of [`golden_graph`] from a fresh RNG:
+/// the picks and the RNG's next word after the call.
+fn draw(s: &DynamicGraphStore, window: Option<Option<TimeWindow>>) -> (Vec<u64>, u64) {
+    use rand::RngCore;
+    let mut rng = StdRng::seed_from_u64(0x00b0_d1e5);
+    let picks = match window {
+        None => s.sample_neighbors(VertexId(1), E, 10, &mut rng),
+        Some(win) => s.sample_neighbors_windowed(VertexId(1), E, 10, win, &mut rng),
+    };
+    (picks.into_iter().map(|v| v.raw()).collect(), rng.next_u64())
+}
+
+/// A fixed mixed op script over six sources and two relations at
+/// capacity 8 (splits and merges happen), plus deletes and updates aimed
+/// at sources that never get an edge.
+fn op_script() -> Vec<UpdateOp> {
+    let mut x = 0x005c_8197_u64;
+    let mut next = move || {
+        x = platod2gl_graph::splitmix64(x);
+        x
+    };
+    (0..700)
+        .map(|i| {
+            let (kind, src) = (next() % 10, VertexId(next() % 6));
+            let (dst, etype) = (VertexId(next() % 90), EdgeType((next() % 2) as u16));
+            let ts = if i % 3 == 0 { 0 } else { 1 + next() % 400 };
+            let weight = 0.5 + (next() % 16) as f64 * 0.25;
+            let edge = Edge {
+                etype,
+                ..Edge::new(src, dst, weight).at(ts)
+            };
+            match kind {
+                0..=5 => UpdateOp::Insert(edge),
+                6 | 7 => UpdateOp::Delete { src, dst, etype },
+                8 => UpdateOp::UpdateWeight(edge),
+                _ if i % 2 == 0 => UpdateOp::UpdateWeight(Edge {
+                    src: VertexId(100 + src.raw()),
+                    ..edge
+                }),
+                _ => UpdateOp::Delete {
+                    src: VertexId(100 + src.raw()),
+                    dst,
+                    etype,
+                },
+            }
+        })
+        .collect()
+}
+
+/// What a write path leaves behind: `num_edges()`, `op_stats()` as
+/// `[leaf_ops, internal_ops, leaf_splits, internal_splits, merges]`, the
+/// `storage.edges` gauge, the directory's entry count, and a digest of
+/// `export_adjacency()` (sorted by key, weights by bit pattern).
+fn residue(s: &DynamicGraphStore) -> (usize, [u64; 5], i64, usize, u64) {
+    let mut adj = s.export_adjacency();
+    adj.sort_by_key(|(key, _)| *key);
+    let words = adj.iter().flat_map(|((src, etype), rows)| {
+        let rows = rows.iter().flat_map(|&(dst, w, ts)| [dst, w.to_bits(), ts]);
+        [*src, *etype as u64].into_iter().chain(rows)
+    });
+    let digest = words.fold(0, |d, word| platod2gl_graph::splitmix64(d ^ word));
+    let ops = s.op_stats();
+    s.check_invariants().expect("invariants");
+    (
+        s.num_edges(),
+        [
+            ops.leaf_ops,
+            ops.internal_ops,
+            ops.leaf_splits,
+            ops.internal_splits,
+            ops.merges,
+        ],
+        s.registry().snapshot().gauge("storage.edges").unwrap_or(0),
+        s.num_source_entries(),
+        digest,
+    )
+}
+
+/// Recorded at the parent commit, where `sample_neighbors` had its own
+/// draw body (`SamTree::sample_k`) and `insert_edge` / `delete_edge` /
+/// `update_weight` / `apply_group` / `bulk_build`'s fallback each locked
+/// and settled on their own.
+#[test]
+fn one_read_body_and_one_write_helper_match_the_parent_commit() {
+    let s = golden_graph();
+    let unwindowed = (
+        vec![993, 471, 163, 2114, 389, 150, 2162, 817, 169, 521],
+        736_289_643_896_005_207,
+    );
+    assert_eq!(draw(&s, None), unwindowed);
+    assert_eq!(draw(&s, Some(None)), unwindowed);
+    // An all-admitting window accepts every first draw: the same picks.
+    assert_eq!(draw(&s, Some(Some(TimeWindow::until(10_000)))), unwindowed);
+    assert_eq!(
+        draw(&s, Some(Some(TimeWindow::until(300)))),
+        (
+            vec![993, 471, 163, 389, 150, 2162, 817, 169, 767, 805],
+            9_112_359_958_223_780_491
+        )
+    );
+
+    let script = op_script();
+    let single = store(8);
+    for op in &script {
+        single.apply(op); // insert_edge / update_weight / delete_edge
+    }
+    assert_eq!(
+        residue(&single),
+        (
+            339,
+            [458, 53, 50, 0, 4],
+            339,
+            12,
+            17_580_216_823_279_389_909
+        )
+    );
+
+    // A batch creates the directory entry before it looks at the ops, so the
+    // twelve never-populated (source, relation) keys are resident here.
+    let batched = store(8);
+    for chunk in script.chunks(64) {
+        batched.apply_batch(chunk);
+    }
+    assert_eq!(
+        residue(&batched),
+        (339, [458, 49, 47, 0, 2], 339, 24, 2_206_362_907_452_500_342)
+    );
+
+    // bulk_build onto the populated store: sources 0..6 take the
+    // incremental fallback, 6..9 are built bottom-up.
+    single.bulk_build((0..400u64).map(|i| Edge {
+        etype: EdgeType((i % 2) as u16),
+        ..Edge::new(VertexId(i % 9), VertexId(i * 7 % 120), 1.0 + (i % 5) as f64).at(i % 4 * 50)
+    }));
+    assert_eq!(
+        residue(&single),
+        (644, [726, 94, 87, 2, 4], 644, 18, 6_145_843_747_824_304_693)
+    );
+}

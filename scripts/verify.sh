@@ -169,7 +169,7 @@ echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
 # instead of rotting as an unresolved link.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "==> line counts (informational: what a simplicity PR reports before/after)"
+echo "==> line, pub fn and config-field counts (informational: what a simplicity PR reports before/after)"
 ./scripts/loc.sh
 
 tree_after=$(git status --porcelain)
