@@ -593,10 +593,8 @@ pub fn fleet_report() {
 /// on the ratio staying >= 0.9, i.e. tracing costs at most 10%.
 pub fn obs_overhead_report() {
     use platod2gl::{Cluster, ClusterConfig, Edge, SampleRequest, TraceContext, VertexId};
-    use platod2gl_rpc::codec::{
-        encode_frame, encode_sample_batch, read_frame, FrameKind, SampleBatch,
-    };
-    use platod2gl_rpc::{GraphServiceServer, ServerConfig};
+    use platod2gl_rpc::codec::{encode, encode_frame, read_frame, FrameKind, SampleBatch};
+    use platod2gl_rpc::GraphServiceServer;
     use std::io::Write;
     use std::net::TcpStream;
     use std::sync::{Arc, Barrier};
@@ -624,7 +622,7 @@ pub fn obs_overhead_report() {
         cluster.insert_edge(Edge::new(VertexId(v), VertexId((v + 1) % VERTICES), 1.0));
     }
     let batch = |ctx: Option<TraceContext>| -> Arc<Vec<u8>> {
-        Arc::new(encode_sample_batch(&SampleBatch {
+        Arc::new(encode(&SampleBatch {
             deadline_ms: 30_000,
             ctx,
             requests: (0..4)
@@ -638,15 +636,7 @@ pub fn obs_overhead_report() {
         parent_span: 1,
     }));
 
-    let server = GraphServiceServer::bind_with(
-        "127.0.0.1:0",
-        Arc::clone(&cluster),
-        ServerConfig::builder()
-            .max_connections(64)
-            .build()
-            .expect("valid config"),
-    )
-    .expect("bind");
+    let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(&cluster)).expect("bind");
     let addr = server.local_addr();
 
     // One trial: every driver keeps a persistent probed connection and

@@ -61,7 +61,7 @@ pub use platod2gl_pipeline::{
 };
 pub use platod2gl_rpc::{
     ClientConfig, ConnectionMode, GraphServiceServer, RemoteCluster, RemoteClusterConfig,
-    ServerConfig, ServerConfigBuilder, ServerIntrospect,
+    ServerIntrospect,
 };
 pub use platod2gl_sampling::{AliasTable, CsTable, WeightedIndex};
 pub use platod2gl_samtree::{LeafIndex, OpStats, SamTree, SamTreeConfig};

@@ -20,6 +20,8 @@ pub enum WireError {
     Truncated,
     /// An enum tag byte held an unknown value.
     BadTag { what: &'static str, tag: u8 },
+    /// The record ended before the buffer did: `extra` bytes follow it.
+    Trailing { extra: usize },
 }
 
 impl fmt::Display for WireError {
@@ -27,6 +29,7 @@ impl fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "record truncated"),
             WireError::BadTag { what, tag } => write!(f, "bad {what} tag {tag:#04x}"),
+            WireError::Trailing { extra } => write!(f, "{extra} bytes after the record"),
         }
     }
 }

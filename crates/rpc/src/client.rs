@@ -31,8 +31,7 @@
 //! [`RemoteCluster::sample_many`] coalesces a frontier into chunks of
 //! [`ClientConfig::max_batch`] requests and exchanges them together — so
 //! a hub-heavy frontier costs one round trip of latency, not one per
-//! chunk, and a server answering out of order (event loop with workers)
-//! changes nothing observable.
+//! chunk, and a server answering out of order changes nothing observable.
 //!
 //! ## Failure mapping
 //!
@@ -52,19 +51,13 @@
 //! ([`ErrorReply`](crate::codec::ErrorReply)'s two `From` impls).
 
 use crate::codec::{
-    decode_error_reply, decode_heal_reply, decode_health_reply, decode_map_reply,
-    decode_migrate_ctl_reply, decode_obs_export_reply, decode_partition_chunk,
-    decode_partition_stats_reply, decode_sample_reply, decode_span_export_reply, decode_tail_reply,
-    decode_txn_reply, decode_update_reply, encode_frame, encode_heal_request, encode_map_install,
-    encode_migrate_ctl, encode_partition_fetch, encode_partition_stats, encode_sample_batch,
-    encode_span_export, encode_tail_fetch, encode_txn_apply, encode_update_batch, frame_len,
-    migrate_action, parse_frame, read_frame, take_timing_echo, write_frame, ErrorReply, FrameError,
-    FrameKind, PartitionFetch, SampleBatch, TxnApply, TxnReply, UpdateBatch,
+    decode, encode, encode_frame, frame_len, parse_frame, read_frame, take_timing_echo,
+    write_frame, ErrorReply, FrameError, FrameKind, HealthReply, MapInstall, MapReply, MigrateCtl,
+    PartitionFetch, Payload, SampleBatch, TailFetch, TailReply, TxnApply, TxnReply, UpdateBatch,
 };
 use crate::lock;
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{current_trace_context, Counter, Histogram, ObsSnapshot, Registry, SpanRecord};
-use platod2gl_server::wire::{Reader, WireError};
 use platod2gl_server::{
     route_for, BatchReport, GraphService, PartitionChunk, SampleRequest, SampleResponse,
 };
@@ -575,11 +568,11 @@ impl RemoteCluster {
                 write_frame(&mut stream, kind, id, payload)?;
             }
             stream.flush()?;
-            // An event-loop server with workers may answer out of order:
-            // each reply lands in the slot of the request whose id it
-            // echoes. An id this exchange did not send, or one already
-            // answered, means the stream carries someone else's reply and
-            // cannot be trusted.
+            // The server may answer out of order (write-path frames finish
+            // on their own threads): each reply lands in the slot of the
+            // request whose id it echoes. An id this exchange did not
+            // send, or one already answered, means the stream carries
+            // someone else's reply and cannot be trusted.
             let mut slots: Vec<Option<Reply>> = ids.iter().map(|_| None).collect();
             for _ in &ids {
                 let (header, payload) = read_frame(&mut stream)?;
@@ -588,8 +581,9 @@ impl RemoteCluster {
                     .position(|&id| id == header.req_id)
                     .filter(|&i| slots[i].is_none())
                     .ok_or(FrameError::UnexpectedReply {
-                        expected: "matching correlation id",
+                        request: kind,
                         got: header.kind,
+                        why: "unknown or repeated correlation id",
                     })?;
                 slots[slot] = Some(self.strip_echo(header.kind, payload)?);
             }
@@ -674,59 +668,31 @@ impl RemoteCluster {
         Ok(replies.pop().expect("one reply per payload"))
     }
 
-    /// [`roundtrip`](Self::roundtrip) for a request the server may refuse:
-    /// the reply is either a `want` frame (decoded) or an `ErrorReply`,
-    /// handed back as the inner `Err` for the caller to map onto its own
-    /// error; anything else is a protocol failure.
-    fn call<T>(
+    /// [`roundtrip`](Self::roundtrip) of one typed request the server may
+    /// refuse; see [`typed_reply`] for what comes back. The request is
+    /// taken by value so that a batch-sized one is gone, not held beside
+    /// its encoding, while the round trip runs.
+    fn call<R: Payload>(
         &self,
         kind: FrameKind,
-        payload: &[u8],
-        want: FrameKind,
-        what: &'static str,
-        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
-    ) -> Result<Result<T, ErrorReply>, FrameError> {
-        let (got, reply) = self.roundtrip(kind, payload)?;
-        if got == want {
-            Ok(Ok(decode(&reply)?))
-        } else if got == FrameKind::ErrorReply {
-            Ok(Err(decode_error_reply(&reply)?))
-        } else {
-            Err(FrameError::UnexpectedReply {
-                expected: what,
-                got,
-            })
-        }
+        request: impl Payload,
+    ) -> Result<Result<R, ErrorReply>, FrameError> {
+        let payload = encode(&request);
+        drop(request);
+        typed_reply(kind, self.roundtrip(kind, &payload)?)
     }
 
     /// [`call`](Self::call) for a request the server has no reason to
     /// refuse: an `ErrorReply` is a protocol failure like any other
     /// unexpected kind.
-    fn ask<T>(
-        &self,
-        kind: FrameKind,
-        payload: &[u8],
-        want: FrameKind,
-        what: &'static str,
-        decode: impl FnOnce(&[u8]) -> Result<T, WireError>,
-    ) -> Result<T, FrameError> {
-        self.call(kind, payload, want, what, decode)?
-            .map_err(|_| FrameError::UnexpectedReply {
-                expected: what,
-                got: FrameKind::ErrorReply,
-            })
+    fn ask<R: Payload>(&self, kind: FrameKind, request: impl Payload) -> Result<R, FrameError> {
+        self.call(kind, request)?.map_err(|_| refused(kind))
     }
 
     /// Health probe: graph version plus per-shard healths. Successful
     /// probes refresh the client's cached view.
-    pub fn probe(&self) -> Result<crate::codec::HealthReply, FrameError> {
-        let reply = self.ask(
-            FrameKind::HealthProbe,
-            &[],
-            FrameKind::HealthReply,
-            "health",
-            decode_health_reply,
-        )?;
+    pub fn probe(&self) -> Result<HealthReply, FrameError> {
+        let reply: HealthReply = self.ask(FrameKind::HealthProbe, ())?;
         self.last_version
             .store(reply.graph_version, Ordering::Release);
         *lock(&self.last_healths) = reply.healths.clone();
@@ -744,7 +710,7 @@ impl RemoteCluster {
         let encoded: Vec<Vec<u8>> = chunks
             .iter()
             .map(|chunk| {
-                encode_sample_batch(&SampleBatch {
+                encode(&SampleBatch {
                     deadline_ms,
                     ctx: current_trace_context(),
                     requests: chunk.to_vec(),
@@ -755,17 +721,14 @@ impl RemoteCluster {
         let replies = self.exchange(FrameKind::SampleBatch, &payloads)?;
         let mut out = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
         for (chunk, (kind, payload)) in chunks.iter().zip(replies) {
-            if kind != FrameKind::SampleReply {
-                return Err(FrameError::UnexpectedReply {
-                    expected: "sample",
-                    got: kind,
-                });
-            }
-            let responses = decode_sample_reply(&payload)?;
+            let responses: Vec<SampleResponse> =
+                typed_reply(FrameKind::SampleBatch, (kind, payload))?
+                    .map_err(|_| refused(FrameKind::SampleBatch))?;
             if responses.len() != chunk.len() {
                 return Err(FrameError::UnexpectedReply {
-                    expected: "positionally complete sample",
+                    request: FrameKind::SampleBatch,
                     got: kind,
+                    why: "not one response per request",
                 });
             }
             out.extend(responses);
@@ -798,14 +761,7 @@ impl RemoteCluster {
     /// the per-member read the fleet admin plane stitches cross-process
     /// trace trees from.
     pub fn export_spans(&self, trace_id: u64) -> Result<Vec<SpanRecord>, Error> {
-        self.ask(
-            FrameKind::SpanExport,
-            &encode_span_export(trace_id),
-            FrameKind::SpanExportReply,
-            "span export",
-            decode_span_export_reply,
-        )
-        .map_err(fleet_err)
+        self.ask(FrameKind::SpanExport, trace_id).map_err(fleet_err)
     }
 
     /// Pull the server's registry snapshot: metric values with complete
@@ -813,49 +769,30 @@ impl RemoteCluster {
     /// log. The span ring is not part of it — `spans` comes back empty;
     /// [`Self::export_spans`] pulls spans, per trace.
     pub fn export_obs(&self) -> Result<ObsSnapshot, Error> {
-        self.ask(
-            FrameKind::ObsExport,
-            &[],
-            FrameKind::ObsExportReply,
-            "obs export",
-            decode_obs_export_reply,
-        )
-        .map_err(fleet_err)
+        self.ask(FrameKind::ObsExport, ()).map_err(fleet_err)
     }
 
-    fn migrate_ctl(&self, action: u8, partition: u32, num_partitions: u32) -> Result<u64, Error> {
-        self.call(
-            FrameKind::MigrateCtl,
-            &encode_migrate_ctl(action, partition, num_partitions),
-            FrameKind::MigrateCtlReply,
-            "migrate ctl",
-            decode_migrate_ctl_reply,
-        )
-        .map_err(fleet_err)?
-        .map_err(|refusal| Error::invalid_config(refusal.message))
+    fn migrate_ctl(&self, ctl: MigrateCtl) -> Result<u64, Error> {
+        self.call(FrameKind::MigrateCtl, ctl)
+            .map_err(fleet_err)?
+            .map_err(|refusal| Error::invalid_config(refusal.message))
     }
 
     /// The update-batch exchange. The first-hand and replica channels differ
     /// only in the request frame kind (the receiver of a
     /// [`FrameKind::ReplicaBatch`] must not re-forward).
     fn exchange_update(&self, kind: FrameKind, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        let payload = encode_update_batch(&UpdateBatch {
+        let batch = UpdateBatch {
             deadline_ms: self.deadline_ms(),
             // A fleet owner relaying to replicas runs inside its own
             // server-side root span; the ambient context carries the
             // client's trace across the second hop.
             ctx: current_trace_context(),
             ops: ops.to_vec(),
-        });
-        self.call(
-            kind,
-            &payload,
-            FrameKind::UpdateBatchReply,
-            "update",
-            decode_update_reply,
-        )
-        .map_err(fleet_err)?
-        .map_err(Error::from)
+        };
+        self.call(kind, batch)
+            .map_err(fleet_err)?
+            .map_err(Error::from)
     }
 
     /// The txn exchange, first-hand or on the replica channel. Encoded
@@ -863,12 +800,12 @@ impl RemoteCluster {
     /// the receiver's idempotence ledger answers a replayed commit from the
     /// cached receipt instead of applying twice.
     fn exchange_txn(&self, kind: FrameKind, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        let payload = encode_txn_apply(&TxnApply {
+        let apply = TxnApply {
             txn_id: txn.id(),
             ctx: current_trace_context(),
             ops: txn.ops().to_vec(),
-        });
-        match self.ask(kind, &payload, FrameKind::TxnReply, "txn", decode_txn_reply) {
+        };
+        match self.ask(kind, apply) {
             Ok(TxnReply::Committed(receipt)) => Ok(receipt),
             Ok(TxnReply::Rejected { txn_id, violations }) => {
                 Err(TxnError::Rejected { txn_id, violations })
@@ -885,6 +822,36 @@ impl Drop for RemoteCluster {
         for channel in lock(&self.mux).drain(..) {
             channel.shutdown();
         }
+    }
+}
+
+/// What the reply to a `kind` request holds: the kind [`FrameKind::reply`]
+/// pairs with it, decoded as `R`, or an `ErrorReply` — handed back as the
+/// inner `Err` for the caller to map onto its own error. Anything else is
+/// a protocol failure.
+fn typed_reply<R: Payload>(
+    kind: FrameKind,
+    (got, reply): Reply,
+) -> Result<Result<R, ErrorReply>, FrameError> {
+    if got == kind.reply() {
+        Ok(Ok(decode(&reply)?))
+    } else if got == FrameKind::ErrorReply {
+        Ok(Err(decode(&reply)?))
+    } else {
+        Err(FrameError::UnexpectedReply {
+            request: kind,
+            got,
+            why: "not the request's reply kind",
+        })
+    }
+}
+
+/// An `ErrorReply` to a request the server has no reason to refuse.
+fn refused(kind: FrameKind) -> FrameError {
+    FrameError::UnexpectedReply {
+        request: kind,
+        got: FrameKind::ErrorReply,
+        why: "refused",
     }
 }
 
@@ -952,13 +919,7 @@ impl GraphService for RemoteCluster {
     }
 
     fn heal(&self, shard: usize) -> usize {
-        let drained = self.ask(
-            FrameKind::HealRequest,
-            &encode_heal_request(shard as u32),
-            FrameKind::HealReply,
-            "heal",
-            decode_heal_reply,
-        );
+        let drained: Result<u64, _> = self.ask(FrameKind::HealRequest, shard as u32);
         drained.unwrap_or(0) as usize
     }
 
@@ -978,43 +939,35 @@ impl GraphService for RemoteCluster {
     }
 
     fn fleet_map_bytes(&self) -> Option<(u64, Vec<u8>)> {
-        let reply = self
-            .ask(
-                FrameKind::MapFetch,
-                &[],
-                FrameKind::MapReply,
-                "map",
-                decode_map_reply,
-            )
-            .ok()?;
+        let reply: MapReply = self.ask(FrameKind::MapFetch, ()).ok()?;
         reply.bytes.map(|bytes| (reply.epoch, bytes))
     }
 
     fn install_fleet_map(&self, epoch: u64, bytes: &[u8]) -> Result<u64, Error> {
-        self.call(
-            FrameKind::MapInstall,
-            &encode_map_install(epoch, bytes),
-            FrameKind::MapInstallReply,
-            "map install",
-            |reply| Reader::new(reply).u64(),
-        )
-        .map_err(fleet_err)?
-        .map_err(|refusal| Error::invalid_config(refusal.message))
+        let install = MapInstall {
+            epoch,
+            bytes: bytes.to_vec(),
+        };
+        self.call(FrameKind::MapInstall, install)
+            .map_err(fleet_err)?
+            .map_err(|refusal| Error::invalid_config(refusal.message))
     }
 
     fn begin_migration(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
-        self.migrate_ctl(migrate_action::BEGIN, partition, num_partitions)
+        self.migrate_ctl(MigrateCtl {
+            end: false,
+            partition,
+            num_partitions,
+        })
     }
 
     fn migration_tail(&self, partition: u32, from_seq: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
-        let tail = self
-            .call(
-                FrameKind::TailFetch,
-                &encode_tail_fetch(partition, from_seq),
-                FrameKind::TailReply,
-                "tail",
-                decode_tail_reply,
-            )
+        let fetch = TailFetch {
+            partition,
+            from_seq,
+        };
+        let tail: TailReply = self
+            .call(FrameKind::TailFetch, fetch)
             .map_err(fleet_err)?
             .map_err(|refusal| Error::Corrupt {
                 what: refusal.message,
@@ -1023,7 +976,11 @@ impl GraphService for RemoteCluster {
     }
 
     fn end_migration(&self, partition: u32) -> Result<u64, Error> {
-        self.migrate_ctl(migrate_action::END, partition, 0)
+        self.migrate_ctl(MigrateCtl {
+            end: true,
+            partition,
+            num_partitions: 0,
+        })
     }
 
     fn export_partition(
@@ -1039,26 +996,14 @@ impl GraphService for RemoteCluster {
             cursor,
             max_edges: max_edges.min(u32::MAX as usize) as u32,
         };
-        self.call(
-            FrameKind::PartitionFetch,
-            &encode_partition_fetch(&fetch),
-            FrameKind::PartitionFetchReply,
-            "partition chunk",
-            decode_partition_chunk,
-        )
-        .map_err(fleet_err)?
-        .map_err(|refusal| Error::invalid_config(refusal.message))
+        self.call(FrameKind::PartitionFetch, fetch)
+            .map_err(fleet_err)?
+            .map_err(|refusal| Error::invalid_config(refusal.message))
     }
 
     fn partition_key_counts(&self, num_partitions: u32) -> Vec<u64> {
-        self.ask(
-            FrameKind::PartitionStats,
-            &encode_partition_stats(num_partitions),
-            FrameKind::PartitionStatsReply,
-            "partition stats",
-            decode_partition_stats_reply,
-        )
-        .unwrap_or_else(|_| vec![0; num_partitions.max(1) as usize])
+        self.ask(FrameKind::PartitionStats, num_partitions)
+            .unwrap_or_else(|_| vec![0; num_partitions.max(1) as usize])
     }
 }
 

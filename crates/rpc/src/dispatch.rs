@@ -2,10 +2,11 @@
 //!
 //! The event loop funnels every decoded frame through [`dispatch`]: one
 //! CRC-valid `(kind, payload)` in, one encoded reply `(kind, payload)`
-//! out. Nothing in here touches a socket, so the loop is free to answer
-//! inline (`workers = 0`) or to hand frames to a worker pool or an
-//! offload thread and write completions out of order under their request
-//! ids.
+//! out. Each arm names the payload type its kind carries
+//! (`decode::<X>(payload)?`) and replies with `encode(&value)`; the reply
+//! kind is [`FrameKind::reply`]. Nothing in here touches a socket, so the
+//! loop is free to answer inline or to hand a frame to an offload thread
+//! and write completions out of order under their request ids.
 //!
 //! Telemetry flows through the *service's* registry: `rpc.server.*`
 //! counters, the request-latency histogram, and slow update batches
@@ -13,13 +14,8 @@
 //! the wire.
 
 use crate::codec::{
-    decode_heal_request, decode_map_install, decode_migrate_ctl, decode_partition_fetch,
-    decode_partition_stats, decode_sample_batch, decode_span_export, decode_tail_fetch,
-    decode_txn_apply, decode_update_batch, encode_error_reply, encode_heal_reply,
-    encode_health_reply, encode_map_reply, encode_migrate_ctl_reply, encode_obs_export_reply,
-    encode_partition_chunk, encode_partition_stats_reply, encode_sample_reply,
-    encode_span_export_reply, encode_tail_reply, encode_txn_reply, encode_update_reply, error_code,
-    migrate_action, ErrorReply, FrameError, FrameKind, HealthReply, MapReply, TailReply, TxnReply,
+    decode, encode, ErrorReply, FrameError, FrameKind, HealthReply, MapInstall, MapReply,
+    MigrateCtl, PartitionFetch, SampleBatch, TailFetch, TailReply, TxnApply, TxnReply, UpdateBatch,
 };
 use platod2gl_graph::{GraphTxn, TxnError};
 use platod2gl_obs::{Counter, Histogram, Registry, SlowOpRecord, SpanGuard, TraceContext};
@@ -55,7 +51,7 @@ impl RngCore for SeedRng {
 }
 
 /// Pre-resolved `rpc.server.*` handles, shared by every connection (and
-/// every dispatch worker) of one server.
+/// every offload thread) of one server.
 pub(crate) struct ServerMetrics {
     pub registry: Arc<Registry>,
     pub frames: Arc<Counter>,
@@ -95,15 +91,6 @@ impl ServerMetrics {
     }
 }
 
-fn bad_request_reply(message: String) -> (FrameKind, Vec<u8>) {
-    let reply = ErrorReply {
-        code: error_code::BAD_REQUEST,
-        shard: 0,
-        message,
-    };
-    (FrameKind::ErrorReply, encode_error_reply(&reply))
-}
-
 /// Open the server-side root span for one request: a *remote* root linked
 /// to the caller's span when the frame carried trace context, a plain
 /// local root otherwise. The span sits on the handling thread's ambient
@@ -122,7 +109,8 @@ fn request_span<'r>(
 }
 
 /// Serve one CRC-valid frame: decode the payload, run it against the
-/// service, encode the reply. `started` is the frame's receipt time —
+/// service, encode the reply — under [`FrameKind::reply`] when served, as
+/// an [`ErrorReply`] when refused. `started` is the frame's receipt time —
 /// batch deadlines are measured from it. `Err` means the payload failed
 /// record-level decoding; the connection cannot be trusted past that and
 /// the caller closes it.
@@ -144,9 +132,11 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
         | FrameKind::ReplicaTxn => None,
         _ => Some(m.registry.span("rpc.server.request")),
     };
-    let reply = match kind {
+    // A control-plane refusal carries the service's own words.
+    let refuse = |e: platod2gl_graph::Error| ErrorReply::bad_request(e.to_string());
+    let served: Result<Vec<u8>, ErrorReply> = match kind {
         FrameKind::SampleBatch => {
-            let batch = decode_sample_batch(payload)?;
+            let batch: SampleBatch = decode(payload)?;
             let _span = request_span(&m.registry, "rpc.server.sample", batch.ctx);
             m.sample_requests.add(batch.requests.len() as u64);
             let deadline = Duration::from_millis(u64::from(batch.deadline_ms));
@@ -162,10 +152,10 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
                 }
                 responses.push(service.sample_one(req, &mut SeedRng(*seed)));
             }
-            (FrameKind::SampleReply, encode_sample_reply(&responses))
+            Ok(encode(&responses))
         }
         FrameKind::UpdateBatch | FrameKind::ReplicaBatch => {
-            let batch = decode_update_batch(payload)?;
+            let batch: UpdateBatch = decode(payload)?;
             let _span = request_span(&m.registry, "rpc.server.update", batch.ctx);
             m.update_ops.add(batch.ops.len() as u64);
             // The replica channel applies through the replication entry
@@ -174,16 +164,6 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
                 service.apply_replica_updates(&batch.ops)
             } else {
                 service.apply_updates(&batch.ops)
-            };
-            let reply = match outcome {
-                Ok(report) => (FrameKind::UpdateBatchReply, encode_update_reply(&report)),
-                Err(e) => {
-                    m.errors.inc();
-                    (
-                        FrameKind::ErrorReply,
-                        encode_error_reply(&ErrorReply::from(&e)),
-                    )
-                }
             };
             let elapsed = started.elapsed();
             let slow = m.registry.slow_log();
@@ -196,10 +176,13 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
                     spans: Vec::new(),
                 });
             }
-            reply
+            match outcome {
+                Ok(report) => Ok(encode(&report)),
+                Err(e) => Err(ErrorReply::from(&e)),
+            }
         }
         FrameKind::TxnApply | FrameKind::ReplicaTxn => {
-            let apply = decode_txn_apply(payload)?;
+            let apply: TxnApply = decode(payload)?;
             let _span = request_span(&m.registry, "rpc.server.txn", apply.ctx);
             m.txn_ops.add(apply.ops.len() as u64);
             let mut txn = GraphTxn::new(apply.txn_id);
@@ -215,7 +198,7 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
             } else {
                 service.apply_txn(&txn)
             };
-            let reply = match outcome {
+            Ok(encode(&match outcome {
                 Ok(receipt) => TxnReply::Committed(receipt),
                 Err(TxnError::Rejected { txn_id, violations }) => {
                     m.errors.inc();
@@ -225,126 +208,94 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
                     m.errors.inc();
                     TxnReply::StoreError(ErrorReply::from(&e))
                 }
-            };
-            (FrameKind::TxnReply, encode_txn_reply(&reply))
+            }))
         }
         FrameKind::HealthProbe => {
-            let reply = HealthReply {
+            decode::<()>(payload)?;
+            Ok(encode(&HealthReply {
                 graph_version: service.graph_version(),
                 healths: service.shard_healths(),
-            };
-            (FrameKind::HealthReply, encode_health_reply(&reply))
+            }))
         }
         FrameKind::HealRequest => {
-            let shard = decode_heal_request(payload)? as usize;
+            let shard = decode::<u32>(payload)? as usize;
             let drained = if shard < service.num_shards() {
                 service.heal(shard) as u64
             } else {
                 0
             };
-            (FrameKind::HealReply, encode_heal_reply(drained))
+            Ok(encode(&drained))
         }
         FrameKind::MapFetch => {
-            let reply = match service.fleet_map_bytes() {
-                Some((epoch, bytes)) => MapReply {
-                    epoch,
-                    bytes: Some(bytes),
-                },
-                None => MapReply {
-                    epoch: 0,
-                    bytes: None,
-                },
+            decode::<()>(payload)?;
+            let (epoch, bytes) = match service.fleet_map_bytes() {
+                Some((epoch, bytes)) => (epoch, Some(bytes)),
+                None => (0, None),
             };
-            (FrameKind::MapReply, encode_map_reply(&reply))
+            Ok(encode(&MapReply { epoch, bytes }))
         }
         FrameKind::MapInstall => {
-            let (epoch, bytes) = decode_map_install(payload)?;
-            match service.install_fleet_map(epoch, &bytes) {
-                Ok(effective) => {
-                    let mut buf = Vec::with_capacity(8);
-                    platod2gl_server::wire::put_u64(&mut buf, effective);
-                    (FrameKind::MapInstallReply, buf)
-                }
-                Err(e) => {
-                    m.errors.inc();
-                    bad_request_reply(e.to_string())
-                }
-            }
+            let install: MapInstall = decode(payload)?;
+            service
+                .install_fleet_map(install.epoch, &install.bytes)
+                .map(|effective| encode(&effective))
+                .map_err(refuse)
         }
         FrameKind::PartitionFetch => {
-            let fetch = decode_partition_fetch(payload)?;
-            match service.export_partition(
-                fetch.partition,
-                fetch.num_partitions,
-                fetch.cursor,
-                fetch.max_edges as usize,
-            ) {
-                Ok(chunk) => (
-                    FrameKind::PartitionFetchReply,
-                    encode_partition_chunk(&chunk),
-                ),
-                Err(e) => {
-                    m.errors.inc();
-                    bad_request_reply(e.to_string())
-                }
-            }
+            let fetch: PartitionFetch = decode(payload)?;
+            service
+                .export_partition(
+                    fetch.partition,
+                    fetch.num_partitions,
+                    fetch.cursor,
+                    fetch.max_edges as usize,
+                )
+                .map(|chunk| encode(&chunk))
+                .map_err(refuse)
         }
         FrameKind::MigrateCtl => {
-            let (action, partition, num_partitions) = decode_migrate_ctl(payload)?;
-            let outcome = if action == migrate_action::BEGIN {
-                service.begin_migration(partition, num_partitions)
+            let ctl: MigrateCtl = decode(payload)?;
+            let outcome = if ctl.end {
+                service.end_migration(ctl.partition)
             } else {
-                service.end_migration(partition)
+                service.begin_migration(ctl.partition, ctl.num_partitions)
             };
-            match outcome {
-                Ok(value) => (FrameKind::MigrateCtlReply, encode_migrate_ctl_reply(value)),
-                Err(e) => {
-                    m.errors.inc();
-                    bad_request_reply(e.to_string())
-                }
-            }
+            outcome.map(|value| encode(&value)).map_err(refuse)
         }
         FrameKind::TailFetch => {
-            let (partition, from_seq) = decode_tail_fetch(payload)?;
-            match service.migration_tail(partition, from_seq) {
-                Ok((ops, next_seq)) => {
-                    let reply = TailReply { next_seq, ops };
-                    (FrameKind::TailReply, encode_tail_reply(&reply))
-                }
-                Err(e) => {
-                    m.errors.inc();
-                    bad_request_reply(e.to_string())
-                }
-            }
+            let fetch: TailFetch = decode(payload)?;
+            service
+                .migration_tail(fetch.partition, fetch.from_seq)
+                .map(|(ops, next_seq)| encode(&TailReply { next_seq, ops }))
+                .map_err(refuse)
         }
         FrameKind::PartitionStats => {
-            let num_partitions = decode_partition_stats(payload)?;
-            let counts = service.partition_key_counts(num_partitions);
-            (
-                FrameKind::PartitionStatsReply,
-                encode_partition_stats_reply(&counts),
-            )
+            let num_partitions: u32 = decode(payload)?;
+            Ok(encode(&service.partition_key_counts(num_partitions)))
         }
         // Introspection reads served straight from the server's registry:
         // the admin plane pulls per-trace span subtrees and registry
         // snapshots (span ring excluded) from every fleet member through
         // these.
         FrameKind::SpanExport => {
-            let trace_id = decode_span_export(payload)?;
-            (
-                FrameKind::SpanExportReply,
-                encode_span_export_reply(&m.registry.trace_spans(trace_id)),
-            )
+            let trace_id: u64 = decode(payload)?;
+            Ok(encode(&m.registry.trace_spans(trace_id)))
         }
-        FrameKind::ObsExport => (
-            FrameKind::ObsExportReply,
-            encode_obs_export_reply(&m.registry.snapshot()),
-        ),
+        FrameKind::ObsExport => {
+            decode::<()>(payload)?;
+            Ok(encode(&m.registry.snapshot()))
+        }
         // Reply kinds arriving at a server are a protocol violation (the
         // connection stays open — the reply names the offense).
-        kind => {
+        kind => Err(ErrorReply::bad_request(format!(
+            "unexpected client frame {kind:?}"
+        ))),
+    };
+    let reply = match served {
+        Ok(bytes) => (kind.reply(), bytes),
+        Err(refusal) => {
             m.errors.inc();
-            bad_request_reply(format!("unexpected client frame {kind:?}"))
+            (FrameKind::ErrorReply, encode(&refusal))
         }
     };
     m.request_lat.record(started.elapsed());

@@ -5,24 +5,20 @@
 //! connections are non-blocking with per-connection read and write
 //! buffers, so no thread ever parks on a socket. Frames are decoded
 //! zero-copy: [`parse_frame`] borrows the payload straight out of the
-//! connection's read buffer, and with `workers = 0` (the default) the
-//! request is dispatched inline on that borrowed slice — no payload copy
-//! between socket and handler.
+//! connection's read buffer, and the request is dispatched inline on that
+//! borrowed slice — no payload copy between socket and handler.
 //!
-//! With `workers > 0`, CRC-valid frames are copied onto a work queue and
-//! dispatch runs on a small worker pool; completions come back through a
-//! completion queue plus a [`Waker`] poke, and replies are written in
-//! whatever order handlers finish — clients correlate replies by
-//! `req_id`.
-//!
-//! Write-path frames (`TxnApply`/`UpdateBatch` and their replica twins)
-//! never run on the loop thread *or* the bounded pool: a fleet node's
-//! handler for them issues nested RPCs (relay to owners, replicate to
-//! followers), and a handler that blocks on a peer whose own loop is
-//! blocked on us is a distributed deadlock. They are offloaded to
-//! short-lived threads — unbounded, but scoped to the write path where
-//! request rates are batch-sized — and their replies come back through
-//! the same completion queue.
+//! One rule decides where a frame runs. Write-path frames
+//! (`TxnApply`/`UpdateBatch` and their replica twins) never run on the
+//! loop thread: a fleet node's handler for them issues nested RPCs (relay
+//! to owners, replicate to followers), and a handler that blocks on a peer
+//! whose own loop is blocked on us is a distributed deadlock. They are
+//! offloaded to short-lived threads — unbounded, but scoped to the write
+//! path where request rates are batch-sized — and their replies come back
+//! through a completion queue plus a [`Waker`] poke, written in whatever
+//! order handlers finish: clients correlate replies by `req_id`.
+//! Everything else runs inline. Both paths serve the frame through the
+//! same [`run_frame`].
 //!
 //! Event-loop health is published as gauges on the service's registry:
 //! `rpc.server.ready_queue_depth` (events per poll batch),
@@ -34,21 +30,19 @@
 //! [`GraphServiceServer`]: crate::GraphServiceServer
 
 use crate::codec::{
-    append_timing_echo, encode_error_reply, encode_frame, error_code, frame_len, parse_frame,
-    ErrorReply, FrameError, FrameHeader, FrameKind,
+    append_timing_echo, encode, encode_frame, frame_len, parse_frame, ErrorReply, FrameError,
+    FrameHeader, FrameKind,
 };
 use crate::dispatch::{dispatch, ServerMetrics};
 use crate::lock;
 use crate::poll::{PollEvent, Poller, Waker};
-use crate::server::ServerConfig;
 use crate::stats::{ConnInfo, RpcServerStats};
 use platod2gl_obs::Histogram;
 use platod2gl_server::GraphService;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,7 +50,7 @@ use std::time::{Duration, Instant};
 /// for its internal waker; connection tokens pack a 32-bit slab index and
 /// a 32-bit generation, so neither sentinel can collide.)
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
-/// Idle wait ceiling; wakes (shutdown, worker completions) cut it short.
+/// Idle wait ceiling; wakes (shutdown, offloaded completions) cut it short.
 const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
 /// Read granularity: bytes appended to a connection's read buffer per
 /// `read` call while draining a readable socket.
@@ -77,13 +71,14 @@ fn split_token(token: u64) -> (usize, u32) {
 }
 
 /// Spawn the loop thread; returns its handle and a waker that interrupts
-/// the poller (used by shutdown).
+/// the poller (used by shutdown). Accepts beyond `max_connections` open
+/// connections are dropped (and counted) instead of exhausting fds.
 pub(crate) fn spawn<S>(
     listener: TcpListener,
     service: Arc<S>,
     stop: Arc<AtomicBool>,
     stats: Arc<RpcServerStats>,
-    cfg: ServerConfig,
+    max_connections: usize,
 ) -> io::Result<(JoinHandle<()>, Waker)>
 where
     S: GraphService + Send + Sync + 'static,
@@ -94,7 +89,17 @@ where
     let loop_waker = waker.clone();
     let handle = std::thread::Builder::new()
         .name("platod2gl-rpc-loop".to_string())
-        .spawn(move || run(listener, service, stop, stats, cfg, poller, loop_waker))?;
+        .spawn(move || {
+            run(
+                listener,
+                service,
+                stop,
+                stats,
+                max_connections,
+                poller,
+                loop_waker,
+            )
+        })?;
     Ok((handle, waker))
 }
 
@@ -130,8 +135,8 @@ impl Conn {
     }
 }
 
-/// A unit of deferred dispatch (worker mode): the frame header plus an
-/// owned copy of the payload.
+/// A frame leaving the loop thread: the header plus an owned copy of the
+/// payload.
 struct WorkItem {
     token: u64,
     header: FrameHeader,
@@ -141,117 +146,28 @@ struct WorkItem {
 
 /// A finished dispatch: the fully encoded reply frame, ready to queue.
 struct Completion {
-    token: u64,
     bytes: Vec<u8>,
     /// The payload failed record-level decoding — send the (error) reply,
     /// then close.
     close_after: bool,
 }
 
-/// The loop's completion inbox, shared by pool workers and offload
-/// threads: finished dispatches land here, a waker poke gets the loop to
-/// drain them.
+/// The loop's completion inbox: offload threads leave finished dispatches
+/// here under their connection token, a waker poke gets the loop to drain
+/// them.
 struct Completions {
-    done: Mutex<Vec<Completion>>,
+    done: Mutex<Vec<(u64, Completion)>>,
     waker: Waker,
 }
 
 impl Completions {
-    fn push(&self, completion: Completion) {
-        lock(&self.done).push(completion);
+    fn push(&self, token: u64, completion: Completion) {
+        lock(&self.done).push((token, completion));
         self.waker.wake();
     }
 
-    fn drain(&self) -> Vec<Completion> {
+    fn drain(&self) -> Vec<(u64, Completion)> {
         std::mem::take(&mut *lock(&self.done))
-    }
-}
-
-struct PoolShared {
-    queue: Mutex<VecDeque<WorkItem>>,
-    cv: Condvar,
-    stop: AtomicBool,
-}
-
-/// The optional dispatch worker pool (`cfg.workers > 0`).
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn start<S>(
-        n: usize,
-        service: &Arc<S>,
-        metrics: &Arc<ServerMetrics>,
-        completions: &Arc<Completions>,
-    ) -> Option<Self>
-    where
-        S: GraphService + Send + Sync + 'static,
-    {
-        if n == 0 {
-            return None;
-        }
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
-        let handles = (0..n)
-            .filter_map(|i| {
-                let shared = Arc::clone(&shared);
-                let service = Arc::clone(service);
-                let metrics = Arc::clone(metrics);
-                let completions = Arc::clone(completions);
-                std::thread::Builder::new()
-                    .name(format!("platod2gl-rpc-worker-{i}"))
-                    .spawn(move || worker_body(&shared, &*service, &metrics, &completions))
-                    .ok()
-            })
-            .collect();
-        Some(Self { shared, handles })
-    }
-
-    fn submit(&self, item: WorkItem) {
-        lock(&self.shared.queue).push_back(item);
-        self.shared.cv.notify_one();
-    }
-
-    fn stop_and_join(self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-        for handle in self.handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_body<S: GraphService + ?Sized>(
-    shared: &PoolShared,
-    service: &S,
-    metrics: &ServerMetrics,
-    completions: &Completions,
-) {
-    loop {
-        let item = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(item) = queue.pop_front() {
-                    break item;
-                }
-                // Timed wait so a missed notify can never park a worker
-                // past shutdown.
-                let (guard, _) = shared
-                    .cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                queue = guard;
-            }
-        };
-        completions.push(run_item(service, metrics, &item));
     }
 }
 
@@ -260,50 +176,34 @@ fn echo_us(d: Duration) -> u32 {
     d.as_micros().min(u128::from(u32::MAX)) as u32
 }
 
-/// Encode a reply frame under the request's correlation id, timing echo
-/// appended.
-fn reply_with_echo(
-    req_id: u64,
-    kind: FrameKind,
-    mut reply: Vec<u8>,
-    queued: Duration,
-    service_time: Duration,
-) -> Vec<u8> {
-    append_timing_echo(&mut reply, echo_us(queued), echo_us(service_time));
-    encode_frame(kind, req_id, &reply)
-}
-
-/// Dispatch one deferred item to its finished completion.
-fn run_item<S: GraphService + ?Sized>(
+/// Serve one parsed frame to its finished completion — the one body both
+/// the inline path and the offload threads run. Everything between frame
+/// receipt (`started`) and this call — nothing inline, the thread spawn
+/// when offloaded — is queue wait; the reply goes out under the request's
+/// correlation id with both durations in its timing echo.
+fn run_frame<S: GraphService + ?Sized>(
     service: &S,
     metrics: &ServerMetrics,
-    item: &WorkItem,
+    header: FrameHeader,
+    payload: &[u8],
+    started: Instant,
 ) -> Completion {
-    // Everything between frame receipt and this moment — the pool queue
-    // or the offload-thread spawn — is queue wait.
-    let queued = item.started.elapsed();
+    let queued = started.elapsed();
     let svc_started = Instant::now();
-    match dispatch(
-        service,
-        metrics,
-        item.header.kind,
-        &item.payload,
-        item.started,
-    ) {
-        Ok((kind, reply)) => {
+    match dispatch(service, metrics, header.kind, payload, started) {
+        Ok((kind, mut reply)) => {
             let service_time = svc_started.elapsed();
             metrics.queue_wait.record(queued);
             metrics.service_time.record(service_time);
+            append_timing_echo(&mut reply, echo_us(queued), echo_us(service_time));
             Completion {
-                token: item.token,
-                bytes: reply_with_echo(item.header.req_id, kind, reply, queued, service_time),
+                bytes: encode_frame(kind, header.req_id, &reply),
                 close_after: false,
             }
         }
         Err(e) => {
             metrics.errors.inc();
             Completion {
-                token: item.token,
                 bytes: error_frame(&e),
                 close_after: true,
             }
@@ -312,8 +212,8 @@ fn run_item<S: GraphService + ?Sized>(
 }
 
 /// Frame kinds whose handlers may issue nested RPCs (fleet relay and
-/// replication) and therefore must never occupy the loop thread or a
-/// bounded pool slot — see the module docs on distributed deadlock.
+/// replication) and therefore must never occupy the loop thread — see the
+/// module docs on distributed deadlock.
 fn must_offload(kind: FrameKind) -> bool {
     matches!(
         kind,
@@ -346,25 +246,35 @@ fn spawn_offload<S>(
         .name("platod2gl-rpc-offload".to_string())
         .spawn(move || {
             if let Some(item) = lock(&thread_slot).take() {
-                thread_completions.push(run_item(&*thread_service, &thread_metrics, &item));
+                run_offloaded(
+                    &*thread_service,
+                    &thread_metrics,
+                    &thread_completions,
+                    &item,
+                );
             }
         });
     if spawned.is_err() {
         if let Some(item) = lock(&slot).take() {
-            completions.push(run_item(&**service, metrics, &item));
+            run_offloaded(&**service, metrics, completions, &item);
         }
     }
+}
+
+fn run_offloaded<S: GraphService + ?Sized>(
+    service: &S,
+    metrics: &ServerMetrics,
+    completions: &Completions,
+    item: &WorkItem,
+) {
+    let done = run_frame(service, metrics, item.header, &item.payload, item.started);
+    completions.push(item.token, done);
 }
 
 /// A best-effort `BAD_REQUEST` error reply (correlation id 0: the frame
 /// it answers could not be trusted to name one).
 fn error_frame(e: &FrameError) -> Vec<u8> {
-    let reply = ErrorReply {
-        code: error_code::BAD_REQUEST,
-        shard: 0,
-        message: e.to_string(),
-    };
-    let mut payload = encode_error_reply(&reply);
+    let mut payload = encode(&ErrorReply::bad_request(e.to_string()));
     // Every reply carries the echo trailer (zeros here — no meaningful
     // breakdown).
     append_timing_echo(&mut payload, 0, 0);
@@ -377,7 +287,7 @@ fn run<S>(
     service: Arc<S>,
     stop: Arc<AtomicBool>,
     stats: Arc<RpcServerStats>,
-    cfg: ServerConfig,
+    max_connections: usize,
     mut poller: Poller,
     waker: Waker,
 ) where
@@ -398,7 +308,6 @@ fn run<S>(
         done: Mutex::new(Vec::new()),
         waker,
     });
-    let pool = WorkerPool::start(cfg.workers, &service, &metrics, &completions);
 
     let mut slots: Vec<Option<Conn>> = Vec::new();
     let mut gens: Vec<u32> = Vec::new();
@@ -413,11 +322,11 @@ fn run<S>(
         metrics.poll_wait.record(wait_started.elapsed());
         g_ready.set(events.len() as i64);
 
-        // Completions first (pool workers and write-path offload threads):
-        // they free in-flight slots and may queue writes that this batch's
-        // writable events then flush.
-        for done in completions.drain() {
-            let (idx, gen) = split_token(done.token);
+        // Completions first (write-path offload threads): they free
+        // in-flight slots and may queue writes that this batch's writable
+        // events then flush.
+        for (token, done) in completions.drain() {
+            let (idx, gen) = split_token(token);
             let touched = match slots.get_mut(idx).and_then(Option::as_mut) {
                 Some(conn) if conn.gen == gen => {
                     in_flight -= 1;
@@ -450,7 +359,7 @@ fn run<S>(
                     &stats,
                     &connections,
                     &metrics.write_stall,
-                    cfg.max_connections,
+                    max_connections,
                     &mut slots,
                     &mut gens,
                     &mut free,
@@ -471,7 +380,6 @@ fn run<S>(
                             &service,
                             &metrics,
                             &completions,
-                            pool.as_ref(),
                             ev.token,
                             &mut in_flight,
                         );
@@ -499,9 +407,6 @@ fn run<S>(
         g_in_flight.set(in_flight);
     }
 
-    if let Some(pool) = pool {
-        pool.stop_and_join();
-    }
     // Connections drop (and close) with the slab.
 }
 
@@ -612,27 +517,14 @@ fn accept_burst(
     burst
 }
 
-/// What one parsed frame asks the loop to do (computed while the payload
-/// still borrows the read buffer, applied after the borrow ends).
-enum Step {
-    /// Inline dispatch finished: queue this completion's reply.
-    Done(Completion),
-    /// Deferred (pool or offload thread): nothing to write yet.
-    Submitted,
-    /// Fatal framing/decoding error: error reply queued by caller, close.
-    Fail(FrameError),
-}
-
 /// Pull up to [`READ_BUDGET`] bytes off a readable socket into the
 /// connection's buffer, then parse and serve every complete frame sitting
 /// in it.
-#[allow(clippy::too_many_arguments)]
 fn handle_readable<S>(
     conn: &mut Conn,
     service: &Arc<S>,
     metrics: &Arc<ServerMetrics>,
     completions: &Arc<Completions>,
-    pool: Option<&WorkerPool>,
     token: u64,
     in_flight: &mut i64,
 ) where
@@ -687,70 +579,33 @@ fn handle_readable<S>(
             }
         };
         let started = Instant::now();
-        let step = match parse_frame(&conn.rbuf[..flen]) {
-            Ok((header, payload)) => {
-                if must_offload(header.kind) {
-                    spawn_offload(
-                        service,
-                        metrics,
-                        completions,
-                        WorkItem {
-                            token,
-                            header,
-                            payload: payload.to_vec(),
-                            started,
-                        },
-                    );
-                    Step::Submitted
-                } else {
-                    match pool {
-                        // Inline dispatch — the zero-copy path: `payload`
-                        // borrows rbuf all the way into the handler.
-                        None => {
-                            let queued = started.elapsed();
-                            let svc_started = Instant::now();
-                            match dispatch(&**service, metrics, header.kind, payload, started) {
-                                Ok((kind, reply)) => {
-                                    let service_time = svc_started.elapsed();
-                                    metrics.queue_wait.record(queued);
-                                    metrics.service_time.record(service_time);
-                                    Step::Done(Completion {
-                                        token,
-                                        bytes: reply_with_echo(
-                                            header.req_id,
-                                            kind,
-                                            reply,
-                                            queued,
-                                            service_time,
-                                        ),
-                                        close_after: false,
-                                    })
-                                }
-                                Err(e) => Step::Fail(e),
-                            }
-                        }
-                        Some(pool) => {
-                            pool.submit(WorkItem {
-                                token,
-                                header,
-                                payload: payload.to_vec(),
-                                started,
-                            });
-                            Step::Submitted
-                        }
-                    }
-                }
+        // Computed while the payload still borrows the read buffer,
+        // applied after the borrow ends: a finished inline completion, or
+        // `None` for a frame handed to an offload thread.
+        let step = parse_frame(&conn.rbuf[..flen]).map(|(header, payload)| {
+            if must_offload(header.kind) {
+                let item = WorkItem {
+                    token,
+                    header,
+                    payload: payload.to_vec(),
+                    started,
+                };
+                spawn_offload(service, metrics, completions, item);
+                None
+            } else {
+                // The zero-copy path: `payload` borrows rbuf all the way
+                // into the handler.
+                Some(run_frame(&**service, metrics, header, payload, started))
             }
-            Err(e) => Step::Fail(e),
-        };
+        });
         conn.rbuf.drain(..flen);
         match step {
-            Step::Done(done) => apply_completion(conn, done),
-            Step::Submitted => {
+            Ok(Some(done)) => apply_completion(conn, done),
+            Ok(None) => {
                 conn.info.in_flight.fetch_add(1, Ordering::Relaxed);
                 *in_flight += 1;
             }
-            Step::Fail(e) => {
+            Err(e) => {
                 fail_conn(conn, metrics, e);
                 return;
             }
@@ -761,7 +616,7 @@ fn handle_readable<S>(
     }
 }
 
-/// Queue a fatal-error reply and mark the connection closing.
+/// Queue a fatal framing-error reply and mark the connection closing.
 fn fail_conn(conn: &mut Conn, metrics: &ServerMetrics, e: FrameError) {
     metrics.errors.inc();
     let bytes = error_frame(&e);

@@ -10,16 +10,20 @@
 //!   frame carries a `req_id` correlation id. Record layouts and sizes
 //!   come from [`platod2gl_server::wire`], the same functions the
 //!   in-process cluster's traffic accounting uses, so simulated and real
-//!   `net.*` byte counts agree by construction. Payloads encode the
-//!   workspace's own types (`BatchReport`, `PartitionChunk`,
-//!   `ObsSnapshot`, `SpanRecord`, `graph::Error` ↔ `ErrorReply`): each
-//!   value has one type on both sides of the boundary.
+//!   `net.*` byte counts agree by construction. A message body is a
+//!   [`codec::Payload`] — one `put`/`get` declaration per type, one generic
+//!   `encode`/`decode` — and where the workspace already has a type for
+//!   the value (`BatchReport`, `PartitionChunk`, `ObsSnapshot`,
+//!   `SpanRecord`, `graph::Error` ↔ `ErrorReply`) the payload is that
+//!   type: each value has one type on both sides of the boundary.
 //! * [`GraphServiceServer`] — hosts a shared
 //!   [`GraphService`](platod2gl_server::GraphService) (an `Arc<Cluster>` +
 //!   its registry) on a readiness-driven event loop (epoll-backed,
 //!   non-blocking connections, zero-copy frame decode, out-of-order
-//!   replies), shaped by [`ServerConfig`]. Requests feed the cluster's span
-//!   tracer and slow-op log — client trace ids show up in the server's
+//!   replies). It has no knobs: write-path frames, whose handlers may
+//!   issue nested RPCs, run on offload threads and everything else inline
+//!   on the loop thread. Requests feed the cluster's span tracer and
+//!   slow-op log — client trace ids show up in the server's
 //!   `GET /debug/slow` — and the live connection table is exposed via
 //!   [`GraphServiceServer::introspect`] for `GET /debug/rpc`.
 //! * [`RemoteCluster`] — the client. Implements `GraphService` — each
@@ -48,12 +52,12 @@ mod client;
 pub mod codec;
 mod dispatch;
 mod event;
-pub mod poll;
+mod poll;
 mod server;
 mod stats;
 
 pub use client::{ClientConfig, ConnectionMode, RemoteCluster, RemoteClusterConfig};
-pub use server::{GraphServiceServer, ServerConfig, ServerConfigBuilder};
+pub use server::GraphServiceServer;
 pub use stats::ServerIntrospect;
 
 /// Lock a mutex whose data every holder leaves valid at each step, so a

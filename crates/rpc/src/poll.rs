@@ -7,7 +7,7 @@
 //!   `epoll_wait` via direct FFI — the workspace builds with no external
 //!   crates, and the symbols live in the C runtime every Rust binary
 //!   already links. A `UnixStream` pair doubles as the cross-thread
-//!   [`Waker`]: worker threads write one byte, the loop drains it.
+//!   [`Waker`]: offload threads write one byte, the loop drains it.
 //! * **scan** (portable fallback): no OS readiness at all. `wait` sleeps
 //!   a short tick and reports *every* registered token as ready; the
 //!   event loop's non-blocking reads/writes then no-op on `WouldBlock`.
@@ -66,7 +66,9 @@ pub enum Poller {
     /// Linux epoll.
     #[cfg(target_os = "linux")]
     Epoll(EpollPoller),
-    /// Portable scanning fallback.
+    /// Portable scanning fallback. On Linux only this module's test
+    /// builds it.
+    #[cfg_attr(target_os = "linux", allow(dead_code))]
     Scan(ScanPoller),
 }
 

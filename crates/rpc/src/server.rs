@@ -6,8 +6,9 @@
 //! thread: epoll-backed poller (portable fallback available),
 //! non-blocking connections with per-connection read/write buffers,
 //! zero-copy frame decode, replies correlated by `req_id` so clients may
-//! be answered out of order. See [`crate::event`]; [`ServerConfig`] shapes
-//! the loop (dispatch workers, connection ceiling, poller).
+//! be answered out of order. See [`crate::event`]. The server has no
+//! knobs: where a frame runs is decided by its kind, and the connection
+//! table is capped at 16,384.
 //!
 //! Every frame goes through [`dispatch`](crate::dispatch), which owns the
 //! request semantics (determinism contract, deadline handling, failure
@@ -30,7 +31,6 @@
 
 use crate::event;
 use crate::stats::{RpcServerStats, ServerIntrospect};
-use platod2gl_graph::Error;
 use platod2gl_server::GraphService;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -38,76 +38,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Validated server shape. Build via [`ServerConfig::builder`]; the
-/// zero-argument [`Default`] serves requests inline on the loop thread.
-#[derive(Clone, Copy, Debug)]
-pub struct ServerConfig {
-    /// Dispatch worker threads. `0` (default) serves requests inline on
-    /// the loop thread — the right choice when handlers are short; workers
-    /// add out-of-order completion for slow handlers at the cost of one
-    /// payload copy per frame.
-    pub workers: usize,
-    /// Connection-table ceiling. Accepts beyond it are dropped (and
-    /// counted) instead of exhausting fds.
-    pub max_connections: usize,
-}
+/// Connection-table ceiling. Accepts beyond it are dropped (and counted in
+/// `/debug/rpc`'s `rejected`) instead of exhausting fds.
+const MAX_CONNECTIONS: usize = 16_384;
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            max_connections: 16_384,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Start building a config.
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-}
-
-/// Builder for [`ServerConfig`] — the validated construction path.
-#[derive(Clone, Copy, Debug)]
-pub struct ServerConfigBuilder {
-    cfg: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Dispatch worker threads (`0` = inline).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
-        self
-    }
-
-    /// Connection-table ceiling.
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.cfg.max_connections = n;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<ServerConfig, Error> {
-        if self.cfg.max_connections == 0 {
-            return Err(Error::invalid_config(
-                "server max_connections must be at least 1",
-            ));
-        }
-        if self.cfg.workers > 256 {
-            return Err(Error::invalid_config(
-                "server workers above 256 is certainly a mistake",
-            ));
-        }
-        Ok(self.cfg)
-    }
-}
-
-/// A running graph-service TCP server. The loop thread and its workers
-/// are joined on [`GraphServiceServer::shutdown`] (or drop), so shutdown
-/// is clean — no detached threads left running.
+/// A running graph-service TCP server. The loop thread is joined on
+/// [`GraphServiceServer::shutdown`] (or drop), so shutdown is clean — no
+/// detached loop left running.
 pub struct GraphServiceServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -117,20 +54,18 @@ pub struct GraphServiceServer {
 }
 
 impl GraphServiceServer {
-    /// Bind `addr` (port 0 for an ephemeral port) and serve `service` with
-    /// the default config.
+    /// Bind `addr` (port 0 for an ephemeral port) and serve `service`.
     pub fn bind<S>(addr: impl ToSocketAddrs, service: Arc<S>) -> io::Result<Self>
     where
         S: GraphService + Send + Sync + 'static,
     {
-        Self::bind_with(addr, service, ServerConfig::default())
+        Self::bind_capped(addr, service, MAX_CONNECTIONS)
     }
 
-    /// Bind with an explicit [`ServerConfig`].
-    pub fn bind_with<S>(
+    fn bind_capped<S>(
         addr: impl ToSocketAddrs,
         service: Arc<S>,
-        cfg: ServerConfig,
+        max_connections: usize,
     ) -> io::Result<Self>
     where
         S: GraphService + Send + Sync + 'static,
@@ -145,7 +80,7 @@ impl GraphServiceServer {
             service,
             Arc::clone(&stop),
             Arc::clone(&stats),
-            cfg,
+            max_connections,
         )?;
         Ok(Self {
             addr: local,
@@ -217,11 +152,52 @@ mod tests {
         assert_eq!(looped.sources, vec![SlotSource::SelfLoop; 3]);
     }
 
+    /// The connection ceiling: an accept beyond it is dropped and counted,
+    /// and the connections already admitted keep being served.
     #[test]
-    fn server_config_builder_validates() {
-        let cfg = ServerConfig::builder().workers(2).build().expect("valid");
-        assert_eq!(cfg.workers, 2);
-        assert!(ServerConfig::builder().max_connections(0).build().is_err());
-        assert!(ServerConfig::builder().workers(1000).build().is_err());
+    fn accepts_beyond_the_ceiling_are_reset_and_counted() {
+        use crate::codec::{read_frame, write_frame, FrameError, FrameKind};
+        use platod2gl_admin::RpcIntrospect;
+        use platod2gl_server::{Cluster, ClusterConfig};
+        use std::net::TcpStream;
+        use std::time::Duration;
+
+        let cluster = Arc::new(Cluster::new(
+            ClusterConfig::builder()
+                .num_shards(1)
+                .build()
+                .expect("valid config"),
+        ));
+        let server = GraphServiceServer::bind_capped("127.0.0.1:0", cluster, 2).expect("bind");
+        let connect = || {
+            let stream = TcpStream::connect(server.local_addr()).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            stream
+        };
+        let probe = |stream: &mut TcpStream| {
+            write_frame(stream, FrameKind::HealthProbe, 7, &[])?;
+            let (header, _) = read_frame(stream)?;
+            Ok::<_, FrameError>(header.kind)
+        };
+
+        // A served probe proves the loop admitted the connection (the TCP
+        // handshake alone only proves the kernel queued it).
+        let mut admitted = [connect(), connect()];
+        for stream in &mut admitted {
+            assert_eq!(probe(stream).expect("admitted"), FrameKind::HealthReply);
+        }
+        // The third is accepted by the kernel, then dropped by the loop:
+        // the peer sees a reset or EOF, never a reply.
+        let mut third = connect();
+        assert!(matches!(probe(&mut third), Err(FrameError::Io(_))));
+
+        let snapshot = server.introspect().rpc_snapshot();
+        assert_eq!((snapshot.rejected, snapshot.open), (1, 2));
+        for stream in &mut admitted {
+            assert_eq!(probe(stream).expect("still served"), FrameKind::HealthReply);
+        }
+        server.shutdown();
     }
 }

@@ -17,8 +17,8 @@ use platod2gl_graph::{
 };
 use platod2gl_obs::Registry;
 use platod2gl_rpc::codec::{
-    decode_error_reply, decode_sample_reply, encode_sample_batch, error_code, read_frame,
-    take_timing_echo, write_frame, FrameError, FrameKind, SampleBatch, MAX_FRAME_BYTES,
+    decode, encode, encode_frame, error_code, read_frame, take_timing_echo, write_frame,
+    ErrorReply, FrameError, FrameKind, SampleBatch, MAX_FRAME_BYTES,
 };
 use platod2gl_rpc::{ConnectionMode, GraphServiceServer, RemoteCluster, RemoteClusterConfig};
 use platod2gl_server::{
@@ -457,18 +457,12 @@ fn deadline_lapse_degrades_remaining_requests_server_side() {
         requests,
     };
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    write_frame(
-        &mut stream,
-        FrameKind::SampleBatch,
-        1,
-        &encode_sample_batch(&batch),
-    )
-    .expect("send");
+    write_frame(&mut stream, FrameKind::SampleBatch, 1, &encode(&batch)).expect("send");
     stream.flush().expect("flush");
     let (header, mut payload) = read_frame(&mut stream).expect("reply");
     assert_eq!(header.kind, FrameKind::SampleReply);
     take_timing_echo(&mut payload).expect("echo");
-    let responses = decode_sample_reply(&payload).expect("decode");
+    let responses: Vec<SampleResponse> = decode(&payload).expect("decode");
     assert_eq!(responses.len(), 4);
     assert!(
         !responses[0].degraded,
@@ -504,8 +498,17 @@ fn malformed_frames_get_an_error_reply_then_close() {
     body.extend_from_slice(&platod2gl_storage::crc32c::crc32c(&body).to_le_bytes());
     let mut version_1 = (body.len() as u32).to_le_bytes().to_vec();
     version_1.extend_from_slice(&body);
+    // A heal request, CRC valid, with three bytes after the shard: the
+    // payload decoder refuses the suffix, so the heal is never served.
+    let mut heal = encode(&1u32);
+    heal.extend_from_slice(&[0xAA; 3]);
+    let suffixed = encode_frame(FrameKind::HealRequest, 9, &heal);
 
-    for (bad, names) in [(junk, "crc"), (version_1, "version 1")] {
+    for (bad, names) in [
+        (junk, "crc"),
+        (version_1, "version 1"),
+        (suffixed, "3 bytes after the record"),
+    ] {
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         stream.write_all(&bad).expect("send");
         stream.flush().expect("flush");
@@ -513,7 +516,7 @@ fn malformed_frames_get_an_error_reply_then_close() {
         let (header, mut payload) = read_frame(&mut stream).expect("error reply");
         assert_eq!(header.kind, FrameKind::ErrorReply);
         take_timing_echo(&mut payload).expect("echo");
-        let err = decode_error_reply(&payload).expect("decode");
+        let err: ErrorReply = decode(&payload).expect("decode");
         assert_eq!(err.code, error_code::BAD_REQUEST);
         assert!(err.message.contains(names), "{}", err.message);
 

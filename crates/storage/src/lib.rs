@@ -31,8 +31,8 @@ pub use fault::{CrashInjector, CrashPoint};
 pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_VERSION};
 pub use topology::{AdjacencyEntry, DecayOutcome, DynamicGraphStore, StoreConfig, StoreMemory};
 pub use wal::{
-    replay_wal, replay_wal_from, DurableGraphStore, RecoveryReport, TornTail, TornTailKind,
-    WalReplayReport, WalWriter, WAL_MAGIC,
+    replay_wal, DurableGraphStore, RecoveryReport, TornTail, TornTailKind, WalReplayReport,
+    WalWriter, WAL_MAGIC,
 };
 
 use platod2gl_samtree::OpStats;

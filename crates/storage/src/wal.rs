@@ -465,39 +465,6 @@ pub fn replay_wal(mut r: impl Read, mut sink: impl FnMut(UpdateOp)) -> io::Resul
     replay_wal_bytes(&data, &mut sink)
 }
 
-/// Replay only the WAL tail past `offset` — the bytes appended since a
-/// caller last observed [`WalWriter::offset`]. This is the durable half of
-/// live shard migration: the mover copies a snapshot, then streams the
-/// records that landed while the copy ran. `offset` must sit on a record
-/// boundary previously reported by the writer (it includes the magic
-/// header), otherwise the tail fails CRC and replay rejects it.
-pub fn replay_wal_from(
-    mut r: impl Read,
-    offset: u64,
-    mut sink: impl FnMut(UpdateOp),
-) -> io::Result<WalReplayReport> {
-    let mut data = Vec::new();
-    r.read_to_end(&mut data)?;
-    if data.is_empty() && offset == 0 {
-        return Ok(WalReplayReport::default());
-    }
-    if data.len() < WAL_MAGIC.len() || &data[..WAL_MAGIC.len()] != WAL_MAGIC.as_slice() {
-        let got = &data[..data.len().min(WAL_MAGIC.len())];
-        return Err(invalid(format!(
-            "not a PlatoD2GL WAL: bad magic at byte offset 0 (found {got:02x?}, expected {WAL_MAGIC:02x?})"
-        )));
-    }
-    let start = usize::try_from(offset).map_err(|_| invalid("WAL offset overflow".to_string()))?;
-    if start < WAL_MAGIC.len() || start > data.len() {
-        return Err(invalid(format!(
-            "WAL tail offset {start} outside the log (header is {} bytes, log is {} bytes)",
-            WAL_MAGIC.len(),
-            data.len()
-        )));
-    }
-    replay_wal_bytes_from(&data, start, &mut sink)
-}
-
 fn replay_wal_bytes(data: &[u8], sink: &mut dyn FnMut(UpdateOp)) -> io::Result<WalReplayReport> {
     if data.is_empty() {
         // A crash before the header hit disk: an empty log is a valid
@@ -510,16 +477,8 @@ fn replay_wal_bytes(data: &[u8], sink: &mut dyn FnMut(UpdateOp)) -> io::Result<W
             "not a PlatoD2GL WAL: bad magic at byte offset 0 (found {got:02x?}, expected {WAL_MAGIC:02x?})"
         )));
     }
-    replay_wal_bytes_from(data, WAL_MAGIC.len(), sink)
-}
-
-fn replay_wal_bytes_from(
-    data: &[u8],
-    start: usize,
-    sink: &mut dyn FnMut(UpdateOp),
-) -> io::Result<WalReplayReport> {
     let mut report = WalReplayReport::default();
-    let mut pos = start;
+    let mut pos = WAL_MAGIC.len();
     let mut ops = Vec::new();
 
     /// An in-flight transaction: everything between its `BatchBegin` and
@@ -1289,40 +1248,6 @@ mod tests {
         let (out, report) = replay_all(&[]);
         assert!(out.is_empty());
         assert_eq!(report, WalReplayReport::default());
-    }
-
-    #[test]
-    fn tail_replay_from_writer_offset() {
-        let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append(&ins(1, 2, 1.0)).unwrap();
-        w.append(&ins(3, 4, 2.0)).unwrap();
-        let mark = w.offset();
-        let tail_ops = vec![ins(5, 6, 3.0), ins(7, 8, 4.0)];
-        for op in &tail_ops {
-            w.append(op).unwrap();
-        }
-        let bytes = w.into_inner();
-
-        let mut out = Vec::new();
-        let report = replay_wal_from(Cursor::new(&bytes), mark, |op| out.push(op)).unwrap();
-        assert_eq!(out, tail_ops);
-        assert_eq!(report.records, 2);
-        assert_eq!(report.ops, 2);
-        assert_eq!(report.durable_len, bytes.len() as u64);
-        assert!(report.torn_tail.is_none());
-
-        // From the very end: an empty but valid tail.
-        let report = replay_wal_from(Cursor::new(&bytes), bytes.len() as u64, |_| {
-            panic!("no ops past the end")
-        })
-        .unwrap();
-        assert_eq!(report.records, 0);
-
-        // Offsets that cannot be record boundaries are rejected up front.
-        assert!(replay_wal_from(Cursor::new(&bytes), 3, |_| {}).is_err());
-        assert!(replay_wal_from(Cursor::new(&bytes), bytes.len() as u64 + 1, |_| {}).is_err());
-        // A mid-record offset fails CRC framing rather than delivering junk.
-        assert!(replay_wal_from(Cursor::new(&bytes), mark + 1, |_| {}).is_err());
     }
 
     #[test]

@@ -1,20 +1,25 @@
 //! Soak test for the event-loop serving core.
 //!
-//! One event-loop server (dispatch workers on, so completions genuinely
-//! race) is driven from over a thousand concurrently open connections,
-//! each pipelining a randomized interleaving of health probes and sample
-//! batches. Every sample request targets a vertex whose single out-edge
-//! encodes the request's identity, and every frame's correlation id names
-//! the request it carries, so each reply proves by its payload which
-//! request it answers: a lost, duplicated or misrouted reply cannot go
-//! unnoticed.
+//! One event-loop server is driven from over a thousand concurrently open
+//! connections, each pipelining a randomized interleaving of health
+//! probes, sample batches and single-op update batches. The races come
+//! from the server's one dispatch rule: probes and samples are answered
+//! inline on the loop thread, while every update batch leaves it for an
+//! offload thread and completes whenever that thread does — so replies on
+//! one connection genuinely overtake each other. Every request targets a
+//! vertex whose single out-edge encodes the request's identity, and every
+//! frame's correlation id names the request it carries, so each reply
+//! proves which request it answers: a lost, duplicated or misrouted reply
+//! cannot go unnoticed.
 
-use platod2gl::{Cluster, ClusterConfig, Edge, EdgeType, GraphStore, SampleRequest, VertexId};
-use platod2gl_rpc::codec::{
-    decode_sample_reply, encode_frame, encode_sample_batch, read_frame, take_timing_echo,
-    FrameKind, SampleBatch,
+use platod2gl::{
+    BatchReport, Cluster, ClusterConfig, Edge, EdgeType, GraphStore, SampleRequest, SampleResponse,
+    UpdateOp, VertexId,
 };
-use platod2gl_rpc::{GraphServiceServer, ServerConfig};
+use platod2gl_rpc::codec::{
+    decode, encode, encode_frame, read_frame, take_timing_echo, FrameKind, SampleBatch, UpdateBatch,
+};
+use platod2gl_rpc::GraphServiceServer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::Write;
@@ -57,17 +62,31 @@ fn soak_cluster() -> Arc<Cluster> {
 /// One sample request for `v`, encoded as a single-request batch payload.
 fn sample_payload(v: VertexId) -> Vec<u8> {
     let req = SampleRequest::new(v, ET, 2);
-    encode_sample_batch(&SampleBatch {
+    encode(&SampleBatch {
         deadline_ms: 30_000,
         ctx: None,
         requests: vec![(req, 0x5EED)],
     })
 }
 
+/// An idempotent one-op update batch for `v`: its own edge, re-set to the
+/// weight it already has, so no sample anywhere can tell it ran.
+fn update_payload(v: VertexId) -> Vec<u8> {
+    encode(&UpdateBatch {
+        deadline_ms: 30_000,
+        ctx: None,
+        ops: vec![UpdateOp::UpdateWeight(Edge::new(
+            v,
+            VertexId(v.raw() + 1),
+            1.0,
+        ))],
+    })
+}
+
 /// Assert a sample-reply payload answers the request for `v`: two slots
 /// (with-replacement fanout over the one edge), both naming `v + 1`.
 fn assert_answers(payload: &[u8], v: VertexId, what: &str) {
-    let responses = decode_sample_reply(payload).expect("decodable reply");
+    let responses: Vec<SampleResponse> = decode(payload).expect("decodable reply");
     assert_eq!(responses.len(), 1, "{what}: one response per request");
     assert!(!responses[0].degraded, "{what}: healthy server");
     assert_eq!(
@@ -86,26 +105,20 @@ fn connect(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// Correlation-id bit marking a frame as a health probe; the low bits
-/// still carry the request's vertex id, whose top bit is never set.
+/// Correlation-id bits marking a frame as a health probe or an update
+/// batch; the low bits still carry the request's vertex id, whose top two
+/// bits are never set.
 const PROBE_BIT: u64 = 1 << 63;
+const UPDATE_BIT: u64 = 1 << 62;
 
-/// Over a thousand concurrently open connections, health probes mixed
-/// into the sample batches, randomized write interleavings, dispatch
-/// workers racing completions: no reply is lost, duplicated or misrouted.
+/// Over a thousand concurrently open connections, health probes and
+/// offloaded update batches mixed into the sample batches, randomized
+/// write interleavings, offload threads racing the loop thread's inline
+/// completions: no reply is lost, duplicated or misrouted.
 #[test]
 fn soak_thousand_connections_mixed_protocols() {
     let cluster = soak_cluster();
-    let server = GraphServiceServer::bind_with(
-        "127.0.0.1:0",
-        Arc::clone(&cluster),
-        ServerConfig::builder()
-            .workers(2)
-            .max_connections(4096)
-            .build()
-            .expect("valid config"),
-    )
-    .expect("bind");
+    let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(&cluster)).expect("bind");
     let addr = server.local_addr();
 
     // +1 party: the main thread audits the server while everything is
@@ -139,8 +152,10 @@ fn soak_thousand_connections_mixed_protocols() {
                 // Write phase: each conn has a queue of requests; send them
                 // one frame at a time across conns in random order. The
                 // correlation id encodes the request identity, so the reply
-                // check is direct. Odd slots of odd conns are health probes,
-                // so cheap and dear handlers race on the same stream.
+                // check is direct. Slots 2 and 6 of every conn are update
+                // batches and the odd slots of odd conns health probes, so
+                // inline and offloaded handlers race on the same stream.
+                let is_update = |seq: usize| seq % 4 == 2;
                 let is_probe = |conn: usize, seq: usize| conn % 2 == 1 && seq % 2 == 1;
                 let mut next_seq = [0usize; CONNS_PER_DRIVER];
                 let mut live: Vec<usize> = (0..CONNS_PER_DRIVER).collect();
@@ -149,7 +164,10 @@ fn soak_thousand_connections_mixed_protocols() {
                     let conn = live[pick];
                     let seq = next_seq[conn];
                     let v = request_vertex(driver, conn, seq);
-                    let frame = if is_probe(conn, seq) {
+                    let frame = if is_update(seq) {
+                        let id = v.raw() | UPDATE_BIT;
+                        encode_frame(FrameKind::UpdateBatch, id, &update_payload(v))
+                    } else if is_probe(conn, seq) {
                         encode_frame(FrameKind::HealthProbe, v.raw() | PROBE_BIT, &[])
                     } else {
                         encode_frame(FrameKind::SampleBatch, v.raw(), &sample_payload(v))
@@ -173,13 +191,18 @@ fn soak_thousand_connections_mixed_protocols() {
                     for _ in 0..REQUESTS_PER_CONN {
                         let (header, mut payload) = read_frame(&mut conns[conn]).expect("reply");
                         take_timing_echo(&mut payload).expect("echo");
-                        let v = VertexId(header.req_id & !PROBE_BIT);
+                        let v = VertexId(header.req_id & !(PROBE_BIT | UPDATE_BIT));
                         let seq = (v.raw() & 0xFFFF) as usize;
                         assert!(seq < REQUESTS_PER_CONN, "id names a real request");
                         assert_eq!(v, request_vertex(driver, conn, seq), "id routes home");
                         assert!(!seen[seq], "no duplicated replies");
                         seen[seq] = true;
-                        if header.req_id & PROBE_BIT != 0 {
+                        if header.req_id & UPDATE_BIT != 0 {
+                            assert!(is_update(seq), "update id on another slot");
+                            assert_eq!(header.kind, FrameKind::UpdateBatchReply);
+                            let report: BatchReport = decode(&payload).expect("report");
+                            assert_eq!(report.applied_ops, 1, "the one op applied");
+                        } else if header.req_id & PROBE_BIT != 0 {
                             assert!(is_probe(conn, seq), "probe id on a sample slot");
                             assert_eq!(header.kind, FrameKind::HealthReply);
                         } else {

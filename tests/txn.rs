@@ -165,6 +165,50 @@ fn scripted_admission_abort_is_clean_and_one_shot() {
     assert_eq!(c.edge_weight(victim, VertexId(9000), ET), Some(1.0));
 }
 
+/// With a relation limit set, a txn touching a relation at or past it is
+/// rejected whole as `UnknownEtype`; with the limit cleared the same txn
+/// commits.
+#[test]
+fn etype_limit_rejects_unknown_relations_until_cleared() {
+    let c = cluster(2);
+    c.set_etype_limit(Some(2));
+    let (v, e) = (c.graph_version(), c.num_edges());
+    let foreign = Edge {
+        etype: EdgeType(2),
+        ..edge(40, 41, 1.0)
+    };
+
+    let err = c
+        .apply_txn(
+            &GraphTxn::new(20)
+                .insert_edge(edge(42, 43, 1.0))
+                .insert_edge(foreign),
+        )
+        .expect_err("relation 2 is past the limit");
+    assert!(matches!(err, TxnError::Rejected { .. }));
+    let violations = err.violations();
+    assert_eq!(violations.len(), 1);
+    assert_eq!(violations[0].kind, ViolationKind::UnknownEtype);
+    assert_eq!(violations[0].op_index, 1);
+    assert_eq!(c.graph_version(), v, "rejected txn must not bump");
+    assert_eq!(c.num_edges(), e, "zero ops applied");
+
+    c.set_etype_limit(None);
+    let receipt = c
+        .apply_txn(
+            &GraphTxn::new(21)
+                .insert_edge(edge(42, 43, 1.0))
+                .insert_edge(foreign),
+        )
+        .expect("no limit, no rejection");
+    assert_eq!(receipt.ops_applied, 2);
+    assert_eq!(c.graph_version(), v + 1);
+    assert_eq!(
+        c.edge_weight(VertexId(40), VertexId(41), EdgeType(2)),
+        Some(1.0)
+    );
+}
+
 /// The full txn contract crosses the TCP wire: `RemoteCluster::apply_txn`
 /// commits, rejections arrive with their structured violation list, and a
 /// client-side resend of the same txn id is absorbed by the server's
