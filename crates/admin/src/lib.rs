@@ -802,18 +802,19 @@ fn slow_json(cluster: &Cluster) -> String {
 fn traffic_json(cluster: &Cluster) -> String {
     // Byte counts use the real wire-frame encoding sizes (`server::wire`),
     // so this view matches what the TCP rpc layer actually ships.
-    let t = cluster.traffic();
+    let snap = cluster.obs().snapshot();
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
     format!(
         "{{\"requests\":{},\"request_bytes\":{},\"response_bytes\":{},\
          \"failed_requests\":{},\"retried_requests\":{},\
          \"degraded_responses\":{},\"queued_ops\":{}}}",
-        t.requests,
-        t.request_bytes,
-        t.response_bytes,
-        t.failed_requests,
-        t.retried_requests,
-        t.degraded_responses,
-        t.queued_ops
+        count("cluster.requests"),
+        count("cluster.request_bytes"),
+        count("cluster.response_bytes"),
+        count("cluster.failed_requests"),
+        count("cluster.retried_requests"),
+        count("cluster.degraded_responses"),
+        count("cluster.queued_ops")
     )
 }
 
@@ -957,14 +958,13 @@ mod tests {
         let (status, ct, body) = route("/debug/traffic", &c);
         assert_eq!(status, 200);
         assert_eq!(ct, CT_JSON);
-        let t = c.traffic();
-        assert!(t.requests > 0 && t.request_bytes > 0 && t.response_bytes > 0);
+        let snap = c.obs().snapshot();
+        let count = |name: &str| snap.counter(name).expect("registered");
+        let (requests, request_bytes) = (count("cluster.requests"), count("cluster.request_bytes"));
+        assert!(requests > 0 && request_bytes > 0 && count("cluster.response_bytes") > 0);
+        assert!(body.contains(&format!("\"requests\":{requests}")), "{body}");
         assert!(
-            body.contains(&format!("\"requests\":{}", t.requests)),
-            "{body}"
-        );
-        assert!(
-            body.contains(&format!("\"request_bytes\":{}", t.request_bytes)),
+            body.contains(&format!("\"request_bytes\":{request_bytes}")),
             "{body}"
         );
         assert!(body.contains("\"degraded_responses\":0"), "{body}");

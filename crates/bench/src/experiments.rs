@@ -2,8 +2,7 @@
 //! are thin wrappers; `report_all` runs everything in paper order.
 
 use crate::{
-    build_graph, d2gl_with, datasets, header, ms, row, scale_edges, time_batches, update_batches,
-    Engine,
+    d2gl_with, datasets, header, ms, row, scale_edges, time_batches, update_batches, Engine,
 };
 use platod2gl::{
     human_bytes, CsTable, DatasetProfile, EdgeType, FsTable, GraphStore, NeighborSampler,
@@ -27,7 +26,9 @@ pub fn fig08_build() {
         let mut cells = Vec::new();
         for (i, profile) in ds.iter().enumerate() {
             let store = engine.build();
-            let t = build_graph(store.as_ref(), profile, 8).as_secs_f64();
+            let t = Instant::now();
+            profile.ingest_into(store.as_ref(), 8);
+            let t = t.elapsed().as_secs_f64();
             if engine == Engine::PlatoD2Gl {
                 d2gl_secs[i] = t;
             } else if engine != Engine::PlatoD2GlNoCp {
@@ -65,7 +66,7 @@ pub fn fig09_updates() {
         let mut times = Vec::new();
         for engine in [Engine::PlatoGl, Engine::PlatoD2Gl] {
             let store = engine.build();
-            build_graph(store.as_ref(), &profile, 8);
+            profile.ingest_into(store.as_ref(), 8);
             let batches = update_batches(&profile, batch, num_batches, 77);
             let t = time_batches(store.as_ref(), &batches);
             times.push(t.as_secs_f64());
@@ -158,7 +159,7 @@ pub fn table04_memory() {
         let mut cells = Vec::new();
         for (di, profile) in ds.iter().enumerate() {
             let store = engine.build();
-            build_graph(store.as_ref(), profile, 8);
+            profile.ingest_into(store.as_ref(), 8);
             grid[ei][di] = store.topology_bytes();
             cells.push(human_bytes(grid[ei][di]));
         }
@@ -185,7 +186,7 @@ pub fn table05_distribution() {
     header(&["capacity", "leaf ops", "non-leaf ops", "leaf %"]);
     for capacity in [64usize, 128, 256, 512, 1024] {
         let store = d2gl_with(capacity, 0, true);
-        build_graph(&store, &profile, 8);
+        profile.ingest_into(&store, 8);
         let stats = store.op_stats();
         row(
             &capacity.to_string(),
@@ -216,7 +217,7 @@ pub fn fig10_sampling() {
             .iter()
             .map(|e| {
                 let s = e.build();
-                build_graph(s.as_ref(), profile, 8);
+                profile.ingest_into(s.as_ref(), 8);
                 s
             })
             .collect();
@@ -243,7 +244,7 @@ pub fn fig10_sampling() {
             .iter()
             .map(|e| {
                 let s = e.build();
-                build_graph(s.as_ref(), profile, 8);
+                profile.ingest_into(s.as_ref(), 8);
                 s
             })
             .collect();
@@ -274,7 +275,7 @@ pub fn fig11_sensitivity() {
     for exp in [10u32, 12, 14, 16, 17] {
         let batch = 1usize << exp;
         let store = d2gl_with(256, 0, true);
-        build_graph(&store, &profile, 8);
+        profile.ingest_into(&store, 8);
         let batches = update_batches(&profile, batch, 4, 3);
         let t = time_batches(&store, &batches);
         row(&format!("2^{exp}"), &[ms(t)]);
@@ -285,7 +286,7 @@ pub fn fig11_sensitivity() {
     header(&["capacity", "time (ms)"]);
     for capacity in [64usize, 128, 256, 512, 1024] {
         let store = d2gl_with(capacity, 0, true);
-        build_graph(&store, &profile, 8);
+        profile.ingest_into(&store, 8);
         let batches = update_batches(&profile, 1 << 14, 4, 3);
         let t = time_batches(&store, &batches);
         row(&capacity.to_string(), &[ms(t)]);
@@ -298,7 +299,7 @@ pub fn fig11_sensitivity() {
         let mut cells = Vec::new();
         for exp in [12u32, 13, 14] {
             let store = d2gl_with(256, 0, true);
-            build_graph(&store, &profile, 8);
+            profile.ingest_into(&store, 8);
             let batches = update_batches(&profile, 1 << exp, 4, 3);
             let t = Instant::now();
             for b in &batches {
@@ -314,8 +315,9 @@ pub fn fig11_sensitivity() {
     header(&["alpha", "build (ms)"]);
     for alpha in [0usize, 4, 8, 16, 32] {
         let store = d2gl_with(256, alpha, true);
-        let t = build_graph(&store, &profile, 8);
-        row(&alpha.to_string(), &[ms(t)]);
+        let t = Instant::now();
+        profile.ingest_into(&store, 8);
+        row(&alpha.to_string(), &[ms(t.elapsed())]);
     }
 }
 
@@ -356,14 +358,14 @@ pub fn ablations() {
     header(&["method", "ms / 16k-batch"]);
     let batches = update_batches(&profile, 1 << 14, 8, 3);
     let store = DynamicGraphStore::with_defaults();
-    build_graph(&store, &profile, 8);
+    profile.ingest_into(&store, 8);
     let t = Instant::now();
     for b in &batches {
         store.apply_batch_parallel(b, 1); // sort + group + leaf-run batching
     }
     row("grouped", &[ms(t.elapsed() / batches.len() as u32)]);
     let store = DynamicGraphStore::with_defaults();
-    build_graph(&store, &profile, 8);
+    profile.ingest_into(&store, 8);
     let t = Instant::now();
     for b in &batches {
         for op in b {
@@ -391,7 +393,7 @@ pub fn ablations() {
                 },
                 ..StoreConfig::default()
             });
-            build_graph(&store, &profile, 8);
+            profile.ingest_into(&store, 8);
             let batches = update_batches(&profile, 1 << 14, 8, 3);
             let t = Instant::now();
             for b in &batches {

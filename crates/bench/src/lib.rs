@@ -97,23 +97,6 @@ pub fn scale_edges() -> u64 {
         .unwrap_or(200_000)
 }
 
-/// Ingest a full profile (bi-directed stream) and return wall-clock time.
-pub fn build_graph(store: &dyn GraphStore, profile: &DatasetProfile, seed: u64) -> Duration {
-    let start = Instant::now();
-    let mut batch: Vec<UpdateOp> = Vec::with_capacity(4096);
-    for e in profile.edge_stream(seed) {
-        batch.push(UpdateOp::Insert(e));
-        if batch.len() == 4096 {
-            store.apply_batch(&batch);
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        store.apply_batch(&batch);
-    }
-    start.elapsed()
-}
-
 /// Pre-generate mixed update batches (insert/update/delete per the default
 /// mix) of the given size.
 pub fn update_batches(
@@ -167,9 +150,8 @@ mod tests {
         let profile = DatasetProfile::tiny();
         for engine in Engine::ALL {
             let store = engine.build();
-            let t = build_graph(store.as_ref(), &profile, 1);
+            profile.ingest_into(store.as_ref(), 1);
             assert!(store.num_edges() > 0, "{}", engine.name());
-            assert!(t.as_nanos() > 0);
         }
     }
 

@@ -11,8 +11,9 @@
 //!   breadth-first search finds the *shortest* chain of displacements that
 //!   frees a slot (libcuckoo's improvement over random-walk kicking), and the
 //!   chain is unwound back-to-front.
-//! * **Shard-per-lock concurrency** — the table is split into
-//!   [`CuckooMap::shard_count`] independent cuckoo tables, each guarded by a
+//! * **Shard-per-lock concurrency** — the table is split into a power of
+//!   two of independent cuckoo tables (the `shards` argument of
+//!   [`CuckooMap::with_shards_and_capacity`]), each guarded by a
 //!   `parking_lot::Mutex`. A key's shard is derived from the high hash bits,
 //!   so displacement chains never cross a lock boundary. This is the
 //!   practical sharding used by production concurrent cuckoo maps.
@@ -343,11 +344,6 @@ impl<K: Eq + Hash, V> CuckooMap<K, V> {
             shard_bits,
             hasher: HashBuilder::default(),
         }
-    }
-
-    /// Number of independent lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     #[inline]

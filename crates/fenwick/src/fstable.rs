@@ -294,10 +294,6 @@ impl FsTable {
         debug_assert!((0.0..1.0).contains(&unit));
         self.sample_with(unit * self.total())
     }
-
-    /// Bytes of heap memory per element: exactly one `f64`, matching the
-    /// paper's claim that FSTable adds no space over storing the weights.
-    pub const BYTES_PER_ELEMENT: usize = std::mem::size_of::<f64>();
 }
 
 impl DeepSize for FsTable {

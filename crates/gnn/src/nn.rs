@@ -329,11 +329,6 @@ impl Matrix {
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    /// Frobenius norm (diagnostics).
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 /// A dense layer `y = x W + b` with SGD-updatable parameters.

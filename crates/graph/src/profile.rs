@@ -10,7 +10,7 @@
 //! deep-samtree code paths the production trace would.
 
 use crate::generator::{EdgeStream, UpdateStream};
-use crate::{EdgeType, VertexId, VertexType};
+use crate::{EdgeType, GraphStore, UpdateOp, VertexId, VertexType};
 use serde::{Deserialize, Serialize};
 
 /// One relation (edge type) of a heterogeneous dataset: the paper's
@@ -50,6 +50,9 @@ pub struct DatasetProfile {
 }
 
 const DEFAULT_SKEW: f64 = 0.9;
+
+/// Ops per [`DatasetProfile::ingest_into`] batch.
+const INGEST_BATCH: usize = 4096;
 
 impl DatasetProfile {
     /// OGBN-Products (Table III): 2.4 M × 2.4 M products, 61.9 M edges,
@@ -239,6 +242,23 @@ impl DatasetProfile {
     /// Deterministic edge stream for building the graph.
     pub fn edge_stream(&self, seed: u64) -> EdgeStream {
         EdgeStream::new(self, seed)
+    }
+
+    /// Build the graph: insert the whole [`edge_stream`](Self::edge_stream)
+    /// into `store` in 4096-op batches (the Fig. 8 ingest). Duplicate
+    /// edges become weight updates.
+    pub fn ingest_into(&self, store: &dyn GraphStore, seed: u64) {
+        let mut batch: Vec<UpdateOp> = Vec::with_capacity(INGEST_BATCH);
+        for e in self.edge_stream(seed) {
+            batch.push(UpdateOp::Insert(e));
+            if batch.len() == INGEST_BATCH {
+                store.apply_batch(&batch);
+                batch.clear();
+            }
+        }
+        if !batch.is_empty() {
+            store.apply_batch(&batch);
+        }
     }
 
     /// Deterministic mixed update stream (inserts / weight updates /

@@ -287,26 +287,17 @@ pub trait TxnView {
     }
 }
 
-/// A [`TxnView`] over any [`GraphStore`], with an optional edge-type limit
-/// (`etype.0 < limit` is known; `None` accepts everything).
+/// A [`TxnView`] over any [`GraphStore`], with no relation schema: every
+/// etype is known (the cluster's schema bound is
+/// `Cluster::set_etype_limit`).
 pub struct StoreTxnView<'a> {
     store: &'a dyn GraphStore,
-    etype_limit: Option<u16>,
 }
 
 impl<'a> StoreTxnView<'a> {
-    /// View with no relation schema: every etype is known.
+    /// View over `store`.
     pub fn new(store: &'a dyn GraphStore) -> Self {
-        StoreTxnView {
-            store,
-            etype_limit: None,
-        }
-    }
-
-    /// Restrict known edge types to `0..limit`.
-    pub fn with_etype_limit(mut self, limit: u16) -> Self {
-        self.etype_limit = Some(limit);
-        self
+        StoreTxnView { store }
     }
 }
 
@@ -317,10 +308,6 @@ impl TxnView for StoreTxnView<'_> {
 
     fn neighbors(&self, v: VertexId, etype: EdgeType) -> Vec<(VertexId, f64)> {
         self.store.neighbors(v, etype)
-    }
-
-    fn known_etype(&self, etype: EdgeType) -> bool {
-        self.etype_limit.is_none_or(|limit| etype.0 < limit)
     }
 }
 

@@ -5,8 +5,9 @@
 //! latencies on billion-scale graphs (Sec. VIII) — and production
 //! deployments of PlatoGL-style systems run on per-component counters.
 //! Before this crate the repo had three disjoint stat mechanisms (server
-//! latency histograms, `TrafficStats` atomics, hand-rolled pipeline JSON);
-//! none could show a single run end-to-end. This crate replaces them with:
+//! latency histograms, per-cluster traffic atomics, hand-rolled pipeline
+//! JSON); none could show a single run end-to-end. This crate replaces them
+//! with:
 //!
 //! * [`Counter`] / [`Gauge`] — sharded-atomic counters (cache-line-striped
 //!   hot path) and plain gauges;

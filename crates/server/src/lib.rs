@@ -21,11 +21,11 @@
 //! reacts:
 //!
 //! * **transient faults** are retried with exponential backoff
-//!   ([`TrafficStats::retried_requests`]);
+//!   (the `cluster.retried_requests` counter in [`Cluster::obs`]);
 //! * **failed shards** serve *degraded* reads — sampling returns an empty
 //!   neighbor set flagged via [`SampleResponse::degraded`] instead of
 //!   panicking — and their updates are **queued**
-//!   ([`TrafficStats::queued_ops`]) until [`Cluster::heal_shard`] drains
+//!   (`cluster.queued_ops`) until [`Cluster::heal_shard`] drains
 //!   them;
 //! * a **panicking batch worker** is caught per shard
 //!   ([`GraphService::apply_updates`] returns a `Result`), the shard is
@@ -50,9 +50,6 @@ pub mod wire;
 mod write;
 
 pub use faults::{FaultInjector, FaultKind};
-/// Legacy alias: the server's latency histogram is now the shared
-/// observability crate's [`Histogram`].
-pub use platod2gl_obs::Histogram as LatencyHistogram;
 pub use platod2gl_obs::HistogramSnapshot;
 pub use request::{DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
 pub use service::GraphService;
@@ -192,28 +189,6 @@ impl GraphServer {
     pub fn attributes(&self) -> &AttributeStore {
         &self.attributes
     }
-}
-
-/// Network-traffic and fault accounting (what the simulated RPCs would have
-/// cost, and how the cluster coped with faults).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TrafficStats {
-    /// RPCs issued to shards.
-    pub requests: u64,
-    /// Bytes sent to shards (ops, query vertices).
-    pub request_bytes: u64,
-    /// Bytes returned from shards (sampled IDs, weights).
-    pub response_bytes: u64,
-    /// Requests refused because the target shard was failed (or exhausted
-    /// its retry budget).
-    pub failed_requests: u64,
-    /// Individual retry attempts against transiently faulty shards.
-    pub retried_requests: u64,
-    /// Reads answered with a degraded fallback (e.g. empty sample sets).
-    pub degraded_responses: u64,
-    /// Update ops queued against failed shards, awaiting
-    /// [`Cluster::heal_shard`].
-    pub queued_ops: u64,
 }
 
 /// Per-shard router-side state: observed health plus updates parked while
@@ -519,11 +494,6 @@ impl Cluster {
         }
     }
 
-    /// Boot with defaults (4 shards).
-    pub fn with_defaults() -> Self {
-        Self::new(ClusterConfig::default())
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.servers.len()
@@ -597,32 +567,6 @@ impl Cluster {
     /// view (`cluster.obs().snapshot().to_json()` / `.to_prometheus()`).
     pub fn obs(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Latency histogram of neighbor-sampling requests.
-    pub fn sample_latency(&self) -> &LatencyHistogram {
-        &self.m.sample_latency
-    }
-
-    /// Latency histogram of batched update requests.
-    pub fn update_latency(&self) -> &LatencyHistogram {
-        &self.m.update_latency
-    }
-
-    /// Snapshot of simulated network traffic and fault counters.
-    ///
-    /// Compatibility view over the registry counters (`cluster.*`); the
-    /// registry itself ([`Cluster::obs`]) is the full picture.
-    pub fn traffic(&self) -> TrafficStats {
-        TrafficStats {
-            requests: self.m.requests.get(),
-            request_bytes: self.m.request_bytes.get(),
-            response_bytes: self.m.response_bytes.get(),
-            failed_requests: self.m.failed_requests.get(),
-            retried_requests: self.m.retried_requests.get(),
-            degraded_responses: self.m.degraded_responses.get(),
-            queued_ops: self.m.queued_ops.get(),
-        }
     }
 
     /// Fault-routed read with a degraded fallback value.
@@ -922,7 +866,7 @@ impl GraphStore for Cluster {
 
     fn apply_batch(&self, ops: &[UpdateOp]) {
         // The infallible trait signature reports shard loss via
-        // `shard_health` / `traffic()` instead of a panic: a worker panic
+        // `shard_health` / the `cluster.*` counters instead of a panic: a worker panic
         // is already captured per shard and recorded by the time the
         // write returns. The swallow is deliberate — but it is *counted*,
         // so a snapshot of `cluster.batch_apply_errors` reveals how many
@@ -996,6 +940,14 @@ mod tests {
         cluster_with_shards(3)
     }
 
+    /// A `cluster.*` counter, read from a registry snapshot.
+    fn count(c: &Cluster, name: &str) -> u64 {
+        c.obs()
+            .snapshot()
+            .counter(name)
+            .expect("registered counter")
+    }
+
     #[test]
     fn conformance_suite() {
         conformance::run_all(small_cluster);
@@ -1057,16 +1009,16 @@ mod tests {
     #[test]
     fn traffic_accounting_counts_requests() {
         let c = small_cluster();
-        let before = c.traffic();
+        let before = c.obs().snapshot();
         c.insert_edge(Edge::new(VertexId(1), VertexId(2), 1.0));
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let _ = c.sample_neighbors(VertexId(1), EdgeType(0), 10, &mut rng);
-        let after = c.traffic();
-        assert_eq!(after.requests, before.requests + 2);
-        assert!(after.request_bytes > before.request_bytes);
-        assert!(after.response_bytes >= before.response_bytes + 80);
-        assert_eq!(after.failed_requests, 0);
-        assert_eq!(after.degraded_responses, 0);
+        let grew = |name: &str| count(&c, name) - before.counter(name).expect("registered");
+        assert_eq!(grew("cluster.requests"), 2);
+        assert!(grew("cluster.request_bytes") > 0);
+        assert!(grew("cluster.response_bytes") >= 80);
+        assert_eq!(count(&c, "cluster.failed_requests"), 0);
+        assert_eq!(count(&c, "cluster.degraded_responses"), 0);
     }
 
     #[test]
@@ -1100,19 +1052,20 @@ mod tests {
         for e in DatasetProfile::tiny().edge_stream(1).take(1_000) {
             c.insert_edge(e);
         }
-        assert_eq!(c.sample_latency().count(), 0);
+        let sample_latency = c.obs().histogram("cluster.sample_latency_ns");
+        assert_eq!(sample_latency.count(), 0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         for v in DatasetProfile::tiny().sample_sources(32, 2) {
             let _ = c.sample_neighbors(v, EdgeType(0), 10, &mut rng);
         }
-        assert_eq!(c.sample_latency().count(), 32);
-        let snap = c.sample_latency().snapshot();
+        assert_eq!(sample_latency.count(), 32);
+        let snap = sample_latency.snapshot();
         assert!(snap.mean_ns > 0);
         assert!(snap.p50_ns <= snap.p99_ns);
         assert!(snap.max_ns >= snap.mean_ns);
         c.apply_updates(&DatasetProfile::tiny().update_stream(3).next_batch(100))
             .expect("no faults");
-        assert_eq!(c.update_latency().count(), 1);
+        assert_eq!(c.obs().histogram("cluster.update_latency_ns").count(), 1);
     }
 
     #[test]
@@ -1349,9 +1302,8 @@ mod tests {
             healthy_sampled |= !resp.neighbors.is_empty();
         }
         assert!(healthy_sampled, "healthy shards must keep serving data");
-        let t = c.traffic();
-        assert!(t.failed_requests >= 1);
-        assert!(t.degraded_responses >= 1);
+        assert!(count(&c, "cluster.failed_requests") >= 1);
+        assert!(count(&c, "cluster.degraded_responses") >= 1);
     }
 
     #[test]
@@ -1380,7 +1332,7 @@ mod tests {
         assert_eq!(c.pending_ops(1), 0);
         assert_eq!(c.shard_health(1), ShardHealth::Healthy);
         assert_eq!(c.degree(dead, EdgeType(0)), 2, "queued ops applied on heal");
-        assert_eq!(c.traffic().queued_ops, 2);
+        assert_eq!(count(&c, "cluster.queued_ops"), 2);
     }
 
     #[test]
@@ -1413,9 +1365,8 @@ mod tests {
         let resp = c.sample(&SampleRequest::new(VertexId(1), EdgeType(0), 4), &mut rng);
         assert!(!resp.degraded, "retries must succeed within budget");
         assert_eq!(resp.neighbors.len(), 4);
-        let t = c.traffic();
-        assert_eq!(t.retried_requests, 2);
-        assert_eq!(t.failed_requests, 0);
+        assert_eq!(count(&c, "cluster.retried_requests"), 2);
+        assert_eq!(count(&c, "cluster.failed_requests"), 0);
         assert_eq!(
             c.shard_health(shard),
             ShardHealth::Healthy,
@@ -1433,7 +1384,7 @@ mod tests {
         let resp = c.sample(&SampleRequest::new(VertexId(1), EdgeType(0), 4), &mut rng);
         assert!(resp.degraded);
         assert_eq!(c.shard_health(shard), ShardHealth::Failed);
-        assert!(c.traffic().retried_requests >= MAX_RETRIES as u64);
+        assert!(count(&c, "cluster.retried_requests") >= MAX_RETRIES as u64);
         c.heal_shard(shard);
         let resp = c.sample(&SampleRequest::new(VertexId(1), EdgeType(0), 4), &mut rng);
         assert!(!resp.degraded, "healed shard serves again");
@@ -1552,8 +1503,7 @@ mod tests {
         );
         assert!(GraphStore::neighbors(&c, VertexId(4), EdgeType(0)).is_empty());
         assert!(c.top_k_neighbors(VertexId(4), EdgeType(0), 3).is_empty());
-        let t = c.traffic();
-        assert!(t.degraded_responses >= 5);
+        assert!(count(&c, "cluster.degraded_responses") >= 5);
         c.heal_shard(shard);
         assert_eq!(
             c.degree(VertexId(4), EdgeType(0)),
@@ -1597,6 +1547,79 @@ mod tests {
     }
 
     #[test]
+    fn builder_applies_configuration() {
+        let mut store = StoreConfig::default();
+        store.tree.capacity = 64;
+        store.tree.alpha = 4;
+        store.tree.compression = false;
+        let c = Cluster::new(
+            ClusterConfig::builder()
+                .num_shards(2)
+                .store(store)
+                .threads_per_shard(2)
+                .build()
+                .expect("valid"),
+        );
+        assert_eq!(c.num_shards(), 2);
+        let cfg = c.server(0).topology().tree_config();
+        assert_eq!(cfg.capacity, 64);
+        assert_eq!(cfg.alpha, 4);
+        assert!(!cfg.compression);
+    }
+
+    #[test]
+    fn ingest_profile_reports_counts() {
+        let c = cluster_with_shards(2);
+        let profile = DatasetProfile::tiny();
+        profile.ingest_into(&c, 3);
+        let offered = profile.edge_stream(3).count();
+        assert_eq!(offered, profile.total_edges() as usize);
+        assert!(c.num_edges() > 0);
+        assert!(c.num_edges() <= offered);
+        assert_eq!(c.num_edges(), c.shard_edge_counts().iter().sum::<usize>());
+        assert_eq!(count(&c, "cluster.batch_apply_errors"), 0);
+    }
+
+    #[test]
+    fn facade_sampling_is_deterministic_per_seed() {
+        let c = Cluster::new(ClusterConfig::default());
+        for i in 0..50u64 {
+            c.insert_edge(Edge::new(VertexId(1), VertexId(100 + i), 1.0));
+        }
+        let draw = |seed| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            c.sample_neighbors(VertexId(1), EdgeType::DEFAULT, 20, &mut rng)
+        };
+        let a = draw(7);
+        assert_eq!(a, draw(7));
+        assert_ne!(a, draw(8));
+    }
+
+    #[test]
+    fn memory_report_sums_shards() {
+        let c = cluster_with_shards(3);
+        DatasetProfile::tiny().ingest_into(&c, 1);
+        let mem = c.memory_breakdown();
+        assert_eq!(mem.per_shard.len(), 3);
+        let per_shard: usize = mem.per_shard.iter().map(|s| s.topology.total_bytes).sum();
+        assert_eq!(mem.samtree_bytes, per_shard);
+        assert!(mem.samtree_bytes > 0);
+    }
+
+    #[test]
+    fn op_stats_aggregate_across_shards() {
+        // Every shard store records into the cluster's one registry, so each
+        // shard's `op_stats()` already is the cluster-wide total.
+        let c = cluster_with_shards(2);
+        DatasetProfile::tiny().ingest_into(&c, 2);
+        let leaf_ops = count(&c, "samtree.leaf_ops");
+        assert!(leaf_ops > 0);
+        for s in c.servers() {
+            assert_eq!(s.topology().op_stats().leaf_ops, leaf_ops);
+        }
+    }
+
+    #[test]
     fn self_loop_policy_pads_degraded_samples() {
         let c = cluster_with_shards(4);
         c.faults().fail_shard(2);
@@ -1621,8 +1644,8 @@ mod tests {
         }
         c.heal_shard(0);
         let snap = c.obs().snapshot();
-        // Cluster-side counters mirror traffic().
-        assert_eq!(snap.counter("cluster.requests"), Some(c.traffic().requests));
+        // Cluster-side counters: 500 routed inserts + 8 samples.
+        assert_eq!(snap.counter("cluster.requests"), Some(508));
         assert_eq!(snap.counter("cluster.heals"), Some(1));
         // Storage-side counters from all shards aggregate into the same
         // registry (500 routed inserts → 500 leaf ops across shards).

@@ -18,7 +18,7 @@
 //! a healthy shard; single ops target the faulted shard.
 
 use platod2gl_graph::{Edge, EdgeType, GraphStore, GraphTxn, ShardHealth, UpdateOp, VertexId};
-use platod2gl_server::{Cluster, FaultKind, GraphService};
+use platod2gl_server::{Cluster, ClusterConfig, FaultKind, GraphService};
 use std::time::Duration;
 
 const FAULTED: usize = 1;
@@ -32,9 +32,20 @@ fn vertex_on(c: &Cluster, shard: usize) -> VertexId {
         .expect("some vertex routes to every shard")
 }
 
+/// The fault counters a cell reports: `[failed, retried, queued]`.
+fn fault_counts(c: &Cluster) -> [u64; 3] {
+    let snap = c.obs().snapshot();
+    [
+        "cluster.failed_requests",
+        "cluster.retried_requests",
+        "cluster.queued_ops",
+    ]
+    .map(|name| snap.counter(name).expect("registered"))
+}
+
 /// Drive one cell on a fresh cluster and describe what it left behind.
 fn cell(fault: Option<FaultKind>, discovered: bool, entry: &str) -> String {
-    let c = Cluster::with_defaults(); // 4 shards
+    let c = Cluster::new(ClusterConfig::default()); // 4 shards
     let (hit, live) = (vertex_on(&c, FAULTED), vertex_on(&c, 0));
     c.insert_edge(Edge::new(hit, VertexId(900), 1.0));
     // One partition: every first-hand op that lands is journaled.
@@ -53,7 +64,7 @@ fn cell(fault: Option<FaultKind>, discovered: bool, entry: &str) -> String {
         // the shard as `Failed` when the write arrives.
         assert_eq!(c.degree(hit, EdgeType(0)), 0);
     }
-    let (v0, t0) = (c.graph_version(), c.traffic());
+    let (v0, t0) = (c.graph_version(), fault_counts(&c));
 
     let ops = [
         UpdateOp::Insert(Edge::new(hit, VertexId(901), 1.0)),
@@ -75,7 +86,7 @@ fn cell(fault: Option<FaultKind>, discovered: bool, entry: &str) -> String {
 
     let leaked = (0..4).any(|s| s != FAULTED && c.shard_health(s) != ShardHealth::Healthy);
     assert!(!leaked, "the fault leaked to another shard");
-    let (t, v1, j1) = (c.traffic(), c.graph_version(), journal_len());
+    let (t, v1, j1) = (fault_counts(&c), c.graph_version(), journal_len());
     let last_txn = c
         .txn_journal()
         .last()
@@ -85,9 +96,9 @@ fn cell(fault: Option<FaultKind>, discovered: bool, entry: &str) -> String {
         c.shard_health(FAULTED),
         c.pending_ops(FAULTED),
         v1 - v0,
-        t.failed_requests - t0.failed_requests,
-        t.retried_requests - t0.retried_requests,
-        t.queued_ops - t0.queued_ops,
+        t[0] - t0[0],
+        t[1] - t0[1],
+        t[2] - t0[2],
     );
     let drained = c.heal_shard(FAULTED);
     format!(

@@ -34,71 +34,3 @@ pub use wal::{
     replay_wal, DurableGraphStore, RecoveryReport, TornTail, TornTailKind, WalReplayReport,
     WalWriter, WAL_MAGIC,
 };
-
-use platod2gl_samtree::OpStats;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Thread-safe accumulator for samtree [`OpStats`] (drives the paper's
-/// Table V reproduction).
-#[derive(Debug, Default)]
-pub struct SharedOpStats {
-    leaf_ops: AtomicU64,
-    internal_ops: AtomicU64,
-    leaf_splits: AtomicU64,
-    internal_splits: AtomicU64,
-    merges: AtomicU64,
-}
-
-impl SharedOpStats {
-    /// Fold a local counter set in.
-    pub fn add(&self, s: &OpStats) {
-        self.leaf_ops.fetch_add(s.leaf_ops, Ordering::Relaxed);
-        self.internal_ops
-            .fetch_add(s.internal_ops, Ordering::Relaxed);
-        self.leaf_splits.fetch_add(s.leaf_splits, Ordering::Relaxed);
-        self.internal_splits
-            .fetch_add(s.internal_splits, Ordering::Relaxed);
-        self.merges.fetch_add(s.merges, Ordering::Relaxed);
-    }
-
-    /// Read a consistent-enough snapshot.
-    pub fn snapshot(&self) -> OpStats {
-        OpStats {
-            leaf_ops: self.leaf_ops.load(Ordering::Relaxed),
-            internal_ops: self.internal_ops.load(Ordering::Relaxed),
-            leaf_splits: self.leaf_splits.load(Ordering::Relaxed),
-            internal_splits: self.internal_splits.load(Ordering::Relaxed),
-            merges: self.merges.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[cfg(test)]
-mod stats_tests {
-    use super::*;
-
-    #[test]
-    fn shared_stats_accumulate() {
-        let shared = SharedOpStats::default();
-        shared.add(&OpStats {
-            leaf_ops: 5,
-            internal_ops: 1,
-            leaf_splits: 1,
-            internal_splits: 0,
-            merges: 0,
-        });
-        shared.add(&OpStats {
-            leaf_ops: 3,
-            internal_ops: 0,
-            leaf_splits: 0,
-            internal_splits: 2,
-            merges: 4,
-        });
-        let s = shared.snapshot();
-        assert_eq!(s.leaf_ops, 8);
-        assert_eq!(s.internal_ops, 1);
-        assert_eq!(s.leaf_splits, 1);
-        assert_eq!(s.internal_splits, 2);
-        assert_eq!(s.merges, 4);
-    }
-}

@@ -233,7 +233,10 @@ impl DynamicGraphStore {
     }
 
     /// Snapshot of the accumulated samtree operation counters (Table V),
-    /// served from the metrics registry.
+    /// served from the metrics registry's `samtree.*` counters. On a shared
+    /// registry — every shard of a `Cluster` records into one — this is the
+    /// registry-wide total, not this store's own share: do not sum it
+    /// across stores that share a registry.
     pub fn op_stats(&self) -> OpStats {
         OpStats {
             leaf_ops: self.metrics.leaf_ops.get(),

@@ -6,8 +6,20 @@
 //! Run with: `cargo run -p platod2gl --release --example checkpoint_reshard`
 
 use platod2gl::{
-    read_edge_list, write_edge_list, DatasetProfile, EdgeType, GraphStore, PlatoD2GL, UpdateOp,
+    read_edge_list, write_edge_list, Cluster, ClusterConfig, DatasetProfile, EdgeType,
+    GraphService, GraphStore, NeighborSampler, UpdateOp,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+fn cluster(num_shards: usize) -> Cluster {
+    Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(num_shards)
+            .build()
+            .expect("valid config"),
+    )
+}
 
 fn main() {
     // --- 1. A user-supplied edge list (here: generated, then serialized
@@ -23,18 +35,20 @@ fn main() {
     );
 
     // --- 2. Load it into a 2-shard cluster. ------------------------------
-    let small = PlatoD2GL::builder().num_shards(2).build();
+    let small = cluster(2);
     let parsed = read_edge_list(text.as_slice()).expect("parse edge list");
-    small.apply_updates(
-        &parsed
-            .iter()
-            .map(|&e| UpdateOp::Insert(e))
-            .collect::<Vec<_>>(),
-    );
+    small
+        .apply_updates(
+            &parsed
+                .iter()
+                .map(|&e| UpdateOp::Insert(e))
+                .collect::<Vec<_>>(),
+        )
+        .expect("no shard faults");
     println!(
         "loaded into 2 shards: {} edges, shard load {:?}",
-        small.store().num_edges(),
-        small.store().shard_edge_counts()
+        small.num_edges(),
+        small.shard_edge_counts()
     );
 
     // --- 3. Checkpoint. ----------------------------------------------------
@@ -43,27 +57,27 @@ fn main() {
     println!(
         "checkpoint: {:.1} MB binary ({:.1} bytes/edge)",
         snapshot.len() as f64 / 1e6,
-        snapshot.len() as f64 / small.store().num_edges() as f64
+        snapshot.len() as f64 / small.num_edges() as f64
     );
 
     // --- 4. Restore onto a 6-shard cluster (scale-out without replay). ----
-    let big = PlatoD2GL::builder().num_shards(6).build();
+    let big = cluster(6);
     let t = std::time::Instant::now();
     big.restore_from(snapshot.as_slice()).expect("restore");
     println!(
         "restored onto 6 shards in {:.2?}: {} edges, shard load {:?}",
         t.elapsed(),
-        big.store().num_edges(),
-        big.store().shard_edge_counts()
+        big.num_edges(),
+        big.shard_edge_counts()
     );
-    assert_eq!(big.store().num_edges(), small.store().num_edges());
+    assert_eq!(big.num_edges(), small.num_edges());
 
     // --- 5. Verify a few vertices survived with identical state. ----------
     let probes = profile.sample_sources(100, 5);
     for &v in &probes {
         assert_eq!(
-            small.store().degree(v, EdgeType(0)),
-            big.store().degree(v, EdgeType(0)),
+            small.degree(v, EdgeType(0)),
+            big.degree(v, EdgeType(0)),
             "degree diverged at {v:?}"
         );
     }
@@ -74,8 +88,13 @@ fn main() {
 
     // --- 6. The restored cluster is live: keep updating and sampling. -----
     let mut stream = profile.update_stream(9);
-    big.apply_updates(&stream.next_batch(10_000));
-    let sampled = big.neighbor_sample(&probes[..8], EdgeType(0), 25, 3);
+    big.apply_updates(&stream.next_batch(10_000))
+        .expect("no shard faults");
+    let sampled = NeighborSampler::new(EdgeType(0), 25).sample(
+        &big,
+        &probes[..8],
+        &mut StdRng::seed_from_u64(3),
+    );
     println!(
         "post-restore updates + sampling OK ({} sample lists)",
         sampled.len()

@@ -15,8 +15,8 @@
 //! Run with: `cargo run -p platod2gl --release --example crash_recovery`
 
 use platod2gl::{
-    DatasetProfile, DurableGraphStore, Edge, EdgeType, GraphStore, PlatoD2GL, SampleRequest,
-    StoreConfig, UpdateOp, VertexId,
+    Cluster, ClusterConfig, DatasetProfile, DurableGraphStore, Edge, EdgeType, GraphService,
+    GraphStore, SampleRequest, StoreConfig, UpdateOp, VertexId,
 };
 
 fn main() {
@@ -74,8 +74,12 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // --- 5: shard failure with graceful degradation ----------------------
-    let system = PlatoD2GL::builder().num_shards(4).build();
-    let cluster = system.store();
+    let cluster = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(4)
+            .build()
+            .expect("valid config"),
+    );
     for e in profile.edge_stream(7) {
         cluster.insert_edge(e);
     }
@@ -99,11 +103,13 @@ fn main() {
         served.neighbors.len()
     );
 
-    system.apply_updates(&[UpdateOp::Insert(Edge::new(
-        dead_vertex,
-        VertexId(424_242),
-        1.0,
-    ))]);
+    cluster
+        .apply_updates(&[UpdateOp::Insert(Edge::new(
+            dead_vertex,
+            VertexId(424_242),
+            1.0,
+        ))])
+        .expect("a failed shard queues, it does not error");
     println!(
         "update to the failed shard queued ({} pending)",
         cluster.pending_ops(dead_shard)
@@ -114,9 +120,14 @@ fn main() {
         "healed shard {dead_shard}: drained {drained} queued op(s), health={:?}",
         cluster.shard_health(dead_shard)
     );
-    let t = cluster.traffic();
+    let snap = cluster.obs().snapshot();
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
     println!(
         "traffic: {} requests, {} failed, {} retried, {} degraded, {} queued",
-        t.requests, t.failed_requests, t.retried_requests, t.degraded_responses, t.queued_ops
+        count("cluster.requests"),
+        count("cluster.failed_requests"),
+        count("cluster.retried_requests"),
+        count("cluster.degraded_responses"),
+        count("cluster.queued_ops")
     );
 }

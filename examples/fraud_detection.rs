@@ -9,7 +9,8 @@
 //! Run with: `cargo run -p platod2gl --release --example fraud_detection`
 
 use platod2gl::{
-    Edge, GraphStore, HashFeatures, PlatoD2GL, SageNet, SageNetConfig, UpdateOp, VertexId,
+    Cluster, ClusterConfig, Edge, GraphService, GraphStore, HashFeatures, SageNet, SageNetConfig,
+    UpdateOp, VertexId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,19 +65,26 @@ fn main() {
     let accounts: Vec<VertexId> = (0..400).map(VertexId).collect();
     let labels: Vec<usize> = accounts.iter().map(|&v| provider.label(v)).collect();
 
-    let system = PlatoD2GL::builder().num_shards(2).build();
+    let cluster = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(2)
+            .build()
+            .expect("valid config"),
+    );
     let mut rng_edges = Xs(0xfeed_beef);
     let initial = community_edges(&provider, &accounts, 6, 90, &mut rng_edges);
-    system.apply_updates(
-        &initial
-            .iter()
-            .map(|&e| UpdateOp::Insert(e))
-            .collect::<Vec<_>>(),
-    );
+    cluster
+        .apply_updates(
+            &initial
+                .iter()
+                .map(|&e| UpdateOp::Insert(e))
+                .collect::<Vec<_>>(),
+        )
+        .expect("no shard faults");
     println!(
         "transaction graph: {} accounts, {} edges",
         accounts.len(),
-        system.store().num_edges()
+        cluster.num_edges()
     );
 
     let mut net = SageNet::new(SageNetConfig {
@@ -97,7 +105,7 @@ fn main() {
         let mut batches = 0.0;
         for chunk in accounts.chunks(64) {
             let batch_labels: Vec<usize> = chunk.iter().map(|v| labels[v.raw() as usize]).collect();
-            let stats = net.train_step(system.store(), &provider, chunk, &batch_labels, &mut rng);
+            let stats = net.train_step(&cluster, &provider, chunk, &batch_labels, &mut rng);
             loss_sum += stats.loss;
             acc_sum += stats.accuracy;
             batches += 1.0;
@@ -114,20 +122,22 @@ fn main() {
     // lands while training continues — PlatoD2GL absorbs it in place.
     println!("\nphase 2: injecting 30% more edges, training continues");
     let burst = community_edges(&provider, &accounts, 2, 80, &mut rng_edges);
-    system.apply_updates(
-        &burst
-            .iter()
-            .map(|&e| UpdateOp::Insert(e))
-            .collect::<Vec<_>>(),
-    );
-    println!("  graph now has {} edges", system.store().num_edges());
+    cluster
+        .apply_updates(
+            &burst
+                .iter()
+                .map(|&e| UpdateOp::Insert(e))
+                .collect::<Vec<_>>(),
+        )
+        .expect("no shard faults");
+    println!("  graph now has {} edges", cluster.num_edges());
     let mut final_acc = 0.0;
     for epoch in 0..5 {
         let mut acc_sum = 0.0;
         let mut batches = 0.0;
         for chunk in accounts.chunks(64) {
             let batch_labels: Vec<usize> = chunk.iter().map(|v| labels[v.raw() as usize]).collect();
-            let stats = net.train_step(system.store(), &provider, chunk, &batch_labels, &mut rng);
+            let stats = net.train_step(&cluster, &provider, chunk, &batch_labels, &mut rng);
             acc_sum += stats.accuracy;
             batches += 1.0;
         }
@@ -136,7 +146,7 @@ fn main() {
     }
 
     // --- Evaluate ----------------------------------------------------------
-    let preds = net.predict(system.store(), &provider, &accounts, &mut rng);
+    let preds = net.predict(&cluster, &provider, &accounts, &mut rng);
     let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
     println!(
         "\nfinal: {}/{} accounts classified correctly ({:.1}%)",

@@ -9,7 +9,10 @@
 //!
 //! Run with: `cargo run -p platod2gl --release --example live_recommendation`
 
-use platod2gl::{DatasetProfile, EdgeType, MetapathSampler, PlatoD2GL, UpdateOp};
+use platod2gl::{
+    Cluster, ClusterConfig, DatasetProfile, EdgeType, GraphService, GraphStore, MetapathSampler,
+    NeighborSampler, UpdateOp,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -30,18 +33,23 @@ fn main() {
         );
     }
 
-    let system = PlatoD2GL::builder()
-        .num_shards(4)
-        .threads_per_shard(2)
-        .build();
+    let cluster = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(4)
+            .threads_per_shard(2)
+            .build()
+            .expect("valid config"),
+    );
 
     // --- Initial bulk build ---------------------------------------------
-    let report = system.ingest_profile(&profile, 1);
+    let t = Instant::now();
+    profile.ingest_into(&cluster, 1);
+    let elapsed = t.elapsed();
     println!(
         "\nbuilt {} edges in {:.2?} ({:.0} edges/s)",
-        report.edges_stored,
-        report.elapsed,
-        report.edges_offered as f64 / report.elapsed.as_secs_f64()
+        cluster.num_edges(),
+        elapsed,
+        cluster.num_edges() as f64 / elapsed.as_secs_f64()
     );
 
     // --- Live update stream ----------------------------------------------
@@ -52,7 +60,7 @@ fn main() {
     for _ in 0..20 {
         let batch: Vec<UpdateOp> = stream.next_batch(4096);
         let t = Instant::now();
-        system.apply_updates(&batch);
+        cluster.apply_updates(&batch).expect("no shard faults");
         latencies.push(t.elapsed());
     }
     latencies.sort();
@@ -71,7 +79,7 @@ fn main() {
     let t = Instant::now();
     let mut total_tags = 0usize;
     for &user in &users {
-        let layers = metapath.sample(system.store(), &[user], &mut rng);
+        let layers = metapath.sample(&cluster, &[user], &mut rng);
         total_tags += layers[2].len();
     }
     println!(
@@ -86,22 +94,28 @@ fn main() {
     // query must already see it.
     let user = users[0];
     let new_live = platod2gl::VertexId::compose(platod2gl::VertexType(1), 999_999);
-    system.apply_updates(&[UpdateOp::Insert(platod2gl::Edge {
-        src: user,
-        dst: new_live,
-        etype: EdgeType(0),
-        weight: 50.0, // a strong, fresh interest signal
-        ts: 0,
-    })]);
-    let samples = system.neighbor_sample(&[user], EdgeType(0), 200, 11);
+    cluster
+        .apply_updates(&[UpdateOp::Insert(platod2gl::Edge {
+            src: user,
+            dst: new_live,
+            etype: EdgeType(0),
+            weight: 50.0, // a strong, fresh interest signal
+            ts: 0,
+        })])
+        .expect("no shard faults");
+    let samples = NeighborSampler::new(EdgeType(0), 200).sample(
+        &cluster,
+        &[user],
+        &mut StdRng::seed_from_u64(11),
+    );
     let hits = samples[0].iter().filter(|v| **v == new_live).count();
     println!("after one live click with weight 50: new room appears in {hits}/200 samples");
     assert!(hits > 0, "fresh interest must be sampled immediately");
 
-    let mem = system.memory_report();
+    let mem = cluster.memory_breakdown();
     println!(
         "\ntopology memory {} | shard edges {:?}",
-        platod2gl::human_bytes(mem.topology_bytes),
-        system.store().shard_edge_counts()
+        platod2gl::human_bytes(mem.samtree_bytes),
+        cluster.shard_edge_counts()
     );
 }

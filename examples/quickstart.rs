@@ -1,15 +1,31 @@
-//! Quickstart: boot a PlatoD2GL system, build a small dynamic graph, sample
+//! Quickstart: boot a PlatoD2GL cluster, build a small dynamic graph, sample
 //! neighbors while the graph changes, and inspect memory/operation stats.
 //!
 //! Run with: `cargo run -p platod2gl --release --example quickstart`
 
-use platod2gl::{human_bytes, Edge, EdgeType, GraphStore, PlatoD2GL, VertexId};
+use platod2gl::{
+    human_bytes, Cluster, ClusterConfig, Edge, EdgeType, GraphStore, NeighborSampler,
+    SubgraphSampler, VertexId,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() {
-    // A system with 2 simulated graph servers and the paper's default
+    // A cluster of 2 simulated graph servers with the paper's default
     // samtree parameters (capacity 256, alpha 0, CP-ID compression on).
-    let system = PlatoD2GL::builder().num_shards(2).build();
-    let store = system.store();
+    let store = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(2)
+            .build()
+            .expect("valid config"),
+    );
+    let sample = |k, seed| {
+        NeighborSampler::new(EdgeType::DEFAULT, k).sample(
+            &store,
+            &[VertexId(1)],
+            &mut StdRng::seed_from_u64(seed),
+        )
+    };
 
     // --- Build the paper's Fig. 3 example graph ------------------------
     let edges = [
@@ -32,7 +48,7 @@ fn main() {
     // --- Weighted neighbor sampling ------------------------------------
     // v1's neighbors are {2: 0.1, 3: 0.4, 5: 0.2}; neighbor 3 should be
     // drawn roughly 4x more often than neighbor 2.
-    let samples = system.neighbor_sample(&[VertexId(1)], EdgeType::DEFAULT, 10_000, 42);
+    let samples = sample(10_000, 42);
     let mut counts = std::collections::BTreeMap::new();
     for v in &samples[0] {
         *counts.entry(v.raw()).or_insert(0usize) += 1;
@@ -43,18 +59,22 @@ fn main() {
     // Crank up the weight of edge (1 -> 2); sampling reflects it instantly,
     // in O(log n) maintenance time instead of PlatoGL's O(n).
     store.update_weight(Edge::new(VertexId(1), VertexId(2), 10.0));
-    let samples = system.neighbor_sample(&[VertexId(1)], EdgeType::DEFAULT, 10_000, 43);
+    let samples = sample(10_000, 43);
     let heavy = samples[0].iter().filter(|v| v.raw() == 2).count();
     println!("after boosting w(1->2) to 10.0: neighbor 2 drawn {heavy}/10000 times");
 
     // Delete an edge; it can never be sampled again.
     store.delete_edge(VertexId(1), VertexId(5), EdgeType::DEFAULT);
-    let samples = system.neighbor_sample(&[VertexId(1)], EdgeType::DEFAULT, 1_000, 44);
+    let samples = sample(1_000, 44);
     assert!(samples[0].iter().all(|v| v.raw() != 5));
     println!("after deleting (1 -> 5): neighbor 5 never sampled again");
 
     // --- 2-hop subgraph sampling ----------------------------------------
-    let sg = system.subgraph_sample(&[VertexId(1)], EdgeType::DEFAULT, &[3, 3], 45);
+    let sg = SubgraphSampler::new(EdgeType::DEFAULT, vec![3, 3]).sample(
+        &store,
+        &[VertexId(1)],
+        &mut StdRng::seed_from_u64(45),
+    );
     println!(
         "2-hop subgraph from v1: layers {:?}, {} sampled edges",
         sg.layers
@@ -65,12 +85,14 @@ fn main() {
     );
 
     // --- Introspection ---------------------------------------------------
-    let mem = system.memory_report();
-    let stats = system.op_stats();
+    let mem = store.memory_breakdown();
+    let snap = store.obs().snapshot();
+    let leaf_ops = snap.counter("samtree.leaf_ops").unwrap_or(0) as f64;
+    let internal_ops = snap.counter("samtree.internal_ops").unwrap_or(0) as f64;
     println!(
         "topology memory: {} across {} shards; {:.2}% of update ops hit samtree leaves",
-        human_bytes(mem.topology_bytes),
+        human_bytes(mem.samtree_bytes),
         mem.per_shard.len(),
-        stats.leaf_fraction() * 100.0
+        leaf_ops / (leaf_ops + internal_ops).max(1.0) * 100.0
     );
 }

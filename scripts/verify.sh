@@ -47,6 +47,17 @@ fi
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
+echo "==> example runs (quickstart, checkpoint_reshard, crash_recovery, fraud_detection, live_recommendation must exit 0)"
+# A built example that panics passes every other gate. ~1 s for all five;
+# streaming_updates (~8 s) stays build-only.
+for example in quickstart checkpoint_reshard crash_recovery fraud_detection live_recommendation; do
+    if ! cargo run -q -p platod2gl --release --example "$example" >"$build_log" 2>&1; then
+        echo "verify: FAIL - example $example exited non-zero:"
+        tail -n 40 "$build_log"
+        exit 1
+    fi
+done
+
 echo "==> pipeline smoke test (train_pipeline example, reduced size; blocks must come out compacted)"
 pipeline_out=$(EPOCHS=2 VERTICES=200 cargo run -p platod2gl --release --example train_pipeline)
 echo "$pipeline_out"

@@ -4,10 +4,12 @@
 //! graceful degradation (DESIGN.md "Durability & failure model").
 
 use platod2gl::{
-    DatasetProfile, DurableGraphStore, DynamicGraphStore, Edge, EdgeType, GraphStore, PlatoD2GL,
-    ShardHealth, StoreConfig, UpdateOp, VertexId,
+    Cluster, ClusterConfig, DatasetProfile, DurableGraphStore, DynamicGraphStore, Edge, EdgeType,
+    GraphService, GraphStore, NeighborSampler, ShardHealth, StoreConfig, UpdateOp, VertexId,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -226,11 +228,23 @@ fn checkpoint_concurrent_with_writers_loses_nothing() {
 
 /// One failed shard out of four must not take down the cluster: healthy
 /// shards serve at full fidelity, the failed shard degrades explicitly,
-/// queued updates drain on heal, and the traffic stats record all of it.
+/// queued updates drain on heal, and the `cluster.*` counters record all
+/// of it.
 #[test]
 fn one_failed_shard_degrades_gracefully_end_to_end() {
-    let system = PlatoD2GL::builder().num_shards(4).build();
-    let cluster = system.store();
+    let cluster = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(4)
+            .build()
+            .expect("valid config"),
+    );
+    let sample = |v, k, seed| {
+        NeighborSampler::new(EdgeType::DEFAULT, k).sample(
+            &cluster,
+            &[v],
+            &mut StdRng::seed_from_u64(seed),
+        )
+    };
     let profile = DatasetProfile::tiny();
     for e in profile.edge_stream(3) {
         cluster.insert_edge(e);
@@ -247,7 +261,7 @@ fn one_failed_shard_degrades_gracefully_end_to_end() {
     let mut live_answers = 0usize;
     let mut dead_answers = 0usize;
     for &v in &sources {
-        let batch = system.neighbor_sample(&[v], EdgeType::DEFAULT, 8, 42);
+        let batch = sample(v, 8, 42);
         if cluster.route(v) == dead_shard {
             assert!(batch[0].is_empty(), "dead shard must not fabricate samples");
             dead_answers += 1;
@@ -269,7 +283,9 @@ fn one_failed_shard_degrades_gracefully_end_to_end() {
         VertexId(7_777_777),
         1.5,
     ))];
-    system.apply_updates(&update);
+    cluster
+        .apply_updates(&update)
+        .expect("a failed shard queues, it does not error");
     assert_eq!(cluster.pending_ops(dead_shard), 1);
     assert_eq!(cluster.degree(dead_vertex, EdgeType::DEFAULT), 0);
 
@@ -278,11 +294,18 @@ fn one_failed_shard_degrades_gracefully_end_to_end() {
     assert_eq!(drained, 1);
     assert_eq!(cluster.shard_health(dead_shard), ShardHealth::Healthy);
     assert_eq!(cluster.num_edges(), edges_before + 1);
-    let samples = system.neighbor_sample(&[dead_vertex], EdgeType::DEFAULT, 4, 7);
+    let samples = sample(dead_vertex, 4, 7);
     assert_eq!(samples[0].len(), 4, "healed shard samples at full fidelity");
 
-    let t = cluster.traffic();
-    assert!(t.failed_requests > 0, "failed requests are counted");
-    assert!(t.degraded_responses > 0, "degraded responses are counted");
-    assert_eq!(t.queued_ops, 1, "queued updates are counted");
+    let snap = cluster.obs().snapshot();
+    let count = |name: &str| snap.counter(name).expect("registered");
+    assert!(
+        count("cluster.failed_requests") > 0,
+        "failed requests are counted"
+    );
+    assert!(
+        count("cluster.degraded_responses") > 0,
+        "degraded responses are counted"
+    );
+    assert_eq!(count("cluster.queued_ops"), 1, "queued updates are counted");
 }

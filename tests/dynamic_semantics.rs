@@ -2,12 +2,26 @@
 //! make PlatoD2GL usable for online training.
 
 use platod2gl::{
-    DatasetProfile, DynamicGraphStore, Edge, EdgeType, GraphStore, LeafIndex, PlatoD2GL,
-    SamTreeConfig, StoreConfig, UpdateOp, VertexId,
+    Cluster, ClusterConfig, DatasetProfile, DynamicGraphStore, Edge, EdgeType, GraphService,
+    GraphStore, LeafIndex, NeighborSampler, SamTreeConfig, StoreConfig, UpdateOp, VertexId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+
+/// A 2-shard cluster whose samtrees have node capacity `capacity`.
+fn cluster(capacity: usize, threads_per_shard: usize) -> Cluster {
+    let mut store = StoreConfig::default();
+    store.tree.capacity = capacity;
+    Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(2)
+            .store(store)
+            .threads_per_shard(threads_per_shard)
+            .build()
+            .expect("valid config"),
+    )
+}
 
 /// Heavy mixed churn against a reference map; the store must track exactly.
 #[test]
@@ -56,8 +70,7 @@ fn churn_matches_reference_model() {
 /// Sampling freshness: every update is visible to the next sampling call.
 #[test]
 fn sampling_sees_every_update_immediately() {
-    let system = PlatoD2GL::builder().num_shards(2).capacity(8).build();
-    let store = system.store();
+    let store = cluster(8, 1);
     let src = VertexId(7);
     let mut live = Vec::new();
     let mut rng_seed = 0u64;
@@ -71,7 +84,11 @@ fn sampling_sees_every_update_immediately() {
             assert!(store.delete_edge(src, gone, EdgeType::DEFAULT));
         }
         rng_seed += 1;
-        let samples = system.neighbor_sample(&[src], EdgeType::DEFAULT, 64, rng_seed);
+        let samples = NeighborSampler::new(EdgeType::DEFAULT, 64).sample(
+            &store,
+            &[src],
+            &mut StdRng::seed_from_u64(rng_seed),
+        );
         for s in &samples[0] {
             assert!(live.contains(s), "round {round}: stale sample {s:?}");
         }
@@ -88,24 +105,20 @@ fn sampling_sees_every_update_immediately() {
 /// Concurrent mixed readers/writers across shards stay consistent.
 #[test]
 fn concurrent_updates_and_sampling_are_consistent() {
-    let system = PlatoD2GL::builder()
-        .num_shards(2)
-        .capacity(16)
-        .threads_per_shard(2)
-        .build();
+    let cluster = cluster(16, 2);
     let profile = DatasetProfile::tiny();
-    system.ingest_profile(&profile, 1);
+    profile.ingest_into(&cluster, 1);
     let sources = profile.sample_sources(32, 3);
     crossbeam::scope(|s| {
         // Writers: 4 threads of batched updates.
         for t in 0..4u64 {
-            let system = &system;
+            let cluster = &cluster;
             let profile = &profile;
             s.spawn(move |_| {
                 let mut stream = profile.update_stream(100 + t);
                 for _ in 0..20 {
                     let batch = stream.next_batch(256);
-                    system.apply_updates(&batch);
+                    cluster.apply_updates(&batch).expect("no shard faults");
                 }
             });
         }
@@ -113,15 +126,13 @@ fn concurrent_updates_and_sampling_are_consistent() {
         // neighbor candidate (i.e. outside the profile's dst space) and
         // never panic.
         for t in 0..4u64 {
-            let system = &system;
+            let cluster = &cluster;
             let sources = &sources;
             s.spawn(move |_| {
                 let mut rng = StdRng::seed_from_u64(t);
                 for round in 0..200 {
                     let src = sources[(round + t as usize) % sources.len()];
-                    let out = system
-                        .store()
-                        .sample_neighbors(src, EdgeType(0), 20, &mut rng);
+                    let out = cluster.sample_neighbors(src, EdgeType(0), 20, &mut rng);
                     for v in out {
                         assert!(v.index() < 400, "impossible vertex {v:?}");
                     }
@@ -130,7 +141,7 @@ fn concurrent_updates_and_sampling_are_consistent() {
         }
     })
     .expect("threads join");
-    for server in system.store().servers() {
+    for server in cluster.servers() {
         server.topology().check_invariants().expect("invariants");
     }
 }

@@ -1,26 +1,34 @@
 //! The full operator stack (node / neighbor / subgraph / metapath / walk /
 //! negative sampling and both trainers) driven through the sharded cluster
-//! facade — the integration surface a training job actually touches.
+//! — the integration surface a training job actually touches.
 
 use platod2gl::{
-    DatasetProfile, DeepWalkConfig, DeepWalkTrainer, Edge, EdgeType, GraphStore, HashFeatures,
-    MetapathSampler, NegativeSampler, NeighborSampler, Node2VecWalker, NodeSampler, PlatoD2GL,
-    RandomWalkSampler, SageNet, SageNetConfig, SubgraphSampler, VertexId,
+    Cluster, ClusterConfig, DatasetProfile, DeepWalkConfig, DeepWalkTrainer, Edge, EdgeType,
+    GraphStore, HashFeatures, MetapathSampler, NegativeSampler, NeighborSampler, Node2VecWalker,
+    NodeSampler, RandomWalkSampler, SageNet, SageNetConfig, StoreConfig, SubgraphSampler, VertexId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn booted_system() -> (PlatoD2GL, DatasetProfile) {
-    let system = PlatoD2GL::builder().num_shards(3).capacity(32).build();
+fn booted_cluster() -> (Cluster, DatasetProfile) {
+    let mut store = StoreConfig::default();
+    store.tree.capacity = 32;
+    let cluster = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(3)
+            .store(store)
+            .build()
+            .expect("valid config"),
+    );
     let profile = DatasetProfile::ogbn().scaled_to_edges(20_000);
-    system.ingest_profile(&profile, 7);
-    (system, profile)
+    profile.ingest_into(&cluster, 7);
+    (cluster, profile)
 }
 
 #[test]
 fn every_sampler_runs_against_the_cluster() {
-    let (system, profile) = booted_system();
-    let store = system.store();
+    let (cluster, profile) = booted_cluster();
+    let store = &cluster;
     let seeds = profile.sample_sources(16, 1);
     let mut rng = StdRng::seed_from_u64(2);
 
@@ -74,8 +82,8 @@ fn every_sampler_runs_against_the_cluster() {
 
 #[test]
 fn both_trainer_families_run_against_the_cluster() {
-    let (system, profile) = booted_system();
-    let store = system.store();
+    let (cluster, profile) = booted_cluster();
+    let store = &cluster;
     let seeds = profile.sample_sources(48, 3);
     let provider = HashFeatures::new(8, 2, 11);
     let mut rng = StdRng::seed_from_u64(4);
@@ -115,8 +123,12 @@ fn both_trainer_families_run_against_the_cluster() {
 
 #[test]
 fn decay_and_topk_flow_through_the_cluster() {
-    let system = PlatoD2GL::builder().num_shards(2).build();
-    let store = system.store();
+    let store = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(2)
+            .build()
+            .expect("valid config"),
+    );
     let user = VertexId(42);
     for i in 0..30u64 {
         store.insert_edge(Edge::new(user, VertexId(100 + i), (i % 5) as f64 + 1.0));
@@ -130,7 +142,7 @@ fn decay_and_topk_flow_through_the_cluster() {
     // Per-shard latency telemetry saw the sampling traffic.
     let mut rng = StdRng::seed_from_u64(5);
     let _ = store.sample_neighbors(user, EdgeType(0), 10, &mut rng);
-    assert!(store.sample_latency().count() >= 1);
+    assert!(store.obs().histogram("cluster.sample_latency_ns").count() >= 1);
     // Account deletion wipes the neighborhood.
     assert_eq!(store.delete_source(user, EdgeType(0)), 30);
     assert!(store.top_k_neighbors(user, EdgeType(0), 3).is_empty());
