@@ -53,8 +53,8 @@ pub use platod2gl_gnn::{
 pub use platod2gl_graph::{
     for_each_edge, read_edge_list, sanitize_weight, validate_and_lower, write_edge_list,
     DatasetProfile, Edge, EdgeType, Error, GraphStore, GraphTxn, RelationSpec, ShardHealth,
-    StoreTxnView, TimeWindow, TxnError, TxnOp, TxnReceipt, TxnView, TxnViolation, UpdateOp,
-    UpdateStream, VertexId, VertexType, ViolationKind,
+    TimeWindow, TxnError, TxnOp, TxnReceipt, TxnView, TxnViolation, UpdateOp, UpdateStream,
+    VertexId, VertexType, ViolationKind,
 };
 pub use platod2gl_mem::{human_bytes, DeepSize};
 pub use platod2gl_obs::{

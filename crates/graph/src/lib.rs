@@ -33,8 +33,7 @@ pub use health::ShardHealth;
 pub use profile::{DatasetProfile, RelationSpec};
 pub use store::GraphStore;
 pub use txn::{
-    validate_and_lower, GraphTxn, StoreTxnView, TxnError, TxnOp, TxnReceipt, TxnView, TxnViolation,
-    ViolationKind,
+    validate_and_lower, GraphTxn, TxnError, TxnOp, TxnReceipt, TxnView, TxnViolation, ViolationKind,
 };
 
 use serde::{Deserialize, Serialize};

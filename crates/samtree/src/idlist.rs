@@ -54,6 +54,14 @@ fn choose_z(max_bytes: u8) -> u8 {
         .unwrap_or(0)
 }
 
+/// Position of the `N`-byte suffix of `id_bytes` (big-endian) among the
+/// packed `N`-byte `suffixes`.
+fn scan<const N: usize>(suffixes: &[u8], id_bytes: &[u8; 8]) -> Option<usize> {
+    let target: [u8; N] = id_bytes[8 - N..].try_into().expect("N <= 8");
+    let (ids, _) = suffixes.as_chunks::<N>();
+    ids.iter().position(|c| *c == target)
+}
+
 impl IdList {
     /// An empty uncompressed list.
     pub fn new() -> Self {
@@ -261,10 +269,14 @@ impl IdList {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Position of `id`, by linear scan (leaves are unordered).
+    /// Position of `id`, by linear scan: leaves are unordered (Sec. IV-A),
+    /// so there is nothing to bisect.
     ///
-    /// On compressed lists the scan compares raw suffix bytes after one
-    /// prefix check, so lookups never reconstruct full IDs.
+    /// On compressed lists the scan compares raw suffixes after one prefix
+    /// check, so lookups never reconstruct full IDs. Each suffix width CP-ID
+    /// allows (`z ∈ {7, 6, 4}`) gets its own fixed-width `[u8; N]` compare —
+    /// one load and one integer compare per ID, where a runtime-length
+    /// slice compare costs a `memcmp` call per ID.
     pub fn position(&self, id: u64) -> Option<usize> {
         match self {
             IdList::Plain(v) => v.iter().position(|&x| x == id),
@@ -277,8 +289,13 @@ impl IdList {
                 if (id >> (8 * width)) != *prefix {
                     return None;
                 }
-                let target = &id.to_be_bytes()[*z as usize..];
-                suffixes.chunks_exact(width).position(|c| c == target)
+                let bytes = id.to_be_bytes();
+                match z {
+                    7 => scan::<1>(suffixes, &bytes),
+                    6 => scan::<2>(suffixes, &bytes),
+                    4 => scan::<4>(suffixes, &bytes),
+                    _ => unreachable!("CP-ID prefix lengths are {PREFIX_LENGTHS:?}"),
+                }
             }
         }
     }
@@ -494,6 +511,35 @@ mod proptests {
             })
     }
 
+    /// `base`'s top `z` bytes over each offset's low `8 - z` bytes.
+    fn under_prefix(base: u64, z: u8, offs: &[u64]) -> Vec<u64> {
+        let low = u64::MAX >> (8 * z);
+        offs.iter().map(|o| (base & !low) | (o & low)).collect()
+    }
+
+    /// `position` agrees with a linear scan of the decoded list for every
+    /// probe: listed ids, absent ids under and outside the prefix, and each
+    /// listed id with its suffix kept but its prefix changed.
+    fn check_position(list: &IdList, probes: &[u64]) -> Result<(), TestCaseError> {
+        let ids = list.to_vec();
+        let width = list.bytes_per_id();
+        for &id in probes.iter().chain(&ids) {
+            prop_assert_eq!(list.position(id), ids.iter().position(|&x| x == id));
+        }
+        if width < 8 {
+            for &id in &ids {
+                let foreign = id ^ (1 << (8 * width));
+                prop_assert_eq!(
+                    list.position(foreign),
+                    None,
+                    "prefix differs: {:#x}",
+                    foreign
+                );
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn roundtrip_any_ids(ids in proptest::collection::vec(any::<u64>(), 0..64)) {
@@ -531,6 +577,35 @@ mod proptests {
                 prop_assert_eq!(list.len(), reference.len());
             }
             prop_assert_eq!(list.to_vec(), reference);
+        }
+
+        #[test]
+        fn position_matches_linear_scan_at_every_width(
+            zi in 0usize..4,
+            base in any::<u64>(),
+            offs in proptest::collection::vec(any::<u64>(), 1..64),
+            strays in proptest::collection::vec(any::<u64>(), 0..16),
+            edits in proptest::collection::vec((0u8..3, any::<bool>(), any::<u64>(), 0usize..128), 0..16),
+        ) {
+            let z = [0u8, 4, 6, 7][zi];
+            let mut list = IdList::with_exact_z(&under_prefix(base, z, &offs), z);
+            prop_assert_eq!(list.prefix_len(), z);
+            let mut probes = strays.clone();
+            probes.extend(under_prefix(base, z, &strays));
+            check_position(&list, &probes)?;
+            // Pushes and sets outside the prefix recode the list narrower.
+            for (kind, inside, id, idx) in edits {
+                let id = if inside { under_prefix(base, z, &[id])[0] } else { id };
+                match kind {
+                    0 => list.push(id),
+                    1 if !list.is_empty() => list.set(idx % list.len(), id),
+                    2 if !list.is_empty() => {
+                        list.swap_remove(idx % list.len());
+                    }
+                    _ => {}
+                }
+                check_position(&list, &probes)?;
+            }
         }
 
         #[test]

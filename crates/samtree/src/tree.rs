@@ -2086,6 +2086,33 @@ mod tests {
         }
         t.check_invariants(&c).expect("invariants after deletes");
     }
+
+    #[test]
+    fn point_ops_reach_the_last_slot_of_a_full_leaf() {
+        // One 256-id leaf per CP-ID suffix width (1, 2, 4 bytes, then plain):
+        // the id inserted last sits in the leaf's last slot, where the scan
+        // ends.
+        let c = cfg(256, 0);
+        let spreads: [fn(u64) -> u64; 4] = [
+            |i| 0xAABB_CCDD_EEFF_1100 | i,
+            |i| 0xAABB_CCDD_EEFF_0000 | (i * 257),
+            |i| 0xAABB_CCDD_0000_0000 | (i << 24) | i,
+            |i| (i << 56) | i,
+        ];
+        for spread in spreads {
+            let pairs: Vec<(u64, f64)> = (0..256).map(|i| (spread(i), 1.0)).collect();
+            let mut t = build(&c, &pairs);
+            assert_eq!((t.height(), t.len()), (1, 256), "one full leaf");
+            let last = spread(255);
+            let mut stats = OpStats::default();
+            assert_eq!(t.get(last), Some(1.0));
+            assert!(t.update_weight(&c, last, 3.0, &mut stats));
+            assert_eq!(t.get(last), Some(3.0));
+            assert_eq!(t.delete(&c, last, &mut stats), Some(3.0));
+            assert_eq!((t.get(last), t.len()), (None, 255));
+            t.check_invariants(&c).expect("invariants");
+        }
+    }
 }
 
 #[cfg(test)]

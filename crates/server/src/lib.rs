@@ -834,11 +834,11 @@ impl Cluster {
 /// at admission, not during validation.
 impl TxnView for Cluster {
     fn edge_weight(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> Option<f64> {
-        self.shard_for(src).topology.edge_weight(src, dst, etype)
+        TxnView::edge_weight(&self.shard_for(src).topology, src, dst, etype)
     }
 
     fn neighbors(&self, v: VertexId, etype: EdgeType) -> Vec<(VertexId, f64)> {
-        self.shard_for(v).topology.neighbors(v, etype)
+        TxnView::neighbors(&self.shard_for(v).topology, v, etype)
     }
 
     fn known_etype(&self, etype: EdgeType) -> bool {
@@ -889,7 +889,7 @@ impl GraphStore for Cluster {
     fn edge_weight(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> Option<f64> {
         self.tally(1, 2 * ID_BYTES, 8);
         self.read_or(self.route(src), None, |s| {
-            s.topology.edge_weight(src, dst, etype)
+            GraphStore::edge_weight(&s.topology, src, dst, etype)
         })
     }
 
@@ -905,7 +905,7 @@ impl GraphStore for Cluster {
 
     fn neighbors(&self, v: VertexId, etype: EdgeType) -> Vec<(VertexId, f64)> {
         let out = self.read_or(self.route(v), Vec::new(), |s| {
-            s.topology.neighbors(v, etype)
+            GraphStore::neighbors(&s.topology, v, etype)
         });
         self.tally(1, ID_BYTES, out.len() as u64 * (ID_BYTES + 8));
         out

@@ -769,6 +769,19 @@ impl GraphStore for DynamicGraphStore {
     }
 }
 
+/// Phase-1 reads for a transaction validated against this store (what
+/// `DurableGraphStore::try_apply_txn` and each `Cluster` shard answer). No
+/// relation schema: every etype is known.
+impl platod2gl_graph::TxnView for DynamicGraphStore {
+    fn edge_weight(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> Option<f64> {
+        GraphStore::edge_weight(self, src, dst, etype)
+    }
+
+    fn neighbors(&self, v: VertexId, etype: EdgeType) -> Vec<(VertexId, f64)> {
+        GraphStore::neighbors(self, v, etype)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

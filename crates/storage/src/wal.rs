@@ -78,8 +78,8 @@ use crate::fault::{CrashInjector, CrashPoint};
 use crate::topology::{DynamicGraphStore, StoreConfig};
 use platod2gl_graph::cursor::{put_u16, put_u32, put_u64, Reader, WireError};
 use platod2gl_graph::{
-    sanitize_weight, validate_and_lower, Edge, EdgeType, Error, GraphStore, GraphTxn, StoreTxnView,
-    TxnError, TxnReceipt, UpdateOp, VertexId,
+    sanitize_weight, validate_and_lower, Edge, EdgeType, Error, GraphStore, GraphTxn, TxnError,
+    TxnReceipt, UpdateOp, VertexId,
 };
 use platod2gl_obs::{Counter, Gauge, Histogram, Registry};
 use std::fs::{File, OpenOptions};
@@ -989,7 +989,7 @@ impl DurableGraphStore {
     /// without touching the WAL.
     pub fn try_apply_txn(&self, txn: &GraphTxn, threads: usize) -> Result<TxnReceipt, TxnError> {
         // Phase 1: validate against live topology; abort applies nothing.
-        let lowered = match validate_and_lower(txn, &StoreTxnView::new(&self.store)) {
+        let lowered = match validate_and_lower(txn, &self.store) {
             Ok(lowered) => lowered,
             Err(e) => {
                 self.metrics.txn_aborted.inc();

@@ -23,10 +23,12 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -p platod2gl-gnn --release (the kernels vectorise only at opt-level 3)"
-# The slice kernels' equivalence and gradient tests must see the code the
-# benchmark runs; the debug run above only sees the scalar form.
-cargo test -q -p platod2gl-gnn --release 2>&1 | tee "$build_log"
+echo "==> cargo test -p platod2gl-{gnn,samtree,graph} --release (their hot loops vectorise only at opt-level 3)"
+# The gnn slice kernels' equivalence and gradient tests, the samtree
+# fixed-width CP-ID scan's properties and the txn validator's equivalence
+# proptest must see the code the benchmark runs; the debug run above tests
+# a different program.
+cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-graph --release 2>&1 | tee "$build_log"
 if grep "^warning" "$build_log" >/dev/null; then
     echo "verify: FAIL - compiler warnings in the release test build:"
     grep "^warning" "$build_log"
