@@ -45,7 +45,7 @@ pub use platod2gl_fleet::{
     ServerEntry,
 };
 pub use platod2gl_gnn::{
-    gather_features, Adam, AttributeFeatures, DeepWalkConfig, DeepWalkTrainer, EmbeddingTable,
+    gather_features, AttributeFeatures, DeepWalkConfig, DeepWalkTrainer, EmbeddingTable,
     FeatureProvider, HashFeatures, Matrix, MetapathSampler, NegativeSampler, NeighborSampler,
     Node2VecWalker, NodeSampler, RandomWalkSampler, SageNet, SageNetConfig, SampledSubgraph,
     SubgraphSampler, TrainStats,
@@ -62,7 +62,7 @@ pub use platod2gl_obs::{
     SpanRecord, SpanTracer, TraceContext,
 };
 pub use platod2gl_pipeline::{
-    Block, CacheConfig, CacheStats, EpochReport, KHopSampler, NeighborCache, PipelineConfig,
+    CacheConfig, CacheStats, EpochReport, KHopSampler, NeighborCache, PipelineConfig,
     PipelineConfigBuilder, PipelineStats, SampleOutcome, TrainingPipeline, WindowedBatch,
 };
 pub use platod2gl_rpc::{

@@ -15,9 +15,10 @@
 //!   implementation of the message-passing recurrence (paper Eq. 1):
 //!   mean-aggregate sampled neighbor embeddings, combine with the
 //!   self-embedding, ReLU, stacked `L` layers, softmax cross-entropy and
-//!   SGD. It replaces the paper's TensorFlow dependency while exercising the
-//!   same storage access pattern (per-minibatch k-hop sampling against the
-//!   dynamic store).
+//!   SGD. It replaces the paper's TensorFlow dependency. [`SageNet`] only
+//!   computes: it trains and predicts on message-flow blocks of gathered
+//!   features and child tables. Sampling those blocks from a graph service
+//!   is the `pipeline` crate's job (`KHopSampler`, `TrainingPipeline`).
 
 mod deepwalk;
 mod features;
@@ -27,7 +28,7 @@ mod sage;
 
 pub use deepwalk::{DeepWalkConfig, DeepWalkTrainer, EmbeddingTable};
 pub use features::{gather_features, AttributeFeatures, FeatureProvider, HashFeatures};
-pub use nn::{softmax_cross_entropy, Adam, Dense, Matrix};
+pub use nn::{softmax_cross_entropy, Dense, Matrix};
 pub use ops::{
     MetapathSampler, NegativeSampler, NeighborSampler, Node2VecWalker, NodeSampler,
     RandomWalkSampler, SampledSubgraph, SubgraphSampler,

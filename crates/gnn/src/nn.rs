@@ -381,54 +381,6 @@ impl Dense {
     }
 }
 
-/// Adam optimizer state for one flat parameter tensor.
-///
-/// The trainers default to plain SGD (which the paper's TF setup also
-/// supports); Adam is the modern default for GNN fine-tuning and converges
-/// in far fewer steps on the synthetic tasks in this repo's tests.
-#[derive(Clone, Debug)]
-pub struct Adam {
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    t: u64,
-    m: Vec<f64>,
-    v: Vec<f64>,
-}
-
-impl Adam {
-    /// Create state for a tensor of `len` parameters with standard betas.
-    pub fn new(len: usize, lr: f64) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: vec![0.0; len],
-            v: vec![0.0; len],
-        }
-    }
-
-    /// One bias-corrected Adam step: `params -= lr * m̂ / (sqrt(v̂) + eps)`.
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), self.m.len());
-        assert_eq!(grads.len(), self.m.len());
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let moments = self.m.iter_mut().zip(&mut self.v);
-        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
-            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-            let m_hat = *m / bc1;
-            let v_hat = *v / bc2;
-            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-    }
-}
-
 /// Softmax cross-entropy over logits against integer labels.
 ///
 /// Returns `(mean_loss, grad_logits)` where the gradient is already averaged
@@ -821,49 +773,6 @@ mod tests {
             prev = loss;
         }
         assert!(prev < 0.1, "failed to fit toy problem: {prev}");
-    }
-
-    #[test]
-    fn adam_converges_faster_than_sgd_on_ill_scaled_problem() {
-        // Minimize f(x, y) = 100 x^2 + 0.01 y^2 from (1, 1): SGD with a
-        // stable lr crawls along y; Adam's per-coordinate scaling does not.
-        let run_sgd = |lr: f64, steps: usize| {
-            let mut p = [1.0f64, 1.0];
-            for _ in 0..steps {
-                let g = [200.0 * p[0], 0.02 * p[1]];
-                p[0] -= lr * g[0];
-                p[1] -= lr * g[1];
-            }
-            100.0 * p[0] * p[0] + 0.01 * p[1] * p[1]
-        };
-        let run_adam = |lr: f64, steps: usize| {
-            let mut p = [1.0f64, 1.0];
-            let mut opt = Adam::new(2, lr);
-            for _ in 0..steps {
-                let g = [200.0 * p[0], 0.02 * p[1]];
-                opt.step(&mut p, &g);
-            }
-            100.0 * p[0] * p[0] + 0.01 * p[1] * p[1]
-        };
-        let sgd = run_sgd(0.009, 200); // near the stability limit for x
-        let adam = run_adam(0.05, 200);
-        assert!(adam < sgd * 0.5, "adam {adam:.6} vs sgd {sgd:.6}");
-    }
-
-    #[test]
-    fn adam_step_moves_against_gradient() {
-        let mut p = [1.0f64];
-        let mut opt = Adam::new(1, 0.1);
-        opt.step(&mut p, &[2.0]);
-        assert!(p[0] < 1.0);
-        let before = p[0];
-        opt.step(&mut p, &[-2.0]);
-        // Momentum may carry through one reversed step, but repeated
-        // negative gradients must push the parameter back up.
-        for _ in 0..20 {
-            opt.step(&mut p, &[-2.0]);
-        }
-        assert!(p[0] > before);
     }
 
     #[test]

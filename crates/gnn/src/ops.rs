@@ -125,31 +125,6 @@ impl NeighborSampler {
             })
             .collect()
     }
-
-    /// Sample a flattened block of exactly `batch.len() * fanout` vertices,
-    /// padding isolated vertices with themselves (self-loop fallback — the
-    /// standard GraphSAGE treatment, keeping tensor shapes static).
-    pub fn sample_padded<S: GraphStore + ?Sized>(
-        &self,
-        store: &S,
-        batch: &[VertexId],
-        rng: &mut dyn RngCore,
-    ) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(batch.len() * self.fanout);
-        for &v in batch {
-            let mut n = store.sample_neighbors(v, self.etype, self.fanout, rng);
-            if n.is_empty() {
-                out.extend(std::iter::repeat_n(v, self.fanout));
-            } else {
-                while n.len() < self.fanout {
-                    let fill = n[rng.next_u64() as usize % n.len()];
-                    n.push(fill);
-                }
-                out.extend(n);
-            }
-        }
-        out
-    }
 }
 
 /// A sampled k-hop subgraph pivoted at a set of seeds.
@@ -546,19 +521,6 @@ mod tests {
             heavy > 1_800,
             "weight-10 neighbor should almost always be drawn ({heavy}/2000)"
         );
-    }
-
-    #[test]
-    fn padded_sampling_has_static_shape() {
-        let store = chain_store();
-        let ns = NeighborSampler::new(EdgeType(0), 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let flat = ns.sample_padded(&store, &[v(0), v(3), v(2)], &mut rng);
-        assert_eq!(flat.len(), 9);
-        // Isolated vertex 3 padded with itself.
-        assert!(flat[3..6].iter().all(|u| u.raw() == 3));
-        // Vertex 2 has one neighbor; all three slots must be 20.
-        assert!(flat[6..9].iter().all(|u| u.raw() == 20));
     }
 
     #[test]

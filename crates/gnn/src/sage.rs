@@ -1,5 +1,8 @@
-//! GraphSAGE over the dynamic store: the paper's Eq. 1 with mean
-//! aggregation, sampled fixed-fanout neighborhoods and minibatch SGD.
+//! GraphSAGE over message-flow blocks: the paper's Eq. 1 with mean
+//! aggregation, fixed-fanout neighborhoods and minibatch SGD.
+//!
+//! `SageNet` samples nothing. The `pipeline` crate's `KHopSampler` builds
+//! the blocks it trains and predicts on, and gathers their features.
 //!
 //! A minibatch is a message-flow block: `feats[d]` holds one feature row per
 //! node of depth `d` (`feats[0]` the seeds, one per label) and `child[d]`
@@ -19,11 +22,8 @@
 //! pass stops at layer 0, whose input gradient would be a gradient with
 //! respect to the *features*, which nothing reads.
 
-use crate::features::{gather_features, FeatureProvider};
 use crate::nn::{sgd_update, softmax_cross_entropy, Dense, Matrix};
-use crate::ops::NeighborSampler;
-use platod2gl_graph::{EdgeType, GraphStore, VertexId};
-use rand::RngCore;
+use platod2gl_graph::EdgeType;
 
 /// One GraphSAGE layer: self and neighbor transforms plus bias and ReLU.
 #[derive(Clone, Debug)]
@@ -77,11 +77,12 @@ pub struct SageNetConfig {
     /// Per-layer sampling fanouts; the length sets the number of layers
     /// (hops).
     pub fanouts: Vec<usize>,
-    /// Relation to sample over.
+    /// Relation the blocks are sampled over. `SageNet` does not read it: the
+    /// pipeline's `PipelineConfig::etype` is what a sampler follows.
     pub etype: EdgeType,
     /// SGD learning rate.
     pub lr: f64,
-    /// Parameter-init and sampling seed.
+    /// Parameter-init seed.
     pub seed: u64,
 }
 
@@ -150,8 +151,8 @@ fn identity_tables(feats: &[Matrix]) -> Vec<Vec<u32>> {
     rows.map(Vec::from_iter).collect()
 }
 
-/// A stacked GraphSAGE classifier trained by minibatch SGD against any
-/// [`GraphStore`].
+/// A stacked GraphSAGE classifier trained by minibatch SGD on message-flow
+/// blocks (module docs).
 pub struct SageNet {
     cfg: SageNetConfig,
     layers: Vec<SageLayer>,
@@ -178,45 +179,10 @@ impl SageNet {
         }
     }
 
-    /// Number of GraphSAGE layers (= hops).
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// The network's hyperparameters (pipelines validate their sampling
     /// plan against `fanouts` / `feature_dim` before producing blocks).
     pub fn config(&self) -> &SageNetConfig {
         &self.cfg
-    }
-
-    /// Sample the node flow for a seed batch: `nodes[d]` for d in `0..=L`.
-    fn node_flow<S: GraphStore + ?Sized>(
-        &self,
-        store: &S,
-        seeds: &[VertexId],
-        rng: &mut dyn RngCore,
-    ) -> Vec<Vec<VertexId>> {
-        let mut nodes = vec![seeds.to_vec()];
-        for (d, &fanout) in self.cfg.fanouts.iter().enumerate() {
-            let sampler = NeighborSampler::new(self.cfg.etype, fanout);
-            let next = sampler.sample_padded(store, &nodes[d], rng);
-            nodes.push(next);
-        }
-        nodes
-    }
-
-    /// Sample a seed batch's node flow and gather its per-depth features.
-    fn sample_features<S: GraphStore + ?Sized>(
-        &self,
-        store: &S,
-        provider: &dyn FeatureProvider,
-        seeds: &[VertexId],
-        rng: &mut dyn RngCore,
-    ) -> Vec<Matrix> {
-        self.node_flow(store, seeds, rng)
-            .iter()
-            .map(|nodes| gather_features(provider, nodes, self.cfg.feature_dim))
-            .collect()
     }
 
     /// Forward pass over a block (`feats[d]` is the feature matrix of its
@@ -242,49 +208,14 @@ impl SageNet {
             .forward(&ws.act[num_layers - 1][0], &mut ws.logits);
     }
 
-    /// Final-layer embeddings for a seed batch (one row per seed) — the
-    /// representation downstream link scorers and ANN indexes consume.
-    pub fn embed<S: GraphStore + ?Sized>(
-        &self,
-        store: &S,
-        provider: &dyn FeatureProvider,
-        seeds: &[VertexId],
-        rng: &mut dyn RngCore,
-    ) -> Matrix {
+    /// The predicted class of every seed row of a block (module docs).
+    pub fn predict(&self, feats: &[Matrix], child: &[Vec<u32>]) -> Vec<usize> {
+        self.assert_block(feats, child);
         let mut ws = Workspace::default();
-        let feats = self.sample_features(store, provider, seeds, rng);
-        self.forward(&feats, &identity_tables(&feats), &mut ws);
-        ws.act.swap_remove(self.layers.len() - 1).swap_remove(0)
-    }
-
-    /// Predict class indices for a seed batch.
-    pub fn predict<S: GraphStore + ?Sized>(
-        &self,
-        store: &S,
-        provider: &dyn FeatureProvider,
-        seeds: &[VertexId],
-        rng: &mut dyn RngCore,
-    ) -> Vec<usize> {
-        let mut ws = Workspace::default();
-        let feats = self.sample_features(store, provider, seeds, rng);
-        self.forward(&feats, &identity_tables(&feats), &mut ws);
+        self.forward(feats, child, &mut ws);
         (0..ws.logits.rows())
             .map(|r| argmax(ws.logits.row(r)))
             .collect()
-    }
-
-    /// One SGD step on a labeled minibatch; returns loss and batch accuracy.
-    pub fn train_step<S: GraphStore + ?Sized>(
-        &mut self,
-        store: &S,
-        provider: &dyn FeatureProvider,
-        seeds: &[VertexId],
-        labels: &[usize],
-        rng: &mut dyn RngCore,
-    ) -> TrainStats {
-        assert_eq!(seeds.len(), labels.len());
-        let feats = self.sample_features(store, provider, seeds, rng);
-        self.train_step_features(feats, labels)
     }
 
     /// One SGD step on a pre-sampled, pre-gathered *padded* node flow, one
@@ -305,13 +236,23 @@ impl SageNet {
         child: &[Vec<u32>],
         labels: &[usize],
     ) -> TrainStats {
+        self.assert_block(feats, child);
+        assert_eq!(feats[0].rows(), labels.len(), "one label per seed row");
+        let mut ws = std::mem::take(&mut self.workspace);
+        let stats = self.compute_grads(feats, child, labels, &mut ws);
+        self.apply_grads(&ws);
+        self.workspace = ws;
+        stats
+    }
+
+    /// Panic unless `(feats, child)` is a block of this net's shape.
+    fn assert_block(&self, feats: &[Matrix], child: &[Vec<u32>]) {
         let num_layers = self.layers.len();
         assert_eq!(
             (feats.len(), child.len()),
             (num_layers + 1, num_layers),
             "need one feature matrix per depth and one child table per hop"
         );
-        assert_eq!(feats[0].rows(), labels.len(), "one label per seed row");
         for (d, &fanout) in self.cfg.fanouts.iter().enumerate() {
             assert_eq!(
                 child[d].len(),
@@ -327,11 +268,6 @@ impl SageNet {
                 "depth {d} feature width mismatch"
             );
         }
-        let mut ws = std::mem::take(&mut self.workspace);
-        let stats = self.compute_grads(feats, child, labels, &mut ws);
-        self.apply_grads(&ws);
-        self.workspace = ws;
-        stats
     }
 
     /// Forward, loss, and backward down to layer 0's parameters: leaves
@@ -422,150 +358,14 @@ impl SageNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::HashFeatures;
-    use platod2gl_graph::Edge;
-    use platod2gl_storage::DynamicGraphStore;
+    use crate::features::{gather_features, HashFeatures};
+    use platod2gl_graph::VertexId;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// Two-community graph: vertices of the same HashFeatures label connect
-    /// densely, cross-community edges are rare.
-    fn community_graph(
-        provider: &HashFeatures,
-        n: u64,
-    ) -> (DynamicGraphStore, Vec<VertexId>, Vec<usize>) {
-        let store = DynamicGraphStore::with_defaults();
-        let vertices: Vec<VertexId> = (0..n).map(VertexId).collect();
-        let labels: Vec<usize> = vertices.iter().map(|&v| provider.label(v)).collect();
-        let by_label: Vec<Vec<VertexId>> = (0..2)
-            .map(|c| {
-                vertices
-                    .iter()
-                    .copied()
-                    .filter(|&v| provider.label(v) == c)
-                    .collect()
-            })
-            .collect();
-        let mut state = 0x1234_5678u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for &v in &vertices {
-            let c = provider.label(v);
-            for _ in 0..6 {
-                // 90% intra-community edges.
-                let pool = if next() % 10 < 9 {
-                    &by_label[c]
-                } else {
-                    &by_label[1 - c]
-                };
-                let dst = pool[(next() % pool.len() as u64) as usize];
-                if dst != v {
-                    store.insert_edge(Edge::new(v, dst, 1.0));
-                }
-            }
-        }
-        (store, vertices, labels)
-    }
-
-    #[test]
-    fn training_reduces_loss_and_learns() {
-        let provider = HashFeatures::new(16, 2, 7);
-        let (store, vertices, labels) = community_graph(&provider, 300);
-        let mut net = SageNet::new(SageNetConfig {
-            fanouts: vec![4, 4],
-            lr: 0.1,
-            ..Default::default()
-        });
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut first_loss = None;
-        let mut last = TrainStats {
-            loss: f64::INFINITY,
-            accuracy: 0.0,
-        };
-        for epoch in 0..15 {
-            for chunk in vertices.chunks(64) {
-                let batch_labels: Vec<usize> =
-                    chunk.iter().map(|v| labels[v.raw() as usize]).collect();
-                last = net.train_step(&store, &provider, chunk, &batch_labels, &mut rng);
-                first_loss.get_or_insert(last.loss);
-            }
-            let _ = epoch;
-        }
-        let first = first_loss.expect("ran at least one step");
-        assert!(
-            last.loss < first * 0.6,
-            "loss did not drop: {first} -> {}",
-            last.loss
-        );
-        assert!(last.accuracy > 0.8, "final accuracy {}", last.accuracy);
-    }
-
-    #[test]
-    fn predictions_match_trained_labels() {
-        let provider = HashFeatures::new(16, 2, 3);
-        let (store, vertices, labels) = community_graph(&provider, 200);
-        let mut net = SageNet::new(SageNetConfig {
-            fanouts: vec![3],
-            lr: 0.1,
-            hidden_dim: 16,
-            ..Default::default()
-        });
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..30 {
-            for chunk in vertices.chunks(64) {
-                let batch_labels: Vec<usize> =
-                    chunk.iter().map(|v| labels[v.raw() as usize]).collect();
-                net.train_step(&store, &provider, chunk, &batch_labels, &mut rng);
-            }
-        }
-        let preds = net.predict(&store, &provider, &vertices, &mut rng);
-        let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        assert!(
-            correct as f64 / labels.len() as f64 > 0.85,
-            "accuracy {}",
-            correct as f64 / labels.len() as f64
-        );
-    }
-
-    #[test]
-    fn embed_returns_one_row_per_seed() {
-        let provider = HashFeatures::new(8, 2, 5);
-        let store = DynamicGraphStore::with_defaults();
-        store.insert_edge(Edge::new(VertexId(1), VertexId(2), 1.0));
-        let net = SageNet::new(SageNetConfig {
-            feature_dim: 8,
-            hidden_dim: 6,
-            fanouts: vec![2, 2],
-            ..Default::default()
-        });
-        let mut rng = StdRng::seed_from_u64(4);
-        let e = net.embed(
-            &store,
-            &provider,
-            &[VertexId(1), VertexId(2), VertexId(3)],
-            &mut rng,
-        );
-        assert_eq!((e.rows(), e.cols()), (3, 6));
-        // Deterministic under a fixed rng seed.
-        let mut rng = StdRng::seed_from_u64(4);
-        let e2 = net.embed(
-            &store,
-            &provider,
-            &[VertexId(1), VertexId(2), VertexId(3)],
-            &mut rng,
-        );
-        assert_eq!(e, e2);
-    }
 
     #[test]
     fn single_layer_shapes_are_consistent() {
         let provider = HashFeatures::new(8, 2, 1);
-        let store = DynamicGraphStore::with_defaults();
-        store.insert_edge(Edge::new(VertexId(1), VertexId(2), 1.0));
         let net = SageNet::new(SageNetConfig {
             feature_dim: 8,
             hidden_dim: 4,
@@ -573,8 +373,13 @@ mod tests {
             fanouts: vec![2],
             ..Default::default()
         });
-        let mut rng = StdRng::seed_from_u64(3);
-        let feats = net.sample_features(&store, &provider, &[VertexId(1), VertexId(9)], &mut rng);
+        // Seed 1's one neighbor is 2; seed 9 is isolated and self-padded.
+        let flow = [vec![1, 9], vec![2, 2, 9, 9]];
+        let gather = |level: &Vec<u64>| {
+            let nodes: Vec<VertexId> = level.iter().copied().map(VertexId).collect();
+            gather_features(&provider, &nodes, 8)
+        };
+        let feats: Vec<Matrix> = flow.iter().map(gather).collect();
         assert_eq!(feats.len(), 2); // depths 0 and 1
         assert_eq!(feats[1].rows(), 4); // 2 seeds * fanout 2
         let mut ws = Workspace::default();
@@ -583,45 +388,6 @@ mod tests {
         assert_eq!(ws.act.len(), 1);
         assert_eq!(ws.act[0].len(), 1);
         assert_eq!((ws.act[0][0].rows(), ws.act[0][0].cols()), (2, 4));
-    }
-
-    #[test]
-    fn train_step_features_matches_sampled_training() {
-        // Feeding an externally sampled+gathered block through
-        // train_step_features must learn exactly like the store-coupled
-        // train_step path: both are the same math on the same node flow.
-        let provider = HashFeatures::new(16, 2, 7);
-        let (store, vertices, labels) = community_graph(&provider, 200);
-        let cfg = SageNetConfig {
-            fanouts: vec![4, 4],
-            lr: 0.1,
-            ..Default::default()
-        };
-        let mut net = SageNet::new(cfg);
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut first = None;
-        let mut last = f64::INFINITY;
-        for _ in 0..10 {
-            for chunk in vertices.chunks(64) {
-                let batch_labels: Vec<usize> =
-                    chunk.iter().map(|v| labels[v.raw() as usize]).collect();
-                // External pipeline stand-in: sample the flow and gather
-                // features outside the net, then feed the block in.
-                let flow = net.node_flow(&store, chunk, &mut rng);
-                let feats: Vec<Matrix> = flow
-                    .iter()
-                    .map(|nodes| gather_features(&provider, nodes, net.cfg.feature_dim))
-                    .collect();
-                let stats = net.train_step_features(feats, &batch_labels);
-                first.get_or_insert(stats.loss);
-                last = stats.loss;
-            }
-        }
-        let first = first.expect("ran");
-        assert!(
-            last < first * 0.6,
-            "block training did not learn: {first} -> {last}"
-        );
     }
 
     #[test]
@@ -635,23 +401,6 @@ mod tests {
         });
         let feats = vec![Matrix::zeros(2, 4), Matrix::zeros(5, 4)]; // needs 6 rows
         net.train_step_features(feats, &[0, 1]);
-    }
-
-    #[test]
-    fn isolated_seeds_train_without_panicking() {
-        let provider = HashFeatures::new(8, 2, 5);
-        let store = DynamicGraphStore::with_defaults(); // no edges at all
-        let mut net = SageNet::new(SageNetConfig {
-            feature_dim: 8,
-            hidden_dim: 8,
-            fanouts: vec![3, 3],
-            ..Default::default()
-        });
-        let mut rng = StdRng::seed_from_u64(4);
-        let seeds: Vec<VertexId> = (0..10).map(VertexId).collect();
-        let labels: Vec<usize> = seeds.iter().map(|v| provider.label(*v)).collect();
-        let stats = net.train_step(&store, &provider, &seeds, &labels, &mut rng);
-        assert!(stats.loss.is_finite());
     }
 
     /// The parent commit's training step, verbatim over the element-wise
@@ -1052,9 +801,7 @@ mod tests {
         use crate::features::AttributeFeatures;
         use platod2gl_storage::AttributeStore;
         let attrs = AttributeStore::new();
-        let store = DynamicGraphStore::with_defaults();
         for v in 0..8u64 {
-            store.insert_edge(Edge::new(VertexId(v), VertexId((v + 1) % 8), 1.0));
             let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.25];
             attrs.set_vertex(VertexId(v), AttributeFeatures::encode(&poison));
         }
@@ -1065,11 +812,18 @@ mod tests {
             fanouts: vec![2, 2],
             ..Default::default()
         });
-        let seeds: Vec<VertexId> = (0..8).map(VertexId).collect();
+        // The padded flow of the ring v -> v + 1 (mod 8): every slot of
+        // depth d holds its seed + d.
+        let flow = |d: u64| -> Vec<VertexId> {
+            let slots = (0..8u64).flat_map(|v| std::iter::repeat_n(v, 1 << d));
+            slots.map(|v| VertexId((v + d) % 8)).collect()
+        };
+        let feats: Vec<Matrix> = (0..3)
+            .map(|d| gather_features(&provider, &flow(d), 4))
+            .collect();
         let labels: Vec<usize> = (0..8).map(|i| i % 2).collect();
-        let mut rng = StdRng::seed_from_u64(6);
-        let stats = net.train_step(&store, &provider, &seeds, &labels, &mut rng);
+        let stats = net.train_step_features(feats.clone(), &labels);
         assert!(stats.loss.is_finite(), "loss {}", stats.loss);
-        assert_eq!(net.predict(&store, &provider, &seeds, &mut rng).len(), 8);
+        assert_eq!(net.predict(&feats, &identity_tables(&feats)).len(), 8);
     }
 }

@@ -10,7 +10,7 @@
 //! `&NeighborCache`, `&dyn FeatureProvider`) so they can run on worker
 //! threads; train mutates the model and always runs on the caller's
 //! thread. With `prefetch_depth > 0` the workers produce finished
-//! [`Block`]s into a bounded channel — when the trainer falls behind, the
+//! blocks into a bounded channel — when the trainer falls behind, the
 //! channel fills and the workers block on `send`, which is the
 //! backpressure bound: at most `prefetch_depth + workers` blocks exist
 //! beyond the one being trained.
@@ -149,20 +149,20 @@ impl PipelineConfigBuilder {
     }
 }
 
-/// One mini-batch of a windowed epoch: seeds, labels, and per-seed time
-/// windows (empty = unwindowed batch).
+/// One mini-batch for [`TrainingPipeline::run_batches`]: seeds, labels, and
+/// per-seed time windows (empty = unwindowed batch).
 pub type WindowedBatch = (Vec<VertexId>, Vec<usize>, Vec<Option<TimeWindow>>);
 
 /// A fully materialized mini-batch, ready for `train_step_block`.
-pub struct Block {
+struct Block {
     /// Class labels for the seed vertices.
-    pub labels: Vec<usize>,
+    labels: Vec<usize>,
     /// Per-depth feature matrices, one row per node (`feats[0]` = seeds).
-    pub feats: Vec<Matrix>,
+    feats: Vec<Matrix>,
     /// Per-hop child tables into the next depth's rows.
-    pub child: Vec<Vec<u32>>,
+    child: Vec<Vec<u32>>,
     /// Sample requests in this block answered by a degraded shard.
-    pub degraded_samples: u64,
+    degraded_samples: u64,
 }
 
 /// Result of one epoch (or one `run_batches` call).
@@ -282,16 +282,6 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
         }
     }
 
-    /// The pipeline's configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
-    /// The neighbor cache (for inspection in tests and benches).
-    pub fn cache(&self) -> &NeighborCache {
-        &self.cache
-    }
-
     /// Cumulative telemetry across all epochs run so far.
     pub fn stats(&self) -> PipelineStats {
         PipelineStats {
@@ -305,7 +295,7 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
         }
     }
 
-    /// Sample + gather one batch into a trainable [`Block`]. `windows` is
+    /// Sample + gather one batch into a trainable block. `windows` is
     /// positionally parallel to `seeds` (`&[]` = unwindowed).
     fn produce_block(
         &self,
@@ -377,12 +367,7 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
     ) -> EpochReport {
         assert_eq!(seeds.len(), labels.len(), "one label per seed");
         let batches = self.shuffled_batches(seeds, labels, &[], epoch);
-        self.run_batches(
-            net,
-            provider,
-            batches.into_iter().map(|(s, l, _)| (s, l)).collect(),
-            epoch,
-        )
+        self.run_batches(net, provider, batches, epoch)
     }
 
     /// Run one *temporal* epoch: like [`TrainingPipeline::run_epoch`], but
@@ -406,7 +391,7 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
             .map(|&t| Some(TimeWindow::until(t)))
             .collect();
         let batches = self.shuffled_batches(seeds, labels, &windows, epoch);
-        self.run_batches_windowed(net, provider, batches, epoch)
+        self.run_batches(net, provider, batches, epoch)
     }
 
     fn shuffled_batches(
@@ -435,29 +420,10 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
             .collect()
     }
 
-    /// Train on an explicit batch list. Public so tests can interleave
-    /// fault injection deterministically between two halves of an epoch.
+    /// Train on an explicit batch list (a batch with an empty window vector
+    /// is unwindowed). Public so tests can interleave fault injection
+    /// deterministically between two halves of an epoch.
     pub fn run_batches(
-        &self,
-        net: &mut SageNet,
-        provider: &dyn FeatureProvider,
-        batches: Vec<(Vec<VertexId>, Vec<usize>)>,
-        epoch: u64,
-    ) -> EpochReport {
-        self.run_batches_windowed(
-            net,
-            provider,
-            batches
-                .into_iter()
-                .map(|(s, l)| (s, l, Vec::new()))
-                .collect(),
-            epoch,
-        )
-    }
-
-    /// [`TrainingPipeline::run_batches`] with per-seed time windows (an
-    /// empty window vector means that batch is unwindowed).
-    pub fn run_batches_windowed(
         &self,
         net: &mut SageNet,
         provider: &dyn FeatureProvider,
@@ -468,6 +434,11 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
             net.config().fanouts,
             self.cfg.fanouts,
             "model and pipeline fanouts must agree"
+        );
+        assert_eq!(
+            provider.dim(),
+            net.config().feature_dim,
+            "feature provider and model widths must agree"
         );
         let _span = self.service.registry().span("pipeline.run_batches");
         let started = Instant::now();
@@ -484,8 +455,11 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
             }
         } else {
             let workers = self.cfg.workers.min(batches.len());
-            let (tx, rx) = sync_channel::<Block>(self.cfg.prefetch_depth);
             std::thread::scope(|scope| {
+                // Made inside the scope so that a panicking trainer drops
+                // `rx` while unwinding, before the scope joins the workers:
+                // their `send` then fails instead of blocking forever.
+                let (tx, rx) = sync_channel::<Block>(self.cfg.prefetch_depth);
                 for w in 0..workers {
                     let tx = tx.clone();
                     let batches = &batches;
@@ -517,5 +491,52 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
         }
         report.elapsed = started.elapsed();
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use platod2gl_gnn::{HashFeatures, SageNetConfig};
+    use platod2gl_graph::{Edge, GraphStore};
+    use platod2gl_server::ClusterConfig;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+
+    #[test]
+    fn trainer_panic_under_prefetch_unwinds_out_of_run_epoch() {
+        // The epoch runs on a helper thread, so a hang fails the test on the
+        // timeout below instead of hanging the suite.
+        let (done, finished) = channel();
+        let epoch = std::thread::spawn(move || {
+            let config = ClusterConfig::builder().num_shards(2).build();
+            let cluster = Cluster::new(config.expect("valid config"));
+            for v in 0..64u64 {
+                cluster.insert_edge(Edge::new(VertexId(v), VertexId((v + 1) % 64), 1.0));
+            }
+            let cfg = PipelineConfig::builder()
+                .fanouts(vec![2, 2])
+                .batch_size(8)
+                .prefetch_depth(1)
+                .workers(2)
+                .build()
+                .expect("valid config");
+            let pipeline = TrainingPipeline::new(&cluster, cfg);
+            let mut net = SageNet::new(SageNetConfig {
+                fanouts: vec![2, 2],
+                ..Default::default()
+            });
+            let provider = HashFeatures::new(16, 2, 3);
+            let seeds: Vec<VertexId> = (0..64).map(VertexId).collect();
+            // Class 2 of a two-class net: the trainer's first step panics
+            // while both workers still have blocks to send.
+            pipeline.run_epoch(&mut net, &provider, &seeds, &[2; 64], 0);
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(10)) {
+            // The panic reached the caller.
+            Err(RecvTimeoutError::Disconnected) => assert!(epoch.join().is_err()),
+            Ok(()) => panic!("an out-of-range label trained without a panic"),
+            Err(RecvTimeoutError::Timeout) => panic!("run_epoch hung after its trainer panicked"),
+        }
     }
 }

@@ -20,6 +20,12 @@
 //!   thread, and reports per-stage latency histograms, cache hit rates,
 //!   and degraded-batch counts.
 //!
+//! This crate owns sampling, for training and for inference alike:
+//! `SageNet` (in `gnn`) only computes on the blocks built here. To predict,
+//! sample one block with [`KHopSampler::sample_block`], gather features over
+//! its [`SampleOutcome::nodes`] and pass them with its `child` tables to
+//! `SageNet::predict`.
+//!
 //! The pipeline is read-only against the cluster, so a writer thread can
 //! stream `GraphService::apply_updates` batches concurrently — exactly the
 //! dynamic-graph training regime the paper targets.
@@ -30,7 +36,7 @@ mod sampler;
 
 pub use cache::{CacheConfig, CacheStats, NeighborCache};
 pub use driver::{
-    Block, EpochReport, PipelineConfig, PipelineConfigBuilder, PipelineStats, TrainingPipeline,
+    EpochReport, PipelineConfig, PipelineConfigBuilder, PipelineStats, TrainingPipeline,
     WindowedBatch,
 };
 pub use sampler::{KHopSampler, SampleOutcome};

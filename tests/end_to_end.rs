@@ -2,9 +2,10 @@
 //! operators -> GNN training, all through the `platod2gl` re-exports.
 
 use platod2gl::{
-    Cluster, ClusterConfig, DatasetProfile, Edge, EdgeType, GraphService, GraphStore, HashFeatures,
-    MetapathSampler, NeighborSampler, NodeSampler, SageNet, SageNetConfig, StoreConfig,
-    SubgraphSampler, UpdateOp, VertexId,
+    gather_features, CacheConfig, Cluster, ClusterConfig, DatasetProfile, Edge, EdgeType,
+    GraphService, GraphStore, HashFeatures, KHopSampler, MetapathSampler, NeighborCache,
+    NeighborSampler, NodeSampler, PipelineConfig, SageNet, SageNetConfig, StoreConfig,
+    SubgraphSampler, TrainingPipeline, UpdateOp, VertexId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,9 +71,9 @@ fn ingest_sample_train_pipeline() {
     assert_eq!(sg.layers.len(), 3);
     assert!(sg.num_vertices() > 4);
 
-    // Train a small GraphSAGE model against the live cluster.
+    // Train a small GraphSAGE model against the live cluster: five batches
+    // of 16 node-sampled seeds through the pipeline.
     let provider = HashFeatures::new(8, 2, 33);
-    let node_sampler = NodeSampler::new(seeds.clone());
     let mut net = SageNet::new(SageNetConfig {
         feature_dim: 8,
         hidden_dim: 8,
@@ -81,16 +82,29 @@ fn ingest_sample_train_pipeline() {
         lr: 0.05,
         ..Default::default()
     });
+    let pipeline_config = PipelineConfig::builder()
+        .fanouts(vec![3, 3])
+        .batch_size(16)
+        .prefetch_depth(0)
+        .build()
+        .expect("valid config");
+    let pipeline = TrainingPipeline::new(&cluster, pipeline_config);
     let mut rng = StdRng::seed_from_u64(3);
-    let mut last_loss = f64::INFINITY;
-    for _ in 0..5 {
-        let batch = node_sampler.sample(16, &mut rng);
-        let labels: Vec<usize> = batch.iter().map(|v| provider.label(*v)).collect();
-        let stats = net.train_step(&cluster, &provider, &batch, &labels, &mut rng);
-        assert!(stats.loss.is_finite());
-        last_loss = stats.loss;
-    }
-    assert!(last_loss.is_finite());
+    let batch = NodeSampler::new(seeds.clone()).sample(80, &mut rng);
+    let labels: Vec<usize> = batch.iter().map(|v| provider.label(*v)).collect();
+    let report = pipeline.run_epoch(&mut net, &provider, &batch, &labels, 0);
+    assert_eq!(report.batches, 5);
+    assert!(report.mean_loss.is_finite());
+
+    // Predict on one block over the seeds, sampled as the pipeline samples.
+    let cache = NeighborCache::new(CacheConfig::disabled());
+    let block =
+        KHopSampler::new(EdgeType(0), vec![3, 3]).sample_block(&cluster, &cache, &seeds, &mut rng);
+    let gather = |nodes: &Vec<VertexId>| gather_features(&provider, nodes, 8);
+    let feats: Vec<_> = block.nodes.iter().map(gather).collect();
+    let preds = net.predict(&feats, &block.child);
+    assert_eq!(preds.len(), seeds.len());
+    assert!(preds.iter().all(|&class| class < 2));
 }
 
 #[test]

@@ -3,9 +3,11 @@
 //! — the integration surface a training job actually touches.
 
 use platod2gl::{
-    Cluster, ClusterConfig, DatasetProfile, DeepWalkConfig, DeepWalkTrainer, Edge, EdgeType,
-    GraphStore, HashFeatures, MetapathSampler, NegativeSampler, NeighborSampler, Node2VecWalker,
-    NodeSampler, RandomWalkSampler, SageNet, SageNetConfig, StoreConfig, SubgraphSampler, VertexId,
+    gather_features, CacheConfig, Cluster, ClusterConfig, DatasetProfile, DeepWalkConfig,
+    DeepWalkTrainer, Edge, EdgeType, GraphStore, HashFeatures, KHopSampler, MetapathSampler,
+    NegativeSampler, NeighborCache, NeighborSampler, Node2VecWalker, NodeSampler, PipelineConfig,
+    RandomWalkSampler, SageNet, SageNetConfig, StoreConfig, SubgraphSampler, TrainingPipeline,
+    VertexId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,7 +90,7 @@ fn both_trainer_families_run_against_the_cluster() {
     let provider = HashFeatures::new(8, 2, 11);
     let mut rng = StdRng::seed_from_u64(4);
 
-    // GraphSAGE supervised steps.
+    // GraphSAGE supervised steps through the pipeline, one batch an epoch.
     let mut sage = SageNet::new(SageNetConfig {
         feature_dim: 8,
         hidden_dim: 8,
@@ -96,12 +98,29 @@ fn both_trainer_families_run_against_the_cluster() {
         lr: 0.05,
         ..Default::default()
     });
+    let pipeline_config = PipelineConfig::builder()
+        .fanouts(vec![3, 3])
+        .batch_size(seeds.len())
+        .prefetch_depth(0)
+        .build()
+        .expect("valid config");
+    let pipeline = TrainingPipeline::new(store, pipeline_config);
     let labels: Vec<usize> = seeds.iter().map(|v| provider.label(*v)).collect();
-    let s1 = sage.train_step(store, &provider, &seeds, &labels, &mut rng);
-    let s2 = sage.train_step(store, &provider, &seeds, &labels, &mut rng);
-    assert!(s1.loss.is_finite() && s2.loss.is_finite());
-    let emb = sage.embed(store, &provider, &seeds[..4], &mut rng);
-    assert_eq!(emb.rows(), 4);
+    for epoch in 0..2 {
+        let report = pipeline.run_epoch(&mut sage, &provider, &seeds, &labels, epoch);
+        assert_eq!(report.batches, 1);
+        assert!(report.mean_loss.is_finite());
+    }
+    let cache = NeighborCache::new(CacheConfig::disabled());
+    let block = KHopSampler::new(EdgeType(0), vec![3, 3]).sample_block(
+        store,
+        &cache,
+        &seeds[..4],
+        &mut rng,
+    );
+    let gather = |nodes: &Vec<VertexId>| gather_features(&provider, nodes, 8);
+    let feats: Vec<_> = block.nodes.iter().map(gather).collect();
+    assert_eq!(sage.predict(&feats, &block.child).len(), 4);
 
     // DeepWalk unsupervised epochs.
     let dw = DeepWalkTrainer::new(

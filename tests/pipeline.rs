@@ -3,9 +3,9 @@
 //! and statistical correctness of composed k-hop sampling.
 
 use platod2gl::{
-    CacheConfig, Cluster, ClusterConfig, Edge, EdgeType, GraphService, GraphStore, HashFeatures,
-    KHopSampler, NeighborCache, PipelineConfig, SageNet, SageNetConfig, TrainingPipeline, UpdateOp,
-    VertexId,
+    gather_features, CacheConfig, Cluster, ClusterConfig, Edge, EdgeType, GraphService, GraphStore,
+    HashFeatures, KHopSampler, NeighborCache, PipelineConfig, SageNet, SageNetConfig,
+    TrainingPipeline, UpdateOp, VertexId, WindowedBatch,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -175,10 +175,10 @@ fn shard_failure_mid_epoch_degrades_then_heals() {
         ..Default::default()
     });
 
-    let batches: Vec<(Vec<VertexId>, Vec<usize>)> = vertices
+    let batches: Vec<WindowedBatch> = vertices
         .chunks(48)
         .zip(labels.chunks(48))
-        .map(|(s, l)| (s.to_vec(), l.to_vec()))
+        .map(|(s, l)| (s.to_vec(), l.to_vec(), Vec::new()))
         .collect();
     let half = batches.len() / 2;
 
@@ -335,4 +335,97 @@ fn prefetch_and_sync_paths_train_equivalently() {
             "depth={depth}: loss did not drop ({first} -> {last})"
         );
     }
+}
+
+/// A synchronous, cache-less pipeline over `fanouts`: every step samples
+/// its block fresh.
+fn sync_pipeline(
+    cluster: &Cluster,
+    fanouts: Vec<usize>,
+    batch_size: usize,
+) -> TrainingPipeline<'_> {
+    let cfg = PipelineConfig::builder()
+        .fanouts(fanouts)
+        .batch_size(batch_size)
+        .prefetch_depth(0)
+        .cache(CacheConfig::disabled())
+        .build()
+        .expect("valid config");
+    TrainingPipeline::new(cluster, cfg)
+}
+
+#[test]
+fn training_reduces_loss_and_learns() {
+    let provider = HashFeatures::new(16, 2, 7);
+    let (cluster, vertices, labels) = community_cluster(&provider, 300, 2);
+    let pipeline = sync_pipeline(&cluster, vec![4, 4], 64);
+    let mut net = SageNet::new(SageNetConfig {
+        fanouts: vec![4, 4],
+        lr: 0.1,
+        ..Default::default()
+    });
+    let reports: Vec<_> = (0..15)
+        .map(|epoch| pipeline.run_epoch(&mut net, &provider, &vertices, &labels, epoch))
+        .collect();
+    let (first, last) = (&reports[0], &reports[14]);
+    assert!(
+        last.mean_loss < first.mean_loss * 0.6,
+        "loss did not drop: {} -> {}",
+        first.mean_loss,
+        last.mean_loss
+    );
+    assert!(
+        last.mean_accuracy > 0.8,
+        "final accuracy {}",
+        last.mean_accuracy
+    );
+}
+
+#[test]
+fn predictions_match_trained_labels() {
+    let provider = HashFeatures::new(16, 2, 3);
+    let (cluster, vertices, labels) = community_cluster(&provider, 200, 2);
+    let pipeline = sync_pipeline(&cluster, vec![3], 64);
+    let mut net = SageNet::new(SageNetConfig {
+        fanouts: vec![3],
+        lr: 0.1,
+        hidden_dim: 16,
+        ..Default::default()
+    });
+    for epoch in 0..30 {
+        pipeline.run_epoch(&mut net, &provider, &vertices, &labels, epoch);
+    }
+    // One block over every vertex, sampled as the pipeline samples.
+    let cache = NeighborCache::new(CacheConfig::disabled());
+    let mut rng = StdRng::seed_from_u64(2);
+    let block = KHopSampler::new(ET, vec![3]).sample_block(&cluster, &cache, &vertices, &mut rng);
+    let gather = |nodes: &Vec<VertexId>| gather_features(&provider, nodes, 16);
+    let feats: Vec<_> = block.nodes.iter().map(gather).collect();
+    let preds = net.predict(&feats, &block.child);
+    let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
+    let accuracy = correct as f64 / labels.len() as f64;
+    assert!(accuracy > 0.85, "accuracy {accuracy}");
+}
+
+#[test]
+fn isolated_seeds_train_without_panicking() {
+    let provider = HashFeatures::new(8, 2, 5);
+    let cluster = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(2)
+            .build()
+            .expect("valid config"),
+    ); // no edges at all
+    let pipeline = sync_pipeline(&cluster, vec![3, 3], 10);
+    let mut net = SageNet::new(SageNetConfig {
+        feature_dim: 8,
+        hidden_dim: 8,
+        fanouts: vec![3, 3],
+        ..Default::default()
+    });
+    let seeds: Vec<VertexId> = (0..10).map(VertexId).collect();
+    let labels: Vec<usize> = seeds.iter().map(|v| provider.label(*v)).collect();
+    let report = pipeline.run_epoch(&mut net, &provider, &seeds, &labels, 0);
+    assert_eq!(report.batches, 1);
+    assert!(report.mean_loss.is_finite());
 }
