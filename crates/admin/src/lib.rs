@@ -16,34 +16,42 @@
 //! | `/debug/memory` | live `DeepSize` walk: samtree payload/index, directory, timestamp columns, attributes, WAL |
 //! | `/debug/spans`  | the tracer's recent-span ring plus started/finished/dropped counts |
 //! | `/debug/slow`   | the slow-op log: over-threshold requests with their span trees |
-//! | `/debug/traffic`| RPC traffic accounting: request/byte counts (real wire-frame sizes), fault and degradation tallies |
+//! | `/debug/txns`   | txn commit/abort/dedupe counts, the abort streak and the recent txn journal |
 //!
 //! Every response is computed from the shared [`Cluster`] +
 //! [`Registry`](platod2gl_obs::Registry) on the accept thread — no
-//! background aggregation, no staleness. `/metrics` and `/debug/memory`
-//! refresh the `graph.mem.*` gauges via [`Cluster::memory_breakdown`]
-//! before rendering, so scrapes always see current memory.
+//! background aggregation, no staleness. The registry is the one ledger:
+//! request and byte counts, degradations and the rpc event loop's
+//! connection counts are `/metrics` series, not separate endpoints.
+//! `/metrics` and `/debug/memory` refresh the `graph.mem.*` gauges via
+//! [`Cluster::memory_breakdown`] before rendering, so scrapes always see
+//! current memory.
 //!
 //! The server owns one accept thread; requests are served sequentially.
 //! That is deliberate: this is an operator plane for one scraper and a
 //! human with `curl`, not a data plane, and a single thread cannot
-//! amplify a misbehaving client into cluster-wide lock pressure.
+//! amplify a misbehaving client into cluster-wide lock pressure. A
+//! request head gets 2 s and 8 KiB in total, so a slow or endless head
+//! cannot hold that thread either.
 
 use platod2gl_graph::{GraphStore, ShardHealth};
 use platod2gl_obs::{json_escape, ObsSnapshot, SlowOpRecord, SpanRecord};
 use platod2gl_server::Cluster;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Poll interval of the accept loop while idle (the listener is
 /// non-blocking so shutdown needs no self-connect trick).
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Per-connection socket read timeout.
+/// Time budget for reading one whole request head.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// Byte budget of one request head; a head cut here is routed on what
+/// was read.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
 
 const CT_TEXT: &str = "text/plain; charset=utf-8";
 /// Prometheus text exposition format version marker.
@@ -68,22 +76,6 @@ impl AdminServer {
         Self::bind_routed(addr, move |path| route(path, &cluster))
     }
 
-    /// Bind a single-cluster admin plane that additionally serves
-    /// `GET /debug/rpc` — the live connection table of a graph-service
-    /// server (poller in use, accept/reject totals, per-connection frame
-    /// counts and in-flight requests). `rpc` is
-    /// typically `GraphServiceServer::introspect()`.
-    pub fn bind_with_rpc<R>(
-        addr: impl ToSocketAddrs,
-        cluster: Arc<Cluster>,
-        rpc: R,
-    ) -> io::Result<Self>
-    where
-        R: RpcIntrospect + Send + Sync + 'static,
-    {
-        Self::bind_routed(addr, move |path| route_rpc(path, &cluster, &rpc))
-    }
-
     /// Bind an admin plane for a whole fleet: `/healthz` aggregates
     /// partition ownership across servers (one replica down is degraded
     /// but 200; an unowned partition is 503) and `/debug/partitions`
@@ -97,7 +89,7 @@ impl AdminServer {
 
     /// Bind with an arbitrary GET router — the shared accept loop behind
     /// both the single-cluster and the fleet admin planes.
-    pub fn bind_routed<R>(addr: impl ToSocketAddrs, route_fn: R) -> io::Result<Self>
+    fn bind_routed<R>(addr: impl ToSocketAddrs, route_fn: R) -> io::Result<Self>
     where
         R: Fn(&str) -> (u16, &'static str, String) + Send + 'static,
     {
@@ -159,23 +151,48 @@ where
     }
 }
 
+/// A request head's byte source: each read waits only until `deadline`,
+/// so the head as a whole — not each line of it — gets [`READ_TIMEOUT`].
+struct HeadReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for HeadReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        Read::read(&mut self.stream, buf)
+    }
+}
+
+/// Read a request head and return its request line. The headers up to
+/// the blank line are drained and ignored (no bodies on GET, responses
+/// always close the connection).
+fn read_request_line(stream: &TcpStream) -> io::Result<String> {
+    let head = HeadReader {
+        stream,
+        deadline: Instant::now() + READ_TIMEOUT,
+    };
+    let mut reader = BufReader::new(head.take(MAX_HEAD_BYTES));
+    let mut request_line = String::new();
+    reader.read_line(&mut request_line)?;
+    let mut header = String::new();
+    while reader.read_line(&mut header)? > 0 && header != "\r\n" && header != "\n" {
+        header.clear();
+    }
+    Ok(request_line)
+}
+
 fn handle_connection<R>(stream: TcpStream, route_fn: &R) -> io::Result<()>
 where
     R: Fn(&str) -> (u16, &'static str, String),
 {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_nonblocking(false)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers up to the blank line; this server ignores them all
-    // (no bodies on GET, responses always close the connection).
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
-    }
+    let request_line = read_request_line(&stream)?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("/");
@@ -212,12 +229,11 @@ fn write_response(
 
 /// The endpoints every index page lists first.
 const INDEX_COMMON: [&str; 2] = ["/metrics", "/healthz"];
-/// What [`route`] serves beside them ([`route_rpc`] adds `/debug/rpc`).
-const INDEX_CLUSTER: [&str; 5] = [
+/// What [`route`] serves beside them.
+const INDEX_CLUSTER: [&str; 4] = [
     "/debug/memory",
     "/debug/spans",
     "/debug/slow",
-    "/debug/traffic",
     "/debug/txns",
 ];
 
@@ -261,91 +277,9 @@ pub fn route(path: &str, cluster: &Cluster) -> (u16, &'static str, String) {
         "/debug/memory" => (200, CT_JSON, memory_json(cluster)),
         "/debug/spans" => (200, CT_JSON, spans_json(cluster)),
         "/debug/slow" => (200, CT_JSON, slow_json(cluster)),
-        "/debug/traffic" => (200, CT_JSON, traffic_json(cluster)),
         "/debug/txns" => (200, CT_JSON, txns_json(cluster)),
         _ => (404, CT_TEXT, "not found\n".to_string()),
     }
-}
-
-// ---------------------------------------------------------------------
-// RPC introspection: the admin view of a graph-service server's
-// connection table.
-// ---------------------------------------------------------------------
-
-/// One live RPC connection as the admin plane sees it.
-#[derive(Clone, Debug)]
-pub struct RpcConnView {
-    /// Peer address.
-    pub peer: String,
-    /// Frames served on this connection.
-    pub frames: u64,
-    /// Requests dispatched but not yet answered.
-    pub in_flight: u64,
-    /// Connection age in milliseconds.
-    pub age_ms: u64,
-}
-
-/// Point-in-time state of one graph-service server for `/debug/rpc`.
-#[derive(Clone, Debug, Default)]
-pub struct RpcSnapshot {
-    /// Poller the event loop runs on: `"epoll"` or `"scan"`.
-    pub backend: String,
-    /// Connections accepted since bind.
-    pub accepted: u64,
-    /// Connections refused (table full) since bind.
-    pub rejected: u64,
-    /// Connections currently open.
-    pub open: u64,
-    /// One row per open connection.
-    pub conns: Vec<RpcConnView>,
-}
-
-/// What a graph-service server must expose to be served by
-/// [`AdminServer::bind_with_rpc`]. Implemented by
-/// `platod2gl_rpc::ServerIntrospect`; the trait lives here so the admin
-/// plane needs no rpc dependency.
-pub trait RpcIntrospect {
-    /// Assemble the current connection-table snapshot.
-    fn rpc_snapshot(&self) -> RpcSnapshot;
-}
-
-/// Dispatch one GET against a cluster plus a server's connection table.
-/// Split out (and `pub` for tests) so endpoint behavior is testable
-/// without sockets.
-pub fn route_rpc(
-    path: &str,
-    cluster: &Cluster,
-    rpc: &dyn RpcIntrospect,
-) -> (u16, &'static str, String) {
-    match path {
-        "/" => index_page(
-            "PlatoD2GL admin",
-            &[&INDEX_CLUSTER[..], &["/debug/rpc"]].concat(),
-        ),
-        "/debug/rpc" => (200, CT_JSON, rpc_json(&rpc.rpc_snapshot())),
-        other => route(other, cluster),
-    }
-}
-
-fn rpc_json(snap: &RpcSnapshot) -> String {
-    let mut body = format!(
-        "{{\"backend\":\"{}\",\"accepted\":{},\"rejected\":{},\"open\":{},\"conns\":[",
-        json_escape(&snap.backend),
-        snap.accepted,
-        snap.rejected,
-        snap.open
-    );
-    join_json(&mut body, &snap.conns, |out, c| {
-        out.push_str(&format!(
-            "{{\"peer\":\"{}\",\"frames\":{},\"in_flight\":{},\"age_ms\":{}}}",
-            json_escape(&c.peer),
-            c.frames,
-            c.in_flight,
-            c.age_ms
-        ));
-    });
-    body.push_str("]}");
-    body
 }
 
 // ---------------------------------------------------------------------
@@ -799,25 +733,6 @@ fn slow_json(cluster: &Cluster) -> String {
     body
 }
 
-fn traffic_json(cluster: &Cluster) -> String {
-    // Byte counts use the real wire-frame encoding sizes (`server::wire`),
-    // so this view matches what the TCP rpc layer actually ships.
-    let snap = cluster.obs().snapshot();
-    let count = |name: &str| snap.counter(name).unwrap_or(0);
-    format!(
-        "{{\"requests\":{},\"request_bytes\":{},\"response_bytes\":{},\
-         \"failed_requests\":{},\"retried_requests\":{},\
-         \"degraded_responses\":{},\"queued_ops\":{}}}",
-        count("cluster.requests"),
-        count("cluster.request_bytes"),
-        count("cluster.response_bytes"),
-        count("cluster.failed_requests"),
-        count("cluster.retried_requests"),
-        count("cluster.degraded_responses"),
-        count("cluster.queued_ops")
-    )
-}
-
 fn txns_json(cluster: &Cluster) -> String {
     let snap = cluster.obs().snapshot();
     let count = |name: &str| snap.counter(name).unwrap_or(0);
@@ -872,7 +787,6 @@ mod tests {
             "/debug/memory",
             "/debug/spans",
             "/debug/slow",
-            "/debug/traffic",
             "/debug/txns",
         ] {
             let (status, _, body) = route(path, &c);
@@ -946,28 +860,6 @@ mod tests {
             .expect("commits");
         let (_, _, body) = route("/healthz", &c);
         assert!(body.contains("\"storage\":{\"status\":\"ok\""), "{body}");
-    }
-
-    #[test]
-    fn traffic_endpoint_reports_wire_sized_byte_counts() {
-        let c = tiny_cluster();
-        use platod2gl_server::SampleRequest;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let _ = c.sample(&SampleRequest::new(VertexId(0), EdgeType(0), 4), &mut rng);
-        let (status, ct, body) = route("/debug/traffic", &c);
-        assert_eq!(status, 200);
-        assert_eq!(ct, CT_JSON);
-        let snap = c.obs().snapshot();
-        let count = |name: &str| snap.counter(name).expect("registered");
-        let (requests, request_bytes) = (count("cluster.requests"), count("cluster.request_bytes"));
-        assert!(requests > 0 && request_bytes > 0 && count("cluster.response_bytes") > 0);
-        assert!(body.contains(&format!("\"requests\":{requests}")), "{body}");
-        assert!(
-            body.contains(&format!("\"request_bytes\":{request_bytes}")),
-            "{body}"
-        );
-        assert!(body.contains("\"degraded_responses\":0"), "{body}");
     }
 
     #[test]
@@ -1045,45 +937,6 @@ mod tests {
         }
     }
 
-    struct StubRpc;
-
-    impl RpcIntrospect for StubRpc {
-        fn rpc_snapshot(&self) -> RpcSnapshot {
-            RpcSnapshot {
-                backend: "epoll".to_string(),
-                accepted: 9,
-                rejected: 1,
-                open: 1,
-                conns: vec![RpcConnView {
-                    peer: "127.0.0.1:5555".to_string(),
-                    frames: 12,
-                    in_flight: 3,
-                    age_ms: 40,
-                }],
-            }
-        }
-    }
-
-    #[test]
-    fn rpc_route_serves_the_connection_table_and_falls_through() {
-        let c = tiny_cluster();
-        let (status, ct, body) = route_rpc("/debug/rpc", &c, &StubRpc);
-        assert_eq!((status, ct), (200, CT_JSON));
-        assert!(body.contains("\"backend\":\"epoll\""), "{body}");
-        assert!(body.contains("\"accepted\":9"), "{body}");
-        assert!(body.contains("\"rejected\":1"), "{body}");
-        assert!(
-            body.contains("\"peer\":\"127.0.0.1:5555\",\"frames\":12"),
-            "{body}"
-        );
-        // Every plain-cluster endpoint still answers through the rpc
-        // router, and the index advertises the new endpoint.
-        let (_, _, index) = route_rpc("/", &c, &StubRpc);
-        assert!(index.contains("/debug/rpc"), "{index}");
-        assert_eq!(route_rpc("/healthz", &c, &StubRpc).0, 200);
-        assert_eq!(route_rpc("/nope", &c, &StubRpc).0, 404);
-    }
-
     #[test]
     fn slow_endpoint_reports_histogram_p99s() {
         let c = tiny_cluster();
@@ -1154,5 +1007,53 @@ mod tests {
         admin.shutdown();
         // Post-shutdown connections are refused or die unanswered — either
         // way the port stops serving; the join above proves thread exit.
+    }
+
+    /// A peer trickling one header line every 300 ms never times out a
+    /// single line, but its head as a whole runs out of time: a concurrent
+    /// scrape is answered in about the head budget, not after the peer
+    /// decides to stop.
+    #[test]
+    fn a_trickled_request_head_cannot_hold_the_admin_thread() {
+        let admin = AdminServer::bind("127.0.0.1:0", tiny_cluster()).expect("bind");
+        let addr = admin.local_addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (connected_tx, connected) = std::sync::mpsc::channel();
+        let trickler = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                let _ = stream.write_all(b"GET /metrics HTTP/1.0\r\n");
+                connected_tx.send(()).expect("test waits");
+                let started = Instant::now();
+                while !stop.load(Ordering::Acquire) && started.elapsed() < Duration::from_secs(8) {
+                    std::thread::sleep(Duration::from_millis(300));
+                    // Writes fail once the server gives up on the head.
+                    let _ = stream.write_all(b"X-Trickle: 1\r\n");
+                }
+            })
+        };
+        // Queued behind the trickler: the admin thread accepts in order.
+        connected.recv().expect("trickler connected");
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .expect("read timeout");
+        stream
+            .write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
+            .expect("request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("response");
+        let waited = started.elapsed();
+        stop.store(true, Ordering::Release);
+        trickler.join().expect("trickler");
+
+        assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
+        assert!(
+            waited < Duration::from_secs(5),
+            "/healthz waited {waited:?} behind a trickled head"
+        );
+        admin.shutdown();
     }
 }

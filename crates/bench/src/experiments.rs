@@ -440,9 +440,9 @@ fn write_trail(file: &str, json: &str) {
 /// Writes the machine-readable trail to `target/bench/BENCH_7.json`.
 pub fn fleet_report() {
     use platod2gl::{
-        Cluster, ClusterConfig, Edge, FleetCluster, FleetClusterConfig, FleetNode, GraphService,
-        GraphServiceServer, PartitionMap, RemoteCluster, RemoteClusterConfig, SampleRequest,
-        ServerEntry, UpdateOp, VertexId,
+        Cluster, ClusterConfig, Edge, FleetCluster, FleetNode, GraphService, GraphServiceServer,
+        PartitionMap, RemoteCluster, RemoteClusterConfig, SampleRequest, ServerEntry, UpdateOp,
+        VertexId,
     };
     use std::sync::Arc;
 
@@ -543,14 +543,7 @@ pub fn fleet_report() {
             node.install(map.clone());
         }
         let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-        let fleet = FleetCluster::connect(
-            &addrs,
-            FleetClusterConfig {
-                client: client_cfg,
-                num_partitions: PARTITIONS,
-            },
-        )
-        .expect("connect fleet");
+        let fleet = FleetCluster::connect(&addrs, client_cfg).expect("connect fleet");
         fleet.apply_updates(&ops).expect("load fleet");
         for c in &clusters {
             slow_all(c);

@@ -41,8 +41,7 @@ pub use platod2gl_admin::{
 pub use platod2gl_baseline::{AliGraphStore, PlatoGlConfig, PlatoGlStore};
 pub use platod2gl_fenwick::FsTable;
 pub use platod2gl_fleet::{
-    FleetCluster, FleetClusterConfig, FleetNode, JoinReport, MigrationReport, PartitionMap,
-    ServerEntry,
+    FleetCluster, FleetNode, JoinReport, MigrationReport, PartitionMap, ServerEntry,
 };
 pub use platod2gl_gnn::{
     gather_features, AttributeFeatures, DeepWalkConfig, DeepWalkTrainer, EmbeddingTable,
@@ -67,7 +66,6 @@ pub use platod2gl_pipeline::{
 };
 pub use platod2gl_rpc::{
     ClientConfig, ConnectionMode, GraphServiceServer, RemoteCluster, RemoteClusterConfig,
-    ServerIntrospect,
 };
 pub use platod2gl_sampling::{AliasTable, CsTable, WeightedIndex};
 pub use platod2gl_samtree::{LeafIndex, OpStats, SamTree, SamTreeConfig};

@@ -24,39 +24,18 @@
 //! Only when both copies fail does the request degrade under its own
 //! [`DegradedPolicy`](platod2gl_server::DegradedPolicy), client-side.
 
-use crate::map::{PartitionMap, ServerEntry, DEFAULT_PARTITIONS};
+use crate::map::PartitionMap;
 use crate::node::{
     derive_txn_id, group_by_server, merge_receipt, sub_txn, txn_op_src, CH_OWNER_SPLIT,
 };
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{current_trace_context, Counter, ObsSnapshot, Registry, SpanRecord};
-use platod2gl_rpc::{RemoteCluster, RemoteClusterConfig};
+use platod2gl_rpc::{ClientConfig, RemoteCluster};
 use platod2gl_server::{BatchReport, GraphService, SampleRequest, SampleResponse};
 use rand::RngCore;
 use std::collections::HashMap;
 use std::net::ToSocketAddrs;
 use std::sync::{Arc, RwLock};
-
-/// Fleet client shape: the per-server connection config plus the
-/// partition-keyspace size used when the servers carry no map.
-#[derive(Clone, Copy, Debug)]
-pub struct FleetClusterConfig {
-    /// Per-server connection config (timeouts, retries, pooling).
-    pub client: RemoteClusterConfig,
-    /// Partition count for a client-built map (servers without a resident
-    /// map, e.g. plain graph servers fronted only for sampling
-    /// scale-out). Ignored when a server supplies its map.
-    pub num_partitions: u32,
-}
-
-impl Default for FleetClusterConfig {
-    fn default() -> Self {
-        Self {
-            client: RemoteClusterConfig::default(),
-            num_partitions: DEFAULT_PARTITIONS,
-        }
-    }
-}
 
 struct FleetMetrics {
     replica_reads: Arc<Counter>,
@@ -72,70 +51,43 @@ struct FleetState {
 
 /// A partition-routed client over a fleet of graph servers.
 pub struct FleetCluster {
-    pub(crate) cfg: FleetClusterConfig,
+    /// Per-server connection config, for every server the client dials.
+    pub(crate) client: ClientConfig,
     registry: Arc<Registry>,
     state: RwLock<FleetState>,
     m: FleetMetrics,
 }
 
 impl FleetCluster {
-    /// Connect to every address and adopt the fleet's partition map (the
-    /// first server that carries one wins; highest epoch is reconciled on
-    /// [`FleetCluster::refresh_map`]). When *no* server carries a map —
-    /// plain graph servers — the client builds its own over the address
-    /// list, which scales sampling out without server-side replication.
-    pub fn connect<A: AsRef<str>>(addrs: &[A], cfg: FleetClusterConfig) -> Result<Self, Error> {
+    /// Join a fleet through any of its members: dial every address, adopt
+    /// the highest-epoch partition map any of them carries, and dial every
+    /// server that map names. One address is enough; naming several means
+    /// a member that lags behind a migration cannot pin the client to its
+    /// stale map. Errors if no member carries a map — a fleet client needs
+    /// a fleet, not a bag of plain servers.
+    pub fn connect<A: AsRef<str>>(addrs: &[A], client: ClientConfig) -> Result<Self, Error> {
         if addrs.is_empty() {
             return Err(Error::invalid_config("fleet address list is empty"));
         }
         let mut dialed = Vec::with_capacity(addrs.len());
         for a in addrs {
-            dialed.push(Arc::new(RemoteCluster::connect(a.as_ref(), cfg.client)?));
+            dialed.push(Arc::new(RemoteCluster::connect(a.as_ref(), client)?));
         }
-        let fetched = dialed.iter().find_map(|c| c.fleet_map_bytes());
-        let map = match fetched {
-            Some((_, bytes)) => PartitionMap::decode(&bytes)?,
-            None => {
-                let roster: Vec<ServerEntry> = dialed
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| ServerEntry {
-                        id: i as u64 + 1,
-                        addr: c.server_addr().to_string(),
-                    })
-                    .collect();
-                PartitionMap::build(roster, cfg.num_partitions)?
-            }
-        };
-        Self::from_map(map, dialed, cfg)
-    }
-
-    /// Join an existing fleet through any one member: fetch its map,
-    /// dial every server the map names. Errors if the seed carries no
-    /// map — joining requires a fleet, not a bag of plain servers.
-    pub fn join(seed_addr: &str, cfg: FleetClusterConfig) -> Result<Self, Error> {
-        let seed = Arc::new(RemoteCluster::connect(seed_addr, cfg.client)?);
-        let (_, bytes) = seed
-            .fleet_map_bytes()
+        let (_, bytes) = dialed
+            .iter()
+            .filter_map(|c| c.fleet_map_bytes())
+            .max_by_key(|&(epoch, _)| epoch)
             .ok_or_else(|| Error::invalid_config("seed server carries no fleet partition map"))?;
         let map = PartitionMap::decode(&bytes)?;
-        Self::from_map(map, vec![seed], cfg)
-    }
-
-    fn from_map(
-        map: PartitionMap,
-        dialed: Vec<Arc<RemoteCluster>>,
-        cfg: FleetClusterConfig,
-    ) -> Result<Self, Error> {
         let registry = Arc::new(Registry::new());
         let m = FleetMetrics {
             replica_reads: registry.counter("fleet.client.replica_reads"),
             degraded_requests: registry.counter("fleet.client.degraded_requests"),
             map_refreshes: registry.counter("fleet.client.map_refreshes"),
         };
-        let conns = Self::conns_for(&map, &dialed, cfg.client)?;
+        let conns = Self::conns_for(&map, &dialed, client)?;
         Ok(Self {
-            cfg,
+            client,
             registry,
             state: RwLock::new(FleetState { map, conns }),
             m,
@@ -147,7 +99,7 @@ impl FleetCluster {
     fn conns_for(
         map: &PartitionMap,
         dialed: &[Arc<RemoteCluster>],
-        client_cfg: RemoteClusterConfig,
+        client: ClientConfig,
     ) -> Result<HashMap<u64, Arc<RemoteCluster>>, Error> {
         let mut conns = HashMap::with_capacity(map.servers().len());
         for entry in map.servers() {
@@ -158,7 +110,7 @@ impl FleetCluster {
                 .cloned();
             let conn = match reuse {
                 Some(c) => c,
-                None => Arc::new(RemoteCluster::connect(entry.addr.as_str(), client_cfg)?),
+                None => Arc::new(RemoteCluster::connect(entry.addr.as_str(), client)?),
             };
             conns.insert(entry.id, conn);
         }
@@ -188,25 +140,6 @@ impl FleetCluster {
             .clone()
     }
 
-    /// Ask every reachable server for its map and adopt the highest
-    /// epoch seen (dialing any newly-listed servers). Returns the epoch
-    /// in effect afterwards — how a client catches up after a migration.
-    pub fn refresh_map(&self) -> Result<u64, Error> {
-        let (cur, conns) = self.snapshot();
-        let mut best: Option<PartitionMap> = None;
-        for conn in conns.values() {
-            if let Some((epoch, bytes)) = conn.fleet_map_bytes() {
-                if epoch > best.as_ref().map_or(cur.epoch(), |b| b.epoch()) {
-                    best = Some(PartitionMap::decode(&bytes)?);
-                }
-            }
-        }
-        match best {
-            Some(map) => self.install_local(map),
-            None => Ok(cur.epoch()),
-        }
-    }
-
     /// Adopt a newer map (no-op at or below the resident epoch), dialing
     /// any servers it names that we are not yet connected to.
     pub(crate) fn install_local(&self, map: PartitionMap) -> Result<u64, Error> {
@@ -218,7 +151,7 @@ impl FleetCluster {
             let s = self.state.read().unwrap_or_else(|e| e.into_inner());
             s.conns.values().cloned().collect()
         };
-        let conns = Self::conns_for(&map, &dialed, self.cfg.client)?;
+        let conns = Self::conns_for(&map, &dialed, self.client)?;
         let mut s = self.state.write().unwrap_or_else(|e| e.into_inner());
         if map.epoch() <= s.map.epoch() {
             return Ok(s.map.epoch());

@@ -29,7 +29,7 @@ mod map;
 mod migrate;
 mod node;
 
-pub use cluster::{FleetCluster, FleetClusterConfig};
-pub use map::{PartitionMap, ServerEntry, DEFAULT_PARTITIONS};
+pub use cluster::FleetCluster;
+pub use map::{PartitionMap, ServerEntry};
 pub use migrate::{JoinReport, MigrationReport};
 pub use node::FleetNode;

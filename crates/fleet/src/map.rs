@@ -19,10 +19,6 @@ use platod2gl_graph::cursor::{put_str, put_u32, put_u64, Reader, WireError};
 use platod2gl_graph::{splitmix64, Error, VertexId};
 use platod2gl_server::partition_for;
 
-/// Default partition-keyspace size: enough granularity that a handful of
-/// servers balance well, small enough that per-partition metadata is free.
-pub const DEFAULT_PARTITIONS: u32 = 64;
-
 /// Decode guard rails: a corrupt or hostile map payload must not drive
 /// huge allocations.
 const MAX_SERVERS: usize = 4096;

@@ -28,7 +28,7 @@
 //! Every streamed op is idempotent and replica-channel retries are
 //! absorbed by the target, so a crashed migration is safe to re-run.
 //! The source keeps its copy as the partition's replica — clients still
-//! routing on the old epoch read correct data until they refresh.
+//! routing on the old epoch read correct data until they learn the new map.
 
 use crate::cluster::FleetCluster;
 use crate::map::ServerEntry;
@@ -223,7 +223,7 @@ impl FleetCluster {
     /// with — the node recognizes its own writes (vs ops to relay) by
     /// finding that id in the installed map.
     pub fn join_and_migrate(&self, addr: &str, new_id: u64) -> Result<JoinReport, Error> {
-        let conn = Arc::new(RemoteCluster::connect(addr, self.cfg.client)?);
+        let conn = Arc::new(RemoteCluster::connect(addr, self.client)?);
         let resolved = addr
             .to_socket_addrs()?
             .next()

@@ -20,12 +20,15 @@
 //! Everything else runs inline. Both paths serve the frame through the
 //! same [`run_frame`].
 //!
-//! Event-loop health is published as gauges on the service's registry:
-//! `rpc.server.ready_queue_depth` (events per poll batch),
-//! `rpc.server.in_flight_requests` (dispatched, reply not yet queued),
-//! `rpc.server.accept_backlog` (accepts drained in the latest burst —
-//! how far behind the listener the loop is running), and
-//! `rpc.server.open_connections`.
+//! Event-loop health is published on the service's registry, the loop's
+//! only ledger: the gauges `rpc.server.ready_queue_depth` (events per poll
+//! batch), `rpc.server.in_flight_requests` (dispatched, reply not yet
+//! queued), `rpc.server.accept_backlog` (accepts drained in the latest
+//! burst — how far behind the listener the loop is running) and
+//! `rpc.server.open_connections`, and the counters
+//! `rpc.server.connections` (accepted) and
+//! `rpc.server.rejected_connections` (dropped at the connection ceiling or
+//! on socket setup failure).
 //!
 //! [`GraphServiceServer`]: crate::GraphServiceServer
 
@@ -36,8 +39,7 @@ use crate::codec::{
 use crate::dispatch::{dispatch, ServerMetrics};
 use crate::lock;
 use crate::poll::{PollEvent, Poller, Waker};
-use crate::stats::{ConnInfo, RpcServerStats};
-use platod2gl_obs::Histogram;
+use platod2gl_obs::{Counter, Gauge, Histogram};
 use platod2gl_server::GraphService;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -77,29 +79,17 @@ pub(crate) fn spawn<S>(
     listener: TcpListener,
     service: Arc<S>,
     stop: Arc<AtomicBool>,
-    stats: Arc<RpcServerStats>,
     max_connections: usize,
 ) -> io::Result<(JoinHandle<()>, Waker)>
 where
     S: GraphService + Send + Sync + 'static,
 {
     let poller = Poller::new()?;
-    stats.set_backend(poller.backend_name());
     let waker = poller.waker();
     let loop_waker = waker.clone();
     let handle = std::thread::Builder::new()
         .name("platod2gl-rpc-loop".to_string())
-        .spawn(move || {
-            run(
-                listener,
-                service,
-                stop,
-                stats,
-                max_connections,
-                poller,
-                loop_waker,
-            )
-        })?;
+        .spawn(move || run(listener, service, stop, max_connections, poller, loop_waker))?;
     Ok((handle, waker))
 }
 
@@ -107,8 +97,9 @@ where
 struct Conn {
     stream: TcpStream,
     gen: u32,
-    conn_id: u64,
-    info: Arc<ConnInfo>,
+    /// Frames handed to offload threads whose completions have not come
+    /// back yet. Only the loop thread touches it.
+    in_flight: u32,
     /// Accumulated unread bytes; frames are parsed zero-copy out of the
     /// front and drained once handled.
     rbuf: Vec<u8>,
@@ -286,7 +277,6 @@ fn run<S>(
     listener: TcpListener,
     service: Arc<S>,
     stop: Arc<AtomicBool>,
-    stats: Arc<RpcServerStats>,
     max_connections: usize,
     mut poller: Poller,
     waker: Waker,
@@ -296,6 +286,7 @@ fn run<S>(
     let metrics = Arc::new(ServerMetrics::new(Arc::clone(service.registry())));
     let registry = Arc::clone(&metrics.registry);
     let connections = registry.counter("rpc.server.connections");
+    let rejected = registry.counter("rpc.server.rejected_connections");
     let g_ready = registry.gauge("rpc.server.ready_queue_depth");
     let g_in_flight = registry.gauge("rpc.server.in_flight_requests");
     let g_backlog = registry.gauge("rpc.server.accept_backlog");
@@ -330,7 +321,7 @@ fn run<S>(
             let touched = match slots.get_mut(idx).and_then(Option::as_mut) {
                 Some(conn) if conn.gen == gen => {
                     in_flight -= 1;
-                    conn.info.in_flight.fetch_sub(1, Ordering::Relaxed);
+                    conn.in_flight -= 1;
                     apply_completion(conn, done);
                     true
                 }
@@ -339,7 +330,6 @@ fn run<S>(
             if touched {
                 settle(
                     &mut poller,
-                    &stats,
                     &g_open,
                     idx,
                     &mut slots,
@@ -356,8 +346,8 @@ fn run<S>(
                 let burst = accept_burst(
                     &listener,
                     &mut poller,
-                    &stats,
                     &connections,
+                    &rejected,
                     &metrics.write_stall,
                     max_connections,
                     &mut slots,
@@ -394,7 +384,6 @@ fn run<S>(
             if touched {
                 settle(
                     &mut poller,
-                    &stats,
                     &g_open,
                     idx,
                     &mut slots,
@@ -412,11 +401,9 @@ fn run<S>(
 
 /// Post-touch bookkeeping shared by every path that mutates a connection:
 /// sync poller write interest, then close if the connection is finished.
-#[allow(clippy::too_many_arguments)]
 fn settle(
     poller: &mut Poller,
-    stats: &RpcServerStats,
-    g_open: &platod2gl_obs::Gauge,
+    g_open: &Gauge,
     idx: usize,
     slots: &mut [Option<Conn>],
     free: &mut Vec<usize>,
@@ -427,16 +414,12 @@ fn settle(
         return;
     };
     let token = make_token(idx, conn.gen);
-    let finished = conn.dead
-        || (conn.closing
-            && !conn.pending_write()
-            && conn.info.in_flight.load(Ordering::Relaxed) == 0);
+    let finished = conn.dead || (conn.closing && !conn.pending_write() && conn.in_flight == 0);
     if finished {
         let _ = poller.deregister(&conn.stream, token);
-        stats.close(conn.conn_id);
         // Dispatches still in flight for this connection will be dropped
         // at completion (stale generation); settle their gauge debt now.
-        *in_flight -= conn.info.in_flight.load(Ordering::Relaxed) as i64;
+        *in_flight -= i64::from(conn.in_flight);
         free.push(idx);
         *open -= 1;
         g_open.set(*open as i64);
@@ -455,8 +438,8 @@ fn settle(
 fn accept_burst(
     listener: &TcpListener,
     poller: &mut Poller,
-    stats: &RpcServerStats,
-    connections: &platod2gl_obs::Counter,
+    connections: &Counter,
+    rejected: &Counter,
     write_stall: &Arc<Histogram>,
     max_connections: usize,
     slots: &mut Vec<Option<Conn>>,
@@ -467,15 +450,11 @@ fn accept_burst(
     let mut burst = 0i64;
     loop {
         match listener.accept() {
-            Ok((stream, peer)) => {
+            Ok((stream, _)) => {
                 burst += 1;
-                if *open >= max_connections {
-                    stats.rejected.fetch_add(1, Ordering::Relaxed);
+                if *open >= max_connections || stream.set_nonblocking(true).is_err() {
+                    rejected.inc();
                     continue; // stream drops, peer sees a reset
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    continue;
                 }
                 let _ = stream.set_nodelay(true);
                 let idx = free.pop().unwrap_or_else(|| {
@@ -487,17 +466,14 @@ fn accept_burst(
                 let token = make_token(idx, gens[idx]);
                 if poller.register(&stream, token, false).is_err() {
                     free.push(idx);
-                    stats.rejected.fetch_add(1, Ordering::Relaxed);
+                    rejected.inc();
                     continue;
                 }
                 connections.inc();
-                let info = ConnInfo::new(peer.to_string());
-                let conn_id = stats.open(Arc::clone(&info));
                 slots[idx] = Some(Conn {
                     stream,
                     gen: gens[idx],
-                    conn_id,
-                    info,
+                    in_flight: 0,
                     rbuf: Vec::new(),
                     wbuf: Vec::new(),
                     wpos: 0,
@@ -602,7 +578,7 @@ fn handle_readable<S>(
         match step {
             Ok(Some(done)) => apply_completion(conn, done),
             Ok(None) => {
-                conn.info.in_flight.fetch_add(1, Ordering::Relaxed);
+                conn.in_flight += 1;
                 *in_flight += 1;
             }
             Err(e) => {
@@ -627,7 +603,6 @@ fn fail_conn(conn: &mut Conn, metrics: &ServerMetrics, e: FrameError) {
 /// A dispatch finished: its reply goes straight out, in whatever order
 /// handlers complete — the client re-stitches by id.
 fn apply_completion(conn: &mut Conn, done: Completion) {
-    conn.info.served();
     queue_write(conn, &done.bytes);
     if done.close_after {
         conn.closing = true;

@@ -24,8 +24,9 @@
 //!   issue nested RPCs, run on offload threads and everything else inline
 //!   on the loop thread. Requests feed the cluster's span tracer and
 //!   slow-op log — client trace ids show up in the server's
-//!   `GET /debug/slow` — and the live connection table is exposed via
-//!   [`GraphServiceServer::introspect`] for `GET /debug/rpc`.
+//!   `GET /debug/slow` — and the loop's connection and in-flight counts
+//!   are `rpc.server.*` metrics on the same registry, served at
+//!   `GET /metrics`.
 //! * [`RemoteCluster`] — the client. Implements `GraphService` — each
 //!   remote operation is that trait's method and nothing else — so
 //!   `KHopSampler` and `TrainingPipeline` run against a remote server
@@ -54,11 +55,9 @@ mod dispatch;
 mod event;
 mod poll;
 mod server;
-mod stats;
 
 pub use client::{ClientConfig, ConnectionMode, RemoteCluster, RemoteClusterConfig};
 pub use server::GraphServiceServer;
-pub use stats::ServerIntrospect;
 
 /// Lock a mutex whose data every holder leaves valid at each step, so a
 /// panicked holder's poison is ignored.

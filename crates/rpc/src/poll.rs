@@ -81,15 +81,6 @@ impl Poller {
         return Ok(Poller::Scan(ScanPoller::default()));
     }
 
-    /// The backend actually in use (surfaced by `/debug/rpc`).
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(_) => "epoll",
-            Poller::Scan(_) => "scan",
-        }
-    }
-
     /// A handle other threads can use to interrupt [`Poller::wait`]. On
     /// the scan backend this is a no-op — the short tick bounds latency.
     pub fn waker(&self) -> Waker {
@@ -366,7 +357,7 @@ mod tests {
     #[test]
     fn pollers_report_readable_sockets() {
         let scan = Poller::Scan(ScanPoller::default());
-        for mut poller in [Poller::new().expect("poller"), scan] {
+        for (backend, mut poller) in [("native", Poller::new().expect("poller")), ("scan", scan)] {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("c");
             let (server, _) = listener.accept().expect("accept");
@@ -389,7 +380,7 @@ mod tests {
                     break false;
                 }
             };
-            assert!(seen, "{} missed readability", poller.backend_name());
+            assert!(seen, "{backend} poller missed readability");
             poller.deregister(&server, 7).expect("deregister");
         }
     }
@@ -398,7 +389,7 @@ mod tests {
     #[test]
     fn waker_interrupts_an_idle_wait() {
         let mut poller = Poller::new().expect("poller");
-        assert_eq!(poller.backend_name(), "epoll");
+        assert!(matches!(poller, Poller::Epoll(_)));
         let waker = poller.waker();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));

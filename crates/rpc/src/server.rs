@@ -7,8 +7,8 @@
 //! non-blocking connections with per-connection read/write buffers,
 //! zero-copy frame decode, replies correlated by `req_id` so clients may
 //! be answered out of order. See [`crate::event`]. The server has no
-//! knobs: where a frame runs is decided by its kind, and the connection
-//! table is capped at 16,384.
+//! knobs: where a frame runs is decided by its kind, and open connections
+//! are capped at 16,384.
 //!
 //! Every frame goes through [`dispatch`](crate::dispatch), which owns the
 //! request semantics (determinism contract, deadline handling, failure
@@ -17,9 +17,10 @@
 //! Observability flows through the *service's* registry: the cluster's
 //! root spans and slow-op captures land in the same ring the admin server
 //! reads — `GET /debug/slow` works across the wire — and the event loop
-//! publishes its own gauges (`rpc.server.ready_queue_depth`,
-//! `rpc.server.in_flight_requests`, `rpc.server.accept_backlog`,
-//! `rpc.server.open_connections`).
+//! publishes its own gauges and connection counters there
+//! (`rpc.server.open_connections`, `rpc.server.connections`,
+//! `rpc.server.rejected_connections`, …; see [`crate::event`]), so
+//! `GET /metrics` is the one place every server number is read.
 //!
 //! ## Deadlines
 //!
@@ -30,7 +31,6 @@
 //! cooperative).
 
 use crate::event;
-use crate::stats::{RpcServerStats, ServerIntrospect};
 use platod2gl_server::GraphService;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -38,8 +38,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Connection-table ceiling. Accepts beyond it are dropped (and counted in
-/// `/debug/rpc`'s `rejected`) instead of exhausting fds.
+/// Connection ceiling. Accepts beyond it are dropped (and counted in
+/// `rpc.server.rejected_connections`) instead of exhausting fds.
 const MAX_CONNECTIONS: usize = 16_384;
 
 /// A running graph-service TCP server. The loop thread is joined on
@@ -49,7 +49,6 @@ pub struct GraphServiceServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     wake: crate::poll::Waker,
-    stats: Arc<RpcServerStats>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -74,19 +73,11 @@ impl GraphServiceServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = RpcServerStats::new();
-        let (handle, wake) = event::spawn(
-            listener,
-            service,
-            Arc::clone(&stop),
-            Arc::clone(&stats),
-            max_connections,
-        )?;
+        let (handle, wake) = event::spawn(listener, service, Arc::clone(&stop), max_connections)?;
         Ok(Self {
             addr: local,
             stop,
             wake,
-            stats,
             handle: Some(handle),
         })
     }
@@ -94,13 +85,6 @@ impl GraphServiceServer {
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// A cheap handle onto the live connection table, for the admin
-    /// plane's `GET /debug/rpc` (see
-    /// [`RpcIntrospect`](platod2gl_admin::RpcIntrospect)).
-    pub fn introspect(&self) -> ServerIntrospect {
-        ServerIntrospect(Arc::clone(&self.stats))
     }
 
     /// Stop accepting, drain connection state, and join everything.
@@ -152,23 +136,27 @@ mod tests {
         assert_eq!(looped.sources, vec![SlotSource::SelfLoop; 3]);
     }
 
+    fn one_shard_cluster() -> Arc<platod2gl_server::Cluster> {
+        use platod2gl_server::{Cluster, ClusterConfig};
+        Arc::new(Cluster::new(
+            ClusterConfig::builder()
+                .num_shards(1)
+                .build()
+                .expect("valid config"),
+        ))
+    }
+
     /// The connection ceiling: an accept beyond it is dropped and counted,
     /// and the connections already admitted keep being served.
     #[test]
     fn accepts_beyond_the_ceiling_are_reset_and_counted() {
         use crate::codec::{read_frame, write_frame, FrameError, FrameKind};
-        use platod2gl_admin::RpcIntrospect;
-        use platod2gl_server::{Cluster, ClusterConfig};
         use std::net::TcpStream;
         use std::time::Duration;
 
-        let cluster = Arc::new(Cluster::new(
-            ClusterConfig::builder()
-                .num_shards(1)
-                .build()
-                .expect("valid config"),
-        ));
-        let server = GraphServiceServer::bind_capped("127.0.0.1:0", cluster, 2).expect("bind");
+        let cluster = one_shard_cluster();
+        let server =
+            GraphServiceServer::bind_capped("127.0.0.1:0", Arc::clone(&cluster), 2).expect("bind");
         let connect = || {
             let stream = TcpStream::connect(server.local_addr()).expect("connect");
             stream
@@ -193,11 +181,60 @@ mod tests {
         let mut third = connect();
         assert!(matches!(probe(&mut third), Err(FrameError::Io(_))));
 
-        let snapshot = server.introspect().rpc_snapshot();
-        assert_eq!((snapshot.rejected, snapshot.open), (1, 2));
+        let snap = cluster.obs().snapshot();
+        assert_eq!(snap.counter("rpc.server.connections"), Some(2));
+        assert_eq!(snap.counter("rpc.server.rejected_connections"), Some(1));
+        assert_eq!(snap.gauge("rpc.server.open_connections"), Some(2));
         for stream in &mut admitted {
             assert_eq!(probe(stream).expect("still served"), FrameKind::HealthReply);
         }
+        server.shutdown();
+    }
+
+    /// A connection that closes while its offloaded write still runs
+    /// leaves in-flight debt: `settle` pays it when the connection closes,
+    /// and the late completion is dropped, so neither gauge is left
+    /// counting a request nobody will answer.
+    #[test]
+    fn a_close_under_an_offloaded_write_settles_the_in_flight_debt() {
+        use crate::codec::{encode, write_frame, FrameKind, UpdateBatch};
+        use platod2gl_graph::{Edge, GraphStore, UpdateOp, VertexId};
+        use std::net::TcpStream;
+        use std::time::{Duration, Instant};
+
+        let cluster = one_shard_cluster();
+        cluster.faults().slow_shard(0, Duration::from_millis(300));
+        let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(&cluster)).expect("bind");
+        let batch = UpdateBatch {
+            deadline_ms: 0,
+            ctx: None,
+            ops: vec![UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 1.0))],
+        };
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        write_frame(&mut stream, FrameKind::UpdateBatch, 9, &encode(&batch)).expect("write");
+        drop(stream);
+
+        // The write landing proves the frame was dispatched (and counted
+        // in flight); the slow shard holds it long past the close.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let settled = loop {
+            let snap = cluster.obs().snapshot();
+            let gauges = (
+                snap.gauge("rpc.server.in_flight_requests"),
+                snap.gauge("rpc.server.open_connections"),
+            );
+            if cluster.num_edges() == 1 && gauges == (Some(0), Some(0)) {
+                break true;
+            }
+            if Instant::now() > deadline {
+                break false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert!(
+            settled,
+            "in-flight debt of a closed connection never settled"
+        );
         server.shutdown();
     }
 }

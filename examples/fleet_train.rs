@@ -11,10 +11,10 @@
 //! Run with: `cargo run -p platod2gl --release --example fleet_train`
 
 use platod2gl::{
-    AdminServer, Cluster, ClusterConfig, Edge, EdgeType, FleetCluster, FleetClusterConfig,
-    FleetNode, GraphService, GraphServiceServer, GraphStore, HashFeatures, PartitionMap,
-    PipelineConfig, RemoteClusterConfig, SageNet, SageNetConfig, SampleRequest, ServerEntry,
-    TrainingPipeline, UpdateOp, VertexId,
+    AdminServer, Cluster, ClusterConfig, Edge, EdgeType, FleetCluster, FleetNode, GraphService,
+    GraphServiceServer, GraphStore, HashFeatures, PartitionMap, PipelineConfig,
+    RemoteClusterConfig, SageNet, SageNetConfig, SampleRequest, ServerEntry, TrainingPipeline,
+    UpdateOp, VertexId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,16 +88,7 @@ fn main() {
         .iter()
         .map(|(_, s)| s.local_addr().to_string())
         .collect();
-    let fleet = Arc::new(
-        FleetCluster::connect(
-            &addrs,
-            FleetClusterConfig {
-                client: client_cfg(),
-                num_partitions: PARTITIONS,
-            },
-        )
-        .expect("connect"),
-    );
+    let fleet = Arc::new(FleetCluster::connect(&addrs, client_cfg()).expect("connect"));
     println!(
         "fleet client connected: {} servers, map epoch {}",
         fleet.map_snapshot().servers().len(),

@@ -22,10 +22,10 @@
 //! Run with: `cargo run -p platod2gl --release --example temporal_link_prediction`
 
 use platod2gl::{
-    CacheConfig, Cluster, ClusterConfig, DecayConfig, Edge, EdgeType, FleetCluster,
-    FleetClusterConfig, FleetNode, GraphService, GraphServiceServer, HashFeatures, KHopSampler,
-    NeighborCache, PartitionMap, PipelineConfig, RecencyDecay, RemoteClusterConfig, SageNet,
-    SageNetConfig, ServerEntry, TimeWindow, TrainingPipeline, UpdateOp, VertexId,
+    CacheConfig, Cluster, ClusterConfig, DecayConfig, Edge, EdgeType, FleetCluster, FleetNode,
+    GraphService, GraphServiceServer, HashFeatures, KHopSampler, NeighborCache, PartitionMap,
+    PipelineConfig, RecencyDecay, RemoteClusterConfig, SageNet, SageNetConfig, ServerEntry,
+    TimeWindow, TrainingPipeline, UpdateOp, VertexId,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -314,14 +314,7 @@ fn main() {
         node.install(map.clone());
     }
     let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    let fleet = FleetCluster::connect(
-        &addrs,
-        FleetClusterConfig {
-            client: client_cfg,
-            num_partitions: PARTITIONS,
-        },
-    )
-    .expect("connect");
+    let fleet = FleetCluster::connect(&addrs, client_cfg).expect("connect");
     fleet.apply_updates(&stream.ops).expect("ingest");
 
     let fleet_pipe = TrainingPipeline::new(&fleet, pipeline_config());

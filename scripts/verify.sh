@@ -37,10 +37,12 @@ fi
 
 echo "==> standing benchmark (perf/ is its own workspace: build, unit tests, every workload at smoke size)"
 # perf/ compiles against the crates' public API from outside the workspace,
-# so a signature change that breaks it passes every gate above.
-cargo build --release --manifest-path perf/Cargo.toml
-cargo test -q --manifest-path perf/Cargo.toml
-if ! cargo run --release --quiet --manifest-path perf/Cargo.toml -- suite --smoke >"$build_log" 2>&1; then
+# so a signature change that breaks it passes every gate above. --locked:
+# a workspace dependency edge that drifted from perf/Cargo.lock fails here,
+# in cargo's words, instead of being rewritten into the lockfile.
+cargo build --release --locked --manifest-path perf/Cargo.toml
+cargo test -q --locked --manifest-path perf/Cargo.toml
+if ! cargo run --release --quiet --locked --manifest-path perf/Cargo.toml -- suite --smoke >"$build_log" 2>&1; then
     echo "verify: FAIL - perf suite --smoke:"
     tail -n 40 "$build_log"
     exit 1

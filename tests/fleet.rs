@@ -6,8 +6,8 @@
 //! routing table and distinguish degraded from unowned.
 
 use platod2gl::{
-    AdminServer, Cluster, ClusterConfig, Edge, EdgeType, FleetCluster, FleetClusterConfig,
-    FleetNode, GraphService, GraphServiceServer, GraphStore, GraphTxn, HashFeatures, PartitionMap,
+    AdminServer, Cluster, ClusterConfig, Edge, EdgeType, Error, FleetCluster, FleetNode,
+    GraphService, GraphServiceServer, GraphStore, GraphTxn, HashFeatures, PartitionMap,
     PipelineConfig, RemoteCluster, RemoteClusterConfig, SageNet, SageNetConfig, SampleRequest,
     ServerEntry, TrainingPipeline, UpdateOp, VertexId,
 };
@@ -45,13 +45,6 @@ fn client_cfg() -> RemoteClusterConfig {
     RemoteClusterConfig::default()
         .max_retries(0)
         .request_timeout(Duration::from_millis(500))
-}
-
-fn fleet_cfg() -> FleetClusterConfig {
-    FleetClusterConfig {
-        client: client_cfg(),
-        num_partitions: PARTITIONS,
-    }
 }
 
 struct Fleet {
@@ -174,7 +167,8 @@ fn fleet_training_is_bit_identical_to_single_server_remote() {
 
     // 3-server fleet — the same op stream, partition-routed.
     let fleet_servers = start_fleet(3);
-    let fleet = FleetCluster::connect(&fleet_servers.addr_strings(), fleet_cfg()).expect("connect");
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
     let report = fleet.apply_updates(&ops).expect("loads");
     assert_eq!(report.applied_ops, ops.len());
 
@@ -246,13 +240,13 @@ fn live_migration_during_epoch_two_loses_zero_batches() {
     // Control fleet: identical data, no migration.
     let control_servers = start_fleet(3);
     let control =
-        FleetCluster::connect(&control_servers.addr_strings(), fleet_cfg()).expect("connect");
+        FleetCluster::connect(&control_servers.addr_strings(), client_cfg()).expect("connect");
     control.apply_updates(&ops).expect("loads");
 
     // Fleet under test, plus a fourth empty server not yet in the roster.
     let fleet_servers = start_fleet(3);
     let fleet = Arc::new(
-        FleetCluster::connect(&fleet_servers.addr_strings(), fleet_cfg()).expect("connect"),
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect"),
     );
     fleet.apply_updates(&ops).expect("loads");
     let joiner_cluster = Arc::new(Cluster::new(
@@ -324,7 +318,8 @@ fn live_migration_during_epoch_two_loses_zero_batches() {
     // A brand-new client bootstrapping from any incumbent learns the
     // post-migration roster (including the joiner's address) and samples
     // identically to the incumbent client.
-    let late = FleetCluster::join(&fleet_servers.addrs[0].to_string(), fleet_cfg()).expect("join");
+    let late = FleetCluster::connect(&[fleet_servers.addrs[0].to_string()], client_cfg())
+        .expect("join through one member");
     assert_eq!(late.map_epoch(), fleet.map_epoch());
     let reqs: Vec<SampleRequest> = (0..N)
         .map(|v| SampleRequest::new(VertexId(v), ET, 4))
@@ -341,6 +336,40 @@ fn live_migration_during_epoch_two_loses_zero_batches() {
     joiner_server.shutdown();
     fleet_servers.shutdown();
     control_servers.shutdown();
+}
+
+/// A client connecting through several members adopts the newest map any
+/// of them carries: a member that missed a promotion (epoch 1 while the
+/// others hold epoch 2) cannot pin the client to its stale routing, even
+/// listed first. Plain graph servers carry no map and are refused.
+#[test]
+fn connect_adopts_the_newest_map_behind_a_lagging_first_member() {
+    let fleet_servers = start_fleet(3);
+    let map = fleet_servers.nodes[0]
+        .map_snapshot()
+        .expect("map installed");
+    let promoted = map
+        .promote(0, (map.owner_index(0) + 1) % 3)
+        .expect("promotes");
+    for node in &fleet_servers.nodes[1..] {
+        node.install(promoted.clone());
+    }
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    assert_eq!(fleet.map_epoch(), 2, "the lagging first member's map won");
+    assert_eq!(fleet.map_snapshot(), promoted);
+    fleet_servers.shutdown();
+
+    let plain = Arc::new(Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(1)
+            .build()
+            .expect("valid config"),
+    ));
+    let server = GraphServiceServer::bind("127.0.0.1:0", plain).expect("bind");
+    let refused = FleetCluster::connect(&[server.local_addr().to_string()], client_cfg());
+    assert!(matches!(refused, Err(Error::InvalidConfig { .. })));
+    server.shutdown();
 }
 
 /// A txn shipped whole to one server first-hand (a client routing on no
@@ -422,7 +451,8 @@ fn stale_routed_txn_relays_subsets_without_polluting_foreign_stores() {
 fn leader_failure_fails_over_to_replica_bit_identically() {
     let ops = edge_ops();
     let mut fleet_servers = start_fleet(2);
-    let fleet = FleetCluster::connect(&fleet_servers.addr_strings(), fleet_cfg()).expect("connect");
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
     fleet.apply_updates(&ops).expect("loads");
 
     // With two servers every partition's replica is the other server, so
@@ -473,7 +503,7 @@ fn debug_trace_stitches_one_tree_across_fleet_processes() {
     let ops = edge_ops();
     let mut fleet_servers = start_fleet(3);
     let fleet = Arc::new(
-        FleetCluster::connect(&fleet_servers.addr_strings(), fleet_cfg()).expect("connect"),
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect"),
     );
     fleet.apply_updates(&ops).expect("loads");
     let admin = AdminServer::bind_fleet("127.0.0.1:0", Arc::clone(&fleet)).expect("bind admin");
@@ -566,7 +596,7 @@ fn fleet_metrics_endpoint_merges_every_member() {
     let ops = edge_ops();
     let fleet_servers = start_fleet(2);
     let fleet = Arc::new(
-        FleetCluster::connect(&fleet_servers.addr_strings(), fleet_cfg()).expect("connect"),
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect"),
     );
     fleet.apply_updates(&ops).expect("loads");
     let reqs: Vec<SampleRequest> = (0..N)
@@ -618,7 +648,7 @@ fn fleet_admin_endpoints_track_partition_coverage() {
     let ops = edge_ops();
     let mut fleet_servers = start_fleet(3);
     let fleet = Arc::new(
-        FleetCluster::connect(&fleet_servers.addr_strings(), fleet_cfg()).expect("connect"),
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect"),
     );
     fleet.apply_updates(&ops).expect("loads");
     let admin = AdminServer::bind_fleet("127.0.0.1:0", Arc::clone(&fleet)).expect("bind admin");

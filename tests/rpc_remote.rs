@@ -202,10 +202,15 @@ fn server_fault_degrades_remote_batches_and_traces_cross_the_wire() {
         "client trace id must be findable in the server's /debug/slow: {body}"
     );
 
-    // The traffic endpoint reflects the degradation with wire-true sizes.
-    let (status, body) = http_get(admin.local_addr(), "/debug/traffic");
+    // The server's own `/metrics` counts the degradation.
+    let (status, body) = http_get(admin.local_addr(), "/metrics");
     assert_eq!(status, 200);
-    assert!(!body.contains("\"degraded_responses\":0"), "{body}");
+    let degraded: u64 = body
+        .lines()
+        .find_map(|l| l.strip_prefix("plato_cluster_degraded_responses_total "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    assert!(degraded > 0, "{body}");
 
     // Healing over the wire restores clean training.
     remote.heal(shard);

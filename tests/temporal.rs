@@ -6,9 +6,8 @@
 
 use platod2gl::{
     CacheConfig, Cluster, ClusterConfig, DynamicGraphStore, Edge, EdgeType, FleetCluster,
-    FleetClusterConfig, FleetNode, GraphService, GraphServiceServer, GraphStore, KHopSampler,
-    NeighborCache, PartitionMap, RemoteCluster, RemoteClusterConfig, ServerEntry, TimeWindow,
-    UpdateOp, VertexId,
+    FleetNode, GraphService, GraphServiceServer, GraphStore, KHopSampler, NeighborCache,
+    PartitionMap, RemoteCluster, RemoteClusterConfig, ServerEntry, TimeWindow, UpdateOp, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -105,14 +104,7 @@ fn wire_rig() -> &'static WireRig {
         for node in &nodes {
             node.install(map.clone());
         }
-        let fleet = FleetCluster::connect(
-            &addrs,
-            FleetClusterConfig {
-                client: client_cfg(),
-                num_partitions: PARTITIONS,
-            },
-        )
-        .expect("connect");
+        let fleet = FleetCluster::connect(&addrs, client_cfg()).expect("connect");
         fleet.apply_updates(&ops).expect("loads");
 
         WireRig {
