@@ -16,8 +16,8 @@
 //!   (the paper's PALM sort-then-partition, Sec. VI-B / App. B, applied to
 //!   validation).
 //! * **Phase 2** applies the lowered [`UpdateOp`] list atomically through
-//!   the executing store (the durable store brackets it with WAL
-//!   batch-commit markers; the cluster fans it out per shard). Phase 2
+//!   the executing store (the durable store logs it as one WAL record;
+//!   the cluster fans it out per shard). Phase 2
 //!   never revalidates: lowering already resolved every op against
 //!   pre-transaction state, and the duplicate-key rule guarantees the
 //!   lowered ops are key-disjoint, so apply order within the batch cannot
@@ -195,8 +195,8 @@ pub enum TxnError {
         violations: Vec<TxnViolation>,
     },
     /// Phase 2 could not run (shard down/panicked, WAL I/O failure). For
-    /// the durable store, a missing commit marker makes recovery drop the
-    /// partial batch, so the on-disk outcome is still all-or-nothing.
+    /// the durable store, recovery drops a torn transaction record whole,
+    /// so the on-disk outcome is still all-or-nothing.
     Store(Error),
 }
 
@@ -337,8 +337,8 @@ enum Check {
 /// in op order: by op index, then in the order of the checks one op goes
 /// through. On success the lowered ops are sorted by `(src, etype, dst)` —
 /// a total order, because duplicate-key rejection made the keys disjoint —
-/// so the WAL bytes and the commit CRC of a given logical transaction are
-/// reproducible regardless of submission order.
+/// so the WAL record of a given logical transaction is reproducible
+/// regardless of submission order.
 pub fn validate_and_lower(txn: &GraphTxn, view: &dyn TxnView) -> Result<Vec<UpdateOp>, TxnError> {
     if txn.ops.is_empty() {
         return Err(TxnError::Rejected {
@@ -756,7 +756,7 @@ mod reference {
             });
         }
         // Keys are disjoint, so (src, etype, dst) is a total order: the lowered
-        // batch (and therefore its WAL bytes and commit CRC) is canonical.
+        // batch (and therefore its WAL record) is canonical.
         lowered.sort_by_key(|op| (op.src().raw(), op.etype().0, op.dst().raw()));
         Ok(lowered)
     }

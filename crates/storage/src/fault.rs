@@ -7,19 +7,17 @@
 //! durability call through that point fail with an injected [`io::Error`],
 //! simulating the process dying right there.
 //!
-//! Placement discipline: every crash point sits **immediately after a flush
-//! boundary** (or before any bytes are produced). When a point fires,
-//! everything before it is on disk exactly as a kill would leave it, and
-//! nothing is half-buffered in a `BufWriter` that a graceful unwind would
-//! sneak out behind the "crash". Torn *mid-record* writes — the other way a
-//! real crash manifests — are covered separately by the byte-level
-//! truncation/bit-flip property tests in `wal.rs`'s test suite and
-//! `tests/wal_txn_props.rs`.
+//! Placement discipline: every crash point sits between two writes. The WAL
+//! writes each logged write as one record with one `write_all` straight to
+//! the file, with no buffer of its own, so when a point fires the disk holds
+//! exactly what a kill there would leave. Torn *mid-record* writes — the
+//! other way a real crash manifests — are covered separately by the
+//! byte-level truncation/bit-flip property tests in `wal.rs`'s test suite
+//! and `tests/wal_txn_props.rs`.
 //!
-//! Contract: after an injected crash the store's WAL tail may hold an
-//! uncommitted transaction. The store fail-stops further writes
-//! (poisoned), and the caller is expected to drop it and reopen — recovery
-//! is the code under test.
+//! Contract: a crash injected on a write poisons the store — it fail-stops
+//! further writes — and the caller is expected to drop it and reopen:
+//! recovery is the code under test.
 
 use std::fmt;
 use std::io;
@@ -29,21 +27,15 @@ use std::sync::Mutex;
 /// One enumerable place where the durability plane can be killed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
-    /// Before a plain (non-transactional) WAL append writes anything.
+    /// Before any logged write (a single op, an update batch or a
+    /// transaction) writes its record: nothing of it is on disk.
     WalAppend,
-    /// Before a transaction writes its `BatchBegin` marker (nothing of the
-    /// txn is on disk).
-    TxnBeforeBegin,
-    /// After the `BatchBegin` marker is flushed, before any op records.
-    TxnAfterBegin,
-    /// After all op records are flushed, before the `BatchCommit` marker.
-    TxnAfterOps,
-    /// After the `BatchCommit` marker is flushed, before the fsync. The
-    /// commit is in the OS page cache: a process kill keeps it, so recovery
+    /// After a transaction's record is written, before the fsync. The
+    /// record is in the OS page cache: a process kill keeps it, so recovery
     /// must replay the txn.
     TxnAfterCommit,
-    /// After the commit fsync, before the in-memory apply. Fully durable;
-    /// recovery must replay the txn.
+    /// After the transaction's fsync, before the in-memory apply. Fully
+    /// durable; recovery must replay the txn.
     TxnAfterFsync,
     /// After `snapshot.tmp` is written and fsynced, before the rename.
     CheckpointAfterSnapshotWrite,
@@ -59,11 +51,8 @@ pub enum CrashPoint {
 impl CrashPoint {
     /// Every enumerable crash point, in durability-path order — the sweep
     /// domain for crash-matrix tests.
-    pub const ALL: [CrashPoint; 10] = [
+    pub const ALL: [CrashPoint; 7] = [
         CrashPoint::WalAppend,
-        CrashPoint::TxnBeforeBegin,
-        CrashPoint::TxnAfterBegin,
-        CrashPoint::TxnAfterOps,
         CrashPoint::TxnAfterCommit,
         CrashPoint::TxnAfterFsync,
         CrashPoint::CheckpointAfterSnapshotWrite,
@@ -72,11 +61,10 @@ impl CrashPoint {
         CrashPoint::CheckpointAfterWalReset,
     ];
 
-    /// The transaction-path subset of [`CrashPoint::ALL`].
-    pub const TXN: [CrashPoint; 5] = [
-        CrashPoint::TxnBeforeBegin,
-        CrashPoint::TxnAfterBegin,
-        CrashPoint::TxnAfterOps,
+    /// The points a transaction passes, in order: [`CrashPoint::WalAppend`]
+    /// guards every logged write, transactions included.
+    pub const TXN: [CrashPoint; 3] = [
+        CrashPoint::WalAppend,
         CrashPoint::TxnAfterCommit,
         CrashPoint::TxnAfterFsync,
     ];
@@ -85,9 +73,6 @@ impl CrashPoint {
     pub fn name(self) -> &'static str {
         match self {
             CrashPoint::WalAppend => "wal-append",
-            CrashPoint::TxnBeforeBegin => "txn-before-begin",
-            CrashPoint::TxnAfterBegin => "txn-after-begin",
-            CrashPoint::TxnAfterOps => "txn-after-ops",
             CrashPoint::TxnAfterCommit => "txn-after-commit",
             CrashPoint::TxnAfterFsync => "txn-after-fsync",
             CrashPoint::CheckpointAfterSnapshotWrite => "checkpoint-after-snapshot-write",
@@ -97,9 +82,9 @@ impl CrashPoint {
         }
     }
 
-    /// True once the transaction's commit marker is on disk (or in the page
-    /// cache, which a process kill preserves): recovery must observe the
-    /// post-txn graph.
+    /// True once the transaction's record is on disk (or in the page cache,
+    /// which a process kill preserves): recovery must observe the post-txn
+    /// graph.
     pub fn txn_is_committed(self) -> bool {
         matches!(self, CrashPoint::TxnAfterCommit | CrashPoint::TxnAfterFsync)
     }
@@ -202,10 +187,7 @@ mod tests {
     fn armed_point_fires_once_then_disarms() {
         let inj = CrashInjector::new();
         inj.arm(CrashPoint::TxnAfterCommit);
-        assert!(
-            inj.hit(CrashPoint::TxnAfterBegin).is_ok(),
-            "other points pass"
-        );
+        assert!(inj.hit(CrashPoint::WalAppend).is_ok(), "other points pass");
         let err = inj.hit(CrashPoint::TxnAfterCommit).unwrap_err();
         assert!(err.to_string().contains("txn-after-commit"), "{err}");
         assert!(inj.hit(CrashPoint::TxnAfterCommit).is_ok(), "one-shot");

@@ -3,56 +3,34 @@
 //!
 //! PlatoD2GL's store is memory-resident; a trainer crash between snapshots
 //! would silently lose every update since the last checkpoint. The WAL
-//! closes that window: every update op (or batch of ops) is appended to the
-//! log *before* it is applied to the samtrees, and recovery is
+//! closes that window: every logged write is appended to the log *before*
+//! it is applied to the samtrees, and recovery is
 //! `restore(latest snapshot) + replay(WAL)`.
 //!
 //! # On-disk format
 //!
 //! ```text
-//! file   := magic "PD2GWAL1" , record*
+//! file   := magic "PD2GWAL2" , record*
 //! record := len:u32le , payload:[u8; len] , crc:u32le        crc = CRC32C(payload)
-//! payload:= tag:u8 , body
-//!   tag 1 Insert        body = src:u64le dst:u64le etype:u16le weight:f64le-bits
-//!   tag 2 Delete        body = src:u64le dst:u64le etype:u16le
-//!   tag 3 UpdateWeight  body = src:u64le dst:u64le etype:u16le weight:f64le-bits
-//!   tag 4 Batch         body = count:u32le , count × (tag:u8 , body as above)
-//!   tag 5 BatchBegin    body = txn_id:u64le , n_ops:u32le
-//!   tag 6 BatchCommit   body = txn_id:u64le , crc:u32le
+//! payload:= count:u32le , count × op
+//! op     := tag:u8 , body
+//!   tag 1 Insert           body = src:u64le dst:u64le etype:u16le weight:f64le-bits
+//!   tag 2 Delete           body = src:u64le dst:u64le etype:u16le
+//!   tag 3 UpdateWeight     body = src:u64le dst:u64le etype:u16le weight:f64le-bits
+//!   tag 7 Insert + ts      body = as tag 1 , ts:u64le
+//!   tag 8 UpdateWeight + ts body = as tag 3 , ts:u64le
 //! ```
 //!
-//! A `Batch` record is replayed atomically: either all of its ops are
-//! delivered or (if the record is torn) none are.
+//! Every logged write — one op, an update batch or a transaction — is
+//! exactly one record, written with one `write_all`. Replay delivers a
+//! record's ops all together or, if the record is torn, not at all, so a
+//! write is atomic across crashes with no further protocol (the paper's
+//! PALM-style batch as the unit of work, Sec. VI-B).
 //!
-//! # Transaction markers
-//!
-//! A transaction ([`DurableGraphStore::try_apply_txn`]) brackets its op
-//! records with `BatchBegin{txn_id, n_ops}` and `BatchCommit{txn_id, crc}`
-//! markers. `crc` is CRC32C over the concatenated little-endian per-record
-//! CRC32C values of the transaction's op records, in order — streamable at
-//! write and replay time, and transitively covering the op payloads (each
-//! record CRC already covers its payload).
-//!
-//! Replay buffers the ops between a `BatchBegin` and its `BatchCommit` and
-//! delivers them only when the commit marker matches (same txn id, op count
-//! equal to the begin's `n_ops`, CRC chain equal to the commit's `crc`):
-//!
-//! * **No commit before end-of-file** (the process died mid-transaction):
-//!   the buffered ops are dropped, reported as
-//!   [`TornTailKind::UncommittedBatch`], and `durable_len` rolls back to the
-//!   `BatchBegin` offset so the whole partial transaction is truncated away.
-//! * **No commit before the next `BatchBegin`** (the process died
-//!   mid-transaction, restarted, and kept appending): the buffered ops are
-//!   dropped and counted in [`WalReplayReport::dropped_batches`]; the
-//!   records stay on disk (there is durable data after them) and every
-//!   future replay deterministically drops them again.
-//! * A `BatchCommit` with no pending transaction, a mismatched txn id or op
-//!   count, or a CRC-chain mismatch is a hard
-//!   [`io::ErrorKind::InvalidData`] error: every involved record passed its
-//!   own CRC, so this is a writer bug or tampering, never crash debris.
-//!
-//! Logs written before these markers existed (no tag-5/6 records) replay
-//! exactly as before.
+//! [`replay_wal`] reads this format only: a log with any other magic,
+//! including the `PD2GWAL1` format that bracketed transactions with marker
+//! records, is [`io::ErrorKind::InvalidData`] naming the format found and
+//! the one supported.
 //!
 //! # Torn-tail semantics
 //!
@@ -90,23 +68,22 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// WAL file magic.
-pub const WAL_MAGIC: &[u8; 8] = b"PD2GWAL1";
+pub const WAL_MAGIC: &[u8; 8] = b"PD2GWAL2";
 
 const TAG_INSERT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_UPDATE_WEIGHT: u8 = 3;
-const TAG_BATCH: u8 = 4;
-const TAG_BATCH_BEGIN: u8 = 5;
-const TAG_BATCH_COMMIT: u8 = 6;
 // Timestamped variants (temporal plane): same body as tags 1/3 with the
 // edge's event time (u64 LE) appended. Written only when `ts != 0`, so a
-// timeless workload produces byte-identical WAL streams to older writers.
+// timeless op spends no bytes on a timestamp.
 const TAG_INSERT_TS: u8 = 7;
 const TAG_UPDATE_WEIGHT_TS: u8 = 8;
 
-/// Upper bound on a single record payload; anything larger is treated as
-/// corruption. A batch of 1M ops encodes to ~27 MB, far below this.
-const MAX_RECORD_LEN: u32 = 1 << 30;
+/// Upper bound on a single record payload: the writer refuses a larger one
+/// and replay treats one as corruption. A batch of 1M ops encodes to
+/// ~27 MB, far below this. Unit tests use a small limit so the refusal is
+/// testable without a 1 GiB allocation.
+const MAX_RECORD_LEN: u32 = if cfg!(test) { 1 << 16 } else { 1 << 30 };
 
 // ---------------------------------------------------------------------------
 // Op encoding
@@ -177,79 +154,41 @@ fn decode_op(r: &mut Reader<'_>) -> Result<UpdateOp, WireError> {
     })
 }
 
-/// What one CRC-validated record holds.
-enum RecordBody {
-    /// Plain op record (single op or tag-4 batch): `n` ops pushed.
-    Ops(usize),
-    /// Transaction `BatchBegin` marker.
-    TxnBegin { txn_id: u64, n_ops: u32 },
-    /// Transaction `BatchCommit` marker.
-    TxnCommit { txn_id: u64, crc: u32 },
-}
-
-/// Decode a full record payload. `None` on any structural problem (unknown
-/// tag, short body, trailing bytes). Ops are pushed onto `ops`.
-fn decode_payload(payload: &[u8], ops: &mut Vec<UpdateOp>) -> Option<RecordBody> {
+/// Decode a record payload, pushing its ops onto `ops`. `false` on any
+/// structural problem (unknown tag, short body, trailing bytes).
+fn decode_payload(payload: &[u8], ops: &mut Vec<UpdateOp>) -> bool {
     let mut r = Reader::new(payload);
-    let mut decode = || -> Result<RecordBody, WireError> {
-        Ok(match payload.first() {
-            Some(&TAG_BATCH) => {
-                r.u8()?;
-                let count = r.u32()? as usize;
-                for _ in 0..count {
-                    ops.push(decode_op(&mut r)?);
-                }
-                RecordBody::Ops(count)
-            }
-            Some(&TAG_BATCH_BEGIN) => {
-                r.u8()?;
-                RecordBody::TxnBegin {
-                    txn_id: r.u64()?,
-                    n_ops: r.u32()?,
-                }
-            }
-            Some(&TAG_BATCH_COMMIT) => {
-                r.u8()?;
-                RecordBody::TxnCommit {
-                    txn_id: r.u64()?,
-                    crc: r.u32()?,
-                }
-            }
-            _ => {
-                ops.push(decode_op(&mut r)?);
-                RecordBody::Ops(1)
-            }
-        })
-    };
-    let body = decode().ok()?;
+    let decoded = (|| -> Result<(), WireError> {
+        for _ in 0..r.u32()? {
+            ops.push(decode_op(&mut r)?);
+        }
+        Ok(())
+    })();
     // A CRC-valid record with trailing junk indicates a writer bug, not a
     // torn write — reject it.
-    r.is_empty().then_some(body)
+    decoded.is_ok() && r.is_empty()
 }
 
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Appends checksummed records to a WAL stream.
+/// Appends checksummed records to a WAL stream, one `write_all` per record
+/// and no buffering of its own.
 pub struct WalWriter<W: Write> {
     w: W,
     /// Bytes written so far, including the magic (mirrors the file offset).
     offset: u64,
     records: u64,
-    scratch: Vec<u8>,
+    /// The record under assembly: length prefix, payload, CRC.
+    frame: Vec<u8>,
 }
 
 impl<W: Write> WalWriter<W> {
     /// Start a fresh WAL on `w`: writes the magic header.
     pub fn create(mut w: W) -> io::Result<Self> {
         w.write_all(WAL_MAGIC)?;
-        Ok(WalWriter {
-            w,
-            offset: WAL_MAGIC.len() as u64,
-            records: 0,
-            scratch: Vec::new(),
-        })
+        Ok(Self::resume(w, WAL_MAGIC.len() as u64, 0))
     }
 
     /// Resume appending to an existing WAL whose header (and `records`
@@ -261,73 +200,39 @@ impl<W: Write> WalWriter<W> {
             w,
             offset,
             records,
-            scratch: Vec::new(),
+            frame: Vec::new(),
         }
     }
 
-    fn append_payload(&mut self) -> io::Result<u32> {
-        let payload = &self.scratch;
-        let crc = crc32c(payload);
-        self.w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.w.write_all(payload)?;
-        self.w.write_all(&crc.to_le_bytes())?;
-        self.offset += 4 + payload.len() as u64 + 4;
-        self.records += 1;
-        Ok(crc)
-    }
-
-    /// Append a single op as one record.
-    pub fn append(&mut self, op: &UpdateOp) -> io::Result<()> {
-        self.scratch.clear();
-        encode_op(op, &mut self.scratch);
-        self.append_payload().map(|_| ())
-    }
-
-    /// Append a batch of ops as one atomic record. Empty batches are a
-    /// no-op (a zero-length frame is reserved as a torn-tail marker).
-    pub fn append_batch(&mut self, ops: &[UpdateOp]) -> io::Result<()> {
-        self.append_batch_crc(ops).map(|_| ())
-    }
-
-    /// [`append_batch`](WalWriter::append_batch), returning the record's
-    /// CRC32C — the transaction protocol chains these into its commit
-    /// marker. An empty batch writes nothing and returns 0.
-    pub fn append_batch_crc(&mut self, ops: &[UpdateOp]) -> io::Result<u32> {
-        if ops.is_empty() {
-            return Ok(0);
-        }
-        self.scratch.clear();
-        self.scratch.push(TAG_BATCH);
-        put_u32(&mut self.scratch, ops.len() as u32);
+    /// Append `ops` as one record: replay delivers all of them or, if the
+    /// record is torn, none. A payload over the record limit is refused
+    /// with [`io::ErrorKind::InvalidInput`] before any byte is written.
+    pub fn append(&mut self, ops: &[UpdateOp]) -> io::Result<()> {
+        let frame = &mut self.frame;
+        frame.clear();
+        put_u32(frame, 0); // the length, patched below
+        put_u32(frame, ops.len() as u32);
         for op in ops {
-            encode_op(op, &mut self.scratch);
+            encode_op(op, frame);
         }
-        self.append_payload()
-    }
-
-    /// Append a `BatchBegin{txn_id, n_ops}` transaction marker.
-    pub fn append_txn_begin(&mut self, txn_id: u64, n_ops: u32) -> io::Result<()> {
-        self.scratch.clear();
-        self.scratch.push(TAG_BATCH_BEGIN);
-        put_u64(&mut self.scratch, txn_id);
-        put_u32(&mut self.scratch, n_ops);
-        self.append_payload().map(|_| ())
-    }
-
-    /// Append a `BatchCommit{txn_id, crc}` transaction marker. `crc` is
-    /// CRC32C over the concatenated little-endian record CRCs returned by
-    /// the transaction's [`append_batch_crc`](WalWriter::append_batch_crc)
-    /// calls, in order.
-    pub fn append_txn_commit(&mut self, txn_id: u64, crc: u32) -> io::Result<()> {
-        self.scratch.clear();
-        self.scratch.push(TAG_BATCH_COMMIT);
-        put_u64(&mut self.scratch, txn_id);
-        put_u32(&mut self.scratch, crc);
-        self.append_payload().map(|_| ())
-    }
-
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.w.flush()
+        let len = frame.len() - 4;
+        if len > MAX_RECORD_LEN as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "a WAL record of {} ops would be {len} bytes, over the \
+                     {MAX_RECORD_LEN}-byte limit; nothing was logged",
+                    ops.len()
+                ),
+            ));
+        }
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        let crc = crc32c(&frame[4..]);
+        put_u32(frame, crc);
+        self.w.write_all(frame)?;
+        self.offset += frame.len() as u64;
+        self.records += 1;
+        Ok(())
     }
 
     /// Byte offset after the last durable record (== file length).
@@ -364,11 +269,6 @@ pub enum TornTailKind {
     BadTailChecksum,
     /// A zero-length frame (zero-fill from crash on a preallocated file).
     ZeroFill,
-    /// The log ended while a transaction's `BatchBegin` had no matching
-    /// `BatchCommit` — the process died mid-transaction. The offset points
-    /// at the `BatchBegin` record; truncating there removes the whole
-    /// partial transaction.
-    UncommittedBatch,
 }
 
 /// A tolerated partial record at the end of the log.
@@ -391,9 +291,6 @@ pub struct WalReplayReport {
     pub durable_len: u64,
     /// The tolerated partial record, if the log did not end cleanly.
     pub torn_tail: Option<TornTail>,
-    /// Uncommitted transactions dropped (no `BatchCommit` before the next
-    /// `BatchBegin` or end-of-file). Their ops were never delivered.
-    pub dropped_batches: u64,
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -466,70 +363,31 @@ pub fn replay_wal(mut r: impl Read, mut sink: impl FnMut(UpdateOp)) -> io::Resul
 }
 
 fn replay_wal_bytes(data: &[u8], sink: &mut dyn FnMut(UpdateOp)) -> io::Result<WalReplayReport> {
+    let mut report = WalReplayReport::default();
     if data.is_empty() {
         // A crash before the header hit disk: an empty log is a valid
         // (zero-record) log.
-        return Ok(WalReplayReport::default());
+        return Ok(report);
     }
-    if data.len() < WAL_MAGIC.len() || &data[..WAL_MAGIC.len()] != WAL_MAGIC.as_slice() {
-        let got = &data[..data.len().min(WAL_MAGIC.len())];
+    let magic = &data[..data.len().min(WAL_MAGIC.len())];
+    if magic != WAL_MAGIC.as_slice() {
         return Err(invalid(format!(
-            "not a PlatoD2GL WAL: bad magic at byte offset 0 (found {got:02x?}, expected {WAL_MAGIC:02x?})"
+            "unsupported WAL format {:?} at byte offset 0: this build reads {:?} only",
+            String::from_utf8_lossy(magic),
+            String::from_utf8_lossy(WAL_MAGIC),
         )));
     }
-    let mut report = WalReplayReport::default();
     let mut pos = WAL_MAGIC.len();
     let mut ops = Vec::new();
-
-    /// An in-flight transaction: everything between its `BatchBegin` and
-    /// the `BatchCommit` that has not yet arrived.
-    struct Pending {
-        txn_id: u64,
-        n_ops: u32,
-        /// Byte offset of the `BatchBegin` record.
-        begin_offset: u64,
-        /// `report.records` before the `BatchBegin` was counted.
-        records_at_begin: u64,
-        ops: Vec<UpdateOp>,
-        /// Concatenated little-endian record CRCs (the commit-CRC chain).
-        crc_chain: Vec<u8>,
-    }
-
-    // The log ended (cleanly or torn) while a transaction was pending: the
-    // commit marker never made it to disk. Drop the buffered ops and roll
-    // the durable prefix back to the `BatchBegin`, so truncation removes
-    // the whole partial transaction. This supersedes any later torn tail —
-    // the partial txn starts earlier.
-    fn drop_pending_at_eof(report: &mut WalReplayReport, p: Pending) {
-        report.durable_len = p.begin_offset;
-        report.records = p.records_at_begin;
-        report.dropped_batches += 1;
-        report.torn_tail = Some(TornTail {
-            offset: p.begin_offset,
-            kind: TornTailKind::UncommittedBatch,
-        });
-    }
-    let mut pending: Option<Pending> = None;
-
-    loop {
+    let kind = loop {
         report.durable_len = pos as u64;
         let remaining = data.len() - pos;
         if remaining == 0 {
-            if let Some(p) = pending.take() {
-                drop_pending_at_eof(&mut report, p);
-            }
             return Ok(report);
         }
         let mut r = Reader::new(&data[pos..]);
         let Ok(len) = r.u32() else {
-            report.torn_tail = Some(TornTail {
-                offset: pos as u64,
-                kind: TornTailKind::TruncatedHeader,
-            });
-            if let Some(p) = pending.take() {
-                drop_pending_at_eof(&mut report, p);
-            }
-            return Ok(report);
+            break TornTailKind::TruncatedHeader;
         };
         let frame = 4usize + len as usize + 4;
         let Some((payload, stored)) = frame_body(&mut r, len) else {
@@ -555,32 +413,18 @@ fn replay_wal_bytes(data: &[u8], sink: &mut dyn FnMut(UpdateOp)) -> io::Result<W
                      refusing to replay"
                 )));
             }
-            report.torn_tail = Some(TornTail {
-                offset: pos as u64,
-                kind: if len == 0 {
-                    TornTailKind::ZeroFill
-                } else {
-                    TornTailKind::TruncatedRecord
-                },
-            });
-            if let Some(p) = pending.take() {
-                drop_pending_at_eof(&mut report, p);
-            }
-            return Ok(report);
+            break if len == 0 {
+                TornTailKind::ZeroFill
+            } else {
+                TornTailKind::TruncatedRecord
+            };
         };
         let computed = crc32c(payload);
         if stored != computed {
             if pos + frame == data.len() {
                 // The bad record reaches exactly to EOF: a torn final
                 // append (e.g. partially flushed page).
-                report.torn_tail = Some(TornTail {
-                    offset: pos as u64,
-                    kind: TornTailKind::BadTailChecksum,
-                });
-                if let Some(p) = pending.take() {
-                    drop_pending_at_eof(&mut report, p);
-                }
-                return Ok(report);
+                break TornTailKind::BadTailChecksum;
             }
             return Err(invalid(format!(
                 "WAL record at byte offset {pos} failed its CRC32C check \
@@ -590,84 +434,22 @@ fn replay_wal_bytes(data: &[u8], sink: &mut dyn FnMut(UpdateOp)) -> io::Result<W
             )));
         }
         ops.clear();
-        let body = decode_payload(payload, &mut ops).ok_or_else(|| {
-            invalid(format!(
+        if !decode_payload(payload, &mut ops) {
+            return Err(invalid(format!(
                 "WAL record at byte offset {pos} passed its CRC but does not \
                  decode as a valid op record — writer bug or tampering"
-            ))
-        })?;
-        report.records += 1;
-        match body {
-            RecordBody::Ops(n) => {
-                if let Some(p) = pending.as_mut() {
-                    // Inside a transaction: buffer, deliver only at commit.
-                    p.ops.append(&mut ops);
-                    p.crc_chain.extend_from_slice(&computed.to_le_bytes());
-                } else {
-                    for op in ops.drain(..) {
-                        sink(op);
-                    }
-                    report.ops += n as u64;
-                }
-            }
-            RecordBody::TxnBegin { txn_id, n_ops } => {
-                if pending.is_some() {
-                    // A new transaction began while one was pending: the
-                    // earlier one crashed mid-flight and the process kept
-                    // appending after restart. Its records stay on disk
-                    // (durable data follows); its ops are never delivered.
-                    report.dropped_batches += 1;
-                }
-                pending = Some(Pending {
-                    txn_id,
-                    n_ops,
-                    begin_offset: pos as u64,
-                    records_at_begin: report.records - 1,
-                    ops: Vec::new(),
-                    crc_chain: Vec::new(),
-                });
-            }
-            RecordBody::TxnCommit { txn_id, crc } => {
-                // Every mismatch below is on CRC-valid records, so it is a
-                // writer bug or tampering — never crash debris.
-                let Some(p) = pending.take() else {
-                    return Err(invalid(format!(
-                        "WAL BatchCommit for txn {txn_id} at byte offset {pos} \
-                         has no pending BatchBegin — orphan commit marker, \
-                         refusing to replay"
-                    )));
-                };
-                if p.txn_id != txn_id {
-                    return Err(invalid(format!(
-                        "WAL BatchCommit at byte offset {pos} names txn {txn_id} \
-                         but txn {} is pending — refusing to replay",
-                        p.txn_id
-                    )));
-                }
-                if p.ops.len() != p.n_ops as usize {
-                    return Err(invalid(format!(
-                        "WAL txn {txn_id} committed {} ops but its BatchBegin \
-                         declared {} — refusing to replay",
-                        p.ops.len(),
-                        p.n_ops
-                    )));
-                }
-                let chained = crc32c(&p.crc_chain);
-                if chained != crc {
-                    return Err(invalid(format!(
-                        "WAL txn {txn_id} commit CRC chain mismatch at byte \
-                         offset {pos} (stored {crc:#010x}, computed \
-                         {chained:#010x}) — refusing to replay"
-                    )));
-                }
-                report.ops += p.ops.len() as u64;
-                for op in p.ops {
-                    sink(op);
-                }
-            }
+            )));
         }
+        report.records += 1;
+        report.ops += ops.len() as u64;
+        ops.drain(..).for_each(&mut *sink);
         pos += frame;
-    }
+    };
+    report.torn_tail = Some(TornTail {
+        offset: pos as u64,
+        kind,
+    });
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -686,9 +468,6 @@ pub struct RecoveryReport {
     /// A tolerated torn tail, if the WAL did not end cleanly. The file is
     /// truncated back to `torn_tail.offset` before appends resume.
     pub torn_tail: Option<TornTail>,
-    /// Uncommitted transactions dropped during replay (crash before the
-    /// commit marker); their ops were not applied.
-    pub dropped_batches: u64,
 }
 
 /// A [`DynamicGraphStore`] with crash-safe durability: updates are logged
@@ -703,9 +482,11 @@ pub struct RecoveryReport {
 /// * `wal.log` — updates since that checkpoint.
 /// * `snapshot.tmp` — in-flight checkpoint; never read, replaced by rename.
 ///
-/// Durability contract: the WAL is flushed to the OS after every logged
-/// call, so updates survive a process crash; [`DurableGraphStore::sync`]
-/// and [`checkpoint`](DurableGraphStore::checkpoint) additionally fsync so
+/// Durability contract: each logged write reaches the OS in one write
+/// before the call returns, so it survives a process crash;
+/// [`try_apply_txn`](DurableGraphStore::try_apply_txn),
+/// [`DurableGraphStore::sync`] and
+/// [`checkpoint`](DurableGraphStore::checkpoint) additionally fsync so
 /// they survive power loss.
 ///
 /// The [`GraphStore`] impl's methods are infallible by signature; an I/O
@@ -714,16 +495,16 @@ pub struct RecoveryReport {
 /// `try_*` methods.
 pub struct DurableGraphStore {
     store: DynamicGraphStore,
-    wal: Mutex<WalWriter<BufWriter<File>>>,
+    wal: Mutex<WalWriter<File>>,
     dir: PathBuf,
     registry: Arc<Registry>,
     metrics: WalMetrics,
     crash: CrashInjector,
-    /// Set when a write failed after WAL bytes may have hit disk (e.g. a
-    /// transaction died between its markers). Further writes fail-stop:
-    /// appending past a dangling `BatchBegin` would be dropped with it on
-    /// recovery. A successful checkpoint (which resets the log) clears it;
-    /// otherwise reopen the store to recover.
+    /// Set by any failed append: the log's tail is then unknown (a partial
+    /// record, or a whole one whose write was reported as failed), and a
+    /// later record could bury it as interior corruption or replay a write
+    /// its caller saw fail. Writes fail-stop until a checkpoint (which
+    /// resets the log) or a reopen (which truncates a torn tail).
     wal_poisoned: AtomicBool,
 }
 
@@ -739,7 +520,6 @@ struct WalMetrics {
     append_errors: Arc<Counter>,
     replayed_records: Arc<Counter>,
     replayed_ops: Arc<Counter>,
-    replayed_dropped: Arc<Counter>,
     torn_tails: Arc<Counter>,
     txn_committed: Arc<Counter>,
     txn_aborted: Arc<Counter>,
@@ -758,7 +538,6 @@ impl WalMetrics {
             append_errors: registry.counter("wal.append_errors"),
             replayed_records: registry.counter("wal.replayed_records"),
             replayed_ops: registry.counter("wal.replayed_ops"),
-            replayed_dropped: registry.counter("txn.replayed_dropped"),
             torn_tails: registry.counter("wal.torn_tails"),
             txn_committed: registry.counter("txn.committed"),
             txn_aborted: registry.counter("txn.aborted"),
@@ -809,10 +588,8 @@ impl DurableGraphStore {
             report.wal_records = replay.records;
             report.wal_ops = replay.ops;
             report.torn_tail = replay.torn_tail;
-            report.dropped_batches = replay.dropped_batches;
             metrics.replayed_records.add(replay.records);
             metrics.replayed_ops.add(replay.ops);
-            metrics.replayed_dropped.add(replay.dropped_batches);
             if replay.torn_tail.is_some() {
                 metrics.torn_tails.inc();
             }
@@ -837,10 +614,10 @@ impl DurableGraphStore {
             .open(&wal_path)?;
         let writer = if offset == 0 {
             file.set_len(0)?;
-            WalWriter::create(BufWriter::new(file))?
+            WalWriter::create(file)?
         } else {
             file.seek(SeekFrom::Start(offset))?;
-            WalWriter::resume(BufWriter::new(file), offset, records)
+            WalWriter::resume(file, offset, records)
         };
 
         let durable = DurableGraphStore {
@@ -872,7 +649,7 @@ impl DurableGraphStore {
         &self.store
     }
 
-    fn lock_wal(&self) -> std::sync::MutexGuard<'_, WalWriter<BufWriter<File>>> {
+    fn lock_wal(&self) -> std::sync::MutexGuard<'_, WalWriter<File>> {
         self.wal
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -886,15 +663,15 @@ impl DurableGraphStore {
         &self.crash
     }
 
-    /// True when a failed write left the WAL tail in an unknown state and
+    /// True when a failed append left the WAL tail in an unknown state and
     /// the store is refusing further writes.
     pub fn is_wal_poisoned(&self) -> bool {
         self.wal_poisoned.load(Ordering::Acquire)
     }
 
-    /// One logged write: everything around the append that the three
-    /// `try_*` paths share. `append` writes and flushes the call's records;
-    /// `apply` then mutates the in-memory store.
+    /// The one logged write behind [`try_apply_batch`] and
+    /// [`try_apply_txn`]: append `ops` as one record (a transaction's is
+    /// also fsynced), then apply them in memory.
     ///
     /// The in-memory apply happens while the WAL lock is still held:
     /// [`checkpoint`](DurableGraphStore::checkpoint) takes the same lock, so
@@ -903,87 +680,68 @@ impl DurableGraphStore {
     /// it), and in-memory apply order always matches log order, so replay
     /// reproduces the pre-crash state even for conflicting concurrent ops.
     ///
-    /// On a failed append the in-memory graph is untouched. A lone record
-    /// either made it whole or is a torn tail replay already tolerates; a
-    /// `multi_record` write may leave a dangling `BatchBegin`, so writes
-    /// fail-stop when anything of it could be on disk (recovery or a
-    /// checkpoint drops the partial transaction).
-    fn logged(
-        &self,
-        n_ops: usize,
-        multi_record: bool,
-        append: impl FnOnce(&mut WalWriter<BufWriter<File>>) -> io::Result<()>,
-        apply: impl FnOnce(&DynamicGraphStore),
-    ) -> io::Result<()> {
+    /// On a failed append the in-memory graph is untouched and the store is
+    /// poisoned (see `wal_poisoned`) — except when the writer refused an
+    /// oversized record, which writes no byte.
+    ///
+    /// [`try_apply_batch`]: DurableGraphStore::try_apply_batch
+    /// [`try_apply_txn`]: DurableGraphStore::try_apply_txn
+    fn logged(&self, ops: &[UpdateOp], threads: usize, txn: bool) -> io::Result<()> {
         let mut wal = self.lock_wal();
+        if self.is_wal_poisoned() {
+            self.metrics.append_errors.inc();
+            return Err(io::Error::other(
+                "an earlier WAL append failed, so the log's tail is unknown; \
+                 checkpoint or reopen the store to write again",
+            ));
+        }
         let started = Instant::now();
         let before = wal.offset();
-        let res = if self.is_wal_poisoned() {
-            Err(io::Error::other(
-                "WAL tail holds an uncommitted transaction after a failed \
-                 write; reopen the store (or checkpoint) to recover",
-            ))
-        } else {
-            append(&mut wal)
+        let mut append = || -> io::Result<()> {
+            self.crash.hit(CrashPoint::WalAppend)?;
+            wal.append(ops)?;
+            if txn {
+                self.crash.hit(CrashPoint::TxnAfterCommit)?;
+                wal.get_ref().sync_data()?;
+                self.crash.hit(CrashPoint::TxnAfterFsync)?;
+            }
+            Ok(())
         };
-        if let Err(e) = res {
+        if let Err(e) = append() {
             self.metrics.append_errors.inc();
-            if multi_record && wal.offset() > before {
+            if e.kind() != io::ErrorKind::InvalidInput {
                 self.wal_poisoned.store(true, Ordering::Release);
             }
             return Err(e);
         }
         self.metrics.append_ns.record(started.elapsed());
         self.metrics.appends.inc();
-        self.metrics.append_ops.add(n_ops as u64);
+        self.metrics.append_ops.add(ops.len() as u64);
         self.metrics.append_bytes.add(wal.offset() - before);
         self.metrics.mem_bytes.set(wal.offset() as i64);
-        apply(&self.store);
+        self.store.apply_batch_parallel(ops, threads);
         Ok(())
     }
 
-    /// Log and apply one op. The record is flushed to the OS before the
-    /// in-memory store changes, and the apply runs under the WAL lock so a
-    /// concurrent checkpoint can never snapshot between the two.
-    pub fn try_apply(&self, op: &UpdateOp) -> Result<(), Error> {
-        let append = |wal: &mut WalWriter<BufWriter<File>>| {
-            self.crash.hit(CrashPoint::WalAppend)?;
-            wal.append(op)?;
-            wal.flush()
-        };
-        Ok(self.logged(1, false, append, |store| store.apply(op))?)
-    }
-
-    /// Log and apply a batch atomically (one WAL record), using the store's
-    /// batch-parallel path; same locking as
-    /// [`try_apply`](DurableGraphStore::try_apply).
+    /// Log `ops` as one WAL record, then apply them with the store's
+    /// batch-parallel path. A one-op slice is a single-op write.
     pub fn try_apply_batch(&self, ops: &[UpdateOp], threads: usize) -> Result<(), Error> {
         if ops.is_empty() {
             return Ok(());
         }
-        let append = |wal: &mut WalWriter<BufWriter<File>>| {
-            self.crash.hit(CrashPoint::WalAppend)?;
-            wal.append_batch(ops)?;
-            wal.flush()
-        };
-        let apply = |store: &DynamicGraphStore| store.apply_batch_parallel(ops, threads);
-        Ok(self.logged(ops.len(), false, append, apply)?)
+        Ok(self.logged(ops, threads, false)?)
     }
-
-    /// Ops per tag-4 record inside a transaction: bounds record size and
-    /// exercises the multi-record commit-CRC chain on realistic batches.
-    const TXN_CHUNK_OPS: usize = 4096;
 
     /// Apply a [`GraphTxn`] with all-or-nothing semantics across crashes.
     ///
     /// **Phase 1** validates the whole transaction against the live store
     /// (dangling deletes/patches, duplicate keys, non-finite weights) and
     /// aborts with every violation found — zero changes, nothing logged.
-    /// **Phase 2** brackets the lowered ops with `BatchBegin`/`BatchCommit`
-    /// WAL markers, fsyncs, then applies in memory. A crash anywhere before
-    /// the commit marker is recovered to the pre-transaction graph (replay
-    /// drops the uncommitted batch); a crash at or after it recovers to the
-    /// post-transaction graph. Never in between.
+    /// **Phase 2** logs the lowered ops as one WAL record, fsyncs it, then
+    /// applies in memory. A crash before the record is whole on disk
+    /// recovers to the pre-transaction graph (replay drops a torn record);
+    /// a crash after recovers to the post-transaction graph. Never in
+    /// between.
     ///
     /// A transaction that lowers to zero ops (pure vertex upserts) commits
     /// without touching the WAL.
@@ -1007,28 +765,8 @@ impl DurableGraphStore {
             self.metrics.txn_committed.inc();
             return Ok(receipt);
         }
-
-        // Phase 2: the WAL protocol, then the in-memory apply.
-        let append = |wal: &mut WalWriter<BufWriter<File>>| {
-            self.crash.hit(CrashPoint::TxnBeforeBegin)?;
-            wal.append_txn_begin(txn.id(), lowered.len() as u32)?;
-            wal.flush()?;
-            self.crash.hit(CrashPoint::TxnAfterBegin)?;
-            let mut crc_chain = Vec::with_capacity(4 * lowered.len().div_ceil(Self::TXN_CHUNK_OPS));
-            for chunk in lowered.chunks(Self::TXN_CHUNK_OPS) {
-                let crc = wal.append_batch_crc(chunk)?;
-                crc_chain.extend_from_slice(&crc.to_le_bytes());
-            }
-            wal.flush()?;
-            self.crash.hit(CrashPoint::TxnAfterOps)?;
-            wal.append_txn_commit(txn.id(), crc32c(&crc_chain))?;
-            wal.flush()?;
-            self.crash.hit(CrashPoint::TxnAfterCommit)?;
-            wal.get_ref().get_ref().sync_data()?;
-            self.crash.hit(CrashPoint::TxnAfterFsync)
-        };
-        let apply = |store: &DynamicGraphStore| store.apply_batch_parallel(&lowered, threads);
-        if let Err(e) = self.logged(lowered.len(), true, append, apply) {
+        // Phase 2: one logged record, then the in-memory apply.
+        if let Err(e) = self.logged(&lowered, threads, true) {
             self.metrics.txn_aborted.inc();
             return Err(TxnError::Store(Error::Io(e)));
         }
@@ -1036,11 +774,16 @@ impl DurableGraphStore {
         Ok(receipt)
     }
 
+    /// The [`GraphStore`] single-op writes: a one-op logged write that
+    /// panics on an I/O error.
+    fn apply_logged(&self, op: UpdateOp) {
+        self.try_apply_batch(&[op], 1)
+            .expect("WAL append failed: cannot guarantee durability");
+    }
+
     /// fsync the WAL file.
     pub fn sync(&self) -> Result<(), Error> {
-        let mut wal = self.lock_wal();
-        wal.flush()?;
-        wal.get_ref().get_ref().sync_data()?;
+        self.lock_wal().get_ref().sync_data()?;
         Ok(())
     }
 
@@ -1077,9 +820,8 @@ impl DurableGraphStore {
             .write(true)
             .truncate(true)
             .open(self.dir.join("wal.log"))?;
-        *wal = WalWriter::create(BufWriter::new(file))?;
-        wal.flush()?;
-        wal.get_ref().get_ref().sync_data()?;
+        *wal = WalWriter::create(file)?;
+        wal.get_ref().sync_data()?;
         self.crash.hit(CrashPoint::CheckpointAfterWalReset)?;
         // The log is empty and the snapshot holds everything it did: any
         // poisoned tail is gone.
@@ -1107,14 +849,12 @@ impl GraphStore for DurableGraphStore {
     }
 
     fn insert_edge(&self, edge: Edge) {
-        self.try_apply(&UpdateOp::Insert(edge))
-            .expect("WAL append failed: cannot guarantee durability");
+        self.apply_logged(UpdateOp::Insert(edge));
     }
 
     fn delete_edge(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> bool {
         let existed = self.store.edge_weight(src, dst, etype).is_some();
-        self.try_apply(&UpdateOp::Delete { src, dst, etype })
-            .expect("WAL append failed: cannot guarantee durability");
+        self.apply_logged(UpdateOp::Delete { src, dst, etype });
         existed
     }
 
@@ -1123,8 +863,7 @@ impl GraphStore for DurableGraphStore {
             .store
             .edge_weight(edge.src, edge.dst, edge.etype)
             .is_some();
-        self.try_apply(&UpdateOp::UpdateWeight(edge))
-            .expect("WAL append failed: cannot guarantee durability");
+        self.apply_logged(UpdateOp::UpdateWeight(edge));
         existed
     }
 
@@ -1184,10 +923,11 @@ mod tests {
         UpdateOp::Insert(Edge::new(v(s), v(d), w))
     }
 
+    /// One record per op.
     fn wal_with(ops: &[UpdateOp]) -> Vec<u8> {
         let mut w = WalWriter::create(Vec::new()).unwrap();
         for op in ops {
-            w.append(op).unwrap();
+            w.append(std::slice::from_ref(op)).unwrap();
         }
         w.into_inner()
     }
@@ -1196,6 +936,10 @@ mod tests {
         let mut out = Vec::new();
         let report = replay_wal(Cursor::new(bytes), |op| out.push(op)).unwrap();
         (out, report)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]
@@ -1231,7 +975,7 @@ mod tests {
     fn roundtrip_batch_record() {
         let ops: Vec<UpdateOp> = (0..100).map(|i| ins(i % 7, i, i as f64)).collect();
         let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append_batch(&ops).unwrap();
+        w.append(&ops).unwrap();
         assert_eq!(w.records(), 1);
         let bytes = w.into_inner();
         let (out, report) = replay_all(&bytes);
@@ -1255,6 +999,33 @@ mod tests {
         let err = replay_wal(Cursor::new(b"NOTAWAL!rest".to_vec()), |_| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("byte offset 0"), "{err}");
+    }
+
+    /// A log in the previous format — records from a single insert, an
+    /// update batch and a marker-bracketed transaction, as that writer
+    /// produced them — is refused, naming the format found and the one
+    /// this build reads.
+    #[test]
+    fn format_1_log_is_refused_naming_both_formats() {
+        const FORMAT_1: &str = "\
+            5044324757414c311b00000001010000000000000002000000000000000000000000000000f83fdd\
+            54983c4e000000040300000001030000000000000004000000000000000000000000000000004003\
+            010000000000000002000000000000000000000000000000e03f0203000000000000000400000000\
+            00000000004ff694cd0d00000005edfe00000000000002000000fa90a4b63b000000040200000003\
+            01000000000000000200000000000000000000000000000010400105000000000000000600000000\
+            0000000000000000000000f03f97fbcc7c0d00000006edfe000000000000f901e90e8da823481b00\
+            0000010700000000000000080000000000000000000000000000000840a61ff4df";
+        let bytes: Vec<u8> = (0..FORMAT_1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&FORMAT_1[i..i + 2], 16).unwrap())
+            .collect();
+        let mut delivered = 0;
+        let err = replay_wal(Cursor::new(bytes), |_| delivered += 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("\"PD2GWAL1\""), "{msg}");
+        assert!(msg.contains("reads \"PD2GWAL2\" only"), "{msg}");
+        assert_eq!(delivered, 0, "nothing of a refused log is applied");
     }
 
     #[test]
@@ -1367,7 +1138,8 @@ mod tests {
         // A WAL written by an (old or release-built) writer may hold a raw
         // non-finite weight. Replay must clamp it exactly as the ingest
         // boundary would have — not trip sanitize_weight's debug assert.
-        let mut payload = vec![TAG_INSERT];
+        let mut payload = 1u32.to_le_bytes().to_vec();
+        payload.push(TAG_INSERT);
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.extend_from_slice(&8u64.to_le_bytes());
         payload.extend_from_slice(&0u16.to_le_bytes());
@@ -1418,166 +1190,101 @@ mod tests {
         );
     }
 
-    // -----------------------------------------------------------------
-    // Transaction markers
-    // -----------------------------------------------------------------
-
-    /// Write `ops` as a committed txn (chunked), returning the log bytes.
-    fn wal_with_txn(
-        w: &mut WalWriter<Vec<u8>>,
-        txn_id: u64,
-        ops: &[UpdateOp],
-        chunk: usize,
-    ) -> io::Result<()> {
-        w.append_txn_begin(txn_id, ops.len() as u32)?;
-        let mut chain = Vec::new();
-        for c in ops.chunks(chunk.max(1)) {
-            chain.extend_from_slice(&w.append_batch_crc(c)?.to_le_bytes());
-        }
-        w.append_txn_commit(txn_id, crc32c(&chain))
+    /// A transaction's lowered ops, every op kind and the stamped tags
+    /// included, are one record that replays whole and in order.
+    fn txn_ops() -> Vec<UpdateOp> {
+        vec![
+            ins(3, 4, 1.0),
+            UpdateOp::UpdateWeight(Edge::new(v(5), v(6), 2.0).at(9)),
+            UpdateOp::Delete {
+                src: v(7),
+                dst: v(8),
+                etype: EdgeType::DEFAULT,
+            },
+            UpdateOp::Insert(Edge::new(v(9), v(10), 0.5).at(11)),
+        ]
     }
 
     #[test]
     fn committed_txn_replays_all_ops() {
-        let ops: Vec<UpdateOp> = (0..10).map(|i| ins(i, i + 1, i as f64)).collect();
         let mut w = WalWriter::create(Vec::new()).unwrap();
-        wal_with_txn(&mut w, 42, &ops, 3).unwrap();
+        w.append(&txn_ops()).unwrap();
         let bytes = w.into_inner();
         let (out, report) = replay_all(&bytes);
-        assert_eq!(out, ops);
-        assert_eq!(report.ops, 10);
-        assert_eq!(report.dropped_batches, 0);
+        assert_eq!(out, txn_ops());
+        assert_eq!(report.records, 1);
         assert_eq!(report.durable_len, bytes.len() as u64);
-        assert!(report.torn_tail.is_none());
     }
 
-    #[test]
-    fn txn_without_commit_is_dropped_and_rolled_back() {
-        let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append(&ins(1, 2, 1.0)).unwrap();
-        let begin_offset = w.offset();
-        w.append_txn_begin(7, 2).unwrap();
-        w.append_batch(&[ins(3, 4, 1.0), ins(5, 6, 1.0)]).unwrap();
-        // No commit marker: the process died here.
-        let (out, report) = replay_all(&w.into_inner());
-        assert_eq!(out, vec![ins(1, 2, 1.0)], "txn ops never delivered");
-        assert_eq!(report.dropped_batches, 1);
-        assert_eq!(report.records, 1, "rolled back to before the begin");
-        assert_eq!(
-            report.durable_len, begin_offset,
-            "truncation point is the begin"
-        );
-        let tail = report.torn_tail.unwrap();
-        assert_eq!(tail.kind, TornTailKind::UncommittedBatch);
-        assert_eq!(tail.offset, begin_offset);
-    }
-
-    #[test]
-    fn interior_crashed_txn_is_dropped_but_later_data_survives() {
-        // txn A dies mid-flight, the process restarts and commits txn B
-        // plus a plain record. A's ops vanish; everything after replays.
-        let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append_txn_begin(1, 2).unwrap();
-        w.append_batch(&[ins(1, 2, 1.0)]).unwrap(); // only 1 of 2 ops
-        wal_with_txn(&mut w, 2, &[ins(10, 11, 1.0), ins(12, 13, 1.0)], 10).unwrap();
-        w.append(&ins(20, 21, 1.0)).unwrap();
-        let bytes = w.into_inner();
-        let (out, report) = replay_all(&bytes);
-        assert_eq!(
-            out,
-            vec![ins(10, 11, 1.0), ins(12, 13, 1.0), ins(20, 21, 1.0)],
-            "txn A's ops dropped, committed txn B and plain record intact"
-        );
-        assert_eq!(report.dropped_batches, 1);
-        assert_eq!(
-            report.durable_len,
-            bytes.len() as u64,
-            "no truncation: durable data follows"
-        );
-        assert!(report.torn_tail.is_none());
-    }
-
+    /// Cutting a transaction's record anywhere — its trailing CRC is what
+    /// commits it — drops all of its ops and rolls the durable prefix back
+    /// to the record's first byte; the write before it survives.
     #[test]
     fn torn_tail_inside_a_txn_rolls_back_to_the_begin() {
         let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append(&ins(1, 2, 1.0)).unwrap();
-        let begin_offset = w.offset();
-        wal_with_txn(&mut w, 9, &[ins(3, 4, 1.0), ins(5, 6, 1.0)], 1).unwrap();
-        let mut bytes = w.into_inner();
-        // Tear the commit marker (drop its last 3 bytes).
-        bytes.truncate(bytes.len() - 3);
-        let (out, report) = replay_all(&bytes);
-        assert_eq!(out, vec![ins(1, 2, 1.0)]);
-        assert_eq!(report.dropped_batches, 1);
-        let tail = report.torn_tail.unwrap();
-        assert_eq!(tail.kind, TornTailKind::UncommittedBatch);
-        assert_eq!(tail.offset, begin_offset);
-        assert_eq!(report.durable_len, begin_offset);
+        w.append(&[ins(1, 2, 1.0)]).unwrap();
+        let begin = w.offset() as usize;
+        w.append(&txn_ops()).unwrap();
+        let bytes = w.into_inner();
+        for cut in begin + 1..bytes.len() {
+            let (out, report) = replay_all(&bytes[..cut]);
+            assert_eq!(out, vec![ins(1, 2, 1.0)], "cut at {cut}");
+            assert_eq!(report.durable_len, begin as u64, "cut at {cut}");
+            assert_eq!(report.torn_tail.unwrap().offset, begin as u64);
+        }
     }
 
+    /// The durable store, end to end: a transaction whose record lost its
+    /// last byte is recovered to the pre-txn graph, and appends resume
+    /// where the record began.
     #[test]
-    fn orphan_commit_marker_is_a_hard_error() {
-        let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append_txn_commit(5, 0).unwrap();
-        let err = replay_wal(Cursor::new(w.into_inner()), |_| {}).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("orphan commit"), "{err}");
+    fn txn_without_commit_is_dropped_and_rolled_back() {
+        let dir = tempdir("txn_torn");
+        let txn = GraphTxn::new(3)
+            .insert_edge(Edge::new(v(10), v(11), 1.0))
+            .patch_weight(Edge::new(v(1), v(2), 5.0));
+        let begin = {
+            let (store, _) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
+            store.insert_edge(Edge::new(v(1), v(2), 1.0));
+            let begin = store.wal_bytes();
+            store.try_apply_txn(&txn, 2).unwrap();
+            begin
+        };
+        let wal = OpenOptions::new()
+            .write(true)
+            .open(dir.join("wal.log"))
+            .unwrap();
+        wal.set_len(wal.metadata().unwrap().len() - 1).unwrap();
+        drop(wal);
+        let (store, report) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(report.torn_tail.unwrap().offset, begin);
+        assert_eq!(store.num_edges(), 1, "pre-txn graph");
+        assert_eq!(store.edge_weight(v(1), v(2), EdgeType::DEFAULT), Some(1.0));
+        assert_eq!(
+            store.wal_bytes(),
+            begin,
+            "the torn record is truncated away"
+        );
+        store.try_apply_txn(&txn, 2).unwrap();
+        assert_eq!(store.num_edges(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn commit_with_wrong_txn_id_count_or_crc_is_a_hard_error() {
-        // Wrong id.
-        let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append_txn_begin(1, 1).unwrap();
-        let crc = w.append_batch_crc(&[ins(1, 2, 1.0)]).unwrap();
-        w.append_txn_commit(2, crc32c(&crc.to_le_bytes())).unwrap();
-        let err = replay_wal(Cursor::new(w.into_inner()), |_| {}).unwrap_err();
-        assert!(err.to_string().contains("names txn 2"), "{err}");
-
-        // Wrong op count.
-        let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append_txn_begin(1, 5).unwrap();
-        let crc = w.append_batch_crc(&[ins(1, 2, 1.0)]).unwrap();
-        w.append_txn_commit(1, crc32c(&crc.to_le_bytes())).unwrap();
-        let err = replay_wal(Cursor::new(w.into_inner()), |_| {}).unwrap_err();
-        assert!(err.to_string().contains("declared 5"), "{err}");
-
-        // Wrong CRC chain.
-        let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append_txn_begin(1, 1).unwrap();
-        w.append_batch(&[ins(1, 2, 1.0)]).unwrap();
-        w.append_txn_commit(1, 0xDEAD_BEEF).unwrap();
-        let err = replay_wal(Cursor::new(w.into_inner()), |_| {}).unwrap_err();
-        assert!(err.to_string().contains("CRC chain mismatch"), "{err}");
-    }
-
-    #[test]
-    fn markerless_v5_wal_replays_unchanged() {
-        // A log written by the pre-txn writer (plain + tag-4 batch records
-        // only) must replay byte-identically to the old semantics.
-        let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append(&ins(1, 2, 1.0)).unwrap();
-        w.append_batch(&[ins(3, 4, 2.0), ins(5, 6, 3.0)]).unwrap();
-        let (out, report) = replay_all(&w.into_inner());
-        assert_eq!(out, vec![ins(1, 2, 1.0), ins(3, 4, 2.0), ins(5, 6, 3.0)]);
-        assert_eq!(report.records, 2);
-        assert_eq!(report.ops, 3);
-        assert_eq!(report.dropped_batches, 0);
-    }
-
+    /// Single-op, batch and transaction records interleave in one log and
+    /// replay in log order.
     #[test]
     fn plain_records_interleave_with_txns() {
         let mut w = WalWriter::create(Vec::new()).unwrap();
-        w.append(&ins(1, 2, 1.0)).unwrap();
-        wal_with_txn(&mut w, 3, &[ins(3, 4, 1.0)], 1).unwrap();
-        w.append(&ins(5, 6, 1.0)).unwrap();
-        wal_with_txn(&mut w, 4, &[ins(7, 8, 1.0), ins(9, 10, 1.0)], 1).unwrap();
+        w.append(&[ins(1, 2, 1.0)]).unwrap();
+        w.append(&txn_ops()).unwrap();
+        w.append(&[ins(20, 21, 1.0), ins(22, 23, 1.0)]).unwrap();
+        w.append(&[ins(5, 6, 1.0)]).unwrap();
         let (out, report) = replay_all(&w.into_inner());
-        assert_eq!(out.len(), 5, "log order preserved across markers");
-        assert_eq!(out[0], ins(1, 2, 1.0));
-        assert_eq!(out[2], ins(5, 6, 1.0));
-        assert_eq!(report.ops, 5);
-        assert_eq!(report.dropped_batches, 0);
+        let mut want = vec![ins(1, 2, 1.0)];
+        want.extend(txn_ops());
+        want.extend([ins(20, 21, 1.0), ins(22, 23, 1.0), ins(5, 6, 1.0)]);
+        assert_eq!(out, want);
+        assert_eq!(report.records, 4);
     }
 
     #[test]
@@ -1592,10 +1299,10 @@ mod tests {
             assert_eq!(receipt.txn_id, 99);
             assert_eq!(receipt.ops_applied, 2);
             assert_eq!(store.num_edges(), 2);
+            assert_eq!(store.wal_records(), 1, "one record per transaction");
         }
         let (store, report) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(report.wal_ops, 2);
-        assert_eq!(report.dropped_batches, 0);
         assert_eq!(store.num_edges(), 2);
         assert_eq!(store.edge_weight(v(3), v(4), EdgeType::DEFAULT), Some(2.0));
         std::fs::remove_dir_all(&dir).ok();
@@ -1626,21 +1333,20 @@ mod tests {
         {
             let (store, _) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
             store.insert_edge(Edge::new(v(1), v(2), 1.0));
-            store.crash_injector().arm(CrashPoint::TxnAfterOps);
+            store.crash_injector().arm(CrashPoint::WalAppend);
             let err = store.try_apply_txn(&txn, 2).unwrap_err();
             assert!(matches!(err, TxnError::Store(_)));
             assert_eq!(store.num_edges(), 1, "in-memory graph untouched");
-            assert!(store.is_wal_poisoned(), "tail holds a dangling begin");
+            assert!(store.is_wal_poisoned(), "a failed append poisons");
             assert!(
-                store.try_apply(&ins(50, 51, 1.0)).is_err(),
+                store.try_apply_batch(&[ins(50, 51, 1.0)], 1).is_err(),
                 "writes fail-stop until reopen"
             );
         }
-        let (store, report) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(report.dropped_batches, 1);
+        let (store, _) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(store.num_edges(), 1, "pre-txn state");
         assert!(!store.is_wal_poisoned());
-        // The truncated log accepts new writes cleanly.
+        // The reopened log accepts new writes cleanly.
         store.try_apply_txn(&txn, 2).unwrap();
         assert_eq!(store.num_edges(), 3);
         std::fs::remove_dir_all(&dir).ok();
@@ -1658,7 +1364,6 @@ mod tests {
             assert_eq!(store.num_edges(), 0, "apply never ran in-process");
         }
         let (store, report) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(report.dropped_batches, 0);
         assert_eq!(report.wal_ops, 1, "committed txn replayed");
         assert_eq!(store.num_edges(), 1, "post-txn state");
         std::fs::remove_dir_all(&dir).ok();
@@ -1677,22 +1382,85 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The three logged write paths share their bookkeeping; what each one
-    /// puts on disk must stay exactly what it was before they did (bytes
-    /// recorded at that commit).
+    /// Any failed append — a single op or a batch, not only a transaction —
+    /// poisons the store: every later write fails until a checkpoint, after
+    /// which writes succeed and a reopen reproduces the live store.
+    #[test]
+    fn any_failed_append_fail_stops_until_checkpoint() {
+        let dir = tempdir("fail_stop");
+        let (store, _) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
+        store.try_apply_batch(&[ins(1, 2, 1.0)], 1).unwrap();
+        store.crash_injector().arm(CrashPoint::WalAppend);
+        assert!(store.try_apply_batch(&[ins(3, 4, 1.0)], 1).is_err());
+        let later = [ins(5, 6, 1.0), ins(7, 8, 1.0)];
+        assert!(
+            store.try_apply_batch(&later, 1).is_err(),
+            "a later write after a failed append must fail-stop"
+        );
+        assert!(store.is_wal_poisoned());
+        assert_eq!(store.num_edges(), 1);
+
+        store.checkpoint().unwrap();
+        assert!(!store.is_wal_poisoned());
+        store.try_apply_batch(&later, 1).unwrap();
+        store.insert_edge(Edge::new(v(9), v(10), 2.0));
+        let live = store.store().export_adjacency();
+        drop(store);
+        let (reopened, _) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
+        let mut got = reopened.store().export_adjacency();
+        let mut want = live;
+        got.sort_by_key(|e| e.0);
+        want.sort_by_key(|e| e.0);
+        assert_eq!(got, want);
+        assert_eq!(reopened.num_edges(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A write whose record would exceed the record limit is refused before
+    /// a byte reaches the log, and the store stays writable.
+    #[test]
+    fn oversized_record_is_refused_before_a_byte_is_written() {
+        let dir = tempdir("oversized");
+        let (store, _) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
+        let per_op = 27; // tag, src, dst, etype, weight
+        let big: Vec<UpdateOp> = (0..MAX_RECORD_LEN as u64 / per_op + 1)
+            .map(|i| ins(i, i + 1, 1.0))
+            .collect();
+        let bytes_before = store.wal_bytes();
+        let err = store.try_apply_batch(&big, 1).unwrap_err();
+        assert!(
+            matches!(&err, Error::Io(e) if e.kind() == io::ErrorKind::InvalidInput),
+            "{err}"
+        );
+        assert_eq!(store.wal_bytes(), bytes_before);
+        assert_eq!(
+            std::fs::metadata(dir.join("wal.log")).unwrap().len(),
+            bytes_before
+        );
+        assert_eq!(store.num_edges(), 0);
+        assert!(
+            !store.is_wal_poisoned(),
+            "a refused write leaves the store writable"
+        );
+        store.try_apply_batch(&big[..100], 1).unwrap();
+        assert_eq!(store.num_edges(), 100);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The byte pin: a single op, an update batch and a transaction are one
+    /// record each, and a failed append logs nothing and poisons the store.
     #[test]
     fn logged_writes_leave_the_recorded_wal_bytes_and_metrics() {
         const RECORDED: &str = "\
-            5044324757414c311b00000001010000000000000002000000000000000000000000000000f83fdd\
-            54983c4e000000040300000001030000000000000004000000000000000000000000000000004003\
-            010000000000000002000000000000000000000000000000e03f0203000000000000000400000000\
-            00000000004ff694cd0d00000005edfe00000000000002000000fa90a4b63b000000040200000003\
-            01000000000000000200000000000000000000000000000010400105000000000000000600000000\
-            0000000000000000000000f03f97fbcc7c0d00000006edfe000000000000f901e90e8da823481b00\
-            0000010700000000000000080000000000000000000000000000000840a61ff4df";
+            5044324757414c321f00000001000000010100000000000000020000000000000000000000000000\
+            00f83f6c9648bc4d0000000300000001030000000000000004000000000000000000000000000000\
+            004003010000000000000002000000000000000000000000000000e03f0203000000000000000400\
+            0000000000000000af8142a03a000000020000000301000000000000000200000000000000000000\
+            0000000000104001050000000000000006000000000000000000000000000000f03f54ef2c9d1f00\
+            00000100000001070000000000000008000000000000000000000000000000084017dd245f";
         let dir = tempdir("recorded_bytes");
         let (store, _) = DurableGraphStore::open(&dir, StoreConfig::default()).unwrap();
-        store.try_apply(&ins(1, 2, 1.5)).unwrap();
+        store.try_apply_batch(&[ins(1, 2, 1.5)], 1).unwrap();
         let batch = [
             ins(3, 4, 2.0),
             UpdateOp::UpdateWeight(Edge::new(v(1), v(2), 0.5)),
@@ -1703,18 +1471,20 @@ mod tests {
             },
         ];
         store.try_apply_batch(&batch, 2).unwrap();
-        store.crash_injector().arm(CrashPoint::WalAppend);
-        assert!(store.try_apply(&ins(9, 9, 1.0)).is_err(), "logs nothing");
         let txn = GraphTxn::new(0xfeed)
             .insert_edge(Edge::new(v(5), v(6), 1.0))
             .patch_weight(Edge::new(v(1), v(2), 4.0));
         store.try_apply_txn(&txn, 2).unwrap();
-        store.try_apply(&ins(7, 8, 3.0)).unwrap();
+        store.try_apply_batch(&[ins(7, 8, 3.0)], 1).unwrap();
+        store.crash_injector().arm(CrashPoint::WalAppend);
+        assert!(
+            store.try_apply_batch(&[ins(9, 9, 1.0)], 1).is_err(),
+            "logs nothing"
+        );
         store.sync().unwrap();
 
         let bytes = std::fs::read(dir.join("wal.log")).unwrap();
-        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, RECORDED);
+        assert_eq!(hex(&bytes), RECORDED);
         let snap = store.registry().snapshot();
         let counter = |name: &str| snap.counter(name).unwrap_or(0);
         assert_eq!(counter("wal.appends"), 4);
@@ -1723,7 +1493,7 @@ mod tests {
         assert_eq!(counter("wal.append_bytes"), logged);
         assert_eq!(counter("wal.append_errors"), 1);
         assert_eq!(snap.histogram("wal.append_ns").map(|h| h.count), Some(4));
-        assert!(!store.is_wal_poisoned());
+        assert!(store.is_wal_poisoned());
         std::fs::remove_dir_all(&dir).ok();
     }
 

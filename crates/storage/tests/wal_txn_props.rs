@@ -1,115 +1,75 @@
-//! Property tests for WAL transaction-marker atomicity: a log with plain
-//! records interleaved between `BatchBegin`/`BatchCommit` transactions is
-//! truncated at every byte offset and bit-flipped at arbitrary positions,
-//! and replay must never deliver a partial transaction — every transaction
-//! whose commit marker made it to disk intact is delivered whole, every
-//! other transaction is dropped whole.
+//! Property tests for WAL write atomicity: a log of single-op, update-batch
+//! and transaction writes — each one record — is truncated at every byte
+//! offset and bit-flipped at arbitrary positions, and replay must never
+//! deliver part of a write: every batch or transaction whose record made it
+//! to disk intact is delivered whole, every other one is dropped whole.
 
 use platod2gl_graph::{Edge, EdgeType, UpdateOp, VertexId};
-use platod2gl_storage::crc32c::crc32c;
-use platod2gl_storage::{replay_wal, WalWriter};
+use platod2gl_storage::{replay_wal, WalReplayReport, WalWriter};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Vertex-id space reserved for transactional ops: transaction `id`'s ops
-/// all carry `src = TXN_MARK + id`, so the replay sink can attribute every
-/// delivered op to its transaction (or to the plain stream, below the mark).
-const TXN_MARK: u64 = 1_000_000;
-
-/// Force multi-record transactions: ops are chunked two to a `Batch`
-/// record so the commit marker chains more than one record CRC.
-const CHUNK: usize = 2;
-
-fn op(src: u64, k: usize) -> UpdateOp {
-    UpdateOp::Insert(Edge {
-        src: VertexId(src),
+/// Op `k` of segment `seg`: every op carries `src = seg`, so the replay
+/// sink can attribute each delivered op to its segment. Transactions mix
+/// every op kind (and the timestamped tags); batches are inserts.
+fn op(seg: usize, k: usize, txn: bool) -> UpdateOp {
+    let edge = Edge {
+        src: VertexId(seg as u64),
         dst: VertexId(k as u64 + 1),
         etype: EdgeType::DEFAULT,
         weight: 1.0,
-        ts: 0,
-    })
+        ts: k as u64 % 2,
+    };
+    match (txn, k % 3) {
+        (false, _) | (true, 0) => UpdateOp::Insert(edge),
+        (true, 1) => UpdateOp::UpdateWeight(edge),
+        _ => UpdateOp::Delete {
+            src: edge.src,
+            dst: edge.dst,
+            etype: edge.etype,
+        },
+    }
 }
 
 /// One appended segment of the generated log.
 struct Segment {
-    /// `None` for a plain record, `Some(txn_id)` for a committed txn.
-    txn_id: Option<u64>,
+    /// One record for all of the segment's ops (a batch or a transaction),
+    /// as opposed to a run of single-op records.
+    atomic: bool,
     n_ops: usize,
-    /// Byte offset just past the segment's last record (its commit marker
-    /// for transactions). Anything at or past this offset is durable.
+    /// Byte offset just past the segment's last record. Anything at or past
+    /// this offset is durable.
     end_offset: u64,
 }
 
-/// Build a WAL of interleaved plain records and committed transactions.
-/// `shape[i] = (kind, n_ops)`: kind 0 appends single-op records, kind 1 a
-/// plain `Batch` record, anything else a full transaction.
+/// Build a WAL of segments. `shape[i] = (kind, n_ops)`: kind 0 appends
+/// `n_ops` single-op writes, kind 1 an update batch, anything else a
+/// transaction.
 fn build_wal(shape: &[(u8, usize)]) -> (Vec<u8>, Vec<Segment>) {
     let mut w = WalWriter::create(Vec::new()).expect("header");
     let mut segments = Vec::new();
-    let mut next_txn = 1u64;
     for (i, &(kind, n_ops)) in shape.iter().enumerate() {
-        match kind {
-            0 => {
-                for k in 0..n_ops {
-                    w.append(&op(i as u64, k)).expect("append");
-                }
-                segments.push(Segment {
-                    txn_id: None,
-                    n_ops,
-                    end_offset: w.offset(),
-                });
+        let ops: Vec<_> = (0..n_ops).map(|k| op(i, k, kind > 1)).collect();
+        if kind == 0 {
+            for op in &ops {
+                w.append(std::slice::from_ref(op)).expect("single op");
             }
-            1 => {
-                let ops: Vec<_> = (0..n_ops).map(|k| op(i as u64, k)).collect();
-                w.append_batch(&ops).expect("batch");
-                segments.push(Segment {
-                    txn_id: None,
-                    n_ops,
-                    end_offset: w.offset(),
-                });
-            }
-            _ => {
-                let id = next_txn;
-                next_txn += 1;
-                let ops: Vec<_> = (0..n_ops).map(|k| op(TXN_MARK + id, k)).collect();
-                w.append_txn_begin(id, n_ops as u32).expect("begin");
-                let mut chain = Vec::new();
-                for chunk in ops.chunks(CHUNK) {
-                    let crc = w.append_batch_crc(chunk).expect("chunk");
-                    chain.extend_from_slice(&crc.to_le_bytes());
-                }
-                w.append_txn_commit(id, crc32c(&chain)).expect("commit");
-                segments.push(Segment {
-                    txn_id: Some(id),
-                    n_ops,
-                    end_offset: w.offset(),
-                });
-            }
+        } else {
+            w.append(&ops).expect("batch or txn");
         }
+        segments.push(Segment {
+            atomic: kind != 0,
+            n_ops,
+            end_offset: w.offset(),
+        });
     }
     (w.into_inner(), segments)
 }
 
-/// Replay `data`, counting delivered ops per transaction id (index 0 holds
-/// the plain-record count).
-fn replay_counts(
-    data: &[u8],
-    n_txns: usize,
-) -> std::io::Result<(Vec<usize>, platod2gl_storage::WalReplayReport)> {
-    let mut counts = vec![0usize; n_txns + 1];
-    let report = replay_wal(data, |op| {
-        let src = match op {
-            UpdateOp::Insert(e) => e.src.0,
-            UpdateOp::Delete { src, .. } => src.0,
-            UpdateOp::UpdateWeight(e) => e.src.0,
-        };
-        let slot = if src >= TXN_MARK {
-            (src - TXN_MARK) as usize
-        } else {
-            0
-        };
-        counts[slot] += 1;
-    })?;
+/// Replay `data`, counting delivered ops per segment.
+fn replay_counts(data: &[u8], n_segments: usize) -> std::io::Result<(Vec<usize>, WalReplayReport)> {
+    let mut counts = vec![0usize; n_segments];
+    let report = replay_wal(data, |op| counts[op.src().0 as usize] += 1)?;
     Ok((counts, report))
 }
 
@@ -119,51 +79,41 @@ fn arb_shape() -> impl Strategy<Value = Vec<(u8, usize)>> {
 
 proptest! {
     /// Truncating the log at ANY byte offset never yields a partial
-    /// transaction: transactions whose commit marker lies wholly before
-    /// the cut are delivered in full, all others are dropped in full, and
-    /// plain records before the cut always survive.
+    /// write: writes whose record lies wholly before the cut are delivered
+    /// in full, every batch or transaction cut through is dropped in full.
     #[test]
     fn truncation_never_splits_a_transaction(
         shape in arb_shape(),
         cut_seed in any::<u64>(),
     ) {
         let (data, segments) = build_wal(&shape);
-        let n_txns = segments.iter().filter(|s| s.txn_id.is_some()).count();
         let cut = (cut_seed as usize) % (data.len() + 1);
         if cut > 0 && cut < 8 {
             // Inside the magic header: structurally not a WAL.
-            prop_assert!(replay_counts(&data[..cut], n_txns).is_err());
+            prop_assert!(replay_counts(&data[..cut], segments.len()).is_err());
             return Ok(());
         }
-        let (counts, report) = replay_counts(&data[..cut], n_txns).expect("truncation is torn, not corrupt");
-        let mut plain_expected = 0usize;
-        for seg in &segments {
-            match seg.txn_id {
-                Some(id) => {
-                    let got = counts[id as usize];
-                    prop_assert!(
-                        got == 0 || got == seg.n_ops,
-                        "txn {} partially delivered: {}/{} ops at cut {}",
-                        id, got, seg.n_ops, cut
-                    );
-                    if seg.end_offset <= cut as u64 {
-                        prop_assert_eq!(got, seg.n_ops);
-                    }
-                }
-                None => {
-                    if seg.end_offset <= cut as u64 {
-                        plain_expected += seg.n_ops;
-                    }
-                }
+        let (counts, report) = replay_counts(&data[..cut], segments.len())
+            .expect("truncation is torn, not corrupt");
+        for (i, seg) in segments.iter().enumerate() {
+            let got = counts[i];
+            if seg.atomic {
+                prop_assert!(
+                    got == 0 || got == seg.n_ops,
+                    "write {} partially delivered: {}/{} ops at cut {}",
+                    i, got, seg.n_ops, cut
+                );
+            }
+            if seg.end_offset <= cut as u64 {
+                prop_assert_eq!(got, seg.n_ops);
             }
         }
-        prop_assert!(counts[0] >= plain_expected);
         prop_assert!(report.durable_len <= cut as u64);
     }
 
     /// Flipping any single bit past the header yields either a structured
-    /// replay error or a consistent log — never a partial transaction, and
-    /// never a dropped transaction that committed wholly before the flip.
+    /// replay error or a consistent log — never a partial write, and never
+    /// a dropped write that was wholly on disk before the flip.
     #[test]
     fn bit_flips_never_split_a_transaction(
         shape in arb_shape(),
@@ -171,50 +121,40 @@ proptest! {
         bit in 0u8..8,
     ) {
         let (mut data, segments) = build_wal(&shape);
-        let n_txns = segments.iter().filter(|s| s.txn_id.is_some()).count();
         let at = 8 + (at_seed as usize) % (data.len() - 8);
         data[at] ^= 1 << bit;
-        let Ok((counts, _)) = replay_counts(&data, n_txns) else {
-            // Hard corruption verdict (orphan markers, interior damage
-            // with valid records following, chain CRC mismatch) is a
-            // legitimate fail-stop outcome.
+        let Ok((counts, _)) = replay_counts(&data, segments.len()) else {
+            // A hard corruption verdict (interior damage with valid
+            // records following) is a legitimate fail-stop outcome.
             return Ok(());
         };
-        for seg in &segments {
-            if let Some(id) = seg.txn_id {
-                let got = counts[id as usize];
+        for (i, seg) in segments.iter().enumerate() {
+            let got = counts[i];
+            if seg.atomic {
                 prop_assert!(
                     got == 0 || got == seg.n_ops,
-                    "txn {} partially delivered: {}/{} ops after flip at {}",
-                    id, got, seg.n_ops, at
+                    "write {} partially delivered: {}/{} ops after flip at {}",
+                    i, got, seg.n_ops, at
                 );
-                if seg.end_offset <= at as u64 {
-                    // Damage strictly after this txn's commit cannot
-                    // retroactively drop it.
-                    prop_assert_eq!(got, seg.n_ops);
-                }
+            }
+            if seg.end_offset <= at as u64 {
+                // Damage strictly after this write's record cannot
+                // retroactively drop it.
+                prop_assert_eq!(got, seg.n_ops);
             }
         }
     }
 
-    /// The unmodified log always replays completely: every segment —
-    /// plain or transactional — is delivered in full, nothing is dropped,
-    /// and the report covers the whole file.
+    /// The unmodified log always replays completely: every segment is
+    /// delivered in full and the report covers the whole file.
     #[test]
     fn intact_logs_deliver_every_segment(shape in arb_shape()) {
         let (data, segments) = build_wal(&shape);
-        let n_txns = segments.iter().filter(|s| s.txn_id.is_some()).count();
-        let (counts, report) = replay_counts(&data, n_txns).expect("intact log");
-        let mut plain_expected = 0usize;
-        for seg in &segments {
-            match seg.txn_id {
-                Some(id) => prop_assert_eq!(counts[id as usize], seg.n_ops),
-                None => plain_expected += seg.n_ops,
-            }
+        let (counts, report) = replay_counts(&data, segments.len()).expect("intact log");
+        for (i, seg) in segments.iter().enumerate() {
+            prop_assert_eq!(counts[i], seg.n_ops);
         }
-        prop_assert_eq!(counts[0], plain_expected);
         prop_assert_eq!(report.durable_len, data.len() as u64);
         prop_assert_eq!(report.torn_tail, None);
-        prop_assert_eq!(report.dropped_batches, 0);
     }
 }

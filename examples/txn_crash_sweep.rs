@@ -3,10 +3,6 @@
 //! mid-checkpoint), reopen, and prove recovery lands on *exactly* the
 //! pre-txn or post-txn graph — never in between — by topology checksum.
 //!
-//! Also proves backward compatibility: a marker-less WAL (the v5 format,
-//! plain records only) still replays cleanly under the marker-aware
-//! replayer.
-//!
 //! Run with: `cargo run -p platod2gl --release --example txn_crash_sweep`
 
 use platod2gl::{
@@ -93,15 +89,12 @@ fn main() {
             .try_apply_txn(&sweep_txn(), 2)
             .expect_err("armed point must fire");
         assert!(err.to_string().contains(point.name()), "{err}");
-        // Anything past BatchBegin leaves a dirty tail: the store must
-        // fail-stop instead of appending after an unknown tail state.
-        if point != CrashPoint::TxnBeforeBegin {
-            assert!(store.is_wal_poisoned(), "{point}: tail is dirty");
-        }
+        // Any failed append leaves the tail unknown: the store must
+        // fail-stop instead of appending after it.
+        assert!(store.is_wal_poisoned(), "{point}: writes fail-stop");
         drop(store); // the "kill"
 
-        let (recovered, report) =
-            DurableGraphStore::open(&dir, StoreConfig::default()).expect("reopen");
+        let (recovered, _) = DurableGraphStore::open(&dir, StoreConfig::default()).expect("reopen");
         let got = topology_checksum(&recovered);
         let (want, label) = if point.txn_is_committed() {
             (post, "post-txn")
@@ -117,32 +110,7 @@ fn main() {
             if point.txn_is_committed() { pre } else { post },
             "{point}: never the other side"
         );
-        let expect_dropped =
-            u64::from(!point.txn_is_committed() && point != CrashPoint::TxnBeforeBegin);
-        assert_eq!(report.dropped_batches, expect_dropped, "{point}");
-        println!(
-            "crash at {point}: recovered {label} graph, {} uncommitted batch(es) dropped",
-            report.dropped_batches
-        );
-        verified += 1;
-    }
-
-    // --- plain-append crash point -----------------------------------------
-    {
-        let dir = root.join(CrashPoint::WalAppend.name());
-        let store = base_store(&dir);
-        let pre_append = topology_checksum(&store);
-        store.crash_injector().arm(CrashPoint::WalAppend);
-        store
-            .try_apply(&UpdateOp::Insert(edge(900, 901, 1.0)))
-            .expect_err("armed point must fire");
-        drop(store);
-        let (recovered, _) = DurableGraphStore::open(&dir, StoreConfig::default()).expect("reopen");
-        assert_eq!(topology_checksum(&recovered), pre_append);
-        println!(
-            "crash at {}: recovered pre-append graph",
-            CrashPoint::WalAppend
-        );
+        println!("crash at {point}: recovered {label} graph");
         verified += 1;
     }
 
@@ -157,11 +125,11 @@ fn main() {
     ] {
         let dir = root.join(point.name());
         let store = base_store(&dir);
-        // Leave both a committed txn and plain records in the WAL so the
+        // Leave both a committed txn and a single-op record in the WAL so the
         // dying checkpoint has real state to preserve.
         store.try_apply_txn(&sweep_txn(), 2).expect("commit");
         store
-            .try_apply(&UpdateOp::Insert(edge(800, 801, 5.0)))
+            .try_apply_batch(&[UpdateOp::Insert(edge(800, 801, 5.0))], 1)
             .expect("append");
         let want = topology_checksum(&store);
         store.crash_injector().arm(point);
@@ -183,38 +151,5 @@ fn main() {
         CrashPoint::ALL.len()
     );
 
-    // --- marker-less (v5) WAL backward compatibility ----------------------
-    // A WAL written entirely through the pre-transactional API carries no
-    // Begin/Commit markers; the marker-aware replayer must treat it as it
-    // always did.
-    let dir = root.join("v5-compat");
-    let _ = std::fs::remove_dir_all(&dir);
-    let (store, _) = DurableGraphStore::open(&dir, StoreConfig::default()).expect("open");
-    for v in 0..20u64 {
-        store
-            .try_apply(&UpdateOp::Insert(edge(v, v + 50, 1.0)))
-            .expect("append");
-    }
-    store
-        .try_apply_batch(
-            &(0..10u64)
-                .map(|v| UpdateOp::Insert(edge(v, v + 70, 2.0)))
-                .collect::<Vec<_>>(),
-            2,
-        )
-        .expect("batch");
-    let want = topology_checksum(&store);
-    drop(store);
-    let (recovered, report) =
-        DurableGraphStore::open(&dir, StoreConfig::default()).expect("reopen");
-    assert_eq!(topology_checksum(&recovered), want);
-    assert_eq!(report.dropped_batches, 0);
-    assert!(report.torn_tail.is_none());
-    println!(
-        "marker-less v5 WAL replayed cleanly: {} ops, 0 batches dropped",
-        report.wal_ops
-    );
-
-    drop(recovered);
     let _ = std::fs::remove_dir_all(&root);
 }

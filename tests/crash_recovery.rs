@@ -96,7 +96,10 @@ fn kill_restart_recovers_every_durable_update() {
 
     // The recovered store keeps working: further updates + checkpoint.
     recovered
-        .try_apply(&UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 9.0)))
+        .try_apply_batch(
+            &[UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 9.0))],
+            1,
+        )
         .expect("post-recovery apply");
     recovered.checkpoint().expect("post-recovery checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
@@ -111,7 +114,9 @@ fn build_walled_store(tag: &str, n_ops: usize, seed: u64) -> (PathBuf, Vec<Updat
     let (durable, _) = DurableGraphStore::open(&dir, StoreConfig::default()).expect("open");
     let mut ends = Vec::with_capacity(ops.len());
     for op in &ops {
-        durable.try_apply(op).expect("apply");
+        durable
+            .try_apply_batch(std::slice::from_ref(op), 1)
+            .expect("apply");
         ends.push(durable.wal_bytes());
     }
     drop(durable);
@@ -178,7 +183,10 @@ fn checkpoint_concurrent_with_writers_loses_nothing() {
                     for i in 0..per_thread {
                         let src = VertexId((t * per_thread + i) as u64);
                         durable
-                            .try_apply(&UpdateOp::Insert(Edge::new(src, VertexId(1_000_000), 1.0)))
+                            .try_apply_batch(
+                                &[UpdateOp::Insert(Edge::new(src, VertexId(1_000_000), 1.0))],
+                                1,
+                            )
                             .expect("apply");
                         if i % 64 == 0 {
                             durable
