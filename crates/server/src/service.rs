@@ -18,7 +18,9 @@
 //! server performs the same derivation. Consequently a trainer with a fixed
 //! seed produces bit-identical mini-batches whether the service is local or
 //! remote, which is what makes the two deployments testable against each
-//! other.
+//! other. It is also what lets `Cluster` serve a batch on every owning
+//! shard at once: the seeds are drawn in request order before any shard
+//! runs, so which thread serves a request changes no draw.
 
 use crate::request::{SampleRequest, SampleResponse};
 use crate::write::Origin;
@@ -48,8 +50,9 @@ pub trait GraphService: Sync {
     ///
     /// Responses are positionally parallel to `reqs`. Implementations may
     /// coalesce the batch into fewer network round trips (the remote client
-    /// packs a whole frontier into pipelined frames); the default simply
-    /// loops, which consumes the RNG identically.
+    /// packs a whole frontier into pipelined frames) or serve it on every
+    /// owning shard at once (`Cluster`); the default simply loops, which
+    /// consumes the RNG identically.
     fn sample_many(&self, reqs: &[SampleRequest], rng: &mut dyn RngCore) -> Vec<SampleResponse> {
         reqs.iter().map(|r| self.sample_one(r, rng)).collect()
     }
@@ -186,6 +189,41 @@ impl GraphService for Cluster {
         // Same derivation the graph server applies to the wire seed.
         let mut derived = StdRng::seed_from_u64(rng.next_u64());
         self.sample(req, &mut derived)
+    }
+
+    /// Serves the batch on every owning shard at once: one lane per shard
+    /// with work, stitched back by position. Bit-identical to the
+    /// `sample_one` loop, since each request samples from its own seed.
+    fn sample_many(&self, reqs: &[SampleRequest], rng: &mut dyn RngCore) -> Vec<SampleResponse> {
+        // Seeds first, in request order: the determinism contract.
+        let seeds: Vec<u64> = reqs.iter().map(|_| rng.next_u64()).collect();
+        if reqs.is_empty() {
+            return Vec::new();
+        }
+        // Lanes on other threads re-anchor under this root, so every
+        // `cluster.sample` carries the caller's trace whoever serves it.
+        let root = self.registry.span("cluster.sample_many");
+        let (root_id, trace) = (root.id(), root.trace_id());
+        let mut lanes: Vec<Vec<usize>> = vec![Vec::new(); self.num_shards()];
+        for (i, req) in reqs.iter().enumerate() {
+            lanes[self.route(req.vertex)].push(i);
+        }
+        lanes.retain(|idxs| !idxs.is_empty());
+        let served = fan_out(&lanes, |idxs| {
+            let _lane = self
+                .registry
+                .span_with_parent("cluster.sample_lane", root_id, trace);
+            idxs.iter()
+                .map(|&i| self.sample(&reqs[i], &mut StdRng::seed_from_u64(seeds[i])))
+                .collect::<Vec<_>>()
+        });
+        let mut out: Vec<Option<SampleResponse>> = vec![None; reqs.len()];
+        for (&i, resp) in lanes.iter().flatten().zip(served.into_iter().flatten()) {
+            out[i] = Some(resp);
+        }
+        out.into_iter()
+            .map(|r| r.expect("every request answered"))
+            .collect()
     }
 
     fn apply_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
@@ -353,11 +391,36 @@ impl GraphService for Cluster {
     }
 }
 
+/// The per-shard read fan-out: `serve` runs once per lane, the first on
+/// the caller's thread and each other one on its own scoped thread, and
+/// the results come back in lane order. A single lane spawns nothing. A
+/// lane that panics unwinds into the caller once every lane has finished.
+fn fan_out<L: Sync, T: Send>(lanes: &[L], serve: impl Fn(&L) -> T + Sync) -> Vec<T> {
+    let Some((first, rest)) = lanes.split_first() else {
+        return Vec::new();
+    };
+    let serve = &serve;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = rest
+            .iter()
+            .map(|lane| s.spawn(move || serve(lane)))
+            .collect();
+        let mut out = vec![serve(first)];
+        out.extend(handles.into_iter().map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClusterConfig;
-    use platod2gl_graph::{Edge, EdgeType, GraphStore, VertexId};
+    use crate::{ClusterConfig, DegradedPolicy, SlotSource};
+    use platod2gl_graph::{Edge, EdgeType, GraphStore, TimeWindow, VertexId};
+    use std::time::Duration;
 
     fn service_cluster() -> Cluster {
         let c = Cluster::new(
@@ -389,20 +452,179 @@ mod tests {
         assert_eq!(a.next_u64(), b.next_u64());
     }
 
+    /// A 4-shard cluster of stamped hubs (vertices `0..48`, 12 edges each
+    /// at ts 10..=120), with `slow_op_threshold` as given.
+    fn lane_cluster(slow_op_threshold: Duration) -> Cluster {
+        let c = Cluster::new(
+            ClusterConfig::builder()
+                .num_shards(4)
+                .slow_op_threshold(slow_op_threshold)
+                .build()
+                .expect("valid config"),
+        );
+        for v in 0..48u64 {
+            for k in 1..=12u64 {
+                c.insert_edge(
+                    Edge::new(VertexId(v), VertexId(1_000 + v * 16 + k), k as f64).at(k * 10),
+                );
+            }
+        }
+        c
+    }
+
+    /// A mixed batch: windowed and unwindowed requests, both degraded
+    /// policies, isolated vertices (`48..53` and one far away).
+    fn lane_batch() -> Vec<SampleRequest> {
+        (0..240u64)
+            .map(|i| {
+                let v = if i == 17 {
+                    VertexId(999_999)
+                } else {
+                    VertexId(i % 53)
+                };
+                let req = SampleRequest::new(v, EdgeType(0), 1 + (i % 5) as usize);
+                let req = if i % 2 == 0 {
+                    req.on_degraded(DegradedPolicy::SelfLoop)
+                } else {
+                    req
+                };
+                if i % 3 == 0 {
+                    req.in_window(TimeWindow::new(30, 80))
+                } else {
+                    req
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn sample_many_matches_sequential_sample_one() {
-        let c = service_cluster();
-        let reqs: Vec<SampleRequest> = (0..4)
-            .map(|i| SampleRequest::new(VertexId(i % 2), EdgeType(0), 3))
-            .collect();
+        let c = lane_cluster(Duration::from_millis(100));
+        c.faults().fail_shard(3);
+        let reqs = lane_batch();
         let mut a = StdRng::seed_from_u64(7);
-        let mut b = StdRng::seed_from_u64(7);
         let batch = GraphService::sample_many(&c, &reqs, &mut a);
+        let mut b = StdRng::seed_from_u64(7);
         let seq: Vec<SampleResponse> = reqs
             .iter()
             .map(|r| GraphService::sample_one(&c, r, &mut b))
             .collect();
         assert_eq!(batch, seq);
+        assert_eq!(a.next_u64(), b.next_u64(), "one seed per request");
+        // The batch really spanned every lane and every case.
+        let shards: std::collections::BTreeSet<usize> = batch.iter().map(|r| r.shard).collect();
+        assert_eq!(shards.len(), 4);
+        assert!(batch
+            .iter()
+            .any(|r| r.degraded && r.sources.contains(&SlotSource::SelfLoop)));
+        assert!(batch.iter().any(|r| !r.degraded && r.neighbors.is_empty()));
+        assert!(batch.iter().any(|r| !r.degraded && !r.neighbors.is_empty()));
+    }
+
+    #[test]
+    fn concurrent_sample_many_callers_each_get_their_sequential_answer() {
+        let c = lane_cluster(Duration::from_millis(100));
+        let reqs = lane_batch();
+        let expected: Vec<Vec<SampleResponse>> = (0..4)
+            .map(|seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                reqs.iter()
+                    .map(|r| GraphService::sample_one(&c, r, &mut rng))
+                    .collect()
+            })
+            .collect();
+        // All four callers enter `sample_many` together.
+        let start = std::sync::Barrier::new(expected.len());
+        std::thread::scope(|s| {
+            for (seed, want) in expected.iter().enumerate() {
+                let (c, reqs, start) = (&c, &reqs, &start);
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed as u64);
+                    start.wait();
+                    assert_eq!(&GraphService::sample_many(c, reqs, &mut rng), want);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn lanes_carry_the_callers_trace() {
+        // Zero threshold: every request is captured. Two unwindowed
+        // requests per shard keep the ring (256 spans) far from full.
+        let c = lane_cluster(Duration::ZERO);
+        let mut reqs = Vec::new();
+        for shard in 0..4 {
+            let owned = (0..48u64).map(VertexId).filter(|v| c.route(*v) == shard);
+            reqs.extend(owned.take(2).map(|v| SampleRequest::new(v, EdgeType(0), 3)));
+        }
+        assert_eq!(reqs.len(), 8);
+        let trace = 0x7ACE;
+        let caller_span = {
+            let root = c.obs().span_traced("test.caller", trace);
+            let _ = GraphService::sample_many(&c, &reqs, &mut StdRng::seed_from_u64(3));
+            root.id()
+        };
+        let spans = c.obs().trace_spans(trace);
+        let by_id: std::collections::HashMap<u64, _> = spans.iter().map(|s| (s.id, s)).collect();
+        let samples: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "cluster.sample")
+            .collect();
+        assert_eq!(samples.len(), reqs.len(), "every request joined the trace");
+        for span in samples {
+            let mut at = span;
+            while at.parent != Some(caller_span) {
+                let parent = at.parent.expect("parent chain reaches the caller");
+                at = by_id[&parent];
+            }
+        }
+        // The caller serves the lowest shard's lane; shard 1's lane ran on
+        // a scoped thread and its captures still hold the whole chain.
+        let captures = c.obs().slow_log().recent();
+        let off_caller = captures
+            .iter()
+            .find(|cap| cap.detail.contains(" shard=1 "))
+            .expect("a capture from shard 1");
+        let names: Vec<&str> = off_caller.spans.iter().map(|s| &*s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "cluster.sample",
+                "shard.sample",
+                "samtree.sample",
+                "samtree.fts_draw"
+            ]
+        );
+        let lane = off_caller.spans[0]
+            .parent
+            .expect("re-anchored under a lane");
+        assert_eq!(by_id[&lane].name, "cluster.sample_lane");
+        for pair in off_caller.spans.windows(2) {
+            assert_eq!(pair[1].parent, Some(pair[0].id), "chain is linked");
+        }
+        assert!(off_caller.spans.iter().all(|s| s.trace_id == trace));
+    }
+
+    #[test]
+    fn fan_out_serves_the_first_lane_on_the_caller() {
+        let caller = std::thread::current().id();
+        let on_caller = |&lane: &usize| (lane, std::thread::current().id() == caller);
+        assert_eq!(
+            fan_out(&[0, 1, 2], on_caller),
+            [(0, true), (1, false), (2, false)]
+        );
+        assert_eq!(
+            fan_out(&[7], on_caller),
+            [(7, true)],
+            "one lane spawns nothing"
+        );
+        // A panicking lane reaches the caller, as in a sequential loop.
+        let crashed = std::panic::catch_unwind(|| {
+            fan_out(&[0, 1], |&lane: &usize| {
+                assert_eq!(lane, 0, "lane 1 crashes")
+            })
+        });
+        assert!(crashed.is_err());
     }
 
     #[test]

@@ -315,6 +315,12 @@ impl Cluster {
         let threads = self.config.threads_per_shard.max(1);
         let mut first_panic = None;
         let mut any_applied = false;
+        // One spawned worker per admitted shard, the caller only joining:
+        // unlike a read lane (`service::fan_out`), a write allocates the
+        // shard's trees in its thread's malloc arena. Applied on the caller,
+        // a bulk load from the main thread put one shard's trees among the
+        // caller's own allocations, and reads served from another thread
+        // then ran 12–20 % slower (`perf` `sample_remote`, 2-core host).
         std::thread::scope(|s| {
             let handles: Vec<_> = admitted
                 .into_iter()

@@ -23,12 +23,14 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -p platod2gl-{gnn,samtree,graph} --release (their hot loops vectorise only at opt-level 3)"
+echo "==> cargo test -p platod2gl-{gnn,samtree,graph,server} --release (the code the benchmark runs)"
 # The gnn slice kernels' equivalence and gradient tests, the samtree
-# fixed-width CP-ID scan's properties and the txn validator's equivalence
-# proptest must see the code the benchmark runs; the debug run above tests
-# a different program.
-cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-graph --release 2>&1 | tee "$build_log"
+# fixed-width CP-ID scan's properties, the txn validator's equivalence
+# proptest and the server's per-shard sample-lane tests (bit parity,
+# concurrent callers, trace re-anchoring) must see the code the benchmark
+# runs: hot loops vectorise only at opt-level 3 and lanes race differently,
+# so the debug run above tests a different program.
+cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-graph -p platod2gl-server --release 2>&1 | tee "$build_log"
 if grep "^warning" "$build_log" >/dev/null; then
     echo "verify: FAIL - compiler warnings in the release test build:"
     grep "^warning" "$build_log"
