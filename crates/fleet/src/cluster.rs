@@ -25,9 +25,7 @@
 //! [`DegradedPolicy`](platod2gl_server::DegradedPolicy), client-side.
 
 use crate::map::PartitionMap;
-use crate::node::{
-    derive_txn_id, group_by_server, merge_receipt, sub_txn, txn_op_src, CH_OWNER_SPLIT,
-};
+use crate::node::{derive_txn_id, group_by_server, merge_receipt, sub_txn, CH_OWNER_SPLIT};
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{current_trace_context, Counter, ObsSnapshot, Registry, SpanRecord};
 use platod2gl_rpc::{ClientConfig, RemoteCluster};
@@ -396,7 +394,7 @@ impl GraphService for FleetCluster {
                 shard: owner as usize,
             }))
         };
-        let legs = group_by_server(txn.ops(), |op| Some(map.owner_of(txn_op_src(op))));
+        let legs = group_by_server(txn.ops(), |op| Some(map.owner_of(op.src())));
         match legs.as_slice() {
             [] => route(0)?.apply_txn(txn),
             [(owner, _)] => route(*owner)?.apply_txn(txn),

@@ -39,16 +39,6 @@ use rand::RngCore;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-/// The source vertex a typed txn op routes by — the same key
-/// `UpdateOp::src()` provides for lowered ops.
-pub(crate) fn txn_op_src(op: &TxnOp) -> VertexId {
-    match op {
-        TxnOp::InsertEdge(e) | TxnOp::PatchWeight(e) => e.src,
-        TxnOp::DeleteEdge { src, .. } => *src,
-        TxnOp::UpsertVertex { vertex } | TxnOp::DeleteVertex { vertex, .. } => *vertex,
-    }
-}
-
 /// Channel tag for the client-side cross-owner split
 /// ([`crate::FleetCluster::apply_txn`]).
 pub(crate) const CH_OWNER_SPLIT: u64 = 1;
@@ -282,7 +272,7 @@ impl GraphService for FleetNode {
     }
 
     fn apply_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        let Some(split) = self.split(txn.ops(), txn_op_src) else {
+        let Some(split) = self.split(txn.ops(), TxnOp::src) else {
             return self.cluster.apply_txn(txn);
         };
         let mut receipt = if split.owned.is_empty() {

@@ -33,7 +33,8 @@ pub use health::ShardHealth;
 pub use profile::{DatasetProfile, RelationSpec};
 pub use store::GraphStore;
 pub use txn::{
-    validate_and_lower, GraphTxn, TxnError, TxnOp, TxnReceipt, TxnView, TxnViolation, ViolationKind,
+    merge_parts, validate_and_lower, validate_part, GraphTxn, TxnError, TxnOp, TxnReceipt, TxnView,
+    TxnViolation, ViolationKind,
 };
 
 use serde::{Deserialize, Serialize};

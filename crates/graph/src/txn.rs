@@ -14,7 +14,11 @@
 //!   vertex-delete claims are sorted once by `(src, etype, dst)`, so every
 //!   conflict is between neighbours in the plan and no hash map is needed
 //!   (the paper's PALM sort-then-partition, Sec. VI-B / App. B, applied to
-//!   validation).
+//!   validation). Every conflict is between ops with one source vertex, so
+//!   the plan also runs per part ([`validate_part`]): the cluster cuts a
+//!   transaction by owning shard, walks each shard's plan on its own
+//!   thread and merges the verdicts ([`merge_parts`]) into exactly what the
+//!   whole-txn walk returns. [`validate_and_lower`] is the one-part case.
 //! * **Phase 2** applies the lowered [`UpdateOp`] list atomically through
 //!   the executing store (the durable store logs it as one WAL record;
 //!   the cluster fans it out per shard). Phase 2
@@ -60,6 +64,18 @@ pub enum TxnOp {
     /// at validation time to one delete per neighbor; claims the whole
     /// `(vertex, etype, *)` keyspace for conflict purposes.
     DeleteVertex { vertex: VertexId, etype: EdgeType },
+}
+
+impl TxnOp {
+    /// The vertex that owns the op: the source every store and fleet map
+    /// routes on, as [`UpdateOp::src`] is for lowered ops.
+    pub fn src(&self) -> VertexId {
+        match self {
+            TxnOp::InsertEdge(e) | TxnOp::PatchWeight(e) => e.src,
+            TxnOp::DeleteEdge { src, .. } => *src,
+            TxnOp::UpsertVertex { vertex } | TxnOp::DeleteVertex { vertex, .. } => *vertex,
+        }
+    }
 }
 
 /// A transaction: a client-chosen id plus its typed ops.
@@ -322,6 +338,29 @@ enum Check {
 /// Phase 1: validate the whole transaction against `view` and lower it to
 /// a key-disjoint, deterministically ordered [`UpdateOp`] batch.
 ///
+/// The one-part case of [`validate_part`] and [`merge_parts`]: every op is
+/// one part. Collects **every** violation before returning (an operator
+/// fixing a rejected feed batch wants the full list, not a
+/// fix-one-resubmit loop), in op order: by op index, then in the order of
+/// the checks one op goes through. On success the lowered ops are sorted by
+/// `(src, etype, dst)` — a total order, because duplicate-key rejection made
+/// the keys disjoint — so the WAL record of a given logical transaction is
+/// reproducible regardless of submission order.
+pub fn validate_and_lower(txn: &GraphTxn, view: &dyn TxnView) -> Result<Vec<UpdateOp>, TxnError> {
+    let whole = validate_part(txn, 0..txn.ops.len(), view);
+    Ok(merge_parts(txn, vec![whole])?.pop().unwrap_or_default())
+}
+
+/// Phase 1 for one part of a transaction: the ops at indices `ops` (into
+/// [`GraphTxn::ops`], each at most once), validated against `view` and
+/// lowered.
+///
+/// A part must hold every op with a given source vertex that the
+/// transaction carries, so that every conflict it can have is inside the
+/// part: splitting by [`TxnOp::src`], as the cluster splits by owning
+/// shard, does that. Violations and their `detail` strings name the ops by
+/// their index in the whole transaction.
+///
 /// One sorted plan does the work: every edge op and every
 /// [`TxnOp::DeleteVertex`] claim becomes a `(src, etype, dst, op index)`
 /// entry, the list is sorted once, and the walk goes group by group over
@@ -332,39 +371,31 @@ enum Check {
 /// benchmark's transactions a group holds about 1.2 probed ops, too few
 /// for a per-group probe to pay for itself.
 ///
-/// Collects **every** violation before returning (an operator fixing a
-/// rejected feed batch wants the full list, not a fix-one-resubmit loop),
-/// in op order: by op index, then in the order of the checks one op goes
-/// through. On success the lowered ops are sorted by `(src, etype, dst)` —
-/// a total order, because duplicate-key rejection made the keys disjoint —
-/// so the WAL record of a given logical transaction is reproducible
-/// regardless of submission order.
-pub fn validate_and_lower(txn: &GraphTxn, view: &dyn TxnView) -> Result<Vec<UpdateOp>, TxnError> {
-    if txn.ops.is_empty() {
-        return Err(TxnError::Rejected {
-            txn_id: txn.id,
-            violations: vec![TxnViolation {
-                op_index: 0,
-                kind: ViolationKind::Empty,
-                detail: "transaction carries no ops".to_string(),
-            }],
-        });
-    }
-
-    let mut plan: Vec<PlanEntry> = Vec::with_capacity(txn.ops.len());
+/// `Ok` holds the part's lowered ops sorted by `(src, etype, dst)`; `Err`
+/// holds its violations in op order. [`merge_parts`] turns the parts'
+/// verdicts into the transaction's.
+pub fn validate_part(
+    txn: &GraphTxn,
+    ops: impl IntoIterator<Item = usize>,
+    view: &dyn TxnView,
+) -> Result<Vec<UpdateOp>, Vec<TxnViolation>> {
+    let ops = ops.into_iter();
+    let mut plan: Vec<PlanEntry> = Vec::with_capacity(ops.size_hint().0);
     let mut upserts: Vec<(u64, usize)> = Vec::new();
-    for (op, txn_op) in txn.ops.iter().enumerate() {
-        let (src, etype, dst) = match *txn_op {
-            TxnOp::InsertEdge(e) | TxnOp::PatchWeight(e) => (e.src, e.etype, Some(e.dst)),
-            TxnOp::DeleteEdge { src, dst, etype } => (src, etype, Some(dst)),
-            TxnOp::DeleteVertex { vertex, etype } => (vertex, etype, None),
-            TxnOp::UpsertVertex { vertex } => {
-                upserts.push((vertex.raw(), op));
+    for op in ops {
+        let txn_op = txn.ops[op];
+        let src = txn_op.src().raw();
+        let (etype, dst) = match txn_op {
+            TxnOp::InsertEdge(e) | TxnOp::PatchWeight(e) => (e.etype, Some(e.dst)),
+            TxnOp::DeleteEdge { dst, etype, .. } => (etype, Some(dst)),
+            TxnOp::DeleteVertex { etype, .. } => (etype, None),
+            TxnOp::UpsertVertex { .. } => {
+                upserts.push((src, op));
                 continue;
             }
         };
         plan.push(PlanEntry {
-            src: src.raw(),
+            src,
             etype: etype.0,
             edge: dst.is_some(),
             dst: dst.map_or(0, VertexId::raw),
@@ -383,7 +414,7 @@ pub fn validate_and_lower(txn: &GraphTxn, view: &dyn TxnView) -> Result<Vec<Upda
         };
         flagged.push((check, violation));
     };
-    let mut lowered: Vec<UpdateOp> = Vec::with_capacity(txn.ops.len());
+    let mut lowered: Vec<UpdateOp> = Vec::with_capacity(plan.len());
     for group in plan.chunk_by(|a, b| (a.src, a.etype) == (b.src, b.etype)) {
         let (src, etype) = (VertexId(group[0].src), EdgeType(group[0].etype));
         let (claims, edges) = group.split_at(group.partition_point(|e| !e.edge));
@@ -521,10 +552,44 @@ pub fn validate_and_lower(txn: &GraphTxn, view: &dyn TxnView) -> Result<Vec<Upda
         return Ok(lowered);
     }
     flagged.sort_unstable_by_key(|(check, v)| (v.op_index, *check));
-    Err(TxnError::Rejected {
+    Err(flagged.into_iter().map(|(_, v)| v).collect())
+}
+
+/// The transaction's phase-1 verdict from its parts' ([`validate_part`]):
+/// the lowered ops of each part, in part order, or every violation.
+///
+/// The empty-transaction check is whole-txn, so it lives here. Every op
+/// sits in exactly one part and each part lists its violations in op
+/// order, so a stable sort by op index yields the list one part holding
+/// every op would have produced: the same violations in the same order.
+pub fn merge_parts(
+    txn: &GraphTxn,
+    parts: Vec<Result<Vec<UpdateOp>, Vec<TxnViolation>>>,
+) -> Result<Vec<Vec<UpdateOp>>, TxnError> {
+    let rejected = |violations| TxnError::Rejected {
         txn_id: txn.id,
-        violations: flagged.into_iter().map(|(_, v)| v).collect(),
-    })
+        violations,
+    };
+    if txn.ops.is_empty() {
+        return Err(rejected(vec![TxnViolation {
+            op_index: 0,
+            kind: ViolationKind::Empty,
+            detail: "transaction carries no ops".to_string(),
+        }]));
+    }
+    let mut lowered = Vec::with_capacity(parts.len());
+    let mut violations = Vec::new();
+    for part in parts {
+        match part {
+            Ok(ops) => lowered.push(ops),
+            Err(found) => violations.extend(found),
+        }
+    }
+    if violations.is_empty() {
+        return Ok(lowered);
+    }
+    violations.sort_by_key(|v| v.op_index);
+    Err(rejected(violations))
 }
 
 /// The op-by-op validator [`validate_and_lower`] replaced, kept unchanged
@@ -1030,12 +1095,30 @@ mod tests {
             view.etype_limit = (limit > 0).then_some(limit);
             let mut txn = GraphTxn::new(42);
             ops.into_iter().for_each(|op| txn.push(op));
-            match (validate_and_lower(&txn, &view), reference::validate_and_lower(&txn, &view)) {
-                (Ok(plan), Ok(oracle)) => prop_assert_eq!(plan, oracle),
+            let whole = validate_and_lower(&txn, &view);
+            match (&whole, reference::validate_and_lower(&txn, &view)) {
+                (Ok(plan), Ok(oracle)) => prop_assert_eq!(plan, &oracle),
                 (Err(plan), Err(oracle)) => {
                     prop_assert_eq!(plan.violations(), oracle.violations());
                 }
                 (plan, oracle) => prop_assert!(false, "plan {:?} vs oracle {:?}", plan, oracle),
+            }
+            // Cut by source into three parts: each part lowers its share of
+            // the whole walk, and the merged violations are the whole list.
+            let part_of = |src: VertexId| (src.raw() % 3) as usize;
+            let ops = txn.ops();
+            let part = |k| (0..ops.len()).filter(move |&i| part_of(ops[i].src()) == k);
+            let parts = (0..3).map(|k| validate_part(&txn, part(k), &view)).collect();
+            match (merge_parts(&txn, parts), whole) {
+                (Ok(parts), Ok(whole)) => {
+                    for (k, part) in parts.iter().enumerate() {
+                        let share: Vec<UpdateOp> =
+                            whole.iter().copied().filter(|op| part_of(op.src()) == k).collect();
+                        prop_assert_eq!(part, &share);
+                    }
+                }
+                (Err(parts), Err(whole)) => prop_assert_eq!(parts.violations(), whole.violations()),
+                (parts, whole) => prop_assert!(false, "parts {:?} vs whole {:?}", parts, whole),
             }
         }
     }

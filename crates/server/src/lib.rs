@@ -842,8 +842,7 @@ impl TxnView for Cluster {
     }
 
     fn known_etype(&self, etype: EdgeType) -> bool {
-        let limit = self.txn.etype_limit.load(Ordering::Relaxed);
-        limit == u32::MAX || u32::from(etype.0) < limit
+        txn::etype_within(self.txn.etype_limit.load(Ordering::Relaxed), etype)
     }
 }
 

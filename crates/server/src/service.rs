@@ -391,11 +391,12 @@ impl GraphService for Cluster {
     }
 }
 
-/// The per-shard read fan-out: `serve` runs once per lane, the first on
-/// the caller's thread and each other one on its own scoped thread, and
-/// the results come back in lane order. A single lane spawns nothing. A
-/// lane that panics unwinds into the caller once every lane has finished.
-fn fan_out<L: Sync, T: Send>(lanes: &[L], serve: impl Fn(&L) -> T + Sync) -> Vec<T> {
+/// The per-shard fan-out of read batches and txn validation: `serve` runs
+/// once per lane, the first on the caller's thread and each other one on
+/// its own scoped thread, and the results come back in lane order. A
+/// single lane spawns nothing. A lane that panics unwinds into the caller
+/// once every lane has finished.
+pub(crate) fn fan_out<L: Sync, T: Send>(lanes: &[L], serve: impl Fn(&L) -> T + Sync) -> Vec<T> {
     let Some((first, rest)) = lanes.split_first() else {
         return Vec::new();
     };

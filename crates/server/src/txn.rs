@@ -8,7 +8,7 @@
 //! applying the ops twice. Bounded LRU: the window only needs to cover the
 //! client's retry horizon (seconds), not history.
 
-use platod2gl_graph::TxnReceipt;
+use platod2gl_graph::{EdgeType, TxnReceipt};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Mutex;
@@ -17,6 +17,12 @@ use std::sync::Mutex;
 const LEDGER_CAPACITY: usize = 1024;
 /// Entries kept in the `/debug/txns` journal ring.
 const RECENT_CAPACITY: usize = 64;
+
+/// Whether `etype` is registered under `limit`, a value of
+/// `TxnPlane::etype_limit`.
+pub(crate) fn etype_within(limit: u32, etype: EdgeType) -> bool {
+    limit == u32::MAX || u32::from(etype.0) < limit
+}
 
 /// One `/debug/txns` journal entry.
 #[derive(Clone, Debug)]

@@ -11,10 +11,14 @@
 //! ([`Cluster::call_shard`]).
 
 use crate::faults::Verdict;
+use crate::service::fan_out;
+use crate::txn::etype_within;
 use crate::{wire, BatchReport, Cluster, GraphServer};
 use platod2gl_graph::{
-    validate_and_lower, Error, GraphStore, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp,
+    merge_parts, validate_part, EdgeType, Error, GraphStore, GraphTxn, ShardHealth, TxnError,
+    TxnReceipt, TxnView, UpdateOp, VertexId,
 };
+use platod2gl_storage::DynamicGraphStore;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -259,26 +263,24 @@ impl Cluster {
         }
     }
 
-    /// The write pipeline. Ops are partitioned by owning shard; every
-    /// involved shard is admitted *before* any shard applies anything;
-    /// admitted partitions apply through the PALM batch updater, all
-    /// shards in parallel (they are independent machines in production),
-    /// each worker catching its own panic; each joined shard is settled
-    /// (journal, health, first panic) and the version bumps once.
+    /// The write pipeline. It takes the ops already partitioned by owning
+    /// shard (`per_shard[s]` is shard `s`'s partition): an update batch is
+    /// routed by its entry point, a transaction's partitions come out of
+    /// validation. Every involved shard is admitted *before* any shard
+    /// applies anything; admitted partitions apply through the PALM batch
+    /// updater, all shards in parallel (they are independent machines in
+    /// production), each worker catching its own panic; each joined shard
+    /// is settled (journal, health, first panic) and the version bumps once.
     ///
     /// `started` is when the entry point began (it may have validated
     /// first); the update-latency histogram observes from there.
     fn write(
         &self,
-        ops: &[UpdateOp],
+        per_shard: &[Vec<UpdateOp>],
         admission: Admission,
         origin: Origin,
         started: Instant,
     ) -> Result<BatchReport, WriteError> {
-        let mut per_shard: Vec<Vec<UpdateOp>> = vec![Vec::new(); self.servers.len()];
-        for op in ops {
-            per_shard[self.route(op.src())].push(*op);
-        }
         // One request frame per shard that receives a partition, one reply
         // frame back from each — exactly what the rpc transport ships.
         let (frame_bytes, reply_bytes, worker) = admission.wire();
@@ -370,7 +372,7 @@ impl Cluster {
         let mutated = match admission {
             // Conservative: queued-only batches also bump (a cache refresh
             // is cheap; serving around a missed invalidation is not).
-            Admission::Lenient => !ops.is_empty(),
+            Admission::Lenient => per_shard.iter().any(|p| !p.is_empty()),
             // Only when shard state actually changed — a refused txn leaves
             // caches valid. A partial panic still counts: the surviving
             // shards mutated.
@@ -397,13 +399,19 @@ impl Cluster {
         origin: Origin,
     ) -> Result<BatchReport, Error> {
         let _span = self.registry.span("cluster.apply_batch");
-        Ok(self.write(ops, Admission::Lenient, origin, Instant::now())?)
+        let started = Instant::now();
+        let mut per_shard: Vec<Vec<UpdateOp>> = vec![Vec::new(); self.servers.len()];
+        for op in ops {
+            per_shard[self.route(op.src())].push(*op);
+        }
+        Ok(self.write(&per_shard, Admission::Lenient, origin, started)?)
     }
 
     /// Apply a typed transaction: two-phase, all-or-nothing across shards.
     ///
-    /// **Phase 1** validates the whole batch against live topology
-    /// ([`validate_and_lower`]) and rejects it — zero changes — on any
+    /// **Phase 1** validates the batch against live topology, one sorted
+    /// plan per owning shard with every shard at once
+    /// ([`validate_part`]), and rejects it — zero changes — on any
     /// violation. **Phase 2** sends the lowered ops down the write pipeline
     /// with *strict* admission: a transaction is atomic across shards, so
     /// if any involved shard is failed, unavailable after retries, or
@@ -430,7 +438,7 @@ impl Cluster {
         txn: &GraphTxn,
         origin: Origin,
     ) -> Result<TxnReceipt, TxnError> {
-        let _span = self.registry.span("cluster.apply_txn");
+        let root = self.registry.span("cluster.apply_txn");
         let started = Instant::now();
 
         if let Some(mut receipt) = self.txn.lookup(txn.id()) {
@@ -441,10 +449,9 @@ impl Cluster {
             return Ok(receipt);
         }
 
-        // Phase 1: validate against the cluster's live topology (the
-        // `TxnView` impl routes reads to the owning shards).
-        let lowered = match validate_and_lower(txn, self) {
-            Ok(lowered) => lowered,
+        // Phase 1, on the owning shards.
+        let per_shard = match self.validate_on_shards(txn, root.id(), root.trace_id()) {
+            Ok(per_shard) => per_shard,
             Err(e) => {
                 self.note_txn_abort(
                     txn.id(),
@@ -456,7 +463,7 @@ impl Cluster {
         };
 
         // Phase 2.
-        if let Err(e) = self.write(&lowered, Admission::Strict, origin, started) {
+        if let Err(e) = self.write(&per_shard, Admission::Strict, origin, started) {
             let (outcome, detail) = match &e {
                 WriteError::Refused { shard, why } => {
                     ("unavailable", format!("shard {shard}: {why}"))
@@ -469,7 +476,7 @@ impl Cluster {
 
         let receipt = TxnReceipt {
             txn_id: txn.id(),
-            ops_applied: lowered.len() as u64,
+            ops_applied: per_shard.iter().map(Vec::len).sum::<usize>() as u64,
             graph_version: self.graph_version(),
             deduped: false,
         };
@@ -483,12 +490,79 @@ impl Cluster {
         Ok(receipt)
     }
 
+    /// Phase 1 on every owning shard at once: the txn's op indices are
+    /// grouped by the shard that owns their source, each group's sorted
+    /// plan ([`validate_part`]) is walked against that shard's store on
+    /// its own lane, and the verdicts are merged ([`merge_parts`]). The
+    /// caller's thread serves the first lane and a scoped thread each
+    /// other one (`service::fan_out`), so a single-shard txn spawns
+    /// nothing. Every conflict is between ops with one source, so the
+    /// answer is exactly `validate_and_lower(txn, self)`: the same
+    /// violations in the same order, or its lowered ops cut by shard
+    /// (`Ok(per_shard)`, `per_shard[s]` sorted by `(src, etype, dst)`).
+    ///
+    /// The lanes open `cluster.txn_validate_lane` under the caller's
+    /// `cluster.apply_txn` span (`root`, `trace`).
+    fn validate_on_shards(
+        &self,
+        txn: &GraphTxn,
+        root: u64,
+        trace: u64,
+    ) -> Result<Vec<Vec<UpdateOp>>, TxnError> {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.servers.len()];
+        for (i, op) in txn.ops().iter().enumerate() {
+            groups[self.route(op.src())].push(i);
+        }
+        let lanes: Vec<(usize, Vec<usize>)> = groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, ops)| !ops.is_empty())
+            .collect();
+        // One read per txn: every lane judges etypes by the same schema.
+        let etype_limit = self.txn.etype_limit.load(Ordering::Relaxed);
+        let verdicts = fan_out(&lanes, |(shard, ops)| {
+            let _lane = self
+                .registry
+                .span_with_parent("cluster.txn_validate_lane", root, trace);
+            let view = ShardView {
+                store: &self.servers[*shard].topology,
+                etype_limit,
+            };
+            validate_part(txn, ops.iter().copied(), &view)
+        });
+        let mut per_shard: Vec<Vec<UpdateOp>> = vec![Vec::new(); self.servers.len()];
+        for ((shard, _), lowered) in lanes.iter().zip(merge_parts(txn, verdicts)?) {
+            per_shard[*shard] = lowered;
+        }
+        Ok(per_shard)
+    }
+
     /// Record one aborted transaction: counter, streak, journal.
     fn note_txn_abort(&self, txn_id: u64, outcome: &'static str, detail: String) {
         self.m.txn_aborted.inc();
         let streak = self.txn.abort_streak.fetch_add(1, Ordering::Relaxed) + 1;
         self.m.txn_abort_streak.set(streak as i64);
         self.txn.log(txn_id, outcome, 0, detail);
+    }
+}
+
+/// One shard's phase-1 reads, judging etypes by the limit its txn read.
+struct ShardView<'a> {
+    store: &'a DynamicGraphStore,
+    etype_limit: u32,
+}
+
+impl TxnView for ShardView<'_> {
+    fn edge_weight(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> Option<f64> {
+        TxnView::edge_weight(self.store, src, dst, etype)
+    }
+
+    fn neighbors(&self, v: VertexId, etype: EdgeType) -> Vec<(VertexId, f64)> {
+        TxnView::neighbors(self.store, v, etype)
+    }
+
+    fn known_etype(&self, etype: EdgeType) -> bool {
+        etype_within(self.etype_limit, etype)
     }
 }
 
@@ -500,5 +574,196 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ClusterConfig;
+    use platod2gl_graph::{validate_and_lower, Edge, TxnOp, TxnViolation, ViolationKind};
+    use proptest::prelude::*;
+    use std::collections::{BTreeSet, HashMap};
+
+    /// Four shards with etypes 0 and 1 registered. Sources `0..8` have
+    /// out-edges to two in three of `0..6` in both etypes; sources `8..12`
+    /// have none.
+    fn txn_cluster() -> Cluster {
+        let c = Cluster::new(
+            ClusterConfig::builder()
+                .num_shards(4)
+                .build()
+                .expect("valid config"),
+        );
+        c.set_etype_limit(Some(2));
+        for s in 0..8u64 {
+            for d in (0..6u64).filter(|d| (s + d) % 3 != 0) {
+                for t in 0..2 {
+                    c.insert_edge(Edge {
+                        src: VertexId(s),
+                        dst: VertexId(d),
+                        etype: EdgeType(t),
+                        weight: 1.0 + d as f64,
+                        ts: 0,
+                    });
+                }
+            }
+        }
+        c
+    }
+
+    /// Any op over sources `0..12`, destinations `0..6` and etypes `0..3`
+    /// (2 is past the limit): duplicate keys, claim conflicts, dangling
+    /// deletes and patches, repeated upserts and deletes of empty vertices
+    /// are all common. One weight in eight is NaN.
+    fn any_op() -> impl Strategy<Value = TxnOp> {
+        let weight = (0u8..8, 0.5..4.0f64).prop_map(|(k, w)| if k == 0 { f64::NAN } else { w });
+        (0u8..5, (0u64..12, 0u64..6), 0u16..3, weight).prop_map(|(kind, (s, d), t, w)| {
+            let (src, dst, etype) = (VertexId(s), VertexId(d), EdgeType(t));
+            let edge = Edge {
+                src,
+                dst,
+                etype,
+                weight: w,
+                ts: 0,
+            };
+            match kind {
+                0 => TxnOp::InsertEdge(edge),
+                1 => TxnOp::DeleteEdge { src, dst, etype },
+                2 => TxnOp::PatchWeight(edge),
+                3 => TxnOp::UpsertVertex { vertex: src },
+                _ => TxnOp::DeleteVertex { vertex: src, etype },
+            }
+        })
+    }
+
+    fn txn_of(id: u64, ops: impl IntoIterator<Item = TxnOp>) -> GraphTxn {
+        let mut txn = GraphTxn::new(id);
+        ops.into_iter().for_each(|op| txn.push(op));
+        txn
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn sharded_phase_one_matches_the_whole_txn_walk(ops in proptest::collection::vec(any_op(), 2..10)) {
+            let c = txn_cluster();
+            let txn = txn_of(9, ops);
+            let shards: BTreeSet<usize> = txn.ops().iter().map(|op| c.route(op.src())).collect();
+            prop_assume!(shards.len() >= 2);
+            match (c.validate_on_shards(&txn, 0, 0), validate_and_lower(&txn, &c)) {
+                (Ok(per_shard), Ok(whole)) => {
+                    let mut cut = vec![Vec::new(); c.num_shards()];
+                    for op in whole {
+                        cut[c.route(op.src())].push(op);
+                    }
+                    prop_assert_eq!(per_shard, cut);
+                }
+                (Err(sharded), Err(whole)) => {
+                    prop_assert!(sharded.is_rejected());
+                    prop_assert_eq!(sharded.violations(), whole.violations());
+                }
+                (sharded, whole) => prop_assert!(false, "sharded {:?} vs whole {:?}", sharded, whole),
+            }
+        }
+    }
+
+    #[test]
+    fn violations_on_two_shards_merge_in_op_order_and_nothing_lands() {
+        let c = txn_cluster();
+        let a = VertexId(0);
+        let b = (1..8)
+            .map(VertexId)
+            .find(|&v| c.route(v) != c.route(a))
+            .expect("two shards");
+        // Ops alternate between the shards, so the merged list interleaves
+        // the two lanes' violations.
+        let txn = txn_of(
+            77,
+            [
+                TxnOp::InsertEdge(Edge::new(a, VertexId(100), 1.0)),
+                TxnOp::DeleteEdge {
+                    src: b,
+                    dst: VertexId(99),
+                    etype: EdgeType(0),
+                },
+                TxnOp::PatchWeight(Edge::new(a, VertexId(98), 2.0)),
+                TxnOp::InsertEdge(Edge::new(b, VertexId(97), f64::NAN)),
+                TxnOp::DeleteVertex {
+                    vertex: b,
+                    etype: EdgeType(2),
+                },
+            ],
+        );
+        let whole = validate_and_lower(&txn, &c).expect_err("rejected");
+        let sharded = c.validate_on_shards(&txn, 0, 0).expect_err("rejected");
+        assert_eq!(sharded.violations(), whole.violations());
+        let got: Vec<(usize, ViolationKind)> = sharded
+            .violations()
+            .iter()
+            .map(|v: &TxnViolation| (v.op_index, v.kind))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (1, ViolationKind::DanglingDelete),
+                (2, ViolationKind::DanglingPatch),
+                (3, ViolationKind::NonFiniteWeight),
+                (4, ViolationKind::UnknownEtype),
+            ]
+        );
+
+        let (version, edges) = (c.graph_version(), GraphStore::num_edges(&c));
+        let err = c.apply_txn(&txn).expect_err("rejected");
+        assert_eq!(err.violations(), whole.violations());
+        assert_eq!(c.graph_version(), version, "no version bump");
+        assert_eq!(GraphStore::num_edges(&c), edges, "nothing applied");
+        assert_eq!(
+            TxnView::edge_weight(&c, a, VertexId(100), EdgeType(0)),
+            None
+        );
+        assert!(
+            (0..c.num_shards()).all(|s| c.pending_ops(s) == 0),
+            "nothing queued"
+        );
+        assert_eq!(c.txn_journal().last().map(|e| e.outcome), Some("rejected"));
+    }
+
+    #[test]
+    fn validation_lanes_carry_the_callers_trace() {
+        let c = txn_cluster();
+        // One insert per shard: four lanes, three of them on scoped threads.
+        let mut ops = Vec::new();
+        for shard in 0..c.num_shards() {
+            let v = (0..64)
+                .map(VertexId)
+                .find(|&v| c.route(v) == shard)
+                .expect("owned vertex");
+            ops.push(TxnOp::InsertEdge(Edge::new(v, VertexId(500), 1.0)));
+        }
+        let trace = 0x7A11;
+        let caller_span = {
+            let root = c.obs().span_traced("test.caller", trace);
+            c.apply_txn(&txn_of(5, ops)).expect("commits");
+            root.id()
+        };
+        let spans = c.obs().trace_spans(trace);
+        let by_id: HashMap<u64, _> = spans.iter().map(|s| (s.id, s)).collect();
+        let lanes: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "cluster.txn_validate_lane")
+            .collect();
+        assert_eq!(lanes.len(), c.num_shards(), "every lane joined the trace");
+        for lane in lanes {
+            assert_eq!(
+                by_id[&lane.parent.expect("parented")].name,
+                "cluster.apply_txn"
+            );
+            let mut at = lane;
+            while at.parent != Some(caller_span) {
+                let parent = at.parent.expect("parent chain reaches the caller");
+                at = by_id[&parent];
+            }
+        }
     }
 }

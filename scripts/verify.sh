@@ -26,10 +26,12 @@ cargo test -q
 echo "==> cargo test -p platod2gl-{gnn,samtree,graph,server} --release (the code the benchmark runs)"
 # The gnn slice kernels' equivalence and gradient tests, the samtree
 # fixed-width CP-ID scan's properties, the txn validator's equivalence
-# proptest and the server's per-shard sample-lane tests (bit parity,
-# concurrent callers, trace re-anchoring) must see the code the benchmark
-# runs: hot loops vectorise only at opt-level 3 and lanes race differently,
-# so the debug run above tests a different program.
+# proptest, the server's per-shard sample-lane tests (bit parity,
+# concurrent callers, trace re-anchoring) and its per-shard txn-validation
+# tests (the sharded-phase-1 proptest against the whole-txn walk, and the
+# validation lanes' trace) must see the code the benchmark runs: hot loops
+# vectorise only at opt-level 3 and lanes race differently, so the debug
+# run above tests a different program.
 cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-graph -p platod2gl-server --release 2>&1 | tee "$build_log"
 if grep "^warning" "$build_log" >/dev/null; then
     echo "verify: FAIL - compiler warnings in the release test build:"
