@@ -8,14 +8,18 @@
 //!
 //! ## Determinism
 //!
-//! [`FleetCluster::sample_many`] honors the service determinism contract:
-//! it draws exactly one `next_u64` per request, *in request order, before
-//! any I/O*, then partitions `(request, seed)` pairs by owning server and
-//! ships each group with its seeds pinned. Each server derives the same
-//! per-request RNG a single server would have, so a fixed-seed trainer
-//! produces bit-identical batches whether the graph lives on one server
-//! or ten — and a replica retry with the same pinned seed is bit-identical
-//! too, which is what makes failover invisible to a training run.
+//! [`FleetCluster::sample_many`] keeps the service determinism contract
+//! through the same routine `Cluster` uses,
+//! [`sample_by_owner`](platod2gl_server::sample_by_owner): exactly one
+//! `next_u64` per request, *in request order, before any I/O*, then
+//! `(request, seed)` pairs grouped by owning server, each group shipped
+//! with its seeds pinned — the first on the caller's thread, one scoped
+//! thread each for the others — and the replies stitched back by
+//! position. Each server derives the same per-request RNG a single server
+//! would have, so a fixed-seed trainer produces bit-identical batches
+//! whether the graph lives on one server or ten — and a replica retry with
+//! the same pinned seed is bit-identical too, which is what makes failover
+//! invisible to a training run.
 //!
 //! ## Degraded reads
 //!
@@ -29,7 +33,7 @@ use crate::node::{derive_txn_id, group_by_server, merge_receipt, sub_txn, CH_OWN
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{current_trace_context, Counter, ObsSnapshot, Registry, SpanRecord};
 use platod2gl_rpc::{ClientConfig, RemoteCluster};
-use platod2gl_server::{BatchReport, GraphService, SampleRequest, SampleResponse};
+use platod2gl_server::{sample_by_owner, BatchReport, GraphService, SampleRequest, SampleResponse};
 use rand::RngCore;
 use std::collections::HashMap;
 use std::net::ToSocketAddrs;
@@ -188,46 +192,38 @@ impl FleetCluster {
         s.conns.get(&id).cloned()
     }
 
-    /// Sample one owner-group, falling back per-request to the replica
-    /// and then to the degraded policy. Returns responses parallel to
-    /// `idxs`. Runs on its own thread, so `(root_id, trace)` re-anchor
-    /// the fan-out span there — the outbound RPCs then carry the trace
-    /// context the thread-local stack would otherwise lose.
-    #[allow(clippy::too_many_arguments)]
+    /// Sample one owner group of `(request, seed)` pairs, falling back
+    /// per request to the replica and then to the degraded policy.
+    /// Returns responses parallel to `batch`. A group may run on a thread
+    /// of its own, so `(root_id, trace)` re-anchor the fan-out span there:
+    /// the outbound RPCs then carry the trace context the thread-local
+    /// stack would otherwise lose.
     fn sample_group(
         &self,
         map: &PartitionMap,
         conns: &HashMap<u64, Arc<RemoteCluster>>,
         owner: u32,
-        reqs: &[SampleRequest],
-        seeds: &[u64],
-        idxs: &[usize],
-        root_id: u64,
-        trace: u64,
+        batch: &[(SampleRequest, u64)],
+        (root_id, trace): (u64, u64),
     ) -> Vec<SampleResponse> {
         let _group_span = self
             .registry
             .span_with_parent("fleet.sample_group", root_id, trace);
-        let batch: Vec<(SampleRequest, u64)> = idxs.iter().map(|&i| (reqs[i], seeds[i])).collect();
-        let primary = Self::conn(conns, map, owner).and_then(|c| c.sample_with_seeds(&batch).ok());
+        let primary = Self::conn(conns, map, owner).and_then(|c| c.sample_with_seeds(batch).ok());
         let mut out: Vec<Option<SampleResponse>> = match primary {
             Some(v) => v.into_iter().map(Some).collect(),
-            None => vec![None; idxs.len()],
+            None => vec![None; batch.len()],
         };
 
-        // Collect the positions that still need an answer, grouped by
-        // the partition's replica server.
-        let mut retry: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (pos, slot) in out.iter().enumerate() {
-            if slot.as_ref().is_none_or(|r| r.degraded) {
-                let p = map.partition_of(batch[pos].0.vertex);
-                if let Some(r) = map.replica_index(p) {
-                    if r != owner {
-                        retry.entry(r).or_default().push(pos);
-                    }
-                }
-            }
-        }
+        // The positions that still need an answer, grouped by the
+        // partition's replica server.
+        let unanswered: Vec<usize> = (0..out.len())
+            .filter(|&pos| out[pos].as_ref().is_none_or(|r| r.degraded))
+            .collect();
+        let retry = group_by_server(&unanswered, |&pos| {
+            map.replica_index(map.partition_of(batch[pos].0.vertex))
+                .filter(|&r| r != owner)
+        });
         for (ridx, positions) in retry {
             // The failover leg gets its own span (child of the group
             // span), so a stitched trace shows the replica read under the
@@ -327,8 +323,6 @@ impl GraphService for FleetCluster {
     }
 
     fn sample_many(&self, reqs: &[SampleRequest], rng: &mut dyn RngCore) -> Vec<SampleResponse> {
-        // Seeds first, in request order: the determinism contract.
-        let seeds: Vec<u64> = reqs.iter().map(|_| rng.next_u64()).collect();
         if reqs.is_empty() {
             return Vec::new();
         }
@@ -343,34 +337,13 @@ impl GraphService for FleetCluster {
             (None, Some(t)) => self.registry.span_traced("fleet.sample", t),
             _ => self.registry.span("fleet.sample"),
         };
-        let (root_id, trace) = (root.id(), root.trace_id());
+        let anchor = (root.id(), root.trace_id());
         let (map, conns) = self.snapshot();
-        let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (i, req) in reqs.iter().enumerate() {
-            groups.entry(map.owner_of(req.vertex)).or_default().push(i);
-        }
-        let groups: Vec<(u32, Vec<usize>)> = groups.into_iter().collect();
-        let mut out: Vec<Option<SampleResponse>> = vec![None; reqs.len()];
-        // One thread per owner group: the groups hit different servers,
-        // so their round trips overlap.
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(groups.len());
-            for (owner, idxs) in &groups {
-                let (map, conns, seeds) = (&map, &conns, &seeds);
-                handles.push(scope.spawn(move || {
-                    self.sample_group(map, conns, *owner, reqs, seeds, idxs, root_id, trace)
-                }));
-            }
-            for (handle, (_, idxs)) in handles.into_iter().zip(&groups) {
-                let responses = handle.join().expect("sampler thread never panics");
-                for (resp, &i) in responses.into_iter().zip(idxs) {
-                    out[i] = Some(resp);
-                }
-            }
-        });
-        out.into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect()
+        // The groups hit different servers, so their round trips overlap.
+        let owner = |req: &SampleRequest| map.owner_of(req.vertex) as usize;
+        sample_by_owner(reqs, rng, map.servers().len(), owner, |at, batch| {
+            self.sample_group(&map, &conns, at as u32, batch, anchor)
+        })
     }
 
     fn apply_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {

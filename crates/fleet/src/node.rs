@@ -272,7 +272,10 @@ impl GraphService for FleetNode {
     }
 
     fn apply_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        let Some(split) = self.split(txn.ops(), TxnOp::src) else {
+        // An empty txn has no owner to split by: the local phase 1 rejects
+        // it, exactly as a bare cluster does.
+        let split = self.split(txn.ops(), TxnOp::src);
+        let Some(split) = split.filter(|_| !txn.ops().is_empty()) else {
             return self.cluster.apply_txn(txn);
         };
         let mut receipt = if split.owned.is_empty() {

@@ -52,7 +52,7 @@ mod write;
 pub use faults::{FaultInjector, FaultKind};
 pub use platod2gl_obs::HistogramSnapshot;
 pub use request::{DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
-pub use service::GraphService;
+pub use service::{sample_by_owner, GraphService};
 pub use txn::TxnLogEntry;
 
 use platod2gl_graph::{
@@ -74,8 +74,6 @@ pub struct ClusterConfig {
     pub num_shards: usize,
     /// Storage configuration applied to every shard.
     pub store: StoreConfig,
-    /// Worker threads used inside each shard for batched updates.
-    pub threads_per_shard: usize,
     /// Sample requests whose end-to-end latency reaches this threshold are
     /// captured — span tree plus request provenance — into the registry's
     /// slow-op log (served at `/debug/slow` by the admin server).
@@ -87,7 +85,6 @@ impl Default for ClusterConfig {
         Self {
             num_shards: 4,
             store: StoreConfig::default(),
-            threads_per_shard: 1,
             slow_op_threshold: Duration::from_millis(100),
         }
     }
@@ -124,12 +121,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Worker threads used inside each shard for batched updates.
-    pub fn threads_per_shard(mut self, threads: usize) -> Self {
-        self.config.threads_per_shard = threads;
-        self
-    }
-
     /// Latency threshold above which a sample request is captured into the
     /// slow-op log. `Duration::ZERO` captures everything (test/debug).
     pub fn slow_op_threshold(mut self, threshold: Duration) -> Self {
@@ -142,11 +133,6 @@ impl ClusterConfigBuilder {
         let c = self.config;
         if c.num_shards == 0 {
             return Err(Error::invalid_config("num_shards must be at least 1"));
-        }
-        if c.threads_per_shard == 0 {
-            return Err(Error::invalid_config(
-                "threads_per_shard must be at least 1",
-            ));
         }
         if c.store.directory_shards == 0 {
             return Err(Error::invalid_config(
@@ -351,7 +337,6 @@ impl ClusterMetrics {
 
 /// A routing facade over `S` graph servers.
 pub struct Cluster {
-    config: ClusterConfig,
     servers: Vec<GraphServer>,
     shard_states: Vec<ShardState>,
     faults: FaultInjector,
@@ -485,7 +470,6 @@ impl Cluster {
                 .collect(),
             shard_states: (0..config.num_shards).map(|_| ShardState::new()).collect(),
             faults: FaultInjector::new(config.num_shards),
-            config,
             registry,
             m,
             txn: TxnPlane::new(),
@@ -1520,18 +1504,12 @@ mod tests {
         assert!(ClusterConfig::builder().build().is_ok());
         let cfg = ClusterConfig::builder()
             .num_shards(6)
-            .threads_per_shard(2)
             .build()
             .expect("valid");
         assert_eq!(cfg.num_shards, 6);
-        assert_eq!(cfg.threads_per_shard, 2);
 
         let err = ClusterConfig::builder().num_shards(0).build().unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
-        assert!(ClusterConfig::builder()
-            .threads_per_shard(0)
-            .build()
-            .is_err());
         let mut bad_store = StoreConfig::default();
         bad_store.tree.capacity = 2;
         assert!(ClusterConfig::builder().store(bad_store).build().is_err());
@@ -1555,7 +1533,6 @@ mod tests {
             ClusterConfig::builder()
                 .num_shards(2)
                 .store(store)
-                .threads_per_shard(2)
                 .build()
                 .expect("valid"),
         );

@@ -18,9 +18,12 @@
 //! server performs the same derivation. Consequently a trainer with a fixed
 //! seed produces bit-identical mini-batches whether the service is local or
 //! remote, which is what makes the two deployments testable against each
-//! other. It is also what lets `Cluster` serve a batch on every owning
-//! shard at once: the seeds are drawn in request order before any shard
-//! runs, so which thread serves a request changes no draw.
+//! other.
+//!
+//! A service that splits a batch by owner — `Cluster` by shard, the fleet
+//! client by server — keeps the contract through one routine,
+//! [`sample_by_owner`]: the seeds are drawn in request order before any
+//! owner group runs, so which thread serves a request changes no draw.
 
 use crate::request::{SampleRequest, SampleResponse};
 use crate::write::Origin;
@@ -192,11 +195,9 @@ impl GraphService for Cluster {
     }
 
     /// Serves the batch on every owning shard at once: one lane per shard
-    /// with work, stitched back by position. Bit-identical to the
-    /// `sample_one` loop, since each request samples from its own seed.
+    /// with work ([`sample_by_owner`]). Bit-identical to the `sample_one`
+    /// loop, since each request samples from its own seed.
     fn sample_many(&self, reqs: &[SampleRequest], rng: &mut dyn RngCore) -> Vec<SampleResponse> {
-        // Seeds first, in request order: the determinism contract.
-        let seeds: Vec<u64> = reqs.iter().map(|_| rng.next_u64()).collect();
         if reqs.is_empty() {
             return Vec::new();
         }
@@ -204,26 +205,15 @@ impl GraphService for Cluster {
         // `cluster.sample` carries the caller's trace whoever serves it.
         let root = self.registry.span("cluster.sample_many");
         let (root_id, trace) = (root.id(), root.trace_id());
-        let mut lanes: Vec<Vec<usize>> = vec![Vec::new(); self.num_shards()];
-        for (i, req) in reqs.iter().enumerate() {
-            lanes[self.route(req.vertex)].push(i);
-        }
-        lanes.retain(|idxs| !idxs.is_empty());
-        let served = fan_out(&lanes, |idxs| {
+        let owner = |req: &SampleRequest| self.route(req.vertex);
+        sample_by_owner(reqs, rng, self.num_shards(), owner, |_, lane| {
             let _lane = self
                 .registry
                 .span_with_parent("cluster.sample_lane", root_id, trace);
-            idxs.iter()
-                .map(|&i| self.sample(&reqs[i], &mut StdRng::seed_from_u64(seeds[i])))
-                .collect::<Vec<_>>()
-        });
-        let mut out: Vec<Option<SampleResponse>> = vec![None; reqs.len()];
-        for (&i, resp) in lanes.iter().flatten().zip(served.into_iter().flatten()) {
-            out[i] = Some(resp);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect()
+            lane.iter()
+                .map(|(req, seed)| self.sample(req, &mut StdRng::seed_from_u64(*seed)))
+                .collect()
+        })
     }
 
     fn apply_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
@@ -389,6 +379,57 @@ impl GraphService for Cluster {
         }
         counts
     }
+}
+
+/// The determinism contract of a service that splits a sample batch by
+/// owner (`Cluster` by shard, the fleet client by server), written once.
+/// It draws exactly one `next_u64` per request, in request order, before
+/// any group runs; groups the requests by `owner` (an index below
+/// `num_owners`); serves each non-empty group as `serve(owner, (request,
+/// seed) pairs)`, the first on the caller's thread and one scoped thread
+/// each for the others; and stitches the responses, which `serve` gives in
+/// pair order, back by position. A group that panics unwinds into the
+/// caller with its own payload.
+pub fn sample_by_owner(
+    reqs: &[SampleRequest],
+    rng: &mut dyn RngCore,
+    num_owners: usize,
+    owner: impl Fn(&SampleRequest) -> usize,
+    serve: impl Fn(usize, &[(SampleRequest, u64)]) -> Vec<SampleResponse> + Sync,
+) -> Vec<SampleResponse> {
+    let seeds: Vec<u64> = reqs.iter().map(|_| rng.next_u64()).collect();
+    let groups = group_by_owner(reqs, num_owners, owner);
+    let served = fan_out(&groups, |(at, idxs)| {
+        let lane: Vec<(SampleRequest, u64)> = idxs.iter().map(|&i| (reqs[i], seeds[i])).collect();
+        serve(*at, &lane)
+    });
+    let mut out: Vec<Option<SampleResponse>> = vec![None; reqs.len()];
+    let positions = groups.iter().flat_map(|(_, idxs)| idxs);
+    for (&i, resp) in positions.zip(served.into_iter().flatten()) {
+        out[i] = Some(resp);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every request answered"))
+        .collect()
+}
+
+/// Item indices grouped by owner in one pass, one vector per owner index
+/// below `num_owners`: the non-empty groups as `(owner, indices)`, owners
+/// ascending and indices in item order.
+pub(crate) fn group_by_owner<T>(
+    items: &[T],
+    num_owners: usize,
+    owner: impl Fn(&T) -> usize,
+) -> Vec<(usize, Vec<usize>)> {
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_owners];
+    for (i, item) in items.iter().enumerate() {
+        groups[owner(item)].push(i);
+    }
+    groups
+        .into_iter()
+        .enumerate()
+        .filter(|(_, idxs)| !idxs.is_empty())
+        .collect()
 }
 
 /// The per-shard fan-out of read batches and txn validation: `serve` runs
@@ -626,6 +667,66 @@ mod tests {
             })
         });
         assert!(crashed.is_err());
+    }
+
+    #[test]
+    fn sample_by_owner_draws_in_order_and_stitches_by_position() {
+        // Owners 1, 2 and 3 hold one, four and two requests, interleaved;
+        // owner 0 holds none, so owner 1's group is the first.
+        let owners = [2, 1, 2, 3, 2, 3, 2];
+        let reqs: Vec<SampleRequest> = (0..owners.len() as u64)
+            .map(|i| SampleRequest::new(VertexId(i), EdgeType(0), 1))
+            .collect();
+        let owner = |req: &SampleRequest| owners[req.vertex.raw() as usize];
+        // A response names its request, its seed and the group that served it.
+        let answer = |req: &SampleRequest, seed: u64, at: usize| SampleResponse {
+            neighbors: vec![req.vertex, VertexId(seed)],
+            sources: Vec::new(),
+            degraded: false,
+            shard: at,
+        };
+        let caller = std::thread::current().id();
+        let on_caller = std::sync::Mutex::new(Vec::new());
+        let mut rng = StdRng::seed_from_u64(11);
+        let out = sample_by_owner(&reqs, &mut rng, 4, owner, |at, lane| {
+            if std::thread::current().id() == caller {
+                on_caller.lock().expect("unpoisoned").push(at);
+            }
+            lane.iter()
+                .map(|(req, seed)| answer(req, *seed, at))
+                .collect()
+        });
+        let mut twin = StdRng::seed_from_u64(11);
+        let want: Vec<SampleResponse> = reqs
+            .iter()
+            .map(|req| answer(req, twin.next_u64(), owner(req)))
+            .collect();
+        assert_eq!(out, want, "seeds in request order, answers by position");
+        assert_eq!(rng.next_u64(), twin.next_u64(), "one draw per request");
+        assert_eq!(
+            *on_caller.lock().expect("unpoisoned"),
+            [1],
+            "the first group, and only it, runs on the caller"
+        );
+
+        // A panicking group's own message reaches the caller.
+        let crashed = std::panic::catch_unwind(|| {
+            sample_by_owner(
+                &reqs,
+                &mut StdRng::seed_from_u64(11),
+                4,
+                owner,
+                |at, lane| {
+                    assert_ne!(at, 3, "owner 3 crashed");
+                    lane.iter()
+                        .map(|(req, seed)| answer(req, *seed, at))
+                        .collect()
+                },
+            )
+        })
+        .expect_err("owner 3's group panics");
+        let message = crashed.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("owner 3 crashed"), "{message}");
     }
 
     #[test]

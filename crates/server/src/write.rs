@@ -11,7 +11,7 @@
 //! ([`Cluster::call_shard`]).
 
 use crate::faults::Verdict;
-use crate::service::fan_out;
+use crate::service::{fan_out, group_by_owner};
 use crate::txn::etype_within;
 use crate::{wire, BatchReport, Cluster, GraphServer};
 use platod2gl_graph::{
@@ -210,9 +210,7 @@ impl Cluster {
             };
             drained += pending.len();
             let ops: Vec<UpdateOp> = pending.iter().map(|(op, _)| *op).collect();
-            self.servers[shard]
-                .topology
-                .apply_batch_parallel(&ops, self.config.threads_per_shard.max(1));
+            self.servers[shard].topology.apply_batch_parallel(&ops, 1);
             let first_hand: Vec<UpdateOp> = pending
                 .iter()
                 .filter(|(_, origin)| *origin == Origin::Client)
@@ -314,7 +312,6 @@ impl Cluster {
             }
         }
 
-        let threads = self.config.threads_per_shard.max(1);
         let mut first_panic = None;
         let mut any_applied = false;
         // One spawned worker per admitted shard, the caller only joining:
@@ -338,7 +335,7 @@ impl Cluster {
                             if go.panic {
                                 panic!("injected fault: shard {shard} {worker} worker crashed");
                             }
-                            server.topology.apply_batch_parallel(shard_ops, threads);
+                            server.topology.apply_batch_parallel(shard_ops, 1);
                         }))
                         .map_err(|payload| panic_message(&*payload))
                     });
@@ -491,7 +488,8 @@ impl Cluster {
     }
 
     /// Phase 1 on every owning shard at once: the txn's op indices are
-    /// grouped by the shard that owns their source, each group's sorted
+    /// grouped by the shard that owns their source (`group_by_owner`, the
+    /// grouping step `sample_many` uses too), each group's sorted
     /// plan ([`validate_part`]) is walked against that shard's store on
     /// its own lane, and the verdicts are merged ([`merge_parts`]). The
     /// caller's thread serves the first lane and a scoped thread each
@@ -509,15 +507,7 @@ impl Cluster {
         root: u64,
         trace: u64,
     ) -> Result<Vec<Vec<UpdateOp>>, TxnError> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.servers.len()];
-        for (i, op) in txn.ops().iter().enumerate() {
-            groups[self.route(op.src())].push(i);
-        }
-        let lanes: Vec<(usize, Vec<usize>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, ops)| !ops.is_empty())
-            .collect();
+        let lanes = group_by_owner(txn.ops(), self.servers.len(), |op| self.route(op.src()));
         // One read per txn: every lane judges etypes by the same schema.
         let etype_limit = self.txn.etype_limit.load(Ordering::Relaxed);
         let verdicts = fan_out(&lanes, |(shard, ops)| {

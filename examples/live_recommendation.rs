@@ -36,7 +36,6 @@ fn main() {
     let cluster = Cluster::new(
         ClusterConfig::builder()
             .num_shards(4)
-            .threads_per_shard(2)
             .build()
             .expect("valid config"),
     );

@@ -2,7 +2,7 @@
 # The line counts ROADMAP's "net line count going down" is measured by.
 #   ./scripts/loc.sh            the tree-wide counts, rpc's production lines, the
 #                               service layers' `pub fn` count and the rpc client
-#                               config field count, one line
+#                               and cluster config field counts, one line
 #   ./scripts/loc.sh FILE...    "production total" per file, for before/after tables
 # "Production" is what sits above a file's first column-0 `#[cfg(test)]`.
 set -euo pipefail
@@ -27,6 +27,10 @@ tree=$(cat $(find crates examples tests -name '*.rs') | wc -l)
 # shellcheck disable=SC2046
 pubfn=$(awk 'FNR==1{skip=0} /^#\[cfg\(test\)\]/{skip=1} !skip && /^ *pub fn /{n++} END{print n+0}' \
     $(find crates/server/src crates/fleet/src crates/pipeline/src crates/rpc/src -name '*.rs'))
-fields=$(awk '/^pub struct ClientConfig \{/{in_cfg=1} in_cfg && /^}/{in_cfg=0} in_cfg && /^    pub [a-z_]+:/{n++} END{print n+0}' \
-    crates/rpc/src/client.rs)
-echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crates/rpc/src production $rpc_prod | crates/rpc with tests $rpc | crates/ examples/ tests/ $tree | pub fn in server+fleet+pipeline+rpc src $pubfn | ClientConfig pub fields $fields"
+# The pub fields of config struct $1 in file $2.
+pub_fields() {
+    awk -v open="^pub struct $1 \\{" '$0 ~ open{in_cfg=1} in_cfg && /^}/{in_cfg=0} in_cfg && /^    pub [a-z_]+:/{n++} END{print n+0}' "$2"
+}
+client_fields=$(pub_fields ClientConfig crates/rpc/src/client.rs)
+cluster_fields=$(pub_fields ClusterConfig crates/server/src/lib.rs)
+echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crates/rpc/src production $rpc_prod | crates/rpc with tests $rpc | crates/ examples/ tests/ $tree | pub fn in server+fleet+pipeline+rpc src $pubfn | ClientConfig pub fields $client_fields | ClusterConfig pub fields $cluster_fields"

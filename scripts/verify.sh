@@ -27,7 +27,10 @@ echo "==> cargo test -p platod2gl-{gnn,samtree,graph,server} --release (the code
 # The gnn slice kernels' equivalence and gradient tests, the samtree
 # fixed-width CP-ID scan's properties, the txn validator's equivalence
 # proptest, the server's per-shard sample-lane tests (bit parity,
-# concurrent callers, trace re-anchoring) and its per-shard txn-validation
+# concurrent callers, trace re-anchoring, and
+# `sample_by_owner_draws_in_order_and_stitches_by_position`: one draw per
+# request, the first group on the caller, a group's own panic message
+# reaching it) and its per-shard txn-validation
 # tests (the sharded-phase-1 proptest against the whole-txn walk, and the
 # validation lanes' trace) must see the code the benchmark runs: hot loops
 # vectorise only at opt-level 3 and lanes race differently, so the debug

@@ -10,14 +10,13 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// A 2-shard cluster whose samtrees have node capacity `capacity`.
-fn cluster(capacity: usize, threads_per_shard: usize) -> Cluster {
+fn cluster(capacity: usize) -> Cluster {
     let mut store = StoreConfig::default();
     store.tree.capacity = capacity;
     Cluster::new(
         ClusterConfig::builder()
             .num_shards(2)
             .store(store)
-            .threads_per_shard(threads_per_shard)
             .build()
             .expect("valid config"),
     )
@@ -70,7 +69,7 @@ fn churn_matches_reference_model() {
 /// Sampling freshness: every update is visible to the next sampling call.
 #[test]
 fn sampling_sees_every_update_immediately() {
-    let store = cluster(8, 1);
+    let store = cluster(8);
     let src = VertexId(7);
     let mut live = Vec::new();
     let mut rng_seed = 0u64;
@@ -105,7 +104,7 @@ fn sampling_sees_every_update_immediately() {
 /// Concurrent mixed readers/writers across shards stay consistent.
 #[test]
 fn concurrent_updates_and_sampling_are_consistent() {
-    let cluster = cluster(16, 2);
+    let cluster = cluster(16);
     let profile = DatasetProfile::tiny();
     profile.ingest_into(&cluster, 1);
     let sources = profile.sample_sources(32, 3);

@@ -27,7 +27,6 @@ fn ingest_sample_train_pipeline() {
         ClusterConfig::builder()
             .num_shards(3)
             .store(store)
-            .threads_per_shard(2)
             .build()
             .expect("valid config"),
     );

@@ -12,7 +12,7 @@ use platod2gl::{
     ServerEntry, TrainingPipeline, UpdateOp, VertexId,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -223,7 +223,52 @@ fn fleet_training_is_bit_identical_to_single_server_remote() {
     );
     assert_eq!(a.mean_accuracy.to_bits(), b.mean_accuracy.to_bits());
 
+    // One seed per request on both: the caller's RNG ends where it would.
+    let reqs: Vec<SampleRequest> = seeds
+        .iter()
+        .map(|&v| SampleRequest::new(v, ET, 3))
+        .collect();
+    let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+    single.sample_many(&reqs, &mut a);
+    fleet.sample_many(&reqs, &mut b);
+    assert_eq!(
+        a.next_u64(),
+        b.next_u64(),
+        "same RNG position after a batch"
+    );
+
     single_server.shutdown();
+    fleet_servers.shutdown();
+}
+
+/// An empty transaction is rejected alike by a bare cluster, a fleet node
+/// and the fleet client: the node's own phase 1 answers it and journals
+/// the abort, rather than a "nothing of ours" receipt.
+#[test]
+fn empty_txn_is_rejected_alike_by_cluster_fleet_node_and_fleet_client() {
+    let fleet_servers = start_fleet(3);
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    let bare = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(2)
+            .build()
+            .expect("valid config"),
+    );
+    let txn = GraphTxn::new(77);
+    let want = bare.apply_txn(&txn).expect_err("an empty txn is rejected");
+    assert!(want.is_rejected());
+    for (who, got) in [
+        ("fleet client", fleet.apply_txn(&txn)),
+        ("fleet node", fleet_servers.nodes[1].apply_txn(&txn)),
+    ] {
+        let got = got.expect_err(who);
+        assert_eq!(got.violations(), want.violations(), "{who}");
+    }
+    for node in &fleet_servers.nodes[..2] {
+        let journal = node.cluster().txn_journal();
+        assert_eq!(journal.last().map(|e| e.outcome), Some("rejected"));
+    }
     fleet_servers.shutdown();
 }
 
