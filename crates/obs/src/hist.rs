@@ -1,13 +1,20 @@
-//! Lock-free log2 latency histograms.
+//! Striped log2 latency histograms.
 //!
 //! Production graph services watch tail latency (the paper's Fig. 9/10
 //! numbers are exactly such measurements); this module gives every
-//! subsystem a cheap always-on recorder: one atomic increment per
-//! observation into power-of-two nanosecond buckets, with percentile
-//! estimates read on demand. Formerly `crates/server/src/latency.rs`;
-//! it moved here so storage, WAL, and pipeline stages record through the
-//! same type the server uses.
+//! subsystem a cheap always-on recorder with power-of-two nanosecond
+//! buckets and percentile estimates read on demand. Formerly
+//! `crates/server/src/latency.rs`; it moved here so storage, WAL, and
+//! pipeline stages record through the same type the server uses.
+//!
+//! Serving histograms record once per request from several lanes at once,
+//! so a recording touches only the calling thread's stripe — the same
+//! per-thread index [`Counter`](crate::Counter) uses: three relaxed adds
+//! (bucket, count, sum) on cache lines no other stripe shares, and a
+//! `fetch_max` only when the observation beats the stripe's maximum.
+//! Readers sum the stripes.
 
+use crate::metrics::{stripe_index, STRIPES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -15,16 +22,17 @@ use std::time::Duration;
 /// `[2^i, 2^(i+1))` ns; bucket 63 is the overflow bucket (> ~4.6 h).
 const BUCKETS: usize = 64;
 
-/// A concurrent histogram over durations with power-of-two buckets.
+/// One thread stripe: its own buckets and totals, cache-line aligned.
+#[repr(align(64))]
 #[derive(Debug)]
-pub struct Histogram {
+struct Stripe {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
 }
 
-impl Default for Histogram {
+impl Default for Stripe {
     fn default() -> Self {
         Self {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
@@ -33,6 +41,12 @@ impl Default for Histogram {
             max_ns: AtomicU64::new(0),
         }
     }
+}
+
+/// A concurrent histogram over durations with power-of-two buckets.
+#[derive(Debug, Default)]
+pub struct Histogram {
+    stripes: [Stripe; STRIPES],
 }
 
 /// A point-in-time, serializable view of a [`Histogram`]: exact
@@ -79,32 +93,11 @@ impl HistogramSnapshot {
         self.sum_ns += other.sum_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
         self.mean_ns = self.sum_ns.checked_div(self.count).unwrap_or(0);
-        self.p50_ns = self.bucket_quantile(0.5);
-        self.p95_ns = self.bucket_quantile(0.95);
-        self.p99_ns = self.bucket_quantile(0.99);
-    }
-
-    /// Upper bound of the bucket containing quantile `q`, computed from
-    /// the snapshot's sparse buckets — the same walk [`Histogram::quantile`]
-    /// does over its live buckets, so merged snapshots report percentiles
-    /// identically to a histogram that recorded every observation itself.
-    fn bucket_quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(exp, n) in &self.buckets {
-            seen += n;
-            if seen >= target {
-                return if exp + 1 >= 64 {
-                    u64::MAX
-                } else {
-                    1u64 << (exp + 1)
-                };
-            }
-        }
-        u64::MAX
+        // The walk `Histogram::quantile` does over its live buckets, so
+        // merged snapshots report percentiles identically to a histogram
+        // that recorded every observation itself.
+        let quantile = |q| bucket_quantile(self.buckets.iter().copied(), self.count, q);
+        (self.p50_ns, self.p95_ns, self.p99_ns) = (quantile(0.5), quantile(0.95), quantile(0.99));
     }
 
     /// Render as a JSON object (the workspace vendors no JSON serializer,
@@ -140,82 +133,107 @@ impl Histogram {
     /// Record one observation given directly in nanoseconds.
     pub fn record_ns(&self, ns: u64) {
         let bucket = (64 - ns.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let stripe = &self.stripes[stripe_index()];
+        stripe.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        stripe.count.fetch_add(1, Ordering::Relaxed);
+        stripe.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        if ns > stripe.max_ns.load(Ordering::Relaxed) {
+            stripe.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
+    }
+
+    /// `field` of every stripe, summed.
+    fn total(&self, field: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
+        let each = self
+            .stripes
+            .iter()
+            .map(|s| field(s).load(Ordering::Relaxed));
+        each.fold(0, u64::wrapping_add)
     }
 
     /// Exact maximum recorded duration (zero when empty).
     pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_ns.load(Ordering::Relaxed))
+        Duration::from_nanos(self.max_ns())
+    }
+
+    fn max_ns(&self) -> u64 {
+        let each = self
+            .stripes
+            .iter()
+            .map(|s| s.max_ns.load(Ordering::Relaxed));
+        each.max().unwrap_or(0)
     }
 
     /// Observations recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.total(|s| &s.count)
     }
 
     /// Exact sum of recorded durations in nanoseconds.
     pub fn sum_ns(&self) -> u64 {
-        self.sum_ns.load(Ordering::Relaxed)
+        self.total(|s| &s.sum_ns)
     }
 
     /// Mean latency (zero when empty).
     pub fn mean(&self) -> Duration {
-        let n = self.count();
-        if n == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(self.sum_ns.load(Ordering::Relaxed) / n)
+        Duration::from_nanos(self.sum_ns().checked_div(self.count()).unwrap_or(0))
+    }
+
+    /// Per-bucket counts summed over the stripes.
+    fn bucket_counts(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|i| self.total(|s| &s.buckets[i]))
     }
 
     /// Upper bound of the bucket containing quantile `q ∈ [0, 1]`
     /// (log2-resolution estimate; zero when empty).
     pub fn quantile(&self, q: f64) -> Duration {
         assert!((0.0..=1.0).contains(&q));
-        let n = self.count();
-        if n == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((n as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                let hi = if i + 1 >= 64 {
-                    u64::MAX
-                } else {
-                    1u64 << (i + 1)
-                };
-                return Duration::from_nanos(hi);
-            }
-        }
-        Duration::from_nanos(u64::MAX)
+        let counts = self.bucket_counts();
+        let n = counts.iter().sum();
+        Duration::from_nanos(bucket_quantile((0..).zip(counts), n, q))
     }
 
     /// Serializable snapshot: count, exact mean/sum/max, p50/p95/p99 and
-    /// the non-empty bucket counts.
+    /// the non-empty bucket counts. The buckets are read once and `count`
+    /// is their sum, so a snapshot taken under concurrent recording is
+    /// still self-consistent.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let counts = self.bucket_counts();
+        let count = counts.iter().sum();
+        let sum_ns = self.sum_ns();
+        let quantile = |q| bucket_quantile((0..).zip(counts), count, q);
         HistogramSnapshot {
-            count: self.count(),
-            mean_ns: self.mean().as_nanos().min(u128::from(u64::MAX)) as u64,
-            p50_ns: self.quantile(0.5).as_nanos().min(u128::from(u64::MAX)) as u64,
-            p95_ns: self.quantile(0.95).as_nanos().min(u128::from(u64::MAX)) as u64,
-            p99_ns: self.quantile(0.99).as_nanos().min(u128::from(u64::MAX)) as u64,
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i as u32, n))
-                })
+            count,
+            mean_ns: sum_ns.checked_div(count).unwrap_or(0),
+            p50_ns: quantile(0.5),
+            p95_ns: quantile(0.95),
+            p99_ns: quantile(0.99),
+            max_ns: self.max_ns(),
+            sum_ns,
+            buckets: (0..BUCKETS as u32)
+                .zip(counts)
+                .filter(|&(_, n)| n > 0)
                 .collect(),
         }
     }
+}
+
+/// Upper bound in nanoseconds of the log2 bucket holding quantile `q` of
+/// `n` observations, given `(exponent, count)` buckets in ascending order
+/// (zero when `n` is 0).
+fn bucket_quantile(buckets: impl IntoIterator<Item = (u32, u64)>, n: u64, q: f64) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    let target = ((n as f64) * q).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (exp, count) in buckets {
+        seen += count;
+        if seen >= target {
+            return if exp >= 63 { u64::MAX } else { 1 << (exp + 1) };
+        }
+    }
+    u64::MAX
 }
 
 #[cfg(test)]
@@ -343,6 +361,31 @@ mod tests {
         first.merge(&right);
         assert_eq!(left, first);
         assert_eq!(left.count, 150);
+    }
+
+    #[test]
+    fn striped_recording_is_exact_across_threads() {
+        // Thread t records t*1000 + 1 ..= t*1000 + 1000 ns, so every total
+        // is known in closed form.
+        let h = Histogram::new();
+        let whole = Histogram::new();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let h = &h;
+                s.spawn(move || (1..=1000).for_each(|i| h.record_ns(t * 1000 + i)));
+            }
+        });
+        (1..=4000).for_each(|ns| whole.record_ns(ns));
+        assert_eq!(h.count(), 4000);
+        assert_eq!(h.sum_ns(), 4000 * 4001 / 2);
+        assert_eq!(h.max(), Duration::from_nanos(4000));
+        let snap = h.snapshot();
+        assert_eq!(
+            snap.count,
+            snap.buckets.iter().map(|&(_, n)| n).sum::<u64>()
+        );
+        assert_eq!(snap, whole.snapshot(), "buckets match one-thread recording");
+        assert_eq!(h.quantile(0.5), whole.quantile(0.5));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Stripe count; power of two so the thread slot maps with a mask.
-const STRIPES: usize = 8;
+pub(crate) const STRIPES: usize = 8;
 
 /// One cache line per stripe so concurrent writers never share a line.
 #[repr(align(64))]
@@ -20,7 +20,8 @@ struct Stripe(AtomicU64);
 
 /// Index of the calling thread's stripe: threads get a round-robin slot on
 /// first use and keep it for life, spreading writers across the stripes.
-fn stripe_index() -> usize {
+/// Histograms and the span ring stripe by the same index.
+pub(crate) fn stripe_index() -> usize {
     static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         static SLOT: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);

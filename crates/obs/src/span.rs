@@ -1,21 +1,31 @@
 //! Lightweight span tracing: enter/exit timing with parent linkage.
 //!
-//! A [`SpanTracer`] hands out RAII [`SpanGuard`]s. Entering a span stamps
-//! a monotonic start offset and pushes the span onto a thread-local stack
-//! (so nested spans record their parent); dropping the guard measures the
-//! duration and appends a [`SpanRecord`] to a bounded ring buffer of the
-//! most recent completions. The ring is deliberately small and mutex-
-//! guarded: span completion is orders of magnitude rarer than counter
-//! increments (one per batch/checkpoint/epoch, not one per edge), so a
-//! short critical section beats the complexity of a lock-free ring.
+//! A [`SpanTracer`] hands out RAII [`SpanGuard`]s. Entering a span takes
+//! the next id from the tracer's one shared atomic (ids are entry-ordered
+//! tracer-wide, so a parent's id is always below its children's), stamps a
+//! monotonic start and pushes the span onto a thread-local stack (so
+//! nested spans record their parent); dropping the guard — or
+//! [`SpanGuard::finish`], which also returns the duration — measures it and
+//! appends a [`SpanRecord`] to a bounded ring of recent completions.
+//!
+//! Spans fire per request on the serving path (`cluster.sample` →
+//! `shard.sample` → `samtree.sample` for every sampled vertex), from
+//! several lanes at once, so completion must not funnel through one lock
+//! or one cache line. The ring is striped by the calling thread, with the
+//! same per-thread index that [`Counter`] uses: each stripe keeps its own
+//! `capacity` most recent spans under its own lock, and the completed
+//! count is a striped [`Counter`]. [`SpanTracer::recent`] merges the
+//! stripes by completion time and keeps the `capacity` newest, so on one
+//! thread it returns exactly the single ring's sequence.
 
-use crate::metrics::Counter;
+use crate::metrics::{stripe_index, Counter, STRIPES};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One completed span. The same type in the tracer ring, in a slow-op
 /// capture and on the wire: a span recorded in this process borrows its
@@ -86,16 +96,29 @@ pub fn current_trace_context() -> Option<TraceContext> {
 /// Process-wide tracer instance counter (keys the thread-local stack).
 static NEXT_TRACER: AtomicU64 = AtomicU64::new(1);
 
-/// Records recent spans into a bounded ring buffer.
+/// One thread stripe of the ring: its own lock and its own `capacity`
+/// most recent completions, on a cache line of its own.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct RingStripe(Mutex<VecDeque<SpanRecord>>);
+
+/// The next span id, on a cache line of its own: every span entry on
+/// every thread bumps it, and the fields every span only reads must not
+/// share its line.
+#[repr(align(64))]
+#[derive(Debug)]
+struct NextId(AtomicU64);
+
+/// Records recent spans into a bounded, thread-striped ring.
 #[derive(Debug)]
 pub struct SpanTracer {
     tracer_id: u64,
     epoch: Instant,
-    next_id: AtomicU64,
-    started: AtomicU64,
-    finished: AtomicU64,
+    /// The next span id; also the count of ids handed out.
+    next_id: NextId,
+    finished: Counter,
     capacity: usize,
-    ring: Mutex<VecDeque<SpanRecord>>,
+    ring: [RingStripe; STRIPES],
     dropped: Arc<Counter>,
 }
 
@@ -110,23 +133,24 @@ impl Default for SpanTracer {
 }
 
 impl SpanTracer {
-    /// Create a tracer retaining the `capacity` most recent spans.
+    /// Create a tracer whose [`SpanTracer::recent`] returns the `capacity`
+    /// most recent spans.
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_drop_counter(capacity, Arc::default())
     }
 
     /// Like [`SpanTracer::with_capacity`], tallying ring evictions into
     /// `dropped` (the registry wires its `obs.spans_dropped` counter here,
-    /// so silent trace loss is visible in every snapshot).
+    /// so silent trace loss is visible in every snapshot). A stripe evicts
+    /// its oldest span when it already holds `capacity`.
     pub fn with_drop_counter(capacity: usize, dropped: Arc<Counter>) -> Self {
         Self {
             tracer_id: NEXT_TRACER.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
-            next_id: AtomicU64::new(1),
-            started: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
+            next_id: NextId(AtomicU64::new(1)),
+            finished: Counter::new(),
             capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
+            ring: Default::default(),
             dropped,
         }
     }
@@ -175,8 +199,7 @@ impl SpanTracer {
         explicit_parent: Option<u64>,
         remote_parent: Option<u64>,
     ) -> SpanGuard<'_> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.started.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_id.0.fetch_add(1, Ordering::Relaxed);
         let (parent, trace_id) = ACTIVE.with(|stack| {
             let mut stack = stack.borrow_mut();
             let inherited = stack
@@ -197,17 +220,18 @@ impl SpanTracer {
             trace_id,
             remote_parent,
             start: Instant::now(),
+            not_send: PhantomData,
         }
     }
 
-    /// Spans entered so far.
+    /// Spans entered so far: the ids handed out.
     pub fn started(&self) -> u64 {
-        self.started.load(Ordering::Relaxed)
+        self.next_id.0.load(Ordering::Relaxed) - 1
     }
 
     /// Spans completed so far (including any evicted from the ring).
     pub fn finished(&self) -> u64 {
-        self.finished.load(Ordering::Relaxed)
+        self.finished.get()
     }
 
     /// Completed spans evicted from the ring before anyone read them.
@@ -215,21 +239,27 @@ impl SpanTracer {
         self.dropped.get()
     }
 
-    /// The most recent completed spans, oldest first.
+    /// The `capacity` most recently completed spans, oldest first. The
+    /// stripes merge by completion time (`start_ns + duration_ns`, one
+    /// monotonic clock), stably, so a thread's spans keep their completion
+    /// order even when two end in the same nanosecond.
     pub fn recent(&self) -> Vec<SpanRecord> {
-        self.ring
-            .lock()
-            .expect("span ring")
-            .iter()
-            .cloned()
-            .collect()
+        let mut spans = Vec::new();
+        for stripe in &self.ring {
+            spans.extend(stripe.0.lock().expect("span ring").iter().cloned());
+        }
+        spans.sort_by_key(|s| s.start_ns.saturating_add(s.duration_ns));
+        let older = spans.len().saturating_sub(self.capacity);
+        spans.drain(..older);
+        spans
     }
 
     fn complete(&self, record: SpanRecord) {
         ACTIVE.with(|stack| {
             let mut stack = stack.borrow_mut();
-            // Normally the top of the stack; a guard moved across threads
-            // or dropped out of order is removed wherever it sits.
+            // Normally the top of the stack; a guard dropped out of order
+            // is removed wherever it sits. Guards are not `Send`, so this
+            // is always the stack of the thread that entered the span.
             if let Some(pos) = stack
                 .iter()
                 .rposition(|&(t, id, _)| t == self.tracer_id && id == record.id)
@@ -237,8 +267,8 @@ impl SpanTracer {
                 stack.remove(pos);
             }
         });
-        self.finished.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock().expect("span ring");
+        self.finished.inc();
+        let mut ring = self.ring[stripe_index()].0.lock().expect("span ring");
         if ring.len() == self.capacity {
             ring.pop_front();
             self.dropped.inc();
@@ -247,7 +277,14 @@ impl SpanTracer {
     }
 }
 
-/// RAII guard for an in-flight span; records on drop.
+/// RAII guard for an in-flight span; records on drop or
+/// [`SpanGuard::finish`].
+///
+/// Not `Send`: the span sits on the entering thread's span stack until it
+/// completes, so a guard completed on another thread would leave a
+/// finished span there as the parent of that thread's later spans. Work
+/// handed to another thread opens its own span there with
+/// [`SpanTracer::span_with_parent`].
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
     tracer: &'a SpanTracer,
@@ -257,6 +294,7 @@ pub struct SpanGuard<'a> {
     trace_id: u64,
     remote_parent: Option<u64>,
     start: Instant,
+    not_send: PhantomData<*const ()>,
 }
 
 impl SpanGuard<'_> {
@@ -269,25 +307,32 @@ impl SpanGuard<'_> {
     pub fn trace_id(&self) -> u64 {
         self.trace_id
     }
-}
 
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let duration_ns = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let start_ns = self
-            .start
-            .duration_since(self.tracer.epoch)
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
+    /// Complete the span now and return the duration it recorded, so a
+    /// caller that also wants the latency reads the clock once.
+    pub fn finish(self) -> Duration {
+        std::mem::ManuallyDrop::new(self).record()
+    }
+
+    fn record(&mut self) -> Duration {
+        let duration = self.start.elapsed();
+        let nanos = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.tracer.complete(SpanRecord {
             name: Cow::Borrowed(self.name),
             id: self.id,
             parent: self.parent,
             trace_id: self.trace_id,
             remote_parent: self.remote_parent,
-            start_ns,
-            duration_ns,
+            start_ns: nanos(self.start.duration_since(self.tracer.epoch)),
+            duration_ns: nanos(duration),
         });
+        duration
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        self.record();
     }
 }
 
@@ -476,6 +521,117 @@ mod tests {
         assert_eq!(group.trace_id, 5);
         assert_eq!(by_name(&spans, "leaf").parent, Some(group.id));
         assert_eq!(by_name(&spans, "leaf").trace_id, 5);
+    }
+
+    /// Compile-time check that `SpanGuard` is not `Send`: were it `Send`,
+    /// both impls below would apply and the `_` could not be inferred.
+    #[allow(dead_code)]
+    trait AmbiguousIfSend<A> {
+        fn some_item() {}
+    }
+    impl<T: ?Sized> AmbiguousIfSend<()> for T {}
+    impl<T: ?Sized + Send> AmbiguousIfSend<u8> for T {}
+    const _: fn() = || {
+        let _ = <SpanGuard<'static> as AmbiguousIfSend<_>>::some_item;
+    };
+
+    #[test]
+    fn finish_records_and_returns_the_duration() {
+        let t = SpanTracer::default();
+        let outer = t.span("outer");
+        let d = t.span("inner").finish();
+        assert_eq!(t.recent().len(), 1, "finish records at once");
+        let inner = t.recent()[0].clone();
+        assert_eq!(inner.duration_ns, d.as_nanos() as u64);
+        assert_eq!(inner.parent, Some(outer.id()));
+        // The finished span left the stack: the next one parents under
+        // `outer`, not under it.
+        drop(t.span("sibling"));
+        assert_eq!(t.recent()[1].parent, Some(outer.id()));
+        drop(outer);
+        assert_eq!((t.started(), t.finished()), (3, 3));
+    }
+
+    #[test]
+    fn striped_ring_is_exact_and_ordered_across_threads() {
+        const PER_THREAD: u64 = 50;
+        let t = SpanTracer::with_capacity(1024);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..PER_THREAD {
+                        let outer = t.span("outer");
+                        drop(t.span("inner"));
+                        drop(outer);
+                    }
+                });
+            }
+        });
+        assert_eq!(t.started(), 4 * 2 * PER_THREAD);
+        assert_eq!(t.finished(), t.started());
+        assert_eq!(t.dropped(), 0);
+        let spans = t.recent();
+        assert_eq!(spans.len() as u64, t.finished());
+        let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
+        assert_eq!(ids.len(), spans.len(), "no span appears twice");
+        let end = |s: &SpanRecord| s.start_ns + s.duration_ns;
+        assert!(spans.windows(2).all(|w| end(&w[0]) <= end(&w[1])));
+        // Within a thread (one root chain per outer span), every inner
+        // completes before its outer and after the previous outer.
+        for s in spans.iter().filter(|s| s.name == "inner") {
+            let at = |id| spans.iter().position(|x| x.id == id).expect("span");
+            let parent = s.parent.expect("inner has its outer as parent");
+            assert!(at(s.id) < at(parent), "a child completes first");
+        }
+    }
+
+    #[test]
+    fn ring_keeps_the_newest_capacity_across_threads() {
+        let t = SpanTracer::with_capacity(8);
+        std::thread::scope(|s| {
+            s.spawn(|| (0..20).for_each(|_| drop(t.span("worker"))));
+        });
+        for _ in 0..20 {
+            drop(t.span("main"));
+        }
+        let spans = t.recent();
+        assert_eq!(spans.len(), 8);
+        // The main thread's spans all completed after the worker joined.
+        assert!(spans.iter().all(|s| s.name == "main"), "{spans:?}");
+        let ids: Vec<u64> = spans.iter().map(|s| s.id).collect();
+        assert_eq!(ids, (33..=40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn lane_span_on_another_thread_keeps_its_whole_chain() {
+        let t = SpanTracer::default();
+        let root = t.span_traced("cluster.sample_many", 3);
+        let (root_id, trace) = (root.id(), root.trace_id());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let lane = t.span_with_parent("cluster.sample_lane", root_id, trace);
+                let req = t.span("cluster.sample");
+                drop(t.span("shard.sample"));
+                drop(req);
+                drop(lane);
+            });
+        });
+        drop(t.span("cluster.sample"));
+        drop(root);
+        drop(t.span("unrelated"));
+        let tree = crate::slow::span_subtree(&t.recent(), root_id);
+        let names: Vec<&str> = tree.iter().map(|s| &*s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "cluster.sample_many",
+                "cluster.sample_lane",
+                "cluster.sample",
+                "shard.sample",
+                "cluster.sample"
+            ]
+        );
+        assert!(tree.iter().all(|s| s.trace_id == 3));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! operation is O(1) and the cache is sharded by key hash so prefetch
 //! workers do not serialize on one lock.
 
+use crate::hash::MixMap;
 use platod2gl_graph::{splitmix64, EdgeType, TimeWindow, VertexId};
 use platod2gl_obs::{Counter, Registry};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Cache sizing and staleness policy.
@@ -107,8 +107,8 @@ struct Entry {
 
 /// One locked shard: a two-generation segmented LRU.
 struct Segment {
-    hot: HashMap<Key, Entry>,
-    cold: HashMap<Key, Entry>,
+    hot: MixMap<Key, Entry>,
+    cold: MixMap<Key, Entry>,
 }
 
 /// Sharded, epoch-versioned neighbor cache.
@@ -165,8 +165,8 @@ impl NeighborCache {
             segments: (0..shards)
                 .map(|_| {
                     Mutex::new(Segment {
-                        hot: HashMap::new(),
-                        cold: HashMap::new(),
+                        hot: MixMap::default(),
+                        cold: MixMap::default(),
                     })
                 })
                 .collect(),
@@ -218,11 +218,14 @@ impl NeighborCache {
         now.saturating_sub(version) <= self.cfg.max_staleness
     }
 
-    /// Rotate generations when the hot one is full; returns entries dropped.
+    /// Rotate generations when the hot one is full: the hot generation
+    /// turns cold and the old cold one, emptied, becomes the new hot one,
+    /// so both tables keep their allocations.
     fn maybe_rotate(&self, seg: &mut Segment) {
         if seg.hot.len() >= self.half_cap {
-            let dropped = seg.cold.len();
-            seg.cold = std::mem::take(&mut seg.hot);
+            std::mem::swap(&mut seg.hot, &mut seg.cold);
+            let dropped = seg.hot.len();
+            seg.hot.clear();
             if dropped > 0 {
                 self.capacity_evictions.add(dropped as u64);
             }
@@ -430,6 +433,32 @@ mod tests {
         }
         assert!(c.len() <= 8, "resident {} > capacity", c.len());
         assert!(c.stats().capacity_evictions > 0);
+    }
+
+    #[test]
+    fn rotations_evict_exactly_one_generation() {
+        // One shard, capacity 8: the hot generation rotates at 4 entries.
+        let c = NeighborCache::new(CacheConfig {
+            capacity: 8,
+            shards: 1,
+            max_staleness: 100,
+        });
+        for i in 0..20u64 {
+            c.insert(v(i), ET, 4, vec![v(i + 100)], 0);
+            let rotations = (i + 1) / 4;
+            let s = c.stats();
+            assert_eq!(s.insertions, i + 1);
+            // Every rotation after the first drops a full cold generation.
+            assert_eq!(s.capacity_evictions, 4 * rotations.saturating_sub(1));
+            assert!(c.len() <= 8, "resident {} after insert {i}", c.len());
+            assert_eq!(c.len() as u64, i + 1 - s.capacity_evictions);
+        }
+        // 20 inserts = 5 rotations: keys 0..16 are gone, 16..20 are cold.
+        assert_eq!(c.lookup(v(15), ET, 4, 0), None, "rotated-out key misses");
+        assert_eq!(c.lookup(v(0), ET, 4, 0), None);
+        assert_eq!(c.lookup(v(16), ET, 4, 0), Some(vec![v(116)]));
+        assert_eq!(c.lookup(v(19), ET, 4, 0), Some(vec![v(119)]));
+        assert_eq!(c.stats().capacity_evictions, 16);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 mod cache;
 mod driver;
+mod hash;
 mod sampler;
 
 pub use cache::{CacheConfig, CacheStats, NeighborCache};

@@ -33,10 +33,10 @@
 //!   healed shard serves fresh samples immediately.
 
 use crate::cache::NeighborCache;
+use crate::hash::MixMap;
 use platod2gl_graph::{EdgeType, TimeWindow, VertexId};
 use platod2gl_server::{GraphService, SampleRequest};
 use rand::RngCore;
-use std::collections::HashMap;
 
 /// A k-hop sampler over one relation with per-hop fanouts.
 #[derive(Clone, Debug)]
@@ -77,7 +77,8 @@ pub struct SampleOutcome {
 /// The distinct nodes of `slots` in first-occurrence order, and each slot's
 /// index among them.
 fn dedup(slots: impl ExactSizeIterator<Item = Node>) -> (Vec<Node>, Vec<u32>) {
-    let mut index: HashMap<Node, u32> = HashMap::with_capacity(slots.len());
+    let mut index: MixMap<Node, u32> =
+        MixMap::with_capacity_and_hasher(slots.len(), Default::default());
     let mut nodes = Vec::new();
     let node_of = slots
         .map(|node| {
@@ -180,18 +181,17 @@ impl KHopSampler {
             let mut answers = service.sample_many(&misses, rng).into_iter();
             let mut kids: Vec<Node> = Vec::with_capacity(frontier.len() * fanout);
             for (&(v, win), cached) in frontier.iter().zip(cached) {
-                let n = cached.unwrap_or_else(|| {
-                    let resp = answers.next().expect("one answer per request");
-                    if resp.degraded {
-                        out.degraded_samples += 1;
-                    } else {
-                        // Cache real answers only — including "no out-edges",
-                        // which is knowledge; a degraded empty set is not.
-                        let fresh = resp.neighbors.clone();
-                        cache.insert_windowed(v, self.etype, fanout as u32, win, fresh, version);
+                // A fresh real answer goes into the cache once its
+                // children are built — including "no out-edges", which is
+                // knowledge; a degraded empty set is not.
+                let (n, fresh) = match cached {
+                    Some(n) => (n, false),
+                    None => {
+                        let resp = answers.next().expect("one answer per request");
+                        out.degraded_samples += u64::from(resp.degraded);
+                        (resp.neighbors, !resp.degraded)
                     }
-                    resp.neighbors
-                });
+                };
                 if n.is_empty() {
                     // Self-loop padding, the standard GraphSAGE fallback.
                     kids.extend(std::iter::repeat_n((v, win), fanout));
@@ -202,6 +202,9 @@ impl KHopSampler {
                     for _ in n.len()..fanout {
                         kids.push((n[rng.next_u64() as usize % n.len()], win));
                     }
+                }
+                if fresh {
+                    cache.insert_windowed(v, self.etype, fanout as u32, win, n, version);
                 }
             }
             let (next, node_of) = if d + 1 < self.fanouts.len() {

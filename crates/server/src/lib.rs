@@ -63,7 +63,7 @@ use platod2gl_storage::{AttributeStore, DynamicGraphStore, StoreConfig, StoreMem
 use rand::RngCore;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use txn::TxnPlane;
 use write::Origin;
 
@@ -674,10 +674,10 @@ impl Cluster {
     /// trainer keeps running instead of crashing; `degraded` and the
     /// per-slot `sources` make the fallback explicit.
     pub fn sample(&self, req: &SampleRequest, rng: &mut dyn RngCore) -> SampleResponse {
-        let started = Instant::now();
         // Root span of this request's trace: shard dispatch, samtree
         // descent, and FTS draws all nest under it (same thread, same
         // registry), so the whole tree is recoverable from the ring by id.
+        // Its duration is the request's latency.
         let root = self.registry.span("cluster.sample");
         let root_id = root.id();
         let shard = self.route(req.vertex);
@@ -716,8 +716,7 @@ impl Cluster {
         );
         // Complete the root before reading the ring so the capture below
         // sees it.
-        drop(root);
-        let elapsed = started.elapsed();
+        let elapsed = root.finish();
         self.m.sample_latency.record(elapsed);
         let slow = self.registry.slow_log();
         if slow.is_slow(elapsed) {

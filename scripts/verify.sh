@@ -23,7 +23,7 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -p platod2gl-{gnn,samtree,graph,server} --release (the code the benchmark runs)"
+echo "==> cargo test -p platod2gl-{gnn,samtree,graph,server,obs,pipeline} --release (the code the benchmark runs)"
 # The gnn slice kernels' equivalence and gradient tests, the samtree
 # fixed-width CP-ID scan's properties, the txn validator's equivalence
 # proptest, the server's per-shard sample-lane tests (bit parity,
@@ -32,10 +32,14 @@ echo "==> cargo test -p platod2gl-{gnn,samtree,graph,server} --release (the code
 # request, the first group on the caller, a group's own panic message
 # reaching it) and its per-shard txn-validation
 # tests (the sharded-phase-1 proptest against the whole-txn walk, and the
-# validation lanes' trace) must see the code the benchmark runs: hot loops
-# vectorise only at opt-level 3 and lanes race differently, so the debug
-# run above tests a different program.
-cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-graph -p platod2gl-server --release 2>&1 | tee "$build_log"
+# validation lanes' trace), the obs thread-striped span ring and
+# histograms (exact totals and completion order under four threads, a
+# lane's span chain across threads) and the pipeline's cache rotation and
+# golden block digests must see the code the benchmark runs: hot loops
+# vectorise only at opt-level 3 and lanes and stripes race differently, so
+# the debug run above tests a different program.
+cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-graph -p platod2gl-server \
+    -p platod2gl-obs -p platod2gl-pipeline --release 2>&1 | tee "$build_log"
 if grep "^warning" "$build_log" >/dev/null; then
     echo "verify: FAIL - compiler warnings in the release test build:"
     grep "^warning" "$build_log"
