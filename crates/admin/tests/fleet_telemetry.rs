@@ -263,10 +263,10 @@ fn slow_ops(body: &str) -> Vec<String> {
 fn one_member_fleet_renders_what_the_local_endpoints_render() {
     let config = ClusterConfig::builder()
         .num_shards(2)
-        .slow_op_threshold(Duration::ZERO)
         .build()
         .expect("valid config");
     let cluster = Cluster::new(config);
+    cluster.obs().slow_log().set_threshold(Duration::ZERO);
     for dst in 1..=4u64 {
         cluster.insert_edge(Edge::new(VertexId(0), VertexId(dst), 1.0));
     }

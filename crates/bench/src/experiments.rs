@@ -391,7 +391,6 @@ pub fn ablations() {
                     leaf_index,
                     ..SamTreeConfig::default()
                 },
-                ..StoreConfig::default()
             });
             profile.ingest_into(&store, 8);
             let batches = update_batches(&profile, 1 << 14, 8, 3);

@@ -60,7 +60,6 @@ impl Engine {
                     compression: false,
                     ..SamTreeConfig::default()
                 },
-                ..StoreConfig::default()
             })),
         }
     }
@@ -75,7 +74,6 @@ pub fn d2gl_with(capacity: usize, alpha: usize, compression: bool) -> DynamicGra
             compression,
             leaf_index: LeafIndex::Fenwick,
         },
-        ..StoreConfig::default()
     })
 }
 

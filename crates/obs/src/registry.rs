@@ -126,7 +126,7 @@ impl Registry {
         &self.tracer
     }
 
-    /// The slow-op log (disabled until a threshold is set).
+    /// The slow-op log (armed at 100 ms until a threshold is set).
     pub fn slow_log(&self) -> &SlowLog {
         &self.slow
     }

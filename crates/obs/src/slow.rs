@@ -29,6 +29,10 @@ use std::time::Duration;
 /// without retaining a whole bad day.
 pub const DEFAULT_SLOW_CAPACITY: usize = 64;
 
+/// Threshold a fresh log starts at: far above an in-process sample, so
+/// only real stalls are captured.
+const DEFAULT_THRESHOLD: Duration = Duration::from_millis(100);
+
 /// One captured slow operation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlowOpRecord {
@@ -48,8 +52,8 @@ pub struct SlowOpRecord {
 
 /// Bounded ring of [`SlowOpRecord`]s with an atomically tunable threshold.
 ///
-/// Created disabled (`threshold = u64::MAX`); [`SlowLog::set_threshold`]
-/// arms it. One lives in every [`Registry`](crate::Registry).
+/// Created armed at 100 ms; [`SlowLog::set_threshold`] retunes it. One
+/// lives in every [`Registry`](crate::Registry).
 #[derive(Debug)]
 pub struct SlowLog {
     threshold_ns: AtomicU64,
@@ -69,20 +73,21 @@ impl SlowLog {
     /// wires its `obs.slow_ops` counter here).
     pub(crate) fn with_counter(capacity: usize, captured: Arc<Counter>) -> Self {
         Self {
-            threshold_ns: AtomicU64::new(u64::MAX),
+            threshold_ns: AtomicU64::new(DEFAULT_THRESHOLD.as_nanos() as u64),
             captured,
             capacity: capacity.max(1),
             ring: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
         }
     }
 
-    /// Arm the log: operations at or above `threshold` should be recorded.
+    /// Retune the log: operations at or above `threshold` should be
+    /// recorded. `Duration::ZERO` captures everything (test/debug).
     pub fn set_threshold(&self, threshold: Duration) {
         let ns = threshold.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.threshold_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// The current threshold in nanoseconds (`u64::MAX` when disabled).
+    /// The current threshold in nanoseconds.
     pub fn threshold_ns(&self) -> u64 {
         self.threshold_ns.load(Ordering::Relaxed)
     }
@@ -155,9 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_by_default_and_armed_by_threshold() {
+    fn armed_at_100ms_by_default_and_retuned_by_threshold() {
         let log = SlowLog::default();
-        assert!(!log.is_slow(Duration::from_secs(3600)), "starts disabled");
+        assert_eq!(log.threshold_ns(), 100_000_000, "starts at 100 ms");
+        assert!(!log.is_slow(Duration::from_millis(99)));
+        assert!(log.is_slow(Duration::from_millis(100)));
         log.set_threshold(Duration::from_millis(5));
         assert!(!log.is_slow(Duration::from_millis(4)));
         assert!(log.is_slow(Duration::from_millis(5)), "threshold inclusive");

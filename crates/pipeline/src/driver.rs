@@ -9,10 +9,10 @@
 //! Sample and gather are read-only against shared state (`&Cluster`,
 //! `&NeighborCache`, `&dyn FeatureProvider`) so they can run on worker
 //! threads; train mutates the model and always runs on the caller's
-//! thread. With `prefetch_depth > 0` the workers produce finished
+//! thread. With `prefetch_depth > 0` two workers produce finished
 //! blocks into a bounded channel — when the trainer falls behind, the
 //! channel fills and the workers block on `send`, which is the
-//! backpressure bound: at most `prefetch_depth + workers` blocks exist
+//! backpressure bound: at most `prefetch_depth + 2` blocks exist
 //! beyond the one being trained.
 
 use crate::cache::{CacheConfig, CacheStats, NeighborCache};
@@ -28,6 +28,9 @@ use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Producer threads when prefetching (capped by the epoch's batch count).
+const WORKERS: usize = 2;
+
 /// Pipeline shape: what to sample, how to batch, how far to run ahead.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -41,8 +44,6 @@ pub struct PipelineConfig {
     /// Bounded channel capacity between workers and the trainer.
     /// `0` disables prefetch: sample/gather/train run inline.
     pub prefetch_depth: usize,
-    /// Producer threads when prefetching.
-    pub workers: usize,
     /// Neighbor-cache shape ([`CacheConfig::disabled`] turns it off).
     pub cache: CacheConfig,
     /// Base RNG seed; worker streams derive from `(seed, epoch, worker)`.
@@ -56,7 +57,6 @@ impl Default for PipelineConfig {
             fanouts: vec![5, 5],
             batch_size: 64,
             prefetch_depth: 4,
-            workers: 2,
             cache: CacheConfig::default(),
             seed: 0x9e3779b97f4a7c15,
         }
@@ -102,12 +102,6 @@ impl PipelineConfigBuilder {
     /// Bounded channel capacity between workers and the trainer.
     pub fn prefetch_depth(mut self, depth: usize) -> Self {
         self.config.prefetch_depth = depth;
-        self
-    }
-
-    /// Producer threads when prefetching.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
         self
     }
 
@@ -446,7 +440,7 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
         if batches.is_empty() {
             return report;
         }
-        if self.cfg.prefetch_depth == 0 || self.cfg.workers == 0 {
+        if self.cfg.prefetch_depth == 0 {
             let mut rng =
                 StdRng::seed_from_u64(splitmix64(self.cfg.seed ^ splitmix64(epoch) ^ 0x53796e63));
             for (seeds, labels, windows) in &batches {
@@ -454,7 +448,7 @@ impl<'a, S: GraphService> TrainingPipeline<'a, S> {
                 self.train_block(net, block, &mut report);
             }
         } else {
-            let workers = self.cfg.workers.min(batches.len());
+            let workers = WORKERS.min(batches.len());
             std::thread::scope(|scope| {
                 // Made inside the scope so that a panicking trainer drops
                 // `rx` while unwinding, before the scope joins the workers:
@@ -517,7 +511,6 @@ mod tests {
                 .fanouts(vec![2, 2])
                 .batch_size(8)
                 .prefetch_depth(1)
-                .workers(2)
                 .build()
                 .expect("valid config");
             let pipeline = TrainingPipeline::new(&cluster, cfg);

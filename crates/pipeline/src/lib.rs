@@ -14,9 +14,9 @@
 //!   monotone graph version at fill time and are servable only while
 //!   `now - version <= max_staleness`, giving **bounded-staleness**
 //!   reads under concurrent graph updates.
-//! * [`TrainingPipeline`] — batches seeds, runs sample+gather on a pool
-//!   of prefetch workers feeding a bounded channel (backpressure: at most
-//!   `prefetch_depth + workers` blocks in flight), trains on the caller's
+//! * [`TrainingPipeline`] — batches seeds, runs sample+gather on two
+//!   prefetch workers feeding a bounded channel (backpressure: at most
+//!   `prefetch_depth + 2` blocks in flight), trains on the caller's
 //!   thread, and reports per-stage latency histograms, cache hit rates,
 //!   and degraded-batch counts.
 //!

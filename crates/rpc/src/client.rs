@@ -16,11 +16,10 @@
 //! Concurrent callers — the pipeline's prefetch workers — each get their
 //! own stream; the pool keeps up to four idle ones.
 //!
-//! [`ConnectionMode::Multiplexed`] shares a handful of sockets
-//! ([`ClientConfig::mux_connections`]) among all callers: every request
-//! carries a fresh `req_id`, a per-channel reader thread demultiplexes
-//! replies back to their waiters by id, and up to 1024 requests ride one
-//! socket concurrently.
+//! [`ConnectionMode::Multiplexed`] shares two sockets among all callers:
+//! every request carries a fresh `req_id`, a per-channel reader thread
+//! demultiplexes replies back to their waiters by id, and up to 1024
+//! requests ride one socket concurrently.
 //! Many in-flight requests over few file descriptors is exactly the shape
 //! the event-loop server is built for.
 //!
@@ -28,18 +27,17 @@
 //! reply is read, n replies handed back in request order by correlation
 //! id, under one retry loop — only the body of a single attempt differs
 //! by mode. A one-shot call exchanges one frame;
-//! [`RemoteCluster::sample_many`] coalesces a frontier into chunks of
-//! [`ClientConfig::max_batch`] requests and exchanges them together — so
-//! a hub-heavy frontier costs one round trip of latency, not one per
-//! chunk, and a server answering out of order changes nothing observable.
+//! [`RemoteCluster::sample_many`] coalesces a frontier into chunks of 256
+//! requests and exchanges them together — so a hub-heavy frontier costs
+//! one round trip of latency, not one per chunk, and a server answering
+//! out of order changes nothing observable.
 //!
 //! ## Failure mapping
 //!
-//! Transport failures retry with exponential backoff
-//! ([`ClientConfig::max_retries`], [`ClientConfig::retry_backoff`]) on a
-//! fresh connection. Sampling is safe to retry because the per-request
-//! RNG seeds are drawn *before* any I/O; update batches are safe because
-//! every op kind is idempotent. When the budget is exhausted, the
+//! Transport failures retry on a fresh connection, up to twice, after a
+//! 10 ms backoff that doubles per attempt. Sampling is safe to retry
+//! because the per-request RNG seeds are drawn *before* any I/O; update
+//! batches are safe because every op kind is idempotent. When the budget is exhausted, the
 //! sampling path does **not** error: each affected request degrades
 //! according to its own
 //! [`DegradedPolicy`](platod2gl_server::DegradedPolicy) — exactly what
@@ -91,26 +89,25 @@ const MAX_IN_FLIGHT: usize = 1024;
 /// (`rpc.client.pool_evictions` counts them) instead of being handed to a
 /// request that would stall on a half-dead socket.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Transport retries after the first attempt.
+const MAX_RETRIES: u32 = 2;
+/// Backoff before the first retry; doubles per attempt.
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+/// Sample requests per pipelined frame.
+const MAX_BATCH: usize = 256;
+/// Multiplexed mode: sockets shared by all callers.
+const MUX_CONNECTIONS: usize = 2;
 
-/// Client shape: request timeout, retry budget, connection mode and
-/// coalescing sizes. Start from `default()` and chain the setters;
-/// [`RemoteCluster::connect`] rejects a zero `request_timeout`,
-/// `max_batch` or `mux_connections`.
+/// Client shape: request timeout and connection mode. Start from
+/// `default()` and chain the setters; [`RemoteCluster::connect`] rejects a
+/// zero `request_timeout`.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
     /// Per-round-trip socket timeout; also shipped to the server as the
     /// batch's `deadline_ms` budget.
     pub request_timeout: Duration,
-    /// Transport retries after the first attempt.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub retry_backoff: Duration,
-    /// Sample requests per pipelined frame.
-    pub max_batch: usize,
     /// Connection mode (pooled vs multiplexed).
     pub mode: ConnectionMode,
-    /// Multiplexed mode: sockets shared by all callers.
-    pub mux_connections: usize,
 }
 
 /// The pre-PR-8 name of [`ClientConfig`], kept so existing call sites and
@@ -121,11 +118,7 @@ impl Default for ClientConfig {
     fn default() -> Self {
         Self {
             request_timeout: Duration::from_secs(2),
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(10),
-            max_batch: 256,
             mode: ConnectionMode::Pooled,
-            mux_connections: 2,
         }
     }
 }
@@ -137,33 +130,9 @@ impl ClientConfig {
         self
     }
 
-    /// Transport retries after the first attempt.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Backoff before the first retry; doubles per attempt.
-    pub fn retry_backoff(mut self, d: Duration) -> Self {
-        self.retry_backoff = d;
-        self
-    }
-
-    /// Sample requests per pipelined frame.
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n;
-        self
-    }
-
     /// Connection mode.
     pub fn mode(mut self, mode: ConnectionMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Multiplexed mode: sockets shared by all callers.
-    pub fn mux_connections(mut self, n: usize) -> Self {
-        self.mux_connections = n;
         self
     }
 }
@@ -392,19 +361,13 @@ impl RemoteCluster {
     /// registry: client-side `rpc.client.*` and `pipeline.*` telemetry
     /// land here, while server-side spans/slow-ops stay in the server's.
     ///
-    /// A `cfg` that could only panic or stall later — zero `max_batch`,
-    /// `mux_connections` or `request_timeout` — is [`Error::InvalidConfig`].
+    /// A zero `request_timeout`, which would stall every call, is
+    /// [`Error::InvalidConfig`].
     pub fn connect(addr: impl ToSocketAddrs, cfg: ClientConfig) -> Result<Self, Error> {
-        for (zero, field) in [
-            (cfg.max_batch == 0, "max_batch"),
-            (cfg.mux_connections == 0, "mux_connections"),
-            (cfg.request_timeout.is_zero(), "request_timeout"),
-        ] {
-            if zero {
-                return Err(Error::invalid_config(format!(
-                    "client {field} must be non-zero"
-                )));
-            }
+        if cfg.request_timeout.is_zero() {
+            return Err(Error::invalid_config(
+                "client request_timeout must be non-zero",
+            ));
         }
         let addr = addr
             .to_socket_addrs()?
@@ -514,7 +477,7 @@ impl RemoteCluster {
     /// re-pooled, so each eviction shrinks the pool until checkout dials
     /// fresh.
     fn exchange(&self, kind: FrameKind, payloads: &[&[u8]]) -> Result<Vec<Reply>, FrameError> {
-        let mut backoff = self.cfg.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut attempt = 0;
         loop {
             let (outcome, from_pool) = match self.cfg.mode {
@@ -531,7 +494,7 @@ impl RemoteCluster {
             self.m.transport_errors.inc();
             if from_pool {
                 self.m.pool_evictions.inc();
-            } else if attempt < self.cfg.max_retries {
+            } else if attempt < MAX_RETRIES {
                 self.m.retries.inc();
                 attempt += 1;
                 std::thread::sleep(backoff);
@@ -605,7 +568,7 @@ impl RemoteCluster {
     fn mux_channel(&self) -> Result<Arc<MuxChannel>, FrameError> {
         let mut channels = lock(&self.mux);
         channels.retain(|c| c.alive.load(Ordering::Acquire));
-        if channels.len() < self.cfg.mux_connections {
+        if channels.len() < MUX_CONNECTIONS {
             let channel = MuxChannel::dial(&self.addr, &self.cfg).map_err(FrameError::Io)?;
             self.m.reconnects.inc();
             channels.push(Arc::clone(&channel));
@@ -753,7 +716,7 @@ impl RemoteCluster {
             return Ok(Vec::new());
         }
         self.m.requests.add(seeded.len() as u64);
-        let chunks: Vec<&[(SampleRequest, u64)]> = seeded.chunks(self.cfg.max_batch).collect();
+        let chunks: Vec<&[(SampleRequest, u64)]> = seeded.chunks(MAX_BATCH).collect();
         self.pipelined_sample(&chunks).map_err(fleet_err)
     }
 
@@ -1096,25 +1059,17 @@ mod tests {
         server.shutdown();
     }
 
-    /// Zero sizes in the `pub` config fields used to panic after a
-    /// successful connect (`chunks(0)`, `% 0` over the undialed channels).
+    /// A zero `request_timeout` would stall every call after a successful
+    /// connect.
     #[test]
     fn connect_rejects_zero_sized_config() {
         let server = tiny_server();
-        let rejects = |cfg: ClientConfig| {
-            matches!(
-                RemoteCluster::connect(server.local_addr(), cfg),
-                Err(Error::InvalidConfig { .. })
-            )
-        };
-        assert!(rejects(ClientConfig::default().max_batch(0)));
-        assert!(rejects(
-            ClientConfig::default()
-                .mode(ConnectionMode::Multiplexed)
-                .mux_connections(0)
-        ));
-        assert!(rejects(
-            ClientConfig::default().request_timeout(Duration::ZERO)
+        assert!(matches!(
+            RemoteCluster::connect(
+                server.local_addr(),
+                ClientConfig::default().request_timeout(Duration::ZERO)
+            ),
+            Err(Error::InvalidConfig { .. })
         ));
         server.shutdown();
     }
@@ -1124,9 +1079,7 @@ mod tests {
     #[test]
     fn multiplexed_mode_round_trips() {
         let server = tiny_server();
-        let cfg = ClientConfig::default()
-            .mode(ConnectionMode::Multiplexed)
-            .mux_connections(2);
+        let cfg = ClientConfig::default().mode(ConnectionMode::Multiplexed);
         let client = RemoteCluster::connect(server.local_addr(), cfg).expect("connect");
         assert_eq!(client.num_shards(), 2);
         let health = client.probe().expect("probe over mux");

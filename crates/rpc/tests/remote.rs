@@ -40,10 +40,10 @@ const MODES: [ConnectionMode; 2] = [ConnectionMode::Pooled, ConnectionMode::Mult
 fn loaded_cluster() -> Arc<Cluster> {
     let config = ClusterConfig::builder()
         .num_shards(3)
-        .slow_op_threshold(Duration::ZERO)
         .build()
         .expect("valid config");
     let cluster = Arc::new(Cluster::new(config));
+    cluster.obs().slow_log().set_threshold(Duration::ZERO);
     for v in 0..90u64 {
         for k in 1..=4u64 {
             cluster.insert_edge(Edge::new(VertexId(v), VertexId((v + k * 13) % 90), 1.0));
@@ -52,17 +52,13 @@ fn loaded_cluster() -> Arc<Cluster> {
     cluster
 }
 
-/// The scenarios' client shape: one retry, a short backoff.
-fn client_config(mode: ConnectionMode) -> RemoteClusterConfig {
-    RemoteClusterConfig::default()
-        .mode(mode)
-        .max_retries(1)
-        .retry_backoff(Duration::from_millis(2))
-}
-
 fn serve(cluster: &Arc<Cluster>, mode: ConnectionMode) -> (GraphServiceServer, RemoteCluster) {
     let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(cluster)).expect("bind");
-    let client = RemoteCluster::connect(server.local_addr(), client_config(mode)).expect("connect");
+    let client = RemoteCluster::connect(
+        server.local_addr(),
+        RemoteClusterConfig::default().mode(mode),
+    )
+    .expect("connect");
     (server, client)
 }
 
@@ -94,12 +90,17 @@ fn remote_sampling_is_bit_identical_to_local() {
         assert_eq!(local, over_wire, "wire transport must not perturb draws");
         assert!(over_wire.iter().all(|r| !r.degraded));
 
-        // And the batch is insensitive to client-side chunking: a max_batch
-        // smaller than the request count pipelines six frames per call.
-        let chunked = RemoteCluster::connect(server.local_addr(), client_config(mode).max_batch(7))
-            .expect("connect");
-        let pipelined = chunked.sample_many(&reqs, &mut StdRng::seed_from_u64(0xD2D2));
+        // And the batch is insensitive to client-side chunking: 600
+        // requests span three 256-request frames in one exchange.
+        let wide: Vec<SampleRequest> = (0..600u64)
+            .map(|v| SampleRequest::new(VertexId(v % 90), ET, 8))
+            .collect();
+        let local = cluster.sample_many(&wide, &mut StdRng::seed_from_u64(0xD2D2));
+        let frames = || cluster.obs().snapshot().counter("rpc.server.frames");
+        let before = frames().unwrap_or(0);
+        let pipelined = remote.sample_many(&wide, &mut StdRng::seed_from_u64(0xD2D2));
         assert_eq!(local, pipelined, "chunking must not change results");
+        assert_eq!(frames(), Some(before + 3), "{mode:?}");
 
         server.shutdown();
     }
@@ -386,7 +387,7 @@ fn server_restart_is_ridden_out_within_the_retry_budget() {
             }
             ConnectionMode::Multiplexed => {
                 assert!(
-                    counter(&remote, "rpc.client.retries") <= 1,
+                    counter(&remote, "rpc.client.retries") <= 2,
                     "within the budget"
                 );
             }
@@ -404,8 +405,8 @@ fn request_timeout_spends_the_budget_then_degrades() {
     for mode in MODES {
         let cluster = loaded_cluster();
         let server = GraphServiceServer::bind("127.0.0.1:0", Arc::clone(&cluster)).expect("bind");
-        let config = client_config(mode)
-            .mux_connections(1)
+        let config = RemoteClusterConfig::default()
+            .mode(mode)
             .request_timeout(Duration::from_millis(40));
         let remote = RemoteCluster::connect(server.local_addr(), config).expect("connect");
         for shard in 0..3 {
@@ -418,12 +419,13 @@ fn request_timeout_spends_the_budget_then_degrades() {
         let responses = remote.sample_many(&reqs, &mut StdRng::seed_from_u64(9));
         assert!(responses[0].degraded, "{mode:?}");
         assert_eq!(responses[0].neighbors, vec![VertexId(3); 5]);
-        assert_eq!(counter(&remote, "rpc.client.retries"), 1, "{mode:?}");
+        assert_eq!(counter(&remote, "rpc.client.retries"), 2, "{mode:?}");
         assert_eq!(counter(&remote, "rpc.client.degraded_fallbacks"), 1);
         if mode == ConnectionMode::Multiplexed {
-            // One dial at connect, one for the retry: the first attempt
-            // rode the connect-time channel, and its timeout killed it.
-            assert_eq!(counter(&remote, "rpc.client.reconnects"), 2);
+            // One dial at connect, then one per attempt: with one of its
+            // two sockets open, each attempt dials the second, and the
+            // attempt's timeout kills it again.
+            assert_eq!(counter(&remote, "rpc.client.reconnects"), 4);
         }
 
         server.shutdown();

@@ -79,17 +79,27 @@ impl Default for SamTreeConfig {
 }
 
 impl SamTreeConfig {
+    /// Check parameter combinations: `capacity < 4` and
+    /// `alpha >= capacity / 2` (a slackness that large would let splits
+    /// produce empty nodes) are refused with the rule they break.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.capacity < 4 {
+            return Err("samtree capacity must be at least 4");
+        }
+        if self.alpha >= self.capacity / 2 {
+            return Err("alpha must be below capacity/2 (paper Remark, Sec. IV-C)");
+        }
+        Ok(())
+    }
+
     /// Validate parameter combinations.
     ///
     /// # Panics
-    /// If `capacity < 4` or `alpha >= capacity / 2` (a slackness that large
-    /// would let splits produce empty nodes).
+    /// If [`SamTreeConfig::check`] refuses the configuration.
     pub fn validated(self) -> Self {
-        assert!(self.capacity >= 4, "samtree capacity must be at least 4");
-        assert!(
-            self.alpha < self.capacity / 2,
-            "alpha must be below capacity/2 (paper Remark, Sec. IV-C)"
-        );
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
         self
     }
 

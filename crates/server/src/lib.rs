@@ -63,7 +63,6 @@ use platod2gl_storage::{AttributeStore, DynamicGraphStore, StoreConfig, StoreMem
 use rand::RngCore;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 use txn::TxnPlane;
 use write::Origin;
 
@@ -74,10 +73,6 @@ pub struct ClusterConfig {
     pub num_shards: usize,
     /// Storage configuration applied to every shard.
     pub store: StoreConfig,
-    /// Sample requests whose end-to-end latency reaches this threshold are
-    /// captured — span tree plus request provenance — into the registry's
-    /// slow-op log (served at `/debug/slow` by the admin server).
-    pub slow_op_threshold: Duration,
 }
 
 impl Default for ClusterConfig {
@@ -85,7 +80,6 @@ impl Default for ClusterConfig {
         Self {
             num_shards: 4,
             store: StoreConfig::default(),
-            slow_op_threshold: Duration::from_millis(100),
         }
     }
 }
@@ -121,34 +115,13 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Latency threshold above which a sample request is captured into the
-    /// slow-op log. `Duration::ZERO` captures everything (test/debug).
-    pub fn slow_op_threshold(mut self, threshold: Duration) -> Self {
-        self.config.slow_op_threshold = threshold;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<ClusterConfig, Error> {
         let c = self.config;
         if c.num_shards == 0 {
             return Err(Error::invalid_config("num_shards must be at least 1"));
         }
-        if c.store.directory_shards == 0 {
-            return Err(Error::invalid_config(
-                "store.directory_shards must be at least 1",
-            ));
-        }
-        if c.store.tree.capacity < 4 {
-            return Err(Error::invalid_config(
-                "store.tree.capacity must be at least 4",
-            ));
-        }
-        if c.store.tree.alpha >= c.store.tree.capacity / 2 {
-            return Err(Error::invalid_config(
-                "store.tree.alpha must be below half of capacity",
-            ));
-        }
+        c.store.tree.check().map_err(Error::invalid_config)?;
         Ok(c)
     }
 }
@@ -456,10 +429,10 @@ impl Cluster {
 
     /// Boot a cluster that records into a caller-provided registry (so a
     /// pipeline, a WAL sidecar, and the cluster can share one snapshot).
+    /// The registry's slow-op threshold stays as the caller left it.
     pub fn with_registry(config: ClusterConfig, registry: Arc<Registry>) -> Self {
         assert!(config.num_shards >= 1);
         let m = ClusterMetrics::new(&registry);
-        registry.slow_log().set_threshold(config.slow_op_threshold);
         Self {
             servers: (0..config.num_shards)
                 .map(|shard_id| GraphServer {
@@ -908,6 +881,7 @@ mod tests {
     use crate::write::MAX_RETRIES;
     use platod2gl_graph::{conformance, DatasetProfile};
     use rand::SeedableRng;
+    use std::time::Duration;
 
     fn cluster_with_shards(n: usize) -> Cluster {
         Cluster::new(
@@ -1515,11 +1489,6 @@ mod tests {
         let mut bad_alpha = StoreConfig::default();
         bad_alpha.tree.alpha = bad_alpha.tree.capacity; // >= capacity/2
         assert!(ClusterConfig::builder().store(bad_alpha).build().is_err());
-        let bad_dir = StoreConfig {
-            directory_shards: 0,
-            ..Default::default()
-        };
-        assert!(ClusterConfig::builder().store(bad_dir).build().is_err());
     }
 
     #[test]
@@ -1648,10 +1617,10 @@ mod tests {
         let c = Cluster::new(
             ClusterConfig::builder()
                 .num_shards(3)
-                .slow_op_threshold(Duration::ZERO)
                 .build()
                 .expect("valid config"),
         );
+        c.obs().slow_log().set_threshold(Duration::ZERO);
         for e in DatasetProfile::tiny().edge_stream(4).take(200) {
             c.insert_edge(e);
         }
@@ -1694,6 +1663,14 @@ mod tests {
         for pair in cap.spans.windows(2) {
             assert_eq!(pair[1].parent, Some(pair[0].id), "chain is linked");
         }
+    }
+
+    #[test]
+    fn a_registry_keeps_the_slow_op_threshold_it_was_given() {
+        let registry = Arc::new(Registry::new());
+        registry.slow_log().set_threshold(Duration::from_millis(5));
+        let c = Cluster::with_registry(ClusterConfig::default(), registry);
+        assert_eq!(c.obs().slow_log().threshold_ns(), 5_000_000);
     }
 
     #[test]

@@ -500,10 +500,10 @@ mod tests {
         let c = Cluster::new(
             ClusterConfig::builder()
                 .num_shards(4)
-                .slow_op_threshold(slow_op_threshold)
                 .build()
                 .expect("valid config"),
         );
+        c.obs().slow_log().set_threshold(slow_op_threshold);
         for v in 0..48u64 {
             for k in 1..=12u64 {
                 c.insert_edge(

@@ -393,7 +393,6 @@ mod tests {
                 compression: false,
                 leaf_index: platod2gl_samtree::LeafIndex::Fenwick,
             },
-            ..StoreConfig::default()
         });
         restored.restore_from(bytes.as_slice()).expect("restore");
         assert_eq!(restored.num_edges(), 5_000);

@@ -25,21 +25,10 @@ pub type AdjacencyEntry = ((u64, u16), Vec<(u64, f64, u64)>);
 const WINDOW_RETRIES: usize = 8;
 
 /// Configuration of the whole store.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StoreConfig {
     /// Samtree tuning (capacity `c`, slackness `α`, CP-ID compression).
     pub tree: SamTreeConfig,
-    /// Lock shards in the cuckoo directory.
-    pub directory_shards: usize,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        Self {
-            tree: SamTreeConfig::default(),
-            directory_shards: 64,
-        }
-    }
 }
 
 /// Directory key: one samtree per (source vertex, relation).
@@ -131,7 +120,7 @@ pub struct StoreMemory {
 /// assert!(picks.iter().filter(|v| v.raw() == 2).count() > 50);
 /// ```
 pub struct DynamicGraphStore {
-    config: StoreConfig,
+    tree: SamTreeConfig,
     directory: CuckooMap<TreeKey, TreeCell>,
     num_edges: AtomicUsize,
     registry: Arc<Registry>,
@@ -205,11 +194,10 @@ impl DynamicGraphStore {
     /// `storage.*`) into a shared registry — how the sharded cluster gives
     /// all of its shards one unified snapshot.
     pub fn with_registry(config: StoreConfig, registry: Arc<Registry>) -> Self {
-        let tree = config.tree.validated();
         let metrics = StoreMetrics::new(&registry);
         Self {
-            config: StoreConfig { tree, ..config },
-            directory: CuckooMap::with_shards_and_capacity(config.directory_shards, 1024),
+            tree: config.tree.validated(),
+            directory: CuckooMap::with_capacity(1024),
             num_edges: AtomicUsize::new(0),
             registry,
             metrics,
@@ -229,7 +217,7 @@ impl DynamicGraphStore {
 
     /// The samtree configuration in effect.
     pub fn tree_config(&self) -> SamTreeConfig {
-        self.config.tree
+        self.tree
     }
 
     /// Snapshot of the accumulated samtree operation counters (Table V),
@@ -293,7 +281,7 @@ impl DynamicGraphStore {
         let (out, before, after) = {
             let mut tree = cell.0.write();
             let before = tree.len();
-            let out = f(&mut tree, &self.config.tree, &mut local);
+            let out = f(&mut tree, &self.tree, &mut local);
             (out, before, tree.len())
         };
         if after != before {
@@ -690,7 +678,7 @@ impl DynamicGraphStore {
             if err.is_some() {
                 return;
             }
-            if let Err(e) = cell.0.read().check_invariants(&self.config.tree) {
+            if let Err(e) = cell.0.read().check_invariants(&self.tree) {
                 err = Some(format!("tree of src {src}: {e}"));
             }
         });
@@ -798,7 +786,6 @@ mod tests {
                 compression: true,
                 leaf_index: LeafIndex::Fenwick,
             },
-            directory_shards: 8,
         })
     }
 
@@ -822,7 +809,6 @@ mod tests {
                     compression: false,
                     leaf_index: LeafIndex::Fenwick,
                 },
-                directory_shards: 4,
             })
         });
     }
@@ -839,7 +825,6 @@ mod tests {
                     compression: true,
                     leaf_index: LeafIndex::CumSum,
                 },
-                directory_shards: 8,
             })
         });
     }
@@ -856,7 +841,6 @@ mod tests {
                     compression: true,
                     leaf_index,
                 },
-                directory_shards: 8,
             })
         };
         let fenwick = mk(LeafIndex::Fenwick);
@@ -992,7 +976,6 @@ mod tests {
                     compression: true,
                     leaf_index: LeafIndex::Fenwick,
                 },
-                directory_shards: 8,
             },
             Arc::clone(&registry),
         );
@@ -1032,7 +1015,6 @@ mod tests {
                 compression: true,
                 leaf_index: LeafIndex::Fenwick,
             },
-            directory_shards: 8,
         });
         let profile = DatasetProfile::tiny();
         for e in profile.edge_stream(3) {
@@ -1057,7 +1039,6 @@ mod tests {
                     compression,
                     leaf_index: LeafIndex::Fenwick,
                 },
-                directory_shards: 4,
             });
             // Clustered destination IDs compress well.
             for i in 0..20_000u64 {

@@ -560,12 +560,14 @@ impl DurableGraphStore {
     /// Open (or create) a durable store publishing its metrics (`wal.*`,
     /// plus the wrapped store's `samtree.*` / `storage.*`) into a shared
     /// registry, so durability shows up in the same snapshot as sampling
-    /// and training.
+    /// and training. An invalid tree configuration is
+    /// [`Error::InvalidConfig`], refused before `dir` is touched.
     pub fn open_with_registry(
         dir: impl AsRef<Path>,
         config: StoreConfig,
         registry: Arc<Registry>,
     ) -> Result<(Self, RecoveryReport), Error> {
+        config.tree.check().map_err(Error::invalid_config)?;
         // The guard must not borrow the `registry` value we move into the
         // struct below, so it holds its own Arc.
         let span_owner = Arc::clone(&registry);
@@ -1380,6 +1382,24 @@ mod tests {
         assert_eq!(receipt.ops_applied, 0);
         assert_eq!(store.wal_bytes(), bytes_before);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A tree configuration the samtree would refuse is an error from
+    /// `open`, not a panic, and leaves no directory behind.
+    #[test]
+    fn invalid_tree_config_is_refused_before_touching_disk() {
+        let dir = tempdir("bad_config");
+        for (capacity, alpha, rule) in [(2, 0, "capacity"), (8, 4, "alpha")] {
+            let mut config = StoreConfig::default();
+            config.tree.capacity = capacity;
+            config.tree.alpha = alpha;
+            match DurableGraphStore::open(&dir, config) {
+                Err(Error::InvalidConfig { what }) => assert!(what.contains(rule), "{what}"),
+                Err(e) => panic!("expected InvalidConfig, got {e}"),
+                Ok(_) => panic!("capacity {capacity}, alpha {alpha} opened"),
+            }
+            assert!(!dir.exists(), "a refused open must not create {dir:?}");
+        }
     }
 
     /// Any failed append — a single op or a batch, not only a transaction —

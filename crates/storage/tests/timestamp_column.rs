@@ -18,7 +18,6 @@ fn store(capacity: usize) -> DynamicGraphStore {
             compression: true,
             leaf_index: LeafIndex::Fenwick,
         },
-        directory_shards: 8,
     })
 }
 

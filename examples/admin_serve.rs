@@ -43,14 +43,17 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 }
 
 fn main() {
-    // A low threshold so the scripted slow shard trips capture without
-    // making the example take long.
     let config = ClusterConfig::builder()
         .num_shards(3)
-        .slow_op_threshold(Duration::from_millis(2))
         .build()
         .expect("valid config");
     let cluster = Arc::new(Cluster::new(config));
+    // A low threshold so the scripted slow shard trips capture without
+    // making the example take long.
+    cluster
+        .obs()
+        .slow_log()
+        .set_threshold(Duration::from_millis(2));
     for v in 0..200u64 {
         for k in 1..=4u64 {
             cluster.insert_edge(Edge::new(

@@ -127,7 +127,6 @@ fn main() {
         .fanouts(vec![3, 3])
         .batch_size(25)
         .prefetch_depth(0)
-        .workers(0)
         .seed(42)
         .build()
         .expect("valid pipeline config");

@@ -27,10 +27,10 @@ fn main() {
     // 1. The server side: a 3-shard cluster behind a TCP graph service.
     let config = ClusterConfig::builder()
         .num_shards(3)
-        .slow_op_threshold(Duration::ZERO)
         .build()
         .expect("valid config");
     let cluster = Arc::new(Cluster::new(config));
+    cluster.obs().slow_log().set_threshold(Duration::ZERO);
     for v in 0..N {
         for k in 1..=5u64 {
             cluster.insert_edge(Edge::new(VertexId(v), VertexId((v + k * 11) % N), 1.0));

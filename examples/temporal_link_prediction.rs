@@ -163,7 +163,6 @@ fn pipeline_config() -> PipelineConfig {
         // Sequential production keeps epochs deterministic, which both the
         // ablation comparison and the fleet parity check rely on.
         .prefetch_depth(0)
-        .workers(0)
         .seed(42)
         .build()
         .expect("valid pipeline config")

@@ -89,7 +89,6 @@ fn main() {
         .fanouts(vec![5, 5])
         .batch_size(64)
         .prefetch_depth(4)
-        .workers(2)
         .cache(CacheConfig {
             capacity: 1 << 14,
             shards: 8,
@@ -99,8 +98,8 @@ fn main() {
         .build()
         .expect("valid pipeline config");
     println!(
-        "pipeline: fanouts {:?}, batch {}, prefetch depth {}, {} workers, cache staleness bound {}\n",
-        cfg.fanouts, cfg.batch_size, cfg.prefetch_depth, cfg.workers, cfg.cache.max_staleness
+        "pipeline: fanouts {:?}, batch {}, prefetch depth {}, cache staleness bound {}\n",
+        cfg.fanouts, cfg.batch_size, cfg.prefetch_depth, cfg.cache.max_staleness
     );
     let pipeline = TrainingPipeline::new(&cluster, cfg);
     let mut net = SageNet::new(SageNetConfig {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The line counts ROADMAP's "net line count going down" is measured by.
 #   ./scripts/loc.sh            the tree-wide counts, rpc's production lines, the
-#                               service layers' `pub fn` count and the rpc client
-#                               and cluster config field counts, one line
+#                               service layers' `pub fn` count and the pub field
+#                               counts of the client, cluster, store, pipeline and
+#                               cache configs, one line
 #   ./scripts/loc.sh FILE...    "production total" per file, for before/after tables
 # "Production" is what sits above a file's first column-0 `#[cfg(test)]`.
 set -euo pipefail
@@ -33,4 +34,7 @@ pub_fields() {
 }
 client_fields=$(pub_fields ClientConfig crates/rpc/src/client.rs)
 cluster_fields=$(pub_fields ClusterConfig crates/server/src/lib.rs)
-echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crates/rpc/src production $rpc_prod | crates/rpc with tests $rpc | crates/ examples/ tests/ $tree | pub fn in server+fleet+pipeline+rpc src $pubfn | ClientConfig pub fields $client_fields | ClusterConfig pub fields $cluster_fields"
+store_fields=$(pub_fields StoreConfig crates/storage/src/topology.rs)
+pipeline_fields=$(pub_fields PipelineConfig crates/pipeline/src/driver.rs)
+cache_fields=$(pub_fields CacheConfig crates/pipeline/src/cache.rs)
+echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crates/rpc/src production $rpc_prod | crates/rpc with tests $rpc | crates/ examples/ tests/ $tree | pub fn in server+fleet+pipeline+rpc src $pubfn | ClientConfig pub fields $client_fields | ClusterConfig pub fields $cluster_fields | StoreConfig pub fields $store_fields | PipelineConfig pub fields $pipeline_fields | CacheConfig pub fields $cache_fields"

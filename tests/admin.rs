@@ -35,13 +35,13 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 fn loaded_cluster() -> Arc<Cluster> {
     let config = ClusterConfig::builder()
         .num_shards(3)
-        // Zero threshold: every sampled request lands in the slow-op log,
-        // so the test needs no injected latency (keeps it fast and
-        // timing-independent).
-        .slow_op_threshold(Duration::ZERO)
         .build()
         .expect("valid config");
     let cluster = Arc::new(Cluster::new(config));
+    // Zero threshold: every sampled request lands in the slow-op log,
+    // so the test needs no injected latency (keeps it fast and
+    // timing-independent).
+    cluster.obs().slow_log().set_threshold(Duration::ZERO);
     for v in 0..120u64 {
         for k in 1..=3u64 {
             cluster.insert_edge(Edge::new(

@@ -32,7 +32,6 @@ fn churn_matches_reference_model() {
             compression: true,
             leaf_index: LeafIndex::Fenwick,
         },
-        ..StoreConfig::default()
     });
     let profile = DatasetProfile::tiny();
     let mut reference: HashMap<(u64, u64), f64> = HashMap::new();
@@ -189,7 +188,6 @@ fn delete_then_reinsert_cycles() {
             compression: false,
             leaf_index: LeafIndex::Fenwick,
         },
-        ..StoreConfig::default()
     });
     let src = VertexId(9);
     for cycle in 0..20 {

@@ -19,7 +19,6 @@ fn engines() -> Vec<Box<dyn GraphStore>> {
                 compression: true,
                 leaf_index: LeafIndex::Fenwick,
             },
-            ..StoreConfig::default()
         })),
         Box::new(PlatoGlStore::with_defaults()),
         Box::new(AliGraphStore::new()),

@@ -42,9 +42,7 @@ fn edge_ops() -> Vec<UpdateOp> {
 }
 
 fn client_cfg() -> RemoteClusterConfig {
-    RemoteClusterConfig::default()
-        .max_retries(0)
-        .request_timeout(Duration::from_millis(500))
+    RemoteClusterConfig::default().request_timeout(Duration::from_millis(500))
 }
 
 struct Fleet {
@@ -109,7 +107,6 @@ fn pipeline_config(seed: u64) -> PipelineConfig {
         .fanouts(vec![3, 3])
         .batch_size(24)
         .prefetch_depth(0)
-        .workers(0)
         .seed(seed)
         .build()
         .expect("valid pipeline config")

@@ -26,7 +26,6 @@ fn d2gl(compression: bool) -> DynamicGraphStore {
             compression,
             leaf_index: LeafIndex::Fenwick,
         },
-        ..StoreConfig::default()
     })
 }
 

@@ -73,7 +73,6 @@ fn loss_decreases_under_concurrent_updates() {
         fanouts: vec![4, 4],
         batch_size: 64,
         prefetch_depth: 4,
-        workers: 2,
         cache: CacheConfig {
             capacity: 1 << 14,
             shards: 4,
@@ -164,7 +163,6 @@ fn shard_failure_mid_epoch_degrades_then_heals() {
         fanouts: vec![3, 3],
         batch_size: 48,
         prefetch_depth: 2,
-        workers: 2,
         cache: CacheConfig::disabled(),
         seed: 23,
     };
@@ -304,13 +302,12 @@ fn prefetch_and_sync_paths_train_equivalently() {
     // must both learn — block order differs but the math is the same.
     let provider = HashFeatures::new(16, 2, 7);
     let (cluster, vertices, labels) = community_cluster(&provider, 200, 3);
-    for (depth, workers) in [(0usize, 0usize), (3, 2)] {
+    for depth in [0usize, 3] {
         let cfg = PipelineConfig {
             etype: ET,
             fanouts: vec![4, 4],
             batch_size: 50,
             prefetch_depth: depth,
-            workers,
             cache: CacheConfig::default(),
             seed: 31,
         };

@@ -43,10 +43,10 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 fn built_cluster(num_shards: usize) -> Arc<Cluster> {
     let config = ClusterConfig::builder()
         .num_shards(num_shards)
-        .slow_op_threshold(Duration::ZERO)
         .build()
         .expect("valid config");
     let cluster = Arc::new(Cluster::new(config));
+    cluster.obs().slow_log().set_threshold(Duration::ZERO);
     for v in 0..N {
         for k in 1..=5u64 {
             // Deterministically stamped: the windowed-epoch leg below needs
@@ -69,7 +69,6 @@ fn pipeline_config(seed: u64) -> PipelineConfig {
         // consumes them in) is deterministic, which the bit-equality
         // comparison below needs.
         .prefetch_depth(0)
-        .workers(0)
         .seed(seed)
         .build()
         .expect("valid pipeline config")
@@ -98,13 +97,8 @@ fn training_pipeline_is_bit_identical_local_vs_remote() {
     let served_cluster = built_cluster(3);
     let server =
         GraphServiceServer::bind("127.0.0.1:0", Arc::clone(&served_cluster)).expect("bind");
-    let remote = RemoteCluster::connect(
-        server.local_addr(),
-        // A small max_batch forces pipelined multi-frame exchanges, the
-        // interesting wire path.
-        RemoteClusterConfig::default().max_batch(32),
-    )
-    .expect("connect");
+    let remote = RemoteCluster::connect(server.local_addr(), RemoteClusterConfig::default())
+        .expect("connect");
 
     let local_pipe = TrainingPipeline::new(&*local_cluster, pipeline_config(42));
     let remote_pipe = TrainingPipeline::new(&remote, pipeline_config(42));

@@ -45,9 +45,7 @@ fn stamped_ops() -> Vec<UpdateOp> {
 }
 
 fn client_cfg() -> RemoteClusterConfig {
-    RemoteClusterConfig::default()
-        .max_retries(0)
-        .request_timeout(Duration::from_millis(500))
+    RemoteClusterConfig::default().request_timeout(Duration::from_millis(500))
 }
 
 /// One remote server with the whole graph plus a 3-server fleet with
