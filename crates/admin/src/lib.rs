@@ -13,7 +13,7 @@
 //! |-----------------|---------|
 //! | `/metrics`      | Prometheus text exposition of the whole registry |
 //! | `/healthz`      | per-shard health, queued ops, graph version (503 when any shard is failed) |
-//! | `/debug/memory` | live `DeepSize` walk: samtree payload/index, directory, timestamp columns, attributes, WAL |
+//! | `/debug/memory` | live `DeepSize` walk: samtree leaf payload/slack, index, directory, timestamp columns, attributes, WAL |
 //! | `/debug/spans`  | the tracer's recent-span ring plus started/finished/dropped counts |
 //! | `/debug/slow`   | the slow-op log: over-threshold requests with their span trees |
 //! | `/debug/txns`   | txn commit/abort/dedupe counts, the abort streak and the recent txn journal |
@@ -670,11 +670,14 @@ fn memory_json(cluster: &Cluster) -> String {
         .gauge("graph.mem.wal_bytes")
         .unwrap_or(0);
     let mut body = format!(
-        "{{\"samtree_bytes\":{},\"samtree_leaf_bytes\":{},\"samtree_internal_bytes\":{},\
+        "{{\"samtree_bytes\":{},\"samtree_leaf_bytes\":{},\"samtree_leaf_payload_bytes\":{},\
+         \"samtree_leaf_slack_bytes\":{},\"samtree_internal_bytes\":{},\
          \"directory_bytes\":{},\"timestamp_bytes\":{},\"attr_bytes\":{},\
          \"wal_bytes\":{wal_bytes},\"per_shard\":[",
         mem.samtree_bytes,
         mem.leaf_bytes,
+        mem.leaf_payload_bytes,
+        mem.leaf_slack_bytes,
         mem.internal_bytes,
         mem.directory_bytes,
         mem.timestamp_bytes,
@@ -682,11 +685,14 @@ fn memory_json(cluster: &Cluster) -> String {
     );
     join_json(&mut body, &mem.per_shard, |out, s| {
         out.push_str(&format!(
-            "{{\"shard\":{},\"topology_bytes\":{},\"leaf_bytes\":{},\"internal_bytes\":{},\
-             \"directory_bytes\":{},\"timestamp_bytes\":{},\"attr_bytes\":{},\"edges\":{}}}",
+            "{{\"shard\":{},\"topology_bytes\":{},\"leaf_bytes\":{},\"leaf_payload_bytes\":{},\
+             \"leaf_slack_bytes\":{},\"internal_bytes\":{},\"directory_bytes\":{},\
+             \"timestamp_bytes\":{},\"attr_bytes\":{},\"edges\":{}}}",
             s.shard,
             s.topology.total_bytes,
             s.topology.leaf_bytes,
+            s.topology.leaf_payload_bytes,
+            s.topology.leaf_slack_bytes,
             s.topology.internal_bytes,
             s.topology.directory_bytes,
             s.topology.timestamp_bytes,
@@ -889,6 +895,16 @@ mod tests {
             memory.contains(&format!("\"timestamp_bytes\":{bytes},")),
             "{memory}"
         );
+        // The leaf bytes split into payload and spare column capacity.
+        let mem = c.memory_breakdown();
+        assert!(
+            memory.contains(&format!(
+                "\"samtree_leaf_bytes\":{},\"samtree_leaf_payload_bytes\":{},\"samtree_leaf_slack_bytes\":{},",
+                mem.leaf_bytes, mem.leaf_payload_bytes, mem.leaf_slack_bytes
+            )),
+            "{memory}"
+        );
+        assert!(memory.contains("\"leaf_payload_bytes\":"), "{memory}");
     }
 
     struct StubFleet {

@@ -176,6 +176,34 @@ pub fn table04_memory() {
             (1.0 - d2gl / no_cp) * 100.0
         );
     }
+    // Where PlatoD2GL's bytes go: the leaf rows themselves, the leaf
+    // columns' spare capacity, the internal nodes and the directory.
+    println!("\n  PlatoD2GL topology bytes per edge, by part:");
+    header(&[
+        "dataset",
+        "leaf payload",
+        "leaf slack",
+        "internal",
+        "directory",
+        "total",
+    ]);
+    for profile in &ds {
+        let store = d2gl_with(256, 0, true);
+        profile.ingest_into(&store, 8);
+        let m = store.memory_breakdown();
+        let per_edge = |b: usize| format!("{:.2}", b as f64 / store.num_edges() as f64);
+        row(
+            &profile.name,
+            &[
+                m.leaf_payload_bytes,
+                m.leaf_slack_bytes,
+                m.internal_bytes,
+                m.directory_bytes,
+                m.total_bytes,
+            ]
+            .map(per_edge),
+        );
+    }
 }
 
 /// Table V: distribution of updating operations across leaf / non-leaf

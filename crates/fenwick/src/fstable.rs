@@ -1,7 +1,7 @@
 //! The Fenwick-tree Sum Table (FSTable) and the FTS sampling search.
 
 use crate::lsb;
-use platod2gl_mem::DeepSize;
+use platod2gl_mem::{reserve_rows, trim_rows, DeepSize};
 
 /// A Fenwick-tree sum table over a sequence of non-negative `f64` weights.
 ///
@@ -18,6 +18,11 @@ use platod2gl_mem::DeepSize;
 ///
 /// Entry `i` stores `Σ_{j=g(i)+1}^{i} w_j` with `g(i) = i - LSB(i+1)`
 /// (Eq. 4). Indices are 0-based as in the paper.
+///
+/// The entries' spare capacity stays within a small fraction of their
+/// count: [`push`](Self::push) grows a full table by a bounded step
+/// ([`reserve_rows`]) instead of doubling, and removals give capacity back
+/// ([`trim_rows`]), so a samtree leaf pays for about the weights it holds.
 ///
 /// ```
 /// use platod2gl_fenwick::FsTable;
@@ -67,6 +72,24 @@ impl FsTable {
             }
         }
         Self { tree }
+    }
+
+    /// Make room for `rows` more weights, growing a full table once by a
+    /// bounded step ([`reserve_rows`]); a leaf taking a run of inserts
+    /// reserves for the whole run.
+    pub fn reserve(&mut self, rows: usize) {
+        reserve_rows(&mut self.tree, 1, rows);
+    }
+
+    /// Give capacity back once the spare room has passed the bounded-slack
+    /// bound ([`trim_rows`]); removals call it themselves.
+    pub fn shrink_slack(&mut self) {
+        trim_rows(&mut self.tree, 1);
+    }
+
+    /// Number of weights the table holds room for.
+    pub fn capacity(&self) -> usize {
+        self.tree.capacity()
     }
 
     /// Number of weights stored.
@@ -187,6 +210,7 @@ impl FsTable {
             let child = p - (1usize << k); // 1-based child
             s += self.tree[child - 1];
         }
+        self.reserve(1);
         self.tree.push(s);
     }
 
@@ -200,6 +224,7 @@ impl FsTable {
         }
         let w = self.get(self.len() - 1);
         self.tree.pop();
+        self.shrink_slack();
         Some(w)
     }
 

@@ -8,8 +8,13 @@
 //! with `z ∈ {0, 4, 6, 7}` "for fast compression" — suffix widths of 8, 4,
 //! 2 and 1 bytes, all power-of-two sized so suffix access is a single
 //! aligned load.
+//!
+//! A leaf's list keeps its spare capacity within a small fraction of its
+//! length: [`IdList::push`] grows a full list by a bounded step and
+//! [`IdList::swap_remove`] gives capacity back (`platod2gl_mem`'s
+//! `reserve_rows` / `trim_rows`, the rule every leaf column shares).
 
-use platod2gl_mem::DeepSize;
+use platod2gl_mem::{reserve_rows, trim_rows, DeepSize};
 
 /// The prefix lengths (in bytes) the paper allows; 0 means uncompressed.
 pub const PREFIX_LENGTHS: [u8; 3] = [7, 6, 4];
@@ -106,6 +111,34 @@ impl IdList {
         self.len() == 0
     }
 
+    /// Number of IDs the list holds room for at its current width.
+    pub fn capacity(&self) -> usize {
+        match self {
+            IdList::Plain(v) => v.capacity(),
+            IdList::Compressed { z, suffixes, .. } => suffixes.capacity() / (8 - *z as usize),
+        }
+    }
+
+    /// Make room for `rows` more IDs at the current width, growing a full
+    /// list once by a bounded step (`reserve_rows`): a leaf taking a run of
+    /// inserts reserves for the whole run.
+    pub fn reserve(&mut self, rows: usize) {
+        match self {
+            IdList::Plain(v) => reserve_rows(v, 1, rows),
+            IdList::Compressed { z, suffixes, .. } => reserve_rows(suffixes, 8 - *z as usize, rows),
+        }
+    }
+
+    /// An empty compressed list whose prefix covers `id`: the encoding a
+    /// leaf's first insert seeds (Sec. VI-A), before any row is stored.
+    pub(crate) fn seeded_for(id: u64) -> Self {
+        IdList::Compressed {
+            z: 7,
+            prefix: id >> 8,
+            suffixes: Vec::new(),
+        }
+    }
+
     /// The ID at position `i`.
     pub fn get(&self, i: usize) -> u64 {
         match self {
@@ -176,6 +209,7 @@ impl IdList {
         if !self.compatible(id) {
             self.recode_for(id);
         }
+        self.reserve(1);
         match self {
             IdList::Plain(v) => v.push(id),
             IdList::Compressed { z, suffixes, .. } => {
@@ -209,7 +243,18 @@ impl IdList {
             self.set(i, last_id);
         }
         self.truncate(last);
+        self.shrink_slack();
         removed
+    }
+
+    /// Give capacity back once the spare room has passed the bounded-slack
+    /// bound (`trim_rows`); [`swap_remove`](Self::swap_remove) calls it
+    /// itself.
+    pub fn shrink_slack(&mut self) {
+        match self {
+            IdList::Plain(v) => trim_rows(v, 1),
+            IdList::Compressed { z, suffixes, .. } => trim_rows(suffixes, 8 - *z as usize),
+        }
     }
 
     /// Insert at position `i`, shifting later elements (ordered internal

@@ -5,7 +5,7 @@ use crate::idlist::IdList;
 use crate::split::{alpha_split, IdWeight, Row};
 use crate::{LeafIndex, OpStats, SamTreeConfig};
 use platod2gl_fenwick::FsTable;
-use platod2gl_mem::DeepSize;
+use platod2gl_mem::{reserve_rows, slack_within_bound, trim_rows, DeepSize};
 use platod2gl_sampling::CsTable;
 use rand::Rng;
 
@@ -22,10 +22,14 @@ pub enum InsertOutcome {
 /// A samtree node: leaves carry neighbor IDs plus an FSTable, internal
 /// nodes carry ordered separators, a CSTable over child subtree weights and
 /// the children themselves.
+///
+/// `Internal` is boxed: internal nodes are rare (most trees are a single
+/// leaf), and unboxed the larger variant would set the size of every node
+/// and of every tree's inline root.
 #[derive(Clone, Debug)]
 pub enum Node {
     Leaf(Leaf),
-    Internal(Internal),
+    Internal(Box<Internal>),
 }
 
 impl Default for Node {
@@ -124,6 +128,28 @@ impl LeafTable {
         }
     }
 
+    /// Room for `rows` more weights under the bounded-slack rule. The
+    /// CSTable ablation keeps `Vec`'s own growth.
+    fn reserve(&mut self, rows: usize) {
+        if let LeafTable::Fs(t) = self {
+            t.reserve(rows);
+        }
+    }
+
+    fn shrink_slack(&mut self) {
+        if let LeafTable::Fs(t) = self {
+            t.shrink_slack();
+        }
+    }
+
+    /// Whether the FSTable's spare room keeps the bounded-slack rule.
+    fn slack_within_bound(&self) -> bool {
+        match self {
+            LeafTable::Fs(t) => slack_within_bound(t.len(), t.capacity(), 1),
+            LeafTable::Cs(_) => true,
+        }
+    }
+
     fn swap_delete(&mut self, i: usize) -> f64 {
         match self {
             LeafTable::Fs(t) => t.swap_delete(i), // O(log n)
@@ -202,11 +228,10 @@ pub struct Leaf {
     fs: LeafTable,
     /// Positional event times: `ts[i]` belongs to `ids.get(i)`, `0` marks a
     /// timeless edge. Absent until the leaf first holds a non-zero `ts`
-    /// (absent reads as all zeros), so a timeless graph pays no bytes and
-    /// one branch; when present it is exactly `ids.len()` long. The `Vec`
-    /// is boxed because a thin pointer fits in the slack `Leaf` has under
-    /// `Internal`, so `size_of::<Node>()` does not grow; a bare `Vec` would
-    /// grow every node of every tree.
+    /// (absent reads as all zeros), so a timeless graph pays no heap bytes
+    /// and one branch; when present it is exactly `ids.len()` long. The `Vec`
+    /// is boxed: a thin pointer costs every leaf 8 B, a bare `Vec` would
+    /// cost it 24 B.
     #[allow(clippy::box_collection)]
     ts: Option<Box<Vec<u64>>>,
 }
@@ -270,9 +295,11 @@ impl Leaf {
 
     /// Alg. 2 lines 3-6 at the leaf: an existing neighbor takes the row's
     /// weight and event time (`ts == 0` clears a stamp: the insert replaces
-    /// the edge), a new one is appended. Returns the leaf's weight change
+    /// the edge), a new one is appended. `run` is how many rows this leaf
+    /// is still to take in the current call (this one included), so a full
+    /// leaf grows once for the whole run. Returns the leaf's weight change
     /// and whether the neighbor was new.
-    fn upsert(&mut self, (id, w, ts): Row, cfg: &SamTreeConfig) -> (f64, bool) {
+    fn upsert(&mut self, (id, w, ts): Row, cfg: &SamTreeConfig, run: usize) -> (f64, bool) {
         if let Some(i) = self.ids.position(id) {
             let old = self.fs.get(i);
             self.fs.set(i, w);
@@ -284,13 +311,11 @@ impl Leaf {
             if cfg.compression {
                 // Seed the CP-ID encoding on first insert; later pushes
                 // auto-downgrade the prefix as IDs spread (Sec. VI-A).
-                self.ids = IdList::from_ids(&[id], true);
-            } else {
-                self.ids.push(id);
+                self.ids = IdList::seeded_for(id);
             }
-        } else {
-            self.ids.push(id);
         }
+        self.reserve(run);
+        self.ids.push(id);
         self.fs.push(w);
         match &mut self.ts {
             Some(col) => col.push(ts),
@@ -300,12 +325,51 @@ impl Leaf {
     }
 
     /// Swap-delete slot `i` from all three columns, returning its weight.
+    /// Each column gives capacity back once its slack passes the bound.
     fn swap_delete(&mut self, i: usize) -> f64 {
         self.ids.swap_remove(i);
         if let Some(col) = &mut self.ts {
             col.swap_remove(i);
+            trim_rows(col, 1);
         }
         self.fs.swap_delete(i)
+    }
+
+    /// Make room for `rows` more rows in every column, growing each full
+    /// column once by the bounded step (`platod2gl_mem::reserve_rows`).
+    fn reserve(&mut self, rows: usize) {
+        self.ids.reserve(rows);
+        self.fs.reserve(rows);
+        if let Some(col) = &mut self.ts {
+            reserve_rows(col, 1, rows);
+        }
+    }
+
+    /// Give back room a run reserved but did not fill (some of its rows
+    /// updated existing neighbors).
+    fn shrink_slack(&mut self) {
+        self.ids.shrink_slack();
+        self.fs.shrink_slack();
+        if let Some(col) = &mut self.ts {
+            trim_rows(col, 1);
+        }
+    }
+
+    /// Whether every column's spare room keeps the bounded-slack rule.
+    fn slack_within_bound(&self) -> bool {
+        let n = self.ids.len();
+        slack_within_bound(n, self.ids.capacity(), 1)
+            && self.fs.slack_within_bound()
+            && self
+                .ts
+                .as_ref()
+                .is_none_or(|col| slack_within_bound(n, col.capacity(), 1))
+    }
+
+    /// Bytes the rows themselves need: one CP-ID suffix (or raw id) and
+    /// one weight entry per row, without spare capacity.
+    fn payload_bytes(&self) -> usize {
+        self.ids.len() * self.ids.bytes_per_id() + self.fs.len() * std::mem::size_of::<f64>()
     }
 
     fn min_id(&self) -> u64 {
@@ -413,7 +477,7 @@ fn split_node(node: &mut Node, cfg: &SamTreeConfig, stats: &mut OpStats) -> Spli
             SplitInfo {
                 sep,
                 right_weight,
-                right: Node::Internal(right),
+                right: Node::Internal(Box::new(right)),
             }
         }
     }
@@ -428,7 +492,7 @@ fn insert_node(
     match node {
         Node::Leaf(leaf) => {
             stats.leaf_ops += 1;
-            let (delta, inserted) = leaf.upsert(row, cfg);
+            let (delta, inserted) = leaf.upsert(row, cfg, 1);
             if !inserted {
                 return InsertResult {
                     delta,
@@ -517,9 +581,9 @@ fn insert_batch_rec(
         Node::Leaf(leaf) => {
             let mut delta = 0.0;
             let mut inserted = 0usize;
-            for &row in ops {
+            for (k, &row) in ops.iter().enumerate() {
                 stats.leaf_ops += 1;
-                let (d, new) = leaf.upsert(row, cfg);
+                let (d, new) = leaf.upsert(row, cfg, ops.len() - k);
                 delta += d;
                 inserted += usize::from(new);
             }
@@ -541,6 +605,8 @@ fn insert_batch_rec(
                         right: Node::Leaf(right),
                     });
                 }
+            } else if ops.len() > 1 {
+                leaf.shrink_slack();
             }
             BatchResult {
                 delta,
@@ -633,7 +699,7 @@ fn insert_batch_rec(
                     siblings.push(SplitInfo {
                         sep,
                         right_weight,
-                        right: Node::Internal(right),
+                        right: Node::Internal(Box::new(right)),
                     });
                 }
                 siblings.reverse();
@@ -772,7 +838,7 @@ fn delete_node(node: &mut Node, id: u64, cfg: &SamTreeConfig, stats: &mut OpStat
                 // `min_fill` is 1): drop it, so this node reads as empty to
                 // its own parent and is merged away there, or at the root.
                 stats.internal_ops += 1;
-                *int = Internal {
+                **int = Internal {
                     seps: IdList::new(),
                     cs: CsTable::new(),
                     children: Vec::new(),
@@ -843,11 +909,11 @@ fn stack_levels(mut nodes: Vec<Node>, target: usize, cfg: &SamTreeConfig) -> Nod
             rest = tail;
             let seps: Vec<u64> = children.iter().map(Node::min_id).collect();
             let weights: Vec<f64> = children.iter().map(Node::total_weight).collect();
-            level.push(Node::Internal(Internal {
+            level.push(Node::Internal(Box::new(Internal {
                 seps: IdList::from_ids(&seps, cfg.compression),
                 cs: CsTable::from_weights(&weights),
                 children,
-            }));
+            })));
         }
         nodes = level;
     }
@@ -986,11 +1052,11 @@ impl SamTree {
             let left = std::mem::take(&mut self.root);
             let left_min = left.min_id();
             let left_w = left.total_weight();
-            self.root = Node::Internal(Internal {
+            self.root = Node::Internal(Box::new(Internal {
                 seps: IdList::from_ids(&[left_min, s.sep], cfg.compression),
                 cs: CsTable::from_weights(&[left_w, s.right_weight]),
                 children: vec![left, s.right],
-            });
+            }));
         }
         if res.outcome == InsertOutcome::Inserted {
             self.len += 1;
@@ -1249,8 +1315,9 @@ impl SamTree {
     /// Split the tree's heap footprint into `(leaf_bytes, internal_bytes)`.
     ///
     /// Leaf bytes are the id lists plus Fenwick tables holding actual
-    /// edges; internal bytes are separator/cumulative-sum tables and the
-    /// child spines — pure index overhead. The two always sum to
+    /// edges; internal bytes are the boxed internal nodes, their
+    /// separator/cumulative-sum tables and the child spines — pure index
+    /// overhead. The two always sum to
     /// [`DeepSize::heap_bytes`], so the admin `/debug/memory` breakdown
     /// stays consistent with the `graph.mem.samtree_bytes` gauge.
     pub fn memory_breakdown(&self) -> (usize, usize) {
@@ -1259,7 +1326,8 @@ impl SamTree {
                 Node::Leaf(l) => (l.ids.heap_bytes() + l.fs.heap_bytes(), 0),
                 Node::Internal(i) => {
                     let mut leaf = 0;
-                    let mut internal = i.seps.heap_bytes()
+                    let mut internal = std::mem::size_of::<Internal>()
+                        + i.seps.heap_bytes()
                         + i.cs.heap_bytes()
                         + i.children.capacity() * std::mem::size_of::<Node>();
                     for c in &i.children {
@@ -1272,6 +1340,20 @@ impl SamTree {
             }
         }
         split(&self.root)
+    }
+
+    /// The part of [`memory_breakdown`](Self::memory_breakdown)'s leaf bytes
+    /// the rows themselves need: rows × (suffix width + one weight entry).
+    /// The rest of the leaf bytes is spare column capacity, which the
+    /// bounded-slack rule keeps within a fraction of the rows.
+    pub fn leaf_payload_bytes(&self) -> usize {
+        fn walk(node: &Node) -> usize {
+            match node {
+                Node::Leaf(l) => l.payload_bytes(),
+                Node::Internal(i) => i.children.iter().map(walk).sum(),
+            }
+        }
+        walk(&self.root)
     }
 
     /// Heap bytes of the leaves' timestamp columns (0 for a timeless tree).
@@ -1335,6 +1417,12 @@ impl SamTree {
                     }
                     if l.ids.len() > cfg.capacity {
                         return Err(format!("leaf over capacity: {}", l.ids.len()));
+                    }
+                    if !l.slack_within_bound() {
+                        return Err(format!(
+                            "leaf column slack past the bound at {} rows",
+                            l.ids.len()
+                        ));
                     }
                     if !is_root && l.ids.len() < cfg.min_fill() {
                         return Err(format!("leaf underfull: {}", l.ids.len()));
@@ -1429,7 +1517,8 @@ impl DeepSize for Node {
         match self {
             Node::Leaf(l) => l.ids.heap_bytes() + l.fs.heap_bytes(),
             Node::Internal(i) => {
-                i.seps.heap_bytes()
+                std::mem::size_of::<Internal>()
+                    + i.seps.heap_bytes()
                     + i.cs.heap_bytes()
                     + i.children.capacity() * std::mem::size_of::<Node>()
                     + i.children.iter().map(DeepSize::heap_bytes).sum::<usize>()
@@ -1816,10 +1905,10 @@ mod tests {
 
     #[test]
     fn timestamp_column_costs_no_node_bytes_and_is_counted_on_its_own() {
-        // Pinned to the values before the column existed: the boxed `Vec`
-        // sits in the slack `Leaf` has under `Internal`.
-        assert_eq!(std::mem::size_of::<Node>(), 88);
-        assert_eq!(std::mem::size_of::<SamTree>(), 96);
+        // `Internal` is boxed, so the leaf sets the node size; the boxed
+        // column costs it one thin pointer.
+        assert_eq!(std::mem::size_of::<Node>(), 80);
+        assert_eq!(std::mem::size_of::<SamTree>(), 88);
         let c = cfg(16, 0);
         let mut stats = OpStats::default();
         let (mut timeless, mut stamped) = (SamTree::new(), SamTree::new());
@@ -2263,6 +2352,81 @@ mod proptests {
                     prop_assert!((w - mw).abs() < 1e-6, "id {} after {:?}", id, step);
                 }
             }
+        }
+    }
+
+    /// Apply one model-test step without a model: the bounded-slack
+    /// property below checks structure, not contents.
+    fn apply(t: &mut SamTree, cfg: &SamTreeConfig, step: &Step, stats: &mut OpStats) {
+        match step {
+            Step::Insert(row) => {
+                t.insert_stamped(cfg, *row, stats);
+            }
+            Step::Update(row) => {
+                t.update_weight_stamped(cfg, *row, stats);
+            }
+            Step::Delete(id) => {
+                t.delete(cfg, *id, stats);
+            }
+            Step::Batch(rows) => {
+                t.insert_batch_stamped(cfg, rows, stats);
+            }
+            Step::DrainFrom(from, n) => {
+                let mut ids: Vec<u64> = t
+                    .rows()
+                    .iter()
+                    .map(|r| r.0)
+                    .filter(|&id| id >= *from)
+                    .collect();
+                ids.sort_unstable();
+                for &id in ids.iter().take(*n) {
+                    t.delete(cfg, id, stats);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Every leaf column keeps its spare capacity within the
+        /// bounded-slack rule after every step of an arbitrary history:
+        /// stamped and timeless inserts, batches, updates, deletes and
+        /// drains at capacity 4-16. Each case opens with a run that must
+        /// α-split and closes by draining the tree, which must merge, so
+        /// every case crosses both. `check_invariants` holds the rule.
+        #[test]
+        fn leaf_columns_keep_bounded_slack_under_any_history(
+            capacity in 4usize..17,
+            alpha in 0usize..2,
+            steps in proptest::collection::vec((0u8..10, 0u64..120, 0.1f64..10.0, 0u64..2_000), 1..80),
+        ) {
+            let cfg = SamTreeConfig { capacity, alpha, compression: true, leaf_index: LeafIndex::Fenwick }.validated();
+            let mut t = SamTree::new();
+            let mut stats = OpStats::default();
+            let opening = Step::Batch(
+                (0..4 * capacity as u64).map(|k| (k * 7 % 120, 1.0, k % 2 * (k + 1))).collect(),
+            );
+            let closing = Step::DrainFrom(0, usize::MAX);
+            let history = steps.into_iter().map(|(kind, id, w, x)| {
+                if kind == 9 {
+                    Err((id, w))
+                } else {
+                    Ok(step((kind, id, w, x)))
+                }
+            });
+            for s in std::iter::once(Ok(opening)).chain(history).chain(std::iter::once(Ok(closing))) {
+                match &s {
+                    Ok(s) => apply(&mut t, &cfg, s, &mut stats),
+                    Err((id, w)) => {
+                        t.insert(&cfg, *id, *w, &mut stats);
+                    }
+                }
+                t.check_invariants(&cfg).map_err(|e| {
+                    TestCaseError::fail(format!("after {s:?}: {e}"))
+                })?;
+            }
+            prop_assert!(t.is_empty());
+            prop_assert!(stats.leaf_splits > 0 && stats.merges > 0, "{:?}", stats);
         }
     }
 

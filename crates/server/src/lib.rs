@@ -240,8 +240,13 @@ pub struct ClusterMemory {
     /// Total topology bytes (leaf + internal + directory) across shards —
     /// the value published as `graph.mem.samtree_bytes`.
     pub samtree_bytes: usize,
-    /// Samtree leaf payload bytes across shards.
+    /// Samtree leaf bytes across shards:
+    /// `leaf_payload_bytes + leaf_slack_bytes`.
     pub leaf_bytes: usize,
+    /// Leaf rows themselves across shards (rows × bytes per row).
+    pub leaf_payload_bytes: usize,
+    /// Spare leaf column capacity across shards.
+    pub leaf_slack_bytes: usize,
     /// Samtree internal-node (index) bytes across shards.
     pub internal_bytes: usize,
     /// Cuckoo directory bytes across shards.
@@ -766,6 +771,8 @@ impl Cluster {
             let attr_bytes = s.attributes.attribute_bytes();
             mem.samtree_bytes += topology.total_bytes;
             mem.leaf_bytes += topology.leaf_bytes;
+            mem.leaf_payload_bytes += topology.leaf_payload_bytes;
+            mem.leaf_slack_bytes += topology.leaf_slack_bytes;
             mem.internal_bytes += topology.internal_bytes;
             mem.directory_bytes += topology.directory_bytes;
             mem.timestamp_bytes += topology.timestamp_bytes;
@@ -1686,6 +1693,50 @@ mod tests {
         }
         assert_eq!(c.obs().slow_log().captured(), 0);
         assert_eq!(c.obs().snapshot().counter("obs.slow_ops"), Some(0));
+    }
+
+    #[test]
+    fn leaf_payload_and_slack_add_up_on_a_churned_cluster() {
+        let c = small_cluster();
+        let edges: Vec<Edge> = DatasetProfile::tiny().edge_stream(8).take(3_000).collect();
+        // Churn: batched and single inserts, stamped re-writes, and a third
+        // of the edges deleted again, so columns both grew and shrank.
+        let ops: Vec<UpdateOp> = edges[..2_000]
+            .iter()
+            .map(|&e| UpdateOp::Insert(e))
+            .collect();
+        c.apply_updates(&ops).expect("batch applies");
+        for &e in &edges[2_000..] {
+            c.insert_edge(e);
+        }
+        for e in edges.iter().step_by(5) {
+            c.update_weight(e.at(9));
+        }
+        for e in edges.iter().step_by(3) {
+            c.delete_edge(e.src, e.dst, e.etype);
+        }
+        let mem = c.memory_breakdown();
+        assert_eq!(mem.samtree_bytes, c.total_topology_bytes());
+        assert_eq!(
+            mem.leaf_bytes + mem.internal_bytes + mem.directory_bytes,
+            mem.samtree_bytes
+        );
+        assert_eq!(
+            mem.leaf_payload_bytes + mem.leaf_slack_bytes,
+            mem.leaf_bytes
+        );
+        for s in &mem.per_shard {
+            let t = &s.topology;
+            assert_eq!(t.leaf_payload_bytes + t.leaf_slack_bytes, t.leaf_bytes);
+            // One Fenwick entry plus a 1- to 8-byte id per resident edge.
+            assert!(t.leaf_payload_bytes >= 9 * s.edges, "{t:?}");
+            assert!(t.leaf_payload_bytes <= 16 * s.edges, "{t:?}");
+        }
+        let sum = |f: fn(&StoreMemory) -> usize| {
+            mem.per_shard.iter().map(|s| f(&s.topology)).sum::<usize>()
+        };
+        assert_eq!(sum(|t| t.leaf_payload_bytes), mem.leaf_payload_bytes);
+        assert_eq!(sum(|t| t.leaf_slack_bytes), mem.leaf_slack_bytes);
     }
 
     #[test]

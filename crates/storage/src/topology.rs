@@ -79,17 +79,24 @@ impl DeepSize for TreeCell {
     }
 }
 
-/// One store's resident topology memory, split into samtree payload
-/// (leaf id lists + Fenwick tables), samtree index (separators,
+/// One store's resident topology memory, split into samtree leaves (leaf
+/// id lists + Fenwick tables), samtree index (internal nodes, separators,
 /// cumulative-sum tables, child spines), and directory overhead (cuckoo
 /// buckets + lock cells). The three parts sum to `total_bytes`, which is
-/// exactly [`GraphStore::topology_bytes`]; the leaves' timestamp columns
-/// are not topology in the paper's Table-IV sense and are reported beside
-/// it.
+/// exactly [`GraphStore::topology_bytes`]. The leaf part splits again into
+/// payload (rows × bytes per row) and spare column capacity, which sum to
+/// `leaf_bytes`. The leaves' timestamp columns are not topology in the
+/// paper's Table-IV sense and are reported beside it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreMemory {
-    /// Bytes holding actual neighbor ids and weights (leaf level).
+    /// Bytes holding actual neighbor ids and weights (leaf level):
+    /// `leaf_payload_bytes + leaf_slack_bytes`.
     pub leaf_bytes: usize,
+    /// The rows themselves: per row one CP-ID suffix (or raw id) and one
+    /// Fenwick entry.
+    pub leaf_payload_bytes: usize,
+    /// Spare capacity of the leaf columns (bounded by the growth rule).
+    pub leaf_slack_bytes: usize,
     /// Samtree internal-node bytes (index overhead above the leaves).
     pub internal_bytes: usize,
     /// Cuckoo directory bytes (buckets, keys, lock cells).
@@ -643,18 +650,22 @@ impl DynamicGraphStore {
     /// turn — diagnostics cost, not hot-path cost.
     pub fn memory_breakdown(&self) -> StoreMemory {
         let mut leaf_bytes = 0;
+        let mut leaf_payload_bytes = 0;
         let mut internal_bytes = 0;
         let mut timestamp_bytes = 0;
         self.directory.for_each(|_, cell| {
             let tree = cell.0.read();
             let (l, i) = tree.memory_breakdown();
             leaf_bytes += l;
+            leaf_payload_bytes += tree.leaf_payload_bytes();
             internal_bytes += i;
             timestamp_bytes += tree.timestamp_bytes();
         });
         let total_bytes = self.topology_bytes();
         StoreMemory {
             leaf_bytes,
+            leaf_payload_bytes,
+            leaf_slack_bytes: leaf_bytes - leaf_payload_bytes,
             internal_bytes,
             directory_bytes: total_bytes.saturating_sub(leaf_bytes + internal_bytes),
             total_bytes,
@@ -792,6 +803,23 @@ mod tests {
     #[test]
     fn conformance_suite() {
         conformance::run_all(small_store);
+    }
+
+    #[test]
+    fn tree_cell_accounting_is_pinned_without_the_arc_counters() {
+        // Today's per-cell figure, pinned on purpose: `DeepSize for
+        // TreeCell` counts the lock and the tree but not the `Arc`'s two
+        // reference counters, 16 B per tree that `topology_bytes` misses.
+        // Counting them redefines the metric, so the change that does must
+        // update this figure and report old and new values side by side.
+        let cell = TreeCell::new();
+        assert_eq!(std::mem::size_of::<RwLock<SamTree>>(), 104);
+        assert_eq!(cell.heap_bytes(), 104);
+        let mut stats = OpStats::default();
+        let cfg = SamTreeConfig::default();
+        cell.0.write().insert(&cfg, 7, 1.0, &mut stats);
+        // One CP-ID suffix byte and one Fenwick entry join the cell.
+        assert_eq!(cell.heap_bytes(), 104 + 1 + 8);
     }
 
     #[test]

@@ -23,9 +23,13 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -p platod2gl-{gnn,samtree,graph,server,obs,pipeline} --release (the code the benchmark runs)"
+echo "==> cargo test -p platod2gl-{gnn,samtree,fenwick,storage,graph,server,obs,pipeline} --release (the code the benchmark runs)"
 # The gnn slice kernels' equivalence and gradient tests, the samtree
-# fixed-width CP-ID scan's properties, the txn validator's equivalence
+# fixed-width CP-ID scan's properties, the bounded-slack growth rule of
+# the leaf columns (samtree id lists and timestamp columns, fenwick
+# tables, the storage memory split and its pinned per-cell figure: the
+# rule's step arithmetic runs at opt-level 3 in the benchmark), the txn
+# validator's equivalence
 # proptest, the server's per-shard sample-lane tests (bit parity,
 # concurrent callers, trace re-anchoring, and
 # `sample_by_owner_draws_in_order_and_stitches_by_position`: one draw per
@@ -38,8 +42,8 @@ echo "==> cargo test -p platod2gl-{gnn,samtree,graph,server,obs,pipeline} --rele
 # golden block digests must see the code the benchmark runs: hot loops
 # vectorise only at opt-level 3 and lanes and stripes race differently, so
 # the debug run above tests a different program.
-cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-graph -p platod2gl-server \
-    -p platod2gl-obs -p platod2gl-pipeline --release 2>&1 | tee "$build_log"
+cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-fenwick -p platod2gl-storage \
+    -p platod2gl-graph -p platod2gl-server -p platod2gl-obs -p platod2gl-pipeline --release 2>&1 | tee "$build_log"
 if grep "^warning" "$build_log" >/dev/null; then
     echo "verify: FAIL - compiler warnings in the release test build:"
     grep "^warning" "$build_log"
