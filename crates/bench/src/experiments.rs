@@ -406,42 +406,6 @@ pub fn ablations() {
          \x20 (and it is what makes multi-threaded application race-free);\n\
          \x20 with ~1-2 ops per tree the sort overhead can exceed the saving."
     );
-
-    println!("\n=== Ablation: leaf index FSTable (paper) vs CSTable, by node capacity ===");
-    use platod2gl::{LeafIndex, SamTreeConfig, StoreConfig};
-    header(&["capacity", "FSTable ms", "CSTable ms", "FS speedup"]);
-    for capacity in [256usize, 1024, 4096] {
-        let mut times = Vec::new();
-        for leaf_index in [LeafIndex::Fenwick, LeafIndex::CumSum] {
-            let store = DynamicGraphStore::new(StoreConfig {
-                tree: SamTreeConfig {
-                    capacity,
-                    leaf_index,
-                    ..SamTreeConfig::default()
-                },
-            });
-            profile.ingest_into(&store, 8);
-            let batches = update_batches(&profile, 1 << 14, 8, 3);
-            let t = Instant::now();
-            for b in &batches {
-                store.apply_batch_parallel(b, 1);
-            }
-            times.push(t.elapsed() / batches.len() as u32);
-        }
-        row(
-            &capacity.to_string(),
-            &[
-                ms(times[0]),
-                ms(times[1]),
-                format!("{:.1}x", times[1].as_secs_f64() / times[0].as_secs_f64()),
-            ],
-        );
-    }
-    println!(
-        "  the CSTable-leaf variant pays O(n_L) per in-place update/delete; the\n\
-         \x20 gap widens with leaf occupancy, which is why PlatoD2GL keeps CSTables\n\
-         \x20 only in rarely-updated internal nodes (Table V)."
-    );
 }
 
 /// Where the trail reports leave their machine-readable line: under the

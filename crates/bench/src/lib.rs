@@ -15,8 +15,8 @@
 pub mod experiments;
 
 use platod2gl::{
-    AliGraphStore, DatasetProfile, DynamicGraphStore, GraphStore, LeafIndex, PlatoGlStore,
-    SamTreeConfig, StoreConfig, UpdateOp,
+    AliGraphStore, DatasetProfile, DynamicGraphStore, GraphStore, PlatoGlStore, SamTreeConfig,
+    StoreConfig, UpdateOp,
 };
 use std::time::{Duration, Instant};
 
@@ -72,7 +72,6 @@ pub fn d2gl_with(capacity: usize, alpha: usize, compression: bool) -> DynamicGra
             capacity,
             alpha,
             compression,
-            leaf_index: LeafIndex::Fenwick,
         },
     })
 }

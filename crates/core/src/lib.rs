@@ -68,7 +68,7 @@ pub use platod2gl_rpc::{
     ClientConfig, ConnectionMode, GraphServiceServer, RemoteCluster, RemoteClusterConfig,
 };
 pub use platod2gl_sampling::{AliasTable, CsTable, WeightedIndex};
-pub use platod2gl_samtree::{LeafIndex, OpStats, SamTree, SamTreeConfig};
+pub use platod2gl_samtree::{OpStats, SamTree, SamTreeConfig};
 pub use platod2gl_server::{
     partition_for, route_for, BatchReport, Cluster, ClusterConfig, ClusterConfigBuilder,
     ClusterMemory, DegradedPolicy, FaultInjector, FaultKind, GraphServer, GraphService,

@@ -51,13 +51,6 @@ impl FsTable {
         Self { tree: Vec::new() }
     }
 
-    /// Create an empty table with room for `cap` weights.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            tree: Vec::with_capacity(cap),
-        }
-    }
-
     /// Build a table from raw weights in `O(n)`.
     ///
     /// Each parent entry absorbs its children in one forward pass, the
@@ -272,13 +265,6 @@ impl FsTable {
     /// Recover all raw weights in `O(n)`.
     pub fn weights(&self) -> Vec<f64> {
         self.iter_weights().collect()
-    }
-
-    /// Rebuild the table from its own recovered weights, clearing any
-    /// floating-point drift accumulated by signed-delta updates.
-    pub fn rebuild(&mut self) {
-        let w = self.weights();
-        *self = Self::from_weights(&w);
     }
 
     /// FTS: draw the index owning the residual mass `r ∈ [0, total())`
@@ -536,20 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_removes_drift() {
-        let mut t = FsTable::from_weights(&[0.1; 64]);
-        for i in 0..64 {
-            t.add(i, 1e-3);
-            t.add(i, -1e-3);
-        }
-        t.rebuild();
-        let w = t.weights();
-        for x in w {
-            assert_close(x, 0.1);
-        }
-    }
-
-    #[test]
     fn sample_with_walks_cumulative_ranges() {
         // Weights 1,2,3,4 => cumulative boundaries 1,3,6,10.
         let t = FsTable::from_weights(&[1.0, 2.0, 3.0, 4.0]);
@@ -611,9 +583,11 @@ mod tests {
     #[test]
     fn deep_size_is_one_f64_per_capacity_slot() {
         use platod2gl_mem::DeepSize;
-        let mut t = FsTable::with_capacity(10);
+        let mut t = FsTable::new();
+        t.reserve(10);
         t.push(1.0);
-        assert_eq!(t.heap_bytes(), 10 * 8);
+        assert_eq!(t.heap_bytes(), t.capacity() * 8);
+        assert!(t.capacity() >= 10);
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //!
 //! Weights are `f64`. Deletions and in-place updates apply signed deltas, so
 //! long op sequences accumulate rounding on the order of machine epsilon per
-//! op; [`FsTable::rebuild`] restores exactness and the samtree calls it on
-//! node splits/merges, which bounds drift in practice.
+//! op. The samtree never rebuilds a table in place: a leaf split or merge
+//! builds fresh tables from the leaf's rows with [`FsTable::from_weights`],
+//! which clears the drift of those leaves, and a tree that stays one leaf
+//! keeps its table for life.
 
 mod fstable;
 

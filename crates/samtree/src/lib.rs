@@ -34,21 +34,6 @@ pub use idlist::IdList;
 pub use split::{alpha_split, IdWeight, Row};
 pub use tree::{DecayCounts, InsertOutcome, SamTree};
 
-/// Which index structure samtree *leaves* use for their weights — the
-/// paper's central design choice, exposed so the ablation can measure it
-/// in situ (Table II microbenchmarks isolate the structures; this isolates
-/// their effect inside the full tree under real workloads).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LeafIndex {
-    /// FSTable: `O(log n_L)` for every maintenance case (the paper's
-    /// design).
-    #[default]
-    Fenwick,
-    /// CSTable: `O(1)` append but `O(n_L)` in-place update and deletion —
-    /// what a PlatoGL-style leaf would pay.
-    CumSum,
-}
-
 /// Tuning parameters shared by all samtrees in a store.
 ///
 /// Kept outside the tree (passed into each operation) so that a graph with
@@ -63,8 +48,6 @@ pub struct SamTreeConfig {
     pub alpha: usize,
     /// Enable CP-ID prefix compression of node ID lists (Sec. VI-A).
     pub compression: bool,
-    /// Leaf weight-index structure (ablation knob; default Fenwick).
-    pub leaf_index: LeafIndex,
 }
 
 impl Default for SamTreeConfig {
@@ -73,7 +56,6 @@ impl Default for SamTreeConfig {
             capacity: 256,
             alpha: 0,
             compression: true,
-            leaf_index: LeafIndex::Fenwick,
         }
     }
 }
@@ -174,14 +156,12 @@ mod config_tests {
             capacity: 64,
             alpha: 8,
             compression: false,
-            leaf_index: LeafIndex::Fenwick,
         };
         assert_eq!(cfg.min_fill(), 24);
         let cfg = SamTreeConfig {
             capacity: 4,
             alpha: 1,
             compression: false,
-            leaf_index: LeafIndex::Fenwick,
         };
         assert_eq!(cfg.min_fill(), 1);
     }
@@ -193,7 +173,6 @@ mod config_tests {
             capacity: 16,
             alpha: 8,
             compression: false,
-            leaf_index: LeafIndex::Fenwick,
         }
         .validated();
     }
@@ -205,7 +184,6 @@ mod config_tests {
             capacity: 2,
             alpha: 0,
             compression: false,
-            leaf_index: LeafIndex::Fenwick,
         }
         .validated();
     }

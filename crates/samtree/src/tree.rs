@@ -3,7 +3,7 @@
 
 use crate::idlist::IdList;
 use crate::split::{alpha_split, IdWeight, Row};
-use crate::{LeafIndex, OpStats, SamTreeConfig};
+use crate::{OpStats, SamTreeConfig};
 use platod2gl_fenwick::FsTable;
 use platod2gl_mem::{reserve_rows, slack_within_bound, trim_rows, DeepSize};
 use platod2gl_sampling::CsTable;
@@ -38,194 +38,12 @@ impl Default for Node {
     }
 }
 
-/// The weight index of a leaf: FSTable in the paper's design, CSTable for
-/// the in-situ ablation (`LeafIndex::CumSum`). Same interface, different
-/// maintenance complexity (Table II).
-#[derive(Clone, Debug)]
-pub(crate) enum LeafTable {
-    Fs(FsTable),
-    Cs(CsTable),
-}
-
-impl Default for LeafTable {
-    fn default() -> Self {
-        LeafTable::Fs(FsTable::new())
-    }
-}
-
-impl LeafTable {
-    fn new(kind: LeafIndex) -> Self {
-        match kind {
-            LeafIndex::Fenwick => LeafTable::Fs(FsTable::new()),
-            LeafIndex::CumSum => LeafTable::Cs(CsTable::new()),
-        }
-    }
-
-    fn from_weights(kind: LeafIndex, weights: &[f64]) -> Self {
-        match kind {
-            LeafIndex::Fenwick => LeafTable::Fs(FsTable::from_weights(weights)),
-            LeafIndex::CumSum => LeafTable::Cs(CsTable::from_weights(weights)),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            LeafTable::Fs(t) => t.len(),
-            LeafTable::Cs(t) => t.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Swap the (empty) table to the configured kind; no-op when occupied.
-    fn ensure_kind(&mut self, kind: LeafIndex) {
-        if self.is_empty() {
-            *self = LeafTable::new(kind);
-        }
-    }
-
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            LeafTable::Fs(t) => t.get(i),
-            LeafTable::Cs(t) => t.get(i),
-        }
-    }
-
-    fn set(&mut self, i: usize, w: f64) {
-        match self {
-            LeafTable::Fs(t) => t.set(i, w), // O(log n)
-            LeafTable::Cs(t) => t.set(i, w), // O(n)
-        }
-    }
-
-    /// Decay slot `i` by `factor`, clamped at a strictly positive `floor`
-    /// (see [`FsTable::decay`] for the underflow-hardening contract).
-    /// Returns the weight delta applied.
-    fn decay(&mut self, i: usize, factor: f64, floor: f64) -> f64 {
-        match self {
-            LeafTable::Fs(t) => {
-                let old = t.get(i);
-                t.decay(i, factor, floor) - old
-            }
-            LeafTable::Cs(t) => {
-                let old = t.get(i);
-                if old <= floor {
-                    return 0.0;
-                }
-                let new = (old * factor).max(floor);
-                t.set(i, new);
-                new - old
-            }
-        }
-    }
-
-    fn push(&mut self, w: f64) {
-        match self {
-            LeafTable::Fs(t) => t.push(w), // O(log n)
-            LeafTable::Cs(t) => t.push(w), // O(1)
-        }
-    }
-
-    /// Room for `rows` more weights under the bounded-slack rule. The
-    /// CSTable ablation keeps `Vec`'s own growth.
-    fn reserve(&mut self, rows: usize) {
-        if let LeafTable::Fs(t) = self {
-            t.reserve(rows);
-        }
-    }
-
-    fn shrink_slack(&mut self) {
-        if let LeafTable::Fs(t) = self {
-            t.shrink_slack();
-        }
-    }
-
-    /// Whether the FSTable's spare room keeps the bounded-slack rule.
-    fn slack_within_bound(&self) -> bool {
-        match self {
-            LeafTable::Fs(t) => slack_within_bound(t.len(), t.capacity(), 1),
-            LeafTable::Cs(_) => true,
-        }
-    }
-
-    fn swap_delete(&mut self, i: usize) -> f64 {
-        match self {
-            LeafTable::Fs(t) => t.swap_delete(i), // O(log n)
-            LeafTable::Cs(t) => {
-                // O(n): mirror the swap-with-last semantics on a CSTable.
-                let last = t.len() - 1;
-                let w_i = t.get(i);
-                if i != last {
-                    let w_last = t.get(last);
-                    t.set(i, w_last);
-                }
-                t.remove(last);
-                w_i
-            }
-        }
-    }
-
-    fn total(&self) -> f64 {
-        match self {
-            LeafTable::Fs(t) => t.total(),
-            LeafTable::Cs(t) => {
-                use platod2gl_sampling::WeightedIndex;
-                t.total()
-            }
-        }
-    }
-
-    fn sample_with(&self, r: f64) -> usize {
-        match self {
-            LeafTable::Fs(t) => t.sample_with(r), // FTS (Alg. 5)
-            LeafTable::Cs(t) => t.its_search(r),  // ITS (Sec. II-B)
-        }
-    }
-
-    fn weights(&self) -> Vec<f64> {
-        match self {
-            LeafTable::Fs(t) => t.weights(),
-            LeafTable::Cs(t) => t.weights(),
-        }
-    }
-
-    /// The values [`weights`](Self::weights) returns, streamed in slot
-    /// order without the copy.
-    fn for_each_weight(&self, mut f: impl FnMut(usize, f64)) {
-        match self {
-            LeafTable::Fs(t) => t.iter_weights().enumerate().for_each(|(i, w)| f(i, w)),
-            LeafTable::Cs(t) => (0..t.len()).for_each(|i| f(i, t.get(i))),
-        }
-    }
-
-    /// Multiply every weight by `factor` in one pass. Both tables are
-    /// linear in the weights, so scaling the stored entries directly is
-    /// exact — no rebuild needed.
-    fn scale(&mut self, factor: f64) {
-        match self {
-            LeafTable::Fs(t) => t.scale(factor),
-            LeafTable::Cs(t) => t.scale(factor),
-        }
-    }
-}
-
-impl DeepSize for LeafTable {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            LeafTable::Fs(t) => t.heap_bytes(),
-            LeafTable::Cs(t) => t.heap_bytes(),
-        }
-    }
-}
-
 #[derive(Clone, Debug, Default)]
 pub struct Leaf {
     /// Unordered neighbor IDs (Sec. IV-A constraint 2).
     ids: IdList,
     /// Positional weights: `fs.get(i)` is the weight of `ids.get(i)`.
-    fs: LeafTable,
+    fs: FsTable,
     /// Positional event times: `ts[i]` belongs to `ids.get(i)`, `0` marks a
     /// timeless edge. Absent until the leaf first holds a non-zero `ts`
     /// (absent reads as all zeros), so a timeless graph pays no heap bytes
@@ -254,18 +72,17 @@ impl Leaf {
         let stamped = rows.iter().any(|r| r.2 != 0);
         Self {
             ids: IdList::from_ids(&ids, cfg.compression),
-            fs: LeafTable::from_weights(cfg.leaf_index, &weights),
+            fs: FsTable::from_weights(&weights),
             ts: stamped.then(|| Box::new(rows.iter().map(|r| r.2).collect())),
         }
     }
 
     /// Visit `(id, weight, ts)` in slot order.
     fn for_each_row(&self, f: &mut impl FnMut(u64, f64, u64)) {
+        let weights = self.fs.iter_weights().enumerate();
         match &self.ts {
-            Some(col) => self
-                .fs
-                .for_each_weight(|i, w| f(self.ids.get(i), w, col[i])),
-            None => self.fs.for_each_weight(|i, w| f(self.ids.get(i), w, 0)),
+            Some(col) => weights.for_each(|(i, w)| f(self.ids.get(i), w, col[i])),
+            None => weights.for_each(|(i, w)| f(self.ids.get(i), w, 0)),
         }
     }
 
@@ -306,13 +123,10 @@ impl Leaf {
             self.set_ts(i, ts);
             return (w - old, false);
         }
-        if self.ids.is_empty() {
-            self.fs.ensure_kind(cfg.leaf_index);
-            if cfg.compression {
-                // Seed the CP-ID encoding on first insert; later pushes
-                // auto-downgrade the prefix as IDs spread (Sec. VI-A).
-                self.ids = IdList::seeded_for(id);
-            }
+        if self.ids.is_empty() && cfg.compression {
+            // Seed the CP-ID encoding on first insert; later pushes
+            // auto-downgrade the prefix as IDs spread (Sec. VI-A).
+            self.ids = IdList::seeded_for(id);
         }
         self.reserve(run);
         self.ids.push(id);
@@ -359,7 +173,7 @@ impl Leaf {
     fn slack_within_bound(&self) -> bool {
         let n = self.ids.len();
         slack_within_bound(n, self.ids.capacity(), 1)
-            && self.fs.slack_within_bound()
+            && slack_within_bound(n, self.fs.capacity(), 1)
             && self
                 .ts
                 .as_ref()
@@ -775,7 +589,8 @@ fn decay_node(
                     continue;
                 };
                 stats.leaf_ops += 1;
-                let d = leaf.fs.decay(i, factor, floor);
+                let old = leaf.fs.get(i);
+                let d = leaf.fs.decay(i, factor, floor) - old;
                 if d < 0.0 {
                     delta += d;
                     counts.decayed += 1;
@@ -925,9 +740,9 @@ fn stack_levels(mut nodes: Vec<Node>, target: usize, cfg: &SamTreeConfig) -> Nod
 /// weighted sampling.
 ///
 /// ```
-/// use platod2gl_samtree::{LeafIndex, OpStats, SamTree, SamTreeConfig};
+/// use platod2gl_samtree::{OpStats, SamTree, SamTreeConfig};
 ///
-/// let cfg = SamTreeConfig { capacity: 4, alpha: 0, compression: true, leaf_index: LeafIndex::Fenwick }.validated();
+/// let cfg = SamTreeConfig { capacity: 4, alpha: 0, compression: true }.validated();
 /// let mut stats = OpStats::default();
 /// let mut tree = SamTree::new();
 /// for id in 0..100u64 {
@@ -1440,9 +1255,24 @@ impl SamTree {
                     if sorted.len() != ids.len() {
                         return Err("duplicate IDs in leaf".into());
                     }
+                    // The FSTable against its own weights: each recovered
+                    // weight is finite and non-negative (up to rounding),
+                    // and together they make up the table's total.
+                    let total = l.fs.total();
+                    let tol = 1.0 + total.abs();
+                    let mut sum = 0.0;
+                    for (i, w) in l.fs.iter_weights().enumerate() {
+                        if !w.is_finite() || w < -1e-9 * tol {
+                            return Err(format!("leaf weight {i} = {w} is negative or not finite"));
+                        }
+                        sum += w;
+                    }
+                    if (sum - total).abs() > 1e-6 * tol {
+                        return Err(format!("leaf weights sum to {sum} != fs total {total}"));
+                    }
                     let min = *sorted.first().expect("non-empty");
                     let max = *sorted.last().expect("non-empty");
-                    Ok((min, max, l.fs.total(), 1))
+                    Ok((min, max, total, 1))
                 }
                 Node::Internal(int) => {
                     let n = int.children.len();
@@ -1544,7 +1374,6 @@ mod tests {
             capacity,
             alpha,
             compression: true,
-            leaf_index: LeafIndex::Fenwick,
         }
         .validated()
     }
@@ -1907,8 +1736,8 @@ mod tests {
     fn timestamp_column_costs_no_node_bytes_and_is_counted_on_its_own() {
         // `Internal` is boxed, so the leaf sets the node size; the boxed
         // column costs it one thin pointer.
-        assert_eq!(std::mem::size_of::<Node>(), 80);
-        assert_eq!(std::mem::size_of::<SamTree>(), 88);
+        assert_eq!(std::mem::size_of::<Node>(), 72);
+        assert_eq!(std::mem::size_of::<SamTree>(), 80);
         let c = cfg(16, 0);
         let mut stats = OpStats::default();
         let (mut timeless, mut stamped) = (SamTree::new(), SamTree::new());
@@ -1923,6 +1752,26 @@ mod tests {
         assert_eq!(stamped.heap_bytes(), timeless.heap_bytes());
         let (leaf, internal) = stamped.memory_breakdown();
         assert_eq!(leaf + internal, stamped.heap_bytes());
+    }
+
+    #[test]
+    fn check_invariants_refuses_a_corrupt_leaf_fenwick_entry() {
+        let c = cfg(16, 0);
+        let mut t = build(&c, &[(1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)]);
+        t.check_invariants(&c).expect("intact leaf");
+        let Node::Leaf(l) = &mut t.root else {
+            panic!("four rows fit one leaf");
+        };
+        // Raise entry 0 by 3, so slot 1 reads back as -1. Exactly one
+        // Fenwick entry differs, and the leaf total (the only figure the
+        // tree-level checks compare) is unchanged.
+        let bad = FsTable::from_weights(&[4.0, -1.0, 3.0, 4.0]);
+        let changed: Vec<usize> = (0..4).filter(|&i| bad.entry(i) != l.fs.entry(i)).collect();
+        assert_eq!(changed, vec![0]);
+        assert_eq!(bad.total(), l.fs.total());
+        l.fs = bad;
+        let err = t.check_invariants(&c).expect_err("negative leaf weight");
+        assert!(err.contains("leaf weight 1"), "{err}");
     }
 
     #[test]
@@ -2244,7 +2093,7 @@ mod proptests {
             n in 0usize..2_000,
             capacity in prop_oneof![Just(4usize), Just(8), Just(64)],
         ) {
-            let cfg = SamTreeConfig { capacity, alpha: 0, compression: true, leaf_index: LeafIndex::Fenwick }.validated();
+            let cfg = SamTreeConfig { capacity, alpha: 0, compression: true }.validated();
             let pairs: Vec<(u64, f64)> =
                 (0..n as u64).map(|i| (i * 7919 % 65_536, 1.0)).collect();
             let t = SamTree::bulk_load(&cfg, &pairs);
@@ -2303,7 +2152,7 @@ mod proptests {
             steps in proptest::collection::vec((0u8..9, 0u64..120, 0.1f64..10.0, 0u64..2_000), 1..80),
         ) {
             use std::collections::BTreeMap;
-            let cfg = SamTreeConfig { capacity, alpha, compression: true, leaf_index: LeafIndex::Fenwick }.validated();
+            let cfg = SamTreeConfig { capacity, alpha, compression: true }.validated();
             let mut t = SamTree::new();
             let mut model: BTreeMap<u64, (f64, u64)> = BTreeMap::new();
             let mut stats = OpStats::default();
@@ -2400,7 +2249,7 @@ mod proptests {
             alpha in 0usize..2,
             steps in proptest::collection::vec((0u8..10, 0u64..120, 0.1f64..10.0, 0u64..2_000), 1..80),
         ) {
-            let cfg = SamTreeConfig { capacity, alpha, compression: true, leaf_index: LeafIndex::Fenwick }.validated();
+            let cfg = SamTreeConfig { capacity, alpha, compression: true }.validated();
             let mut t = SamTree::new();
             let mut stats = OpStats::default();
             let opening = Step::Batch(
@@ -2438,7 +2287,7 @@ mod proptests {
             alpha in 0usize..2,
             ops in proptest::collection::vec((0u8..4, 0u64..500, 0.1f64..10.0), 1..400),
         ) {
-            let cfg = SamTreeConfig { capacity, alpha, compression: true, leaf_index: LeafIndex::Fenwick }.validated();
+            let cfg = SamTreeConfig { capacity, alpha, compression: true }.validated();
             let mut t = SamTree::new();
             let mut reference: HashMap<u64, f64> = HashMap::new();
             let mut stats = OpStats::default();

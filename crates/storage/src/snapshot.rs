@@ -391,7 +391,6 @@ mod tests {
                 capacity: 16,
                 alpha: 2,
                 compression: false,
-                leaf_index: platod2gl_samtree::LeafIndex::Fenwick,
             },
         });
         restored.restore_from(bytes.as_slice()).expect("restore");

@@ -785,7 +785,6 @@ impl platod2gl_graph::TxnView for DynamicGraphStore {
 mod tests {
     use super::*;
     use platod2gl_graph::{conformance, DatasetProfile};
-    use platod2gl_samtree::LeafIndex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -795,7 +794,6 @@ mod tests {
                 capacity: 8,
                 alpha: 0,
                 compression: true,
-                leaf_index: LeafIndex::Fenwick,
             },
         })
     }
@@ -813,13 +811,13 @@ mod tests {
         // Counting them redefines the metric, so the change that does must
         // update this figure and report old and new values side by side.
         let cell = TreeCell::new();
-        assert_eq!(std::mem::size_of::<RwLock<SamTree>>(), 104);
-        assert_eq!(cell.heap_bytes(), 104);
+        assert_eq!(std::mem::size_of::<RwLock<SamTree>>(), 96);
+        assert_eq!(cell.heap_bytes(), 96);
         let mut stats = OpStats::default();
         let cfg = SamTreeConfig::default();
         cell.0.write().insert(&cfg, 7, 1.0, &mut stats);
         // One CP-ID suffix byte and one Fenwick entry join the cell.
-        assert_eq!(cell.heap_bytes(), 104 + 1 + 8);
+        assert_eq!(cell.heap_bytes(), 96 + 1 + 8);
     }
 
     #[test]
@@ -835,60 +833,9 @@ mod tests {
                     capacity: 16,
                     alpha: 2,
                     compression: false,
-                    leaf_index: LeafIndex::Fenwick,
                 },
             })
         });
-    }
-
-    #[test]
-    fn conformance_suite_cumsum_leaves() {
-        // The ablation variant (CSTable leaves) must be behaviorally
-        // identical — only its maintenance cost differs.
-        conformance::run_all(|| {
-            DynamicGraphStore::new(StoreConfig {
-                tree: SamTreeConfig {
-                    capacity: 8,
-                    alpha: 0,
-                    compression: true,
-                    leaf_index: LeafIndex::CumSum,
-                },
-            })
-        });
-    }
-
-    #[test]
-    fn leaf_index_variants_reach_identical_state() {
-        let profile = DatasetProfile::tiny();
-        let ops = profile.update_stream(55).next_batch(15_000);
-        let mk = |leaf_index| {
-            DynamicGraphStore::new(StoreConfig {
-                tree: SamTreeConfig {
-                    capacity: 16,
-                    alpha: 0,
-                    compression: true,
-                    leaf_index,
-                },
-            })
-        };
-        let fenwick = mk(LeafIndex::Fenwick);
-        let cumsum = mk(LeafIndex::CumSum);
-        fenwick.apply_batch(&ops);
-        cumsum.apply_batch(&ops);
-        assert_eq!(fenwick.num_edges(), cumsum.num_edges());
-        fenwick.check_invariants().expect("fenwick invariants");
-        cumsum.check_invariants().expect("cumsum invariants");
-        for src in profile.sample_sources(64, 8) {
-            let mut a = fenwick.neighbors(src, EdgeType(0));
-            let mut b = cumsum.neighbors(src, EdgeType(0));
-            a.sort_by_key(|(id, _)| id.raw());
-            b.sort_by_key(|(id, _)| id.raw());
-            assert_eq!(a.len(), b.len());
-            for ((ia, wa), (ib, wb)) in a.iter().zip(&b) {
-                assert_eq!(ia, ib);
-                assert!((wa - wb).abs() < 1e-6);
-            }
-        }
     }
 
     #[test]
@@ -1002,7 +949,6 @@ mod tests {
                     capacity: 8,
                     alpha: 0,
                     compression: true,
-                    leaf_index: LeafIndex::Fenwick,
                 },
             },
             Arc::clone(&registry),
@@ -1041,7 +987,6 @@ mod tests {
                 capacity: 64,
                 alpha: 0,
                 compression: true,
-                leaf_index: LeafIndex::Fenwick,
             },
         });
         let profile = DatasetProfile::tiny();
@@ -1065,7 +1010,6 @@ mod tests {
                     capacity: 32,
                     alpha: 0,
                     compression,
-                    leaf_index: LeafIndex::Fenwick,
                 },
             });
             // Clustered destination IDs compress well.

@@ -3,7 +3,7 @@
 //! fixes (rows read under one lock are never torn).
 
 use platod2gl_graph::{Edge, EdgeType, GraphStore, TimeWindow, UpdateOp, VertexId};
-use platod2gl_samtree::{LeafIndex, SamTreeConfig};
+use platod2gl_samtree::SamTreeConfig;
 use platod2gl_storage::{DynamicGraphStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,7 +16,6 @@ fn store(capacity: usize) -> DynamicGraphStore {
             capacity,
             alpha: 0,
             compression: true,
-            leaf_index: LeafIndex::Fenwick,
         },
     })
 }

@@ -2,8 +2,8 @@
 # The line counts ROADMAP's "net line count going down" is measured by.
 #   ./scripts/loc.sh            the tree-wide counts, rpc's production lines, the
 #                               service layers' `pub fn` count and the pub field
-#                               counts of the client, cluster, store, pipeline and
-#                               cache configs, one line
+#                               counts of the client, cluster, store, samtree,
+#                               pipeline and cache configs, one line
 #   ./scripts/loc.sh FILE...    "production total" per file, for before/after tables
 # "Production" is what sits above a file's first column-0 `#[cfg(test)]`.
 set -euo pipefail
@@ -35,6 +35,7 @@ pub_fields() {
 client_fields=$(pub_fields ClientConfig crates/rpc/src/client.rs)
 cluster_fields=$(pub_fields ClusterConfig crates/server/src/lib.rs)
 store_fields=$(pub_fields StoreConfig crates/storage/src/topology.rs)
+samtree_fields=$(pub_fields SamTreeConfig crates/samtree/src/lib.rs)
 pipeline_fields=$(pub_fields PipelineConfig crates/pipeline/src/driver.rs)
 cache_fields=$(pub_fields CacheConfig crates/pipeline/src/cache.rs)
-echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crates/rpc/src production $rpc_prod | crates/rpc with tests $rpc | crates/ examples/ tests/ $tree | pub fn in server+fleet+pipeline+rpc src $pubfn | ClientConfig pub fields $client_fields | ClusterConfig pub fields $cluster_fields | StoreConfig pub fields $store_fields | PipelineConfig pub fields $pipeline_fields | CacheConfig pub fields $cache_fields"
+echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crates/rpc/src production $rpc_prod | crates/rpc with tests $rpc | crates/ examples/ tests/ $tree | pub fn in server+fleet+pipeline+rpc src $pubfn | ClientConfig pub fields $client_fields | ClusterConfig pub fields $cluster_fields | StoreConfig pub fields $store_fields | SamTreeConfig pub fields $samtree_fields | PipelineConfig pub fields $pipeline_fields | CacheConfig pub fields $cache_fields"

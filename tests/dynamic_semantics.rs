@@ -3,7 +3,7 @@
 
 use platod2gl::{
     Cluster, ClusterConfig, DatasetProfile, DynamicGraphStore, Edge, EdgeType, GraphService,
-    GraphStore, LeafIndex, NeighborSampler, SamTreeConfig, StoreConfig, UpdateOp, VertexId,
+    GraphStore, NeighborSampler, SamTreeConfig, StoreConfig, UpdateOp, VertexId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +30,6 @@ fn churn_matches_reference_model() {
             capacity: 8,
             alpha: 1,
             compression: true,
-            leaf_index: LeafIndex::Fenwick,
         },
     });
     let profile = DatasetProfile::tiny();
@@ -186,7 +185,6 @@ fn delete_then_reinsert_cycles() {
             capacity: 4,
             alpha: 0,
             compression: false,
-            leaf_index: LeafIndex::Fenwick,
         },
     });
     let src = VertexId(9);

@@ -3,8 +3,8 @@
 //! differ in cost, never in semantics.
 
 use platod2gl::{
-    AliGraphStore, DatasetProfile, DynamicGraphStore, EdgeType, GraphStore, LeafIndex,
-    PlatoGlStore, SamTreeConfig, StoreConfig, UpdateOp, WeightedIndex,
+    AliGraphStore, DatasetProfile, DynamicGraphStore, EdgeType, GraphStore, PlatoGlStore,
+    SamTreeConfig, StoreConfig, UpdateOp, WeightedIndex,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,7 +17,6 @@ fn engines() -> Vec<Box<dyn GraphStore>> {
                 capacity: 16,
                 alpha: 2,
                 compression: true,
-                leaf_index: LeafIndex::Fenwick,
             },
         })),
         Box::new(PlatoGlStore::with_defaults()),

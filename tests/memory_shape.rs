@@ -8,8 +8,8 @@
 //! and the direction of every gap is what the design guarantees.
 
 use platod2gl::{
-    AliGraphStore, DatasetProfile, DynamicGraphStore, GraphStore, LeafIndex, PlatoGlStore,
-    SamTreeConfig, StoreConfig,
+    AliGraphStore, DatasetProfile, DynamicGraphStore, GraphStore, PlatoGlStore, SamTreeConfig,
+    StoreConfig,
 };
 
 fn build(store: &dyn GraphStore, profile: &DatasetProfile) {
@@ -24,7 +24,6 @@ fn d2gl(compression: bool) -> DynamicGraphStore {
             capacity: 256,
             alpha: 0,
             compression,
-            leaf_index: LeafIndex::Fenwick,
         },
     })
 }
