@@ -1,8 +1,8 @@
-//! # Concurrent bucketized cuckoo hash map
+//! # Bucketized cuckoo hashing
 //!
 //! PlatoD2GL stores the per-vertex samtrees in "a concurrent hashmap
 //! structure by exploiting Cuckoo hash" (Sec. IV-B, citing MemC3 \[7\] and
-//! libcuckoo \[23\]). This crate provides that directory:
+//! libcuckoo \[23\]). This crate holds that hashing once:
 //!
 //! * **Bucketized cuckoo hashing** — every key has two candidate buckets of
 //!   [`SLOTS`] entries each (4-way set-associative, as in MemC3), giving
@@ -11,20 +11,31 @@
 //!   breadth-first search finds the *shortest* chain of displacements that
 //!   frees a slot (libcuckoo's improvement over random-walk kicking), and the
 //!   chain is unwound back-to-front.
-//! * **Shard-per-lock concurrency** — the table is split into a power of
-//!   two of independent cuckoo tables (the `shards` argument of
-//!   [`CuckooMap::with_shards_and_capacity`]), each guarded by a
-//!   `parking_lot::Mutex`. A key's shard is derived from the high hash bits,
-//!   so displacement chains never cross a lock boundary. This is the
-//!   practical sharding used by production concurrent cuckoo maps.
 //!
-//! Hashing uses `std`'s SipHash through `BuildHasherDefault`, so layouts are
-//! deterministic across runs — benchmark memory numbers are reproducible.
+//! **One eviction core, two slot layouts.** [`CuckooTable`] is the core:
+//! lookup, BFS eviction and `grow()`, written once and generic over its
+//! [`Slot`]. It takes no lock and picks no hash; its owner does both.
+//!
+//! * [`CuckooMap`] — the general concurrent map of the attribute store, the
+//!   PlatoGL and AliGraph baselines and DeepWalk's embedding table. Its
+//!   slot is `Option<(hash, key, value)>`: it stores the 64-bit hash, which
+//!   is `std`'s SipHash through `BuildHasherDefault`. The map is split into a
+//!   power of two of tables (the `shards` argument of
+//!   [`CuckooMap::with_shards_and_capacity`]), each behind its own
+//!   `parking_lot::Mutex`, and a key's shard comes from the hash's top bits,
+//!   so displacement chains never cross a lock.
+//! * The storage layer's samtree directory — a compact 16-byte slot of key
+//!   and slab index, with no stored hash: its owner recomputes the hash, a
+//!   salted `splitmix64` of the key, whenever a displacement needs it.
+//!
+//! Both hashes are deterministic across runs, so table layouts (and the
+//! memory figures the benchmarks report) are reproducible.
 
 use parking_lot::Mutex;
 use platod2gl_mem::DeepSize;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::time::{Duration, Instant};
 
 /// Entries per bucket (4-way set-associative, as in MemC3).
 pub const SLOTS: usize = 4;
@@ -33,53 +44,47 @@ pub const SLOTS: usize = 4;
 /// growing the table.
 const BFS_LIMIT: usize = 256;
 
-/// Grow once a shard exceeds this load factor even if inserts still succeed,
-/// to keep displacement chains short.
+/// Grow once a table exceeds this load factor even if inserts still
+/// succeed, to keep displacement chains short.
 const MAX_LOAD: f64 = 0.90;
 
-type HashBuilder = BuildHasherDefault<DefaultHasher>;
+/// One cell of a [`CuckooTable`] bucket: empty, or one entry.
+pub trait Slot {
+    /// What a lookup compares an occupied slot against.
+    type Key;
 
-struct Entry<K, V> {
-    hash: u64,
-    key: K,
-    value: V,
+    /// An empty slot.
+    fn empty() -> Self;
+
+    /// Whether the slot holds no entry.
+    fn is_empty(&self) -> bool;
+
+    /// The occupant's 64-bit hash, stored or recomputed from its key. Only
+    /// asked of occupied slots.
+    fn hash(&self) -> u64;
+
+    /// Whether the slot holds `key`, whose hash is `hash`.
+    fn holds(&self, hash: u64, key: &Self::Key) -> bool;
 }
 
-struct Bucket<K, V> {
-    slots: [Option<Entry<K, V>>; SLOTS],
-}
-
-impl<K, V> Bucket<K, V> {
-    fn empty() -> Self {
-        Self {
-            slots: [None, None, None, None],
-        }
-    }
-
-    fn free_slot(&self) -> Option<usize> {
-        self.slots.iter().position(Option::is_none)
-    }
-
-    fn find(&self, hash: u64, key: &K) -> Option<usize>
-    where
-        K: Eq,
-    {
-        self.slots
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|e| e.hash == hash && &e.key == key))
-    }
-}
-
-struct Shard<K, V> {
-    buckets: Vec<Bucket<K, V>>,
+/// One cuckoo hash table over slots of type `S`: the eviction and growth
+/// core every slot layout shares. It takes no lock; its owner wraps it in
+/// one. A lookup takes the key's hash from the caller; an insert reads it
+/// from the slot.
+pub struct CuckooTable<S> {
+    buckets: Vec<[S; SLOTS]>,
     len: usize,
 }
 
-impl<K: Eq + Hash, V> Shard<K, V> {
-    fn with_buckets(n: usize) -> Self {
+impl<S: Slot> CuckooTable<S> {
+    /// An empty table of `n` buckets (rounded up to a power of two, at
+    /// least two).
+    pub fn with_buckets(n: usize) -> Self {
         let n = n.next_power_of_two().max(2);
         Self {
-            buckets: (0..n).map(|_| Bucket::empty()).collect(),
+            buckets: (0..n)
+                .map(|_| std::array::from_fn(|_| S::empty()))
+                .collect(),
             len: 0,
         }
     }
@@ -111,89 +116,69 @@ impl<K: Eq + Hash, V> Shard<K, V> {
         }
     }
 
-    fn get(&self, hash: u64, key: &K) -> Option<&V> {
-        let (b1, b2) = self.candidates(hash);
-        if let Some(s) = self.buckets[b1].find(hash, key) {
-            return self.buckets[b1].slots[s].as_ref().map(|e| &e.value);
-        }
-        if b2 != b1 {
-            if let Some(s) = self.buckets[b2].find(hash, key) {
-                return self.buckets[b2].slots[s].as_ref().map(|e| &e.value);
-            }
-        }
-        None
+    fn free_slot(&self, bucket: usize) -> Option<usize> {
+        self.buckets[bucket].iter().position(S::is_empty)
     }
 
-    fn get_mut(&mut self, hash: u64, key: &K) -> Option<&mut V> {
+    /// (bucket, slot) holding `key`.
+    fn find(&self, hash: u64, key: &S::Key) -> Option<(usize, usize)> {
         let (b1, b2) = self.candidates(hash);
-        let hit = if self.buckets[b1].find(hash, key).is_some() {
-            (b1, self.buckets[b1].find(hash, key).expect("just found"))
-        } else if b2 != b1 {
-            let s = self.buckets[b2].find(hash, key)?;
-            (b2, s)
-        } else {
-            return None;
-        };
-        self.buckets[hit.0].slots[hit.1]
-            .as_mut()
-            .map(|e| &mut e.value)
+        [b1, b2].into_iter().find_map(|b| {
+            let s = self.buckets[b].iter().position(|s| s.holds(hash, key))?;
+            Some((b, s))
+        })
     }
 
-    fn remove(&mut self, hash: u64, key: &K) -> Option<V> {
-        let (b1, b2) = self.candidates(hash);
-        for b in [b1, b2] {
-            if let Some(s) = self.buckets[b].find(hash, key) {
-                let entry = self.buckets[b].slots[s].take().expect("found slot");
-                self.len -= 1;
-                return Some(entry.value);
-            }
-            if b1 == b2 {
-                break;
-            }
-        }
-        None
+    /// The slot holding `key`.
+    pub fn get(&self, hash: u64, key: &S::Key) -> Option<&S> {
+        let (b, s) = self.find(hash, key)?;
+        Some(&self.buckets[b][s])
     }
 
-    fn insert(&mut self, hash: u64, key: K, value: V) -> Option<V> {
-        let (b1, b2) = self.candidates(hash);
-        // Replace an existing mapping.
-        for b in [b1, b2] {
-            if let Some(s) = self.buckets[b].find(hash, &key) {
-                let old = self.buckets[b].slots[s]
-                    .replace(Entry { hash, key, value })
-                    .expect("found slot");
-                return Some(old.value);
-            }
-            if b1 == b2 {
-                break;
-            }
-        }
+    /// The slot holding `key`, mutably. The caller must not change which
+    /// key the slot holds.
+    pub fn get_mut(&mut self, hash: u64, key: &S::Key) -> Option<&mut S> {
+        let (b, s) = self.find(hash, key)?;
+        Some(&mut self.buckets[b][s])
+    }
+
+    /// Empty the slot holding `key`, returning what it held.
+    pub fn remove(&mut self, hash: u64, key: &S::Key) -> Option<S> {
+        let (b, s) = self.find(hash, key)?;
+        self.len -= 1;
+        Some(std::mem::replace(&mut self.buckets[b][s], S::empty()))
+    }
+
+    /// Insert an occupied slot whose key is absent (callers look it up
+    /// first). `on_grow` hears how long each doubling of the bucket array
+    /// took; most inserts double nothing.
+    pub fn insert<F: FnMut(Duration)>(&mut self, slot: S, on_grow: &mut F) {
         if self.len as f64 >= self.capacity() as f64 * MAX_LOAD {
-            self.grow();
+            self.grow(on_grow);
         }
-        let mut entry = Entry { hash, key, value };
+        let mut slot = slot;
         loop {
-            match self.place(entry) {
+            match self.place(slot) {
                 Ok(()) => {
                     self.len += 1;
-                    return None;
+                    return;
                 }
                 Err(back) => {
-                    entry = back;
-                    self.grow();
+                    slot = back;
+                    self.grow(on_grow);
                 }
             }
         }
     }
 
-    /// Place an entry, displacing others along a BFS-discovered path if both
-    /// candidate buckets are full. `Err` returns the entry when no path of
+    /// Place a slot, displacing others along a BFS-discovered path if both
+    /// candidate buckets are full. `Err` returns the slot when no path of
     /// length `<= BFS_LIMIT` exists.
-    fn place(&mut self, entry: Entry<K, V>) -> Result<(), Entry<K, V>> {
-        let (b1, b2) = self.candidates(entry.hash);
+    fn place(&mut self, slot: S) -> Result<(), S> {
+        let (b1, b2) = self.candidates(slot.hash());
         for b in [b1, b2] {
-            if let Some(s) = self.buckets[b].free_slot() {
-                self.buckets[b].slots[s] = Some(entry);
+            if let Some(s) = self.free_slot(b) {
+                self.buckets[b][s] = slot;
                 return Ok(());
             }
             if b1 == b2 {
@@ -224,21 +209,20 @@ impl<K: Eq + Hash, V> Shard<K, V> {
         let mut found: Option<usize> = None;
         'bfs: while cursor < nodes.len() && nodes.len() < BFS_LIMIT {
             let bucket = nodes[cursor].bucket;
-            for slot in 0..SLOTS {
-                let occ = self.buckets[bucket].slots[slot]
-                    .as_ref()
-                    .expect("full bucket on BFS frontier");
-                let alt = self.alternate(occ.hash, bucket);
+            for via_slot in 0..SLOTS {
+                let occ = &self.buckets[bucket][via_slot];
+                debug_assert!(!occ.is_empty(), "full bucket on BFS frontier");
+                let alt = self.alternate(occ.hash(), bucket);
                 if seen[alt] {
                     continue;
                 }
                 seen[alt] = true;
                 nodes.push(Node {
                     bucket: alt,
-                    via_slot: slot,
+                    via_slot,
                     parent: cursor,
                 });
-                if self.buckets[alt].free_slot().is_some() {
+                if self.free_slot(alt).is_some() {
                     found = Some(nodes.len() - 1);
                     break 'bfs;
                 }
@@ -246,7 +230,7 @@ impl<K: Eq + Hash, V> Shard<K, V> {
             cursor += 1;
         }
         let Some(mut at) = found else {
-            return Err(entry);
+            return Err(slot);
         };
         // Unwind: move occupants back-to-front along the path.
         while nodes[at].parent != usize::MAX {
@@ -254,42 +238,107 @@ impl<K: Eq + Hash, V> Shard<K, V> {
             let from_bucket = nodes[parent].bucket;
             let from_slot = nodes[at].via_slot;
             let to_bucket = nodes[at].bucket;
-            let free = self.buckets[to_bucket]
-                .free_slot()
+            let free = self
+                .free_slot(to_bucket)
                 .expect("path invariant: destination has a free slot");
-            let moved = self.buckets[from_bucket].slots[from_slot]
-                .take()
-                .expect("path invariant: source slot occupied");
-            debug_assert_eq!(self.alternate(moved.hash, from_bucket), to_bucket);
-            self.buckets[to_bucket].slots[free] = Some(moved);
+            let moved = std::mem::replace(&mut self.buckets[from_bucket][from_slot], S::empty());
+            debug_assert!(!moved.is_empty(), "path invariant: source slot occupied");
+            debug_assert_eq!(self.alternate(moved.hash(), from_bucket), to_bucket);
+            self.buckets[to_bucket][free] = moved;
             at = parent;
         }
         let root = nodes[at].bucket;
-        let free = self.buckets[root]
-            .free_slot()
-            .expect("root slot freed by unwinding");
-        self.buckets[root].slots[free] = Some(entry);
+        let free = self.free_slot(root).expect("root slot freed by unwinding");
+        self.buckets[root][free] = slot;
         Ok(())
     }
 
-    fn grow(&mut self) {
+    /// Double the bucket array and re-place every entry (stop-the-world for
+    /// whoever holds this table).
+    fn grow<F: FnMut(Duration)>(&mut self, on_grow: &mut F) {
+        let started = Instant::now();
         let new_size = self.buckets.len() * 2;
         let old = std::mem::replace(
             &mut self.buckets,
-            (0..new_size).map(|_| Bucket::empty()).collect(),
+            (0..new_size)
+                .map(|_| std::array::from_fn(|_| S::empty()))
+                .collect(),
         );
         self.len = 0;
         for bucket in old {
-            for e in bucket.slots.into_iter().flatten() {
-                self.insert(e.hash, e.key, e.value);
+            for slot in bucket {
+                if !slot.is_empty() {
+                    self.insert(slot, on_grow);
+                }
             }
         }
+        on_grow(started.elapsed());
     }
 
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the table has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Slots allocated (occupied or not).
     fn capacity(&self) -> usize {
         self.buckets.len() * SLOTS
     }
+
+    /// Bytes of the bucket array at its capacity: the hash-index overhead,
+    /// empty slots included. Heap owned by the occupants is not included.
+    pub fn bucket_bytes(&self) -> usize {
+        self.buckets.capacity() * std::mem::size_of::<[S; SLOTS]>()
+    }
+
+    /// Every occupied slot, in bucket order.
+    pub fn iter(&self) -> impl Iterator<Item = &S> {
+        self.buckets.iter().flatten().filter(|s| !s.is_empty())
+    }
+
+    /// Every occupied slot, mutably, in bucket order. The caller must not
+    /// change which key a slot holds.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut S> {
+        self.buckets.iter_mut().flatten().filter(|s| !s.is_empty())
+    }
 }
+
+type HashBuilder = BuildHasherDefault<DefaultHasher>;
+
+/// [`CuckooMap`]'s occupant: the key's stored SipHash, the key, the value.
+struct Entry<K, V> {
+    hash: u64,
+    key: K,
+    value: V,
+}
+
+impl<K: Eq, V> Slot for Option<Entry<K, V>> {
+    type Key = K;
+
+    fn empty() -> Self {
+        None
+    }
+
+    fn is_empty(&self) -> bool {
+        self.is_none()
+    }
+
+    fn hash(&self) -> u64 {
+        self.as_ref().expect("occupied slot").hash
+    }
+
+    fn holds(&self, hash: u64, key: &K) -> bool {
+        self.as_ref()
+            .is_some_and(|e| e.hash == hash && &e.key == key)
+    }
+}
+
+type Shard<K, V> = CuckooTable<Option<Entry<K, V>>>;
 
 /// A concurrent cuckoo hash map.
 ///
@@ -303,7 +352,7 @@ impl<K: Eq + Hash, V> Shard<K, V> {
 /// let map: CuckooMap<u64, String> = CuckooMap::new();
 /// map.insert(1, "tree-1".into());
 /// map.update(&1, |v| v.push_str("!"));
-/// assert_eq!(map.get(&1).as_deref(), Some("tree-1!"));
+/// assert_eq!(map.read(&1, |v| v.clone()).as_deref(), Some("tree-1!"));
 /// assert_eq!(map.len(), 1);
 /// assert_eq!(map.remove(&1).as_deref(), Some("tree-1!"));
 /// ```
@@ -366,40 +415,39 @@ impl<K: Eq + Hash, V> CuckooMap<K, V> {
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         let hash = self.hash_of(&key);
         let mut shard = self.shards[self.shard_of(hash)].lock();
-        shard.insert(hash, key, value)
+        if let Some(Some(e)) = shard.get_mut(hash, &key) {
+            return Some(std::mem::replace(&mut e.value, value));
+        }
+        shard.insert(Some(Entry { hash, key, value }), &mut |_| ());
+        None
     }
 
     /// Remove a key, returning its value if present.
     pub fn remove(&self, key: &K) -> Option<V> {
         let hash = self.hash_of(key);
         let mut shard = self.shards[self.shard_of(hash)].lock();
-        shard.remove(hash, key)
-    }
-
-    /// Whether the key is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.read(key, |_| ()).is_some()
+        shard.remove(hash, key).flatten().map(|e| e.value)
     }
 
     /// Run `f` over the value for `key`, if present, while holding the shard
-    /// lock. Prefer this over [`get`](Self::get) when `V` is expensive to
-    /// clone (the topology store's values are whole samtrees).
+    /// lock.
     pub fn read<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         let hash = self.hash_of(key);
         let shard = self.shards[self.shard_of(hash)].lock();
-        shard.get(hash, key).map(f)
+        let e = shard.get(hash, key)?.as_ref()?;
+        Some(f(&e.value))
     }
 
     /// Run `f` over a mutable reference to the value for `key`, if present.
     pub fn update<R>(&self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
         let hash = self.hash_of(key);
         let mut shard = self.shards[self.shard_of(hash)].lock();
-        shard.get_mut(hash, key).map(f)
+        let e = shard.get_mut(hash, key)?.as_mut()?;
+        Some(f(&mut e.value))
     }
 
     /// Run `f` over the value for `key`, inserting `default()` first if the
-    /// key is absent. This is the topology store's get-or-create-samtree
-    /// primitive.
+    /// key is absent (get-or-create).
     pub fn update_or_insert_with<R>(
         &self,
         key: K,
@@ -411,70 +459,32 @@ impl<K: Eq + Hash, V> CuckooMap<K, V> {
     {
         let hash = self.hash_of(&key);
         let mut shard = self.shards[self.shard_of(hash)].lock();
-        if shard.get_mut(hash, &key).is_none() {
-            shard.insert(hash, key.clone(), default());
+        if shard.get(hash, &key).is_none() {
+            let entry = Entry {
+                hash,
+                key: key.clone(),
+                value: default(),
+            };
+            shard.insert(Some(entry), &mut |_| ());
         }
-        let v = shard.get_mut(hash, &key).expect("just inserted");
-        f(v)
+        let e = shard.get_mut(hash, &key).and_then(Option::as_mut);
+        f(&mut e.expect("just inserted").value)
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether the map has no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Visit every entry. Shards are visited one at a time, each under its
-    /// lock; do not call map methods from inside `f`.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for shard in self.shards.iter() {
-            let shard = shard.lock();
-            for bucket in &shard.buckets {
-                for e in bucket.slots.iter().flatten() {
-                    f(&e.key, &e.value);
-                }
-            }
-        }
-    }
-
-    /// Visit every entry mutably.
-    pub fn for_each_mut(&self, mut f: impl FnMut(&K, &mut V)) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            for bucket in &mut shard.buckets {
-                for e in bucket.slots.iter_mut().flatten() {
-                    f(&e.key, &mut e.value);
-                }
-            }
-        }
-    }
-
-    /// Collect all keys.
-    pub fn keys(&self) -> Vec<K>
-    where
-        K: Clone,
-    {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each(|k, _| out.push(k.clone()));
-        out
-    }
-
-    /// Clone the value for `key`.
-    pub fn get(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.read(key, V::clone)
-    }
 }
 
 impl<K, V> DeepSize for CuckooMap<K, V>
 where
-    K: DeepSize,
+    K: Eq + DeepSize,
     V: DeepSize,
 {
     /// Counts every allocated slot — including empty ones — plus the heap
@@ -484,11 +494,9 @@ where
         let mut bytes = self.shards.len() * std::mem::size_of::<Mutex<Shard<K, V>>>();
         for shard in self.shards.iter() {
             let shard = shard.lock();
-            bytes += shard.buckets.capacity() * std::mem::size_of::<Bucket<K, V>>();
-            for bucket in &shard.buckets {
-                for e in bucket.slots.iter().flatten() {
-                    bytes += e.key.heap_bytes() + e.value.heap_bytes();
-                }
+            bytes += shard.bucket_bytes();
+            for e in shard.iter().flatten() {
+                bytes += e.key.heap_bytes() + e.value.heap_bytes();
             }
         }
         bytes
@@ -499,14 +507,18 @@ where
 mod tests {
     use super::*;
 
+    fn get<K: Eq + Hash, V: Clone>(map: &CuckooMap<K, V>, key: &K) -> Option<V> {
+        map.read(key, V::clone)
+    }
+
     #[test]
     fn insert_get_roundtrip() {
         let map: CuckooMap<u64, String> = CuckooMap::new();
         assert_eq!(map.insert(1, "a".into()), None);
         assert_eq!(map.insert(2, "b".into()), None);
-        assert_eq!(map.get(&1).as_deref(), Some("a"));
-        assert_eq!(map.get(&2).as_deref(), Some("b"));
-        assert_eq!(map.get(&3), None);
+        assert_eq!(get(&map, &1).as_deref(), Some("a"));
+        assert_eq!(get(&map, &2).as_deref(), Some("b"));
+        assert_eq!(get(&map, &3), None);
         assert_eq!(map.len(), 2);
     }
 
@@ -515,7 +527,7 @@ mod tests {
         let map: CuckooMap<u64, u64> = CuckooMap::new();
         assert_eq!(map.insert(7, 1), None);
         assert_eq!(map.insert(7, 2), Some(1));
-        assert_eq!(map.get(&7), Some(2));
+        assert_eq!(get(&map, &7), Some(2));
         assert_eq!(map.len(), 1);
     }
 
@@ -534,7 +546,7 @@ mod tests {
         map.insert(1, vec![]);
         map.update(&1, |v| v.push(42));
         map.update(&1, |v| v.push(43));
-        assert_eq!(map.get(&1), Some(vec![42, 43]));
+        assert_eq!(get(&map, &1), Some(vec![42, 43]));
         assert_eq!(map.update(&999, |_| ()), None);
     }
 
@@ -573,7 +585,7 @@ mod tests {
         }
         assert_eq!(map.len(), n as usize);
         for k in 0..n {
-            assert_eq!(map.get(&k), Some(k * 10), "key {k}");
+            assert_eq!(get(&map, &k), Some(k * 10), "key {k}");
         }
     }
 
@@ -600,34 +612,7 @@ mod tests {
         }
         assert_eq!(map.len(), reference.len());
         for (k, v) in &reference {
-            assert_eq!(map.get(k), Some(*v));
-        }
-    }
-
-    #[test]
-    fn for_each_visits_every_entry_once() {
-        let map: CuckooMap<u64, u64> = CuckooMap::new();
-        for k in 0..1000 {
-            map.insert(k, k);
-        }
-        let mut seen = vec![false; 1000];
-        map.for_each(|k, v| {
-            assert_eq!(k, v);
-            assert!(!seen[*k as usize], "visited twice");
-            seen[*k as usize] = true;
-        });
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn for_each_mut_can_rewrite_values() {
-        let map: CuckooMap<u64, u64> = CuckooMap::new();
-        for k in 0..100 {
-            map.insert(k, 0);
-        }
-        map.for_each_mut(|k, v| *v = k * 2);
-        for k in 0..100 {
-            assert_eq!(map.get(&k), Some(k * 2));
+            assert_eq!(get(&map, k), Some(*v));
         }
     }
 
@@ -661,7 +646,7 @@ mod tests {
         .expect("threads join");
         assert_eq!(map.len(), (threads * per) as usize);
         for k in 0..threads * per {
-            assert_eq!(map.get(&k), Some(k + 1));
+            assert_eq!(get(&map, &k), Some(k + 1));
         }
     }
 
@@ -690,8 +675,7 @@ mod tests {
             }
         })
         .expect("threads join");
-        let mut sum = 0u64;
-        map.for_each(|_, v| sum += *v);
+        let sum: u64 = (0..1_000u64).filter_map(|k| get(&map, &k)).sum();
         assert_eq!(sum, 4_000, "each of 4 writers increments every key once");
     }
 
@@ -700,9 +684,9 @@ mod tests {
         let map: CuckooMap<String, u64> = CuckooMap::new();
         map.insert("alpha".into(), 1);
         map.insert("beta".into(), 2);
-        assert_eq!(map.get(&"alpha".to_string()), Some(1));
-        assert!(map.contains_key(&"beta".to_string()));
-        assert!(!map.contains_key(&"gamma".to_string()));
+        assert_eq!(get(&map, &"alpha".to_string()), Some(1));
+        assert_eq!(get(&map, &"beta".to_string()), Some(2));
+        assert_eq!(get(&map, &"gamma".to_string()), None);
     }
 }
 
@@ -723,7 +707,7 @@ mod proptests {
                 match kind {
                     0 => prop_assert_eq!(map.insert(k, v), reference.insert(k, v)),
                     1 => prop_assert_eq!(map.remove(&k), reference.remove(&k)),
-                    _ => prop_assert_eq!(map.get(&k), reference.get(&k).copied()),
+                    _ => prop_assert_eq!(map.read(&k, |v| *v), reference.get(&k).copied()),
                 }
                 prop_assert_eq!(map.len(), reference.len());
             }

@@ -106,19 +106,20 @@ const SLACK_DIVISOR: usize = 8;
 /// Make room in a leaf column for `rows` more rows of `width` elements
 /// each. A column with room is left alone; a full one grows once, to
 /// exactly the rows it needs plus an eighth (not by doubling), so a column
-/// never holds much more than it stores. Samtree id lists, Fenwick tables
-/// and timestamp columns all grow through this one rule.
+/// never holds much more than it stores. Samtree id lists, Fenwick tables,
+/// timestamp columns and the storage directory's tree slabs all grow
+/// through this one rule.
 ///
 /// The column moves into a fresh allocation of that size instead of being
 /// `realloc`ed: small columns grow often under a bounded step, and with
 /// the system allocator (glibc, 2-core x86-64 host) a fresh allocation plus
 /// a copy loaded the benchmark graph ≈ 15 % faster than `realloc`.
-pub fn reserve_rows<T: Copy>(col: &mut Vec<T>, width: usize, rows: usize) {
+pub fn reserve_rows<T>(col: &mut Vec<T>, width: usize, rows: usize) {
     let need = col.len() + rows * width;
     if need > col.capacity() {
         let need_rows = need / width;
         let mut grown = Vec::with_capacity((need_rows + need_rows / SLACK_DIVISOR) * width);
-        grown.extend_from_slice(col);
+        grown.append(col);
         *col = grown;
     }
 }

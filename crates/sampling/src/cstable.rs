@@ -39,13 +39,6 @@ impl CsTable {
         Self { cumsum: Vec::new() }
     }
 
-    /// Create an empty table with room for `cap` weights.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            cumsum: Vec::with_capacity(cap),
-        }
-    }
-
     /// Build from raw weights in `O(n)`.
     pub fn from_weights(weights: &[f64]) -> Self {
         let mut cumsum = Vec::with_capacity(weights.len());
@@ -140,12 +133,6 @@ impl CsTable {
     /// Recover all raw weights.
     pub fn weights(&self) -> Vec<f64> {
         (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    /// Rebuild from recovered weights, clearing floating-point drift.
-    pub fn rebuild(&mut self) {
-        let w = self.weights();
-        *self = Self::from_weights(&w);
     }
 
     /// ITS search: the smallest `i` with `C[i] > r` (paper Sec. II-B),
@@ -263,22 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_clears_drift() {
-        let mut t = CsTable::from_weights(&[0.1; 32]);
-        for i in 0..32 {
-            t.add(i, 1e-3);
-            t.add(i, -1e-3);
-        }
-        t.rebuild();
-        for w in t.weights() {
-            assert!((w - 0.1).abs() < EPS);
-        }
-    }
-
-    #[test]
     fn deep_size_counts_capacity() {
-        let mut t = CsTable::with_capacity(8);
-        t.push(1.0);
+        // Capacity, not length: a removal keeps the slot allocated.
+        let mut t = CsTable::from_weights(&[1.0; 8]);
+        t.remove(7);
         assert_eq!(t.heap_bytes(), 64);
     }
 }

@@ -21,6 +21,7 @@
 
 mod attr;
 pub mod crc32c;
+mod directory;
 mod fault;
 mod snapshot;
 mod topology;

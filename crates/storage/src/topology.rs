@@ -1,8 +1,7 @@
 //! The samtree-based dynamic topology store (paper Sec. IV-B) and the
 //! PALM-style batch-parallel updater (Sec. VI-B, Appendix B).
 
-use parking_lot::RwLock;
-use platod2gl_cuckoo::CuckooMap;
+use crate::directory::{Directory, TreeKey};
 use platod2gl_graph::{
     sanitize_weight, Edge, EdgeType, GraphStore, TimeWindow, UpdateOp, VertexId,
 };
@@ -31,13 +30,6 @@ pub struct StoreConfig {
     pub tree: SamTreeConfig,
 }
 
-/// Directory key: one samtree per (source vertex, relation).
-///
-/// The paper's Fig. 3 hashmap is keyed by vertex alone on a homogeneous
-/// example; for heterogeneous graphs each relation keeps its own
-/// neighborhood so that typed neighbor sampling never filters.
-type TreeKey = (u64, u16);
-
 fn key(v: VertexId, etype: EdgeType) -> TreeKey {
     (v.raw(), etype.0)
 }
@@ -60,33 +52,14 @@ pub struct DecayOutcome {
     pub floored: usize,
 }
 
-/// A shared, independently lockable samtree. The directory shard lock is
-/// held only long enough to clone the `Arc`; tree mutations take the
-/// per-tree `RwLock`, so updates to different source vertices never
-/// serialize on each other, and sampling (read) never blocks sampling.
-#[derive(Clone)]
-pub(crate) struct TreeCell(Arc<RwLock<SamTree>>);
-
-impl TreeCell {
-    fn new() -> Self {
-        TreeCell(Arc::new(RwLock::new(SamTree::new())))
-    }
-}
-
-impl DeepSize for TreeCell {
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<RwLock<SamTree>>() + self.0.read().heap_bytes()
-    }
-}
-
 /// One store's resident topology memory, split into samtree leaves (leaf
 /// id lists + Fenwick tables), samtree index (internal nodes, separators,
-/// cumulative-sum tables, child spines), and directory overhead (cuckoo
-/// buckets + lock cells). The three parts sum to `total_bytes`, which is
-/// exactly [`GraphStore::topology_bytes`]. The leaf part splits again into
-/// payload (rows × bytes per row) and spare column capacity, which sum to
-/// `leaf_bytes`. The leaves' timestamp columns are not topology in the
-/// paper's Table-IV sense and are reported beside it.
+/// cumulative-sum tables, child spines), and directory overhead (stripe
+/// locks, index buckets and the tree slabs). The three parts sum to
+/// `total_bytes`, which is exactly [`GraphStore::topology_bytes`]. The leaf
+/// part splits again into payload (rows × bytes per row) and spare column
+/// capacity, which sum to `leaf_bytes`. The leaves' timestamp columns are
+/// not topology in the paper's Table-IV sense and are reported beside it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreMemory {
     /// Bytes holding actual neighbor ids and weights (leaf level):
@@ -99,7 +72,9 @@ pub struct StoreMemory {
     pub leaf_slack_bytes: usize,
     /// Samtree internal-node bytes (index overhead above the leaves).
     pub internal_bytes: usize,
-    /// Cuckoo directory bytes (buckets, keys, lock cells).
+    /// Directory bytes: the stripe locks, the cuckoo index buckets (keys and
+    /// slab indexes, empty slots included) and the tree slabs, each at its
+    /// capacity.
     pub directory_bytes: usize,
     /// Total resident topology bytes.
     pub total_bytes: usize,
@@ -108,8 +83,8 @@ pub struct StoreMemory {
     pub timestamp_bytes: usize,
 }
 
-/// PlatoD2GL's dynamic graph topology store: a concurrent cuckoo directory
-/// of per-vertex samtrees. Implements [`GraphStore`].
+/// PlatoD2GL's dynamic graph topology store: a striped cuckoo directory of
+/// per-vertex samtrees held in dense slabs. Implements [`GraphStore`].
 ///
 /// ```
 /// use platod2gl_graph::{Edge, EdgeType, GraphStore, VertexId};
@@ -128,7 +103,7 @@ pub struct StoreMemory {
 /// ```
 pub struct DynamicGraphStore {
     tree: SamTreeConfig,
-    directory: CuckooMap<TreeKey, TreeCell>,
+    directory: Directory,
     num_edges: AtomicUsize,
     registry: Arc<Registry>,
     metrics: StoreMetrics,
@@ -204,7 +179,7 @@ impl DynamicGraphStore {
         let metrics = StoreMetrics::new(&registry);
         Self {
             tree: config.tree.validated(),
-            directory: CuckooMap::with_capacity(1024),
+            directory: Directory::new(&registry),
             num_edges: AtomicUsize::new(0),
             registry,
             metrics,
@@ -248,28 +223,23 @@ impl DynamicGraphStore {
         self.directory.len()
     }
 
-    fn cell(&self, key: TreeKey) -> Option<TreeCell> {
-        self.directory.read(&key, TreeCell::clone)
-    }
-
-    /// Run `f` on the read-locked tree of `(v, etype)`; `None` if the key
-    /// is not resident.
+    /// Run `f` on the tree of `(v, etype)` under its stripe's read guard;
+    /// `None` if the key is not resident.
     fn read_tree<R>(
         &self,
         v: VertexId,
         etype: EdgeType,
         f: impl FnOnce(&SamTree) -> R,
     ) -> Option<R> {
-        let cell = self.cell(key(v, etype))?;
-        let tree = cell.0.read();
-        Some(f(&tree))
+        self.directory.read(key(v, etype), f)
     }
 
-    /// The one write body: `(v, etype)` → directory cell → write-locked tree
-    /// → `f`, then settle what `f` did — the store's edge count and gauge by
-    /// the difference in the tree's length, the samtree op counters by the
-    /// [`OpStats`] `f` filled. `create` is set by inserts and batches; single
-    /// deletes and updates and decay leave a missing key alone (`None`).
+    /// The one write body: `(v, etype)` → stripe write guard → tree → `f`,
+    /// then, with the guard dropped, settle what `f` did — the store's edge
+    /// count and gauge by the difference in the tree's length, the samtree
+    /// op counters by the [`OpStats`] `f` filled. `create` is set by inserts
+    /// and batches; single deletes and updates and decay leave a missing key
+    /// alone (`None`).
     fn write_tree<R>(
         &self,
         v: VertexId,
@@ -277,20 +247,12 @@ impl DynamicGraphStore {
         create: bool,
         f: impl FnOnce(&mut SamTree, &SamTreeConfig, &mut OpStats) -> R,
     ) -> Option<R> {
-        let key = key(v, etype);
-        let cell = if create {
-            self.directory
-                .update_or_insert_with(key, TreeCell::new, |cell| cell.clone())
-        } else {
-            self.cell(key)?
-        };
         let mut local = OpStats::default();
-        let (out, before, after) = {
-            let mut tree = cell.0.write();
+        let (out, before, after) = self.directory.write(key(v, etype), create, |tree| {
             let before = tree.len();
-            let out = f(&mut tree, &self.tree, &mut local);
+            let out = f(tree, &self.tree, &mut local);
             (out, before, tree.len())
-        };
+        })?;
         if after != before {
             // Atomic adds wrap, so a shrunken tree's difference subtracts.
             self.num_edges
@@ -309,7 +271,7 @@ impl DynamicGraphStore {
             .map_or(0, |(_, ts)| ts)
     }
 
-    /// Apply every op of one (src, etype) group under a single tree lock.
+    /// Apply every op of one (src, etype) group under one stripe write guard.
     fn apply_group(&self, group: &[&UpdateOp]) {
         let (src, etype) = (group[0].src(), group[0].etype());
         self.write_tree(src, etype, true, |tree, cfg, stats| {
@@ -428,13 +390,12 @@ impl DynamicGraphStore {
 
     /// Multiply every stored edge weight by `factor` (time-decay sweep for
     /// real-time recommendation: stale interactions fade, fresh inserts
-    /// arrive at full weight). One `O(n)` pass per tree, taken under each
-    /// tree's own write lock.
+    /// arrive at full weight). One `O(n)` pass per tree, taken under its
+    /// stripe's write guard.
     pub fn decay_weights(&self, factor: f64) {
         assert!(factor.is_finite() && factor >= 0.0);
-        self.directory.for_each(|_, cell| {
-            cell.0.write().scale_weights(factor);
-        });
+        self.directory
+            .for_each_tree_mut(|tree| tree.scale_weights(factor));
     }
 
     /// Weighted neighbor sampling, optionally restricted to a time window —
@@ -466,11 +427,21 @@ impl DynamicGraphStore {
         // samtree descent and the FTS draws as separate levels.
         let _span = self.registry.span("samtree.sample");
         self.metrics.sample_requests.inc();
-        let Some(cell) = self.cell(key(v, etype)) else {
-            return Vec::new();
-        };
-        let tree = cell.0.read();
-        // The read lock holds the total still for the whole request.
+        // One stripe read guard holds the tree, and its total, still for
+        // every draw of the request.
+        self.read_tree(v, etype, |tree| self.draw(tree, k, window, rng))
+            .unwrap_or_default()
+    }
+
+    /// The draws of one sample request (see
+    /// [`DynamicGraphStore::sample_neighbors_windowed`]).
+    fn draw(
+        &self,
+        tree: &SamTree,
+        k: usize,
+        window: Option<TimeWindow>,
+        rng: &mut dyn RngCore,
+    ) -> Vec<VertexId> {
         let total = tree.total_weight();
         if tree.is_empty() || total <= 0.0 {
             return Vec::new();
@@ -591,16 +562,13 @@ impl DynamicGraphStore {
 
     /// Drop a source vertex's entire out-neighborhood in one relation
     /// (account deletion / right-to-be-forgotten). Returns the number of
-    /// edges removed. Concurrent writers racing the removal may land their
-    /// ops on the detached tree and be discarded with it — the same
-    /// semantics as deleting each edge individually while others insert.
+    /// edges removed. A write to the same source lands wholly before the
+    /// removal (and is removed with it) or wholly after (on a fresh tree).
     pub fn delete_source(&self, v: VertexId, etype: EdgeType) -> usize {
-        let Some(cell) = self.directory.remove(&key(v, etype)) else {
+        let Some(tree) = self.directory.remove(key(v, etype)) else {
             return 0;
         };
-        let mut tree = cell.0.write();
         let removed = tree.len();
-        *tree = SamTree::new();
         self.num_edges.fetch_sub(removed, Ordering::Relaxed);
         self.metrics.edges.add(-(removed as i64));
         removed
@@ -608,14 +576,14 @@ impl DynamicGraphStore {
 
     /// Dump the whole adjacency as `((src, etype), [(dst, weight, ts)])`
     /// entries (snapshotting and diagnostics). Each tree's rows are read in
-    /// one pass under its own lock, so a row's `ts` is always one the edge
-    /// held together with that weight.
+    /// one pass under its stripe's read guard, so a row's `ts` is always one
+    /// the edge held together with that weight.
     pub fn export_adjacency(&self) -> Vec<AdjacencyEntry> {
         let mut out = Vec::with_capacity(self.directory.len());
-        self.directory.for_each(|key, cell| {
-            let rows = cell.0.read().rows();
+        self.directory.for_each(|key, tree| {
+            let rows = tree.rows();
             if !rows.is_empty() {
-                out.push((*key, rows));
+                out.push((key, rows));
             }
         });
         out
@@ -635,9 +603,11 @@ impl DynamicGraphStore {
     /// edge count, without materializing the adjacency lists the way
     /// [`DynamicGraphStore::export_adjacency`] does. Partition accounting
     /// (`/debug/partitions` key counts) walks the whole directory this way.
+    /// `f` runs under a directory stripe's read guard, so it must not call
+    /// back into the store.
     pub fn for_each_source(&self, mut f: impl FnMut(VertexId, EdgeType, usize)) {
-        self.directory.for_each(|&(src, etype), cell| {
-            let len = cell.0.read().len();
+        self.directory.for_each(|(src, etype), tree| {
+            let len = tree.len();
             if len > 0 {
                 f(VertexId(src), EdgeType(etype), len);
             }
@@ -646,15 +616,14 @@ impl DynamicGraphStore {
 
     /// Walk every samtree and split the store's resident topology bytes
     /// into payload vs index (the paper's Table IV memory accounting,
-    /// served live at `/debug/memory`). Takes each tree's read lock in
+    /// served live at `/debug/memory`). Takes each stripe's read guard in
     /// turn — diagnostics cost, not hot-path cost.
     pub fn memory_breakdown(&self) -> StoreMemory {
         let mut leaf_bytes = 0;
         let mut leaf_payload_bytes = 0;
         let mut internal_bytes = 0;
         let mut timestamp_bytes = 0;
-        self.directory.for_each(|_, cell| {
-            let tree = cell.0.read();
+        self.directory.for_each(|_, tree| {
             let (l, i) = tree.memory_breakdown();
             leaf_bytes += l;
             leaf_payload_bytes += tree.leaf_payload_bytes();
@@ -685,11 +654,11 @@ impl DynamicGraphStore {
     /// Validate every samtree's invariants (test support; walks everything).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut err = None;
-        self.directory.for_each(|(src, _), cell| {
+        self.directory.for_each(|(src, _), tree| {
             if err.is_some() {
                 return;
             }
-            if let Err(e) = cell.0.read().check_invariants(&self.tree) {
+            if let Err(e) = tree.check_invariants(&self.tree) {
                 err = Some(format!("tree of src {src}: {e}"));
             }
         });
@@ -723,8 +692,8 @@ impl GraphStore for DynamicGraphStore {
     }
 
     fn apply_batch(&self, ops: &[UpdateOp]) {
-        // Single-threaded batch still benefits from grouping (one lock
-        // acquisition and one stats flush per tree).
+        // Single-threaded batch still benefits from grouping (one guard
+        // and one stats flush per tree).
         self.apply_batch_parallel(ops, 1);
     }
 
@@ -804,20 +773,30 @@ mod tests {
     }
 
     #[test]
-    fn tree_cell_accounting_is_pinned_without_the_arc_counters() {
-        // Today's per-cell figure, pinned on purpose: `DeepSize for
-        // TreeCell` counts the lock and the tree but not the `Arc`'s two
-        // reference counters, 16 B per tree that `topology_bytes` misses.
-        // Counting them redefines the metric, so the change that does must
-        // update this figure and report old and new values side by side.
-        let cell = TreeCell::new();
-        assert_eq!(std::mem::size_of::<RwLock<SamTree>>(), 96);
-        assert_eq!(cell.heap_bytes(), 96);
-        let mut stats = OpStats::default();
-        let cfg = SamTreeConfig::default();
-        cell.0.write().insert(&cfg, 7, 1.0, &mut stats);
-        // One CP-ID suffix byte and one Fenwick entry join the cell.
-        assert_eq!(cell.heap_bytes(), 96 + 1 + 8);
+    fn tree_slab_accounting_is_pinned() {
+        // The per-tree figure, pinned on purpose. Before trees moved into
+        // stripe slabs, a tree cost a 96 B `RwLock<SamTree>` cell (plus 16 B
+        // of `Arc` counters `DeepSize` never counted) and a 32 B index slot
+        // (key, value pointer and stored hash). Now it costs one 80 B slab
+        // row and a 16 B slot, all of it counted.
+        use crate::directory::{StripeLock, TreeSlot};
+        assert_eq!(std::mem::size_of::<TreeSlot>(), 16);
+        assert_eq!(
+            std::mem::size_of::<[TreeSlot; platod2gl_cuckoo::SLOTS]>(),
+            64
+        );
+        assert_eq!(std::mem::size_of::<SamTree>(), 80);
+        // An empty store: 64 stripe locks of one or two cache lines each,
+        // and 4 empty 64 B buckets per stripe.
+        assert_eq!(std::mem::align_of::<StripeLock>(), 64);
+        let store = DynamicGraphStore::with_defaults();
+        let empty = store.topology_bytes();
+        assert_eq!(empty, 64 * std::mem::size_of::<StripeLock>() + 64 * 4 * 64);
+        store.insert_edge(Edge::new(VertexId(1), VertexId(7), 1.0));
+        // The first tree of a stripe grows its slab by one 80 B row; one
+        // CP-ID suffix byte and one Fenwick entry join the tree (before:
+        // 96 + 1 + 8 = 105 B in the cell).
+        assert_eq!(store.topology_bytes() - empty, 80 + 1 + 8);
     }
 
     #[test]
@@ -1088,6 +1067,77 @@ mod tests {
         // The vertex can come back fresh.
         store.insert_edge(Edge::new(VertexId(1), VertexId(7), 2.0));
         assert_eq!(store.degree(VertexId(1), EdgeType(0)), 1);
+        store.check_invariants().expect("invariants");
+    }
+
+    #[test]
+    fn delete_source_racing_inserts_keeps_the_edge_count_exact() {
+        // Inserts and `delete_source` of one source race. An insert that
+        // reached the tree must land before the removal or after it, never
+        // into a detached tree whose edge `num_edges` and `storage.edges`
+        // would still count.
+        let store = small_store();
+        let rounds = 200_000u64;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..rounds {
+                    store.insert_edge(Edge::new(VertexId(1), VertexId(i % 64), 1.0));
+                }
+            });
+            s.spawn(|| {
+                for _ in 0..rounds {
+                    store.delete_source(VertexId(1), EdgeType(0));
+                }
+            });
+        });
+        let rows: usize = store.export_adjacency().iter().map(|(_, r)| r.len()).sum();
+        assert_eq!(store.num_edges(), rows);
+        let gauge = store.registry().snapshot().gauge("storage.edges");
+        assert_eq!(gauge, Some(rows as i64));
+        store.check_invariants().expect("invariants");
+    }
+
+    #[test]
+    fn readers_of_one_tree_are_undisturbed_by_churn_in_its_stripe() {
+        // Readers sample one tree while a writer creates and drops other
+        // sources of the same stripe: slab rows move on every swap-remove,
+        // and the slab and index grow and shrink under the readers.
+        let keys = crate::directory::same_stripe_keys(120);
+        let edge = |(src, etype): TreeKey, dst: u64| Edge {
+            etype: EdgeType(etype),
+            ..Edge::new(VertexId(src), VertexId(dst), 1.0)
+        };
+        let store = small_store();
+        let (home, others) = (keys[0], &keys[1..]);
+        let mine = 1_000_000..1_000_064u64;
+        for dst in mine.clone() {
+            store.insert_edge(edge(home, dst));
+        }
+        std::thread::scope(|s| {
+            for seed in 0..2u64 {
+                let (store, mine) = (&store, mine.clone());
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let (v, etype) = (VertexId(home.0), EdgeType(home.1));
+                    for _ in 0..2_000 {
+                        let picks = store.sample_neighbors(v, etype, 8, &mut rng);
+                        assert_eq!(picks.len(), 8);
+                        assert!(picks.iter().all(|p| mine.contains(&p.raw())), "{picks:?}");
+                    }
+                });
+            }
+            s.spawn(|| {
+                for round in 0..20u64 {
+                    for (i, &key) in others.iter().enumerate() {
+                        store.insert_edge(edge(key, round * 1_000 + i as u64));
+                    }
+                    for &key in others.iter().rev().step_by(2) {
+                        store.delete_source(VertexId(key.0), EdgeType(key.1));
+                    }
+                }
+            });
+        });
+        assert_eq!(store.degree(VertexId(home.0), EdgeType(home.1)), 64);
         store.check_invariants().expect("invariants");
     }
 

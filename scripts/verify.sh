@@ -23,11 +23,11 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -p platod2gl-{gnn,samtree,fenwick,storage,graph,server,obs,pipeline} --release (the code the benchmark runs)"
+echo "==> cargo test -p platod2gl-{gnn,samtree,fenwick,cuckoo,storage,graph,server,obs,pipeline} --release (the code the benchmark runs)"
 # The gnn slice kernels' equivalence and gradient tests, the samtree
 # fixed-width CP-ID scan's properties, the bounded-slack growth rule of
 # the leaf columns (samtree id lists and timestamp columns, fenwick
-# tables, the storage memory split and its pinned per-cell figure: the
+# tables, the storage memory split and its pinned per-tree figure: the
 # rule's step arithmetic runs at opt-level 3 in the benchmark), the txn
 # validator's equivalence
 # proptest, the server's per-shard sample-lane tests (bit parity,
@@ -38,11 +38,14 @@ echo "==> cargo test -p platod2gl-{gnn,samtree,fenwick,storage,graph,server,obs,
 # tests (the sharded-phase-1 proptest against the whole-txn walk, and the
 # validation lanes' trace), the obs thread-striped span ring and
 # histograms (exact totals and completion order under four threads, a
-# lane's span chain across threads) and the pipeline's cache rotation and
-# golden block digests must see the code the benchmark runs: hot loops
+# lane's span chain across threads), the pipeline's cache rotation and
+# golden block digests, and the vertex directory (the cuckoo eviction and
+# growth core, the storage directory's model proptest against a `HashMap`,
+# the `delete_source` race against inserts and readers of one tree while
+# its stripe churns) must see the code the benchmark runs: hot loops
 # vectorise only at opt-level 3 and lanes and stripes race differently, so
 # the debug run above tests a different program.
-cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-fenwick -p platod2gl-storage \
+cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-fenwick -p platod2gl-cuckoo -p platod2gl-storage \
     -p platod2gl-graph -p platod2gl-server -p platod2gl-obs -p platod2gl-pipeline --release 2>&1 | tee "$build_log"
 if grep "^warning" "$build_log" >/dev/null; then
     echo "verify: FAIL - compiler warnings in the release test build:"
