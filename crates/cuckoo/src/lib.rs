@@ -25,11 +25,15 @@
 //!   `parking_lot::Mutex`, and a key's shard comes from the hash's top bits,
 //!   so displacement chains never cross a lock.
 //! * The storage layer's samtree directory — a compact 16-byte slot of key
-//!   and slab index, with no stored hash: its owner recomputes the hash, a
-//!   salted `splitmix64` of the key, whenever a displacement needs it.
+//!   and slab index, with no stored hash: its owner recomputes the same
+//!   SipHash of the key whenever a displacement needs it.
 //!
-//! Both hashes are deterministic across runs, so table layouts (and the
-//! memory figures the benchmarks report) are reproducible.
+//! Both use SipHash with a fixed key, so table layouts (and the memory
+//! figures the benchmarks report) are reproducible across runs, and keys
+//! come from clients: an invertible mix would let a client build keys that
+//! agree in all 64 bits of hash. No table size separates such keys, so
+//! [`CuckooTable::insert`] refuses a key whose candidate buckets are full
+//! of its own hash instead of doubling without end.
 
 use parking_lot::Mutex;
 use platod2gl_mem::DeepSize;
@@ -152,23 +156,35 @@ impl<S: Slot> CuckooTable<S> {
     /// Insert an occupied slot whose key is absent (callers look it up
     /// first). `on_grow` hears how long each doubling of the bucket array
     /// took; most inserts double nothing.
-    pub fn insert<F: FnMut(Duration)>(&mut self, slot: S, on_grow: &mut F) {
+    ///
+    /// `Err` hands the slot back, with the table unchanged, when its
+    /// candidate buckets are full of entries with its own 64-bit hash: no
+    /// table size separates those, so doubling would never end.
+    pub fn insert<F: FnMut(Duration)>(&mut self, slot: S, on_grow: &mut F) -> Result<(), S> {
         if self.len as f64 >= self.capacity() as f64 * MAX_LOAD {
             self.grow(on_grow);
         }
         let mut slot = slot;
         loop {
-            match self.place(slot) {
+            slot = match self.place(slot) {
                 Ok(()) => {
                     self.len += 1;
-                    return;
+                    return Ok(());
                 }
-                Err(back) => {
-                    slot = back;
-                    self.grow(on_grow);
-                }
-            }
+                Err(back) if self.saturated(back.hash()) => return Err(back),
+                Err(back) => back,
+            };
+            self.grow(on_grow);
         }
+    }
+
+    /// Whether every candidate slot of `hash` holds an entry of that hash.
+    fn saturated(&self, hash: u64) -> bool {
+        let (b1, b2) = self.candidates(hash);
+        [b1, b2]
+            .into_iter()
+            .flat_map(|b| &self.buckets[b])
+            .all(|s| !s.is_empty() && s.hash() == hash)
     }
 
     /// Place a slot, displacing others along a BFS-discovered path if both
@@ -265,12 +281,14 @@ impl<S: Slot> CuckooTable<S> {
                 .collect(),
         );
         self.len = 0;
-        for bucket in old {
-            for slot in bucket {
-                if !slot.is_empty() {
-                    self.insert(slot, on_grow);
-                }
+        // Every entry was admitted once, so none is refused here: a bucket
+        // pair that cannot hold its entries at this size grows again.
+        for mut slot in old.into_iter().flatten().filter(|s| !s.is_empty()) {
+            while let Err(back) = self.place(slot) {
+                slot = back;
+                self.grow(on_grow);
             }
+            self.len += 1;
         }
         on_grow(started.elapsed());
     }
@@ -339,6 +357,15 @@ impl<K: Eq, V> Slot for Option<Entry<K, V>> {
 }
 
 type Shard<K, V> = CuckooTable<Option<Entry<K, V>>>;
+
+/// Insert into a [`CuckooMap`] shard. Only keys whose SipHashes agree in
+/// all 64 bits are refused, and no caller can build those short of a
+/// brute-force search.
+fn admit<K: Eq, V>(shard: &mut Shard<K, V>, entry: Entry<K, V>) {
+    if shard.insert(Some(entry), &mut |_| ()).is_err() {
+        panic!("cuckoo: keys with one 64-bit SipHash fill both candidate buckets");
+    }
+}
 
 /// A concurrent cuckoo hash map.
 ///
@@ -418,7 +445,7 @@ impl<K: Eq + Hash, V> CuckooMap<K, V> {
         if let Some(Some(e)) = shard.get_mut(hash, &key) {
             return Some(std::mem::replace(&mut e.value, value));
         }
-        shard.insert(Some(Entry { hash, key, value }), &mut |_| ());
+        admit(&mut shard, Entry { hash, key, value });
         None
     }
 
@@ -465,7 +492,7 @@ impl<K: Eq + Hash, V> CuckooMap<K, V> {
                 key: key.clone(),
                 value: default(),
             };
-            shard.insert(Some(entry), &mut |_| ());
+            admit(&mut shard, entry);
         }
         let e = shard.get_mut(hash, &key).and_then(Option::as_mut);
         f(&mut e.expect("just inserted").value)
@@ -677,6 +704,67 @@ mod tests {
         .expect("threads join");
         let sum: u64 = (0..1_000u64).filter_map(|k| get(&map, &k)).sum();
         assert_eq!(sum, 4_000, "each of 4 writers increments every key once");
+    }
+
+    /// A slot whose hash the test picks: `(hash, key)`.
+    struct Picked(Option<(u64, u64)>);
+
+    impl Slot for Picked {
+        type Key = u64;
+
+        fn empty() -> Self {
+            Picked(None)
+        }
+
+        fn is_empty(&self) -> bool {
+            self.0.is_none()
+        }
+
+        fn hash(&self) -> u64 {
+            self.0.expect("occupied slot").0
+        }
+
+        fn holds(&self, hash: u64, &key: &u64) -> bool {
+            self.0 == Some((hash, key))
+        }
+    }
+
+    #[test]
+    fn keys_of_one_full_hash_are_refused_without_growing() {
+        let mut table: CuckooTable<Picked> = CuckooTable::with_buckets(4);
+        let refuse = |table: &mut CuckooTable<Picked>| {
+            let bytes = table.bucket_bytes();
+            let mut no_grow = |_: Duration| panic!("a refused key grew the table");
+            let refused = table.insert(Picked(Some((0, 8))), &mut no_grow);
+            assert_eq!(refused.err().and_then(|p| p.0), Some((0, 8)));
+            assert_eq!(table.bucket_bytes(), bytes);
+        };
+        let mut grows = 0;
+        let mut on_grow = |_: Duration| grows += 1;
+        // Hash 0's candidate buckets (0 and 1) hold eight keys between
+        // them; a ninth with that hash can never be placed.
+        for key in 0..8 {
+            assert!(table.insert(Picked(Some((0, key))), &mut on_grow).is_ok());
+        }
+        for _ in 0..100 {
+            refuse(&mut table);
+        }
+        assert_eq!(table.len(), 8);
+        // The table stays usable: other keys go in (growing as they must)
+        // and every admitted key is still found.
+        let spread = |key: u64| key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for key in 100..1_100u64 {
+            let slot = Picked(Some((spread(key), key)));
+            assert!(table.insert(slot, &mut on_grow).is_ok());
+        }
+        assert!(grows > 0);
+        refuse(&mut table);
+        assert_eq!(table.len(), 1_008);
+        for key in 0..8 {
+            assert!(table.get(0, &key).is_some(), "{key}");
+        }
+        assert!(table.get(0, &8).is_none());
+        assert!((100..1_100u64).all(|key| table.get(spread(key), &key).is_some()));
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //! An index slot is 16 bytes (`src`, slab index, `etype`; a vacant slot has
 //! the index `u32::MAX`), so a 4-slot bucket is 64 bytes. The slot stores
 //! no hash: a displacement recomputes the occupant's from its key. The hash
-//! is a salted `splitmix64` of the key, independent of shard routing (which
-//! is `splitmix64(src) % shards`, so unsalted every key of one shard would
-//! share low bits and leave buckets empty). A stripe is chosen by the
-//! hash's top bits and a bucket by its low bits.
+//! is `CuckooMap`'s SipHash with a fixed key: deterministic, so layouts and
+//! byte counts repeat across runs, and independent of shard routing (which
+//! is `splitmix64(src) % shards`). Keys come from clients, so the hash must
+//! not be invertible: with `splitmix64` a client could build nine keys that
+//! agree in all 64 bits, and no table size separates those. A key whose
+//! candidate buckets are full of its own hash is refused all the same: its
+//! write is dropped and counted in `storage.directory_refused`, and the
+//! index does not grow. A stripe is chosen by the hash's top bits and a
+//! bucket by its low bits.
 //!
 //! **No nested guards.** The vendored `parking_lot` is `std::sync`, whose
 //! `RwLock` makes a new reader wait behind a queued writer. A closure run
@@ -24,10 +29,11 @@
 
 use parking_lot::RwLock;
 use platod2gl_cuckoo::{CuckooTable, Slot};
-use platod2gl_graph::splitmix64;
 use platod2gl_mem::{reserve_rows, trim_rows, DeepSize};
 use platod2gl_obs::{Counter, Histogram, Registry};
 use platod2gl_samtree::SamTree;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,19 +50,12 @@ const STRIPES: usize = 64;
 /// Index buckets a stripe starts with.
 const INITIAL_BUCKETS: usize = 4;
 
-/// Keeps the directory hash independent of shard routing and of
-/// `partition_for`, which mix the bare or differently salted vertex id.
-const SALT: u64 = 0xd1ec_7000_0000_0001;
-
 /// Slab index of a vacant slot.
 const VACANT: u32 = u32::MAX;
 
-/// The directory hash. For one relation it is a bijection of `src`; the
-/// relation is mixed in after `src` so that no simple id layout (say, a
-/// vertex type in the high bits equal to the relation) makes two keys
-/// collide in all 64 bits, which no table size could separate.
-fn tree_hash((src, etype): TreeKey) -> u64 {
-    splitmix64(splitmix64(src ^ SALT) ^ u64::from(etype))
+/// The directory hash (see the module docs).
+fn tree_hash(key: TreeKey) -> u64 {
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(key)
 }
 
 fn stripe_of(hash: u64) -> usize {
@@ -113,6 +112,8 @@ pub(crate) struct Directory {
     grows: Arc<Counter>,
     /// `storage.directory_grow_ns`: how long each doubling held its stripe.
     grow_ns: Arc<Histogram>,
+    /// `storage.directory_refused`: keys the index could not place.
+    refused: Arc<Counter>,
 }
 
 impl Directory {
@@ -128,6 +129,7 @@ impl Directory {
             stripes: (0..STRIPES).map(|_| stripe()).collect(),
             grows: registry.counter("storage.directory_grows"),
             grow_ns: registry.histogram("storage.directory_grow_ns"),
+            refused: registry.counter("storage.directory_refused"),
         }
     }
 
@@ -146,7 +148,7 @@ impl Directory {
 
     /// Run `f` on the tree of `key` under its stripe's write guard. A
     /// missing key gets an empty tree first if `create` is set, and is left
-    /// alone (`None`) otherwise.
+    /// alone (`None`) otherwise; so is a key the index refuses.
     pub(crate) fn write<R>(
         &self,
         key: TreeKey,
@@ -163,14 +165,18 @@ impl Directory {
                     .ok()
                     .filter(|&i| i != VACANT)
                     .expect("a stripe holds fewer than u32::MAX trees");
-                reserve_rows(&mut stripe.trees, 1, 1);
-                stripe.trees.push(SamTree::new());
                 let (src, etype) = key;
                 let slot = TreeSlot { src, idx, etype };
-                stripe.index.insert(slot, &mut |took: Duration| {
+                let placed = stripe.index.insert(slot, &mut |took: Duration| {
                     self.grows.inc();
                     self.grow_ns.record(took);
                 });
+                if placed.is_err() {
+                    self.refused.inc();
+                    return None;
+                }
+                reserve_rows(&mut stripe.trees, 1, 1);
+                stripe.trees.push(SamTree::new());
                 idx
             }
             None => return None,

@@ -239,7 +239,7 @@ impl DynamicGraphStore {
     /// count and gauge by the difference in the tree's length, the samtree
     /// op counters by the [`OpStats`] `f` filled. `create` is set by inserts
     /// and batches; single deletes and updates and decay leave a missing key
-    /// alone (`None`).
+    /// alone (`None`), as the directory does a key it refuses.
     fn write_tree<R>(
         &self,
         v: VertexId,
@@ -1094,6 +1094,52 @@ mod tests {
         assert_eq!(store.num_edges(), rows);
         let gauge = store.registry().snapshot().gauge("storage.edges");
         assert_eq!(gauge, Some(rows as i64));
+        store.check_invariants().expect("invariants");
+    }
+
+    #[test]
+    fn keys_built_to_collide_under_an_invertible_hash_stay_apart() {
+        // One key per relation 0..=8, built by inverting `splitmix64` so
+        // that `splitmix64(splitmix64(src ^ SALT) ^ etype)` is the same for
+        // all nine. Under that hash they would share both candidate buckets
+        // (8 slots), and no table size separates them. Keys come from
+        // clients: the directory must place all nine without growing.
+        use platod2gl_graph::splitmix64;
+        fn unshift(y: u64, s: u32) -> u64 {
+            (0..64 / s).fold(y, |x, _| y ^ (x >> s))
+        }
+        fn inverse(c: u64) -> u64 {
+            (0..6).fold(c, |i, _| {
+                i.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(i)))
+            })
+        }
+        fn unsplitmix(z: u64) -> u64 {
+            let x = unshift(z, 31).wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+            let x = unshift(x, 27).wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9));
+            unshift(x, 30).wrapping_sub(0x9e37_79b9_7f4a_7c15)
+        }
+        const SALT: u64 = 0xd1ec_7000_0000_0001;
+        let target = 0x0123_4567_89ab_cdef;
+        let keys: Vec<(u64, u16)> = (0..=8u16)
+            .map(|e| (unsplitmix(unsplitmix(target) ^ u64::from(e)) ^ SALT, e))
+            .collect();
+        for &(src, e) in &keys {
+            assert_eq!(splitmix64(splitmix64(src ^ SALT) ^ u64::from(e)), target);
+        }
+        let store = small_store();
+        for &(src, e) in &keys {
+            store.insert_edge(Edge {
+                etype: EdgeType(e),
+                ..Edge::new(VertexId(src), VertexId(1), 1.0)
+            });
+        }
+        let snap = store.registry().snapshot();
+        assert_eq!(snap.counter("storage.directory_grows"), Some(0));
+        assert_eq!(snap.counter("storage.directory_refused"), Some(0));
+        assert_eq!(store.num_edges(), 9);
+        for &(src, e) in &keys {
+            assert_eq!(store.degree(VertexId(src), EdgeType(e)), 1, "{src}/{e}");
+        }
         store.check_invariants().expect("invariants");
     }
 
