@@ -67,6 +67,102 @@ fn scan<const N: usize>(suffixes: &[u8], id_bytes: &[u8; 8]) -> Option<usize> {
     ids.iter().position(|c| *c == target)
 }
 
+/// The ID whose top bytes are `high` (the prefix, already shifted into
+/// place) and whose low `N` bytes are the big-endian `suffix`: one
+/// fixed-size load, where a runtime-length copy costs a call.
+#[inline(always)]
+fn widen<const N: usize>(high: u64, suffix: &[u8; N]) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes[8 - N..].copy_from_slice(suffix);
+    high | u64::from_be_bytes(bytes)
+}
+
+/// The ID at position `i` of a list of `N`-byte suffixes under `prefix`.
+#[inline(always)]
+fn load<const N: usize>(prefix: u64, suffixes: &[u8], i: usize) -> u64 {
+    widen(prefix << (8 * N), &suffixes.as_chunks::<N>().0[i])
+}
+
+/// The IDs of a list of `N`-byte suffixes, in order.
+#[derive(Clone, Debug)]
+struct Suffixes<'a, const N: usize> {
+    high: u64,
+    chunks: std::slice::Iter<'a, [u8; N]>,
+}
+
+impl<'a, const N: usize> Suffixes<'a, N> {
+    fn new(prefix: u64, suffixes: &'a [u8]) -> Self {
+        Self {
+            high: prefix << (8 * N),
+            chunks: suffixes.as_chunks::<N>().0.iter(),
+        }
+    }
+}
+
+impl<const N: usize> Iterator for Suffixes<'_, N> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        self.chunks.next().map(|c| widen(self.high, c))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.chunks.size_hint()
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, u64) -> B>(self, init: B, mut f: F) -> B {
+        let high = self.high;
+        self.chunks.fold(init, |acc, c| f(acc, widen(high, c)))
+    }
+}
+
+/// Iterator over an [`IdList`]'s IDs ([`IdList::iter`]). The suffix width
+/// is matched once, when the iterator is made: each variant walks its
+/// suffixes as fixed-size `[u8; N]` chunks, and `fold` (so `for_each`,
+/// `min`, `sum`) hands the whole walk to the variant's own loop.
+#[derive(Clone, Debug)]
+pub struct IdIter<'a>(IterKind<'a>);
+
+#[derive(Clone, Debug)]
+enum IterKind<'a> {
+    Plain(std::iter::Copied<std::slice::Iter<'a, u64>>),
+    W1(Suffixes<'a, 1>),
+    W2(Suffixes<'a, 2>),
+    W4(Suffixes<'a, 4>),
+}
+
+/// Run `$body` with `$it` bound to whichever variant iterator `$kind` holds.
+macro_rules! each_kind {
+    ($kind:expr, $it:ident => $body:expr) => {
+        match $kind {
+            IterKind::Plain($it) => $body,
+            IterKind::W1($it) => $body,
+            IterKind::W2($it) => $body,
+            IterKind::W4($it) => $body,
+        }
+    };
+}
+
+impl Iterator for IdIter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        each_kind!(&mut self.0, it => it.next())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        each_kind!(&self.0, it => it.size_hint())
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, u64) -> B>(self, init: B, f: F) -> B {
+        each_kind!(self.0, it => it.fold(init, f))
+    }
+}
+
 impl IdList {
     /// An empty uncompressed list.
     pub fn new() -> Self {
@@ -139,7 +235,8 @@ impl IdList {
         }
     }
 
-    /// The ID at position `i`.
+    /// The ID at position `i`: the suffix width is matched once, then
+    /// read with one fixed-size load (z ∈ {7, 6, 4}).
     pub fn get(&self, i: usize) -> u64 {
         match self {
             IdList::Plain(v) => v[i],
@@ -147,18 +244,12 @@ impl IdList {
                 z,
                 prefix,
                 suffixes,
-            } => {
-                let width = 8 - *z as usize;
-                // A fixed-size load for each suffix width CP-ID allows
-                // (z ∈ {7, 6, 4}); a variable-length copy costs a call.
-                let suffix = match suffixes[i * width..(i + 1) * width] {
-                    [a] => u64::from(a),
-                    [a, b] => u64::from(u16::from_be_bytes([a, b])),
-                    [a, b, c, d] => u64::from(u32::from_be_bytes([a, b, c, d])),
-                    ref other => other.iter().fold(0, |acc, &b| (acc << 8) | u64::from(b)),
-                };
-                (prefix << (8 * width)) | suffix
-            }
+            } => match z {
+                7 => load::<1>(*prefix, suffixes, i),
+                6 => load::<2>(*prefix, suffixes, i),
+                4 => load::<4>(*prefix, suffixes, i),
+                _ => unreachable!("CP-ID prefix lengths are {PREFIX_LENGTHS:?}"),
+            },
         }
     }
 
@@ -177,6 +268,11 @@ impl IdList {
     /// (the paper's CP-ID update rule, Appendix A: an incompatible insert
     /// falls back to a wider suffix format).
     fn recode_for(&mut self, incoming: u64) {
+        if self.is_empty() {
+            // Nothing to keep: seed afresh, as a leaf's first insert does.
+            *self = Self::seeded_for(incoming);
+            return;
+        }
         let mut ids = self.to_vec();
         ids.push(incoming);
         let min = *ids.iter().min().expect("non-empty");
@@ -267,13 +363,9 @@ impl IdList {
             IdList::Plain(v) => v.insert(i, id),
             IdList::Compressed { z, suffixes, .. } => {
                 let z = *z as usize;
-                let width = 8 - z;
-                let bytes = id.to_be_bytes();
-                // Insert `width` bytes at offset i*width.
-                let at = i * width;
-                for (k, &b) in bytes[z..].iter().enumerate() {
-                    suffixes.insert(at + k, b);
-                }
+                // One splice shifts the tail once for the whole suffix.
+                let at = i * (8 - z);
+                suffixes.splice(at..at, id.to_be_bytes()[z..].iter().copied());
             }
         }
     }
@@ -306,12 +398,26 @@ impl IdList {
 
     /// All IDs, decompressed.
     pub fn to_vec(&self) -> Vec<u64> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+        let mut out = Vec::with_capacity(self.len());
+        self.iter().for_each(|id| out.push(id));
+        out
     }
 
-    /// Iterate over IDs.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
+    /// Iterate over IDs in order.
+    pub fn iter(&self) -> IdIter<'_> {
+        IdIter(match self {
+            IdList::Plain(v) => IterKind::Plain(v.iter().copied()),
+            IdList::Compressed {
+                z,
+                prefix,
+                suffixes,
+            } => match z {
+                7 => IterKind::W1(Suffixes::new(*prefix, suffixes)),
+                6 => IterKind::W2(Suffixes::new(*prefix, suffixes)),
+                4 => IterKind::W4(Suffixes::new(*prefix, suffixes)),
+                _ => unreachable!("CP-ID prefix lengths are {PREFIX_LENGTHS:?}"),
+            },
+        })
     }
 
     /// Position of `id`, by linear scan: leaves are unordered (Sec. IV-A),

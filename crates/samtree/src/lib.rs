@@ -30,7 +30,7 @@ mod idlist;
 mod split;
 mod tree;
 
-pub use idlist::IdList;
+pub use idlist::{IdIter, IdList};
 pub use split::{alpha_split, IdWeight, Row};
 pub use tree::{DecayCounts, InsertOutcome, SamTree};
 

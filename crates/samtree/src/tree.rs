@@ -5,7 +5,7 @@ use crate::idlist::IdList;
 use crate::split::{alpha_split, IdWeight, Row};
 use crate::{OpStats, SamTreeConfig};
 use platod2gl_fenwick::FsTable;
-use platod2gl_mem::{reserve_rows, slack_within_bound, trim_rows, DeepSize};
+use platod2gl_mem::{slack_within_bound, DeepSize};
 use platod2gl_sampling::CsTable;
 use rand::Rng;
 
@@ -44,14 +44,15 @@ pub struct Leaf {
     ids: IdList,
     /// Positional weights: `fs.get(i)` is the weight of `ids.get(i)`.
     fs: FsTable,
-    /// Positional event times: `ts[i]` belongs to `ids.get(i)`, `0` marks a
-    /// timeless edge. Absent until the leaf first holds a non-zero `ts`
-    /// (absent reads as all zeros), so a timeless graph pays no heap bytes
-    /// and one branch; when present it is exactly `ids.len()` long. The `Vec`
-    /// is boxed: a thin pointer costs every leaf 8 B, a bare `Vec` would
-    /// cost it 24 B.
-    #[allow(clippy::box_collection)]
-    ts: Option<Box<Vec<u64>>>,
+    /// Positional event times: `ts.get(i)` belongs to `ids.get(i)`, `0`
+    /// marks a timeless edge. Absent until the leaf first holds a non-zero
+    /// `ts` (absent reads as all zeros), so a timeless graph pays no heap
+    /// bytes and one branch; when present it is exactly `ids.len()` long.
+    /// Stored the CP-ID way, like the ids (shared prefix, 1/2/4-byte
+    /// suffixes), whatever `cfg.compression` says: that flag shapes the
+    /// Table-IV id lists, and the column lies outside Table IV. Boxed: a
+    /// thin pointer costs every leaf 8 B, a bare `IdList` would cost it 40 B.
+    ts: Option<Box<IdList>>,
 }
 
 #[derive(Clone, Debug)]
@@ -65,6 +66,12 @@ pub struct Internal {
     children: Vec<Node>,
 }
 
+/// A leaf's timestamp column over `stamps`, coded with the best CP-ID
+/// prefix they share.
+fn stamp_column(stamps: impl Iterator<Item = u64>) -> IdList {
+    IdList::from_ids(&stamps.collect::<Vec<_>>(), true)
+}
+
 impl Leaf {
     fn from_rows(rows: &[Row], cfg: &SamTreeConfig) -> Self {
         let ids: Vec<u64> = rows.iter().map(|r| r.0).collect();
@@ -73,16 +80,16 @@ impl Leaf {
         Self {
             ids: IdList::from_ids(&ids, cfg.compression),
             fs: FsTable::from_weights(&weights),
-            ts: stamped.then(|| Box::new(rows.iter().map(|r| r.2).collect())),
+            ts: stamped.then(|| Box::new(stamp_column(rows.iter().map(|r| r.2)))),
         }
     }
 
     /// Visit `(id, weight, ts)` in slot order.
     fn for_each_row(&self, f: &mut impl FnMut(u64, f64, u64)) {
-        let weights = self.fs.iter_weights().enumerate();
+        let rows = self.ids.iter().zip(self.fs.iter_weights());
         match &self.ts {
-            Some(col) => weights.for_each(|(i, w)| f(self.ids.get(i), w, col[i])),
-            None => weights.for_each(|(i, w)| f(self.ids.get(i), w, 0)),
+            Some(col) => rows.zip(col.iter()).for_each(|((id, w), ts)| f(id, w, ts)),
+            None => rows.for_each(|(id, w)| f(id, w, 0)),
         }
     }
 
@@ -93,18 +100,17 @@ impl Leaf {
     }
 
     fn ts_at(&self, i: usize) -> u64 {
-        self.ts.as_ref().map_or(0, |col| col[i])
+        self.ts.as_ref().map_or(0, |col| col.get(i))
     }
 
     /// Set slot `i`'s event time, allocating the column on the first
     /// non-zero stamp.
     fn set_ts(&mut self, i: usize, ts: u64) {
         match &mut self.ts {
-            Some(col) => col[i] = ts,
+            Some(col) => col.set(i, ts),
             None if ts != 0 => {
-                let mut col = vec![0; self.ids.len()];
-                col[i] = ts;
-                self.ts = Some(Box::new(col));
+                let col = (0..self.ids.len()).map(|j| if j == i { ts } else { 0 });
+                self.ts = Some(Box::new(stamp_column(col)));
             }
             None => {}
         }
@@ -144,7 +150,6 @@ impl Leaf {
         self.ids.swap_remove(i);
         if let Some(col) = &mut self.ts {
             col.swap_remove(i);
-            trim_rows(col, 1);
         }
         self.fs.swap_delete(i)
     }
@@ -155,7 +160,7 @@ impl Leaf {
         self.ids.reserve(rows);
         self.fs.reserve(rows);
         if let Some(col) = &mut self.ts {
-            reserve_rows(col, 1, rows);
+            col.reserve(rows);
         }
     }
 
@@ -165,7 +170,7 @@ impl Leaf {
         self.ids.shrink_slack();
         self.fs.shrink_slack();
         if let Some(col) = &mut self.ts {
-            trim_rows(col, 1);
+            col.shrink_slack();
         }
     }
 
@@ -581,7 +586,7 @@ fn decay_node(
             // reconstruct from the shared Fenwick entries by a few ULPs.
             let weights = leaf.fs.weights();
             let mut delta = 0.0;
-            for (i, (&w, &ts)) in weights.iter().zip(col.iter()).enumerate() {
+            for (i, (&w, ts)) in weights.iter().zip(col.iter()).enumerate() {
                 if ts == 0 {
                     continue;
                 }
@@ -1747,11 +1752,52 @@ mod tests {
             stamped.insert_stamped(&c, (id, 1.0, i + 1), &mut stats);
         }
         assert_eq!(timeless.timestamp_bytes(), 0);
-        assert!(stamped.timestamp_bytes() >= 5_000 * 8);
+        // Stamps 1..=5000 share their top six bytes in every leaf, so each
+        // column codes them at z = 6: 2 B of payload per stamp, plus one
+        // 40-B boxed `IdList` header per leaf and the bounded slack.
+        assert_eq!(std::mem::size_of::<IdList>(), 40);
+        let (leaves, _) = stamped.node_counts();
+        assert_eq!(leaves, 436);
+        assert_eq!(stamped.timestamp_bytes(), 5_000 * 2 + 436 * 40 + 390);
+        assert!(stamped.timestamp_bytes() < 5_000 * 8, "below 8 B per stamp");
         // Table-IV bytes (ids, weights, index) do not see the column.
         assert_eq!(stamped.heap_bytes(), timeless.heap_bytes());
         let (leaf, internal) = stamped.memory_breakdown();
         assert_eq!(leaf + internal, stamped.heap_bytes());
+    }
+
+    #[test]
+    fn realistic_timestamps_take_the_suffix_width_their_span_allows() {
+        // 200 rows fill one leaf; the column's suffix width is what each
+        // of its stamps costs.
+        let c = cfg(256, 0);
+        let width = |stamps: &[u64]| {
+            let mut stats = OpStats::default();
+            let mut t = SamTree::new();
+            for (id, &ts) in (0u64..).zip(stamps) {
+                t.insert_stamped(&c, (id, 1.0, ts), &mut stats);
+            }
+            let got: Vec<u64> = t.rows().iter().map(|r| r.2).collect();
+            assert_eq!(got, stamps, "the column reads back exactly");
+            let Node::Leaf(l) = &t.root else {
+                panic!("200 rows fit one leaf");
+            };
+            l.ts.as_ref().expect("stamped leaf").bytes_per_id()
+        };
+        // Unix seconds over a year stay below 2^32: z = 4.
+        let secs: Vec<u64> = (0..200).map(|i| 1_700_000_000 + i * 157_680).collect();
+        assert_eq!(width(&secs), 4);
+        // Epoch milliseconds over three days, inside one 2^32-ms (≈ 49.7-day)
+        // window: z = 4.
+        let ms: Vec<u64> = (0..200)
+            .map(|i| 1_700_000_000_000 + i * 1_296_000)
+            .collect();
+        assert_eq!(width(&ms), 4);
+        // The same times beside one timeless row share only two leading
+        // bytes with it: plain, 8 B a stamp.
+        let mut mixed = ms.clone();
+        mixed[100] = 0;
+        assert_eq!(width(&mixed), 8);
     }
 
     #[test]
@@ -2119,10 +2165,26 @@ mod proptests {
         DrainFrom(u64, usize),
     }
 
-    /// Decode a generated `(kind, id, weight, x)` tuple; `x` carries the
-    /// event time (timeless half the time) or a run length.
-    fn step((kind, id, w, x): (u8, u64, f64, u64)) -> Step {
-        let ts = x.saturating_sub(999);
+    /// Event times that reach every width a CP-ID timestamp column takes:
+    /// timeless, small (1 or 2-byte suffixes), near 2^20 (4-byte), epoch
+    /// milliseconds within a few days of each other (4-byte alone, plain
+    /// beside a `0`), and times straddling 2^32 (plain).
+    fn stamp() -> impl Strategy<Value = u64> {
+        const DAYS_MS: u64 = 3 * 86_400_000;
+        const EPOCH_MS: u64 = 1_700_000_000_000;
+        (0u8..5, 0u64..1 << 40).prop_map(|(class, r)| match class {
+            0 => 0,
+            1 => 1 + r % 70_000,
+            2 => (1 << 20) - 5_000 + r % 10_000,
+            3 => EPOCH_MS - DAYS_MS + r % (2 * DAYS_MS),
+            _ => (1 << 32) - 100_000 + r % 200_000,
+        })
+    }
+
+    /// Decode a generated `((kind, id, weight, x), ts)` draw; `x` carries a
+    /// run length, `ts` the event time (a batch stamps half its rows near
+    /// it and leaves the rest timeless).
+    fn step(((kind, id, w, x), ts): ((u8, u64, f64, u64), u64)) -> Step {
         match kind {
             0..=2 => Step::Insert((id, w, ts)),
             3 | 4 => Step::Update((id, w, ts)),
@@ -2133,7 +2195,7 @@ mod proptests {
                         let ts = if (x + k) % 2 == 0 {
                             0
                         } else {
-                            1 + (x * k) % 999
+                            ts + 1 + (x * k) % 999
                         };
                         ((id * 31 + k * k * 7 + x) % 120, w + k as f64 * 0.01, ts)
                     })
@@ -2149,7 +2211,7 @@ mod proptests {
         fn stamped_ops_match_btreemap_model(
             capacity in 4usize..9,
             alpha in 0usize..2,
-            steps in proptest::collection::vec((0u8..9, 0u64..120, 0.1f64..10.0, 0u64..2_000), 1..80),
+            steps in proptest::collection::vec(((0u8..9, 0u64..120, 0.1f64..10.0, 0u64..2_000), stamp()), 1..80),
         ) {
             use std::collections::BTreeMap;
             let cfg = SamTreeConfig { capacity, alpha, compression: true }.validated();
@@ -2199,6 +2261,8 @@ mod proptests {
                 for ((id, w, ts), (&mid, &(mw, mts))) in rows.into_iter().zip(&model) {
                     prop_assert_eq!((id, ts), (mid, mts), "after {:?}", step);
                     prop_assert!((w - mw).abs() < 1e-6, "id {} after {:?}", id, step);
+                    // The point read (`IdList::get`) agrees with the row walk.
+                    prop_assert_eq!(t.get_stamped(id).map(|r| r.1), Some(mts));
                 }
             }
         }
@@ -2247,7 +2311,7 @@ mod proptests {
         fn leaf_columns_keep_bounded_slack_under_any_history(
             capacity in 4usize..17,
             alpha in 0usize..2,
-            steps in proptest::collection::vec((0u8..10, 0u64..120, 0.1f64..10.0, 0u64..2_000), 1..80),
+            steps in proptest::collection::vec(((0u8..10, 0u64..120, 0.1f64..10.0, 0u64..2_000), stamp()), 1..80),
         ) {
             let cfg = SamTreeConfig { capacity, alpha, compression: true }.validated();
             let mut t = SamTree::new();
@@ -2256,11 +2320,11 @@ mod proptests {
                 (0..4 * capacity as u64).map(|k| (k * 7 % 120, 1.0, k % 2 * (k + 1))).collect(),
             );
             let closing = Step::DrainFrom(0, usize::MAX);
-            let history = steps.into_iter().map(|(kind, id, w, x)| {
+            let history = steps.into_iter().map(|((kind, id, w, x), ts)| {
                 if kind == 9 {
                     Err((id, w))
                 } else {
-                    Ok(step((kind, id, w, x)))
+                    Ok(step(((kind, id, w, x), ts)))
                 }
             });
             for s in std::iter::once(Ok(opening)).chain(history).chain(std::iter::once(Ok(closing))) {

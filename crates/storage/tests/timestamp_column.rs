@@ -279,8 +279,15 @@ fn memory_accounting_keeps_table_iv_and_reports_the_column_beside_it() {
     // Same edges, same topology bytes: the column is counted beside them.
     assert_eq!(stamped.topology_bytes(), timeless.topology_bytes());
     let column = stamped.memory_breakdown().timestamp_bytes;
-    assert!(column >= 6_000 * 8, "{column}");
-    assert!(column < 6_000 * 32, "{column}");
+    // Stamps 1..=6000 share their top six bytes in every leaf, so each
+    // column codes them at z = 6: 2 B of payload per stamp, plus one 40-B
+    // boxed header per leaf and the bounded slack.
+    let leaves: usize = (0..7)
+        .map(|v| stamped.tree_shape(VertexId(v), E).expect("source").1)
+        .sum();
+    assert_eq!(leaves, 526);
+    assert_eq!(column, 6_000 * 2 + 526 * 40 + 532, "{column}");
+    assert!(column < 6_000 * 8, "below 8 B per stamp: {column}");
 }
 
 /// The two states edge 1 -> 7 ever holds while the writer churns it.

@@ -23,7 +23,7 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -p platod2gl-{gnn,samtree,fenwick,cuckoo,storage,graph,server,obs,pipeline} --release (the code the benchmark runs)"
+echo "==> cargo test -p platod2gl-{gnn,samtree,fenwick,cuckoo,storage,graph,server,obs,pipeline,temporal} and tests/temporal.rs --release (the code the benchmark runs)"
 # The gnn slice kernels' equivalence and gradient tests, the samtree
 # fixed-width CP-ID scan's properties, the bounded-slack growth rule of
 # the leaf columns (samtree id lists and timestamp columns, fenwick
@@ -42,11 +42,16 @@ echo "==> cargo test -p platod2gl-{gnn,samtree,fenwick,cuckoo,storage,graph,serv
 # golden block digests, and the vertex directory (the cuckoo eviction and
 # growth core, the storage directory's model proptest against a `HashMap`,
 # the `delete_source` race against inserts and readers of one tree while
-# its stripe churns) must see the code the benchmark runs: hot loops
-# vectorise only at opt-level 3 and lanes and stripes race differently, so
-# the debug run above tests a different program.
+# its stripe churns), and the windowed path (the temporal crate's window
+# and decay tests, and tests/temporal.rs with its zero-future-edge-leak
+# checks, both reading the leaves' CP-ID timestamp columns through
+# `IdList`'s width-matched reads) must see the code the benchmark runs:
+# hot loops vectorise only at opt-level 3 and lanes and stripes race
+# differently, so the debug run above tests a different program.
 cargo test -q -p platod2gl-gnn -p platod2gl-samtree -p platod2gl-fenwick -p platod2gl-cuckoo -p platod2gl-storage \
-    -p platod2gl-graph -p platod2gl-server -p platod2gl-obs -p platod2gl-pipeline --release 2>&1 | tee "$build_log"
+    -p platod2gl-graph -p platod2gl-server -p platod2gl-obs -p platod2gl-pipeline -p platod2gl-temporal \
+    --release 2>&1 | tee "$build_log"
+cargo test -q -p platod2gl --release --test temporal 2>&1 | tee -a "$build_log"
 if grep "^warning" "$build_log" >/dev/null; then
     echo "verify: FAIL - compiler warnings in the release test build:"
     grep "^warning" "$build_log"
