@@ -451,13 +451,6 @@ impl IdList {
         }
     }
 
-    /// Re-pick the best prefix for the current contents. Called when a node
-    /// is (re)built after a split or merge.
-    pub fn recompress(&mut self, compression: bool) {
-        let ids = self.to_vec();
-        *self = IdList::from_ids(&ids, compression);
-    }
-
     /// The current prefix length in bytes (0 when uncompressed).
     pub fn prefix_len(&self) -> u8 {
         match self {
@@ -606,17 +599,6 @@ mod tests {
         let list = IdList::from_ids(&[7, 3, 9], false);
         assert_eq!(list.position(3), Some(1));
         assert_eq!(list.position(8), None);
-    }
-
-    #[test]
-    fn recompress_upgrades_after_narrowing() {
-        let mut list = IdList::from_ids(&[0x10, 0xffff_ffff_ffff_ffff], true);
-        assert_eq!(list.prefix_len(), 0);
-        list.swap_remove(1);
-        list.push(0x20);
-        list.recompress(true);
-        assert_eq!(list.prefix_len(), 7);
-        assert_eq!(list.to_vec(), vec![0x10, 0x20]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The samtree proper: nodes, insertion (Alg. 2), deletion (Sec. IV-D) and
+//! The samtree proper: nodes, insertion (Alg. 2 run through App. B's sorted
+//! run descent: a single insert is a run of one), deletion (Sec. IV-D) and
 //! the combined ITS + FTS neighbor sampling descent (Sec. V-C).
 
 use crate::idlist::IdList;
@@ -6,7 +7,7 @@ use crate::split::{alpha_split, IdWeight, Row};
 use crate::{OpStats, SamTreeConfig};
 use platod2gl_fenwick::FsTable;
 use platod2gl_mem::{slack_within_bound, DeepSize};
-use platod2gl_sampling::CsTable;
+use platod2gl_sampling::{CsTable, WeightedIndex};
 use rand::Rng;
 
 /// What an insert did (Alg. 2 lines 3-6: an existing neighbor gets its
@@ -233,15 +234,12 @@ impl Node {
     fn total_weight(&self) -> f64 {
         match self {
             Node::Leaf(l) => l.fs.total(),
-            Node::Internal(i) => {
-                use platod2gl_sampling::WeightedIndex;
-                i.cs.total()
-            }
+            Node::Internal(i) => i.cs.total(),
         }
     }
 }
 
-/// Result of a child split bubbling up to the parent.
+/// A new right sibling split off a node, for its parent to adopt.
 struct SplitInfo {
     /// Separator (minimum ID) of the new right node.
     sep: u64,
@@ -249,288 +247,157 @@ struct SplitInfo {
     right_weight: f64,
 }
 
-struct InsertResult {
-    /// Change in this subtree's total weight.
-    delta: f64,
-    outcome: InsertOutcome,
-    split: Option<SplitInfo>,
-}
-
-/// Split an over-capacity node, returning the info the parent needs.
-/// Leaves use α-Split (unordered); internal nodes split evenly at the
-/// median position because their entries are already ordered (Sec. IV-C).
-fn split_node(node: &mut Node, cfg: &SamTreeConfig, stats: &mut OpStats) -> SplitInfo {
+/// Split `node` if it holds more than `c` entries, returning the new right
+/// siblings left to right (empty if it fits). A leaf is α-split (unordered)
+/// until every part fits; an internal node, whose entries are ordered, is
+/// cut into as many even chunks of at least `⌈c/2⌉` as its children make,
+/// the spare children on the right. Fewer than `3·⌈c/2⌉` children — an
+/// insert's `c + 1`, a merge's at most `c + min_fill - 1` — thus split in
+/// two at the lower median, Alg. 2's split (Sec. IV-C), whatever `α` is.
+/// Serves insertion and [`rebalance`]'s re-split after a merge; the caller
+/// counts its own `internal_ops`.
+fn split_overfull(node: &mut Node, cfg: &SamTreeConfig, stats: &mut OpStats) -> Vec<SplitInfo> {
+    if node.slot_len() <= cfg.capacity {
+        return Vec::new();
+    }
+    let mut siblings = Vec::new();
     match node {
         Node::Leaf(leaf) => {
-            stats.leaf_splits += 1;
             let mut rows = leaf.rows();
-            let khat = alpha_split(&mut rows, cfg.alpha);
-            let sep = rows[khat].0;
-            let right = Leaf::from_rows(&rows[khat..], cfg);
-            let right_weight = right.fs.total();
-            *leaf = Leaf::from_rows(&rows[..khat], cfg);
-            SplitInfo {
-                sep,
-                right_weight,
-                right: Node::Leaf(right),
+            let mut ends = Vec::new();
+            alpha_parts(&mut rows, 0, cfg, &mut ends);
+            stats.leaf_splits += (ends.len() - 1) as u64;
+            for w in ends.windows(2) {
+                let right = Leaf::from_rows(&rows[w[0]..w[1]], cfg);
+                siblings.push(SplitInfo {
+                    sep: right.min_id(),
+                    right_weight: right.fs.total(),
+                    right: Node::Leaf(right),
+                });
             }
+            *leaf = Leaf::from_rows(&rows[..ends[0]], cfg);
         }
         Node::Internal(int) => {
-            stats.internal_splits += 1;
-            let m = int.children.len() / 2;
-            let right_children: Vec<Node> = int.children.drain(m..).collect();
+            let half = cfg.capacity.div_ceil(2);
+            let mut sizes = even_chunks(int.children.len(), half, half, cfg.capacity);
+            sizes.reverse();
+            stats.internal_splits += (sizes.len() - 1) as u64;
             let all_seps = int.seps.to_vec();
-            let weights = int.cs.weights();
-            let right = Internal {
-                seps: IdList::from_ids(&all_seps[m..], cfg.compression),
-                cs: CsTable::from_weights(&weights[m..]),
-                children: right_children,
-            };
-            int.seps = IdList::from_ids(&all_seps[..m], cfg.compression);
-            int.cs = CsTable::from_weights(&weights[..m]);
-            let sep = right.seps.get(0);
-            let right_weight = {
-                use platod2gl_sampling::WeightedIndex;
-                right.cs.total()
-            };
-            SplitInfo {
-                sep,
-                right_weight,
-                right: Node::Internal(Box::new(right)),
+            let all_weights = int.cs.weights();
+            let mut at = int.children.len();
+            // Carve off right chunks back-to-front.
+            for &s in sizes[1..].iter().rev() {
+                let children: Vec<Node> = int.children.drain(at - s..).collect();
+                at -= s;
+                let cs = CsTable::from_weights(&all_weights[at..at + s]);
+                siblings.push(SplitInfo {
+                    sep: all_seps[at],
+                    right_weight: cs.total(),
+                    right: Node::Internal(Box::new(Internal {
+                        seps: IdList::from_ids(&all_seps[at..at + s], cfg.compression),
+                        cs,
+                        children,
+                    })),
+                });
             }
+            siblings.reverse();
+            int.seps = IdList::from_ids(&all_seps[..at], cfg.compression);
+            int.cs = CsTable::from_weights(&all_weights[..at]);
         }
     }
+    siblings
 }
 
-fn insert_node(
-    node: &mut Node,
-    row: Row,
-    cfg: &SamTreeConfig,
-    stats: &mut OpStats,
-) -> InsertResult {
-    match node {
-        Node::Leaf(leaf) => {
-            stats.leaf_ops += 1;
-            let (delta, inserted) = leaf.upsert(row, cfg, 1);
-            if !inserted {
-                return InsertResult {
-                    delta,
-                    outcome: InsertOutcome::Updated,
-                    split: None,
-                };
-            }
-            let split = if leaf.ids.len() > cfg.capacity {
-                Some(split_node(node, cfg, stats))
-            } else {
-                None
-            };
-            InsertResult {
-                delta,
-                outcome: InsertOutcome::Inserted,
-                split,
-            }
-        }
-        Node::Internal(int) => {
-            let id = row.0;
-            let j = int.route(id);
-            if id < int.seps.get(0) {
-                // Keep separator 0 a true minimum (cheap, tightens routing).
-                int.seps.set(0, id);
-            }
-            let res = insert_node(&mut int.children[j], row, cfg, stats);
-            match res.split {
-                None => int.cs.add(j, res.delta),
-                Some(s) => {
-                    stats.internal_ops += 1;
-                    int.cs.add(j, res.delta - s.right_weight);
-                    int.cs.insert(j + 1, s.right_weight);
-                    int.seps.insert_at(j + 1, s.sep);
-                    int.children.insert(j + 1, s.right);
-                }
-            }
-            let split = if int.children.len() > cfg.capacity {
-                stats.internal_ops += 1;
-                Some(split_node(node, cfg, stats))
-            } else {
-                None
-            };
-            InsertResult {
-                delta: res.delta,
-                outcome: res.outcome,
-                split,
-            }
-        }
-    }
-}
-
-/// Partition an oversized row set into α-split chunks, each within node
-/// capacity (used by batched insertion, where one leaf can overflow several
-/// times within a single batch).
-fn split_into_parts(rows: &mut [Row], cfg: &SamTreeConfig, out: &mut Vec<Vec<Row>>) {
+/// α-split `rows` (which start at `offset` in the leaf's row list)
+/// until every part fits in a node, pushing each part's end to `ends` in
+/// order. Both halves of every split shrink strictly.
+fn alpha_parts(rows: &mut [Row], offset: usize, cfg: &SamTreeConfig, ends: &mut Vec<usize>) {
     if rows.len() <= cfg.capacity {
-        out.push(rows.to_vec());
+        ends.push(offset + rows.len());
         return;
     }
     let khat = alpha_split(rows, cfg.alpha);
-    // Split in place around the pivot; both halves shrink strictly.
     let (left, right) = rows.split_at_mut(khat);
-    split_into_parts(left, cfg, out);
-    split_into_parts(right, cfg, out);
+    alpha_parts(left, offset, cfg, ends);
+    alpha_parts(right, offset + khat, cfg, ends);
 }
 
-/// Batched insertion state bubbling up to the parent: total weight change,
-/// number of *new* neighbors, and any new right siblings created by
-/// (possibly repeated) splits, ordered left-to-right.
+/// Fold child `j`'s weight change `delta` into `int`'s CSTable and adopt
+/// the right siblings it split into after it; the split-off weight moves
+/// from entry `j` to theirs, as in Alg. 2.
+fn adopt(int: &mut Internal, j: usize, delta: f64, siblings: Vec<SplitInfo>) {
+    let split_off: f64 = siblings.iter().map(|s| s.right_weight).sum();
+    int.cs.add(j, delta - split_off);
+    for (k, s) in (j + 1..).zip(siblings) {
+        int.cs.insert(k, s.right_weight);
+        int.seps.insert_at(k, s.sep);
+        int.children.insert(k, s.right);
+    }
+}
+
+/// What an insert run did to a subtree: its total weight change, the
+/// number of *new* neighbors, and the right siblings it split off.
 struct BatchResult {
     delta: f64,
     inserted: usize,
     siblings: Vec<SplitInfo>,
 }
 
-/// Apply a dst-sorted run of `(id, weight, ts)` upserts to a subtree with one
-/// descent and one aggregation-table rebuild per touched node — the
-/// bottom-up batch processing of the paper's Appendix B.
+/// Apply a dst-sorted run of `(id, weight, ts)` upserts to a subtree with
+/// one descent — the bottom-up batch processing of the paper's Appendix B,
+/// and Alg. 2's insert when the run holds one row. Each touched child's
+/// weight change is folded into its parent's CSTable; a node that overflows
+/// splits once for the whole run.
 fn insert_batch_rec(
     node: &mut Node,
     ops: &[Row],
     cfg: &SamTreeConfig,
     stats: &mut OpStats,
 ) -> BatchResult {
+    let mut delta = 0.0;
+    let mut inserted = 0usize;
     match node {
         Node::Leaf(leaf) => {
-            let mut delta = 0.0;
-            let mut inserted = 0usize;
             for (k, &row) in ops.iter().enumerate() {
                 stats.leaf_ops += 1;
                 let (d, new) = leaf.upsert(row, cfg, ops.len() - k);
                 delta += d;
                 inserted += usize::from(new);
             }
-            let mut siblings = Vec::new();
-            if leaf.ids.len() > cfg.capacity {
-                let mut rows = leaf.rows();
-                let mut parts = Vec::new();
-                split_into_parts(&mut rows, cfg, &mut parts);
-                stats.leaf_splits += (parts.len() - 1) as u64;
-                let mut iter = parts.into_iter();
-                *leaf = Leaf::from_rows(&iter.next().expect("at least one part"), cfg);
-                for part in iter {
-                    let right = Leaf::from_rows(&part, cfg);
-                    let sep = right.min_id();
-                    let right_weight = right.fs.total();
-                    siblings.push(SplitInfo {
-                        sep,
-                        right_weight,
-                        right: Node::Leaf(right),
-                    });
-                }
-            } else if ops.len() > 1 {
+            if ops.len() > 1 && leaf.ids.len() <= cfg.capacity {
                 leaf.shrink_slack();
-            }
-            BatchResult {
-                delta,
-                inserted,
-                siblings,
             }
         }
         Node::Internal(int) => {
-            // Route the sorted run onto children: ops[lo..hi] for child j
-            // are those below sep[j+1].
-            let n = int.children.len();
-            let mut delta = 0.0;
-            let mut inserted = 0usize;
-            // Tighten separator 0 so the batch minimum routes to child 0.
-            if ops.first().is_some_and(|row| row.0 < int.seps.get(0)) {
+            // Tighten separator 0 so the run's minimum routes to child 0.
+            if ops[0].0 < int.seps.get(0) {
                 int.seps.set(0, ops[0].0);
             }
-            // Collect per-child op ranges first (child list mutates later).
-            let mut ranges: Vec<(usize, usize, usize)> = Vec::new(); // (child, lo, hi)
-            let mut lo = 0usize;
-            for j in 0..n {
-                if lo >= ops.len() {
-                    break;
-                }
-                let hi = if j + 1 < n {
-                    let bound = int.seps.get(j + 1);
-                    lo + ops[lo..].partition_point(|row| row.0 < bound)
-                } else {
-                    ops.len()
-                };
-                if hi > lo {
-                    ranges.push((j, lo, hi));
-                }
-                lo = hi;
-            }
-            // Process children right-to-left so sibling insertion does not
-            // shift pending child indices.
-            let mut new_children: Vec<(usize, Vec<SplitInfo>)> = Vec::new();
-            for &(j, lo, hi) in ranges.iter().rev() {
+            // Route the run right to left, so adopting a child's new
+            // siblings does not shift the children still to come: child
+            // `j` takes the ops at or above `seps[j]`.
+            let mut hi = ops.len();
+            while hi > 0 {
+                let j = int.route(ops[hi - 1].0);
+                let bound = int.seps.get(j);
+                let lo = ops[..hi].partition_point(|row| row.0 < bound);
                 let res = insert_batch_rec(&mut int.children[j], &ops[lo..hi], cfg, stats);
+                stats.internal_ops += res.siblings.len() as u64;
                 delta += res.delta;
                 inserted += res.inserted;
-                if !res.siblings.is_empty() {
-                    new_children.push((j, res.siblings));
-                }
-            }
-            // `new_children` holds descending j; inserting each group's
-            // siblings in reverse at j+1 lands them left-to-right.
-            for (j, sibs) in new_children {
-                stats.internal_ops += sibs.len() as u64;
-                for sib in sibs.into_iter().rev() {
-                    int.seps.insert_at(j + 1, sib.sep);
-                    int.children.insert(j + 1, sib.right);
-                    int.cs.insert(j + 1, 0.0); // placeholder; rebuilt below
-                }
-            }
-            // One aggregation rebuild per node per batch (App. B's
-            // "retrieves the updates that should be performed by its parent
-            // node" aggregation step).
-            let weights: Vec<f64> = int.children.iter().map(Node::total_weight).collect();
-            int.cs = CsTable::from_weights(&weights);
-            // Multiway split if the batch overflowed this node.
-            let mut siblings = Vec::new();
-            if int.children.len() > cfg.capacity {
-                let sizes = even_chunks(
-                    int.children.len(),
-                    cfg.capacity / 2,
-                    cfg.min_fill(),
-                    cfg.capacity,
-                );
-                stats.internal_splits += (sizes.len() - 1) as u64;
-                stats.internal_ops += (sizes.len() - 1) as u64;
-                let all_seps = int.seps.to_vec();
-                let all_weights = int.cs.weights();
-                let mut at = int.children.len();
-                // Carve off right chunks back-to-front.
-                for &s in sizes.iter().skip(1).rev() {
-                    let children: Vec<Node> = int.children.drain(at - s..).collect();
-                    at -= s;
-                    let right = Internal {
-                        seps: IdList::from_ids(&all_seps[at..at + s], cfg.compression),
-                        cs: CsTable::from_weights(&all_weights[at..at + s]),
-                        children,
-                    };
-                    let sep = right.seps.get(0);
-                    let right_weight = {
-                        use platod2gl_sampling::WeightedIndex;
-                        right.cs.total()
-                    };
-                    siblings.push(SplitInfo {
-                        sep,
-                        right_weight,
-                        right: Node::Internal(Box::new(right)),
-                    });
-                }
-                siblings.reverse();
-                int.seps = IdList::from_ids(&all_seps[..at], cfg.compression);
-                int.cs = CsTable::from_weights(&all_weights[..at]);
-            }
-            BatchResult {
-                delta,
-                inserted,
-                siblings,
+                adopt(int, j, res.delta, res.siblings);
+                hi = lo;
             }
         }
+    }
+    let siblings = split_overfull(node, cfg, stats);
+    if let Node::Internal(_) = node {
+        stats.internal_ops += siblings.len() as u64;
+    }
+    BatchResult {
+        delta,
+        inserted,
+        siblings,
     }
 }
 
@@ -687,12 +554,9 @@ fn rebalance(int: &mut Internal, j: usize, cfg: &SamTreeConfig, stats: &mut OpSt
     let right_w = int.cs.remove(r);
     int.cs.add(l, right_w);
     merge_into(&mut int.children[l], right, cfg);
-    if int.children[l].slot_len() > cfg.capacity {
-        let s = split_node(&mut int.children[l], cfg, stats);
-        int.cs.add(l, -s.right_weight);
-        int.cs.insert(l + 1, s.right_weight);
-        int.seps.insert_at(l + 1, s.sep);
-        int.children.insert(l + 1, s.right);
+    let siblings = split_overfull(&mut int.children[l], cfg, stats);
+    if !siblings.is_empty() {
+        adopt(int, l, 0.0, siblings);
     }
 }
 
@@ -858,36 +722,23 @@ impl SamTree {
     }
 
     /// [`insert`](Self::insert) of an `(id, weight, ts)` row: the neighbor's
-    /// event time becomes `ts` whether it was new or not.
+    /// event time becomes `ts` whether it was new or not. A batch of one.
     pub fn insert_stamped(
         &mut self,
         cfg: &SamTreeConfig,
         row: Row,
         stats: &mut OpStats,
     ) -> InsertOutcome {
-        let res = insert_node(&mut self.root, row, cfg, stats);
-        if let Some(s) = res.split {
-            // Grow a new root (Alg. 2's split can propagate past the top).
-            stats.internal_ops += 1;
-            let left = std::mem::take(&mut self.root);
-            let left_min = left.min_id();
-            let left_w = left.total_weight();
-            self.root = Node::Internal(Box::new(Internal {
-                seps: IdList::from_ids(&[left_min, s.sep], cfg.compression),
-                cs: CsTable::from_weights(&[left_w, s.right_weight]),
-                children: vec![left, s.right],
-            }));
+        match self.insert_batch_stamped(cfg, &[row], stats) {
+            0 => InsertOutcome::Updated,
+            _ => InsertOutcome::Inserted,
         }
-        if res.outcome == InsertOutcome::Inserted {
-            self.len += 1;
-        }
-        res.outcome
     }
 
     /// Batched upsert (Appendix B): apply a run of `(id, weight)` inserts /
-    /// weight-sets with a single descent per touched leaf and one
-    /// aggregation-table rebuild per touched node, instead of per-op
-    /// root-to-leaf refreshes. Returns the number of *new* neighbors.
+    /// weight-sets with a single descent per touched leaf, folding each
+    /// touched child's weight change into its parent's CSTable, instead of
+    /// per-op root-to-leaf refreshes. Returns the number of *new* neighbors.
     ///
     /// Ops may arrive unsorted; they are applied in ascending-ID order
     /// (stable for duplicate IDs, so the last op on an ID wins — identical
@@ -925,8 +776,11 @@ impl SamTree {
         };
         let res = insert_batch_rec(&mut self.root, ops, cfg, stats);
         if !res.siblings.is_empty() {
+            // Grow a new root over the old one and its new siblings (a
+            // split can propagate past the top); sized exactly.
             stats.internal_ops += 1;
-            let mut nodes = vec![std::mem::take(&mut self.root)];
+            let mut nodes = Vec::with_capacity(1 + res.siblings.len());
+            nodes.push(std::mem::take(&mut self.root));
             nodes.extend(res.siblings.into_iter().map(|s| s.right));
             self.root = stack_levels(nodes, (cfg.capacity * 3 / 4).max(2), cfg);
         }
@@ -1418,6 +1272,61 @@ mod tests {
         assert_eq!(internals, 1);
         assert_eq!(leaves, 2);
         t.check_invariants(&c).expect("invariants");
+    }
+
+    #[test]
+    fn an_overfull_internal_node_keeps_the_lower_median_on_the_left() {
+        // Ascending ids at capacity 4 fill the last leaf, which splits 2/3
+        // every second insert; the 11th gives the root a fifth leaf.
+        let c = cfg(4, 0);
+        let mut stats = OpStats::default();
+        let mut t = SamTree::new();
+        for id in 0..11u64 {
+            t.insert(&c, id, 1.0, &mut stats);
+        }
+        t.check_invariants(&c).expect("invariants");
+        let Node::Internal(root) = &t.root else {
+            panic!("eleven rows need internal levels");
+        };
+        let fanouts: Vec<usize> = root.children.iter().map(Node::slot_len).collect();
+        assert_eq!(
+            fanouts,
+            vec![2, 3],
+            "two children stay left, three go right"
+        );
+        assert_eq!(
+            stats,
+            OpStats {
+                leaf_ops: 11,
+                // Two root growths, three adopted leaf splits, one split.
+                internal_ops: 6,
+                leaf_splits: 4,
+                internal_splits: 1,
+                merges: 0,
+            }
+        );
+        // Whatever α and the parity of c, the first internal split is
+        // two-way at the lower median of its c + 1 children.
+        for (capacity, alpha) in [(4, 1), (5, 0), (5, 1), (16, 4), (64, 24)] {
+            let c = cfg(capacity, alpha);
+            let mut t = SamTree::new();
+            let mut id = 0u64;
+            while t.height() < 3 {
+                t.insert(&c, id, 1.0, &mut stats);
+                id += 1;
+            }
+            t.check_invariants(&c).expect("invariants");
+            let Node::Internal(root) = &t.root else {
+                unreachable!("height 3");
+            };
+            let fanouts: Vec<usize> = root.children.iter().map(Node::slot_len).collect();
+            let left = capacity.div_ceil(2);
+            assert_eq!(
+                fanouts,
+                vec![left, capacity + 1 - left],
+                "c={capacity} α={alpha}"
+            );
+        }
     }
 
     #[test]

@@ -275,9 +275,10 @@ impl DynamicGraphStore {
     fn apply_group(&self, group: &[&UpdateOp]) {
         let (src, etype) = (group[0].src(), group[0].etype());
         self.write_tree(src, etype, true, |tree, cfg, stats| {
-            // Consecutive inserts are applied through the Appendix-B batch
-            // path (one descent per leaf run, one aggregation rebuild per
-            // node). Updates/deletes flush the run so same-destination op
+            // Consecutive inserts are applied as one Appendix-B run (one
+            // descent per touched leaf, each touched child's change folded
+            // into its parent's CSTable; a run of one is a single insert).
+            // Updates/deletes flush the run so same-destination op
             // interleavings keep sequential semantics.
             // An insert's `ts` rides in its row (0 clears a stale stamp:
             // the insert replaces the edge); an update's `ts` sets the
@@ -285,11 +286,7 @@ impl DynamicGraphStore {
             // included.
             let mut run: Vec<Row> = Vec::new();
             let flush = |tree: &mut SamTree, run: &mut Vec<Row>, stats: &mut OpStats| {
-                if run.len() == 1 {
-                    tree.insert_stamped(cfg, run[0], stats);
-                } else if !run.is_empty() {
-                    tree.insert_batch_stamped(cfg, run, stats);
-                }
+                tree.insert_batch_stamped(cfg, run, stats);
                 run.clear();
             };
             for &op in group {

@@ -3,7 +3,9 @@
 #   ./scripts/loc.sh            the tree-wide counts, rpc's production lines, the
 #                               service layers' `pub fn` count and the pub field
 #                               counts of the client, cluster, store, samtree,
-#                               pipeline and cache configs, one line
+#                               pipeline and cache configs, one line; then every
+#                               production file over the 1,200-line cap, largest
+#                               first, one line each
 #   ./scripts/loc.sh FILE...    "production total" per file, for before/after tables
 # "Production" is what sits above a file's first column-0 `#[cfg(test)]`.
 set -euo pipefail
@@ -39,3 +41,7 @@ samtree_fields=$(pub_fields SamTreeConfig crates/samtree/src/lib.rs)
 pipeline_fields=$(pub_fields PipelineConfig crates/pipeline/src/driver.rs)
 cache_fields=$(pub_fields CacheConfig crates/pipeline/src/cache.rs)
 echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crates/rpc/src production $rpc_prod | crates/rpc with tests $rpc | crates/ examples/ tests/ $tree | pub fn in server+fleet+pipeline+rpc src $pubfn | ClientConfig pub fields $client_fields | ClusterConfig pub fields $cluster_fields | StoreConfig pub fields $store_fields | SamTreeConfig pub fields $samtree_fields | PipelineConfig pub fields $pipeline_fields | CacheConfig pub fields $cache_fields"
+# shellcheck disable=SC2046
+for f in $(find crates/*/src examples -name '*.rs'); do
+    printf '%s %s\n' "$(production "$f")" "$f"
+done | sort -rn | awk '$1 > 1200 {print "loc: over 1200 production lines: " $2 " " $1}'
