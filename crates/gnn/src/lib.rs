@@ -20,6 +20,8 @@
 //!   features and child tables. Sampling those blocks from a graph service
 //!   is the `pipeline` crate's job (`KHopSampler`, `TrainingPipeline`).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod deepwalk;
 mod features;
 mod nn;

@@ -7,12 +7,23 @@
 //! row-wise passes. Both kernels share one inner loop, [`axpy4x2`] — two
 //! output rows updated from four rows of `B` ([`axpy4`] for an odd last
 //! row) — over `chunks_exact` slices, so no element is bounds-checked and
-//! LLVM vectorises it at the baseline target; callers pass the output
-//! buffer, so a step reuses its intermediates. No BLAS (the workspace
-//! builds offline), no intrinsics or CPU dispatch (one implementation per
-//! kernel), and no threads: a reduction split across cores would make the
-//! loss depend on the core count, and the pipeline already gives the other
-//! cores to prefetch.
+//! LLVM vectorises it; callers pass the output buffer, so a step reuses
+//! its intermediates.
+//!
+//! One source body per kernel is compiled twice: at the workspace's
+//! target (128-bit SSE2 on x86-64) and, on x86, inside a
+//! `#[target_feature(enable = "avx2")]` wrapper that runs at twice the
+//! vector width. Every call takes the AVX2 build when the CPU reports
+//! AVX2. Neither build uses intrinsics, `mul_add` or the `fma` feature,
+//! and Rust never reassociates or contracts floating-point arithmetic, so
+//! every output element sees the same IEEE operations in the same order
+//! in both: the loss does not depend on the host's vector width. The
+//! guarded call into the AVX2 build is this crate's one `unsafe` block.
+//! The row passes stay at the baseline build: they are memory-bound.
+//!
+//! No BLAS (the workspace builds offline) and no threads: a reduction
+//! split across cores would make the loss depend on the core count, and
+//! the pipeline already gives the other cores to prefetch.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,7 +38,7 @@ pub struct Matrix {
 
 /// `out[c] += a[0]·b₀[c] + a[1]·b₁[c] + a[2]·b₂[c] + a[3]·b₃[c]`, where
 /// `b` holds the four rows `b₀..b₃` back to back.
-#[inline]
+#[inline(always)]
 fn axpy4(out: &mut [f64], a: [f64; 4], b: &[f64]) {
     let n = out.len();
     let (b0, b) = b.split_at(n);
@@ -43,7 +54,7 @@ fn axpy4(out: &mut [f64], a: [f64; 4], b: &[f64]) {
 /// instead of issue-bound — a fifth faster at 128-bit SSE2, and no longer
 /// sensitive to where the linker happens to place it. The inner loop of
 /// both product kernels.
-#[inline]
+#[inline(always)]
 fn axpy4x2(out: &mut [f64], a0: [f64; 4], a1: [f64; 4], b: &[f64]) {
     let n = out.len() / 2;
     let (o0, o1) = out.split_at_mut(n);
@@ -58,7 +69,7 @@ fn axpy4x2(out: &mut [f64], a0: [f64; 4], a1: [f64; 4], b: &[f64]) {
 }
 
 /// `out[c] += a · b[c]`.
-#[inline]
+#[inline(always)]
 fn axpy(out: &mut [f64], a: f64, b: &[f64]) {
     for (o, &b) in out.iter_mut().zip(b) {
         *o += a * b;
@@ -70,6 +81,58 @@ pub(crate) fn sgd_update(params: &mut [f64], grads: &[f64], lr: f64) {
     for (p, g) in params.iter_mut().zip(grads) {
         *p -= lr * g;
     }
+}
+
+/// The two product kernels.
+#[derive(Clone, Copy)]
+enum Product {
+    /// `out += a @ b`.
+    AB,
+    /// `out += aᵀ @ b`.
+    AtB,
+}
+
+/// Which build of the product kernels ran a call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Build {
+    /// The workspace's target (128-bit SSE2 on x86-64).
+    Baseline,
+    /// The same source compiled with AVX2 enabled.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx2,
+}
+
+/// The one source body of both kernels, inlined into each build.
+#[inline(always)]
+fn product_body(kind: Product, out: &mut Matrix, a: &Matrix, b: &Matrix) {
+    match kind {
+        Product::AB => out.matmul_body(a, b),
+        Product::AtB => out.t_matmul_body(a, b),
+    }
+}
+
+fn product_baseline(kind: Product, out: &mut Matrix, a: &Matrix, b: &Matrix) {
+    product_body(kind, out, a, b);
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn product_avx2(kind: Product, out: &mut Matrix, a: &Matrix, b: &Matrix) {
+    product_body(kind, out, a, b);
+}
+
+/// Run `kind` on the widest build this host supports (std caches the
+/// feature check) and report which one ran.
+fn product(kind: Product, out: &mut Matrix, a: &Matrix, b: &Matrix) -> Build {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `product_avx2` is safe Rust whose only requirement is a
+        // CPU with AVX2, which the check above has just confirmed.
+        unsafe { product_avx2(kind, out, a, b) };
+        return Build::Avx2;
+    }
+    product_baseline(kind, out, a, b);
+    Build::Baseline
 }
 
 impl Matrix {
@@ -167,6 +230,13 @@ impl Matrix {
     pub(crate) fn add_matmul(&mut self, a: &Matrix, b: &Matrix) {
         assert_eq!(a.cols, b.rows, "add_matmul shape mismatch");
         assert_eq!((self.rows, self.cols), (a.rows, b.cols));
+        product(Product::AB, self, a, b);
+    }
+
+    /// [`add_matmul`](Self::add_matmul) past its shape checks: the source
+    /// body each build of the kernels inlines.
+    #[inline(always)]
+    fn matmul_body(&mut self, a: &Matrix, b: &Matrix) {
         let (k, n) = (a.stride(), self.stride());
         let mut out2 = self.data.chunks_exact_mut(2 * n);
         let mut a2 = a.data.chunks_exact(2 * k);
@@ -207,6 +277,13 @@ impl Matrix {
     pub(crate) fn add_t_matmul(&mut self, a: &Matrix, b: &Matrix) {
         assert_eq!(a.rows, b.rows, "add_t_matmul shape mismatch");
         assert_eq!((self.rows, self.cols), (a.cols, b.cols));
+        product(Product::AtB, self, a, b);
+    }
+
+    /// [`add_t_matmul`](Self::add_t_matmul) past its shape checks: the
+    /// source body each build of the kernels inlines.
+    #[inline(always)]
+    fn t_matmul_body(&mut self, a: &Matrix, b: &Matrix) {
         let (k, n) = (a.stride(), self.stride());
         let mut a4 = a.data.chunks_exact(4 * k);
         let mut b4 = b.data.chunks_exact(4 * n);
@@ -601,6 +678,32 @@ mod tests {
             assert_close(&out, &want)?;
         }
 
+        /// The dispatched build (AVX2 where the host has it) and the
+        /// baseline build give bit-identical outputs on every remainder
+        /// path: zero and odd row counts, each `k % 4`, odd `n`, and a
+        /// non-zero `out` to accumulate onto. Meaningful at opt-level 3,
+        /// where the kernels vectorise.
+        #[test]
+        fn both_builds_agree_bit_for_bit(
+            m in 0usize..14, k in 0usize..14, n in 0usize..20, seed in any::<u64>(),
+        ) {
+            if !wide_build_available() {
+                return Ok(());
+            }
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            // out += a @ b, then out += aᵀ @ b with a: m×k, b: m×n
+            let a = matrix_with_zeros(m, k, seed);
+            for (kind, b, init) in [
+                (Product::AB, matrix_with_zeros(k, n, seed ^ 1), matrix_with_zeros(m, n, seed ^ 2)),
+                (Product::AtB, matrix_with_zeros(m, n, seed ^ 3), matrix_with_zeros(k, n, seed ^ 4)),
+            ] {
+                let (mut narrow, mut wide) = (init.clone(), init);
+                product_baseline(kind, &mut narrow, &a, &b);
+                prop_assert!(product(kind, &mut wide, &a, &b) != Build::Baseline);
+                prop_assert_eq!(bits(&narrow), bits(&wide));
+            }
+        }
+
         /// The indexed mean and scatter-add against the group references
         /// run on the table's expansion: rows repeat, arrive out of order,
         /// and some are never named.
@@ -661,6 +764,40 @@ mod tests {
                 prop_assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0));
             }
         }
+    }
+
+    /// Whether this host runs the AVX2 build; prints a note when it does
+    /// not, so a skipped comparison shows in the test output.
+    fn wide_build_available() -> bool {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") {
+            return true;
+        }
+        println!("no AVX2 on this host: only the baseline build runs, nothing to compare");
+        false
+    }
+
+    #[test]
+    fn dispatch_picks_the_wide_build_exactly_when_the_host_has_avx2() {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        let want = if is_x86_feature_detected!("avx2") {
+            Build::Avx2
+        } else {
+            Build::Baseline
+        };
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let want = Build::Baseline;
+        let a = Matrix::glorot(3, 5, 1);
+        let mut out = Matrix::zeros(3, 6);
+        assert_eq!(
+            product(Product::AB, &mut out, &a, &Matrix::glorot(5, 6, 2)),
+            want
+        );
+        let mut out = Matrix::zeros(5, 6);
+        assert_eq!(
+            product(Product::AtB, &mut out, &a, &Matrix::glorot(3, 6, 3)),
+            want
+        );
     }
 
     #[test]

@@ -776,6 +776,64 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// The loss of every step of [`golden_losses_are_pinned`], as
+    /// `f64::to_bits`, taken by running that test's body on the commit
+    /// before the product kernels gained their AVX2 build (baseline x86-64,
+    /// debug and release builds agreeing).
+    const GOLDEN_LOSS_BITS: [u64; 20] = [
+        0x3fef273da18684f0,
+        0x3fee8a0ad49ea6c9,
+        0x3fee01712f93b3a4,
+        0x3fed7ce095425335,
+        0x3fed0097781796fe,
+        0x3fec8ae09fc10ddb,
+        0x3fec1b413c46fa4b,
+        0x3febad7f255c6e8c,
+        0x3feb41f61ae94953,
+        0x3feac9a034339a57,
+        0x3fea3a5904ea21ab,
+        0x3fe9b301248e7dc5,
+        0x3fe93756b621a2ef,
+        0x3fe8c18b3ec237de,
+        0x3fe84e582e73c654,
+        0x3fe7dd7ead2de0ad,
+        0x3fe76190b36ecac2,
+        0x3fe6eb19e147d2a4,
+        0x3fe672b426ecb18d,
+        0x3fe5f9f5ccd38e09,
+    ];
+
+    #[test]
+    fn golden_losses_are_pinned() {
+        // Widths 12 (k % 4 = 0) and 10 (k % 4 = 2, a 4-lane tail of 2) and
+        // 9 seeds (an odd last row), trained 20 times on one fixed block:
+        // every build of the product kernels, on any host, must reproduce
+        // the losses bit for bit.
+        let mut net = SageNet::new(SageNetConfig {
+            feature_dim: 12,
+            hidden_dim: 10,
+            num_classes: 3,
+            fanouts: vec![3, 2],
+            lr: 0.1,
+            seed: 23,
+            ..Default::default()
+        });
+        let feats: Vec<Matrix> = [9, 27, 54]
+            .iter()
+            .zip(300u64..)
+            .map(|(&rows, seed)| Matrix::glorot(rows, 12, seed))
+            .collect();
+        let labels: Vec<usize> = (0..9).map(|i| i % 3).collect();
+        let losses: Vec<u64> = (0..20)
+            .map(|_| {
+                net.train_step_features(feats.clone(), &labels)
+                    .loss
+                    .to_bits()
+            })
+            .collect();
+        assert_eq!(losses, GOLDEN_LOSS_BITS);
+    }
+
     #[test]
     fn zero_lr_step_leaves_parameters_alone() {
         let (mut net, blocks) = odd_net_and_blocks(&[3, 2], 1);

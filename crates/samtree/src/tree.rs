@@ -586,11 +586,11 @@ fn stack_levels(mut nodes: Vec<Node>, target: usize, cfg: &SamTreeConfig) -> Nod
     while nodes.len() > 1 {
         let sizes = even_chunks(nodes.len(), target.max(2), cfg.min_fill(), cfg.capacity);
         let mut level: Vec<Node> = Vec::with_capacity(sizes.len());
-        let mut rest = nodes;
+        let mut rest = nodes.into_iter();
         for s in sizes {
-            let tail = rest.split_off(s);
-            let children = rest;
-            rest = tail;
+            // Sized exactly: a child array is never larger than its node.
+            let mut children = Vec::with_capacity(s);
+            children.extend(rest.by_ref().take(s));
             let seps: Vec<u64> = children.iter().map(Node::min_id).collect();
             let weights: Vec<f64> = children.iter().map(Node::total_weight).collect();
             level.push(Node::Internal(Box::new(Internal {
@@ -1776,6 +1776,25 @@ mod tests {
             assert_eq!(ts, if id % 3 == 0 { 0 } else { 1_000 + id });
         }
         assert_eq!(SamTree::new().sample_with_stamped(0.0), None);
+    }
+
+    #[test]
+    fn bulk_load_sizes_every_child_array_exactly() {
+        // Four internal levels over 8,334 leaves: a child array carved out
+        // of a whole level would keep that level's capacity.
+        let c = cfg(16, 0);
+        let pairs: Vec<(u64, f64)> = (0..100_000u64).map(|id| (id, 1.0)).collect();
+        let tree = SamTree::bulk_load(&c, &pairs);
+        assert_eq!(tree.height(), 5);
+        let (mut stack, mut internal) = (vec![&tree.root], 0);
+        while let Some(node) = stack.pop() {
+            if let Node::Internal(i) = node {
+                assert_eq!(i.children.capacity(), i.children.len());
+                internal += 1;
+                stack.extend(&i.children);
+            }
+        }
+        assert!(internal > 700, "{internal} internal nodes");
     }
 
     #[test]

@@ -24,7 +24,10 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo test -p platod2gl-{gnn,samtree,fenwick,cuckoo,storage,graph,server,obs,pipeline,temporal} and tests/temporal.rs --release (the code the benchmark runs)"
-# The gnn slice kernels' equivalence and gradient tests, the samtree
+# The gnn slice kernels' equivalence and gradient tests (and
+# `both_builds_agree_bit_for_bit`, the baseline and AVX2 builds of the
+# product kernels compared bit for bit: it means something only where the
+# kernels vectorise), the samtree
 # fixed-width CP-ID scan's properties, the bounded-slack growth rule of
 # the leaf columns (samtree id lists and timestamp columns, fenwick
 # tables, the storage memory split and its pinned per-tree figure: the
