@@ -61,7 +61,7 @@ impl AliGraphStore {
     /// Create an empty store.
     pub fn new() -> Self {
         Self {
-            adj: CuckooMap::with_shards_and_capacity(64, 1024),
+            adj: CuckooMap::with_capacity(1024),
             num_edges: AtomicUsize::new(0),
         }
     }

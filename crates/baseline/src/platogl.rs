@@ -22,16 +22,11 @@ pub struct PlatoGlConfig {
     /// regime in which PlatoGL's per-block composite keys visibly inflate
     /// memory, which is what the paper measures.
     pub block_size: usize,
-    /// Lock shards of the underlying KV maps.
-    pub shards: usize,
 }
 
 impl Default for PlatoGlConfig {
     fn default() -> Self {
-        Self {
-            block_size: 64,
-            shards: 64,
-        }
+        Self { block_size: 64 }
     }
 }
 
@@ -120,8 +115,8 @@ impl PlatoGlStore {
     pub fn new(config: PlatoGlConfig) -> Self {
         Self {
             config,
-            meta: CuckooMap::with_shards_and_capacity(config.shards, 1024),
-            blocks: CuckooMap::with_shards_and_capacity(config.shards, 1024),
+            meta: CuckooMap::with_capacity(1024),
+            blocks: CuckooMap::with_capacity(1024),
             num_edges: AtomicUsize::new(0),
         }
     }
@@ -404,10 +399,7 @@ mod tests {
     use platod2gl_graph::conformance;
 
     fn small() -> PlatoGlStore {
-        PlatoGlStore::new(PlatoGlConfig {
-            block_size: 8,
-            shards: 8,
-        })
+        PlatoGlStore::new(PlatoGlConfig { block_size: 8 })
     }
 
     #[test]

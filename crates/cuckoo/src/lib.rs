@@ -19,11 +19,10 @@
 //! * [`CuckooMap`] — the general concurrent map of the attribute store, the
 //!   PlatoGL and AliGraph baselines and DeepWalk's embedding table. Its
 //!   slot is `Option<(hash, key, value)>`: it stores the 64-bit hash, which
-//!   is `std`'s SipHash through `BuildHasherDefault`. The map is split into a
-//!   power of two of tables (the `shards` argument of
-//!   [`CuckooMap::with_shards_and_capacity`]), each behind its own
-//!   `parking_lot::Mutex`, and a key's shard comes from the hash's top bits,
-//!   so displacement chains never cross a lock.
+//!   is `std`'s SipHash through `BuildHasherDefault`. The map is split into
+//!   64 tables, each behind its own `parking_lot::Mutex`, and a key's shard
+//!   comes from the hash's top bits, so displacement chains never cross a
+//!   lock.
 //! * The storage layer's samtree directory — a compact 16-byte slot of key
 //!   and slab index, with no stored hash: its owner recomputes the same
 //!   SipHash of the key whenever a displacement needs it.
@@ -408,8 +407,9 @@ impl<K: Eq + Hash, V> CuckooMap<K, V> {
     }
 
     /// Create a map with an explicit shard count (rounded up to a power of
-    /// two) and a total capacity hint.
-    pub fn with_shards_and_capacity(shards: usize, capacity: usize) -> Self {
+    /// two) and a total capacity hint. Only this crate's tests choose a
+    /// shard count other than 64.
+    fn with_shards_and_capacity(shards: usize, capacity: usize) -> Self {
         let shards = shards.next_power_of_two().max(1);
         let per_shard_buckets = (capacity / shards / SLOTS).next_power_of_two().max(2);
         let shard_bits = shards.trailing_zeros();

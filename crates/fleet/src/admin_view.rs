@@ -14,11 +14,11 @@ use std::sync::Arc;
 
 impl FleetIntrospect for FleetCluster {
     fn fleet_snapshot(&self) -> FleetSnapshot {
-        let map = self.map_snapshot();
+        let map = self.map();
         let mut servers = Vec::with_capacity(map.servers().len());
         let mut key_counts: Vec<Option<Vec<u64>>> = Vec::with_capacity(map.servers().len());
         for entry in map.servers() {
-            let conn = self.conn_by_id(entry.id);
+            let conn = self.roster.conn(entry).ok();
             let reachable = conn.as_ref().is_some_and(|c| c.probe().is_ok());
             key_counts.push(if reachable {
                 conn.map(|c| c.partition_key_counts(map.num_partitions()))

@@ -1,7 +1,8 @@
 //! The fleet client: one [`GraphService`] routed across N servers.
 //!
-//! [`FleetCluster`] holds a [`PartitionMap`] plus a [`RemoteCluster`]
-//! connection per fleet server and implements [`GraphService`], so
+//! [`FleetCluster`] keeps its routing in a roster — the newest
+//! [`PartitionMap`] plus a [`RemoteCluster`] per fleet server, dialed the
+//! first time a request needs it — and implements [`GraphService`], so
 //! `KHopSampler` and `TrainingPipeline` train through a whole fleet
 //! unmodified — exactly as they run against one `Cluster` or one
 //! `RemoteCluster`.
@@ -30,14 +31,13 @@
 
 use crate::map::PartitionMap;
 use crate::node::{derive_txn_id, group_by_server, merge_receipt, sub_txn, CH_OWNER_SPLIT};
+use crate::roster::Roster;
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{current_trace_context, Counter, ObsSnapshot, Registry, SpanRecord};
 use platod2gl_rpc::{ClientConfig, RemoteCluster};
 use platod2gl_server::{sample_by_owner, BatchReport, GraphService, SampleRequest, SampleResponse};
 use rand::RngCore;
-use std::collections::HashMap;
-use std::net::ToSocketAddrs;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 struct FleetMetrics {
     replica_reads: Arc<Counter>,
@@ -45,151 +45,87 @@ struct FleetMetrics {
     map_refreshes: Arc<Counter>,
 }
 
-struct FleetState {
-    map: PartitionMap,
-    /// Connections keyed by stable server id.
-    conns: HashMap<u64, Arc<RemoteCluster>>,
-}
-
 /// A partition-routed client over a fleet of graph servers.
 pub struct FleetCluster {
-    /// Per-server connection config, for every server the client dials.
-    pub(crate) client: ClientConfig,
+    /// The resident map and one connection per server it names.
+    pub(crate) roster: Roster,
     registry: Arc<Registry>,
-    state: RwLock<FleetState>,
     m: FleetMetrics,
 }
 
 impl FleetCluster {
-    /// Join a fleet through any of its members: dial every address, adopt
-    /// the highest-epoch partition map any of them carries, and dial every
-    /// server that map names. One address is enough; naming several means
-    /// a member that lags behind a migration cannot pin the client to its
-    /// stale map. Errors if no member carries a map — a fleet client needs
-    /// a fleet, not a bag of plain servers.
+    /// Join a fleet through any of its members: ask every address for its
+    /// partition map and adopt the highest-epoch one. One live member that
+    /// carries a map is enough — the servers the map names are dialed when
+    /// a request first needs them, so a dead member costs only its own
+    /// partitions' owner reads (their replicas answer). Naming several
+    /// members means one that lags behind a migration cannot pin the
+    /// client to its stale map. Errors if no address answers, or if none
+    /// of those that answer carries a map — a fleet client needs a fleet,
+    /// not a bag of plain servers.
     pub fn connect<A: AsRef<str>>(addrs: &[A], client: ClientConfig) -> Result<Self, Error> {
         if addrs.is_empty() {
             return Err(Error::invalid_config("fleet address list is empty"));
         }
-        let mut dialed = Vec::with_capacity(addrs.len());
-        for a in addrs {
-            dialed.push(Arc::new(RemoteCluster::connect(a.as_ref(), client)?));
-        }
-        let (_, bytes) = dialed
+        let mut dial_err = None;
+        let newest = addrs
             .iter()
-            .filter_map(|c| c.fleet_map_bytes())
-            .max_by_key(|&(epoch, _)| epoch)
-            .ok_or_else(|| Error::invalid_config("seed server carries no fleet partition map"))?;
-        let map = PartitionMap::decode(&bytes)?;
+            .filter_map(|a| {
+                RemoteCluster::connect(a.as_ref(), client)
+                    .map_err(|e| dial_err = Some(e))
+                    .ok()
+            })
+            .filter_map(|seed| seed.fleet_map_bytes())
+            .max_by_key(|&(epoch, _)| epoch);
+        let bytes = match (newest, dial_err) {
+            (Some((_, bytes)), _) => bytes,
+            (None, Some(e)) => return Err(e),
+            (None, None) => {
+                return Err(Error::invalid_config(
+                    "seed server carries no fleet partition map",
+                ))
+            }
+        };
+        let roster = Roster::new(client);
+        roster.install(PartitionMap::decode(&bytes)?);
         let registry = Arc::new(Registry::new());
         let m = FleetMetrics {
             replica_reads: registry.counter("fleet.client.replica_reads"),
             degraded_requests: registry.counter("fleet.client.degraded_requests"),
             map_refreshes: registry.counter("fleet.client.map_refreshes"),
         };
-        let conns = Self::conns_for(&map, &dialed, client)?;
         Ok(Self {
-            client,
+            roster,
             registry,
-            state: RwLock::new(FleetState { map, conns }),
             m,
         })
     }
 
-    /// Match dialed connections to roster entries by address; dial any
-    /// roster member not yet connected.
-    fn conns_for(
-        map: &PartitionMap,
-        dialed: &[Arc<RemoteCluster>],
-        client: ClientConfig,
-    ) -> Result<HashMap<u64, Arc<RemoteCluster>>, Error> {
-        let mut conns = HashMap::with_capacity(map.servers().len());
-        for entry in map.servers() {
-            let resolved = entry.addr.as_str().to_socket_addrs()?.next();
-            let reuse = dialed
-                .iter()
-                .find(|c| Some(c.server_addr()) == resolved)
-                .cloned();
-            let conn = match reuse {
-                Some(c) => c,
-                None => Arc::new(RemoteCluster::connect(entry.addr.as_str(), client)?),
-            };
-            conns.insert(entry.id, conn);
-        }
-        Ok(conns)
-    }
-
-    fn snapshot(&self) -> (PartitionMap, HashMap<u64, Arc<RemoteCluster>>) {
-        let s = self.state.read().unwrap_or_else(|e| e.into_inner());
-        (s.map.clone(), s.conns.clone())
+    /// The resident map.
+    pub(crate) fn map(&self) -> Arc<PartitionMap> {
+        self.roster.map().expect("connect installs a map")
     }
 
     /// The resident map's epoch.
     pub fn map_epoch(&self) -> u64 {
-        self.state
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .epoch()
+        self.map().epoch()
     }
 
     /// Snapshot the resident map.
     pub fn map_snapshot(&self) -> PartitionMap {
-        self.state
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .clone()
+        PartitionMap::clone(&self.map())
     }
 
-    /// Adopt a newer map (no-op at or below the resident epoch), dialing
-    /// any servers it names that we are not yet connected to.
-    pub(crate) fn install_local(&self, map: PartitionMap) -> Result<u64, Error> {
-        let (cur, _) = self.snapshot();
-        if map.epoch() <= cur.epoch() {
-            return Ok(cur.epoch());
+    /// Adopt a newer map (no-op at or below the resident epoch).
+    pub(crate) fn install_local(&self, map: PartitionMap) {
+        if self.roster.install(map).1 {
+            self.m.map_refreshes.inc();
         }
-        let dialed: Vec<Arc<RemoteCluster>> = {
-            let s = self.state.read().unwrap_or_else(|e| e.into_inner());
-            s.conns.values().cloned().collect()
-        };
-        let conns = Self::conns_for(&map, &dialed, self.client)?;
-        let mut s = self.state.write().unwrap_or_else(|e| e.into_inner());
-        if map.epoch() <= s.map.epoch() {
-            return Ok(s.map.epoch());
-        }
-        let epoch = map.epoch();
-        s.map = map;
-        s.conns = conns;
-        self.m.map_refreshes.inc();
-        Ok(epoch)
-    }
-
-    /// Register an already-dialed connection for a server id (used by the
-    /// join path before the staged map is installed).
-    pub(crate) fn register_conn(&self, id: u64, conn: Arc<RemoteCluster>) {
-        let mut s = self.state.write().unwrap_or_else(|e| e.into_inner());
-        s.conns.insert(id, conn);
-    }
-
-    fn conn(
-        conns: &HashMap<u64, Arc<RemoteCluster>>,
-        map: &PartitionMap,
-        idx: u32,
-    ) -> Option<Arc<RemoteCluster>> {
-        conns.get(&map.servers()[idx as usize].id).cloned()
     }
 
     /// Connection to the server at roster index `idx` under `map`.
-    pub(crate) fn conn_by_index(&self, map: &PartitionMap, idx: u32) -> Option<Arc<RemoteCluster>> {
-        let s = self.state.read().unwrap_or_else(|e| e.into_inner());
-        Self::conn(&s.conns, map, idx)
-    }
-
-    /// Connection to the server with this stable id.
-    pub(crate) fn conn_by_id(&self, id: u64) -> Option<Arc<RemoteCluster>> {
-        let s = self.state.read().unwrap_or_else(|e| e.into_inner());
-        s.conns.get(&id).cloned()
+    pub(crate) fn conn(&self, map: &PartitionMap, idx: u32) -> Result<Arc<RemoteCluster>, Error> {
+        self.roster.conn(&map.servers()[idx as usize])
     }
 
     /// Sample one owner group of `(request, seed)` pairs, falling back
@@ -201,7 +137,6 @@ impl FleetCluster {
     fn sample_group(
         &self,
         map: &PartitionMap,
-        conns: &HashMap<u64, Arc<RemoteCluster>>,
         owner: u32,
         batch: &[(SampleRequest, u64)],
         (root_id, trace): (u64, u64),
@@ -209,7 +144,10 @@ impl FleetCluster {
         let _group_span = self
             .registry
             .span_with_parent("fleet.sample_group", root_id, trace);
-        let primary = Self::conn(conns, map, owner).and_then(|c| c.sample_with_seeds(batch).ok());
+        let primary = self
+            .conn(map, owner)
+            .ok()
+            .and_then(|c| c.sample_with_seeds(batch).ok());
         let mut out: Vec<Option<SampleResponse>> = match primary {
             Some(v) => v.into_iter().map(Some).collect(),
             None => vec![None; batch.len()],
@@ -230,7 +168,10 @@ impl FleetCluster {
             // retrying client rather than as a second unexplained RPC.
             let _retry_span = self.registry.span("fleet.replica_retry");
             let sub: Vec<(SampleRequest, u64)> = positions.iter().map(|&pos| batch[pos]).collect();
-            let replies = Self::conn(conns, map, ridx).and_then(|c| c.sample_with_seeds(&sub).ok());
+            let replies = self
+                .conn(map, ridx)
+                .ok()
+                .and_then(|c| c.sample_with_seeds(&sub).ok());
             if let Some(replies) = replies {
                 for (k, &pos) in positions.iter().enumerate() {
                     let better = !replies[k].degraded || out[pos].is_none();
@@ -272,12 +213,14 @@ impl FleetCluster {
     /// roster order. Unreachable members contribute an empty list — the
     /// trace view degrades, it does not fail.
     pub fn fleet_trace(&self, trace_id: u64) -> Vec<(String, Vec<SpanRecord>)> {
-        let (map, conns) = self.snapshot();
+        let map = self.map();
         let mut out = vec![("client".to_string(), self.registry.trace_spans(trace_id))];
         for entry in map.servers() {
-            let spans = conns
-                .get(&entry.id)
-                .and_then(|c| c.export_spans(trace_id).ok())
+            let spans = self
+                .roster
+                .conn(entry)
+                .and_then(|c| c.export_spans(trace_id))
+                .ok()
                 .unwrap_or_default();
             out.push((Self::member_label(entry.id), spans));
         }
@@ -288,10 +231,10 @@ impl FleetCluster {
     /// plus recent slow ops) from this client and every reachable roster
     /// member, labeled by member in roster order.
     pub fn fleet_obs(&self) -> Vec<(String, ObsSnapshot)> {
-        let (map, conns) = self.snapshot();
+        let map = self.map();
         let mut out = vec![("client".to_string(), self.registry.snapshot())];
         for entry in map.servers() {
-            if let Some(snap) = conns.get(&entry.id).and_then(|c| c.export_obs().ok()) {
+            if let Ok(snap) = self.roster.conn(entry).and_then(|c| c.export_obs()) {
                 out.push((Self::member_label(entry.id), snap));
             }
         }
@@ -299,14 +242,13 @@ impl FleetCluster {
     }
 
     /// Per-server shard-index offsets, map roster order — the fleet's
-    /// global shard numbering for `shard_healths`/`heal`.
-    fn shard_layout(
-        map: &PartitionMap,
-        conns: &HashMap<u64, Arc<RemoteCluster>>,
-    ) -> Vec<(Arc<RemoteCluster>, usize)> {
-        map.servers()
+    /// global shard numbering for `shard_healths`/`heal`. A server that
+    /// cannot be dialed contributes no shards.
+    fn shard_layout(&self) -> Vec<(Arc<RemoteCluster>, usize)> {
+        self.map()
+            .servers()
             .iter()
-            .filter_map(|e| conns.get(&e.id).cloned())
+            .filter_map(|e| self.roster.conn(e).ok())
             .map(|c| {
                 let n = c.num_shards();
                 (c, n)
@@ -338,22 +280,19 @@ impl GraphService for FleetCluster {
             _ => self.registry.span("fleet.sample"),
         };
         let anchor = (root.id(), root.trace_id());
-        let (map, conns) = self.snapshot();
+        let map = self.map();
         // The groups hit different servers, so their round trips overlap.
         let owner = |req: &SampleRequest| map.owner_of(req.vertex) as usize;
         sample_by_owner(reqs, rng, map.servers().len(), owner, |at, batch| {
-            self.sample_group(&map, &conns, at as u32, batch, anchor)
+            self.sample_group(&map, at as u32, batch, anchor)
         })
     }
 
     fn apply_updates(&self, ops: &[UpdateOp]) -> Result<BatchReport, Error> {
-        let (map, conns) = self.snapshot();
+        let map = self.map();
         let mut report = BatchReport::default();
         for (owner, batch) in group_by_server(ops, |op| Some(map.owner_of(op.src()))) {
-            let conn = Self::conn(&conns, &map, owner).ok_or(Error::ShardUnavailable {
-                shard: owner as usize,
-            })?;
-            let r = conn.apply_updates(&batch)?;
+            let r = self.conn(&map, owner)?.apply_updates(&batch)?;
             report.applied_ops += r.applied_ops;
             report.queued_ops += r.queued_ops;
         }
@@ -361,12 +300,8 @@ impl GraphService for FleetCluster {
     }
 
     fn apply_txn(&self, txn: &GraphTxn) -> Result<TxnReceipt, TxnError> {
-        let (map, conns) = self.snapshot();
-        let route = |owner: u32| -> Result<Arc<RemoteCluster>, TxnError> {
-            Self::conn(&conns, &map, owner).ok_or(TxnError::Store(Error::ShardUnavailable {
-                shard: owner as usize,
-            }))
-        };
+        let map = self.map();
+        let route = |owner: u32| self.conn(&map, owner).map_err(TxnError::Store);
         let legs = group_by_server(txn.ops(), |op| Some(map.owner_of(op.src())));
         match legs.as_slice() {
             [] => route(0)?.apply_txn(txn),
@@ -392,33 +327,26 @@ impl GraphService for FleetCluster {
     }
 
     fn graph_version(&self) -> u64 {
-        let (map, conns) = self.snapshot();
-        Self::shard_layout(&map, &conns)
+        self.shard_layout()
             .iter()
             .map(|(c, _)| c.graph_version())
             .sum()
     }
 
     fn num_shards(&self) -> usize {
-        let (map, conns) = self.snapshot();
-        Self::shard_layout(&map, &conns)
-            .iter()
-            .map(|(_, n)| n)
-            .sum()
+        self.shard_layout().iter().map(|(_, n)| n).sum()
     }
 
     fn shard_healths(&self) -> Vec<ShardHealth> {
-        let (map, conns) = self.snapshot();
-        Self::shard_layout(&map, &conns)
+        self.shard_layout()
             .iter()
             .flat_map(|(c, _)| c.shard_healths())
             .collect()
     }
 
     fn heal(&self, shard: usize) -> usize {
-        let (map, conns) = self.snapshot();
         let mut offset = 0usize;
-        for (conn, n) in Self::shard_layout(&map, &conns) {
+        for (conn, n) in self.shard_layout() {
             if shard < offset + n {
                 return conn.heal(shard - offset);
             }

@@ -9,6 +9,9 @@
 //!   fixed partition keyspace; partitions map onto servers by rendezvous
 //!   hashing, so membership changes move only ~1/(N+1) of the keyspace. A
 //!   monotone epoch makes staleness detectable and installs safe.
+//! * A private roster — the newest map plus one lazily dialed connection
+//!   per server id, with the fleet's one epoch-monotonic install. The
+//!   client and every member keep their routing state in one.
 //! * [`FleetNode`] — the server-side member: a local `Cluster` that fans
 //!   first-hand writes out to each partition's replica (over dedicated
 //!   replica-channel frames that are never re-forwarded) and relays
@@ -28,6 +31,7 @@ mod cluster;
 mod map;
 mod migrate;
 mod node;
+mod roster;
 
 pub use cluster::FleetCluster;
 pub use map::{PartitionMap, ServerEntry};

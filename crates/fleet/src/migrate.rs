@@ -14,7 +14,8 @@
 //! 4. **Promote**: bump the map epoch with the target as owner and the
 //!    source as replica, and install it — *target first* (so a relay
 //!    from a staler server can never bounce back), then the rest of the
-//!    fleet, then this client.
+//!    fleet, then this client. A join announces its widened roster the
+//!    same way, joiner first, through the same helper.
 //! 5. **Final drain + disarm**: tail rounds run until one comes back
 //!    empty, catching every write that landed on the source between the
 //!    last pre-promote drain and its map install (those are journaled;
@@ -25,20 +26,22 @@
 //!    advanced past the last drained sequence, rather than silently
 //!    dropping an acked write.
 //!
+//! The source and target connections, like every other, come from the
+//! client's roster; a joiner is dialed the first time its announcement
+//! needs it.
+//!
 //! Every streamed op is idempotent and replica-channel retries are
 //! absorbed by the target, so a crashed migration is safe to re-run.
 //! The source keeps its copy as the partition's replica — clients still
 //! routing on the old epoch read correct data until they learn the new map.
 
 use crate::cluster::FleetCluster;
-use crate::map::ServerEntry;
+use crate::map::{PartitionMap, ServerEntry};
 use platod2gl_graph::{Error, UpdateOp};
 use platod2gl_obs::current_trace_context;
-use platod2gl_rpc::RemoteCluster;
 use platod2gl_server::GraphService;
 use platod2gl_storage::read_snapshot;
 use std::net::ToSocketAddrs;
-use std::sync::Arc;
 
 /// Edge budget per streamed chunk.
 const CHUNK_EDGES: usize = 4096;
@@ -88,7 +91,7 @@ impl FleetCluster {
         partition: u32,
         target_server_id: u64,
     ) -> Result<MigrationReport, Error> {
-        let map = self.map_snapshot();
+        let map = self.map();
         if partition >= map.num_partitions() {
             return Err(Error::invalid_config("partition out of range"));
         }
@@ -99,14 +102,8 @@ impl FleetCluster {
         if src_idx == tgt_idx {
             return Err(Error::invalid_config("target already owns the partition"));
         }
-        let conn_of = |idx: u32| -> Result<Arc<RemoteCluster>, Error> {
-            self.conn_by_index(&map, idx)
-                .ok_or(Error::ShardUnavailable {
-                    shard: idx as usize,
-                })
-        };
-        let src = conn_of(src_idx)?;
-        let tgt = conn_of(tgt_idx)?;
+        let src = self.conn(&map, src_idx)?;
+        let tgt = self.conn(&map, tgt_idx)?;
         let num_partitions = map.num_partitions();
 
         // Every RPC of the move (snapshot chunks, tail drains, map
@@ -162,16 +159,7 @@ impl FleetCluster {
 
         // 4. Promote and install: target first, then the fleet, then us.
         let promoted = map.promote(partition, tgt_idx)?;
-        let bytes = promoted.encode();
-        tgt.install_fleet_map(promoted.epoch(), &bytes)?;
-        for (i, entry) in promoted.servers().iter().enumerate() {
-            if i as u32 == tgt_idx {
-                continue;
-            }
-            if let Some(conn) = self.conn_by_id(entry.id) {
-                conn.install_fleet_map(promoted.epoch(), &bytes)?;
-            }
-        }
+        self.announce(&promoted, target_server_id)?;
         report.epoch = promoted.epoch();
 
         // 5. Final drain until an empty round, then disarm. Every server
@@ -210,7 +198,7 @@ impl FleetCluster {
                 ),
             });
         }
-        self.install_local(promoted)?;
+        self.install_local(promoted);
         Ok(report)
     }
 
@@ -223,13 +211,12 @@ impl FleetCluster {
     /// with — the node recognizes its own writes (vs ops to relay) by
     /// finding that id in the installed map.
     pub fn join_and_migrate(&self, addr: &str, new_id: u64) -> Result<JoinReport, Error> {
-        let conn = Arc::new(RemoteCluster::connect(addr, self.client)?);
         let resolved = addr
             .to_socket_addrs()?
             .next()
             .map(|a| a.to_string())
             .unwrap_or_else(|| addr.to_string());
-        let map = self.map_snapshot();
+        let map = self.map();
         if map.index_of(new_id).is_some() {
             return Err(Error::invalid_config("joining server id already in roster"));
         }
@@ -237,17 +224,10 @@ impl FleetCluster {
             id: new_id,
             addr: resolved,
         })?;
-        let bytes = staged.encode();
         // The joining server learns the roster (and its own place in it)
         // first, then the incumbents, then this client.
-        conn.install_fleet_map(staged.epoch(), &bytes)?;
-        for entry in map.servers() {
-            if let Some(c) = self.conn_by_id(entry.id) {
-                c.install_fleet_map(staged.epoch(), &bytes)?;
-            }
-        }
-        self.register_conn(new_id, conn);
-        self.install_local(staged)?;
+        self.announce(&staged, new_id)?;
+        self.install_local(staged);
 
         let mut joined = JoinReport {
             server_id: new_id,
@@ -257,5 +237,22 @@ impl FleetCluster {
             joined.moved.push(self.migrate_partition(p, new_id)?);
         }
         Ok(joined)
+    }
+
+    /// Install `map` on every server it names: `first` (a migration's
+    /// target, or a joiner) before the rest, so by the time any member
+    /// routes to `first` under the new map, `first` already holds it and
+    /// a relay cannot bounce back. Any failed install fails the
+    /// announcement; the caller installs the map on this client after.
+    fn announce(&self, map: &PartitionMap, first: u64) -> Result<(), Error> {
+        let bytes = map.encode();
+        let servers = map.servers().iter();
+        let head = servers.clone().filter(|e| e.id == first);
+        for entry in head.chain(servers.filter(|e| e.id != first)) {
+            self.roster
+                .conn(entry)?
+                .install_fleet_map(map.epoch(), &bytes)?;
+        }
+        Ok(())
     }
 }

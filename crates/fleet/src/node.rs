@@ -1,10 +1,12 @@
 //! The server-side fleet member: a [`Cluster`] plus routing awareness.
 //!
 //! A [`FleetNode`] wraps one in-process `Cluster` and makes it a citizen
-//! of a fleet: it carries (a copy of) the [`PartitionMap`], fans writes it
-//! owns out to the partition's replica, and relays writes it does *not*
-//! own to the current owner — the path that keeps clients routing on a
-//! stale map correct during a migration.
+//! of a fleet. It keeps a roster, the same type the client routes with:
+//! its copy of the [`PartitionMap`] and a connection per peer, dialed when
+//! a write first needs that peer. Through it the node fans writes it owns
+//! out to the partition's replica and relays writes it does *not* own to
+//! the current owner — the path that keeps clients routing on a stale map
+//! correct during a migration.
 //!
 //! ## Why replication cannot loop
 //!
@@ -27,6 +29,7 @@
 //! of re-applying.
 
 use crate::map::PartitionMap;
+use crate::roster::Roster;
 use platod2gl_graph::{
     splitmix64, Error, GraphTxn, ShardHealth, TxnError, TxnOp, TxnReceipt, UpdateOp, VertexId,
 };
@@ -36,8 +39,7 @@ use platod2gl_server::{
     BatchReport, Cluster, GraphService, PartitionChunk, SampleRequest, SampleResponse,
 };
 use rand::RngCore;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 /// Channel tag for the client-side cross-owner split
 /// ([`crate::FleetCluster::apply_txn`]).
@@ -93,7 +95,7 @@ pub(crate) fn group_by_server<T: Copy>(
 /// One first-hand write split under a node's map: the ops this node owns,
 /// their replica legs, and the stale-routed legs other servers own.
 struct Split<T> {
-    map: PartitionMap,
+    map: Arc<PartitionMap>,
     owned: Vec<T>,
     replicas: Vec<(u32, Vec<T>)>,
     foreign: Vec<(u32, Vec<T>)>,
@@ -107,13 +109,12 @@ struct NodeMetrics {
 }
 
 /// One fleet member: a local [`Cluster`] served over RPC, plus the
-/// partition map and peer connections that make it replicate and relay.
+/// roster (partition map and peer connections) that makes it replicate
+/// and relay.
 pub struct FleetNode {
     cluster: Arc<Cluster>,
     server_id: u64,
-    peer_cfg: RemoteClusterConfig,
-    map: RwLock<Option<PartitionMap>>,
-    peers: Mutex<HashMap<u64, Arc<RemoteCluster>>>,
+    roster: Roster,
     m: NodeMetrics,
 }
 
@@ -133,9 +134,7 @@ impl FleetNode {
         Self {
             cluster,
             server_id,
-            peer_cfg,
-            map: RwLock::new(None),
-            peers: Mutex::new(HashMap::new()),
+            roster: Roster::new(peer_cfg),
             m,
         }
     }
@@ -154,36 +153,16 @@ impl FleetNode {
     /// install at or below the resident epoch is a no-op. Returns the
     /// epoch now in effect.
     pub fn install(&self, map: PartitionMap) -> u64 {
-        let mut slot = self.map.write().unwrap_or_else(|e| e.into_inner());
-        match slot.as_ref() {
-            Some(cur) if cur.epoch() >= map.epoch() => cur.epoch(),
-            _ => {
-                let epoch = map.epoch();
-                *slot = Some(map);
-                self.m.map_installs.inc();
-                epoch
-            }
+        let (epoch, adopted) = self.roster.install(map);
+        if adopted {
+            self.m.map_installs.inc();
         }
+        epoch
     }
 
     /// Snapshot the resident map.
     pub fn map_snapshot(&self) -> Option<PartitionMap> {
-        self.map.read().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// A pooled connection to the peer at roster index `idx`.
-    fn peer(&self, map: &PartitionMap, idx: u32) -> Result<Arc<RemoteCluster>, Error> {
-        let entry = &map.servers()[idx as usize];
-        if entry.id == self.server_id {
-            return Err(Error::invalid_config("peer lookup resolved to self"));
-        }
-        let mut peers = self.peers.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = peers.get(&entry.id) {
-            return Ok(p.clone());
-        }
-        let conn = Arc::new(RemoteCluster::connect(entry.addr.as_str(), self.peer_cfg)?);
-        peers.insert(entry.id, conn.clone());
-        Ok(conn)
+        self.roster.map().map(|map| PartitionMap::clone(&map))
     }
 
     /// Split a first-hand write by `src` under the resident map: ops this
@@ -196,7 +175,7 @@ impl FleetNode {
     /// its leg. `None` while the node is map-less or not (yet) a roster
     /// member — it then behaves exactly like the bare cluster.
     fn split<T: Copy>(&self, ops: &[T], src: impl Fn(&T) -> VertexId) -> Option<Split<T>> {
-        let map = self.map_snapshot()?;
+        let map = self.roster.map()?;
         let my_idx = map.index_of(self.server_id)?;
         let (owned, stale): (Vec<T>, Vec<T>) =
             ops.iter().partition(|op| map.owner_of(src(op)) == my_idx);
@@ -223,21 +202,24 @@ impl FleetNode {
     fn forward<T, E: From<Error>>(
         &self,
         split: &Split<T>,
-        to_replica: impl Fn(&RemoteCluster, u32, &[T]) -> Result<(), E>,
+        to_replica: impl Fn(&RemoteCluster, u64, &[T]) -> Result<(), E>,
         mut relay: impl FnMut(&RemoteCluster, &[T]) -> Result<(), E>,
     ) -> Result<(), E> {
+        let servers = split.map.servers();
         for (ridx, leg) in &split.replicas {
+            let replica = &servers[*ridx as usize];
             let sent = self
-                .peer(&split.map, *ridx)
+                .roster
+                .conn(replica)
                 .map_err(E::from)
-                .and_then(|peer| to_replica(&peer, *ridx, leg));
+                .and_then(|peer| to_replica(&peer, replica.id, leg));
             match sent {
                 Ok(()) => self.m.replica_fanouts.inc(),
                 Err(_) => self.m.replica_errors.inc(),
             }
         }
         for (owner, leg) in &split.foreign {
-            relay(&*self.peer(&split.map, *owner)?, leg)?;
+            relay(&*self.roster.conn(&servers[*owner as usize])?, leg)?;
             self.m.relayed_ops.add(leg.len() as u64);
         }
         Ok(())
@@ -294,8 +276,7 @@ impl GraphService for FleetNode {
             // replicates, under a derived id (a server can receive a relay
             // leg and a replica leg of the same parent txn — distinct ids
             // keep them from deduping each other away).
-            |peer, ridx, leg| {
-                let server_id = split.map.servers()[ridx as usize].id;
+            |peer, server_id, leg| {
                 let id = derive_txn_id(txn.id(), server_id, CH_REPLICA);
                 peer.apply_replica_txn(&sub_txn(id, leg)).map(drop)
             },
@@ -324,7 +305,7 @@ impl GraphService for FleetNode {
     }
 
     fn fleet_map_bytes(&self) -> Option<(u64, Vec<u8>)> {
-        self.map_snapshot().map(|m| (m.epoch(), m.encode()))
+        self.roster.map().map(|m| (m.epoch(), m.encode()))
     }
 
     fn install_fleet_map(&self, epoch: u64, bytes: &[u8]) -> Result<u64, Error> {

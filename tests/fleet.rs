@@ -13,6 +13,7 @@ use platod2gl::{
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -732,5 +733,287 @@ fn fleet_admin_endpoints_track_partition_coverage() {
     assert!(body.contains("\"status\":\"unowned\""), "{body}");
 
     admin.shutdown();
+    fleet_servers.shutdown();
+}
+
+/// The value of counter `name` in `svc`'s registry (0 before it moves).
+fn counter<S: GraphService + ?Sized>(svc: &S, name: &str) -> u64 {
+    svc.registry().snapshot().counter(name).unwrap_or(0)
+}
+
+/// One request per vertex, `fanout` draws each.
+fn every_vertex(fanout: usize) -> Vec<SampleRequest> {
+    (0..N)
+        .map(|v| SampleRequest::new(VertexId(v), ET, fanout))
+        .collect()
+}
+
+/// The first `k` vertices owned by each roster member, in roster order.
+fn owned_picks(map: &PartitionMap, k: usize) -> Vec<VertexId> {
+    (0..map.servers().len() as u32)
+        .flat_map(|idx| {
+            (0..N)
+                .map(VertexId)
+                .filter(move |&v| map.owner_of(v) == idx)
+                .take(k)
+        })
+        .collect()
+}
+
+/// How many of `srcs` the member at roster index `idx` owns or
+/// replicates under `map` — the edges it must hold when each source
+/// carries one edge.
+fn assigned_to(map: &PartitionMap, idx: u32, srcs: impl IntoIterator<Item = VertexId>) -> usize {
+    srcs.into_iter()
+        .filter(|&v| {
+            let p = map.partition_of(v);
+            map.owner_index(p) == idx || map.replica_index(p) == Some(idx)
+        })
+        .count()
+}
+
+/// A dead roster member does not keep a new client out: one live member
+/// that carries a map is enough to connect, reads of the dead member's
+/// partitions fail over to their replicas bit-identically, and a write
+/// the dead member owns is an error, not a panic.
+#[test]
+fn a_client_connects_through_one_live_member_while_another_is_down() {
+    let ops = edge_ops();
+    let mut fleet_servers = start_fleet(2);
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    fleet.apply_updates(&ops).expect("loads");
+    let reqs = every_vertex(4);
+    let before = fleet.sample_many(&reqs, &mut StdRng::seed_from_u64(77));
+    assert!(before.iter().all(|r| !r.degraded));
+
+    // Member 1 (roster index 0) goes down; a new client knows only member 2.
+    fleet_servers.servers[0].take().expect("running").shutdown();
+    let late = FleetCluster::connect(&[fleet_servers.addrs[1].to_string()], client_cfg())
+        .expect("one live member that carries a map is enough");
+    let after = late.sample_many(&reqs, &mut StdRng::seed_from_u64(77));
+    for (x, y) in before.iter().zip(&after) {
+        assert!(!y.degraded, "the replica answers for the dead member");
+        assert_eq!(x.neighbors, y.neighbors, "same seed, same draws");
+    }
+
+    let map = late.map_snapshot();
+    let orphan = owned_picks(&map, 1)[0];
+    assert_eq!(map.owner_of(orphan), 0);
+    let write = late.apply_updates(&[UpdateOp::Insert(Edge::new(orphan, VertexId(N + 1), 1.0))]);
+    assert!(write.is_err(), "a write owned by the dead member must fail");
+
+    fleet_servers.shutdown();
+}
+
+/// A txn spanning every owner, sent through the client: each server
+/// holds exactly the ops it owns or replicates, the receipt counts every
+/// op once, and a retry dedupes on every leg without re-applying.
+#[test]
+fn a_client_txn_across_owners_lands_each_leg_once_and_dedupes_on_retry() {
+    let fleet_servers = start_fleet(3);
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    let map = fleet.map_snapshot();
+    let picks = owned_picks(&map, 2);
+    let mut txn = GraphTxn::new(0x5151_5151);
+    for &v in &picks {
+        txn = txn.insert_edge(Edge::new(v, VertexId(v.raw() + 1000), 2.0));
+    }
+
+    let receipt = fleet.apply_txn(&txn).expect("commits");
+    assert_eq!(receipt.ops_applied, picks.len() as u64);
+    assert!(!receipt.deduped);
+    let held: Vec<usize> = fleet_servers
+        .nodes
+        .iter()
+        .map(|n| n.cluster().num_edges())
+        .collect();
+    for (i, &edges) in held.iter().enumerate() {
+        assert_eq!(
+            edges,
+            assigned_to(&map, i as u32, picks.iter().copied()),
+            "server {i} holds exactly what it owns or replicates"
+        );
+    }
+
+    let retry = fleet.apply_txn(&txn).expect("dedupes");
+    assert!(retry.deduped, "every leg dedupes on retry");
+    let held_after: Vec<usize> = fleet_servers
+        .nodes
+        .iter()
+        .map(|n| n.cluster().num_edges())
+        .collect();
+    assert_eq!(held_after, held, "a retry applies nothing");
+
+    fleet_servers.shutdown();
+}
+
+/// The update twin of the stale-routed txn test: a whole batch handed to
+/// one member first-hand applies only that member's own subset, relays
+/// only the foreign subset (each owner then fans its part out to its
+/// replica), and fans the owned subset out to the owned partitions'
+/// replicas — so every server ends up holding exactly what it owns or
+/// replicates.
+#[test]
+fn stale_routed_update_batch_relays_only_the_foreign_subset() {
+    let fleet_servers = start_fleet(3);
+    let node = &fleet_servers.nodes[0];
+    let map = node.map_snapshot().expect("map installed");
+    let ops = edge_ops();
+    let (owned, foreign): (Vec<UpdateOp>, Vec<UpdateOp>) =
+        ops.iter().partition(|op| map.owner_of(op.src()) == 0);
+    assert!(!owned.is_empty() && !foreign.is_empty());
+    let replicas: HashSet<u32> = owned
+        .iter()
+        .filter_map(|op| map.replica_index(map.partition_of(op.src())))
+        .collect();
+
+    let report = node.apply_updates(&ops).expect("applies and relays");
+    assert_eq!(report.applied_ops, ops.len());
+    assert_eq!(
+        counter(&**node, "fleet.node.relayed_ops"),
+        foreign.len() as u64
+    );
+    assert_eq!(
+        counter(&**node, "fleet.node.replica_fanouts"),
+        replicas.len() as u64,
+        "one replica leg per replica server of the owned subset"
+    );
+    assert_eq!(counter(&**node, "fleet.node.replica_errors"), 0);
+    for (i, member) in fleet_servers.nodes.iter().enumerate() {
+        assert_eq!(
+            member.cluster().num_edges(),
+            assigned_to(&map, i as u32, ops.iter().map(|op| op.src())),
+            "server {i} holds exactly what it owns or replicates"
+        );
+    }
+    // No foreign partition's edge lands on the relaying node unless it
+    // replicates that partition.
+    for op in &foreign {
+        let p = map.partition_of(op.src());
+        if map.replica_index(p) != Some(0) {
+            assert_eq!(node.cluster().degree(op.src(), ET), 0);
+        }
+    }
+
+    fleet_servers.shutdown();
+}
+
+/// Replica fan-out is best-effort: with the replica down, an update batch
+/// and a txn still commit at the owner, and each missed replica leg is
+/// counted.
+#[test]
+fn a_write_whose_replica_is_down_commits_at_the_owner_and_counts_the_miss() {
+    let mut fleet_servers = start_fleet(2);
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    let map = fleet.map_snapshot();
+    let picks = owned_picks(&map, 2);
+    let (a, b) = (picks[0], picks[1]);
+    assert_eq!((map.owner_of(a), map.owner_of(b)), (0, 0));
+
+    // Every partition's replica in a 2-server fleet is the other server.
+    fleet_servers.servers[1].take().expect("running").shutdown();
+    let owner = &fleet_servers.nodes[0];
+    fleet
+        .apply_updates(&[UpdateOp::Insert(Edge::new(a, VertexId(N + 1), 1.0))])
+        .expect("the owner commits without its replica");
+    assert_eq!(counter(&**owner, "fleet.node.replica_errors"), 1);
+    let txn = GraphTxn::new(0x0BAD_5EED).insert_edge(Edge::new(b, VertexId(N + 2), 1.0));
+    assert_eq!(fleet.apply_txn(&txn).expect("commits").ops_applied, 1);
+    assert_eq!(counter(&**owner, "fleet.node.replica_errors"), 2);
+    assert_eq!(counter(&**owner, "fleet.node.replica_fanouts"), 0);
+    assert_eq!(owner.cluster().degree(a, ET), 1);
+    assert_eq!(owner.cluster().degree(b, ET), 1);
+
+    fleet_servers.shutdown();
+}
+
+/// A member counts each map it adopts, and the client each map it
+/// refreshes to, exactly once; a re-install at the resident epoch —
+/// locally or over the wire — moves neither count.
+#[test]
+fn map_installs_and_refreshes_count_adopted_maps_only() {
+    let fleet_servers = start_fleet(3);
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    fleet.apply_updates(&edge_ops()).expect("loads");
+    let installs = |fleet_servers: &Fleet| -> Vec<u64> {
+        fleet_servers
+            .nodes
+            .iter()
+            .map(|n| counter(&**n, "fleet.node.map_installs"))
+            .collect()
+    };
+    assert_eq!(installs(&fleet_servers), vec![1, 1, 1], "the bootstrap map");
+    assert_eq!(counter(&fleet, "fleet.client.map_refreshes"), 0);
+
+    // Re-installing the resident map is a no-op, locally and over the wire.
+    let map = fleet.map_snapshot();
+    assert_eq!(fleet_servers.nodes[0].install(map.clone()), 1);
+    let wire = RemoteCluster::connect(fleet_servers.addrs[1], client_cfg()).expect("connect");
+    assert_eq!(
+        wire.install_fleet_map(1, &map.encode()).expect("installs"),
+        1
+    );
+    assert_eq!(installs(&fleet_servers), vec![1, 1, 1]);
+
+    // Each migration adopts one new map everywhere.
+    for round in 1..=2u64 {
+        let map = fleet.map_snapshot();
+        let owner = map.owner_index(0);
+        let target = map.servers()[(owner as usize + 1) % 3].id;
+        let report = fleet.migrate_partition(0, target).expect("migrates");
+        assert_eq!(report.epoch, 1 + round);
+        assert_eq!(installs(&fleet_servers), vec![1 + round; 3]);
+        assert_eq!(counter(&fleet, "fleet.client.map_refreshes"), round);
+    }
+    let map = fleet.map_snapshot();
+    for addr in &fleet_servers.addrs {
+        let wire = RemoteCluster::connect(addr, client_cfg()).expect("connect");
+        let epoch = wire.install_fleet_map(map.epoch(), &map.encode());
+        assert_eq!(epoch.expect("installs"), 3);
+    }
+    assert_eq!(installs(&fleet_servers), vec![3, 3, 3]);
+
+    fleet_servers.shutdown();
+}
+
+/// A read whose owner and replica are both down degrades under its own
+/// policy, client-side, and is counted once; every other read is served.
+#[test]
+fn a_read_with_owner_and_replica_down_degrades_and_is_counted() {
+    let mut fleet_servers = start_fleet(3);
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    fleet.apply_updates(&edge_ops()).expect("loads");
+    let map = fleet.map_snapshot();
+
+    for server in &mut fleet_servers.servers[1..] {
+        server.take().expect("running").shutdown();
+    }
+    let reqs = every_vertex(4);
+    let lost = |v: VertexId| {
+        let p = map.partition_of(v);
+        map.owner_index(p) != 0 && map.replica_index(p) != Some(0)
+    };
+    let expected = reqs.iter().filter(|r| lost(r.vertex)).count();
+    assert!(expected > 0, "some partition lives only on the dead pair");
+
+    let responses = fleet.sample_many(&reqs, &mut StdRng::seed_from_u64(3));
+    for (req, resp) in reqs.iter().zip(&responses) {
+        assert_eq!(
+            resp.degraded,
+            lost(req.vertex),
+            "vertex {}",
+            req.vertex.raw()
+        );
+    }
+    assert_eq!(
+        counter(&fleet, "fleet.client.degraded_requests"),
+        expected as u64
+    );
+
     fleet_servers.shutdown();
 }
