@@ -44,10 +44,9 @@ pub use platod2gl_fleet::{
     FleetCluster, FleetNode, JoinReport, MigrationReport, PartitionMap, ServerEntry,
 };
 pub use platod2gl_gnn::{
-    gather_features, AttributeFeatures, DeepWalkConfig, DeepWalkTrainer, EmbeddingTable,
-    FeatureProvider, HashFeatures, Matrix, MetapathSampler, NegativeSampler, NeighborSampler,
-    Node2VecWalker, NodeSampler, RandomWalkSampler, SageNet, SageNetConfig, SampledSubgraph,
-    SubgraphSampler, TrainStats,
+    gather_features, AttributeFeatures, FeatureProvider, HashFeatures, Matrix, MetapathSampler,
+    NeighborSampler, NodeSampler, SageNet, SageNetConfig, SampledSubgraph, SubgraphSampler,
+    TrainStats,
 };
 pub use platod2gl_graph::{
     for_each_edge, read_edge_list, sanitize_weight, validate_and_lower, write_edge_list,

@@ -16,8 +16,8 @@
 //! lookup, BFS eviction and `grow()`, written once and generic over its
 //! [`Slot`]. It takes no lock and picks no hash; its owner does both.
 //!
-//! * [`CuckooMap`] — the general concurrent map of the attribute store, the
-//!   PlatoGL and AliGraph baselines and DeepWalk's embedding table. Its
+//! * [`CuckooMap`] — the general concurrent map of the attribute store and
+//!   the PlatoGL and AliGraph baselines. Its
 //!   slot is `Option<(hash, key, value)>`: it stores the 64-bit hash, which
 //!   is `std`'s SipHash through `BuildHasherDefault`. The map is split into
 //!   64 tables, each behind its own `parking_lot::Mutex`, and a key's shard

@@ -238,16 +238,6 @@ impl FsTable {
         w_i
     }
 
-    /// Multiply every weight by `factor` in `O(n)`.
-    ///
-    /// Every entry is a sum of weights, so scaling entries scales the
-    /// weights exactly (linearity) — no rebuild required.
-    pub fn scale(&mut self, factor: f64) {
-        for e in &mut self.tree {
-            *e *= factor;
-        }
-    }
-
     /// Stream the raw weights in index order, `O(n)` overall and without
     /// allocating (inverse of the linear build): `w_i` is entry `i` minus
     /// the entries of its Fenwick children, which in 1-based terms sit at
@@ -508,17 +498,6 @@ mod tests {
     #[test]
     fn total_of_empty_is_zero() {
         assert_close(FsTable::new().total(), 0.0);
-    }
-
-    #[test]
-    fn scale_multiplies_all_weights() {
-        let mut t = FsTable::from_weights(&[1.0, 2.0, 3.0]);
-        t.scale(2.0);
-        assert_close(t.get(0), 2.0);
-        assert_close(t.get(2), 6.0);
-        assert_close(t.total(), 12.0);
-        t.scale(0.0);
-        assert_close(t.total(), 0.0);
     }
 
     #[test]

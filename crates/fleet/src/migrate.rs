@@ -30,15 +30,21 @@
 //! client's roster; a joiner is dialed the first time its announcement
 //! needs it.
 //!
-//! Every streamed op is idempotent and replica-channel retries are
-//! absorbed by the target, so a crashed migration is safe to re-run.
-//! The source keeps its copy as the partition's replica — clients still
-//! routing on the old epoch read correct data until they learn the new map.
+//! Every streamed op is idempotent, replica-channel retries are absorbed
+//! by the target, and a failure after the arm disarms the journal, so a
+//! failed migration is safe to re-run. The source keeps its copy as the
+//! partition's replica — clients still routing on the old epoch read
+//! correct data until they learn the new map.
+//!
+//! Only one migration driver may run at a time. A driver that promoted
+//! from a stale map fails at its first install and installs nothing, but
+//! two that promote from the same map and race can split the fleet.
 
 use crate::cluster::FleetCluster;
 use crate::map::{PartitionMap, ServerEntry};
 use platod2gl_graph::{Error, UpdateOp};
 use platod2gl_obs::current_trace_context;
+use platod2gl_rpc::RemoteCluster;
 use platod2gl_server::GraphService;
 use platod2gl_storage::read_snapshot;
 use std::net::ToSocketAddrs;
@@ -104,7 +110,6 @@ impl FleetCluster {
         }
         let src = self.conn(&map, src_idx)?;
         let tgt = self.conn(&map, tgt_idx)?;
-        let num_partitions = map.num_partitions();
 
         // Every RPC of the move (snapshot chunks, tail drains, map
         // installs) runs under one span, so the whole migration stitches
@@ -119,8 +124,43 @@ impl FleetCluster {
             ),
         };
 
-        // 1. Arm the journal.
-        src.begin_migration(partition, num_partitions)?;
+        // 1. Arm the journal. Any later failure disarms it (best effort)
+        // before the error returns: an armed journal keeps buffering the
+        // partition's ops and refuses every later migration.
+        src.begin_migration(partition, map.num_partitions())?;
+        let (mut report, drained, promoted) = self
+            .move_armed(&map, partition, tgt_idx, &src, &tgt)
+            .inspect_err(|_| {
+                let _ = src.end_migration(partition);
+            })?;
+        report.journaled = src.end_migration(partition)?;
+        if report.journaled > drained {
+            // Ops raced the disarm itself — impossible once every server
+            // routes on the promoted map, so surface it instead of
+            // silently losing acked writes.
+            return Err(Error::Corrupt {
+                what: format!(
+                    "partition {partition} journaled {} op(s) after the final drain",
+                    report.journaled - drained
+                ),
+            });
+        }
+        self.install_local(promoted);
+        Ok(report)
+    }
+
+    /// Steps 2–5 of a move whose source journal is armed: stream, drain,
+    /// promote and final-drain. Returns the report so far, the journal
+    /// sequence drained up to and the promoted map; the caller disarms.
+    fn move_armed(
+        &self,
+        map: &PartitionMap,
+        partition: u32,
+        tgt_idx: u32,
+        src: &RemoteCluster,
+        tgt: &RemoteCluster,
+    ) -> Result<(MigrationReport, u64, PartitionMap), Error> {
+        let num_partitions = map.num_partitions();
 
         // 2. Stream snapshot chunks (resumable (src, etype) cursor).
         let mut report = MigrationReport {
@@ -159,13 +199,13 @@ impl FleetCluster {
 
         // 4. Promote and install: target first, then the fleet, then us.
         let promoted = map.promote(partition, tgt_idx)?;
-        self.announce(&promoted, target_server_id)?;
+        self.announce(&promoted, map.servers()[tgt_idx as usize].id)?;
         report.epoch = promoted.epoch();
 
-        // 5. Final drain until an empty round, then disarm. Every server
-        // now holds the promoted map, so the journal only still carries
-        // writes that landed before a server's install — a finite set;
-        // an empty round proves the target has every acked write.
+        // 5. Final drain until an empty round; the caller disarms. Every
+        // server now holds the promoted map, so the journal only still
+        // carries writes that landed before a server's install — a finite
+        // set; an empty round proves the target has every acked write.
         let mut rounds = 0usize;
         loop {
             let (ops, next) = src.migration_tail(partition, from_seq)?;
@@ -175,7 +215,6 @@ impl FleetCluster {
             }
             rounds += 1;
             if rounds > MAX_FINAL_DRAIN_ROUNDS {
-                src.end_migration(partition)?;
                 return Err(Error::Corrupt {
                     what: format!(
                         "partition {partition} migration final drain did not converge \
@@ -186,20 +225,7 @@ impl FleetCluster {
             report.tail_ops += ops.len();
             tgt.apply_replica_updates(&ops)?;
         }
-        report.journaled = src.end_migration(partition)?;
-        if report.journaled > from_seq {
-            // Ops raced the disarm itself — impossible once every server
-            // routes on the promoted map, so surface it instead of
-            // silently losing acked writes.
-            return Err(Error::Corrupt {
-                what: format!(
-                    "partition {partition} journaled {} op(s) after the final drain",
-                    report.journaled - from_seq
-                ),
-            });
-        }
-        self.install_local(promoted);
-        Ok(report)
+        Ok((report, from_seq, promoted))
     }
 
     /// Bring a freshly-started server into the fleet under the identity it
@@ -243,15 +269,25 @@ impl FleetCluster {
     /// target, or a joiner) before the rest, so by the time any member
     /// routes to `first` under the new map, `first` already holds it and
     /// a relay cannot bounce back. Any failed install fails the
-    /// announcement; the caller installs the map on this client after.
+    /// announcement, and so does a server already past `map`'s epoch (this
+    /// client promoted from a stale map); the caller installs the map on
+    /// this client after.
     fn announce(&self, map: &PartitionMap, first: u64) -> Result<(), Error> {
         let bytes = map.encode();
         let servers = map.servers().iter();
         let head = servers.clone().filter(|e| e.id == first);
         for entry in head.chain(servers.filter(|e| e.id != first)) {
-            self.roster
+            let resident = self
+                .roster
                 .conn(entry)?
                 .install_fleet_map(map.epoch(), &bytes)?;
+            if resident != map.epoch() {
+                return Err(Error::invalid_config(format!(
+                    "server {} is at map epoch {resident}, past the announced {}",
+                    entry.id,
+                    map.epoch()
+                )));
+            }
         }
         Ok(())
     }

@@ -315,7 +315,15 @@ impl GraphService for FleetNode {
                 "map install frame epoch disagrees with encoded map",
             ));
         }
-        Ok(self.install(map))
+        let epoch = self.install(map.clone());
+        // An install at the resident epoch is a no-op, so a different map
+        // at that epoch (promoted from a stale one) is refused, not acked.
+        match self.roster.map() {
+            Some(cur) if cur.epoch() == map.epoch() && *cur != map => Err(Error::invalid_config(
+                "a different map is already installed at this epoch",
+            )),
+            _ => Ok(epoch),
+        }
     }
 
     fn begin_migration(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {

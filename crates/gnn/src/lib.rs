@@ -22,17 +22,12 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-mod deepwalk;
 mod features;
 mod nn;
 mod ops;
 mod sage;
 
-pub use deepwalk::{DeepWalkConfig, DeepWalkTrainer, EmbeddingTable};
 pub use features::{gather_features, AttributeFeatures, FeatureProvider, HashFeatures};
 pub use nn::{softmax_cross_entropy, Dense, Matrix};
-pub use ops::{
-    MetapathSampler, NegativeSampler, NeighborSampler, Node2VecWalker, NodeSampler,
-    RandomWalkSampler, SampledSubgraph, SubgraphSampler,
-};
+pub use ops::{MetapathSampler, NeighborSampler, NodeSampler, SampledSubgraph, SubgraphSampler};
 pub use sage::{SageLayer, SageNet, SageNetConfig, TrainStats};

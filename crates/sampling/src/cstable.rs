@@ -122,14 +122,6 @@ impl CsTable {
         w
     }
 
-    /// Multiply every weight by `factor` in `O(n)` (prefix sums are linear
-    /// in the weights).
-    pub fn scale(&mut self, factor: f64) {
-        for c in &mut self.cumsum {
-            *c *= factor;
-        }
-    }
-
     /// Recover all raw weights.
     pub fn weights(&self) -> Vec<f64> {
         (0..self.len()).map(|i| self.get(i)).collect()
@@ -239,14 +231,6 @@ mod tests {
         for (i, &x) in w.iter().enumerate() {
             assert!((t.get(i) - x).abs() < EPS);
         }
-    }
-
-    #[test]
-    fn scale_multiplies_all_weights() {
-        let mut t = CsTable::from_weights(&[1.0, 2.0, 3.0]);
-        t.scale(0.5);
-        assert_eq!(t.weights(), vec![0.5, 1.0, 1.5]);
-        assert!((t.total() - 3.0).abs() < EPS);
     }
 
     #[test]

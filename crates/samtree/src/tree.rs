@@ -918,44 +918,6 @@ impl SamTree {
             .collect()
     }
 
-    /// Multiply every edge weight by `factor` in one `O(n)` pass — the
-    /// time-decay primitive of real-time recommenders ("instant user
-    /// interest", paper Sec. I): periodic decay shrinks stale interactions
-    /// while fresh inserts arrive at full weight. Both table kinds are
-    /// linear in the weights, so every aggregate stays exact.
-    pub fn scale_weights(&mut self, factor: f64) {
-        assert!(factor.is_finite() && factor >= 0.0);
-        fn walk(node: &mut Node, factor: f64) {
-            match node {
-                Node::Leaf(l) => l.fs.scale(factor),
-                Node::Internal(i) => {
-                    i.cs.scale(factor);
-                    for c in &mut i.children {
-                        walk(c, factor);
-                    }
-                }
-            }
-        }
-        walk(&mut self.root, factor);
-    }
-
-    /// The `k` heaviest neighbors as `(id, weight)` pairs, heaviest first —
-    /// the deterministic "strongest interests" query serving layers run
-    /// next to weighted sampling. `O(n)` scan + `O(n log k)` selection.
-    pub fn top_k(&self, k: usize) -> Vec<IdWeight> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        let mut all = self.entries();
-        let take = k.min(all.len());
-        all.select_nth_unstable_by(take - 1, |a, b| {
-            b.1.partial_cmp(&a.1).expect("finite weights")
-        });
-        all.truncate(take);
-        all.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
-        all
-    }
-
     /// Visit every `(id, weight, ts)` row in tree (left-to-right) order
     /// without allocating.
     pub fn for_each_row(&self, mut f: impl FnMut(u64, f64, u64)) {
@@ -1817,54 +1779,6 @@ mod tests {
             assert!(a.is_some() && b.is_some(), "id {id}");
             assert!((a.expect("present") - b.expect("present")).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn scale_weights_decays_everything_exactly() {
-        let c = cfg(8, 0);
-        let mut t = SamTree::new();
-        let mut stats = OpStats::default();
-        for id in 0..500u64 {
-            t.insert(&c, id, (id + 1) as f64, &mut stats);
-        }
-        let before = t.total_weight();
-        t.scale_weights(0.5);
-        assert!((t.total_weight() - before * 0.5).abs() < 1e-6);
-        for id in (0..500u64).step_by(37) {
-            assert!((t.get(id).expect("present") - (id + 1) as f64 * 0.5).abs() < 1e-6);
-        }
-        t.check_invariants(&c).expect("invariants after decay");
-        // Fresh inserts arrive at full weight and dominate sampling.
-        t.insert(&c, 10_000, 1e6, &mut stats);
-        let mut rng = StdRng::seed_from_u64(5);
-        let hits = t
-            .sample_k(100, &mut rng)
-            .into_iter()
-            .filter(|&x| x == 10_000)
-            .count();
-        assert!(hits > 80, "fresh heavy edge should dominate: {hits}");
-    }
-
-    #[test]
-    fn top_k_returns_heaviest_first() {
-        let c = cfg(8, 0);
-        let mut t = SamTree::new();
-        let mut stats = OpStats::default();
-        for id in 0..200u64 {
-            t.insert(&c, id, ((id * 7919) % 1000) as f64 + 0.5, &mut stats);
-        }
-        let top = t.top_k(10);
-        assert_eq!(top.len(), 10);
-        for pair in top.windows(2) {
-            assert!(pair[0].1 >= pair[1].1, "not descending: {pair:?}");
-        }
-        // The first entry must be the global max.
-        let max = t.entries().into_iter().map(|p| p.1).fold(0.0, f64::max);
-        assert_eq!(top[0].1, max);
-        // Oversized k clamps; k=0 is empty.
-        assert_eq!(t.top_k(10_000).len(), 200);
-        assert!(t.top_k(0).is_empty());
-        assert!(SamTree::new().top_k(5).is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   ([`GraphService::apply_updates`] returns a `Result`), the shard is
 //!   marked [`ShardHealth::Failed`], and the other shards' work completes.
 //!
-//! Maintenance paths (snapshots, weight decay, attribute access) talk to
+//! Maintenance paths (snapshots, attribute access) talk to
 //! shard storage directly and are not fault-routed.
 //!
 //! ## One write pipeline
@@ -420,7 +420,7 @@ impl MigrationLog {
 }
 
 /// Byte size of a vertex/scalar field on the *maintenance* read paths
-/// (degree, weight sums, attribute fetches, top-k). Those paths are not
+/// (degree, weight sums, attribute fetches). Those paths are not
 /// part of the RPC wire protocol, so their traffic is modeled, not
 /// codec-derived; the serving paths (sampling, update batches) account
 /// with the real frame sizes from [`wire`].
@@ -510,7 +510,7 @@ impl Cluster {
     /// The cluster's graph version: a monotone counter bumped once per
     /// client-origin mutation that reaches a shard — each update batch or
     /// committed transaction, each routed single-op write, each heal drain,
-    /// decay sweep, bulk delete, or restore. Readers that cache derived state (e.g. the
+    /// bulk delete, or restore. Readers that cache derived state (e.g. the
     /// pipeline's neighbor cache) compare entry versions against this to
     /// bound staleness under concurrent updates.
     pub fn graph_version(&self) -> u64 {
@@ -607,25 +607,6 @@ impl Cluster {
             state.ops.push((state.next_seq, *op));
             state.next_seq += 1;
         }
-    }
-
-    /// Time-decay sweep across all shards (each shard in sequence; shards
-    /// are independent so production runs them concurrently). Maintenance
-    /// path: not fault-routed.
-    pub fn decay_weights(&self, factor: f64) {
-        for server in &self.servers {
-            server.topology.decay_weights(factor);
-        }
-        self.bump_version();
-    }
-
-    /// The `k` heaviest out-neighbors of `v`, heaviest first. Empty when
-    /// the owning shard is unavailable.
-    pub fn top_k_neighbors(&self, v: VertexId, etype: EdgeType, k: usize) -> Vec<(VertexId, f64)> {
-        self.tally(1, ID_BYTES + 8, (k as u64) * (ID_BYTES + 8));
-        self.read_or(self.route(v), Vec::new(), |s| {
-            s.topology.top_k_neighbors(v, etype, k)
-        })
     }
 
     /// Drop a source vertex's whole out-neighborhood on its owning shard
@@ -1222,9 +1203,6 @@ mod tests {
         assert!(v3 > v2);
         assert!(!c.delete_edge(VertexId(1), VertexId(2), EdgeType(0)));
         assert_eq!(c.graph_version(), v3);
-        // Decay and heal paths bump too.
-        c.decay_weights(0.5);
-        assert!(c.graph_version() > v3);
     }
 
     // ------------------------------------------------------------------
@@ -1465,8 +1443,7 @@ mod tests {
             None
         );
         assert!(GraphStore::neighbors(&c, VertexId(4), EdgeType(0)).is_empty());
-        assert!(c.top_k_neighbors(VertexId(4), EdgeType(0), 3).is_empty());
-        assert!(count(&c, "cluster.degraded_responses") >= 5);
+        assert!(count(&c, "cluster.degraded_responses") >= 4);
         c.heal_shard(shard);
         assert_eq!(
             c.degree(VertexId(4), EdgeType(0)),

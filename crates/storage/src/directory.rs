@@ -213,13 +213,6 @@ impl Directory {
         }
     }
 
-    /// Visit every resident tree mutably, one stripe write guard at a time.
-    pub(crate) fn for_each_tree_mut(&self, mut f: impl FnMut(&mut SamTree)) {
-        for lock in self.stripes.iter() {
-            lock.0.write().trees.iter_mut().for_each(&mut f);
-        }
-    }
-
     /// Number of resident keys.
     pub(crate) fn len(&self) -> usize {
         self.stripes.iter().map(|l| l.0.read().index.len()).sum()

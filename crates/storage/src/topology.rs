@@ -385,16 +385,6 @@ impl DynamicGraphStore {
         }
     }
 
-    /// Multiply every stored edge weight by `factor` (time-decay sweep for
-    /// real-time recommendation: stale interactions fade, fresh inserts
-    /// arrive at full weight). One `O(n)` pass per tree, taken under its
-    /// stripe's write guard.
-    pub fn decay_weights(&self, factor: f64) {
-        assert!(factor.is_finite() && factor >= 0.0);
-        self.directory
-            .for_each_tree_mut(|tree| tree.scale_weights(factor));
-    }
-
     /// Weighted neighbor sampling, optionally restricted to a time window —
     /// the store's one draw loop ([`GraphStore::sample_neighbors`] is this
     /// with `window == None`).
@@ -543,16 +533,6 @@ impl DynamicGraphStore {
                 decayed: counts.decayed,
                 floored: counts.floored,
             }
-        })
-        .unwrap_or_default()
-    }
-
-    /// The `k` heaviest out-neighbors of `v`, heaviest first (the
-    /// deterministic "top interests" serving query).
-    pub fn top_k_neighbors(&self, v: VertexId, etype: EdgeType, k: usize) -> Vec<(VertexId, f64)> {
-        self.read_tree(v, etype, |tree| {
-            let top = tree.top_k(k).into_iter();
-            top.map(|(id, w)| (VertexId(id), w)).collect()
         })
         .unwrap_or_default()
     }
@@ -1011,41 +991,6 @@ mod tests {
             on.topology_bytes(),
             off.topology_bytes()
         );
-    }
-
-    #[test]
-    fn decay_then_fresh_inserts_shift_sampling() {
-        let store = small_store();
-        for i in 0..64u64 {
-            store.insert_edge(Edge::new(VertexId(1), VertexId(100 + i), 1.0));
-        }
-        store.decay_weights(0.01);
-        assert!((store.weight_sum(VertexId(1), EdgeType(0)) - 0.64).abs() < 1e-9);
-        // One fresh full-weight interaction now dominates.
-        store.insert_edge(Edge::new(VertexId(1), VertexId(999), 1.0));
-        let mut rng = StdRng::seed_from_u64(6);
-        let hits = store
-            .sample_neighbors(VertexId(1), EdgeType(0), 200, &mut rng)
-            .into_iter()
-            .filter(|v| v.raw() == 999)
-            .count();
-        assert!(hits > 100, "fresh interest should dominate: {hits}/200");
-        store.check_invariants().expect("invariants after decay");
-    }
-
-    #[test]
-    fn top_k_neighbors_orders_by_weight() {
-        let store = small_store();
-        for i in 0..100u64 {
-            store.insert_edge(Edge::new(VertexId(2), VertexId(i), (i % 10) as f64 + 0.5));
-        }
-        let top = store.top_k_neighbors(VertexId(2), EdgeType(0), 5);
-        assert_eq!(top.len(), 5);
-        assert!(top.windows(2).all(|p| p[0].1 >= p[1].1));
-        assert!((top[0].1 - 9.5).abs() < 1e-9);
-        assert!(store
-            .top_k_neighbors(VertexId(77), EdgeType(0), 5)
-            .is_empty());
     }
 
     #[test]

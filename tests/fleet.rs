@@ -980,6 +980,105 @@ fn map_installs_and_refreshes_count_adopted_maps_only() {
     fleet_servers.shutdown();
 }
 
+/// A move that fails after arming the source's migration journal disarms
+/// it: once the fault is healed, the same move runs to completion.
+#[test]
+fn a_failed_migration_disarms_the_source_and_can_be_rerun() {
+    let fleet_servers = start_fleet(3);
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    fleet.apply_updates(&edge_ops()).expect("loads");
+    let map = fleet.map_snapshot();
+    let p = (0..N)
+        .map(|v| map.partition_of(VertexId(v)))
+        .find(|&p| map.owner_index(p) == 0)
+        .expect("member 0 owns a loaded partition");
+    let target = &fleet_servers.nodes[2];
+    let shards = 0..target.cluster().num_shards();
+
+    for shard in shards.clone() {
+        target.cluster().faults().panic_next_batch(shard);
+    }
+    let failed = fleet.migrate_partition(p, target.server_id());
+    assert!(
+        matches!(failed, Err(Error::ShardPanicked { .. })),
+        "{failed:?}"
+    );
+    assert_eq!(fleet.map_epoch(), 1);
+
+    for shard in shards {
+        target.cluster().heal_shard(shard);
+    }
+    let report = fleet
+        .migrate_partition(p, target.server_id())
+        .expect("a re-run after the fault heals succeeds");
+    assert_eq!(report.epoch, 2);
+    assert_eq!(fleet.map_snapshot().owner_index(p), 2);
+
+    fleet_servers.shutdown();
+}
+
+/// A client that promotes from a map the fleet has moved past installs
+/// nothing: its migration fails at the first member, its map stays where
+/// it was, and its reads still reach the partition's real owner.
+#[test]
+fn a_stale_client_migration_fails_and_installs_nothing() {
+    let fleet_servers = start_fleet(3);
+    let addrs = fleet_servers.addr_strings();
+    let a = FleetCluster::connect(&addrs, client_cfg()).expect("connect");
+    let b = FleetCluster::connect(&addrs, client_cfg()).expect("connect");
+    a.apply_updates(&edge_ops()).expect("loads");
+    let map = a.map_snapshot();
+    // The member that neither owns nor replicates `p`.
+    let bystander = |p: u32| {
+        (0..3u32)
+            .find(|&i| map.owner_index(p) != i && map.replica_index(p) != Some(i))
+            .expect("three members")
+    };
+    let id_at = |i: u32| map.servers()[i as usize].id;
+    let v = VertexId(0);
+    let w = (1..N)
+        .map(VertexId)
+        .find(|&w| map.partition_of(w) != map.partition_of(v))
+        .expect("two loaded partitions");
+    let (pa, pb) = (map.partition_of(w), map.partition_of(v));
+
+    let moved = a
+        .migrate_partition(pa, id_at(bystander(pa)))
+        .expect("the fresh client moves");
+    assert_eq!(moved.epoch, 2);
+    let stale = b.migrate_partition(pb, id_at(bystander(pb)));
+    assert!(
+        matches!(stale, Err(Error::InvalidConfig { .. })),
+        "{stale:?}"
+    );
+    assert_eq!(b.map_snapshot(), map, "the stale client installs nothing");
+
+    // A write through the fresh client reaches the stale client's reads.
+    let fresh = VertexId(10_000);
+    a.apply_updates(&[UpdateOp::Insert(Edge::new(v, fresh, 50.0))])
+        .expect("writes");
+    let read = b.sample_many(
+        &[SampleRequest::new(v, ET, 64)],
+        &mut StdRng::seed_from_u64(5),
+    );
+    assert!(!read[0].degraded);
+    assert!(read[0].neighbors.contains(&fresh), "{:?}", read[0]);
+
+    // A fleet two epochs ahead refuses the stale client's epoch-2 map too.
+    a.migrate_partition(pa, id_at(map.owner_index(pa)))
+        .expect("the fresh client moves back");
+    assert_eq!(a.map_epoch(), 3);
+    let stale = b.migrate_partition(pb, id_at(bystander(pb)));
+    assert!(
+        matches!(stale, Err(Error::InvalidConfig { .. })),
+        "{stale:?}"
+    );
+    assert_eq!(b.map_epoch(), 1);
+
+    fleet_servers.shutdown();
+}
+
 /// A read whose owner and replica are both down degrades under its own
 /// policy, client-side, and is counted once; every other read is served.
 #[test]
