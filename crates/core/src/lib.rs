@@ -71,8 +71,7 @@ pub use platod2gl_samtree::{OpStats, SamTree, SamTreeConfig};
 pub use platod2gl_server::{
     partition_for, route_for, BatchReport, Cluster, ClusterConfig, ClusterConfigBuilder,
     ClusterMemory, DegradedPolicy, FaultInjector, FaultKind, GraphServer, GraphService,
-    HistogramSnapshot, PartitionChunk, SampleRequest, SampleResponse, ShardMemory, SlotSource,
-    TxnLogEntry,
+    HistogramSnapshot, SampleRequest, SampleResponse, ShardMemory, SlotSource, TxnLogEntry,
 };
 pub use platod2gl_storage::{
     replay_wal, AttributeStore, CrashInjector, CrashPoint, DecayOutcome, DurableGraphStore,

@@ -380,7 +380,6 @@ fn admit<K: Eq, V>(shard: &mut Shard<K, V>, entry: Entry<K, V>) {
 /// map.update(&1, |v| v.push_str("!"));
 /// assert_eq!(map.read(&1, |v| v.clone()).as_deref(), Some("tree-1!"));
 /// assert_eq!(map.len(), 1);
-/// assert_eq!(map.remove(&1).as_deref(), Some("tree-1!"));
 /// ```
 pub struct CuckooMap<K, V> {
     shards: Box<[Mutex<Shard<K, V>>]>,
@@ -447,13 +446,6 @@ impl<K: Eq + Hash, V> CuckooMap<K, V> {
         }
         admit(&mut shard, Entry { hash, key, value });
         None
-    }
-
-    /// Remove a key, returning its value if present.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        let hash = self.hash_of(key);
-        let mut shard = self.shards[self.shard_of(hash)].lock();
-        shard.remove(hash, key).flatten().map(|e| e.value)
     }
 
     /// Run `f` over the value for `key`, if present, while holding the shard
@@ -559,15 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_returns_value() {
-        let map: CuckooMap<u64, u64> = CuckooMap::new();
-        map.insert(5, 50);
-        assert_eq!(map.remove(&5), Some(50));
-        assert_eq!(map.remove(&5), None);
-        assert!(map.is_empty());
-    }
-
-    #[test]
     fn update_mutates_in_place() {
         let map: CuckooMap<u64, Vec<u64>> = CuckooMap::new();
         map.insert(1, vec![]);
@@ -633,7 +616,8 @@ mod tests {
                     assert_eq!(map.insert(key, step), reference.insert(key, step));
                 }
                 _ => {
-                    assert_eq!(map.remove(&key), reference.remove(&key));
+                    let want = reference.get_mut(&key).map(|v| *v += 1);
+                    assert_eq!(map.update(&key, |v| *v += 1), want);
                 }
             }
         }
@@ -794,7 +778,10 @@ mod proptests {
             for (kind, k, v) in ops {
                 match kind {
                     0 => prop_assert_eq!(map.insert(k, v), reference.insert(k, v)),
-                    1 => prop_assert_eq!(map.remove(&k), reference.remove(&k)),
+                    1 => prop_assert_eq!(
+                        map.update(&k, |x| std::mem::replace(x, v)),
+                        reference.get_mut(&k).map(|x| std::mem::replace(x, v))
+                    ),
                     _ => prop_assert_eq!(map.read(&k, |v| *v), reference.get(&k).copied()),
                 }
                 prop_assert_eq!(map.len(), reference.len());

@@ -1,56 +1,68 @@
 //! Live shard migration: move a partition to a new owner while serving.
 //!
-//! The state machine, driven from the client side against the owning
-//! server's migration plane (`begin_migration` / `export_partition` /
-//! `migration_tail` / `end_migration`):
+//! A move is one ordered stream, served by the source's migration plane
+//! (`begin_migration` / `migration_tail` / `end_migration`) and driven from
+//! the client side:
 //!
-//! 1. **Arm** the source's migration journal — every op touching the
-//!    partition from now on is recorded alongside being applied.
-//! 2. **Stream** the partition as resumable snapshot chunks into the
-//!    target over the replica channel (no fan-out from the target). The
-//!    source keeps serving; writes race the copy but land in the journal.
-//! 3. **Drain** the journal tail in rounds until a round comes back
-//!    empty — the copies have converged up to in-flight writes.
-//! 4. **Promote**: bump the map epoch with the target as owner and the
+//! 1. **Arm and census.** The source takes the partition's `(src, etype)`
+//!    keys once, sorted (the census, `C` keys), and journals every
+//!    first-hand op touching the partition from now on. Stream positions
+//!    below `C` are census keys; position `C + s` is journal op `s`.
+//! 2. **Drop the target's copy.** Whatever the target holds of the
+//!    partition — an earlier move's leftover, or the current replica's,
+//!    which best-effort fan-out may have left missing deletes — would
+//!    bring deleted edges back if the stream's inserts merged into it. A
+//!    member refuses to drop a partition it owns, and to arm one it does
+//!    not, so a driver with a stale map fails before it touches data.
+//! 3. **Stream** census pages into the target over the replica channel (no
+//!    fan-out from the target): whole keys, each as its rows at the time
+//!    the page is read. The source keeps serving; writes race the copy but
+//!    land in the journal.
+//! 4. **Drain** the journal from position `C` in rounds until a round
+//!    comes back empty — the copies have converged up to in-flight writes.
+//! 5. **Promote**: bump the map epoch with the target as owner and the
 //!    source as replica, and install it — *target first* (so a relay
 //!    from a staler server can never bounce back), then the rest of the
 //!    fleet, then this client. A join announces its widened roster the
 //!    same way, joiner first, through the same helper.
-//! 5. **Final drain + disarm**: tail rounds run until one comes back
+//! 6. **Final drain + disarm**: tail rounds run until one comes back
 //!    empty, catching every write that landed on the source between the
 //!    last pre-promote drain and its map install (those are journaled;
 //!    post-install writes relay to the target directly, and
 //!    replica-channel echoes are never journaled, so the loop terminates
 //!    once every server holds the promoted map). `end_migration` then
-//!    disarms the journal — and the move fails loudly if the journal
-//!    advanced past the last drained sequence, rather than silently
-//!    dropping an acked write.
+//!    disarms the journal and returns the stream's end position — and the
+//!    move fails loudly if that is past the last drained position, rather
+//!    than silently dropping an acked write.
+//!
+//! Reading a key's rows when its page is served rather than at the arm
+//! changes no final state: every key created or changed after the arm is
+//! in the journal, every streamed op is idempotent, and the journal
+//! replays after the census.
 //!
 //! The source and target connections, like every other, come from the
 //! client's roster; a joiner is dialed the first time its announcement
 //! needs it.
 //!
-//! Every streamed op is idempotent, replica-channel retries are absorbed
-//! by the target, and a failure after the arm disarms the journal, so a
-//! failed migration is safe to re-run. The source keeps its copy as the
-//! partition's replica — clients still routing on the old epoch read
-//! correct data until they learn the new map.
+//! Replica-channel retries are absorbed by the target, and a failure after
+//! the arm disarms the journal, so a failed migration is safe to re-run.
+//! The source keeps its copy as the partition's replica — clients still
+//! routing on the old epoch read correct data until they learn the new
+//! map.
 //!
-//! Only one migration driver may run at a time. A driver that promoted
-//! from a stale map fails at its first install and installs nothing, but
-//! two that promote from the same map and race can split the fleet.
+//! Only one migration driver may run at a time. A driver routing on a
+//! stale map fails and installs nothing — at the arm if the partition has
+//! moved since, otherwise at its first install — but two that promote
+//! from the same map and race can split the fleet.
 
 use crate::cluster::FleetCluster;
 use crate::map::{PartitionMap, ServerEntry};
-use platod2gl_graph::{Error, UpdateOp};
+use platod2gl_graph::Error;
 use platod2gl_obs::current_trace_context;
 use platod2gl_rpc::RemoteCluster;
 use platod2gl_server::GraphService;
-use platod2gl_storage::read_snapshot;
 use std::net::ToSocketAddrs;
 
-/// Edge budget per streamed chunk.
-const CHUNK_EDGES: usize = 4096;
 /// Convergence drain rounds before promoting regardless (the post-promote
 /// final drain still catches the remainder).
 const MAX_TAIL_ROUNDS: usize = 10;
@@ -66,9 +78,9 @@ const MAX_FINAL_DRAIN_ROUNDS: usize = 64;
 pub struct MigrationReport {
     /// The migrated partition.
     pub partition: u32,
-    /// Edges streamed in snapshot chunks.
+    /// Edges streamed in census pages.
     pub edges_streamed: u64,
-    /// Snapshot chunks shipped.
+    /// Census pages shipped.
     pub chunks: usize,
     /// Journal-tail ops replayed onto the target.
     pub tail_ops: usize,
@@ -111,7 +123,7 @@ impl FleetCluster {
         let src = self.conn(&map, src_idx)?;
         let tgt = self.conn(&map, tgt_idx)?;
 
-        // Every RPC of the move (snapshot chunks, tail drains, map
+        // Every RPC of the move (census pages, tail drains, map
         // installs) runs under one span, so the whole migration stitches
         // into a single cross-server trace. Inherit an ambient trace if
         // the caller opened one; otherwise derive a deterministic id from
@@ -124,24 +136,26 @@ impl FleetCluster {
             ),
         };
 
-        // 1. Arm the journal. Any later failure disarms it (best effort)
-        // before the error returns: an armed journal keeps buffering the
-        // partition's ops and refuses every later migration.
-        src.begin_migration(partition, map.num_partitions())?;
+        // 1. Arm the source: it takes the census and journals from here on.
+        // Any later failure disarms it (best effort) before the error
+        // returns: an armed journal keeps buffering the partition's ops and
+        // refuses every later migration.
+        let census = src.begin_migration(partition, map.num_partitions())?;
         let (mut report, drained, promoted) = self
-            .move_armed(&map, partition, tgt_idx, &src, &tgt)
+            .move_armed(&map, partition, census, tgt_idx, &src, &tgt)
             .inspect_err(|_| {
                 let _ = src.end_migration(partition);
             })?;
-        report.journaled = src.end_migration(partition)?;
-        if report.journaled > drained {
+        let end = src.end_migration(partition)?;
+        report.journaled = end.saturating_sub(census);
+        if end > drained {
             // Ops raced the disarm itself — impossible once every server
             // routes on the promoted map, so surface it instead of
             // silently losing acked writes.
             return Err(Error::Corrupt {
                 what: format!(
                     "partition {partition} journaled {} op(s) after the final drain",
-                    report.journaled - drained
+                    end - drained
                 ),
             });
         }
@@ -149,47 +163,42 @@ impl FleetCluster {
         Ok(report)
     }
 
-    /// Steps 2–5 of a move whose source journal is armed: stream, drain,
-    /// promote and final-drain. Returns the report so far, the journal
-    /// sequence drained up to and the promoted map; the caller disarms.
+    /// Steps 2–6 of a move whose source is armed with a census of
+    /// `census` keys: drop the target's stale copy, stream, drain, promote
+    /// and final-drain. Returns the report so far, the stream position
+    /// drained up to and the promoted map; the caller disarms.
     fn move_armed(
         &self,
         map: &PartitionMap,
         partition: u32,
+        census: u64,
         tgt_idx: u32,
         src: &RemoteCluster,
         tgt: &RemoteCluster,
     ) -> Result<(MigrationReport, u64, PartitionMap), Error> {
-        let num_partitions = map.num_partitions();
+        // 2. Drop whatever copy the target holds; the stream rebuilds it.
+        tgt.drop_partition(partition, map.num_partitions())?;
 
-        // 2. Stream snapshot chunks (resumable (src, etype) cursor).
+        // 3. Stream the census pages.
         let mut report = MigrationReport {
             partition,
             ..MigrationReport::default()
         };
-        let mut cursor = None;
-        loop {
-            let chunk = src.export_partition(partition, num_partitions, cursor, CHUNK_EDGES)?;
-            let mut ops: Vec<UpdateOp> = Vec::new();
-            read_snapshot(&chunk.snapshot[..], |batch| {
-                ops.extend(batch.into_iter().map(UpdateOp::Insert));
-            })?;
+        let mut from = 0u64;
+        while from < census {
+            let (ops, next) = src.migration_tail(partition, from)?;
             if !ops.is_empty() {
                 tgt.apply_replica_updates(&ops)?;
             }
-            report.edges_streamed += chunk.edges;
+            report.edges_streamed += ops.len() as u64;
             report.chunks += 1;
-            cursor = chunk.cursor;
-            if chunk.done {
-                break;
-            }
+            from = next;
         }
 
-        // 3. Drain the journal until a round comes back empty.
-        let mut from_seq = 0u64;
+        // 4. Drain the journal until a round comes back empty.
         for _ in 0..MAX_TAIL_ROUNDS {
-            let (ops, next) = src.migration_tail(partition, from_seq)?;
-            from_seq = next;
+            let (ops, next) = src.migration_tail(partition, from)?;
+            from = next;
             if ops.is_empty() {
                 break;
             }
@@ -197,19 +206,19 @@ impl FleetCluster {
             tgt.apply_replica_updates(&ops)?;
         }
 
-        // 4. Promote and install: target first, then the fleet, then us.
+        // 5. Promote and install: target first, then the fleet, then us.
         let promoted = map.promote(partition, tgt_idx)?;
         self.announce(&promoted, map.servers()[tgt_idx as usize].id)?;
         report.epoch = promoted.epoch();
 
-        // 5. Final drain until an empty round; the caller disarms. Every
+        // 6. Final drain until an empty round; the caller disarms. Every
         // server now holds the promoted map, so the journal only still
         // carries writes that landed before a server's install — a finite
         // set; an empty round proves the target has every acked write.
         let mut rounds = 0usize;
         loop {
-            let (ops, next) = src.migration_tail(partition, from_seq)?;
-            from_seq = next;
+            let (ops, next) = src.migration_tail(partition, from)?;
+            from = next;
             if ops.is_empty() {
                 break;
             }
@@ -225,7 +234,7 @@ impl FleetCluster {
             report.tail_ops += ops.len();
             tgt.apply_replica_updates(&ops)?;
         }
-        Ok((report, from_seq, promoted))
+        Ok((report, from, promoted))
     }
 
     /// Bring a freshly-started server into the fleet under the identity it

@@ -35,9 +35,7 @@ use platod2gl_graph::{
 };
 use platod2gl_obs::{Counter, Registry};
 use platod2gl_rpc::{RemoteCluster, RemoteClusterConfig};
-use platod2gl_server::{
-    BatchReport, Cluster, GraphService, PartitionChunk, SampleRequest, SampleResponse,
-};
+use platod2gl_server::{BatchReport, Cluster, GraphService, SampleRequest, SampleResponse};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -163,6 +161,15 @@ impl FleetNode {
     /// Snapshot the resident map.
     pub fn map_snapshot(&self) -> Option<PartitionMap> {
         self.roster.map().map(|map| PartitionMap::clone(&map))
+    }
+
+    /// Whether the resident map names this node `partition`'s owner;
+    /// `None` while the node is map-less, not (yet) a roster member, or
+    /// the partition is outside the map's keyspace.
+    fn owns(&self, partition: u32) -> Option<bool> {
+        let map = self.roster.map()?;
+        let me = map.index_of(self.server_id)?;
+        (partition < map.num_partitions()).then(|| map.owner_index(partition) == me)
     }
 
     /// Split a first-hand write by `src` under the resident map: ops this
@@ -327,26 +334,33 @@ impl GraphService for FleetNode {
     }
 
     fn begin_migration(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
+        // A move's source is the partition's owner; a driver naming another
+        // member routes on a map the fleet has moved past.
+        if self.owns(partition) == Some(false) {
+            return Err(Error::invalid_config(format!(
+                "partition {partition} is not owned here; the mover's map is stale"
+            )));
+        }
         self.cluster.begin_migration(partition, num_partitions)
     }
 
-    fn migration_tail(&self, partition: u32, from_seq: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
-        self.cluster.migration_tail(partition, from_seq)
+    fn migration_tail(&self, partition: u32, from: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
+        self.cluster.migration_tail(partition, from)
     }
 
     fn end_migration(&self, partition: u32) -> Result<u64, Error> {
         self.cluster.end_migration(partition)
     }
 
-    fn export_partition(
-        &self,
-        partition: u32,
-        num_partitions: u32,
-        cursor: Option<(u64, u16)>,
-        max_edges: usize,
-    ) -> Result<PartitionChunk, Error> {
-        self.cluster
-            .export_partition(partition, num_partitions, cursor, max_edges)
+    fn drop_partition(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
+        // The owner's copy is the partition itself: only a driver routing
+        // on a stale map names the owner a move's target.
+        if self.owns(partition) == Some(true) {
+            return Err(Error::invalid_config(format!(
+                "partition {partition} is owned here; the mover's map is stale"
+            )));
+        }
+        self.cluster.drop_partition(partition, num_partitions)
     }
 
     fn partition_key_counts(&self, num_partitions: u32) -> Vec<u64> {

@@ -50,15 +50,14 @@
 
 use crate::codec::{
     decode, encode, encode_frame, frame_len, parse_frame, read_frame, take_timing_echo,
-    write_frame, ErrorReply, FrameError, FrameKind, HealthReply, MapInstall, MapReply, MigrateCtl,
-    PartitionFetch, Payload, SampleBatch, TailFetch, TailReply, TxnApply, TxnReply, UpdateBatch,
+    write_frame, ErrorReply, FrameError, FrameKind, HealthReply, MapInstall, MapReply,
+    MigrateAction, MigrateCtl, Payload, SampleBatch, TailFetch, TailReply, TxnApply, TxnReply,
+    UpdateBatch,
 };
 use crate::lock;
 use platod2gl_graph::{Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp};
 use platod2gl_obs::{current_trace_context, Counter, Histogram, ObsSnapshot, Registry, SpanRecord};
-use platod2gl_server::{
-    route_for, BatchReport, GraphService, PartitionChunk, SampleRequest, SampleResponse,
-};
+use platod2gl_server::{route_for, BatchReport, GraphService, SampleRequest, SampleResponse};
 use rand::RngCore;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -735,7 +734,17 @@ impl RemoteCluster {
         self.ask(FrameKind::ObsExport, ()).map_err(fleet_err)
     }
 
-    fn migrate_ctl(&self, ctl: MigrateCtl) -> Result<u64, Error> {
+    fn migrate_ctl(
+        &self,
+        action: MigrateAction,
+        partition: u32,
+        num_partitions: u32,
+    ) -> Result<u64, Error> {
+        let ctl = MigrateCtl {
+            action,
+            partition,
+            num_partitions,
+        };
         self.call(FrameKind::MigrateCtl, ctl)
             .map_err(fleet_err)?
             .map_err(|refusal| Error::invalid_config(refusal.message))
@@ -917,51 +926,25 @@ impl GraphService for RemoteCluster {
     }
 
     fn begin_migration(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
-        self.migrate_ctl(MigrateCtl {
-            end: false,
-            partition,
-            num_partitions,
-        })
+        self.migrate_ctl(MigrateAction::Begin, partition, num_partitions)
     }
 
-    fn migration_tail(&self, partition: u32, from_seq: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
-        let fetch = TailFetch {
-            partition,
-            from_seq,
-        };
+    fn migration_tail(&self, partition: u32, from: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
         let tail: TailReply = self
-            .call(FrameKind::TailFetch, fetch)
+            .call(FrameKind::TailFetch, TailFetch { partition, from })
             .map_err(fleet_err)?
             .map_err(|refusal| Error::Corrupt {
                 what: refusal.message,
             })?;
-        Ok((tail.ops, tail.next_seq))
+        Ok((tail.ops, tail.next))
     }
 
     fn end_migration(&self, partition: u32) -> Result<u64, Error> {
-        self.migrate_ctl(MigrateCtl {
-            end: true,
-            partition,
-            num_partitions: 0,
-        })
+        self.migrate_ctl(MigrateAction::End, partition, 0)
     }
 
-    fn export_partition(
-        &self,
-        partition: u32,
-        num_partitions: u32,
-        cursor: Option<(u64, u16)>,
-        max_edges: usize,
-    ) -> Result<PartitionChunk, Error> {
-        let fetch = PartitionFetch {
-            partition,
-            num_partitions,
-            cursor,
-            max_edges: max_edges.min(u32::MAX as usize) as u32,
-        };
-        self.call(FrameKind::PartitionFetch, fetch)
-            .map_err(fleet_err)?
-            .map_err(|refusal| Error::invalid_config(refusal.message))
+    fn drop_partition(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
+        self.migrate_ctl(MigrateAction::Drop, partition, num_partitions)
     }
 
     fn partition_key_counts(&self, num_partitions: u32) -> Vec<u64> {

@@ -45,16 +45,16 @@
 //! [`encode`] and [`decode`]; `decode` is the one place that refuses bytes
 //! left over after the value. A payload that carries a value the rest of
 //! the workspace already has a type for is that type: [`BatchReport`],
-//! [`PartitionChunk`], [`ObsSnapshot`], [`SpanRecord`] lists; the six
-//! single-integer messages are `u32` / `u64`, the empty ones `()`. Which
-//! reply kind answers which request is [`FrameKind::reply`].
+//! [`ObsSnapshot`], [`SpanRecord`] lists; the six single-integer messages
+//! are `u32` / `u64`, the empty ones `()`. Which reply kind answers which
+//! request is [`FrameKind::reply`].
 
 use platod2gl_graph::{
     Error, ShardHealth, TxnOp, TxnReceipt, TxnViolation, UpdateOp, ViolationKind,
 };
 use platod2gl_obs::{HistogramSnapshot, ObsSnapshot, SlowOpRecord, SpanRecord, TraceContext};
 use platod2gl_server::wire::{self, Reader, WireError};
-use platod2gl_server::{BatchReport, PartitionChunk, SampleRequest, SampleResponse};
+use platod2gl_server::{BatchReport, SampleRequest, SampleResponse};
 use platod2gl_storage::crc32c::crc32c;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -123,20 +123,18 @@ pub enum FrameKind {
     /// retries. Payload is the [`TxnApply`] codec; reply is a standard
     /// [`FrameKind::TxnReply`] (same deviation as [`FrameKind::ReplicaBatch`]).
     ReplicaTxn = 0x11,
-    /// Mover → leader: export one partition chunk (resumable cursor).
-    PartitionFetch = 0x13,
-    /// Leader → mover: a snapshot chunk of the partition (a
-    /// [`PartitionChunk`]).
-    PartitionFetchReply = 0x14,
-    /// Mover → leader: arm (begin) or disarm (end) the live-migration
-    /// journal for one partition.
+    // Tags 0x13/0x14 are retired (a partition-export frame pair): an
+    // older mover's export request is refused as an unknown kind.
+    /// Mover → server: arm (begin) or disarm (end) a partition move on its
+    /// source, or drop a partition's stale copy on a move's target.
     MigrateCtl = 0x15,
-    /// Leader → mover: starting sequence (begin) or total journaled (end).
+    /// Server → mover: the census size (begin), the stream's end position
+    /// (end) or the edges dropped (drop).
     MigrateCtlReply = 0x16,
-    /// Mover → leader: journaled ops for the migrating partition from a
-    /// sequence number on.
+    /// Mover → source: the armed move's stream from a position on.
     TailFetch = 0x17,
-    /// Leader → mover: the ops plus the next sequence to resume from.
+    /// Source → mover: a census page or journal ops, plus the position to
+    /// resume from.
     TailReply = 0x18,
     /// Client → server: per-partition resident key counts.
     PartitionStats = 0x19,
@@ -194,8 +192,6 @@ impl FrameKind {
             0x0e => FrameKind::MapInstallReply,
             0x0f => FrameKind::ReplicaBatch,
             0x11 => FrameKind::ReplicaTxn,
-            0x13 => FrameKind::PartitionFetch,
-            0x14 => FrameKind::PartitionFetchReply,
             0x15 => FrameKind::MigrateCtl,
             0x16 => FrameKind::MigrateCtlReply,
             0x17 => FrameKind::TailFetch,
@@ -470,9 +466,9 @@ impl Payload for u32 {
 }
 
 /// [`FrameKind::HealReply`] (ops drained), [`FrameKind::MapInstallReply`]
-/// (the epoch in effect), [`FrameKind::MigrateCtlReply`] (starting
-/// sequence on begin, total journaled on end) and [`FrameKind::SpanExport`]
-/// (the trace id to pull).
+/// (the epoch in effect), [`FrameKind::MigrateCtlReply`] (census size on
+/// begin, stream end on end, edges dropped on drop) and
+/// [`FrameKind::SpanExport`] (the trace id to pull).
 impl Payload for u64 {
     fn put(&self, buf: &mut Vec<u8>) {
         wire::put_u64(buf, *self);
@@ -889,83 +885,23 @@ impl Payload for MapInstall {
     }
 }
 
-/// A [`FrameKind::PartitionFetch`] payload: one chunk request of a
-/// resumable partition export.
+/// What a [`MigrateCtl`] asks for, as its action byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PartitionFetch {
-    /// The partition to export.
-    pub partition: u32,
-    /// The partition-space size the id is relative to.
-    pub num_partitions: u32,
-    /// Resume strictly after this `(src, etype)` key; `None` starts over.
-    pub cursor: Option<(u64, u16)>,
-    /// Edge budget for the chunk.
-    pub max_edges: u32,
+pub enum MigrateAction {
+    /// Arm the move on its source and take the census (byte 0).
+    Begin = 0,
+    /// Disarm the move (byte 1).
+    End = 1,
+    /// Drop the partition's resident copy on a move's target (byte 2).
+    Drop = 2,
 }
 
-/// An export cursor as both partition messages carry it: presence byte,
-/// then the `(src, etype)` key (zeros when absent).
-fn put_cursor(buf: &mut Vec<u8>, cursor: Option<(u64, u16)>) {
-    let (src, etype) = cursor.unwrap_or((0, 0));
-    buf.push(u8::from(cursor.is_some()));
-    wire::put_u64(buf, src);
-    wire::put_u16(buf, etype);
-}
-
-fn get_cursor(r: &mut Reader<'_>) -> Result<Option<(u64, u16)>, WireError> {
-    let present = r.u8()? != 0;
-    let key = (r.u64()?, r.u16()?);
-    Ok(present.then_some(key))
-}
-
-impl Payload for PartitionFetch {
-    fn put(&self, buf: &mut Vec<u8>) {
-        wire::put_u32(buf, self.partition);
-        wire::put_u32(buf, self.num_partitions);
-        put_cursor(buf, self.cursor);
-        wire::put_u32(buf, self.max_edges);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PartitionFetch {
-            partition: r.u32()?,
-            num_partitions: r.u32()?,
-            cursor: get_cursor(r)?,
-            max_edges: r.u32()?,
-        })
-    }
-}
-
-/// A [`FrameKind::PartitionFetchReply`] payload: one snapshot chunk of a
-/// migrating partition.
-impl Payload for PartitionChunk {
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.reserve(24 + self.snapshot.len());
-        buf.push(u8::from(self.done));
-        put_cursor(buf, self.cursor);
-        wire::put_u64(buf, self.edges);
-        put_blob(buf, &self.snapshot);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let done = r.u8()? != 0;
-        let cursor = get_cursor(r)?;
-        let edges = r.u64()?;
-        Ok(PartitionChunk {
-            snapshot: get_blob(r)?,
-            cursor,
-            done,
-            edges,
-        })
-    }
-}
-
-/// A [`FrameKind::MigrateCtl`] payload: arm (begin) or disarm (end) the
-/// live-migration journal for one partition.
+/// A [`FrameKind::MigrateCtl`] payload: one migration-plane control call
+/// for one partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MigrateCtl {
-    /// `false` arms the journal, `true` disarms it (action byte 0 / 1).
-    pub end: bool,
+    /// The call; any other action byte is refused.
+    pub action: MigrateAction,
     /// The migrating partition.
     pub partition: u32,
     /// The partition-space size the id is relative to (unused on end).
@@ -974,57 +910,68 @@ pub struct MigrateCtl {
 
 impl Payload for MigrateCtl {
     fn put(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(self.end));
+        buf.push(self.action as u8);
         wire::put_u32(buf, self.partition);
         wire::put_u32(buf, self.num_partitions);
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let action = match r.u8()? {
+            0 => MigrateAction::Begin,
+            1 => MigrateAction::End,
+            2 => MigrateAction::Drop,
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "migrate action",
+                    tag,
+                })
+            }
+        };
         Ok(MigrateCtl {
-            end: r.flag("migrate action")?,
+            action,
             partition: r.u32()?,
             num_partitions: r.u32()?,
         })
     }
 }
 
-/// A [`FrameKind::TailFetch`] payload: journaled ops for the migrating
-/// partition from a sequence number on.
+/// A [`FrameKind::TailFetch`] payload: the armed move's stream from a
+/// position on (see `GraphService::migration_tail`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TailFetch {
     /// The migrating partition.
     pub partition: u32,
-    /// The first journal sequence wanted.
-    pub from_seq: u64,
+    /// The first stream position wanted.
+    pub from: u64,
 }
 
 impl Payload for TailFetch {
     fn put(&self, buf: &mut Vec<u8>) {
         wire::put_u32(buf, self.partition);
-        wire::put_u64(buf, self.from_seq);
+        wire::put_u64(buf, self.from);
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(TailFetch {
             partition: r.u32()?,
-            from_seq: r.u64()?,
+            from: r.u64()?,
         })
     }
 }
 
-/// A [`FrameKind::TailReply`] payload: journaled ops since `from_seq`.
+/// A [`FrameKind::TailReply`] payload: the ops served from `from`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TailReply {
-    /// The sequence to resume the next tail fetch from.
-    pub next_seq: u64,
-    /// The ops, journal order.
+    /// The position to resume the next tail fetch from.
+    pub next: u64,
+    /// The ops, stream order.
     pub ops: Vec<UpdateOp>,
 }
 
 impl Payload for TailReply {
     fn put(&self, buf: &mut Vec<u8>) {
         buf.reserve(12 + self.ops.len() * wire::UPDATE_OP_BYTES as usize);
-        wire::put_u64(buf, self.next_seq);
+        wire::put_u64(buf, self.next);
         wire::put_u32(buf, self.ops.len() as u32);
         for op in &self.ops {
             wire::put_update_op(buf, op);
@@ -1033,7 +980,7 @@ impl Payload for TailReply {
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(TailReply {
-            next_seq: r.u64()?,
+            next: r.u64()?,
             ops: get_list(r, wire::UPDATE_OP_BYTES as usize, wire::get_update_op)?,
         })
     }
@@ -1342,8 +1289,6 @@ mod tests {
             FrameKind::MapInstallReply,
             FrameKind::ReplicaBatch,
             FrameKind::ReplicaTxn,
-            FrameKind::PartitionFetch,
-            FrameKind::PartitionFetchReply,
             FrameKind::MigrateCtl,
             FrameKind::MigrateCtlReply,
             FrameKind::TailFetch,
@@ -1674,11 +1619,15 @@ mod tests {
         ));
         assert!(matches!(parse_frame(&v1), Err(FrameError::BadVersion(1))));
 
-        let frame = with_header_byte(good, 5, 0x44);
-        assert!(matches!(
-            read_frame(&mut frame.as_slice()),
-            Err(FrameError::BadKind(0x44))
-        ));
+        // 0x44 was never a kind; 0x13/0x14 were the retired partition
+        // export pair, which an older mover may still send.
+        for tag in [0x44, 0x13, 0x14] {
+            let frame = with_header_byte(good.clone(), 5, tag);
+            assert!(matches!(
+                read_frame(&mut frame.as_slice()),
+                Err(FrameError::BadKind(t)) if t == tag
+            ));
+        }
     }
 
     #[test]
@@ -1774,55 +1723,50 @@ mod tests {
         };
         assert_eq!(decode(&encode(&install)), Ok(install));
 
-        for fetch in [
-            PartitionFetch {
-                partition: 3,
-                num_partitions: 64,
-                cursor: None,
-                max_edges: 10_000,
-            },
-            PartitionFetch {
-                partition: 63,
-                num_partitions: 64,
-                cursor: Some((0xdead_beef, 7)),
-                max_edges: 1,
-            },
+        for action in [
+            MigrateAction::Begin,
+            MigrateAction::End,
+            MigrateAction::Drop,
         ] {
-            assert_eq!(
-                decode::<PartitionFetch>(&encode(&fetch)).expect("fetch"),
-                fetch
-            );
+            let ctl = MigrateCtl {
+                action,
+                partition: 5,
+                num_partitions: 64,
+            };
+            assert_eq!(decode(&encode(&ctl)), Ok(ctl));
         }
-
-        let chunk = PartitionChunk {
-            done: false,
-            cursor: Some((19, 2)),
-            edges: 55,
-            snapshot: vec![9u8; 128],
-        };
-        assert_eq!(
-            decode::<PartitionChunk>(&encode(&chunk)).expect("chunk"),
-            chunk
-        );
-
         let ctl = MigrateCtl {
-            end: false,
+            action: MigrateAction::Drop,
             partition: 5,
             num_partitions: 64,
         };
-        assert_eq!(decode(&encode(&ctl)), Ok(ctl));
-        let mut bad_action = encode(&ctl);
-        bad_action[0] = 9;
-        assert!(decode::<MigrateCtl>(&bad_action).is_err());
+        // The arm/disarm layout is unchanged; the drop call is action byte 2.
+        assert_eq!(hex(&encode(&ctl)), "020500000040000000", "RECORDED");
+        for tag in [3u8, 9, 0xff] {
+            let mut bad_action = encode(&ctl);
+            bad_action[0] = tag;
+            assert_eq!(
+                decode::<MigrateCtl>(&bad_action),
+                Err(WireError::BadTag {
+                    what: "migrate action",
+                    tag
+                })
+            );
+        }
         assert_eq!(decode(&encode(&123u64)), Ok(123u64));
 
         let tail_fetch = TailFetch {
             partition: 5,
-            from_seq: 999,
+            from: 999,
         };
         assert_eq!(decode(&encode(&tail_fetch)), Ok(tail_fetch));
+        assert_eq!(
+            hex(&encode(&tail_fetch)),
+            "05000000e703000000000000",
+            "RECORDED"
+        );
         let tail = TailReply {
-            next_seq: 17,
+            next: 17,
             ops: vec![
                 UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 1.5)),
                 UpdateOp::Delete {
@@ -1842,22 +1786,6 @@ mod tests {
         assert_eq!(decode(&encode(&counts)), Ok(counts));
 
         // Truncations decode to errors, never panics.
-        let payload = encode(&chunk);
-        assert_eq!(
-            hex(&payload),
-            format!(
-                "{}{}",
-                "000113000000000000000200370000000000000080000000",
-                "09".repeat(128)
-            ),
-            "RECORDED"
-        );
-        for cut in 0..payload.len() {
-            assert!(
-                decode::<PartitionChunk>(&payload[..cut]).is_err(),
-                "cut {cut}"
-            );
-        }
         let payload = encode(&tail);
         for cut in 0..payload.len() {
             assert!(decode::<TailReply>(&payload[..cut]).is_err(), "cut {cut}");
@@ -1950,10 +1878,9 @@ mod tests {
 
     /// Payload bytes as hex, for the `RECORDED` assertions below: bytes
     /// captured from these same fixtures at the commit before the codec
-    /// took the domain types (`ObsSnapshot`, `SpanRecord`,
-    /// `PartitionChunk`, `BatchReport`, an `ErrorReply` inside a txn
-    /// reply) in place of its own mirror structs. The change of types
-    /// moved no byte.
+    /// took the domain types (`ObsSnapshot`, `SpanRecord`, `BatchReport`,
+    /// an `ErrorReply` inside a txn reply) in place of its own mirror
+    /// structs. The change of types moved no byte.
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }

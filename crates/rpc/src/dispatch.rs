@@ -15,7 +15,7 @@
 
 use crate::codec::{
     decode, encode, ErrorReply, FrameError, FrameKind, HealthReply, MapInstall, MapReply,
-    MigrateCtl, PartitionFetch, SampleBatch, TailFetch, TailReply, TxnApply, TxnReply, UpdateBatch,
+    MigrateAction, MigrateCtl, SampleBatch, TailFetch, TailReply, TxnApply, TxnReply, UpdateBatch,
 };
 use platod2gl_graph::{GraphTxn, TxnError};
 use platod2gl_obs::{Counter, Histogram, Registry, SlowOpRecord, SpanGuard, TraceContext};
@@ -241,32 +241,20 @@ pub(crate) fn dispatch<S: GraphService + ?Sized>(
                 .map(|effective| encode(&effective))
                 .map_err(refuse)
         }
-        FrameKind::PartitionFetch => {
-            let fetch: PartitionFetch = decode(payload)?;
-            service
-                .export_partition(
-                    fetch.partition,
-                    fetch.num_partitions,
-                    fetch.cursor,
-                    fetch.max_edges as usize,
-                )
-                .map(|chunk| encode(&chunk))
-                .map_err(refuse)
-        }
         FrameKind::MigrateCtl => {
             let ctl: MigrateCtl = decode(payload)?;
-            let outcome = if ctl.end {
-                service.end_migration(ctl.partition)
-            } else {
-                service.begin_migration(ctl.partition, ctl.num_partitions)
+            let outcome = match ctl.action {
+                MigrateAction::Begin => service.begin_migration(ctl.partition, ctl.num_partitions),
+                MigrateAction::End => service.end_migration(ctl.partition),
+                MigrateAction::Drop => service.drop_partition(ctl.partition, ctl.num_partitions),
             };
             outcome.map(|value| encode(&value)).map_err(refuse)
         }
         FrameKind::TailFetch => {
             let fetch: TailFetch = decode(payload)?;
             service
-                .migration_tail(fetch.partition, fetch.from_seq)
-                .map(|(ops, next_seq)| encode(&TailReply { next_seq, ops }))
+                .migration_tail(fetch.partition, fetch.from)
+                .map(|(ops, next)| encode(&TailReply { next, ops }))
                 .map_err(refuse)
         }
         FrameKind::PartitionStats => {

@@ -13,9 +13,9 @@
 //!   `net.*` byte counts agree by construction. A message body is a
 //!   [`codec::Payload`] — one `put`/`get` declaration per type, one generic
 //!   `encode`/`decode` — and where the workspace already has a type for
-//!   the value (`BatchReport`, `PartitionChunk`, `ObsSnapshot`,
-//!   `SpanRecord`, `graph::Error` ↔ `ErrorReply`) the payload is that
-//!   type: each value has one type on both sides of the boundary.
+//!   the value (`BatchReport`, `ObsSnapshot`, `SpanRecord`, `graph::Error`
+//!   ↔ `ErrorReply`) the payload is that type: each value has one type on
+//!   both sides of the boundary.
 //! * [`GraphServiceServer`] — hosts a shared
 //!   [`GraphService`](platod2gl_server::GraphService) (an `Arc<Cluster>` +
 //!   its registry) on a readiness-driven event loop (epoll-backed,

@@ -17,14 +17,12 @@ use platod2gl_graph::{
 use platod2gl_obs::{HistogramSnapshot, ObsSnapshot, SlowOpRecord, SpanRecord, TraceContext};
 use platod2gl_rpc::codec::{
     append_timing_echo, decode, encode, encode_frame, frame_len, parse_frame, read_frame,
-    take_timing_echo, ErrorReply, FrameKind, HealthReply, MapInstall, MapReply, MigrateCtl,
-    PartitionFetch, Payload, SampleBatch, TailFetch, TailReply, TxnApply, TxnReply, UpdateBatch,
+    take_timing_echo, ErrorReply, FrameKind, HealthReply, MapInstall, MapReply, MigrateAction,
+    MigrateCtl, Payload, SampleBatch, TailFetch, TailReply, TxnApply, TxnReply, UpdateBatch,
     MAX_FRAME_BYTES,
 };
 use platod2gl_server::wire;
-use platod2gl_server::{
-    BatchReport, DegradedPolicy, PartitionChunk, SampleRequest, SampleResponse, SlotSource,
-};
+use platod2gl_server::{BatchReport, DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -296,13 +294,7 @@ fn arb_txn_reply() -> impl Strategy<Value = TxnReply> {
         )
 }
 
-/// An export cursor as `PartitionFetch` and `PartitionChunk` carry it.
-fn arb_cursor() -> impl Strategy<Value = Option<(u64, u16)>> {
-    (any::<bool>(), any::<u64>(), any::<u16>())
-        .prop_map(|(some, src, et)| some.then_some((src, et)))
-}
-
-/// An opaque blob (an encoded partition map, a snapshot chunk).
+/// An opaque blob (an encoded partition map).
 fn arb_blob() -> impl Strategy<Value = Vec<u8>> {
     vec(any::<u8>(), 0..48)
 }
@@ -514,24 +506,22 @@ proptest! {
         roundtrips(&reply, &junk)?;
     }
 
-    /// The fleet plane: map fetch/install, resumable partition export,
-    /// migration control and journal tail, per-partition key counts.
+    /// The fleet plane: map fetch/install, migration control, the move's
+    /// stream, per-partition key counts.
     #[test]
     fn fleet_payloads_roundtrip(
         (epoch, has_map, map) in (any::<u64>(), any::<bool>(), arb_blob()),
-        (partition, num_partitions, max_edges) in (any::<u32>(), any::<u32>(), any::<u32>()),
-        (cursor, done, edges, snapshot) in (arb_cursor(), any::<bool>(), any::<u64>(), arb_blob()),
-        (end, seq, ops) in (any::<bool>(), any::<u64>(), vec(arb_op(), 0..16)),
+        (partition, num_partitions) in (any::<u32>(), any::<u32>()),
+        (action, position, ops) in (0..3u8, any::<u64>(), vec(arb_op(), 0..16)),
         counts in vec(any::<u64>(), 0..32),
         junk in arb_junk(),
     ) {
+        let action = [MigrateAction::Begin, MigrateAction::End, MigrateAction::Drop][action as usize];
         roundtrips(&MapReply { epoch, bytes: has_map.then(|| map.clone()) }, &junk)?;
         roundtrips(&MapInstall { epoch, bytes: map }, &junk)?;
-        roundtrips(&PartitionFetch { partition, num_partitions, cursor, max_edges }, &junk)?;
-        roundtrips(&PartitionChunk { snapshot, cursor, done, edges }, &junk)?;
-        roundtrips(&MigrateCtl { end, partition, num_partitions }, &junk)?;
-        roundtrips(&TailFetch { partition, from_seq: seq }, &junk)?;
-        roundtrips(&TailReply { next_seq: seq, ops }, &junk)?;
+        roundtrips(&MigrateCtl { action, partition, num_partitions }, &junk)?;
+        roundtrips(&TailFetch { partition, from: position }, &junk)?;
+        roundtrips(&TailReply { next: position, ops }, &junk)?;
         roundtrips(&counts, &junk)?;
     }
 

@@ -330,12 +330,11 @@ pub struct Cluster {
     txn: TxnPlane,
     /// Monotone graph-version counter, bumped on every mutation that lands
     /// on a shard (see [`Cluster::graph_version`]). Bounded-staleness
-    /// caches key their entries to this. Mirrored into the
-    /// `cluster.graph_version` gauge for exposition.
+    /// caches key their entries to this. Mirrored, with the shards' decay
+    /// ticks, into the `cluster.graph_version` gauge at each bump.
     version: AtomicU64,
-    /// Live-migration journal: while a partition is being streamed to a
-    /// new owner, every update op landing on it is sequence-numbered here
-    /// so the mover can drain the tail after the bulk copy.
+    /// Live-migration plane: while a partition is being streamed to a new
+    /// owner, its census and the journal of first-hand ops landing on it.
     migration: MigrationLog,
 }
 
@@ -354,43 +353,26 @@ pub fn partition_for(v: VertexId, num_partitions: u32) -> u32 {
     (splitmix64(v.raw() ^ 0xf1ee_7000_0000_0001) % u64::from(num_partitions.max(1))) as u32
 }
 
-/// One streamed chunk of a partition's adjacency, produced by
-/// [`GraphService::export_partition`] and shipped over the rpc layer's
-/// `PartitionFetch` frames during live migration.
-///
-/// `snapshot` is **snapshot bytes** ([`platod2gl_storage::write_snapshot`]):
-/// the same per-block CRC'd format checkpoints use, so the receiver
-/// validates each chunk with the proven decoder. `cursor` is the
-/// `(src, etype)` key of the last entry included; passing it back fetches
-/// the strictly-greater keys, which keeps the scan stable while writers
-/// race the export (new keys can only appear ahead of or behind the
-/// cursor, never silently between already-shipped entries — mutations are
-/// covered by the migration tail journal either way).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartitionChunk {
-    /// Snapshot-v2 encoded adjacency entries of this chunk.
-    pub snapshot: Vec<u8>,
-    /// Resume key: the last `(src, etype)` included, if any entry was.
-    pub cursor: Option<(u64, u16)>,
-    /// True when no keys remain past `cursor`.
-    pub done: bool,
-    /// Edges encoded into `snapshot`.
-    pub edges: u64,
-}
-
 /// Cap on the ops a single migration journal may buffer before the
 /// migration is declared failed (the mover must restart it). Bounds
 /// memory under a runaway writer.
 const MIGRATION_JOURNAL_CAP: usize = 1 << 20;
 
-/// Journal of **first-hand** update ops applied to a partition while it
-/// is being migrated: armed by `begin_migration`, drained in
-/// sequence-numbered rounds by `migration_tail`, disarmed by
-/// `end_migration`. Replica-channel applies are never journaled — after
-/// the promote they are the new owner's echoes of ops the target already
-/// holds, and journaling them would keep the final drain from ever
-/// converging. The `armed` flag keeps the write hot path at one relaxed
-/// atomic load when no migration is running.
+/// Edge budget of one census page of a migration stream (a page always
+/// holds at least one whole key).
+const CENSUS_PAGE_EDGES: usize = 4096;
+
+/// The source side of a partition move, one ordered stream of positions:
+/// armed by `begin_migration`, which then takes the partition's
+/// `(src, etype)` keys once (the **census**); served in pages by `migration_tail`;
+/// disarmed by `end_migration`. Position `i < census.len()` is census key
+/// `i`, served as that key's rows at the time its page is read; position
+/// `census.len() + s` is journal op `s`, a **first-hand** update op applied
+/// to the partition after the arm. Replica-channel applies are never
+/// journaled — after the promote they are the new owner's echoes of ops
+/// the target already holds, and journaling them would keep the final
+/// drain from ever converging. The `armed` flag keeps the write hot path at
+/// one relaxed atomic load when no migration is running.
 struct MigrationLog {
     armed: AtomicBool,
     inner: Mutex<Option<MigrationState>>,
@@ -399,8 +381,12 @@ struct MigrationLog {
 struct MigrationState {
     partition: u32,
     num_partitions: u32,
-    next_seq: u64,
-    ops: Vec<(u64, UpdateOp)>,
+    /// The partition's keys, sorted, scanned just after the arm; `None`
+    /// while `begin_migration` is still scanning. Shared with page readers,
+    /// which read rows outside the lock.
+    census: Option<Arc<[(u64, u16)]>>,
+    /// Journal op `s` is `ops[s]`.
+    ops: Vec<UpdateOp>,
     overflowed: bool,
 }
 
@@ -510,17 +496,22 @@ impl Cluster {
     /// The cluster's graph version: a monotone counter bumped once per
     /// client-origin mutation that reaches a shard — each update batch or
     /// committed transaction, each routed single-op write, each heal drain,
-    /// bulk delete, or restore. Readers that cache derived state (e.g. the
-    /// pipeline's neighbor cache) compare entry versions against this to
-    /// bound staleness under concurrent updates.
+    /// bulk delete, or restore — plus every shard's recency-decay ticks
+    /// that changed a weight ([`DynamicGraphStore::decay_ticks`]). Readers
+    /// that cache derived state (e.g. the pipeline's neighbor cache)
+    /// compare entry versions against this to bound staleness under
+    /// concurrent updates. A plain read: the `cluster.graph_version`
+    /// gauge is refreshed at each bump, so a decay tick reaches the gauge
+    /// with the next mutation.
     pub fn graph_version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        let decay: u64 = self.servers.iter().map(|s| s.topology.decay_ticks()).sum();
+        self.version.load(Ordering::Acquire) + decay
     }
 
     /// Advance the graph version after a mutation landed.
     fn bump_version(&self) {
-        let v = self.version.fetch_add(1, Ordering::Release) + 1;
-        self.m.graph_version.set(v as i64);
+        self.version.fetch_add(1, Ordering::Release);
+        self.m.graph_version.set(self.graph_version() as i64);
     }
 
     /// The cluster's observability registry: cluster traffic/fault counters,
@@ -604,23 +595,49 @@ impl Cluster {
                 state.overflowed = true;
                 return;
             }
-            state.ops.push((state.next_seq, *op));
-            state.next_seq += 1;
+            state.ops.push(*op);
         }
+    }
+
+    /// The partition's resident `(src, etype)` keys across every shard,
+    /// sorted.
+    fn partition_keys(&self, partition: u32, num_partitions: u32) -> Vec<(u64, u16)> {
+        let mut keys = Vec::new();
+        for server in &self.servers {
+            server.topology.for_each_source(|src, etype, _| {
+                if partition_for(src, num_partitions) == partition {
+                    keys.push((src.raw(), etype.0));
+                }
+            });
+        }
+        keys.sort_unstable();
+        keys
     }
 
     /// Drop a source vertex's whole out-neighborhood on its owning shard
     /// (account deletion). Returns the number of edges removed — `0` if the
     /// shard is unavailable (the caller must re-issue after
     /// [`Cluster::heal_shard`]; bulk deletion is not queueable as update
-    /// ops).
+    /// ops). A migration armed for the vertex's partition journals one
+    /// first-hand `Delete` per removed edge.
     pub fn delete_source(&self, v: VertexId, etype: EdgeType) -> usize {
         self.tally(1, ID_BYTES, 8);
-        let removed = self.read_or(self.route(v), 0, |s| s.topology.delete_source(v, etype));
-        if removed > 0 {
+        let removed = self.read_or(self.route(v), Vec::new(), |s| {
+            s.topology.delete_source(v, etype)
+        });
+        if !removed.is_empty() {
+            let deletes: Vec<UpdateOp> = removed
+                .iter()
+                .map(|&(dst, _, _)| UpdateOp::Delete {
+                    src: v,
+                    dst: VertexId(dst),
+                    etype,
+                })
+                .collect();
+            self.record_migration_ops(&deletes);
             self.bump_version();
         }
-        removed
+        removed.len()
     }
 
     /// Weighted neighbor sampling — the single sampling entry point.
@@ -869,6 +886,7 @@ mod tests {
     use crate::write::MAX_RETRIES;
     use platod2gl_graph::{conformance, DatasetProfile};
     use rand::SeedableRng;
+    use std::collections::HashSet;
     use std::time::Duration;
 
     fn cluster_with_shards(n: usize) -> Cluster {
@@ -1075,7 +1093,7 @@ mod tests {
         let inside = (0..).find(|v| partition_for(VertexId(*v), p) == 3).unwrap();
         let outside = (0..).find(|v| partition_for(VertexId(*v), p) != 3).unwrap();
 
-        assert_eq!(c.begin_migration(3, p).expect("arms"), 0);
+        let census = c.begin_migration(3, p).expect("arms");
         assert!(c.begin_migration(1, p).is_err(), "one at a time");
         c.insert_edge(Edge::new(VertexId(inside), VertexId(10), 1.0));
         c.insert_edge(Edge::new(VertexId(outside), VertexId(11), 1.0));
@@ -1086,84 +1104,118 @@ mod tests {
         .expect("no faults");
         assert!(c.delete_edge(VertexId(inside), VertexId(10), EdgeType(0)));
 
-        let (ops, next) = c.migration_tail(3, 0).expect("tail");
-        assert_eq!(next, 3, "only partition-3 ops are journaled");
+        let (ops, next) = c.migration_tail(3, census).expect("tail");
+        assert_eq!(next, census + 3, "only partition-3 ops are journaled");
         assert_eq!(ops.len(), 3);
         assert!(matches!(ops[2], UpdateOp::Delete { .. }));
         // Resume from a mid-stream sequence.
-        let (rest, _) = c.migration_tail(3, 2).expect("tail");
+        let (rest, _) = c.migration_tail(3, census + 2).expect("tail");
         assert_eq!(rest.len(), 1);
         assert!(c.migration_tail(5, 0).is_err(), "wrong partition");
 
-        assert_eq!(c.end_migration(3).expect("disarms"), 3);
+        assert_eq!(c.end_migration(3).expect("disarms"), census + 3);
         assert!(c.end_migration(3).is_err());
         // Disarmed: later writes are not journaled.
-        assert_eq!(c.begin_migration(3, p).expect("re-arms"), 0);
-        let (ops, _) = c.migration_tail(3, 0).expect("tail");
+        let census = c.begin_migration(3, p).expect("re-arms");
+        let (ops, _) = c.migration_tail(3, census).expect("tail");
         assert!(ops.is_empty());
         c.end_migration(3).expect("disarms");
     }
 
     #[test]
-    fn export_partition_chunks_roundtrip() {
+    fn delete_source_on_an_armed_partition_is_journaled() {
         let c = small_cluster();
         let p = 4u32;
-        for v in 0..200u64 {
+        let v = (0..)
+            .map(VertexId)
+            .find(|v| partition_for(*v, p) == 1)
+            .unwrap();
+        for dst in 0..4u64 {
+            c.insert_edge(Edge::new(v, VertexId(100 + dst), 1.0));
+        }
+        let census = c.begin_migration(1, p).expect("arms");
+        assert_eq!(c.delete_source(v, EdgeType(0)), 4);
+        let (ops, next) = c.migration_tail(1, census).expect("tail");
+        assert_eq!(next, census + 4);
+        let mut dsts: Vec<u64> = ops
+            .iter()
+            .map(|op| match *op {
+                UpdateOp::Delete { src, dst, etype } => {
+                    assert_eq!((src, etype), (v, EdgeType(0)));
+                    dst.raw()
+                }
+                other => panic!("expected a delete, got {other:?}"),
+            })
+            .collect();
+        dsts.sort_unstable();
+        assert_eq!(dsts, vec![100, 101, 102, 103]);
+        c.end_migration(1).expect("disarms");
+    }
+
+    #[test]
+    fn migration_census_pages_rebuild_the_partition() {
+        let c = small_cluster();
+        let p = 2u32;
+        // ~4,500 edges a partition: more than one census page.
+        for v in 0..3_000u64 {
             for k in 0..3u64 {
                 c.insert_edge(Edge::new(
                     VertexId(v),
-                    VertexId(v + 500 + k),
+                    VertexId(v + 5_000 + k),
                     1.0 + k as f64,
                 ));
             }
         }
         for partition in 0..p {
-            // Stream the partition in small chunks and rebuild it.
+            let census = c.begin_migration(partition, p).expect("arms");
+            let in_partition = |v: &u64| partition_for(VertexId(*v), p) == partition;
+            assert_eq!(census, (0..3_000u64).filter(in_partition).count() as u64);
+            // After the arm: one key is deleted before its page is read, and
+            // a new key appears.
+            let gone = (0..3_000u64).rev().find(in_partition).unwrap();
+            let fresh = (10_000u64..).find(in_partition).unwrap();
+            assert_eq!(c.delete_source(VertexId(gone), EdgeType(0)), 3);
+            c.insert_edge(Edge::new(VertexId(fresh), VertexId(1), 2.0));
+
             let rebuilt = cluster_with_shards(2);
-            let mut cursor = None;
-            let mut total_edges = 0u64;
-            loop {
-                let chunk = c
-                    .export_partition(partition, p, cursor, 7)
-                    .expect("in range");
-                platod2gl_storage::read_snapshot(chunk.snapshot.as_slice(), |edges| {
-                    for e in edges {
-                        assert_eq!(partition_for(e.src, p), partition);
-                        rebuilt.insert_edge(e);
-                    }
-                })
-                .expect("valid v2");
-                total_edges += chunk.edges;
-                cursor = chunk.cursor;
-                if chunk.done {
-                    break;
+            let mut seen = HashSet::new();
+            let (mut from, mut pages) = (0u64, 0usize);
+            while from < census {
+                let (ops, next) = c.migration_tail(partition, from).expect("page");
+                assert!(next > from, "a page serves at least one key");
+                let keys: HashSet<u64> = ops.iter().map(|op| op.src().raw()).collect();
+                for key in keys {
+                    assert!(seen.insert(key), "key {key} served twice");
                 }
+                assert!(ops.len() <= CENSUS_PAGE_EDGES);
+                assert!(ops.iter().all(|op| matches!(op, UpdateOp::Insert(_))));
+                rebuilt.apply_updates(&ops).expect("no faults");
+                (from, pages) = (next, pages + 1);
             }
-            // Every vertex of the partition arrived with identical adjacency.
-            let mut expected = 0u64;
-            for v in 0..200u64 {
-                if partition_for(VertexId(v), p) != partition {
-                    continue;
-                }
-                expected += c.degree(VertexId(v), EdgeType(0)) as u64;
-                assert_eq!(
-                    rebuilt.degree(VertexId(v), EdgeType(0)),
-                    c.degree(VertexId(v), EdgeType(0))
-                );
-                assert!(
-                    (rebuilt.weight_sum(VertexId(v), EdgeType(0))
-                        - c.weight_sum(VertexId(v), EdgeType(0)))
-                    .abs()
-                        < 1e-9
-                );
+            assert_eq!(from, census);
+            assert!(pages > 1, "the partition spans pages");
+            assert!(!seen.contains(&gone) && !seen.contains(&fresh));
+            // Every census key arrived once, with identical adjacency.
+            for v in (0..3_000u64).filter(in_partition).filter(|v| *v != gone) {
+                let (v, et) = (VertexId(v), EdgeType(0));
+                assert_eq!(rebuilt.degree(v, et), c.degree(v, et));
+                assert!((rebuilt.weight_sum(v, et) - c.weight_sum(v, et)).abs() < 1e-9);
             }
-            assert_eq!(total_edges, expected);
+            // The deleted key's removal and the new key arrive only at
+            // journal positions.
+            let (journal, end) = c.migration_tail(partition, census).expect("journal");
+            assert_eq!(journal.len(), 4);
+            assert!(journal[..3]
+                .iter()
+                .all(|op| matches!(op, UpdateOp::Delete { src, .. } if src.raw() == gone)));
+            assert_eq!(journal[3].src(), VertexId(fresh));
+            assert_eq!(c.end_migration(partition).expect("disarms"), end);
         }
         // Key counts sum to the number of resident (src, etype) keys.
         let counts = c.partition_key_counts(p);
         assert_eq!(counts.len(), p as usize);
-        assert_eq!(counts.iter().sum::<u64>(), 200);
-        assert!(c.export_partition(9, 4, None, 10).is_err());
+        assert_eq!(counts.iter().sum::<u64>(), 3_000);
+        assert!(c.begin_migration(9, 4).is_err());
     }
 
     #[test]

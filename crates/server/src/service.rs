@@ -27,9 +27,9 @@
 
 use crate::request::{SampleRequest, SampleResponse};
 use crate::write::Origin;
-use crate::{partition_for, BatchReport, Cluster, MigrationState, PartitionChunk};
+use crate::{partition_for, BatchReport, Cluster, MigrationState, CENSUS_PAGE_EDGES};
 use platod2gl_graph::{
-    EdgeType, Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp, VertexId,
+    Edge, EdgeType, Error, GraphTxn, ShardHealth, TxnError, TxnReceipt, UpdateOp, VertexId,
 };
 use platod2gl_obs::Registry;
 use rand::rngs::StdRng;
@@ -131,51 +131,52 @@ pub trait GraphService: Sync {
         ))
     }
 
-    /// Arm the live-migration journal for one partition: every first-hand
-    /// update op that lands on it from now on is sequence-numbered for
-    /// [`GraphService::migration_tail`]. Returns the starting sequence
-    /// number. One migration at a time per server; a second `begin` is
-    /// rejected.
+    /// Arm a partition move on its source: take the census — the
+    /// partition's resident `(src, etype)` keys across every local shard,
+    /// sorted, taken once — and journal every first-hand update op that
+    /// lands on the partition from now on. Returns the census size `C`:
+    /// [`GraphService::migration_tail`] serves positions below `C` as
+    /// census pages and position `C + s` as journal op `s`. One migration
+    /// at a time per server; a second `begin` is rejected.
     fn begin_migration(&self, _partition: u32, _num_partitions: u32) -> Result<u64, Error> {
         Err(Error::invalid_config(
             "this service does not support live migration",
         ))
     }
 
-    /// Ops journaled for the migrating partition with sequence `>=
-    /// from_seq`, plus the next sequence number to resume from. The mover
-    /// drains in rounds until a round comes back empty.
-    fn migration_tail(
-        &self,
-        _partition: u32,
-        _from_seq: u64,
-    ) -> Result<(Vec<UpdateOp>, u64), Error> {
+    /// The armed move's stream from position `from`, plus the position to
+    /// resume from. Below the census size `C` it is one **census page**:
+    /// whole keys from census position `from` on, each key's rows as they
+    /// are now as `Insert` ops, up to a server-side edge budget but at
+    /// least one key (a key deleted since the arm contributes no ops). At
+    /// or past `C` it is the **journal**: every op from sequence
+    /// `from - C` on. The mover reads pages until it reaches `C`, then
+    /// drains the journal in rounds until a round comes back empty. Every
+    /// op is idempotent and the journal replays after the census, so a
+    /// key's rows read when its page is served end in the same state as
+    /// rows read at the arm.
+    fn migration_tail(&self, _partition: u32, _from: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
         Err(Error::invalid_config(
             "this service does not support live migration",
         ))
     }
 
-    /// Disarm the migration journal; returns total ops it buffered.
+    /// Disarm the move; returns the stream's end position (census size
+    /// plus the ops journaled).
     fn end_migration(&self, _partition: u32) -> Result<u64, Error> {
         Err(Error::invalid_config(
             "this service does not support live migration",
         ))
     }
 
-    /// Export one partition's adjacency as a bounded snapshot chunk (see
-    /// [`PartitionChunk`]). Entries are keyed `(src, etype)` and returned
-    /// in key order starting strictly after `cursor`, so the mover streams
-    /// the partition in stable, resumable chunks while the server keeps
-    /// serving.
-    fn export_partition(
-        &self,
-        _partition: u32,
-        _num_partitions: u32,
-        _cursor: Option<(u64, u16)>,
-        _max_edges: usize,
-    ) -> Result<PartitionChunk, Error> {
+    /// Remove every resident key of one partition from this server and
+    /// return the edges removed: a move's target drops whatever copy it
+    /// holds — an earlier move's leftover or a replica's — before the new
+    /// stream lands. A data move, so neither the graph version nor a
+    /// migration journal sees it.
+    fn drop_partition(&self, _partition: u32, _num_partitions: u32) -> Result<u64, Error> {
         Err(Error::invalid_config(
-            "this service does not support partition export",
+            "this service does not support live migration",
         ))
     }
 
@@ -265,15 +266,30 @@ impl GraphService for Cluster {
         *guard = Some(MigrationState {
             partition,
             num_partitions,
-            next_seq: 0,
+            census: None,
             ops: Vec::new(),
             overflowed: false,
         });
         self.migration.armed.store(true, Ordering::Release);
-        Ok(0)
+        drop(guard);
+        // The census scan runs after the arm and outside the lock, so
+        // writers journaling meanwhile do not wait on it. No key is missed
+        // by both: a write journals after it lands, so one that found the
+        // journal unarmed landed before the scan began.
+        let census: Arc<[(u64, u16)]> = self.partition_keys(partition, num_partitions).into();
+        let count = census.len() as u64;
+        match self.migration.lock().as_mut() {
+            Some(state) if state.partition == partition && state.census.is_none() => {
+                state.census = Some(census);
+                Ok(count)
+            }
+            _ => Err(Error::invalid_config(
+                "the migration ended during its census",
+            )),
+        }
     }
 
-    fn migration_tail(&self, partition: u32, from_seq: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
+    fn migration_tail(&self, partition: u32, from: u64) -> Result<(Vec<UpdateOp>, u64), Error> {
         let guard = self.migration.lock();
         let Some(state) = guard.as_ref() else {
             return Err(Error::invalid_config("no migration in progress"));
@@ -286,88 +302,72 @@ impl GraphService for Cluster {
                 what: "migration journal overflowed; restart the migration".to_string(),
             });
         }
-        let ops = state
-            .ops
-            .iter()
-            .filter(|(seq, _)| *seq >= from_seq)
-            .map(|(_, op)| *op)
-            .collect();
-        Ok((ops, state.next_seq))
+        let Some(census) = &state.census else {
+            return Err(Error::invalid_config(
+                "the migration's census is not taken yet",
+            ));
+        };
+        let census_len = census.len() as u64;
+        if from >= census_len {
+            let seq = usize::try_from(from - census_len).unwrap_or(usize::MAX);
+            let ops = state.ops.get(seq..).unwrap_or_default().to_vec();
+            return Ok((ops, census_len + state.ops.len() as u64));
+        }
+        // A census page reads trees outside the lock, so writers journaling
+        // meanwhile do not wait on it.
+        let census = Arc::clone(census);
+        drop(guard);
+        let mut ops = Vec::new();
+        let mut next = from as usize;
+        for &(src, etype) in &census[from as usize..] {
+            let (src, etype) = (VertexId(src), EdgeType(etype));
+            let server = &self.servers[self.route(src)];
+            let rows = server.topology.adjacency_of(src, etype).unwrap_or_default();
+            if next > from as usize && ops.len() + rows.len() > CENSUS_PAGE_EDGES {
+                break;
+            }
+            next += 1;
+            ops.extend(rows.into_iter().map(|(dst, weight, ts)| {
+                UpdateOp::Insert(Edge {
+                    src,
+                    dst: VertexId(dst),
+                    etype,
+                    weight,
+                    ts,
+                })
+            }));
+        }
+        Ok((ops, next as u64))
     }
 
     fn end_migration(&self, partition: u32) -> Result<u64, Error> {
         let mut guard = self.migration.lock();
         match guard.as_ref() {
             Some(state) if state.partition == partition => {
-                let total = state.next_seq;
+                let census = state.census.as_ref().map_or(0, |c| c.len());
+                let end = (census + state.ops.len()) as u64;
                 *guard = None;
                 self.migration.armed.store(false, Ordering::Release);
-                Ok(total)
+                Ok(end)
             }
             Some(_) => Err(Error::invalid_config("ending the wrong partition")),
             None => Err(Error::invalid_config("no migration in progress")),
         }
     }
 
-    fn export_partition(
-        &self,
-        partition: u32,
-        num_partitions: u32,
-        cursor: Option<(u64, u16)>,
-        max_edges: usize,
-    ) -> Result<PartitionChunk, Error> {
+    fn drop_partition(&self, partition: u32, num_partitions: u32) -> Result<u64, Error> {
         if num_partitions == 0 || partition >= num_partitions {
             return Err(Error::invalid_config("partition out of range"));
         }
-        // Census pass: directory keys and edge counts only — a serving
-        // node must not re-materialize the whole store's adjacency for
-        // every chunk it streams.
-        let mut keys: Vec<((u64, u16), usize)> = Vec::new();
-        for server in &self.servers {
-            server.topology.for_each_source(|src, etype, len| {
-                if partition_for(src, num_partitions) != partition {
-                    return;
-                }
-                let key = (src.raw(), etype.0);
-                if cursor.is_some_and(|cur| key <= cur) {
-                    return;
-                }
-                keys.push((key, len));
-            });
-        }
-        keys.sort_unstable_by_key(|(k, _)| *k);
-        let budget = max_edges.max(1);
-        let mut take = 0usize;
-        let mut planned = 0usize;
-        for (i, (_, len)) in keys.iter().enumerate() {
-            if i > 0 && planned + len > budget {
-                break;
-            }
-            planned += len;
-            take += 1;
-        }
-        let done = take == keys.len();
-        // Materialize only the chunk's keys, each from its owning shard.
-        // A tree racing away between census and fetch is fine: its
-        // mutation is in the migration journal either way.
-        let mut taken: Vec<platod2gl_storage::AdjacencyEntry> = Vec::with_capacity(take);
-        let mut edges = 0u64;
-        for &((src, etype), _) in &keys[..take] {
+        let mut removed = 0u64;
+        for (src, etype) in self.partition_keys(partition, num_partitions) {
             let server = &self.servers[self.route(VertexId(src))];
-            if let Some(entries) = server.topology.adjacency_of(VertexId(src), EdgeType(etype)) {
-                edges += entries.len() as u64;
-                taken.push(((src, etype), entries));
-            }
+            removed += server
+                .topology
+                .delete_source(VertexId(src), EdgeType(etype))
+                .len() as u64;
         }
-        let next_cursor = keys[..take].last().map(|(k, _)| *k).or(cursor);
-        let mut snapshot = Vec::new();
-        platod2gl_storage::write_snapshot(&mut snapshot, &taken)?;
-        Ok(PartitionChunk {
-            snapshot,
-            cursor: next_cursor,
-            done,
-            edges,
-        })
+        Ok(removed)
     }
 
     fn partition_key_counts(&self, num_partitions: u32) -> Vec<u64> {

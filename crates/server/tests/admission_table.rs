@@ -49,8 +49,8 @@ fn cell(fault: Option<FaultKind>, discovered: bool, entry: &str) -> String {
     let (hit, live) = (vertex_on(&c, FAULTED), vertex_on(&c, 0));
     c.insert_edge(Edge::new(hit, VertexId(900), 1.0));
     // One partition: every first-hand op that lands is journaled.
-    c.begin_migration(0, 1).expect("arms");
-    let journal_len = || c.migration_tail(0, 0).expect("armed").0.len();
+    let census = c.begin_migration(0, 1).expect("arms");
+    let journal_len = || c.migration_tail(0, census).expect("armed").0.len();
     match fault {
         None => {}
         Some(FaultKind::Failed) => c.faults().fail_shard(FAULTED),

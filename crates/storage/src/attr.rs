@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use platod2gl_cuckoo::CuckooMap;
-use platod2gl_graph::{EdgeType, VertexId};
+use platod2gl_graph::VertexId;
 use platod2gl_mem::DeepSize;
 
 /// Wrapper so the cuckoo map can account for blob memory.
@@ -21,25 +21,10 @@ impl DeepSize for Blob {
     }
 }
 
-/// Edge attribute key.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct EdgeKey {
-    src: u64,
-    dst: u64,
-    etype: u16,
-}
-
-impl DeepSize for EdgeKey {
-    fn heap_bytes(&self) -> usize {
-        0
-    }
-}
-
-/// Concurrent attribute store for vertex and edge features.
+/// Concurrent attribute store for vertex features.
 #[derive(Default)]
 pub struct AttributeStore {
     vertex: CuckooMap<u64, Blob>,
-    edge: CuckooMap<EdgeKey, Blob>,
 }
 
 impl AttributeStore {
@@ -59,59 +44,9 @@ impl AttributeStore {
         self.vertex.read(&v.raw(), |b| b.0.clone())
     }
 
-    /// Remove a vertex's features.
-    pub fn remove_vertex(&self, v: VertexId) -> Option<Bytes> {
-        self.vertex.remove(&v.raw()).map(|b| b.0)
-    }
-
-    /// Store the feature bytes of an edge.
-    pub fn set_edge(&self, src: VertexId, dst: VertexId, etype: EdgeType, data: Bytes) {
-        self.edge.insert(
-            EdgeKey {
-                src: src.raw(),
-                dst: dst.raw(),
-                etype: etype.0,
-            },
-            Blob(data),
-        );
-    }
-
-    /// Fetch the feature bytes of an edge.
-    pub fn edge(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> Option<Bytes> {
-        self.edge.read(
-            &EdgeKey {
-                src: src.raw(),
-                dst: dst.raw(),
-                etype: etype.0,
-            },
-            |b| b.0.clone(),
-        )
-    }
-
-    /// Remove an edge's features.
-    pub fn remove_edge(&self, src: VertexId, dst: VertexId, etype: EdgeType) -> Option<Bytes> {
-        self.edge
-            .remove(&EdgeKey {
-                src: src.raw(),
-                dst: dst.raw(),
-                etype: etype.0,
-            })
-            .map(|b| b.0)
-    }
-
-    /// Number of stored vertex features.
-    pub fn num_vertex_attrs(&self) -> usize {
-        self.vertex.len()
-    }
-
-    /// Number of stored edge features.
-    pub fn num_edge_attrs(&self) -> usize {
-        self.edge.len()
-    }
-
     /// Total heap bytes (blobs plus KV index overhead).
     pub fn attribute_bytes(&self) -> usize {
-        self.vertex.heap_bytes() + self.edge.heap_bytes()
+        self.vertex.heap_bytes()
     }
 }
 
@@ -129,38 +64,18 @@ mod tests {
         store.set_vertex(v(1), Bytes::from_static(b"feat1"));
         store.set_vertex(v(2), Bytes::from_static(b"feat2"));
         assert_eq!(store.vertex(v(1)).as_deref(), Some(&b"feat1"[..]));
+        assert_eq!(store.vertex(v(2)).as_deref(), Some(&b"feat2"[..]));
         assert_eq!(store.vertex(v(3)), None);
-        assert_eq!(store.num_vertex_attrs(), 2);
-        assert_eq!(store.remove_vertex(v(1)).as_deref(), Some(&b"feat1"[..]));
-        assert_eq!(store.vertex(v(1)), None);
-    }
-
-    #[test]
-    fn edge_attr_roundtrip_and_type_separation() {
-        let store = AttributeStore::new();
-        store.set_edge(v(1), v(2), EdgeType(0), Bytes::from_static(b"a"));
-        store.set_edge(v(1), v(2), EdgeType(1), Bytes::from_static(b"b"));
-        assert_eq!(
-            store.edge(v(1), v(2), EdgeType(0)).as_deref(),
-            Some(&b"a"[..])
-        );
-        assert_eq!(
-            store.edge(v(1), v(2), EdgeType(1)).as_deref(),
-            Some(&b"b"[..])
-        );
-        assert_eq!(store.edge(v(2), v(1), EdgeType(0)), None);
-        assert_eq!(store.num_edge_attrs(), 2);
-        assert!(store.remove_edge(v(1), v(2), EdgeType(0)).is_some());
-        assert_eq!(store.num_edge_attrs(), 1);
     }
 
     #[test]
     fn overwrite_replaces_value() {
         let store = AttributeStore::new();
         store.set_vertex(v(7), Bytes::from_static(b"old"));
+        let one = store.attribute_bytes();
         store.set_vertex(v(7), Bytes::from_static(b"new"));
         assert_eq!(store.vertex(v(7)).as_deref(), Some(&b"new"[..]));
-        assert_eq!(store.num_vertex_attrs(), 1);
+        assert_eq!(store.attribute_bytes(), one, "replaced, not added");
     }
 
     #[test]
@@ -185,7 +100,9 @@ mod tests {
             }
         })
         .expect("threads join");
-        assert_eq!(store.num_vertex_attrs(), 4_000);
-        assert_eq!(store.vertex(v(3_999)).expect("present").len(), 16);
+        for i in 0..4_000u64 {
+            let want = [(i / 1_000) as u8; 16];
+            assert_eq!(store.vertex(v(i)).as_deref(), Some(&want[..]));
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!   being separate key-value pairs with their own index entries (PlatoGL's
 //!   memory problem).
 //! * **Sampling indexes** — the CSTables/FSTables embedded in the samtrees.
-//! * **Attributes** — raw feature bytes per vertex/edge in a key-value store
+//! * **Attributes** — raw feature bytes per vertex in a key-value store
 //!   ([`AttributeStore`]); the paper keeps attributes in KV form because
 //!   they are point-looked-up, never range-sampled.
 //!

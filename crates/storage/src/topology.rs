@@ -9,7 +9,7 @@ use platod2gl_mem::DeepSize;
 use platod2gl_obs::{Counter, Gauge, Histogram, Registry};
 use platod2gl_samtree::{OpStats, Row, SamTree, SamTreeConfig};
 use rand::{Rng, RngCore};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,6 +105,11 @@ pub struct DynamicGraphStore {
     tree: SamTreeConfig,
     directory: Directory,
     num_edges: AtomicUsize,
+    /// Recency-decay ticks that changed a weight (see
+    /// [`DynamicGraphStore::record_decay_tick`]). Bumped with `Release`
+    /// after the tick's weights are written and read with `Acquire`, so a
+    /// reader that sees a tick counted sees its weights.
+    decay_ticks: AtomicU64,
     registry: Arc<Registry>,
     metrics: StoreMetrics,
 }
@@ -181,6 +186,7 @@ impl DynamicGraphStore {
             tree: config.tree.validated(),
             directory: Directory::new(&registry),
             num_edges: AtomicUsize::new(0),
+            decay_ticks: AtomicU64::new(0),
             registry,
             metrics,
         }
@@ -537,18 +543,31 @@ impl DynamicGraphStore {
         .unwrap_or_default()
     }
 
+    /// Count one recency-decay tick that changed at least one weight. The
+    /// decay worker calls it once per such tick, so a cluster can fold
+    /// decay into its graph version at the scale one update batch moves it.
+    pub fn record_decay_tick(&self) {
+        self.decay_ticks.fetch_add(1, Ordering::Release);
+    }
+
+    /// Recency-decay ticks that changed a weight, since the store was built.
+    pub fn decay_ticks(&self) -> u64 {
+        self.decay_ticks.load(Ordering::Acquire)
+    }
+
     /// Drop a source vertex's entire out-neighborhood in one relation
-    /// (account deletion / right-to-be-forgotten). Returns the number of
-    /// edges removed. A write to the same source lands wholly before the
-    /// removal (and is removed with it) or wholly after (on a fresh tree).
-    pub fn delete_source(&self, v: VertexId, etype: EdgeType) -> usize {
+    /// (account deletion / right-to-be-forgotten). Returns the removed
+    /// `(dst, weight, ts)` rows, so a caller can log one delete per edge. A
+    /// write to the same source lands wholly before the removal (and is
+    /// removed with it) or wholly after (on a fresh tree).
+    pub fn delete_source(&self, v: VertexId, etype: EdgeType) -> Vec<Row> {
         let Some(tree) = self.directory.remove(key(v, etype)) else {
-            return 0;
+            return Vec::new();
         };
         let removed = tree.len();
         self.num_edges.fetch_sub(removed, Ordering::Relaxed);
         self.metrics.edges.add(-(removed as i64));
-        removed
+        tree.rows()
     }
 
     /// Dump the whole adjacency as `((src, etype), [(dst, weight, ts)])`
@@ -1000,12 +1019,12 @@ mod tests {
             store.insert_edge(Edge::new(VertexId(1), VertexId(100 + i), 1.0));
             store.insert_edge(Edge::new(VertexId(2), VertexId(100 + i), 1.0));
         }
-        assert_eq!(store.delete_source(VertexId(1), EdgeType(0)), 500);
+        assert_eq!(store.delete_source(VertexId(1), EdgeType(0)).len(), 500);
         assert_eq!(store.num_edges(), 500);
         assert_eq!(store.degree(VertexId(1), EdgeType(0)), 0);
         assert_eq!(store.degree(VertexId(2), EdgeType(0)), 500);
         // Idempotent.
-        assert_eq!(store.delete_source(VertexId(1), EdgeType(0)), 0);
+        assert!(store.delete_source(VertexId(1), EdgeType(0)).is_empty());
         // The vertex can come back fresh.
         store.insert_edge(Edge::new(VertexId(1), VertexId(7), 2.0));
         assert_eq!(store.degree(VertexId(1), EdgeType(0)), 1);

@@ -140,7 +140,10 @@ impl RecencyDecay {
 
     /// Decay up to `batch_sources` source neighborhoods at time `now`,
     /// resuming from the cursor. Timeless (`ts == 0`) edges are never
-    /// touched; neither are edges stamped at or after `now`.
+    /// touched; neither are edges stamped at or after `now`. A tick that
+    /// changes a weight counts once in the store's
+    /// [`DynamicGraphStore::decay_ticks`], which a cluster adds to its graph
+    /// version so cached draws go stale.
     pub fn tick(&mut self, store: &DynamicGraphStore, now: u64) -> DecayTick {
         let mut out = DecayTick::default();
         if self.cfg.lambda == 0.0 {
@@ -178,6 +181,9 @@ impl RecencyDecay {
         } else {
             keys[..take].last().copied().or(self.cursor)
         };
+        if out.decayed > 0 {
+            store.record_decay_tick();
+        }
         self.batches.inc();
         self.sources.add(out.sources as u64);
         self.scanned.add(out.scanned as u64);

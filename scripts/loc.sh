@@ -6,7 +6,8 @@
 #                               the client, cluster, store, samtree, pipeline and
 #                               cache configs, one line; then every
 #                               production file over the 1,200-line cap, largest
-#                               first, one line each
+#                               first, one line each; then the production `fn`
+#                               names nothing in production text names again
 #   ./scripts/loc.sh FILE...    "production total" per file, for before/after tables
 # "Production" is what sits above a file's first column-0 `#[cfg(test)]`.
 set -euo pipefail
@@ -51,3 +52,13 @@ echo "loc: production (crates/*/src above #[cfg(test)] + examples/) $prod | crat
 for f in $(find crates/*/src examples -name '*.rs'); do
     printf '%s %s\n' "$(production "$f")" "$f"
 done | sort -rn | awk '$1 > 1200 {print "loc: over 1200 production lines: " $2 " " $1}'
+# Test-only code: production `fn` names whose one occurrence in production
+# text (crates/*/src above #[cfg(test)], examples/, perf/src) is their own
+# definition — only tests, or nothing, call them.
+# shellcheck disable=SC2046
+prod_text=$(awk 'FNR==1{skip=0} /^#\[cfg\(test\)\]/{skip=1} !skip' \
+    $(find crates/*/src examples perf/src -name '*.rs'))
+unused=$(comm -12 \
+    <(grep -oE '\bfn [a-z_][a-z0-9_]*' <<<"$prod_text" | cut -c4- | sort -u) \
+    <(grep -oE '\b[A-Za-z_][A-Za-z0-9_]*' <<<"$prod_text" | sort | uniq -c | awk '$1 == 1 {print $2}'))
+echo "loc: production fns named only at their definition $(wc -w <<<"$unused"): $(tr '\n' ' ' <<<"$unused" | sed 's/ $//')"

@@ -1079,6 +1079,48 @@ fn a_stale_client_migration_fails_and_installs_nothing() {
     fleet_servers.shutdown();
 }
 
+/// A stale client that repeats a fresh client's move — same partition,
+/// same target — fails without touching the new owner's copy: the old
+/// owner refuses to arm a partition it no longer owns, and the new owner
+/// refuses to drop a partition it owns.
+#[test]
+fn a_stale_client_repeating_a_move_leaves_the_new_owner_intact() {
+    let fleet_servers = start_fleet(3);
+    let addrs = fleet_servers.addr_strings();
+    let a = FleetCluster::connect(&addrs, client_cfg()).expect("connect");
+    let b = FleetCluster::connect(&addrs, client_cfg()).expect("connect");
+    a.apply_updates(&edge_ops()).expect("loads");
+    let map = a.map_snapshot();
+    let v = VertexId(0);
+    let p = map.partition_of(v);
+    let target = (0..3u32)
+        .find(|&i| map.owner_index(p) != i && map.replica_index(p) != Some(i))
+        .expect("three members");
+    let id_at = |i: u32| map.servers()[i as usize].id;
+
+    a.migrate_partition(p, id_at(target))
+        .expect("the fresh client moves");
+    let stale = b.migrate_partition(p, id_at(target));
+    assert!(
+        matches!(stale, Err(Error::InvalidConfig { .. })),
+        "{stale:?}"
+    );
+    assert_eq!(b.map_snapshot(), map, "the stale client installs nothing");
+    let owner = &fleet_servers.nodes[target as usize];
+    assert!(owner.drop_partition(p, PARTITIONS).is_err());
+    assert_eq!(owner.cluster().degree(v, ET), 5, "the new owner keeps p");
+
+    let read = a.sample_many(
+        &[SampleRequest::new(v, ET, 256)],
+        &mut StdRng::seed_from_u64(3),
+    );
+    assert!(!read[0].degraded);
+    let seen: HashSet<u64> = read[0].neighbors.iter().map(|n| n.raw()).collect();
+    assert_eq!(seen, HashSet::from([7, 14, 21, 28, 35]));
+
+    fleet_servers.shutdown();
+}
+
 /// A read whose owner and replica are both down degrades under its own
 /// policy, client-side, and is counted once; every other read is served.
 #[test]
@@ -1113,6 +1155,63 @@ fn a_read_with_owner_and_replica_down_degrades_and_is_counted() {
         counter(&fleet, "fleet.client.degraded_requests"),
         expected as u64
     );
+
+    fleet_servers.shutdown();
+}
+
+/// A move onto a member that holds a stale copy of the partition — the
+/// replica an earlier move dropped from the map — replaces that copy
+/// instead of merging into it: an edge deleted in between stays deleted.
+#[test]
+fn a_move_onto_a_former_replica_does_not_resurrect_deleted_edges() {
+    let fleet_servers = start_fleet(3);
+    let fleet =
+        FleetCluster::connect(&fleet_servers.addr_strings(), client_cfg()).expect("connect");
+    fleet.apply_updates(&edge_ops()).expect("loads");
+    let map = fleet.map_snapshot();
+    let v = VertexId(0);
+    let p = map.partition_of(v);
+    let former_replica = map.replica_index(p).expect("every partition has a replica");
+    let bystander = (0..3u32)
+        .find(|&i| i != map.owner_index(p) && i != former_replica)
+        .expect("three members");
+    let id_at = |i: u32| map.servers()[i as usize].id;
+
+    fleet
+        .migrate_partition(p, id_at(bystander))
+        .expect("moves to the bystander");
+    let deleted = VertexId(7);
+    fleet
+        .apply_updates(&[UpdateOp::Delete {
+            src: v,
+            dst: deleted,
+            etype: ET,
+        }])
+        .expect("deletes");
+    // The former replica left the map with the edge still on it.
+    let stale = fleet_servers.nodes[former_replica as usize].cluster();
+    assert_eq!(stale.degree(v, ET), 5);
+
+    fleet
+        .migrate_partition(p, id_at(former_replica))
+        .expect("moves onto the former replica");
+    let owner = fleet_servers.nodes[former_replica as usize].cluster();
+    let mut dsts: Vec<u64> = owner
+        .server(owner.route(v))
+        .topology()
+        .adjacency_of(v, ET)
+        .expect("resident")
+        .iter()
+        .map(|&(dst, _, _)| dst)
+        .collect();
+    dsts.sort_unstable();
+    assert_eq!(dsts, vec![14, 21, 28, 35]);
+    let read = fleet.sample_many(
+        &[SampleRequest::new(v, ET, 256)],
+        &mut StdRng::seed_from_u64(9),
+    );
+    assert!(!read[0].degraded);
+    assert!(!read[0].neighbors.contains(&deleted), "{:?}", read[0]);
 
     fleet_servers.shutdown();
 }

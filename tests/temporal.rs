@@ -5,9 +5,10 @@
 //! where the two deployments must also stay bit-identical to each other.
 
 use platod2gl::{
-    CacheConfig, Cluster, ClusterConfig, DynamicGraphStore, Edge, EdgeType, FleetCluster,
-    FleetNode, GraphService, GraphServiceServer, GraphStore, KHopSampler, NeighborCache,
-    PartitionMap, RemoteCluster, RemoteClusterConfig, ServerEntry, TimeWindow, UpdateOp, VertexId,
+    CacheConfig, Cluster, ClusterConfig, DecayConfig, DynamicGraphStore, Edge, EdgeType,
+    FleetCluster, FleetNode, GraphService, GraphServiceServer, GraphStore, KHopSampler,
+    NeighborCache, PartitionMap, RecencyDecay, RemoteCluster, RemoteClusterConfig, ServerEntry,
+    TimeWindow, UpdateOp, VertexId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -220,4 +221,53 @@ proptest! {
             "remote and fleet must answer the same windowed block bit-identically"
         );
     }
+}
+
+/// Recency decay changes sampling weights, so it moves the cluster's graph
+/// version (and with it every cached draw); a sweep that changes no weight
+/// leaves the version alone.
+#[test]
+fn a_decaying_sweep_advances_the_graph_version() {
+    let cluster = Cluster::new(
+        ClusterConfig::builder()
+            .num_shards(4)
+            .build()
+            .expect("valid config"),
+    );
+    for s in 0..10u64 {
+        for d in 1..=5u64 {
+            cluster.insert_edge(Edge::new(VertexId(s), VertexId(100 + d), 1.0).at(10));
+        }
+    }
+    let v0 = VertexId(0);
+    assert!((cluster.weight_sum(v0, ET) - 5.0).abs() < 1e-9);
+    let mut decay = RecencyDecay::new(
+        DecayConfig {
+            lambda: 0.01,
+            floor: 1e-6,
+            batch_sources: 4,
+        },
+        cluster.obs(),
+    )
+    .expect("valid policy");
+    let sweep = |decay: &mut RecencyDecay, now: u64| {
+        for shard in 0..cluster.num_shards() {
+            decay.run_sweep(cluster.server(shard).topology(), now);
+        }
+    };
+
+    let before = cluster.graph_version();
+    sweep(&mut decay, 10); // no edge is older than `now`
+    assert_eq!(cluster.graph_version(), before, "nothing decayed");
+
+    sweep(&mut decay, 1_000);
+    assert!(cluster.weight_sum(v0, ET) < 1e-3, "the weights decayed");
+    let after = cluster.graph_version();
+    assert!(after > before, "a decaying sweep must move the version");
+    // The gauge folds the decay in at the next mutation.
+    cluster.insert_edge(Edge::new(v0, VertexId(1), 1.0));
+    assert_eq!(
+        cluster.obs().snapshot().gauge("cluster.graph_version"),
+        Some(after as i64 + 1)
+    );
 }
