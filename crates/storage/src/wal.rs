@@ -1517,6 +1517,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The op codec's byte pin: one record holding one op of each tag
+    /// (1 Insert, 2 Delete, 3 UpdateWeight, 7 stamped Insert, 8 stamped
+    /// UpdateWeight), recorded before the codec moved into `graph`.
+    #[test]
+    fn one_record_of_every_op_tag_leaves_the_recorded_bytes() {
+        const RECORDED: &str = "\
+            5044324757414c329300000005000000010100000000000000020000000000000000000000000000\
+            00f83f02030000000000000004000000000000000500030600000000000000070000000000000000\
+            00000000000000d03f0708000000000000000900000000000000000000000000000000404d000000\
+            00000000080a000000000000000b000000000000000000000000000000e03f63000000000000006a\
+            90a9dd";
+        let ops = [
+            ins(1, 2, 1.5),
+            UpdateOp::Delete {
+                src: v(3),
+                dst: v(4),
+                etype: EdgeType(5),
+            },
+            UpdateOp::UpdateWeight(Edge::new(v(6), v(7), 0.25)),
+            UpdateOp::Insert(Edge::new(v(8), v(9), 2.0).at(77)),
+            UpdateOp::UpdateWeight(Edge::new(v(10), v(11), 0.5).at(99)),
+        ];
+        let mut w = WalWriter::create(Vec::new()).unwrap();
+        w.append(&ops).unwrap();
+        let bytes = w.into_inner();
+        assert_eq!(hex(&bytes), RECORDED);
+        assert_eq!(replay_all(&bytes).0, ops);
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "platod2gl_wal_txn_{tag}_{}_{:?}",
