@@ -76,6 +76,6 @@ pub use platod2gl_server::{
 pub use platod2gl_storage::{
     replay_wal, AttributeStore, CrashInjector, CrashPoint, DecayOutcome, DurableGraphStore,
     DynamicGraphStore, RecoveryReport, StoreConfig, StoreMemory, TornTail, TornTailKind,
-    WalReplayReport, SNAPSHOT_VERSION,
+    WalReplayReport,
 };
 pub use platod2gl_temporal::{DecayConfig, DecayTick, RecencyDecay};

@@ -1,9 +1,9 @@
 //! The workspace's one little-endian byte cursor: a bounds-checked
 //! [`Reader`] over an encoded buffer and the `put_*` writers that mirror
-//! it. The rpc record layer (`platod2gl-server::wire`, which re-exports
-//! this module), the WAL op decoder, the snapshot chunk parser and the
-//! fleet's partition-map codec all read and write their fixed-layout
-//! formats through it.
+//! it. The op record ([`crate::oprecord`]) the WAL, checkpoints and the
+//! rpc frames share, the rest of the rpc record layer
+//! (`platod2gl-server::wire`, which re-exports this module) and the fleet's
+//! partition-map codec all read and write their formats through it.
 //!
 //! The primitives that call something are `#[inline]`: the record decoders
 //! using them live in other crates, where a non-generic, non-leaf function

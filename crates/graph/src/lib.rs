@@ -22,6 +22,7 @@ mod edgelist;
 mod error;
 mod generator;
 mod health;
+pub mod oprecord;
 mod profile;
 mod store;
 mod txn;

@@ -49,6 +49,7 @@
 //! are `u32` / `u64`, the empty ones `()`. Which reply kind answers which
 //! request is [`FrameKind::reply`].
 
+use platod2gl_graph::oprecord::{decode_op, encode_op, MAX_OP_BYTES, MIN_OP_BYTES};
 use platod2gl_graph::{
     Error, ShardHealth, TxnOp, TxnReceipt, TxnViolation, UpdateOp, ViolationKind,
 };
@@ -61,7 +62,7 @@ use std::io::{self, Read, Write};
 
 /// The protocol version stamped into every frame. Readers reject any
 /// other value with [`FrameError::BadVersion`].
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Upper bound on a whole frame. A length prefix exceeding this is
 /// rejected before any allocation — the cap bounds a malicious or corrupt
@@ -610,15 +611,12 @@ impl UpdateBatch {
 
 impl Payload for UpdateBatch {
     fn put(&self, buf: &mut Vec<u8>) {
-        buf.reserve(
-            wire::UPDATE_BATCH_HEADER_BYTES as usize
-                + self.ops.len() * wire::UPDATE_OP_BYTES as usize,
-        );
+        buf.reserve(wire::UPDATE_BATCH_HEADER_BYTES as usize + self.ops.len() * MAX_OP_BYTES);
         wire::put_u32(buf, self.deadline_ms);
         wire::put_trace_ctx(buf, self.ctx);
         wire::put_u32(buf, self.ops.len() as u32);
         for op in &self.ops {
-            wire::put_update_op(buf, op);
+            encode_op(op, buf);
         }
     }
 
@@ -626,7 +624,7 @@ impl Payload for UpdateBatch {
         Ok(UpdateBatch {
             deadline_ms: r.u32()?,
             ctx: wire::get_trace_ctx(r)?,
-            ops: get_list(r, wire::UPDATE_OP_BYTES as usize, wire::get_update_op)?,
+            ops: get_list(r, MIN_OP_BYTES, decode_op)?,
         })
     }
 }
@@ -970,18 +968,18 @@ pub struct TailReply {
 
 impl Payload for TailReply {
     fn put(&self, buf: &mut Vec<u8>) {
-        buf.reserve(12 + self.ops.len() * wire::UPDATE_OP_BYTES as usize);
+        buf.reserve(12 + self.ops.len() * MAX_OP_BYTES);
         wire::put_u64(buf, self.next);
         wire::put_u32(buf, self.ops.len() as u32);
         for op in &self.ops {
-            wire::put_update_op(buf, op);
+            encode_op(op, buf);
         }
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(TailReply {
             next: r.u64()?,
-            ops: get_list(r, wire::UPDATE_OP_BYTES as usize, wire::get_update_op)?,
+            ops: get_list(r, MIN_OP_BYTES, decode_op)?,
         })
     }
 }
@@ -1370,7 +1368,37 @@ mod tests {
             ops: vec![UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 1.0)); 3],
         };
         let frame = encode_frame(FrameKind::UpdateBatch, 0, &encode(&ops));
-        assert_eq!(frame.len() as u64, wire::update_frame_bytes(3));
+        assert_eq!(frame.len() as u64, wire::update_frame_bytes(&ops.ops));
+
+        // A version-3 update frame: ops in the WAL's op record, one of
+        // each tag (timeless Insert, Delete, UpdateWeight, stamped Insert,
+        // stamped UpdateWeight).
+        let batch = UpdateBatch {
+            deadline_ms: 250,
+            ctx: None,
+            ops: vec![
+                UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 1.5)),
+                UpdateOp::Delete {
+                    src: VertexId(3),
+                    dst: VertexId(4),
+                    etype: EdgeType(5),
+                },
+                UpdateOp::UpdateWeight(Edge::new(VertexId(6), VertexId(7), 0.25)),
+                UpdateOp::Insert(Edge::new(VertexId(8), VertexId(9), 2.0).at(77)),
+                UpdateOp::UpdateWeight(Edge::new(VertexId(10), VertexId(11), 0.5).at(99)),
+            ],
+        };
+        let frame = encode_frame(FrameKind::UpdateBatch, 7, &encode(&batch));
+        assert_eq!(
+            hex(&frame),
+            "b600000003030700000000000000fa0000000000000000000000000000000000000000050000\
+             0001010000000000000002000000000000000000000000000000f83f02030000000000000004\
+             00000000000000050003060000000000000007000000000000000000000000000000d03f0708\
+             000000000000000900000000000000000000000000000000404d00000000000000080a000000\
+             000000000b000000000000000000000000000000e03f6300000000000000bdfc02e4",
+            "RECORDED"
+        );
+        assert_eq!(frame.len() as u64, wire::update_frame_bytes(&batch.ops));
 
         let reply = BatchReport {
             applied_ops: 3,
@@ -1602,6 +1630,14 @@ mod tests {
             read_frame(&mut frame.as_slice()),
             Err(FrameError::BadVersion(9))
         ));
+        // Version 2 carried update ops in a fixed 35-byte record; a CRC-valid
+        // frame of that version is refused as such, not decoded.
+        let v2 = with_header_byte(good.clone(), 4, 2);
+        assert!(matches!(
+            read_frame(&mut v2.as_slice()),
+            Err(FrameError::BadVersion(2))
+        ));
+        assert!(matches!(parse_frame(&v2), Err(FrameError::BadVersion(2))));
 
         // A frame in the retired version-1 layout (no req_id), CRC valid.
         // Its 8-byte payload makes it exactly as long as an empty current
@@ -1780,6 +1816,12 @@ mod tests {
             decode::<TailReply>(&encode(&tail)).expect("tail reply"),
             tail
         );
+        assert_eq!(
+            hex(&encode_frame(FrameKind::TailReply, 3, &encode(&tail))),
+            "4800000003180300000000000000110000000000000002000000010100000000000000020000\
+             00000000000000000000000000f83f020300000000000000040000000000000002002cbc0084",
+            "RECORDED"
+        );
 
         assert_eq!(decode(&encode(&64u32)), Ok(64u32));
         let counts = vec![0u64, 3, 99, u64::MAX];
@@ -1880,7 +1922,9 @@ mod tests {
     /// captured from these same fixtures at the commit before the codec
     /// took the domain types (`ObsSnapshot`, `SpanRecord`, `BatchReport`,
     /// an `ErrorReply` inside a txn reply) in place of its own mirror
-    /// structs. The change of types moved no byte.
+    /// structs. The change of types moved no byte. The whole update-batch
+    /// and tail-reply frames were recorded under protocol version 3, whose
+    /// op bytes equal the WAL's.
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }

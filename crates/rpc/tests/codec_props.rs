@@ -451,7 +451,7 @@ proptest! {
     ) {
         let batch = UpdateBatch { deadline_ms, ctx, ops };
         let framed = encode_frame(FrameKind::UpdateBatch, 0, &encode(&batch));
-        prop_assert_eq!(framed.len() as u64, wire::update_frame_bytes(batch.ops.len()));
+        prop_assert_eq!(framed.len() as u64, wire::update_frame_bytes(&batch.ops));
         roundtrips(&batch, &junk)?;
     }
 

@@ -715,26 +715,24 @@ impl Cluster {
         response
     }
 
-    /// Snapshot the whole cluster's topology into one stream. The format is
-    /// shard-count independent, so a snapshot taken on 4 shards restores
+    /// Checkpoint the whole cluster's topology into one stream, shard by
+    /// shard (one shard's rows in memory at a time). The format is
+    /// shard-count independent, so a checkpoint taken on 4 shards restores
     /// onto 8 (re-sharding without re-partitioning tools — the operation
     /// static stores need a full redeploy for).
     pub fn snapshot_to(&self, w: impl std::io::Write) -> Result<(), Error> {
         let _span = self.registry.span("cluster.snapshot");
-        let mut entries = Vec::new();
-        for server in &self.servers {
-            entries.extend(server.topology.export_adjacency());
-        }
-        platod2gl_storage::write_snapshot(w, &entries)?;
+        let shards = self.servers.iter().map(|s| &s.topology);
+        platod2gl_storage::write_checkpoint(w, shards)?;
         Ok(())
     }
 
-    /// Restore a cluster snapshot, routing every source vertex to its
-    /// owning shard and bulk-loading each shard's trees.
+    /// Restore a cluster checkpoint, routing every source vertex to its
+    /// owning shard and bulk-loading each shard's trees with whole keys.
     pub fn restore_from(&self, r: impl std::io::Read) -> Result<(), Error> {
         let _span = self.registry.span("cluster.restore");
         self.bump_version();
-        platod2gl_storage::read_snapshot(r, |batch| {
+        platod2gl_storage::read_checkpoint(r, |batch| {
             let mut per_shard: Vec<Vec<Edge>> = vec![Vec::new(); self.servers.len()];
             for e in batch {
                 per_shard[self.route(e.src)].push(e);

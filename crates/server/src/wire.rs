@@ -9,8 +9,10 @@
 //! `net.*` numbers instead of drifting hand-estimates.
 //!
 //! Records are little-endian and fixed-layout (no varints): a
-//! [`SampleRequest`] record is always [`SAMPLE_REQUEST_BYTES`] bytes, an
-//! [`UpdateOp`] record always [`UPDATE_OP_BYTES`]. The *frame* layer —
+//! [`SampleRequest`] record is always [`SAMPLE_REQUEST_BYTES`] bytes. An
+//! [`UpdateOp`] is the workspace's one op record,
+//! [`platod2gl_graph::oprecord`], which the WAL and checkpoints also use:
+//! 19, 27 or 35 bytes by tag. The *frame* layer —
 //! length prefix, protocol version byte, message kind, CRC32C trailer —
 //! lives in `platod2gl-rpc::codec`; its fixed overhead is
 //! [`FRAME_OVERHEAD_BYTES`] and is included by the `*_frame_bytes` sizing
@@ -23,8 +25,8 @@
 //!                        | trace_present u8 | trace_id u64 | rng_seed u64
 //! SampleResponse (9 + 9n B): flags u8 (bit0 = degraded) | shard u32 | n u32
 //!                        | n x (neighbor u64 | source u8)
-//! UpdateOp       (35 B): kind u8 | src u64 | dst u64 | etype u16 | weight f64
-//!                        | ts u64
+//! UpdateOp   (19/27/35 B): tag u8 | src u64 | dst u64 | etype u16
+//!                        [| weight f64-bits] [| ts u64]   (graph::oprecord)
 //! TxnOp          (35 B): kind u8 | src u64 | dst u64 | etype u16 | weight f64
 //!                        | ts u64
 //! TimeWindowBlk  (1 + 17n B): tag u8 = 1 | n x (present u8 | min_ts u64
@@ -46,6 +48,7 @@ use crate::request::{DegradedPolicy, SampleRequest, SampleResponse, SlotSource};
 pub use platod2gl_graph::cursor::{
     get_opt_u64, get_str, put_opt_u64, put_str, put_u16, put_u32, put_u64, Reader, WireError,
 };
+use platod2gl_graph::oprecord::op_bytes;
 use platod2gl_graph::{Edge, EdgeType, ShardHealth, TimeWindow, TxnOp, UpdateOp, VertexId};
 use platod2gl_obs::TraceContext;
 
@@ -56,9 +59,6 @@ pub const FRAME_OVERHEAD_BYTES: u64 = 18;
 
 /// Encoded size of one [`SampleRequest`] record.
 pub const SAMPLE_REQUEST_BYTES: u64 = 32;
-
-/// Encoded size of one [`UpdateOp`] record.
-pub const UPDATE_OP_BYTES: u64 = 35;
 
 /// Encoded size of one time-window block entry (present flag u8 + min_ts
 /// u64 + max_ts u64).
@@ -115,17 +115,18 @@ pub fn sample_response_frame_bytes(neighbor_counts: impl IntoIterator<Item = usi
             .sum::<u64>()
 }
 
-/// Full on-wire size of an update request frame carrying `ops` ops.
-pub fn update_frame_bytes(ops: usize) -> u64 {
-    FRAME_OVERHEAD_BYTES + UPDATE_BATCH_HEADER_BYTES + ops as u64 * UPDATE_OP_BYTES
+/// Full on-wire size of an update request frame carrying `ops`.
+pub fn update_frame_bytes(ops: &[UpdateOp]) -> u64 {
+    let records: usize = ops.iter().map(op_bytes).sum();
+    FRAME_OVERHEAD_BYTES + UPDATE_BATCH_HEADER_BYTES + records as u64
 }
 
 /// Full on-wire size of an update reply frame (applied u64 + queued u64 +
 /// timing echo).
 pub const UPDATE_REPLY_FRAME_BYTES: u64 = FRAME_OVERHEAD_BYTES + 16 + REPLY_TIMING_ECHO_BYTES;
 
-/// Encoded size of one [`TxnOp`] record (same fixed 35-byte layout as
-/// [`UpdateOp`]: vertex-granular ops carry a zero dst/weight/ts).
+/// Encoded size of one [`TxnOp`] record (fixed layout: vertex-granular
+/// ops carry a zero dst/weight/ts).
 pub const TXN_OP_BYTES: u64 = 35;
 
 /// Fixed body prefix of a txn-apply frame: txn_id u64 + trace context
@@ -294,66 +295,13 @@ pub fn get_sample_response(r: &mut Reader<'_>) -> Result<SampleResponse, WireErr
     })
 }
 
-const OP_INSERT: u8 = 0;
-const OP_UPDATE_WEIGHT: u8 = 1;
-const OP_DELETE: u8 = 2;
-
-/// Encode one [`UpdateOp`] record (fixed layout: deletes carry a zero
-/// weight and timestamp so every op is [`UPDATE_OP_BYTES`]).
-pub fn put_update_op(buf: &mut Vec<u8>, op: &UpdateOp) {
-    let before = buf.len();
-    let (kind, src, dst, etype, weight, ts) = match op {
-        UpdateOp::Insert(e) => (OP_INSERT, e.src, e.dst, e.etype, e.weight, e.ts),
-        UpdateOp::UpdateWeight(e) => (OP_UPDATE_WEIGHT, e.src, e.dst, e.etype, e.weight, e.ts),
-        UpdateOp::Delete { src, dst, etype } => (OP_DELETE, *src, *dst, *etype, 0.0, 0),
-    };
-    buf.push(kind);
-    put_u64(buf, src.raw());
-    put_u64(buf, dst.raw());
-    put_u16(buf, etype.0);
-    buf.extend_from_slice(&weight.to_le_bytes());
-    put_u64(buf, ts);
-    debug_assert_eq!((buf.len() - before) as u64, UPDATE_OP_BYTES);
-}
-
-/// Decode one [`UpdateOp`] record.
-pub fn get_update_op(r: &mut Reader<'_>) -> Result<UpdateOp, WireError> {
-    let kind = r.u8()?;
-    let src = VertexId(r.u64()?);
-    let dst = VertexId(r.u64()?);
-    let etype = EdgeType(r.u16()?);
-    let weight = r.f64()?;
-    let ts = r.u64()?;
-    match kind {
-        OP_INSERT => Ok(UpdateOp::Insert(Edge {
-            src,
-            dst,
-            etype,
-            weight,
-            ts,
-        })),
-        OP_UPDATE_WEIGHT => Ok(UpdateOp::UpdateWeight(Edge {
-            src,
-            dst,
-            etype,
-            weight,
-            ts,
-        })),
-        OP_DELETE => Ok(UpdateOp::Delete { src, dst, etype }),
-        tag => Err(WireError::BadTag {
-            what: "update op",
-            tag,
-        }),
-    }
-}
-
 const TXNOP_INSERT_EDGE: u8 = 0;
 const TXNOP_DELETE_EDGE: u8 = 1;
 const TXNOP_PATCH_WEIGHT: u8 = 2;
 const TXNOP_UPSERT_VERTEX: u8 = 3;
 const TXNOP_DELETE_VERTEX: u8 = 4;
 
-/// Encode one [`TxnOp`] record (fixed layout mirroring [`put_update_op`]:
+/// Encode one [`TxnOp`] record (fixed layout:
 /// kind u8 | src u64 | dst u64 | etype u16 | weight f64 | ts u64;
 /// vertex-granular ops carry a zero dst, weight and timestamp).
 pub fn put_txn_op(buf: &mut Vec<u8>, op: &TxnOp) {
@@ -510,27 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn update_ops_roundtrip_at_fixed_size() {
-        let ops = [
-            UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 0.5)),
-            UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 0.5).at(1234)),
-            UpdateOp::UpdateWeight(Edge::new(VertexId(3), VertexId(4), 2.5)),
-            UpdateOp::Delete {
-                src: VertexId(5),
-                dst: VertexId(6),
-                etype: EdgeType(9),
-            },
-        ];
-        for op in &ops {
-            let mut buf = Vec::new();
-            put_update_op(&mut buf, op);
-            assert_eq!(buf.len() as u64, UPDATE_OP_BYTES);
-            let back = get_update_op(&mut Reader::new(&buf)).expect("decode");
-            assert_eq!(back, *op);
-        }
-    }
-
-    #[test]
     fn truncated_records_error_instead_of_panicking() {
         let mut buf = Vec::new();
         put_sample_request(
@@ -559,16 +486,6 @@ mod tests {
 
     #[test]
     fn bad_tags_are_rejected() {
-        // Unknown op kind.
-        let mut buf = vec![9u8];
-        buf.extend_from_slice(&[0u8; 34]);
-        assert!(matches!(
-            get_update_op(&mut Reader::new(&buf)),
-            Err(WireError::BadTag {
-                what: "update op",
-                ..
-            })
-        ));
         assert!(health_from(3).is_err());
         assert!(policy_from(2).is_err());
         assert!(source_from(7).is_err());
@@ -584,9 +501,20 @@ mod tests {
             sample_response_frame_bytes([0, 2]),
             FRAME_OVERHEAD_BYTES + 8 + 4 + (9) + (9 + 18)
         );
+        // Op records: a timeless insert (27 B), a stamped patch (35 B), a
+        // delete (19 B).
+        let ops = [
+            UpdateOp::Insert(Edge::new(VertexId(1), VertexId(2), 0.5)),
+            UpdateOp::UpdateWeight(Edge::new(VertexId(1), VertexId(2), 0.5).at(3)),
+            UpdateOp::Delete {
+                src: VertexId(1),
+                dst: VertexId(2),
+                etype: EdgeType(0),
+            },
+        ];
         assert_eq!(
-            update_frame_bytes(2),
-            FRAME_OVERHEAD_BYTES + UPDATE_BATCH_HEADER_BYTES + 2 * UPDATE_OP_BYTES
+            update_frame_bytes(&ops),
+            FRAME_OVERHEAD_BYTES + UPDATE_BATCH_HEADER_BYTES + 27 + 35 + 19
         );
         assert_eq!(
             txn_frame_bytes(4),

@@ -42,18 +42,25 @@ enum Admission {
     Strict,
 }
 
+/// The request frame size the rpc transport ships for one shard's ops.
+type FrameBytes = fn(&[UpdateOp]) -> u64;
+
 impl Admission {
     /// What the rpc transport ships for one shard's partition (request
-    /// frame size by op count, reply frame size), and the worker's name in
+    /// frame size of its ops, reply frame size), and the worker's name in
     /// an injected crash's panic message.
-    fn wire(self) -> (fn(usize) -> u64, u64, &'static str) {
+    fn wire(self) -> (FrameBytes, u64, &'static str) {
         match self {
             Admission::Lenient => (
                 wire::update_frame_bytes,
                 wire::UPDATE_REPLY_FRAME_BYTES,
                 "batch",
             ),
-            Admission::Strict => (wire::txn_frame_bytes, wire::TXN_REPLY_FRAME_BYTES, "txn"),
+            Admission::Strict => (
+                |ops| wire::txn_frame_bytes(ops.len()),
+                wire::TXN_REPLY_FRAME_BYTES,
+                "txn",
+            ),
         }
     }
 }
@@ -230,7 +237,7 @@ impl Cluster {
     pub(crate) fn write_one(&self, op: UpdateOp) -> bool {
         self.tally(
             1,
-            wire::update_frame_bytes(1),
+            wire::update_frame_bytes(std::slice::from_ref(&op)),
             wire::UPDATE_REPLY_FRAME_BYTES,
         );
         let shard = self.route(op.src());
@@ -284,7 +291,7 @@ impl Cluster {
         let (frame_bytes, reply_bytes, worker) = admission.wire();
         let live_shards = per_shard.iter().filter(|p| !p.is_empty());
         let (frames, req_bytes) =
-            live_shards.fold((0u64, 0u64), |(n, b), p| (n + 1, b + frame_bytes(p.len())));
+            live_shards.fold((0u64, 0u64), |(n, b), p| (n + 1, b + frame_bytes(p)));
         self.tally(frames, req_bytes, frames * reply_bytes);
 
         let mut report = BatchReport::default();

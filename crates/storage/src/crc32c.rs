@@ -1,20 +1,24 @@
-//! CRC32C (Castagnoli) — the checksum guarding WAL records and snapshot
-//! blocks.
+//! CRC32C (Castagnoli) — the checksum guarding WAL and checkpoint records
+//! and rpc frames.
 //!
 //! Chosen over CRC32 (IEEE) for its better error-detection properties and
 //! because it is the de-facto storage-system standard (RocksDB WALs, ext4
-//! metadata, iSCSI). Software slicing-by-one table implementation: the
-//! checksummed units here are small (WAL records, snapshot blocks), so a
-//! table lookup per byte is plenty and keeps the code dependency-free.
+//! metadata, iSCSI). Software slicing-by-8 table implementation, so the
+//! code stays dependency-free: eight table lookups per 8 input bytes in
+//! place of a dependent lookup per byte. A checkpoint passes every byte
+//! through it twice (record and whole-file CRC), and byte-at-a-time it
+//! was ~3 ns/byte, most of a checkpoint's or restore's time.
 
 /// Reflected Castagnoli polynomial.
 const POLY: u32 = 0x82F6_3B78;
 
-/// 256-entry lookup table, built at compile time.
-static TABLE: [u32; 256] = build_table();
+/// Slicing-by-8 lookup tables, built at compile time: `TABLES[0]` is the
+/// byte-at-a-time table, and `TABLES[k][i]` is the CRC of byte `i`
+/// followed by `k` zero bytes.
+static TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -27,10 +31,20 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Incremental CRC32C hasher for streaming writers/readers.
@@ -51,9 +65,22 @@ impl Crc32c {
     }
 
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
         }
         self.state = crc;
     }

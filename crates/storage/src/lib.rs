@@ -29,7 +29,7 @@ mod wal;
 
 pub use attr::AttributeStore;
 pub use fault::{CrashInjector, CrashPoint};
-pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_VERSION};
+pub use snapshot::{read_checkpoint, write_checkpoint};
 pub use topology::{AdjacencyEntry, DecayOutcome, DynamicGraphStore, StoreConfig, StoreMemory};
 pub use wal::{
     replay_wal, DurableGraphStore, RecoveryReport, TornTail, TornTailKind, WalReplayReport,

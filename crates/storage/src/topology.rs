@@ -14,8 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One exported adjacency entry: `((src, etype), [(dst, weight, ts), ...])`.
-/// `ts == 0` marks a timeless edge (static data, or restored from a pre-v3
-/// snapshot).
+/// `ts == 0` marks a timeless edge.
 pub type AdjacencyEntry = ((u64, u16), Vec<(u64, f64, u64)>);
 
 /// Bounded rejection retries per windowed sample slot before falling back
@@ -368,7 +367,7 @@ impl DynamicGraphStore {
 
     /// Bulk-load an edge collection, building each samtree bottom-up in one
     /// pass (`SamTree::bulk_load`) instead of edge-at-a-time insertion — the
-    /// snapshot-restore / initial-ingest fast path. Edges for sources that
+    /// checkpoint-restore / initial-ingest fast path. Edges for sources that
     /// already have a tree fall back to incremental inserts.
     pub fn bulk_build(&self, edges: impl IntoIterator<Item = Edge>) {
         use std::collections::HashMap;
@@ -571,7 +570,7 @@ impl DynamicGraphStore {
     }
 
     /// Dump the whole adjacency as `((src, etype), [(dst, weight, ts)])`
-    /// entries (snapshotting and diagnostics). Each tree's rows are read in
+    /// entries (checkpoints and diagnostics). Each tree's rows are read in
     /// one pass under its stripe's read guard, so a row's `ts` is always one
     /// the edge held together with that weight.
     pub fn export_adjacency(&self) -> Vec<AdjacencyEntry> {

@@ -13,13 +13,14 @@
 //! file   := magic "PD2GWAL2" , record*
 //! record := len:u32le , payload:[u8; len] , crc:u32le        crc = CRC32C(payload)
 //! payload:= count:u32le , count × op
-//! op     := tag:u8 , body
-//!   tag 1 Insert           body = src:u64le dst:u64le etype:u16le weight:f64le-bits
-//!   tag 2 Delete           body = src:u64le dst:u64le etype:u16le
-//!   tag 3 UpdateWeight     body = src:u64le dst:u64le etype:u16le weight:f64le-bits
-//!   tag 7 Insert + ts      body = as tag 1 , ts:u64le
-//!   tag 8 UpdateWeight + ts body = as tag 3 , ts:u64le
 //! ```
+//!
+//! `op` is the workspace's one op record, [`platod2gl_graph::oprecord`]:
+//! tags 1/2/3 (Insert 27 B, Delete 19 B, UpdateWeight 27 B) and 7/8 for an
+//! Insert or UpdateWeight whose edge carries a non-zero stamp (35 B). The
+//! log records the weight the store applies (the sanitized one). A
+//! checkpoint (`snapshot.bin`) is these same frames behind its own magic
+//! (see `snapshot.rs`).
 //!
 //! Every logged write — one op, an update batch or a transaction — is
 //! exactly one record, written with one `write_all`. Replay delivers a
@@ -53,8 +54,10 @@
 
 use crate::crc32c::crc32c;
 use crate::fault::{CrashInjector, CrashPoint};
+use crate::snapshot::{read_checkpoint, write_checkpoint, CHECKPOINT_MAGIC};
 use crate::topology::{DynamicGraphStore, StoreConfig};
-use platod2gl_graph::cursor::{put_u16, put_u32, put_u64, Reader, WireError};
+use platod2gl_graph::cursor::{put_u32, Reader, WireError};
+use platod2gl_graph::oprecord::{decode_op, encode_op};
 use platod2gl_graph::{
     sanitize_weight, validate_and_lower, Edge, EdgeType, Error, GraphStore, GraphTxn, TxnError,
     TxnReceipt, UpdateOp, VertexId,
@@ -70,92 +73,47 @@ use std::time::Instant;
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 8] = b"PD2GWAL2";
 
-const TAG_INSERT: u8 = 1;
-const TAG_DELETE: u8 = 2;
-const TAG_UPDATE_WEIGHT: u8 = 3;
-// Timestamped variants (temporal plane): same body as tags 1/3 with the
-// edge's event time (u64 LE) appended. Written only when `ts != 0`, so a
-// timeless op spends no bytes on a timestamp.
-const TAG_INSERT_TS: u8 = 7;
-const TAG_UPDATE_WEIGHT_TS: u8 = 8;
-
 /// Upper bound on a single record payload: the writer refuses a larger one
 /// and replay treats one as corruption. A batch of 1M ops encodes to
 /// ~27 MB, far below this. Unit tests use a small limit so the refusal is
 /// testable without a 1 GiB allocation.
-const MAX_RECORD_LEN: u32 = if cfg!(test) { 1 << 16 } else { 1 << 30 };
+pub(crate) const MAX_RECORD_LEN: u32 = if cfg!(test) { 1 << 16 } else { 1 << 30 };
 
 // ---------------------------------------------------------------------------
-// Op encoding
+// Record frames (shared with checkpoints)
 // ---------------------------------------------------------------------------
 
-fn encode_op(op: &UpdateOp, out: &mut Vec<u8>) {
-    let (plain, stamped, e) = match op {
-        UpdateOp::Insert(e) => (TAG_INSERT, TAG_INSERT_TS, e),
-        UpdateOp::UpdateWeight(e) => (TAG_UPDATE_WEIGHT, TAG_UPDATE_WEIGHT_TS, e),
-        UpdateOp::Delete { src, dst, etype } => {
-            out.push(TAG_DELETE);
-            return encode_key(*src, *dst, *etype, out);
-        }
-    };
-    out.push(if e.ts != 0 { stamped } else { plain });
-    encode_key(e.src, e.dst, e.etype, out);
-    // Log the weight the store will actually apply (the sanitized one), so
-    // replay reproduces the applied state and never re-ingests a non-finite
-    // value.
-    put_u64(out, sanitize_weight(e.weight).to_bits());
-    if e.ts != 0 {
-        put_u64(out, e.ts);
+/// Start a record frame in `frame`: room for the length and the op count,
+/// which [`seal_frame`] patches.
+pub(crate) fn open_frame(frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.extend_from_slice(&[0; 8]);
+}
+
+/// Finish the frame [`open_frame`] started, now holding `count` ops:
+/// patch its length and count and append the payload's CRC32C. A payload
+/// over the record limit is [`io::ErrorKind::InvalidInput`].
+pub(crate) fn seal_frame(frame: &mut Vec<u8>, count: usize) -> io::Result<()> {
+    let len = frame.len() - 4;
+    if len > MAX_RECORD_LEN as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "a WAL record of {count} ops would be {len} bytes, over the \
+                 {MAX_RECORD_LEN}-byte limit; nothing was logged"
+            ),
+        ));
     }
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[4..8].copy_from_slice(&(count as u32).to_le_bytes());
+    let crc = crc32c(&frame[4..]);
+    put_u32(frame, crc);
+    Ok(())
 }
 
-fn encode_key(src: VertexId, dst: VertexId, etype: EdgeType, out: &mut Vec<u8>) {
-    put_u64(out, src.raw());
-    put_u64(out, dst.raw());
-    put_u16(out, etype.0);
-}
-
-/// Decode one op from a CRC-validated payload.
-fn decode_op(r: &mut Reader<'_>) -> Result<UpdateOp, WireError> {
-    let tag = r.u8()?;
-    let src = VertexId(r.u64()?);
-    let dst = VertexId(r.u64()?);
-    let etype = EdgeType(r.u16()?);
-    if tag == TAG_DELETE {
-        return Ok(UpdateOp::Delete { src, dst, etype });
-    }
-    // Clamp a non-finite weight to `0.0` *without* the ingest boundary's
-    // debug assertion: replay is not ingest — the value already passed
-    // ingest in a (possibly release-built) writer, and a debug-built reader
-    // must recover the log, not panic on it. The clamp matches what
-    // `sanitize_weight` applied in-memory at ingest time.
-    let weight = r.f64()?;
-    let weight = if weight.is_finite() { weight } else { 0.0 };
-    let ts = match tag {
-        TAG_INSERT | TAG_UPDATE_WEIGHT => 0,
-        TAG_INSERT_TS | TAG_UPDATE_WEIGHT_TS => r.u64()?,
-        tag => {
-            return Err(WireError::BadTag {
-                what: "WAL op",
-                tag,
-            })
-        }
-    };
-    let edge = Edge {
-        src,
-        dst,
-        etype,
-        weight,
-        ts,
-    };
-    Ok(match tag {
-        TAG_INSERT | TAG_INSERT_TS => UpdateOp::Insert(edge),
-        _ => UpdateOp::UpdateWeight(edge),
-    })
-}
-
-/// Decode a record payload, pushing its ops onto `ops`. `false` on any
-/// structural problem (unknown tag, short body, trailing bytes).
+/// Decode a record payload, pushing its ops onto `ops` with their weights
+/// as recorded. `false` on any structural problem (unknown tag, short
+/// body, trailing bytes).
 fn decode_payload(payload: &[u8], ops: &mut Vec<UpdateOp>) -> bool {
     let mut r = Reader::new(payload);
     let decoded = (|| -> Result<(), WireError> {
@@ -209,26 +167,16 @@ impl<W: Write> WalWriter<W> {
     /// with [`io::ErrorKind::InvalidInput`] before any byte is written.
     pub fn append(&mut self, ops: &[UpdateOp]) -> io::Result<()> {
         let frame = &mut self.frame;
-        frame.clear();
-        put_u32(frame, 0); // the length, patched below
-        put_u32(frame, ops.len() as u32);
-        for op in ops {
-            encode_op(op, frame);
+        open_frame(frame);
+        for &(mut op) in ops {
+            // Log the weight the store will apply (the sanitized one), so
+            // replay never re-ingests a non-finite value.
+            if let UpdateOp::Insert(e) | UpdateOp::UpdateWeight(e) = &mut op {
+                e.weight = sanitize_weight(e.weight);
+            }
+            encode_op(&op, frame);
         }
-        let len = frame.len() - 4;
-        if len > MAX_RECORD_LEN as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "a WAL record of {} ops would be {len} bytes, over the \
-                     {MAX_RECORD_LEN}-byte limit; nothing was logged",
-                    ops.len()
-                ),
-            ));
-        }
-        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
-        let crc = crc32c(&frame[4..]);
-        put_u32(frame, crc);
+        seal_frame(frame, ops.len())?;
         self.w.write_all(frame)?;
         self.offset += frame.len() as u64;
         self.records += 1;
@@ -293,7 +241,7 @@ pub struct WalReplayReport {
     pub torn_tail: Option<TornTail>,
 }
 
-fn invalid(msg: String) -> io::Error {
+pub(crate) fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
@@ -344,7 +292,7 @@ fn valid_record_follows(data: &[u8], from: usize) -> bool {
 /// The rest of a frame whose length prefix read `len` — `(payload, stored
 /// CRC32C)` — or `None` if `len` is zero, over [`MAX_RECORD_LEN`], or runs
 /// past the data.
-fn frame_body<'a>(r: &mut Reader<'a>, len: u32) -> Option<(&'a [u8], u32)> {
+pub(crate) fn frame_body<'a>(r: &mut Reader<'a>, len: u32) -> Option<(&'a [u8], u32)> {
     if len == 0 || len > MAX_RECORD_LEN {
         return None;
     }
@@ -371,8 +319,13 @@ fn replay_wal_bytes(data: &[u8], sink: &mut dyn FnMut(UpdateOp)) -> io::Result<W
     }
     let magic = &data[..data.len().min(WAL_MAGIC.len())];
     if magic != WAL_MAGIC.as_slice() {
+        let what = if magic == CHECKPOINT_MAGIC.as_slice() {
+            " (a checkpoint, which restores as snapshot.bin)"
+        } else {
+            ""
+        };
         return Err(invalid(format!(
-            "unsupported WAL format {:?} at byte offset 0: this build reads {:?} only",
+            "unsupported WAL format {:?}{what} at byte offset 0: this build reads {:?} only",
             String::from_utf8_lossy(magic),
             String::from_utf8_lossy(WAL_MAGIC),
         )));
@@ -442,7 +395,17 @@ fn replay_wal_bytes(data: &[u8], sink: &mut dyn FnMut(UpdateOp)) -> io::Result<W
         }
         report.records += 1;
         report.ops += ops.len() as u64;
-        ops.drain(..).for_each(&mut *sink);
+        for mut op in ops.drain(..) {
+            // Clamp a non-finite weight as `sanitize_weight` did at ingest,
+            // without its debug assertion: replay is not ingest, and a
+            // debug-built reader must recover the log, not panic on it.
+            if let UpdateOp::Insert(e) | UpdateOp::UpdateWeight(e) = &mut op {
+                if !e.weight.is_finite() {
+                    e.weight = 0.0;
+                }
+            }
+            sink(op);
+        }
         pos += frame;
     };
     report.torn_tail = Some(TornTail {
@@ -476,8 +439,8 @@ pub struct RecoveryReport {
 ///
 /// On-disk layout inside the directory passed to [`DurableGraphStore::open`]:
 ///
-/// * `snapshot.bin` — latest checkpoint (the format
-///   [`write_snapshot`](crate::write_snapshot) emits); absent until the
+/// * `snapshot.bin` — latest checkpoint (the WAL records
+///   [`write_checkpoint`](crate::write_checkpoint) emits); absent until the
 ///   first checkpoint.
 /// * `wal.log` — updates since that checkpoint.
 /// * `snapshot.tmp` — in-flight checkpoint; never read, replaced by rename.
@@ -580,7 +543,7 @@ impl DurableGraphStore {
 
         let snap_path = dir.join("snapshot.bin");
         if snap_path.exists() {
-            store.restore_from(File::open(&snap_path)?)?;
+            read_checkpoint(File::open(&snap_path)?, |edges| store.bulk_build(edges))?;
             report.restored_snapshot = true;
         }
 
@@ -804,7 +767,7 @@ impl DurableGraphStore {
         {
             let f = File::create(&tmp)?;
             let mut buf = BufWriter::new(f);
-            self.store.snapshot_to(&mut buf)?;
+            write_checkpoint(&mut buf, [&self.store])?;
             buf.flush()?;
             buf.get_ref().sync_data()?;
         }
@@ -1030,6 +993,53 @@ mod tests {
         assert_eq!(delivered, 0, "nothing of a refused log is applied");
     }
 
+    /// Each file kind offered where another belongs is refused with
+    /// `InvalidData` naming what was found: a retired v3 snapshot or a
+    /// `wal.log` as `snapshot.bin`, a checkpoint as `wal.log`.
+    #[test]
+    fn format_boundaries_are_refused_naming_what_was_found() {
+        let source = tempdir("boundary_source");
+        let (store, _) = DurableGraphStore::open(&source, StoreConfig::default()).unwrap();
+        store.insert_edge(Edge::new(v(1), v(2), 1.0));
+        store.checkpoint().unwrap();
+        store.insert_edge(Edge::new(v(3), v(4), 1.0));
+        drop(store);
+        let checkpoint = std::fs::read(source.join("snapshot.bin")).unwrap();
+        let wal = std::fs::read(source.join("wal.log")).unwrap();
+        std::fs::remove_dir_all(&source).ok();
+        let mut v3 = b"PD2GSNAP".to_vec();
+        v3.extend_from_slice(&3u32.to_le_bytes());
+        v3.extend_from_slice(&0u64.to_le_bytes());
+
+        let cases: [(&str, &[u8], &str); 3] = [
+            (
+                "snapshot.bin",
+                &v3,
+                "\"PD2GSNAP\" (a snapshot in the retired block format)",
+            ),
+            ("snapshot.bin", &wal, "\"PD2GWAL2\" (a write-ahead log)"),
+            (
+                "wal.log",
+                &checkpoint,
+                "\"PD2GCKPT\" (a checkpoint, which restores as snapshot.bin)",
+            ),
+        ];
+        for (file, bytes, found) in cases {
+            let dir = tempdir("boundary");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(file), bytes).unwrap();
+            let err = DurableGraphStore::open(&dir, StoreConfig::default())
+                .err()
+                .expect("must be refused");
+            assert!(
+                matches!(&err, Error::Io(e) if e.kind() == io::ErrorKind::InvalidData),
+                "{file}: {err}"
+            );
+            assert!(err.to_string().contains(found), "{file}: {err}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn truncation_at_every_byte_is_a_clean_torn_tail() {
         let ops = vec![ins(1, 2, 1.0), ins(3, 4, 2.0), ins(5, 6, 3.0)];
@@ -1141,7 +1151,7 @@ mod tests {
         // non-finite weight. Replay must clamp it exactly as the ingest
         // boundary would have — not trip sanitize_weight's debug assert.
         let mut payload = 1u32.to_le_bytes().to_vec();
-        payload.push(TAG_INSERT);
+        payload.push(1); // tag 1: Insert
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.extend_from_slice(&8u64.to_le_bytes());
         payload.extend_from_slice(&0u16.to_le_bytes());
